@@ -21,11 +21,9 @@
  *      both DNNs) cold, then again with the estimator cache dropped
  *      but the pass::PipelineCache kept warm, isolating the lowering
  *      prefix-skip ("bench.dse.pipeline.*" gauges).
- *   7. Incremental estimation: the same full sweep with per-node
- *      composition disabled (every point lowers and estimates the
- *      whole design) vs. enabled, cold caches both times, reporting
- *      the speedup and the node-reuse rate
- *      ("bench.dse.incremental.*" gauges).
+ *   7. Incremental estimation: the same full sweep with every cache
+ *      cold, reporting its wall-clock and the per-node report reuse
+ *      rate ("bench.dse.incremental.*" gauges).
  *
  * Set POM_BENCH_JSON=BENCH_dse.json to capture every printed number as
  * "bench.dse.*" gauges (see bench_util.h). Speedups depend on the host:
@@ -128,10 +126,9 @@ gauge(const std::string &name, double value)
 /**
  * The full 18-workload sweep: every non-DNN workload at 128 plus both
  * DNNs at a bounded depth (the section-2 settings), jobs=1 throughout.
- * @p incremental toggles per-node estimation for section 7.
  */
 double
-runFullSweep(std::uint64_t &checksum, bool incremental = true)
+runFullSweep(std::uint64_t &checksum)
 {
     checksum = 0;
     Clock::time_point t0 = Clock::now();
@@ -139,7 +136,6 @@ runFullSweep(std::uint64_t &checksum, bool incremental = true)
         auto w = workloads::makeByName(name, 128);
         dse::DseOptions opt;
         opt.jobs = 1;
-        opt.incrementalEstimate = incremental;
         checksum += dse::autoDSE(w->func(), opt).report.latencyCycles;
     }
     for (const char *dnn : {"vgg16", "resnet18"}) {
@@ -147,7 +143,6 @@ runFullSweep(std::uint64_t &checksum, bool incremental = true)
         dse::DseOptions opt;
         opt.jobs = 1;
         opt.maxParallelism = 4;
-        opt.incrementalEstimate = incremental;
         checksum += dse::autoDSE(w->func(), opt).report.latencyCycles;
     }
     return seconds(t0);
@@ -279,7 +274,7 @@ main()
     cache.clear();
     std::uint64_t sumD = 0;
     double disk_cold = runSweep(1, sumD);
-    hls::SpillStats save_stats;
+    support::CacheSpillStats save_stats;
     std::string spill_error;
     Clock::time_point t_save = Clock::now();
     if (!cache.saveDir(spill_dir, save_stats, spill_error)) {
@@ -289,7 +284,7 @@ main()
     }
     double save_secs = seconds(t_save);
     cache.clear();
-    hls::SpillStats load_stats;
+    support::CacheSpillStats load_stats;
     Clock::time_point t_load = Clock::now();
     if (!cache.loadDir(spill_dir, load_stats, spill_error)) {
         std::fprintf(stderr, "FATAL: cache load failed: %s\n",
@@ -365,43 +360,24 @@ main()
     gauge("pipeline.misses", static_cast<double>(pmisses));
     gauge("pipeline.hit_rate", phit_rate);
 
-    // 7. Incremental estimation: the full sweep with per-node
-    // composition off (monolithic lower+estimate per point) vs. on,
-    // both fully cold (estimator AND node caches dropped, pipeline
-    // cache off), so the delta is node reuse alone. The checksum
-    // equality doubles as the byte-identity guard the differential
-    // tests enforce in finer grain.
+    // 7. Incremental estimation: the full sweep fully cold (estimator
+    // AND node caches dropped, pipeline cache off), so every reused
+    // node report was produced within the sweep itself.
     std::printf("\nincremental-estimation sweep (18 workloads):\n");
     auto &nodes = hls::NodeReportCache::global();
     cache.clear();
     nodes.clear();
-    std::uint64_t sumF = 0, sumI = 0;
-    double inc_full = runFullSweep(sumF, /*incremental=*/false);
-    cache.clear();
-    nodes.clear();
-    std::uint64_t nhits0 = nodes.hits(), nmisses0 = nodes.misses();
-    double inc_incr = runFullSweep(sumI, /*incremental=*/true);
-    if (sumI != sumF) {
-        std::fprintf(stderr, "FATAL: incremental sweep checksum "
-                             "diverged (%llu vs %llu)\n",
-                     static_cast<unsigned long long>(sumF),
-                     static_cast<unsigned long long>(sumI));
-        return 1;
-    }
-    std::uint64_t nhits = nodes.hits() - nhits0;
-    std::uint64_t nmisses = nodes.misses() - nmisses0;
+    std::uint64_t sumI = 0;
+    double inc_incr = runFullSweep(sumI);
+    std::uint64_t nhits = nodes.hits(), nmisses = nodes.misses();
     double node_reuse = nhits + nmisses > 0
                             ? static_cast<double>(nhits) /
                                   static_cast<double>(nhits + nmisses)
                             : 0.0;
-    double inc_speedup = inc_incr > 0.0 ? inc_full / inc_incr : 0.0;
-    std::printf("  sweep full estimation:        %7.3f s\n", inc_full);
-    std::printf("  sweep incremental (per-node): %7.3f s  (%.2fx, "
-                "node reuse %.0f%%)\n",
-                inc_incr, inc_speedup, 100.0 * node_reuse);
-    gauge("incremental.full_seconds", inc_full);
+    std::printf("  sweep cold (per-node reuse): %7.3f s  (node reuse "
+                "%.0f%%)\n",
+                inc_incr, 100.0 * node_reuse);
     gauge("incremental.incremental_seconds", inc_incr);
-    gauge("incremental.speedup", inc_speedup);
     gauge("incremental.node_reuse_rate", node_reuse);
 
     if (!json.empty())

@@ -305,8 +305,6 @@ runPom(dsl::Function &func, const BaselineOptions &options)
     dopt.maxParallelism = options.maxParallelism;
     dopt.innerUnrollCap = options.innerUnrollCap;
     dopt.strategy = options.strategy;
-    dopt.incrementalEstimate = options.incrementalEstimate;
-    dopt.prune = options.prune;
     dopt.jobs = options.jobs;
     dse::DseResult dres = dse::autoDSE(func, dopt);
 

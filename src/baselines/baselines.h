@@ -61,12 +61,6 @@ struct BaselineOptions
     /** Stage-2 search driver of the POM DSE (`pomc --strategy`). */
     dse::StrategyKind strategy = dse::StrategyKind::Greedy;
 
-    /** Incremental per-node estimation (`pomc --incremental-estimate`). */
-    bool incrementalEstimate = true;
-
-    /** Admissible-bound pruning (`pomc --dse-prune`). */
-    bool prune = false;
-
     /** POM DSE worker threads; 0 = support::jobs(). Lets a daemon
      *  request run with fewer workers than the process default. */
     int jobs = 0;

@@ -13,7 +13,6 @@
 
 #include "check/oracle.h"
 #include "graph/dependence_graph.h"
-#include "hls/bound.h"
 #include "hls/count.h"
 #include "hls/estimator_cache.h"
 #include "hls/node_cache.h"
@@ -783,10 +782,8 @@ class Engine
             width > 1 ? &support::ThreadPool::global() : nullptr;
         std::vector<std::future<Evaluation>> stale;
 
-        // Evaluate the initial (pipeline-only) design. Never pruned:
-        // the strategy seeds from it unconditionally, so it must carry
-        // the true estimate.
-        Evaluation init = evaluate(base, units, {}, false);
+        // Evaluate the initial (pipeline-only) design.
+        Evaluation init = evaluate(base, units, {});
         ++points_;
         recordPoint("stage2-init", init.primitives, init.report,
                     "accepted", "initial pipeline-only design");
@@ -908,7 +905,6 @@ class Engine
     {
         hls::SynthesisReport report;
         std::string primitives; ///< journal summary of the schedule
-        bool fromCache = false;
     };
 
     /** A materialized design point (the final / replayed design). */
@@ -1123,34 +1119,6 @@ class Engine
     }
 
     /**
-     * Admissible-bound rejection (`--dse-prune`): when the analytic
-     * lower bound already exceeds the budget the full estimator would
-     * have rejected the point too, so skip lowering and estimation
-     * entirely. The journaled numbers become the bound's (latency 0).
-     * Returns true when the candidate was pruned.
-     */
-    bool
-    pruneCheck(
-        const std::vector<std::vector<const PolyStmt *>> &unitStmts,
-        const hls::PartitionPlan &partitions, Evaluation &ev,
-        obs::Span &span)
-    {
-        if (!opt_.prune)
-            return false;
-        hls::EstimatorOptions eo = estOptions();
-        eo.partitionOverride = &partitions;
-        hls::Resources bound =
-            hls::admissibleResourceBound(func_, unitStmts, eo);
-        if (bound.fitsIn(device_))
-            return false;
-        obs::counterAdd("dse.prune.rejected");
-        span.arg("pruned", "bound exceeds budget");
-        ev.report.resources = bound;
-        ev.report.powerW = hls::powerProxyW(bound);
-        return true;
-    }
-
-    /**
      * Incremental candidate evaluation: fetch each unit's memoized
      * schedule, rebuild the whole-design fingerprint from the memoized
      * fragments (base statement order -- the same bytes the monolithic
@@ -1164,8 +1132,7 @@ class Engine
     Evaluation
     evaluateIncremental(const std::vector<PolyStmt> &base,
                         const std::vector<Unit> &units,
-                        const std::vector<std::int64_t> &parentDegrees,
-                        bool allowPrune)
+                        const std::vector<std::int64_t> &parentDegrees)
     {
         obs::Span span("dse.point", "dse");
         PointLatencyTimer pointTimer;
@@ -1189,18 +1156,6 @@ class Engine
                             static_cast<std::int64_t>(units.size()));
         }
 
-        if (opt_.prune && allowPrune) {
-            std::vector<std::vector<const PolyStmt *>> unitStmts;
-            for (const auto &us : parts) {
-                std::vector<const PolyStmt *> members;
-                for (const PolyStmt &stmt : us->stmts)
-                    members.push_back(&stmt);
-                unitStmts.push_back(std::move(members));
-            }
-            if (pruneCheck(unitStmts, merged, ev, span))
-                return ev;
-        }
-
         std::vector<const std::string *> fragments(base.size(), nullptr);
         for (size_t ui = 0; ui < units.size(); ++ui) {
             const auto &members = units[ui].members;
@@ -1212,7 +1167,6 @@ class Engine
         if (auto hit = hls::EstimatorCache::global().lookup(key)) {
             obs::counterAdd("dse.cache.hits");
             ev.report = std::move(*hit);
-            ev.fromCache = true;
             span.arg("cache", "hit");
             span.arg("latency_cycles",
                      static_cast<std::int64_t>(ev.report.latencyCycles));
@@ -1258,66 +1212,26 @@ class Engine
      * Estimate one candidate design point without mutating the shared
      * function (partitioning goes through the estimator override) and
      * without touching the journal or the point counter -- the caller
-     * merges results deterministically. Memoized in the process-wide
-     * estimator cache unless the oracle must see every lowered design.
-     * With incrementalEstimate (and memoization available) the work is
-     * proportional to the units that changed relative to
-     * @p parentDegrees instead of the whole design.
-     *
-     * @p allowPrune is false for seed points the strategy accepts
-     * unconditionally (the initial pipeline-only design): the incumbent
-     * must carry the true estimate, never the bound's numbers, or later
-     * latency-improvement comparisons would diverge from the unpruned
-     * trajectory.
+     * merges results deterministically. With memoization the work is
+     * incremental: proportional to the units that changed relative to
+     * @p parentDegrees instead of the whole design. Without it, or when
+     * the oracle must see every lowered design, the point is lowered
+     * and estimated whole and uncached -- the reference the
+     * differential tests compare the incremental path against.
      */
     Evaluation
     evaluate(const std::vector<PolyStmt> &base,
              const std::vector<Unit> &units,
-             const std::vector<std::int64_t> &parentDegrees = {},
-             bool allowPrune = true)
+             const std::vector<std::int64_t> &parentDegrees)
     {
-        if (opt_.incrementalEstimate && opt_.memoize &&
-            !opt_.verifyEachPoint) {
-            return evaluateIncremental(base, units, parentDegrees,
-                                       allowPrune);
-        }
+        if (opt_.memoize && !opt_.verifyEachPoint)
+            return evaluateIncremental(base, units, parentDegrees);
         obs::Span span("dse.point", "dse");
         PointLatencyTimer pointTimer;
         Schedules s = scheduleUnits(base, units);
         Evaluation ev;
         ev.primitives = s.primitives;
         span.arg("primitives", ev.primitives);
-
-        if (opt_.prune && allowPrune) {
-            std::vector<std::vector<const PolyStmt *>> unitStmts;
-            for (const auto &unit : units) {
-                std::vector<const PolyStmt *> members;
-                for (size_t m : unit.members)
-                    members.push_back(&s.stmts[m]);
-                unitStmts.push_back(std::move(members));
-            }
-            if (pruneCheck(unitStmts, s.partitions, ev, span))
-                return ev;
-        }
-
-        bool use_cache = opt_.memoize && !opt_.verifyEachPoint;
-        std::string key;
-        if (use_cache) {
-            key = hls::designFingerprint(funcDigest_, s.stmts,
-                                         s.partitions, estOptions());
-            if (auto hit = hls::EstimatorCache::global().lookup(key)) {
-                obs::counterAdd("dse.cache.hits");
-                ev.report = std::move(*hit);
-                ev.fromCache = true;
-                span.arg("cache", "hit");
-                span.arg("latency_cycles",
-                         static_cast<std::int64_t>(
-                             ev.report.latencyCycles));
-                return ev;
-            }
-            obs::counterAdd("dse.cache.misses");
-            span.arg("cache", "miss");
-        }
 
         // Per-point verification must exercise the real pipeline (the
         // oracle interprets the lowered IR), so it opts out of the
@@ -1331,8 +1245,6 @@ class Engine
         hls::EstimatorOptions eo = estOptions();
         eo.partitionOverride = &s.partitions;
         ev.report = hls::estimate(func_, lowered, eo);
-        if (use_cache)
-            hls::EstimatorCache::global().store(key, ev.report);
         span.arg("latency_cycles",
                  static_cast<std::int64_t>(ev.report.latencyCycles));
         if (opt_.verifyEachPoint) {

@@ -81,39 +81,20 @@ struct DseOptions
     int jobs = 0;
 
     /**
-     * Memoize synthesis estimates in the process-wide EstimatorCache
+     * Memoize and evaluate stage-2 candidates incrementally. Each
+     * candidate's report is memoized in the process-wide EstimatorCache
      * (hls/estimator_cache.h), keyed by the canonical design
-     * fingerprint. Repeated evaluations of the same schedule -- the
+     * fingerprint, so repeated evaluations of the same schedule -- the
      * final materialization, replays, repeated sweeps -- skip both
-     * lowering and estimation. Ignored when verifyEachPoint is set.
+     * lowering and estimation. On a miss the report is composed from
+     * per-unit NodeReports memoized in the process-wide
+     * hls::NodeReportCache, so a candidate that differs from its parent
+     * in one unit re-lowers and re-estimates only that unit. With
+     * memoize off every candidate is lowered and estimated whole,
+     * uncached: the reference the differential tests hold the default
+     * path to, byte for byte. Ignored when verifyEachPoint is set.
      */
     bool memoize = true;
-
-    /**
-     * Evaluate stage-2 candidates incrementally (`pomc
-     * --incremental-estimate`): per-unit NodeReports are memoized in
-     * the process-wide hls::NodeReportCache and composed with the pure
-     * combiner, so a candidate that differs from its parent in one
-     * unit re-lowers/re-estimates only that unit. Reports, journals
-     * and the selected design are byte-identical to the monolithic
-     * path (differentially tested + CI-gated). Requires memoize; falls
-     * back to monolithic evaluation when memoize or the cache is off,
-     * or when verifyEachPoint forces real lowering.
-     */
-    bool incrementalEstimate = true;
-
-    /**
-     * Reject candidates whose admissible resource lower bound
-     * (hls/bound.h) already exceeds the device budget *without*
-     * lowering or estimating them. The bound never exceeds the true
-     * estimate, so the full estimator would have rejected every pruned
-     * point too: trajectories, verdicts and reasons are unchanged. The
-     * journaled resource numbers of pruned points are the bound's
-     * rather than the estimator's, which is why this is off by default
-     * (the byte-compared goldens record estimator numbers); `pomc
-     * --dse-prune on` trades that for fewer evaluations.
-     */
-    bool prune = false;
 
     /**
      * Which stage-2 search driver explores the design space (`pomc

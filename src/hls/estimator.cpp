@@ -47,7 +47,15 @@ SynthesisReport::str(const Device &device) const
 
 namespace {
 
-using BodyCosts = OpMix;
+/** Operator mix and critical path of one statement body. */
+struct BodyCosts
+{
+    int fadd = 0, fmul = 0, fdiv = 0, fcmp = 0;
+    int iadd = 0, imul = 0;
+    int loads = 0, stores = 0;
+    int depth = 0; ///< critical path through the body, in cycles
+    std::map<std::string, int> accessesPerArray;
+};
 
 /** Per-statement precomputed analysis. */
 struct StmtInfo
@@ -108,6 +116,36 @@ exprDepth(const dsl::ExprNode &node, const OpCosts &costs, BodyCosts &acc)
       }
     }
     return 0;
+}
+
+/** Operator mix of one compute statement (destination store included). */
+BodyCosts
+statementOpMix(const dsl::Compute &compute, const OpCosts &costs)
+{
+    BodyCosts acc;
+    int rhs_depth = exprDepth(*compute.rhs().node(), costs, acc);
+    // Destination store.
+    ++acc.stores;
+    ++acc.accessesPerArray[compute.dest().node()->array->name()];
+    acc.depth = rhs_depth + costs.storeLat;
+    return acc;
+}
+
+/**
+ * copies/seqTrip decomposition of a loop's unroll setting (factor 0 =
+ * full unroll).
+ */
+void
+unrollShape(std::int64_t trip, std::int64_t factor, std::int64_t &copies,
+            std::int64_t &seqTrip)
+{
+    if (factor == 0 || factor >= trip) {
+        copies = trip;
+        seqTrip = 1;
+    } else {
+        copies = std::max<std::int64_t>(1, factor);
+        seqTrip = ceilDiv(trip, copies);
+    }
 }
 
 /** Partition configuration of one array. */
@@ -487,31 +525,6 @@ class Estimator
 };
 
 } // namespace
-
-void
-unrollShape(std::int64_t trip, std::int64_t factor, std::int64_t &copies,
-            std::int64_t &seqTrip)
-{
-    if (factor == 0 || factor >= trip) {
-        copies = trip;
-        seqTrip = 1;
-    } else {
-        copies = std::max<std::int64_t>(1, factor);
-        seqTrip = ceilDiv(trip, copies);
-    }
-}
-
-OpMix
-statementOpMix(const dsl::Compute &compute, const OpCosts &costs)
-{
-    OpMix acc;
-    int rhs_depth = exprDepth(*compute.rhs().node(), costs, acc);
-    // Destination store.
-    ++acc.stores;
-    ++acc.accessesPerArray[compute.dest().node()->array->name()];
-    acc.depth = rhs_depth + costs.storeLat;
-    return acc;
-}
 
 ArrayBanking
 effectiveBanking(const dsl::Placeholder &placeholder,

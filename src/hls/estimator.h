@@ -103,23 +103,6 @@ struct NodeReport
     std::vector<LoopReport> loops; ///< pipelined loops, program order
 };
 
-/**
- * Operator mix and critical path of one statement body. Public so the
- * admissible-bound module counts operators with the exact same walk
- * the estimator uses.
- */
-struct OpMix
-{
-    int fadd = 0, fmul = 0, fdiv = 0, fcmp = 0;
-    int iadd = 0, imul = 0;
-    int loads = 0, stores = 0;
-    int depth = 0; ///< critical path through the body, in cycles
-    std::map<std::string, int> accessesPerArray;
-};
-
-/** Operator mix of one compute statement (destination store included). */
-OpMix statementOpMix(const dsl::Compute &compute, const OpCosts &costs);
-
 /** Effective banking of one array under the estimator's rules. */
 struct ArrayBanking
 {
@@ -134,13 +117,6 @@ struct ArrayBanking
  */
 ArrayBanking effectiveBanking(const dsl::Placeholder &placeholder,
                               const PartitionPlan *partitionOverride);
-
-/**
- * copies/seqTrip decomposition of a loop's unroll setting (factor 0 =
- * full unroll). Shared by the estimator and the admissible bound.
- */
-void unrollShape(std::int64_t trip, std::int64_t factor,
-                 std::int64_t &copies, std::int64_t &seqTrip);
 
 /** Estimator configuration. */
 struct EstimatorOptions

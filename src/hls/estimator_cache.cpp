@@ -1,12 +1,9 @@
 #include "hls/estimator_cache.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
 #include <sstream>
 
 #include "obs/obs.h"
@@ -337,198 +334,13 @@ decodeCacheEntry(const std::string &text, std::string &key,
     return true;
 }
 
-// ----- the in-memory cache ------------------------------------------------
-
-std::optional<SynthesisReport>
-EstimatorCache::lookup(const std::string &key)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = map_.find(key);
-    if (it == map_.end()) {
-        misses_.fetch_add(1, std::memory_order_relaxed);
-        return std::nullopt;
-    }
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    return it->second;
-}
-
-void
-EstimatorCache::store(const std::string &key, const SynthesisReport &report)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (map_.emplace(key, report).second) {
-        order_.push_back(key);
-        evictLocked();
-    }
-}
-
-std::size_t
-EstimatorCache::size() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return map_.size();
-}
-
-std::size_t
-EstimatorCache::capacity() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return capacity_;
-}
-
-void
-EstimatorCache::setCapacity(std::size_t capacity)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    capacity_ = capacity;
-    evictLocked();
-}
-
-void
-EstimatorCache::evictLocked()
-{
-    if (capacity_ == 0)
-        return;
-    std::uint64_t evicted = 0;
-    while (map_.size() > capacity_ && !order_.empty()) {
-        map_.erase(order_.front());
-        order_.pop_front();
-        ++evicted;
-    }
-    if (evicted > 0) {
-        evictions_.fetch_add(evicted, std::memory_order_relaxed);
-        obs::counterAdd("dse.cache.evictions",
-                        static_cast<std::int64_t>(evicted));
-    }
-}
-
-void
-EstimatorCache::clear()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    map_.clear();
-    order_.clear();
-    hits_.store(0);
-    misses_.store(0);
-    evictions_.store(0);
-}
-
-std::vector<std::pair<std::string, SynthesisReport>>
-EstimatorCache::snapshot() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::vector<std::pair<std::string, SynthesisReport>> out;
-    out.reserve(map_.size());
-    for (const auto &[key, report] : map_)
-        out.emplace_back(key, report);
-    return out;
-}
-
-namespace {
-
-namespace fs = std::filesystem;
-
-} // namespace
-
-bool
-EstimatorCache::loadDir(const std::string &dir, SpillStats &stats,
-                        std::string &error)
-{
-    stats = SpillStats();
-    error.clear();
-    fs::path root(dir);
-    std::vector<std::string> hashes;
-    if (!support::readCacheIndex((root / "index").string(),
-                                 support::kCacheFormatName, hashes,
-                                 error)) {
-        return false;
-    }
-    for (const auto &hash : hashes) {
-        fs::path object = root / "objects" / hash;
-        std::ifstream in(object, std::ios::binary);
-        if (!in) {
-            support::diag(support::DiagLevel::Warning,
-                          "cache entry '" + object.string() +
-                              "' is indexed but missing; skipped");
-            ++stats.skipped;
-            continue;
-        }
-        std::ostringstream text;
-        text << in.rdbuf();
-        std::string key;
-        SynthesisReport report;
-        std::string entry_error;
-        if (!decodeCacheEntry(text.str(), key, report, entry_error) ||
-            cacheEntryHash(key) != hash) {
-            support::diag(support::DiagLevel::Warning,
-                          "cache entry '" + object.string() +
-                              "' is unreadable (" +
-                              (entry_error.empty() ? "hash/key mismatch"
-                                                   : entry_error) +
-                              "); skipped");
-            ++stats.skipped;
-            continue;
-        }
-        store(key, report);
-        ++stats.loaded;
-    }
-    return true;
-}
-
-bool
-EstimatorCache::saveDir(const std::string &dir, SpillStats &stats,
-                        std::string &error) const
-{
-    stats = SpillStats();
-    error.clear();
-    fs::path root(dir);
-    fs::path objects = root / "objects";
-    std::error_code ec;
-    fs::create_directories(objects, ec);
-    if (ec) {
-        error = "cannot create '" + objects.string() +
-                "': " + ec.message();
-        return false;
-    }
-
-    // Merge with any hashes a concurrent saver already indexed so two
-    // processes sharing one cache dir union their entries.
-    std::vector<std::string> hashes;
-    std::string index_error;
-    if (!support::readCacheIndex((root / "index").string(),
-                                 support::kCacheFormatName, hashes,
-                                 index_error)) {
-        hashes.clear(); // stale-format index: rebuild from scratch
-    }
-
-    std::vector<std::pair<std::string, SynthesisReport>> entries =
-        snapshot();
-    for (const auto &[key, report] : entries) {
-        std::string hash = cacheEntryHash(key);
-        fs::path object = objects / hash;
-        if (fs::exists(object, ec)) {
-            ++stats.kept;
-        } else {
-            if (!support::writeFileAtomically(
-                    object.string(), encodeCacheEntry(key, report),
-                    error)) {
-                return false;
-            }
-            ++stats.written;
-        }
-        hashes.push_back(hash);
-    }
-
-    std::sort(hashes.begin(), hashes.end());
-    hashes.erase(std::unique(hashes.begin(), hashes.end()),
-                 hashes.end());
-    std::ostringstream index;
-    index << support::cacheFormatHeader(support::kCacheFormatName);
-    for (const auto &hash : hashes)
-        index << hash << "\n";
-    return support::writeFileAtomically((root / "index").string(),
-                                        index.str(), error);
-}
+EstimatorCache::EstimatorCache()
+    : ContentCache({{support::kCacheFormatName, "index", "objects",
+                     "cache entry"},
+                    "dse.cache.evictions",
+                    encodeCacheEntry,
+                    decodeCacheEntry})
+{}
 
 EstimatorCache &
 EstimatorCache::global()

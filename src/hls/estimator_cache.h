@@ -23,34 +23,24 @@
  * FIFO capacity (setCapacity(), `pomd --estimator-cache-cap`) bounds
  * long-lived daemons, and clear() exists for cold-run benchmarks.
  *
- * Persistence (`pomc --cache-dir`, the pomd daemon's warm-start): the
- * cache spills to a content-addressed directory --
+ * Persistence (`pomc --cache-dir`, the pomd daemon's warm-start) uses
+ * the shared content-addressed spill of support/cache_store.h:
  *
  *   <dir>/index            list of entry hashes (atomic rewrite)
  *   <dir>/objects/<hash>   one entry: full key + serialized report
  *
- * where <hash> is the FNV-1a-64 of the canonical fingerprint. Every
- * file is stamped with support::kCacheFormatName and kVersionString
- * (a mismatch is a clean load error, never misread bytes), carries its
- * own checksum (a corrupt entry is skipped with a warning, the rest
- * still load), stores the *full* key so a hash collision can never
- * alias two schedules, and is written to a temp name + rename()d so a
- * crash mid-save leaves no torn files.
+ * stamped with support::kCacheFormatName; only the SynthesisReport
+ * payload codec lives here.
  */
 
 #ifndef POM_HLS_ESTIMATOR_CACHE_H
 #define POM_HLS_ESTIMATOR_CACHE_H
 
-#include <atomic>
-#include <cstdint>
-#include <deque>
-#include <mutex>
-#include <optional>
 #include <ostream>
 #include <string>
-#include <unordered_map>
 
 #include "hls/estimator.h"
+#include "support/cache_store.h"
 
 namespace pom::hls {
 
@@ -146,81 +136,18 @@ std::string encodeCacheEntry(const std::string &key,
 bool decodeCacheEntry(const std::string &text, std::string &key,
                       SynthesisReport &report, std::string &error);
 
-/** Outcome counts of one loadDir()/saveDir() call. */
-struct SpillStats
-{
-    std::size_t loaded = 0;  ///< entries read into the cache
-    std::size_t skipped = 0; ///< corrupt/missing entries warned about
-    std::size_t written = 0; ///< new object files created
-    std::size_t kept = 0;    ///< entries already present on disk
-};
-
-/** Thread-safe fingerprint -> SynthesisReport map with hit statistics. */
-class EstimatorCache
+/**
+ * Fingerprint -> SynthesisReport memo (support::ContentCache) spilling
+ * to `<dir>/index` + `<dir>/objects/<hash>`. Unbounded by default;
+ * evictions past setCapacity() count in `dse.cache.evictions`.
+ */
+class EstimatorCache : public support::ContentCache<SynthesisReport>
 {
   public:
-    /** Cached report for @p key; counts a hit/miss either way. */
-    std::optional<SynthesisReport> lookup(const std::string &key);
-
-    /** Insert (first writer wins; concurrent duplicates are idempotent). */
-    void store(const std::string &key, const SynthesisReport &report);
-
-    std::uint64_t hits() const { return hits_.load(); }
-    std::uint64_t misses() const { return misses_.load(); }
-    std::uint64_t evictions() const { return evictions_.load(); }
-    std::size_t size() const;
-
-    /**
-     * FIFO entry cap (0 = unbounded, the default). When a store pushes
-     * the cache past the cap, the oldest inserted entries are evicted
-     * (counted in evictions() and the `dse.cache.evictions` counter).
-     * Mirrors pass::PipelineCache's policy; used by long-lived daemons
-     * via `pomd --estimator-cache-cap`.
-     */
-    std::size_t capacity() const;
-    void setCapacity(std::size_t capacity);
-
-    /** Drop all entries and reset the statistics (cold-run benchmarks). */
-    void clear();
-
-    /** Copy of all entries (spilling, tests). */
-    std::vector<std::pair<std::string, SynthesisReport>> snapshot() const;
-
-    /**
-     * Load a cache directory written by saveDir(). A missing directory
-     * or index is a cold start (true, zero stats); an index with the
-     * wrong format/version is a clean error (false + @p error).
-     * Individual corrupt or missing entries are skipped with a warning
-     * and counted in stats.skipped. Loaded entries go through store(),
-     * so in-memory values win over disk duplicates. Does not touch the
-     * hit/miss statistics.
-     */
-    bool loadDir(const std::string &dir, SpillStats &stats,
-                 std::string &error);
-
-    /**
-     * Spill every entry to @p dir (creating it), content-addressed by
-     * cacheEntryHash(). Object files and the index are written to temp
-     * names and rename()d into place; entries already on disk are left
-     * untouched, and hashes found in an existing index are preserved,
-     * so concurrent savers merge instead of clobbering each other.
-     */
-    bool saveDir(const std::string &dir, SpillStats &stats,
-                 std::string &error) const;
+    EstimatorCache();
 
     /** The process-wide cache the DSE engine uses. */
     static EstimatorCache &global();
-
-  private:
-    void evictLocked();
-
-    mutable std::mutex mutex_;
-    std::unordered_map<std::string, SynthesisReport> map_;
-    std::deque<std::string> order_; ///< insertion order for FIFO eviction
-    std::size_t capacity_ = 0;      ///< 0 = unbounded
-    std::atomic<std::uint64_t> hits_{0};
-    std::atomic<std::uint64_t> misses_{0};
-    std::atomic<std::uint64_t> evictions_{0};
 };
 
 } // namespace pom::hls

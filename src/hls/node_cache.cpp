@@ -1,15 +1,10 @@
 #include "hls/node_cache.h"
 
-#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <sstream>
 
-#include "obs/obs.h"
-#include "support/cache_store.h"
-#include "support/diagnostics.h"
+#include "hls/estimator_cache.h"
 #include "support/fnv_stream.h"
 #include "support/string_util.h"
 #include "support/version.h"
@@ -158,196 +153,13 @@ decodeNodeCacheEntry(const std::string &text, std::string &key,
     return true;
 }
 
-// ----- the in-memory cache ------------------------------------------------
-
-std::optional<std::vector<NodeReport>>
-NodeReportCache::lookup(const std::string &key)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = map_.find(key);
-    if (it == map_.end()) {
-        misses_.fetch_add(1, std::memory_order_relaxed);
-        return std::nullopt;
-    }
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    return it->second;
-}
-
-void
-NodeReportCache::store(const std::string &key,
-                       const std::vector<NodeReport> &nodes)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (map_.emplace(key, nodes).second) {
-        order_.push_back(key);
-        evictLocked();
-    }
-}
-
-std::size_t
-NodeReportCache::size() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return map_.size();
-}
-
-std::size_t
-NodeReportCache::capacity() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return capacity_;
-}
-
-void
-NodeReportCache::setCapacity(std::size_t capacity)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    capacity_ = capacity;
-    evictLocked();
-}
-
-void
-NodeReportCache::evictLocked()
-{
-    if (capacity_ == 0)
-        return;
-    std::uint64_t evicted = 0;
-    while (map_.size() > capacity_ && !order_.empty()) {
-        map_.erase(order_.front());
-        order_.pop_front();
-        ++evicted;
-    }
-    if (evicted > 0) {
-        evictions_.fetch_add(evicted, std::memory_order_relaxed);
-        obs::counterAdd("dse.node_cache.evictions",
-                        static_cast<std::int64_t>(evicted));
-    }
-}
-
-void
-NodeReportCache::clear()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    map_.clear();
-    order_.clear();
-    hits_.store(0);
-    misses_.store(0);
-    evictions_.store(0);
-}
-
-std::vector<std::pair<std::string, std::vector<NodeReport>>>
-NodeReportCache::snapshot() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::vector<std::pair<std::string, std::vector<NodeReport>>> out;
-    out.reserve(map_.size());
-    for (const auto &[key, nodes] : map_)
-        out.emplace_back(key, nodes);
-    return out;
-}
-
-namespace {
-
-namespace fs = std::filesystem;
-
-} // namespace
-
-bool
-NodeReportCache::loadDir(const std::string &dir, SpillStats &stats,
-                         std::string &error)
-{
-    stats = SpillStats();
-    error.clear();
-    fs::path root(dir);
-    std::vector<std::string> hashes;
-    if (!support::readCacheIndex((root / "nodes.index").string(),
-                                 support::kNodeCacheFormatName, hashes,
-                                 error)) {
-        return false;
-    }
-    for (const auto &hash : hashes) {
-        fs::path object = root / "nodes" / hash;
-        std::ifstream in(object, std::ios::binary);
-        if (!in) {
-            support::diag(support::DiagLevel::Warning,
-                          "node-cache entry '" + object.string() +
-                              "' is indexed but missing; skipped");
-            ++stats.skipped;
-            continue;
-        }
-        std::ostringstream text;
-        text << in.rdbuf();
-        std::string key;
-        std::vector<NodeReport> nodes;
-        std::string entry_error;
-        if (!decodeNodeCacheEntry(text.str(), key, nodes, entry_error) ||
-            support::cacheContentHash(key) != hash) {
-            support::diag(support::DiagLevel::Warning,
-                          "node-cache entry '" + object.string() +
-                              "' is unreadable (" +
-                              (entry_error.empty() ? "hash/key mismatch"
-                                                   : entry_error) +
-                              "); skipped");
-            ++stats.skipped;
-            continue;
-        }
-        store(key, nodes);
-        ++stats.loaded;
-    }
-    return true;
-}
-
-bool
-NodeReportCache::saveDir(const std::string &dir, SpillStats &stats,
-                         std::string &error) const
-{
-    stats = SpillStats();
-    error.clear();
-    fs::path root(dir);
-    fs::path objects = root / "nodes";
-    std::error_code ec;
-    fs::create_directories(objects, ec);
-    if (ec) {
-        error = "cannot create '" + objects.string() +
-                "': " + ec.message();
-        return false;
-    }
-
-    std::vector<std::string> hashes;
-    std::string index_error;
-    if (!support::readCacheIndex((root / "nodes.index").string(),
-                                 support::kNodeCacheFormatName, hashes,
-                                 index_error)) {
-        hashes.clear(); // stale-format index: rebuild from scratch
-    }
-
-    auto entries = snapshot();
-    for (const auto &[key, nodes] : entries) {
-        std::string hash = support::cacheContentHash(key);
-        fs::path object = objects / hash;
-        if (fs::exists(object, ec)) {
-            ++stats.kept;
-        } else {
-            if (!support::writeFileAtomically(
-                    object.string(), encodeNodeCacheEntry(key, nodes),
-                    error)) {
-                return false;
-            }
-            ++stats.written;
-        }
-        hashes.push_back(hash);
-    }
-
-    std::sort(hashes.begin(), hashes.end());
-    hashes.erase(std::unique(hashes.begin(), hashes.end()),
-                 hashes.end());
-    std::ostringstream index;
-    index << support::cacheFormatHeader(support::kNodeCacheFormatName);
-    for (const auto &hash : hashes)
-        index << hash << "\n";
-    return support::writeFileAtomically(
-        (root / "nodes.index").string(), index.str(), error);
-}
+NodeReportCache::NodeReportCache()
+    : ContentCache({{support::kNodeCacheFormatName, "nodes.index", "nodes",
+                     "node-cache entry"},
+                    "dse.node_cache.evictions",
+                    encodeNodeCacheEntry,
+                    decodeNodeCacheEntry})
+{}
 
 NodeReportCache &
 NodeReportCache::global()

@@ -22,8 +22,8 @@
  * keeps the node's schedule. Content addressing also dedupes distinct
  * parallelism degrees that clamp to the same schedule.
  *
- * Spills beside the estimator cache in the same content-addressed
- * directory layout (support/cache_store conventions):
+ * The store is the shared support::ContentCache; it spills beside the
+ * estimator cache in the same cache directory --
  *
  *   <dir>/nodes.index         list of entry hashes (atomic rewrite)
  *   <dir>/nodes/<hash>        one entry: full key + node reports
@@ -34,16 +34,12 @@
 #ifndef POM_HLS_NODE_CACHE_H
 #define POM_HLS_NODE_CACHE_H
 
-#include <atomic>
 #include <cstdint>
-#include <deque>
-#include <mutex>
-#include <optional>
 #include <string>
-#include <unordered_map>
+#include <vector>
 
 #include "hls/estimator.h"
-#include "hls/estimator_cache.h"
+#include "support/cache_store.h"
 
 namespace pom::hls {
 
@@ -76,49 +72,19 @@ bool decodeNodeCacheEntry(const std::string &text, std::string &key,
                           std::vector<NodeReport> &nodes,
                           std::string &error);
 
-/** Thread-safe fingerprint -> NodeReport-list map with statistics. */
+/**
+ * Fingerprint -> NodeReport-list memo (support::ContentCache) spilling
+ * to `<dir>/nodes.index` + `<dir>/nodes/<hash>`. Unbounded by default;
+ * evictions count in `dse.node_cache.evictions`.
+ */
 class NodeReportCache
+    : public support::ContentCache<std::vector<NodeReport>>
 {
   public:
-    std::optional<std::vector<NodeReport>> lookup(const std::string &key);
-    void store(const std::string &key,
-               const std::vector<NodeReport> &nodes);
-
-    std::uint64_t hits() const { return hits_.load(); }
-    std::uint64_t misses() const { return misses_.load(); }
-    std::uint64_t evictions() const { return evictions_.load(); }
-    std::size_t size() const;
-
-    /** FIFO entry cap, 0 = unbounded (see EstimatorCache::setCapacity). */
-    std::size_t capacity() const;
-    void setCapacity(std::size_t capacity);
-
-    void clear();
-
-    std::vector<std::pair<std::string, std::vector<NodeReport>>>
-    snapshot() const;
-
-    /** Same contract as EstimatorCache::loadDir (nodes.index/nodes/). */
-    bool loadDir(const std::string &dir, SpillStats &stats,
-                 std::string &error);
-
-    /** Same contract as EstimatorCache::saveDir (nodes.index/nodes/). */
-    bool saveDir(const std::string &dir, SpillStats &stats,
-                 std::string &error) const;
+    NodeReportCache();
 
     /** The process-wide cache the DSE engine uses. */
     static NodeReportCache &global();
-
-  private:
-    void evictLocked();
-
-    mutable std::mutex mutex_;
-    std::unordered_map<std::string, std::vector<NodeReport>> map_;
-    std::deque<std::string> order_;
-    std::size_t capacity_ = 0;
-    std::atomic<std::uint64_t> hits_{0};
-    std::atomic<std::uint64_t> misses_{0};
-    std::atomic<std::uint64_t> evictions_{0};
 };
 
 } // namespace pom::hls

@@ -1,16 +1,13 @@
 #include "pass/pipeline_cache.h"
 
-#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <sstream>
 
 #include "dsl/dsl.h"
 #include "obs/obs.h"
-#include "support/diagnostics.h"
 #include "support/fnv_stream.h"
 #include "support/string_util.h"
 #include "support/version.h"
@@ -270,195 +267,14 @@ decodePipelineCacheEntry(const std::string &text, std::string &key,
     return true;
 }
 
-// ----- the in-memory cache ------------------------------------------------
-
-std::optional<PipelineCacheEntry>
-PipelineCache::lookup(const std::string &key)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = map_.find(key);
-    if (it == map_.end()) {
-        misses_.fetch_add(1, std::memory_order_relaxed);
-        return std::nullopt;
-    }
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    return it->second;
-}
-
-void
-PipelineCache::store(const std::string &key, PipelineCacheEntry entry)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto [it, inserted] = map_.emplace(key, std::move(entry));
-    (void)it;
-    if (!inserted)
-        return;
-    order_.push_back(key);
-    evictLocked();
-}
-
-void
-PipelineCache::evictLocked()
-{
-    if (capacity_ == 0)
-        return;
-    while (map_.size() > capacity_ && !order_.empty()) {
-        map_.erase(order_.front());
-        order_.pop_front();
-    }
-}
-
-std::size_t
-PipelineCache::size() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return map_.size();
-}
-
-std::size_t
-PipelineCache::capacity() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return capacity_;
-}
-
-void
-PipelineCache::setCapacity(std::size_t capacity)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    capacity_ = capacity;
-    evictLocked();
-}
-
-void
-PipelineCache::clear()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    map_.clear();
-    order_.clear();
-    hits_.store(0);
-    misses_.store(0);
-}
-
-std::vector<std::pair<std::string, PipelineCacheEntry>>
-PipelineCache::snapshot() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::vector<std::pair<std::string, PipelineCacheEntry>> out;
-    out.reserve(order_.size());
-    for (const auto &key : order_) {
-        auto it = map_.find(key);
-        if (it != map_.end())
-            out.emplace_back(it->first, it->second);
-    }
-    return out;
-}
-
-namespace {
-
-namespace fs = std::filesystem;
-
-} // namespace
-
-bool
-PipelineCache::loadDir(const std::string &dir,
-                       support::CacheSpillStats &stats,
-                       std::string &error)
-{
-    stats = support::CacheSpillStats();
-    error.clear();
-    fs::path root(dir);
-    std::vector<std::string> hashes;
-    if (!support::readCacheIndex((root / "pipeline.index").string(),
-                                 support::kPipelineCacheFormatName,
-                                 hashes, error)) {
-        return false;
-    }
-    for (const auto &hash : hashes) {
-        fs::path object = root / "pipeline" / hash;
-        std::ifstream in(object, std::ios::binary);
-        if (!in) {
-            support::diag(support::DiagLevel::Warning,
-                          "pipeline-cache entry '" + object.string() +
-                              "' is indexed but missing; skipped");
-            ++stats.skipped;
-            continue;
-        }
-        std::ostringstream text;
-        text << in.rdbuf();
-        std::string key;
-        PipelineCacheEntry entry;
-        std::string entry_error;
-        if (!decodePipelineCacheEntry(text.str(), key, entry,
-                                      entry_error) ||
-            support::cacheContentHash(key) != hash) {
-            support::diag(support::DiagLevel::Warning,
-                          "pipeline-cache entry '" + object.string() +
-                              "' is unreadable (" +
-                              (entry_error.empty() ? "hash/key mismatch"
-                                                   : entry_error) +
-                              "); skipped");
-            ++stats.skipped;
-            continue;
-        }
-        store(key, std::move(entry));
-        ++stats.loaded;
-    }
-    return true;
-}
-
-bool
-PipelineCache::saveDir(const std::string &dir,
-                       support::CacheSpillStats &stats,
-                       std::string &error) const
-{
-    stats = support::CacheSpillStats();
-    error.clear();
-    fs::path root(dir);
-    fs::path objects = root / "pipeline";
-    std::error_code ec;
-    fs::create_directories(objects, ec);
-    if (ec) {
-        error = "cannot create '" + objects.string() +
-                "': " + ec.message();
-        return false;
-    }
-
-    std::vector<std::string> hashes;
-    std::string index_error;
-    if (!support::readCacheIndex((root / "pipeline.index").string(),
-                                 support::kPipelineCacheFormatName,
-                                 hashes, index_error)) {
-        hashes.clear(); // stale-format index: rebuild from scratch
-    }
-
-    for (const auto &[key, entry] : snapshot()) {
-        std::string hash = support::cacheContentHash(key);
-        fs::path object = objects / hash;
-        if (fs::exists(object, ec)) {
-            ++stats.kept;
-        } else {
-            if (!support::writeFileAtomically(
-                    object.string(),
-                    encodePipelineCacheEntry(key, entry), error)) {
-                return false;
-            }
-            ++stats.written;
-        }
-        hashes.push_back(hash);
-    }
-
-    std::sort(hashes.begin(), hashes.end());
-    hashes.erase(std::unique(hashes.begin(), hashes.end()),
-                 hashes.end());
-    std::ostringstream index;
-    index << support::cacheFormatHeader(
-        support::kPipelineCacheFormatName);
-    for (const auto &hash : hashes)
-        index << hash << "\n";
-    return support::writeFileAtomically(
-        (root / "pipeline.index").string(), index.str(), error);
-}
+PipelineCache::PipelineCache()
+    : ContentCache({{support::kPipelineCacheFormatName, "pipeline.index",
+                     "pipeline", "pipeline-cache entry"},
+                    "pass.cache.evictions",
+                    encodePipelineCacheEntry,
+                    decodePipelineCacheEntry},
+                   4096)
+{}
 
 PipelineCache &
 PipelineCache::global()

@@ -19,15 +19,14 @@
  * the hashing streambuf, so hot lookups stop materializing multi-KB
  * key strings (pipelineStateFingerprint() still renders the text for
  * tests and debugging; `pass.fingerprint_ms` tracks hashing cost).
- * The in-memory store is size-capped (FIFO eviction) and spills to the
- * same content-addressed `--cache-dir` layout as the estimator cache:
+ * The store is the shared support::ContentCache, size-capped (FIFO
+ * eviction) and spilling to the same content-addressed `--cache-dir`
+ * format as the estimator cache:
  *
  *   <dir>/pipeline.index      list of entry hashes (atomic rewrite)
  *   <dir>/pipeline/<hash>     one entry: full key + payload + stats
  *
- * with version-stamped headers, per-entry checksums, atomic temp+rename
- * writes and skip-and-warn on corruption (support/cache_store.h), so
- * pomd warm-starts pipelines across restarts.
+ * so pomd warm-starts pipelines across restarts.
  *
  * The cache is disabled by default (process-wide flag); pomc/pom-opt
  * `--pipeline-cache`, pomd, and the benches switch it on. DSE per-point
@@ -38,15 +37,9 @@
 #ifndef POM_PASS_PIPELINE_CACHE_H
 #define POM_PASS_PIPELINE_CACHE_H
 
-#include <atomic>
 #include <cstdint>
-#include <deque>
 #include <map>
-#include <mutex>
-#include <optional>
 #include <string>
-#include <unordered_map>
-#include <vector>
 
 #include "pass/pass.h"
 #include "support/cache_store.h"
@@ -111,63 +104,18 @@ bool decodePipelineCacheEntry(const std::string &text, std::string &key,
                               std::string &error);
 
 /**
- * Thread-safe fingerprint -> PipelineCacheEntry map with hit
- * statistics, a FIFO size cap, and content-addressed disk spill.
+ * Fingerprint -> PipelineCacheEntry memo (support::ContentCache)
+ * spilling to `<dir>/pipeline.index` + `<dir>/pipeline/<hash>`.
+ * Capped at 4096 entries by default; evictions count in
+ * `pass.cache.evictions`.
  */
-class PipelineCache
+class PipelineCache : public support::ContentCache<PipelineCacheEntry>
 {
   public:
-    /** Cached entry for @p key; counts a hit/miss either way. */
-    std::optional<PipelineCacheEntry> lookup(const std::string &key);
-
-    /** Insert (first writer wins); evicts FIFO past the size cap. */
-    void store(const std::string &key, PipelineCacheEntry entry);
-
-    std::uint64_t hits() const { return hits_.load(); }
-    std::uint64_t misses() const { return misses_.load(); }
-    std::size_t size() const;
-
-    /** In-memory entry cap; 0 means unlimited. */
-    std::size_t capacity() const;
-    void setCapacity(std::size_t capacity);
-
-    /** Drop all entries and reset the statistics (cold-run benches). */
-    void clear();
-
-    /** Copy of all entries, insertion-ordered (spilling, tests). */
-    std::vector<std::pair<std::string, PipelineCacheEntry>>
-    snapshot() const;
-
-    /**
-     * Load `<dir>/pipeline.index` + objects written by saveDir().
-     * Missing directory/index -> cold start (true, zero stats); wrong
-     * format/version -> clean error. Corrupt entries are skipped with
-     * a warning. Does not touch the hit/miss statistics.
-     */
-    bool loadDir(const std::string &dir,
-                 support::CacheSpillStats &stats, std::string &error);
-
-    /**
-     * Spill every in-memory entry under @p dir (created on demand),
-     * content-addressed; atomic writes, index merge with concurrent
-     * savers, existing objects left untouched.
-     */
-    bool saveDir(const std::string &dir,
-                 support::CacheSpillStats &stats,
-                 std::string &error) const;
+    PipelineCache();
 
     /** The process-wide cache PassManager::run() consults. */
     static PipelineCache &global();
-
-  private:
-    void evictLocked();
-
-    mutable std::mutex mutex_;
-    std::unordered_map<std::string, PipelineCacheEntry> map_;
-    std::deque<std::string> order_; ///< insertion order (FIFO evict)
-    std::size_t capacity_ = 4096;
-    std::atomic<std::uint64_t> hits_{0};
-    std::atomic<std::uint64_t> misses_{0};
 };
 
 /** Process-wide switch; off by default (tools/benches opt in). */

@@ -47,6 +47,20 @@ millisSince(std::chrono::steady_clock::time_point t0)
         .count();
 }
 
+/** Spill @p cache to @p dir (no-op when empty), warning on failure. */
+template <typename Cache>
+void
+saveSpill(const Cache &cache, const std::string &dir, const char *what)
+{
+    support::CacheSpillStats stats;
+    std::string error;
+    if (!dir.empty() && !cache.saveDir(dir, stats, error)) {
+        support::diag(support::DiagLevel::Warning,
+                      std::string("pomd: ") + what +
+                          " spill failed: " + error);
+    }
+}
+
 } // namespace
 
 Server::Server(ServerOptions options) : opt_(std::move(options))
@@ -490,32 +504,10 @@ Server::saveCache()
     if (opt_.cacheDir.empty() && opt_.pipelineCacheDir.empty())
         return;
     std::lock_guard<std::mutex> lock(save_mutex_);
-    std::string error;
-    if (!opt_.cacheDir.empty()) {
-        hls::SpillStats stats;
-        if (!hls::EstimatorCache::global().saveDir(opt_.cacheDir,
-                                                   stats, error)) {
-            support::diag(support::DiagLevel::Warning,
-                          "pomd: cache spill failed: " + error);
-        }
-        hls::SpillStats nstats;
-        error.clear();
-        if (!hls::NodeReportCache::global().saveDir(opt_.cacheDir,
-                                                    nstats, error)) {
-            support::diag(support::DiagLevel::Warning,
-                          "pomd: node-cache spill failed: " + error);
-        }
-    }
-    if (!opt_.pipelineCacheDir.empty()) {
-        support::CacheSpillStats pstats;
-        error.clear();
-        if (!pass::PipelineCache::global().saveDir(
-                opt_.pipelineCacheDir, pstats, error)) {
-            support::diag(support::DiagLevel::Warning,
-                          "pomd: pipeline-cache spill failed: " +
-                              error);
-        }
-    }
+    saveSpill(hls::EstimatorCache::global(), opt_.cacheDir, "cache");
+    saveSpill(hls::NodeReportCache::global(), opt_.cacheDir, "node-cache");
+    saveSpill(pass::PipelineCache::global(), opt_.pipelineCacheDir,
+              "pipeline-cache");
 }
 
 } // namespace pom::service

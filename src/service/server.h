@@ -115,7 +115,7 @@ class Server
     }
 
     /** Entries warm-loaded from the cache dir at start(). */
-    const hls::SpillStats &loadStats() const { return load_stats_; }
+    const support::CacheSpillStats &loadStats() const { return load_stats_; }
 
     /** Pipeline-cache entries warm-loaded at start(). */
     const support::CacheSpillStats &pipelineLoadStats() const
@@ -124,7 +124,7 @@ class Server
     }
 
     /** Per-node report-cache entries warm-loaded at start(). */
-    const hls::SpillStats &nodeLoadStats() const
+    const support::CacheSpillStats &nodeLoadStats() const
     {
         return node_load_stats_;
     }
@@ -159,8 +159,8 @@ class Server
     std::atomic<std::uint64_t> served_{0};
     std::atomic<std::int64_t> nextRequestId_{0};
     std::chrono::steady_clock::time_point startTime_;
-    hls::SpillStats load_stats_;
-    hls::SpillStats node_load_stats_;
+    support::CacheSpillStats load_stats_;
+    support::CacheSpillStats node_load_stats_;
     support::CacheSpillStats pipeline_load_stats_;
     std::mutex save_mutex_;
 };

@@ -1,12 +1,15 @@
 #include "support/cache_store.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 
 #include <unistd.h>
 
+#include "support/diagnostics.h"
 #include "support/string_util.h"
 #include "support/version.h"
 
@@ -190,6 +193,101 @@ readCacheIndex(const std::string &path, const char *formatName,
             hashes.push_back(line);
     }
     return true;
+}
+
+bool
+loadCacheDir(
+    const std::string &dir, const CacheDirLayout &layout,
+    const std::function<bool(const std::string &hash,
+                             const std::string &text, std::string &why)>
+        &insert,
+    CacheSpillStats &stats, std::string &error)
+{
+    namespace fs = std::filesystem;
+    stats = CacheSpillStats();
+    error.clear();
+    fs::path root(dir);
+    std::vector<std::string> hashes;
+    if (!readCacheIndex((root / layout.indexName).string(),
+                        layout.formatName, hashes, error)) {
+        return false;
+    }
+    for (const auto &hash : hashes) {
+        fs::path object = root / layout.objectsName / hash;
+        std::ifstream in(object, std::ios::binary);
+        if (!in) {
+            diag(DiagLevel::Warning,
+                 std::string(layout.entryLabel) + " '" + object.string() +
+                     "' is indexed but missing; skipped");
+            ++stats.skipped;
+            continue;
+        }
+        std::ostringstream text;
+        text << in.rdbuf();
+        std::string why;
+        if (!insert(hash, text.str(), why)) {
+            diag(DiagLevel::Warning,
+                 std::string(layout.entryLabel) + " '" + object.string() +
+                     "' is unreadable (" +
+                     (why.empty() ? "hash/key mismatch" : why) +
+                     "); skipped");
+            ++stats.skipped;
+            continue;
+        }
+        ++stats.loaded;
+    }
+    return true;
+}
+
+bool
+saveCacheDir(const std::string &dir, const CacheDirLayout &layout,
+             const std::vector<std::string> &keys,
+             const std::function<std::string(std::size_t)> &encode,
+             CacheSpillStats &stats, std::string &error)
+{
+    namespace fs = std::filesystem;
+    stats = CacheSpillStats();
+    error.clear();
+    fs::path root(dir);
+    fs::path objects = root / layout.objectsName;
+    std::error_code ec;
+    fs::create_directories(objects, ec);
+    if (ec) {
+        error = "cannot create '" + objects.string() +
+                "': " + ec.message();
+        return false;
+    }
+
+    // Merge with any hashes a concurrent saver already indexed so two
+    // processes sharing one cache dir union their entries.
+    fs::path index_path = root / layout.indexName;
+    std::vector<std::string> hashes;
+    std::string index_error;
+    if (!readCacheIndex(index_path.string(), layout.formatName, hashes,
+                        index_error)) {
+        hashes.clear(); // stale-format index: rebuild from scratch
+    }
+
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+        std::string hash = cacheContentHash(keys[i]);
+        fs::path object = objects / hash;
+        if (fs::exists(object, ec)) {
+            ++stats.kept;
+        } else {
+            if (!writeFileAtomically(object.string(), encode(i), error))
+                return false;
+            ++stats.written;
+        }
+        hashes.push_back(hash);
+    }
+
+    std::sort(hashes.begin(), hashes.end());
+    hashes.erase(std::unique(hashes.begin(), hashes.end()),
+                 hashes.end());
+    std::string index = cacheFormatHeader(layout.formatName);
+    for (const auto &hash : hashes)
+        index += hash + "\n";
+    return writeFileAtomically(index_path.string(), index, error);
 }
 
 } // namespace pom::support

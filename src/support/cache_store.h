@@ -1,9 +1,14 @@
 /**
  * @file
- * Shared building blocks for POM's content-addressed on-disk caches
- * (the estimator cache in src/hls, the pipeline result cache in
- * src/pass). Every cache that spills to a `--cache-dir` uses the same
- * conventions:
+ * The one content-addressed cache container of POM and its on-disk
+ * spill format. The estimator cache and the per-node report cache in
+ * src/hls and the pipeline result cache in src/pass are each a
+ * ContentCache<V>: a mutex-guarded key -> value map with hit/miss
+ * counts, an optional FIFO entry cap with an eviction counter, and
+ * loadDir()/saveDir() against a `--cache-dir`. A cache kind supplies
+ * only its key builder and a ContentCacheFormat -- the format name,
+ * index and object file names, eviction-counter name and its payload
+ * codec. Every spill follows the same conventions:
  *
  *  - FNV-1a-64 content hashes, printed as 16 lowercase hex digits,
  *  - a first line "<format-name> <version>" stamping every entry and
@@ -14,20 +19,28 @@
  *  - full-key storage inside each entry so a hash collision can never
  *    alias two keys,
  *  - atomic temp-file + rename() writes so a crash mid-save leaves no
- *    torn files.
- *
- * The per-cache payload encoding (estimator report fields, pipeline
- * pass results) stays with the cache; only the container format lives
- * here.
+ *    torn files, and an index that merges with whatever a concurrent
+ *    saver already wrote.
  */
 
 #ifndef POM_SUPPORT_CACHE_STORE_H
 #define POM_SUPPORT_CACHE_STORE_H
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
+#include <functional>
+#include <mutex>
+#include <optional>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
+
+// ContentCache bumps obs counters; pom_support itself does not link
+// pom_obs, so only libraries that do (hls, pass) instantiate it.
+#include "obs/obs.h"
 
 namespace pom::support {
 
@@ -103,6 +116,220 @@ struct CacheSpillStats
     std::size_t skipped = 0; ///< corrupt/missing entries warned about
     std::size_t written = 0; ///< new object files created
     std::size_t kept = 0;    ///< entries already present on disk
+};
+
+/** Where one cache kind lives inside a cache directory. */
+struct CacheDirLayout
+{
+    const char *formatName;  ///< stamp of the index and every entry
+    const char *indexName;   ///< <dir>/<indexName>: one hash per line
+    const char *objectsName; ///< <dir>/<objectsName>/<hash>: entries
+    const char *entryLabel;  ///< names an entry in load warnings
+};
+
+/**
+ * Read every entry indexed under @p dir and hand its hash and text to
+ * @p insert, which decodes and stores it or returns false with a
+ * reason (an empty reason means the key does not hash to the file
+ * name). Rejected and missing entries are skipped with a warning and
+ * counted in stats.skipped. A missing directory or index is a cold
+ * start (true, zero stats); an index of another format/version is a
+ * clean error (false + @p error).
+ */
+bool loadCacheDir(
+    const std::string &dir, const CacheDirLayout &layout,
+    const std::function<bool(const std::string &hash,
+                             const std::string &text, std::string &why)>
+        &insert,
+    CacheSpillStats &stats, std::string &error);
+
+/**
+ * Spill the entries named by @p keys under @p dir (created on demand).
+ * Entries already on disk are kept untouched; the others are written
+ * from @p encode(i) to a temp name and rename()d into place. The index
+ * is rewritten atomically as the union of @p keys' hashes and whatever
+ * it already listed, so concurrent savers merge instead of clobbering.
+ */
+bool saveCacheDir(const std::string &dir, const CacheDirLayout &layout,
+                  const std::vector<std::string> &keys,
+                  const std::function<std::string(std::size_t)> &encode,
+                  CacheSpillStats &stats, std::string &error);
+
+/** One cache kind's layout, eviction counter and payload codec. */
+template <typename V>
+struct ContentCacheFormat
+{
+    CacheDirLayout layout;
+    const char *evictionCounter; ///< obs counter bumped per eviction
+    std::string (*encode)(const std::string &key, const V &value);
+    bool (*decode)(const std::string &text, std::string &key, V &value,
+                   std::string &error);
+};
+
+/**
+ * Thread-safe key -> V map with hit/miss statistics, a FIFO entry cap
+ * and a content-addressed disk spill (see the file comment).
+ */
+template <typename V>
+class ContentCache
+{
+  public:
+    explicit ContentCache(const ContentCacheFormat<V> &format,
+                          std::size_t capacity = 0)
+        : format_(format), capacity_(capacity)
+    {}
+
+    /** Cached value for @p key; counts a hit or a miss either way. */
+    std::optional<V>
+    lookup(const std::string &key)
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        auto it = map_.find(key);
+        if (it == map_.end()) {
+            misses_.fetch_add(1, std::memory_order_relaxed);
+            return std::nullopt;
+        }
+        hits_.fetch_add(1, std::memory_order_relaxed);
+        return it->second;
+    }
+
+    /** Insert; the first writer wins, so duplicates are idempotent. */
+    void
+    store(const std::string &key, V value)
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (map_.emplace(key, std::move(value)).second) {
+            order_.push_back(key);
+            evictLocked();
+        }
+    }
+
+    std::uint64_t hits() const { return hits_.load(); }
+    std::uint64_t misses() const { return misses_.load(); }
+    std::uint64_t evictions() const { return evictions_.load(); }
+
+    std::size_t
+    size() const
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        return map_.size();
+    }
+
+    /**
+     * FIFO entry cap (0 = unbounded). Past the cap the oldest inserted
+     * entries are evicted -- a lookup does not refresh an entry -- and
+     * counted in evictions() and the format's eviction counter.
+     * Lowering the cap trims immediately.
+     */
+    std::size_t
+    capacity() const
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        return capacity_;
+    }
+
+    void
+    setCapacity(std::size_t capacity)
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        capacity_ = capacity;
+        evictLocked();
+    }
+
+    /** Drop all entries and reset the statistics (cold-run benches). */
+    void
+    clear()
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        map_.clear();
+        order_.clear();
+        hits_.store(0);
+        misses_.store(0);
+        evictions_.store(0);
+    }
+
+    /** Copy of all entries in insertion order (spilling, tests). */
+    std::vector<std::pair<std::string, V>>
+    snapshot() const
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        std::vector<std::pair<std::string, V>> out;
+        out.reserve(order_.size());
+        for (const auto &key : order_)
+            out.emplace_back(key, map_.at(key));
+        return out;
+    }
+
+    /**
+     * Load a directory written by saveDir() (see loadCacheDir()).
+     * Loaded entries go through store(), so in-memory values win over
+     * disk duplicates; the hit/miss statistics are untouched.
+     */
+    bool
+    loadDir(const std::string &dir, CacheSpillStats &stats,
+            std::string &error)
+    {
+        return loadCacheDir(
+            dir, format_.layout,
+            [this](const std::string &hash, const std::string &text,
+                   std::string &why) {
+                std::string key;
+                V value;
+                if (!format_.decode(text, key, value, why) ||
+                    cacheContentHash(key) != hash) {
+                    return false;
+                }
+                store(key, std::move(value));
+                return true;
+            },
+            stats, error);
+    }
+
+    /** Spill every entry to @p dir (see saveCacheDir()). */
+    bool
+    saveDir(const std::string &dir, CacheSpillStats &stats,
+            std::string &error) const
+    {
+        auto entries = snapshot();
+        std::vector<std::string> keys;
+        keys.reserve(entries.size());
+        for (const auto &entry : entries)
+            keys.push_back(entry.first);
+        return saveCacheDir(
+            dir, format_.layout, keys,
+            [&](std::size_t i) {
+                return format_.encode(entries[i].first, entries[i].second);
+            },
+            stats, error);
+    }
+
+  private:
+    void
+    evictLocked()
+    {
+        if (capacity_ == 0)
+            return;
+        std::uint64_t evicted = 0;
+        while (map_.size() > capacity_ && !order_.empty()) {
+            map_.erase(order_.front());
+            order_.pop_front();
+            ++evicted;
+        }
+        if (evicted > 0) {
+            evictions_.fetch_add(evicted, std::memory_order_relaxed);
+            obs::counterAdd(format_.evictionCounter,
+                            static_cast<std::int64_t>(evicted));
+        }
+    }
+
+    const ContentCacheFormat<V> format_;
+    mutable std::mutex mutex_;
+    std::unordered_map<std::string, V> map_;
+    std::deque<std::string> order_; ///< insertion order for FIFO eviction
+    std::size_t capacity_;          ///< 0 = unbounded
+    std::atomic<std::uint64_t> hits_{0};
+    std::atomic<std::uint64_t> misses_{0};
+    std::atomic<std::uint64_t> evictions_{0};
 };
 
 } // namespace pom::support

@@ -128,12 +128,12 @@ ThreadPool::workerLoop()
                 return; // stopping and drained
             task = std::move(queue_.front());
             queue_.pop_front();
-        }
-        task(); // packaged_task captures exceptions in its future
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
+            // Count at dequeue: the packaged_task makes its future
+            // ready inside task(), so a caller that reads the count
+            // right after future.get() must already see this task.
             ++executed_;
         }
+        task(); // packaged_task captures exceptions in its future
     }
 }
 

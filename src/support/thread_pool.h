@@ -67,7 +67,11 @@ class ThreadPool
 
     int workerCount() const { return static_cast<int>(threads_.size()); }
 
-    /** Tasks fully executed so far (tests / observability). */
+    /**
+     * Tasks taken for execution so far (tests / observability). A task
+     * counts once a worker dequeues it, before its future can become
+     * ready, so the count read after future.get() includes that task.
+     */
     std::uint64_t tasksExecuted() const;
 
     /** True when called from one of this pool's worker threads. */

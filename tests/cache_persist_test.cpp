@@ -2,17 +2,16 @@
  * @file
  * Tests for the estimator cache's disk persistence: bit-exact entry
  * encode/decode (hexfloat doubles, optional IIs), version-stamp
- * rejection, checksum-based corruption detection, full directory
- * round-trips with guaranteed hits, skip-and-warn on corrupted
- * entries, index merging between savers, and a real DSE run that
- * warm-starts from disk.
+ * rejection, checksum-based corruption detection, concurrent stores
+ * during a spill, and a real DSE run that warm-starts from disk. The
+ * container mechanics shared by every cache (directory round trip,
+ * skip-and-warn, index merging) are covered by content_cache_test.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <thread>
 #include <vector>
 
@@ -134,110 +133,6 @@ TEST(CacheEntry, CorruptByteFailsChecksum)
     EXPECT_FALSE(error.empty());
 }
 
-TEST(CachePersist, MissingDirectoryIsColdStart)
-{
-    hls::EstimatorCache cache;
-    hls::SpillStats stats;
-    std::string error;
-    EXPECT_TRUE(cache.loadDir(scratchDir("absent"), stats, error))
-        << error;
-    EXPECT_EQ(stats.loaded, 0u);
-    EXPECT_EQ(cache.size(), 0u);
-}
-
-TEST(CachePersist, SaveLoadRoundTripGuaranteesHits)
-{
-    std::string dir = scratchDir("roundtrip");
-    hls::EstimatorCache writer;
-    auto report = sampleReport();
-    writer.store("key-a", report);
-    writer.store("key-b", sampleReport());
-
-    hls::SpillStats save_stats;
-    std::string error;
-    ASSERT_TRUE(writer.saveDir(dir, save_stats, error)) << error;
-    EXPECT_EQ(save_stats.written, 2u);
-
-    hls::EstimatorCache reader;
-    hls::SpillStats load_stats;
-    ASSERT_TRUE(reader.loadDir(dir, load_stats, error)) << error;
-    EXPECT_EQ(load_stats.loaded, 2u);
-    EXPECT_EQ(load_stats.skipped, 0u);
-
-    auto hit = reader.lookup("key-a");
-    ASSERT_TRUE(hit.has_value());
-    expectReportsEqual(report, *hit);
-    EXPECT_EQ(reader.hits(), 1u);
-    EXPECT_EQ(reader.misses(), 0u);
-
-    // A second save of the same content writes nothing new.
-    hls::SpillStats resave;
-    ASSERT_TRUE(reader.saveDir(dir, resave, error)) << error;
-    EXPECT_EQ(resave.written, 0u);
-    EXPECT_EQ(resave.kept, 2u);
-}
-
-TEST(CachePersist, CorruptedEntryIsSkippedRestStillLoads)
-{
-    std::string dir = scratchDir("corrupt");
-    hls::EstimatorCache writer;
-    writer.store("good-key", sampleReport());
-    writer.store("bad-key", sampleReport());
-    hls::SpillStats stats;
-    std::string error;
-    ASSERT_TRUE(writer.saveDir(dir, stats, error)) << error;
-
-    // Truncate one object file; its checksum can no longer match.
-    std::string victim =
-        dir + "/objects/" + hls::cacheEntryHash("bad-key");
-    {
-        std::ofstream out(victim, std::ios::trunc);
-        out << "torn";
-    }
-
-    hls::EstimatorCache reader;
-    hls::SpillStats load_stats;
-    ASSERT_TRUE(reader.loadDir(dir, load_stats, error)) << error;
-    EXPECT_EQ(load_stats.loaded, 1u);
-    EXPECT_EQ(load_stats.skipped, 1u);
-    EXPECT_TRUE(reader.lookup("good-key").has_value());
-    EXPECT_FALSE(reader.lookup("bad-key").has_value());
-}
-
-TEST(CachePersist, WrongIndexVersionIsCleanLoadError)
-{
-    std::string dir = scratchDir("badindex");
-    fs::create_directories(dir);
-    {
-        std::ofstream out(dir + "/index");
-        out << support::kCacheFormatName << " 99.0.0\n";
-    }
-    hls::EstimatorCache cache;
-    hls::SpillStats stats;
-    std::string error;
-    EXPECT_FALSE(cache.loadDir(dir, stats, error));
-    EXPECT_NE(error.find("mismatch"), std::string::npos) << error;
-}
-
-TEST(CachePersist, ConcurrentSaversMergeTheIndex)
-{
-    std::string dir = scratchDir("merge");
-    hls::EstimatorCache first, second;
-    first.store("only-in-first", sampleReport());
-    second.store("only-in-second", sampleReport());
-    hls::SpillStats stats;
-    std::string error;
-    ASSERT_TRUE(first.saveDir(dir, stats, error)) << error;
-    ASSERT_TRUE(second.saveDir(dir, stats, error)) << error;
-
-    hls::EstimatorCache reader;
-    hls::SpillStats load_stats;
-    ASSERT_TRUE(reader.loadDir(dir, load_stats, error)) << error;
-    EXPECT_EQ(load_stats.loaded, 2u);
-    EXPECT_TRUE(reader.lookup("only-in-first").has_value());
-    EXPECT_TRUE(reader.lookup("only-in-second").has_value());
-}
-
 TEST(CachePersist, ConcurrentStoreAndSpillIsSafe)
 {
     // Writers insert while a saver snapshots and spills: exercises
@@ -255,18 +150,18 @@ TEST(CachePersist, ConcurrentStoreAndSpillIsSafe)
         });
     }
     for (int round = 0; round < 5; ++round) {
-        hls::SpillStats stats;
+        support::CacheSpillStats stats;
         std::string error;
         ASSERT_TRUE(cache.saveDir(dir, stats, error)) << error;
     }
     for (auto &t : threads)
         t.join();
-    hls::SpillStats stats;
+    support::CacheSpillStats stats;
     std::string error;
     ASSERT_TRUE(cache.saveDir(dir, stats, error)) << error;
 
     hls::EstimatorCache reader;
-    hls::SpillStats load_stats;
+    support::CacheSpillStats load_stats;
     ASSERT_TRUE(reader.loadDir(dir, load_stats, error)) << error;
     EXPECT_EQ(load_stats.loaded, 200u);
 }
@@ -281,7 +176,7 @@ TEST(CachePersist, RealDseWarmStartsFromDisk)
     baselines::BaselineOptions opt;
     auto cold_result = baselines::runPom(cold->func(), opt);
 
-    hls::SpillStats save_stats;
+    support::CacheSpillStats save_stats;
     std::string error;
     ASSERT_TRUE(cache.saveDir(dir, save_stats, error)) << error;
     EXPECT_GT(save_stats.written, 0u);
@@ -289,7 +184,7 @@ TEST(CachePersist, RealDseWarmStartsFromDisk)
     // Simulate a fresh process: drop the in-memory cache, reload the
     // spill, and re-run the identical search.
     cache.clear();
-    hls::SpillStats load_stats;
+    support::CacheSpillStats load_stats;
     ASSERT_TRUE(cache.loadDir(dir, load_stats, error)) << error;
     EXPECT_EQ(load_stats.loaded, save_stats.written);
 

@@ -189,9 +189,12 @@ TEST(Baselines, DesignsPreserveSemantics)
     check([](dsl::Function &f) { return baselines::runScaleHlsLike(f); });
 }
 
-/** Property sweep: DSE-selected designs stay correct across workloads. */
+/**
+ * Property sweep: DSE-selected designs stay correct across workloads.
+ * The name is a std::string so the test name prints it, not its address.
+ */
 class DseSemanticsSweep
-    : public ::testing::TestWithParam<std::pair<const char *, int>>
+    : public ::testing::TestWithParam<std::pair<std::string, int>>
 {};
 
 TEST_P(DseSemanticsSweep, DesignMatchesReference)

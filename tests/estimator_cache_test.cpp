@@ -2,8 +2,9 @@
  * @file
  * Tests for the estimator memoization layer: fingerprint canonicality
  * (same design -> same key, any observable difference -> different
- * key), hit/miss accounting, first-writer-wins semantics, and a
- * concurrent stress case for the sanitizer CI job.
+ * key) and a concurrent first-writer-wins stress case for the
+ * sanitizer CI job. Hit/miss accounting is covered for every cache by
+ * content_cache_test.
  */
 
 #include <gtest/gtest.h>
@@ -75,34 +76,6 @@ TEST(Fingerprint, SensitiveToEveryObservableInput)
 
     // The function digest distinguishes different programs.
     EXPECT_NE(hls::designFingerprint("g", base, {}, opt), ref);
-}
-
-TEST(EstimatorCache, CountsHitsAndMisses)
-{
-    hls::EstimatorCache cache;
-    EXPECT_FALSE(cache.lookup("k").has_value());
-    EXPECT_EQ(cache.misses(), 1u);
-    EXPECT_EQ(cache.hits(), 0u);
-
-    hls::SynthesisReport report;
-    report.latencyCycles = 1234;
-    cache.store("k", report);
-    auto hit = cache.lookup("k");
-    ASSERT_TRUE(hit.has_value());
-    EXPECT_EQ(hit->latencyCycles, 1234u);
-    EXPECT_EQ(cache.hits(), 1u);
-    EXPECT_EQ(cache.size(), 1u);
-
-    // First writer wins: a duplicate store is ignored.
-    hls::SynthesisReport other;
-    other.latencyCycles = 9999;
-    cache.store("k", other);
-    EXPECT_EQ(cache.lookup("k")->latencyCycles, 1234u);
-
-    cache.clear();
-    EXPECT_EQ(cache.size(), 0u);
-    EXPECT_EQ(cache.hits(), 0u);
-    EXPECT_EQ(cache.misses(), 0u);
 }
 
 TEST(EstimatorCache, ConcurrentStress)

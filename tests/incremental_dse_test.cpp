@@ -1,21 +1,14 @@
 /**
  * @file
- * Differential tests for incremental per-node estimation and
- * admissible-bound pruning (hls/node_cache.h, hls/bound.h, the DSE
- * engine's evaluateIncremental path):
+ * Differential tests for incremental per-node estimation
+ * (hls/node_cache.h, the DSE engine's evaluateIncremental path):
  *
- *  - The headline invariant: journals (v1 AND v2) are byte-identical
- *    between the monolithic estimator and the incremental per-node
- *    path, for every workload, every stage-2 strategy, and every
- *    speculation width.
- *  - Admissible-bound pruning never changes the trajectory: same
- *    points, same verdicts and reasons, same accepted numbers, same
- *    frontier -- only the journaled numbers of bound-rejected points
- *    become the bound's.
- *  - Seeded property test: the analytic lower bound never exceeds the
- *    full estimator's resources, fieldwise, over random schedules.
- *  - NodeReportCache mechanics: FIFO eviction under a capacity bound,
- *    the entry codec, and the disk spill round trip.
+ *  - The headline invariant: journals (v1 AND v2) of the default
+ *    memoized, incremental path are byte-identical to the uncached
+ *    monolithic reference (memoize off), for every workload, every
+ *    stage-2 strategy, and every speculation width.
+ *  - The NodeReportCache entry codec (its store and spill mechanics
+ *    are covered with the other caches by content_cache_test).
  *  - designFingerprintFragments() equals designFingerprint() on the
  *    same schedules -- the property that keeps the incremental path's
  *    whole-design cache keys interchangeable with the monolithic ones.
@@ -25,26 +18,19 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <filesystem>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "dse/dse.h"
-#include "hls/bound.h"
 #include "hls/estimator_cache.h"
 #include "hls/node_cache.h"
 #include "lower/lower.h"
 #include "obs/journal.h"
-#include "obs/obs.h"
-#include "poly/dependence.h"
-#include "support/diagnostics.h"
 #include "workloads/workloads.h"
 
 namespace {
 
 using namespace pom;
-using transform::PolyStmt;
 using workloads::makeByName;
 
 void
@@ -66,11 +52,12 @@ sweepOptions(const std::string &name, dse::StrategyKind kind)
 }
 
 /**
- * The headline differential: for every workload, the incremental path
- * must produce v1 AND v2 journals byte-identical to the monolithic
- * estimator's, at every speculation width. Both caches are dropped
- * before every run so the incremental side really composes from nodes
- * instead of replaying whole-design cache hits.
+ * The headline differential: for every workload, the default path
+ * (memoized, incremental) must produce v1 AND v2 journals
+ * byte-identical to the uncached monolithic reference's, at every
+ * speculation width. Both caches are dropped before every run so the
+ * incremental side really composes from nodes instead of replaying
+ * whole-design cache hits.
  */
 void
 differentialSweep(dse::StrategyKind kind)
@@ -79,7 +66,7 @@ differentialSweep(dse::StrategyKind kind)
         dse::DseOptions opt = sweepOptions(name, kind);
         const std::int64_t size = 64;
 
-        opt.incrementalEstimate = false;
+        opt.memoize = false;
         opt.jobs = 1;
         clearCaches();
         auto w = makeByName(name, size);
@@ -88,7 +75,7 @@ differentialSweep(dse::StrategyKind kind)
         std::string mono_v2 =
             obs::journalJsonV2(mono.journal, mono.frontierRounds);
 
-        opt.incrementalEstimate = true;
+        opt.memoize = true;
         for (int jobs : {1, 4, 13}) {
             opt.jobs = jobs;
             clearCaches();
@@ -141,252 +128,7 @@ TEST(IncrementalDse, NodeCacheIsActuallyUsed)
     // plan, so doubling one unit re-keys neighbours that share arrays.
 }
 
-// ----- admissible-bound pruning ------------------------------------------
-
-TEST(IncrementalDse, PruneKeepsTrajectory)
-{
-    struct Config
-    {
-        const char *name;
-        std::int64_t size;
-        double fraction;
-    };
-    // The 64/0.05 configs put the workload's (on-chip) arrays over the
-    // BRAM budget, where the bound's exact memory charge must fire.
-    const Config configs[] = {
-        {"gemm", 96, 0.2},   {"gemm", 96, 0.5},  {"2mm", 96, 0.2},
-        {"2mm", 96, 0.5},    {"conv2d", 96, 0.2}, {"conv2d", 96, 0.5},
-        {"gemm", 64, 0.05},  {"2mm", 64, 0.05},
-    };
-    int pruned_total = 0;
-    for (const Config &cfg : configs) {
-        const char *name = cfg.name;
-        const double fraction = cfg.fraction;
-        {
-            dse::DseOptions opt;
-            opt.jobs = 1;
-            opt.resourceFraction = fraction;
-
-            opt.prune = false;
-            clearCaches();
-            auto w1 = makeByName(name, cfg.size);
-            dse::DseResult ref = dse::autoDSE(w1->func(), opt);
-
-            opt.prune = true;
-            std::int64_t pruned0 =
-                obs::counterValue("dse.prune.rejected");
-            clearCaches();
-            auto w2 = makeByName(name, cfg.size);
-            dse::DseResult got = dse::autoDSE(w2->func(), opt);
-            pruned_total += static_cast<int>(
-                obs::counterValue("dse.prune.rejected") - pruned0);
-
-            EXPECT_EQ(ref.pointsExplored, got.pointsExplored)
-                << name << " @" << fraction;
-            EXPECT_EQ(ref.report.latencyCycles, got.report.latencyCycles)
-                << name << " @" << fraction;
-            EXPECT_EQ(ref.report.resources.dsp, got.report.resources.dsp)
-                << name << " @" << fraction;
-
-            // Feasible points never go through the bound, so the final
-            // frontier is identical, objectives and all.
-            ASSERT_EQ(ref.frontier.size(), got.frontier.size())
-                << name << " @" << fraction;
-            for (size_t i = 0; i < ref.frontier.size(); ++i) {
-                EXPECT_EQ(ref.frontier[i].latencyCycles,
-                          got.frontier[i].latencyCycles);
-                EXPECT_EQ(ref.frontier[i].dsp, got.frontier[i].dsp);
-                EXPECT_EQ(ref.frontier[i].bramBits,
-                          got.frontier[i].bramBits);
-                EXPECT_EQ(ref.frontier[i].lut, got.frontier[i].lut);
-            }
-
-            // Entry-by-entry: the trajectory (kinds, points, verdicts,
-            // reasons, primitives) is unchanged; numbers match except
-            // on bound-rejected points, recognizable by latency 0.
-            ASSERT_EQ(ref.journal.size(), got.journal.size())
-                << name << " @" << fraction;
-            for (size_t i = 0; i < ref.journal.size(); ++i) {
-                const auto &r = ref.journal[i];
-                const auto &g = got.journal[i];
-                EXPECT_EQ(r.kind, g.kind);
-                EXPECT_EQ(r.point, g.point);
-                EXPECT_EQ(r.primitives, g.primitives);
-                EXPECT_EQ(r.verdict, g.verdict);
-                EXPECT_EQ(r.reason, g.reason);
-                if (g.kind == "point" && g.latencyCycles == 0) {
-                    // Pruned: the reference must have rejected it too.
-                    EXPECT_NE(r.verdict, "accepted") << name << " point "
-                                                     << r.point;
-                    continue;
-                }
-                EXPECT_EQ(r.latencyCycles, g.latencyCycles);
-                EXPECT_EQ(r.dsp, g.dsp);
-                EXPECT_EQ(r.bramBits, g.bramBits);
-                EXPECT_EQ(r.lut, g.lut);
-                EXPECT_EQ(r.ff, g.ff);
-            }
-        }
-    }
-    // The over-BRAM configs must trip the bound, or the pruning is
-    // dead code.
-    EXPECT_GT(pruned_total, 0);
-}
-
-TEST(IncrementalDse, PruneByteIdenticalAcrossEstimationPaths)
-{
-    // With pruning on, both estimation paths journal the bound's
-    // numbers for pruned points, so the full documents must still be
-    // byte-identical between monolithic and incremental evaluation.
-    dse::DseOptions opt;
-    opt.jobs = 1;
-    opt.prune = true;
-    opt.resourceFraction = 0.2;
-
-    opt.incrementalEstimate = false;
-    clearCaches();
-    auto w1 = makeByName("gemm", 96);
-    dse::DseResult mono = dse::autoDSE(w1->func(), opt);
-
-    opt.incrementalEstimate = true;
-    clearCaches();
-    auto w2 = makeByName("gemm", 96);
-    dse::DseResult inc = dse::autoDSE(w2->func(), opt);
-
-    EXPECT_EQ(obs::journalJson(mono.journal),
-              obs::journalJson(inc.journal));
-    EXPECT_EQ(obs::journalJsonV2(mono.journal, mono.frontierRounds),
-              obs::journalJsonV2(inc.journal, inc.frontierRounds));
-}
-
-// ----- the bound's admissibility, fieldwise, over random schedules -------
-
-/** SplitMix64: tiny, seedable, reproducible across platforms. */
-std::uint64_t
-splitMix(std::uint64_t &state)
-{
-    state += 0x9e3779b97f4a7c15ull;
-    std::uint64_t z = state;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-}
-
-size_t
-sharedDepthOf(const std::vector<PolyStmt> &all,
-              const std::vector<size_t> &members)
-{
-    size_t depth = SIZE_MAX;
-    const auto &first = all[members[0]].sched.betas;
-    for (size_t m = 1; m < members.size(); ++m) {
-        const auto &other = all[members[m]].sched.betas;
-        size_t common = 0;
-        size_t limit = std::min(first.size(), other.size());
-        while (common < limit && first[common] == other[common])
-            ++common;
-        depth = std::min(depth, common);
-    }
-    return depth == SIZE_MAX ? size_t(0) : depth;
-}
-
-bool
-anyProducerOf(const std::vector<PolyStmt> &all,
-              const std::vector<size_t> &members)
-{
-    for (size_t a : members) {
-        for (size_t b : members) {
-            if (a != b &&
-                poly::producesFor(all[a].accesses, all[b].accesses)) {
-                return true;
-            }
-        }
-    }
-    return false;
-}
-
-TEST(AdmissibleBound, NeverExceedsEstimateOnRandomSchedules)
-{
-    std::uint64_t rng = 0x5eedull;
-    int checked = 0;
-    for (const char *name : {"gemm", "bicg", "gesummv", "2mm", "atax",
-                             "conv2d", "jacobi2d", "seidel"}) {
-        for (int trial = 0; trial < 4; ++trial) {
-            auto w = makeByName(name, 64);
-            dsl::Function &func = w->func();
-            auto stmts = lower::extractStmts(func);
-            lower::applyDirectives(stmts, /*ordering_only=*/true);
-
-            // Group into DSE units (statements sharing betas[0]) and
-            // draw a random degree per unit, exactly the shape of a
-            // stage-2 candidate.
-            std::map<std::int64_t, std::vector<size_t>> nests;
-            for (size_t i = 0; i < stmts.size(); ++i)
-                nests[stmts[i].sched.betas[0]].push_back(i);
-
-            hls::PartitionPlan partitions;
-            bool lowered_ok = true;
-            std::vector<std::vector<const PolyStmt *>> unitStmts;
-            try {
-                for (const auto &[nest, members] : nests) {
-                    std::int64_t degree = std::int64_t(1)
-                                          << (splitMix(rng) % 5);
-                    size_t min_level = 0;
-                    if (members.size() > 1 &&
-                        anyProducerOf(stmts, members)) {
-                        min_level = sharedDepthOf(stmts, members);
-                    }
-                    for (size_t m : members) {
-                        dse::applyParallelSchedule(stmts[m], degree, 16,
-                                                   func, partitions,
-                                                   min_level);
-                    }
-                }
-            } catch (const support::FatalError &) {
-                // A degree this workload's dependences cannot support;
-                // the DSE would never propose it. Skip the sample.
-                lowered_ok = false;
-            }
-            if (!lowered_ok)
-                continue;
-            for (const auto &[nest, members] : nests) {
-                std::vector<const PolyStmt *> unit;
-                for (size_t m : members)
-                    unit.push_back(&stmts[m]);
-                unitStmts.push_back(std::move(unit));
-            }
-
-            hls::EstimatorOptions eo;
-            eo.device = hls::Device::xc7z020();
-            eo.partitionOverride = &partitions;
-            hls::Resources bound =
-                hls::admissibleResourceBound(func, unitStmts, eo);
-
-            hls::SynthesisReport report;
-            try {
-                auto design = lower::lowerStmts(func, std::move(stmts));
-                report = hls::estimate(func, design, eo);
-            } catch (const support::FatalError &) {
-                // Unlowerable fused-nest combination (stage 1 would
-                // have restructured first); skip the sample.
-                continue;
-            }
-
-            EXPECT_LE(bound.dsp, report.resources.dsp)
-                << name << " trial " << trial;
-            EXPECT_LE(bound.lut, report.resources.lut)
-                << name << " trial " << trial;
-            EXPECT_LE(bound.ff, report.resources.ff)
-                << name << " trial " << trial;
-            EXPECT_LE(bound.bramBits, report.resources.bramBits)
-                << name << " trial " << trial;
-            ++checked;
-        }
-    }
-    // The dependence guard may skip some samples, never all of them.
-    EXPECT_GT(checked, 10);
-}
-
-// ----- NodeReportCache mechanics -----------------------------------------
+// ----- NodeReportCache entry codec ---------------------------------------
 
 hls::NodeReport
 sampleNode(const std::string &nest, std::uint64_t latency)
@@ -408,35 +150,6 @@ sampleNode(const std::string &nest, std::uint64_t latency)
     loop.resMII = 1;
     n.loops.push_back(loop);
     return n;
-}
-
-TEST(NodeReportCache, FifoEvictionUnderCapacity)
-{
-    hls::NodeReportCache cache;
-    cache.setCapacity(2);
-    cache.store("k1", {sampleNode("s0", 10)});
-    cache.store("k2", {sampleNode("s1", 20)});
-    cache.store("k3", {sampleNode("s2", 30)});
-    EXPECT_EQ(cache.size(), 2u);
-    EXPECT_EQ(cache.evictions(), 1u);
-    EXPECT_FALSE(cache.lookup("k1").has_value()); // oldest is gone
-    EXPECT_TRUE(cache.lookup("k2").has_value());
-    EXPECT_TRUE(cache.lookup("k3").has_value());
-    EXPECT_EQ(cache.hits(), 2u);
-    EXPECT_EQ(cache.misses(), 1u);
-
-    // Shrinking the cap trims immediately, oldest first.
-    cache.setCapacity(1);
-    EXPECT_EQ(cache.size(), 1u);
-    EXPECT_EQ(cache.evictions(), 2u);
-    EXPECT_TRUE(cache.lookup("k3").has_value());
-
-    // Zero lifts the bound again.
-    cache.setCapacity(0);
-    cache.store("k4", {sampleNode("s3", 40)});
-    cache.store("k5", {sampleNode("s4", 50)});
-    EXPECT_EQ(cache.size(), 3u);
-    EXPECT_EQ(cache.evictions(), 2u);
 }
 
 TEST(NodeReportCache, CodecRoundTrips)
@@ -482,37 +195,6 @@ TEST(NodeReportCache, CodecRoundTrips)
     EXPECT_FALSE(hls::decodeNodeCacheEntry("garbage", key, parsed,
                                            error));
     EXPECT_FALSE(error.empty());
-}
-
-TEST(NodeReportCache, SpillRoundTrips)
-{
-    const std::string dir = "node_cache_test_spill";
-    std::filesystem::remove_all(dir);
-
-    hls::NodeReportCache writer;
-    writer.store("alpha", {sampleNode("s0", 11)});
-    writer.store("beta", {sampleNode("s1", 22), sampleNode("s2", 33)});
-    hls::SpillStats saved;
-    std::string error;
-    ASSERT_TRUE(writer.saveDir(dir, saved, error)) << error;
-    EXPECT_EQ(saved.written, 2u);
-
-    // Incremental re-save keeps the content-addressed entries.
-    hls::SpillStats resaved;
-    ASSERT_TRUE(writer.saveDir(dir, resaved, error)) << error;
-    EXPECT_EQ(resaved.written, 0u);
-    EXPECT_EQ(resaved.kept, 2u);
-
-    hls::NodeReportCache reader;
-    hls::SpillStats loaded;
-    ASSERT_TRUE(reader.loadDir(dir, loaded, error)) << error;
-    EXPECT_EQ(loaded.loaded, 2u);
-    auto beta = reader.lookup("beta");
-    ASSERT_TRUE(beta.has_value());
-    ASSERT_EQ(beta->size(), 2u);
-    EXPECT_EQ((*beta)[1].latencyCycles, 33u);
-
-    std::filesystem::remove_all(dir);
 }
 
 // ----- fingerprint composition -------------------------------------------

@@ -1,18 +1,15 @@
 /**
  * @file
  * Tests for the pipeline result cache (src/pass/pipeline_cache.h):
- * entry codec round-trips and corruption detection, FIFO accounting,
- * disk spill round-trips with skip-and-warn recovery, and the end-to-
+ * entry codec round-trips and corruption detection, and the end-to-
  * end determinism contract -- printed IR, AST, emitted HLS-C, and DSE
  * journals must be byte-identical with the cache on, off, warm, and
- * at any worker count.
+ * at any worker count. The store and spill mechanics shared with the
+ * other caches are covered by content_cache_test.
  */
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -26,36 +23,9 @@
 #include "support/thread_pool.h"
 #include "workloads/workloads.h"
 
-namespace fs = std::filesystem;
-
 using namespace pom;
 
 namespace {
-
-/** Fresh scratch directory under the gtest temp root. */
-std::string
-scratchDir(const std::string &name)
-{
-    std::string dir = ::testing::TempDir() + "pom_pipeline_" + name;
-    fs::remove_all(dir);
-    return dir;
-}
-
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    return buffer.str();
-}
-
-void
-writeFile(const std::string &path, const std::string &text)
-{
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << text;
-}
 
 pass::PipelineCacheEntry
 sampleEntry()
@@ -174,150 +144,6 @@ TEST(PipelineEntryCodec, DetectsVersionMismatch)
         pass::decodePipelineCacheEntry(stale, key, decoded, error));
     EXPECT_NE(error.find("version mismatch"), std::string::npos)
         << error;
-}
-
-// ---------------------------------------------------------------------------
-// In-memory store
-
-TEST(PipelineCacheStore, CountsHitsAndMisses)
-{
-    pass::PipelineCache cache;
-    EXPECT_FALSE(cache.lookup("a").has_value());
-    EXPECT_EQ(cache.misses(), 1u);
-
-    cache.store("a", sampleEntry());
-    auto hit = cache.lookup("a");
-    ASSERT_TRUE(hit.has_value());
-    EXPECT_EQ(hit->payload, sampleEntry().payload);
-    EXPECT_EQ(cache.hits(), 1u);
-    EXPECT_EQ(cache.misses(), 1u);
-
-    // First writer wins: a second store under the same key is a no-op.
-    pass::PipelineCacheEntry other;
-    other.payload = "different";
-    cache.store("a", other);
-    EXPECT_EQ(cache.lookup("a")->payload, sampleEntry().payload);
-    EXPECT_EQ(cache.size(), 1u);
-}
-
-TEST(PipelineCacheStore, EvictsFifoPastCapacity)
-{
-    pass::PipelineCache cache;
-    cache.setCapacity(2);
-    pass::PipelineCacheEntry entry = sampleEntry();
-    cache.store("first", entry);
-    cache.store("second", entry);
-    // A lookup does not refresh FIFO order (this is not an LRU).
-    EXPECT_TRUE(cache.lookup("first").has_value());
-    cache.store("third", entry);
-
-    EXPECT_EQ(cache.size(), 2u);
-    EXPECT_FALSE(cache.lookup("first").has_value());
-    EXPECT_TRUE(cache.lookup("second").has_value());
-    EXPECT_TRUE(cache.lookup("third").has_value());
-}
-
-// ---------------------------------------------------------------------------
-// Disk spill
-
-TEST(PipelineCacheSpill, SaveLoadRoundTrip)
-{
-    std::string dir = scratchDir("roundtrip");
-    pass::PipelineCache cache;
-    pass::PipelineCacheEntry entry = sampleEntry();
-    cache.store("key-one", entry);
-    entry.payload = "second payload";
-    cache.store("key-two", entry);
-
-    support::CacheSpillStats stats;
-    std::string error;
-    ASSERT_TRUE(cache.saveDir(dir, stats, error)) << error;
-    EXPECT_EQ(stats.written, 2u);
-
-    pass::PipelineCache warm;
-    support::CacheSpillStats loaded;
-    ASSERT_TRUE(warm.loadDir(dir, loaded, error)) << error;
-    EXPECT_EQ(loaded.loaded, 2u);
-    EXPECT_EQ(loaded.skipped, 0u);
-    ASSERT_TRUE(warm.lookup("key-two").has_value());
-    EXPECT_EQ(warm.lookup("key-two")->payload, "second payload");
-    EXPECT_EQ(warm.lookup("key-one")->payload, sampleEntry().payload);
-    // loadDir must not inherit the hit/miss statistics.
-    EXPECT_EQ(warm.misses(), 0u);
-
-    fs::remove_all(dir);
-}
-
-TEST(PipelineCacheSpill, MissingDirectoryIsAColdStart)
-{
-    pass::PipelineCache cache;
-    support::CacheSpillStats stats;
-    std::string error;
-    EXPECT_TRUE(cache.loadDir(scratchDir("never_created"), stats, error))
-        << error;
-    EXPECT_EQ(stats.loaded, 0u);
-    EXPECT_EQ(cache.size(), 0u);
-}
-
-TEST(PipelineCacheSpill, SkipsCorruptObjectAndLoadsTheRest)
-{
-    std::string dir = scratchDir("corrupt_object");
-    pass::PipelineCache cache;
-    pass::PipelineCacheEntry entry = sampleEntry();
-    cache.store("keep-me", entry);
-    entry.payload = "will be corrupted";
-    cache.store("lose-me", entry);
-
-    support::CacheSpillStats stats;
-    std::string error;
-    ASSERT_TRUE(cache.saveDir(dir, stats, error)) << error;
-
-    // Corrupt the object holding "lose-me" (flip one byte mid-file).
-    bool corrupted = false;
-    for (const auto &object :
-         fs::directory_iterator(dir + "/pipeline")) {
-        std::string text = readFile(object.path().string());
-        if (text.find("will be corrupted") == std::string::npos)
-            continue;
-        std::size_t at = text.size() / 2;
-        text[at] = (text[at] == '#') ? '!' : '#';
-        writeFile(object.path().string(), text);
-        corrupted = true;
-    }
-    ASSERT_TRUE(corrupted);
-
-    pass::PipelineCache warm;
-    support::CacheSpillStats loaded;
-    ASSERT_TRUE(warm.loadDir(dir, loaded, error)) << error;
-    EXPECT_EQ(loaded.loaded, 1u);
-    EXPECT_EQ(loaded.skipped, 1u);
-    EXPECT_TRUE(warm.lookup("keep-me").has_value());
-    EXPECT_FALSE(warm.lookup("lose-me").has_value());
-
-    fs::remove_all(dir);
-}
-
-TEST(PipelineCacheSpill, RejectsIndexVersionMismatch)
-{
-    std::string dir = scratchDir("stale_index");
-    pass::PipelineCache cache;
-    cache.store("a-key", sampleEntry());
-    support::CacheSpillStats stats;
-    std::string error;
-    ASSERT_TRUE(cache.saveDir(dir, stats, error)) << error;
-
-    std::string index_path = dir + "/pipeline.index";
-    std::string index = readFile(index_path);
-    writeFile(index_path, "pom-pipeline-cache/1 0.0.0" +
-                              index.substr(index.find('\n')));
-
-    pass::PipelineCache warm;
-    support::CacheSpillStats loaded;
-    EXPECT_FALSE(warm.loadDir(dir, loaded, error));
-    EXPECT_NE(error.find("version mismatch"), std::string::npos)
-        << error;
-
-    fs::remove_all(dir);
 }
 
 // ---------------------------------------------------------------------------

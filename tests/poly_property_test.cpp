@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <set>
+#include <tuple>
 
 #include <gtest/gtest.h>
 
@@ -32,6 +33,14 @@ struct ProjCase
     std::int64_t c;
     size_t drop; ///< dimension to project out
 };
+
+// Print a case by its values, not gtest's byte dump of the vectors'
+// heap pointers, so its test name is the same in every build.
+void PrintTo(const ProjCase &tc, std::ostream *os)
+{
+    *os << ::testing::PrintToString(
+        std::make_tuple(tc.lows, tc.highs, tc.coeffs, tc.c, tc.drop));
+}
 
 class ProjectionSweep : public ::testing::TestWithParam<ProjCase>
 {};

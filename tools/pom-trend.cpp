@@ -94,9 +94,6 @@ constexpr SeriesSpec kSeries[] = {
      Direction::HigherIsBetter, true, "Pipeline-cache hit rate"},
     {"pipeline_warm_seconds", "bench.dse.pipeline.warm_seconds",
      Direction::LowerIsBetter, false, "Pipeline-warm sweep (s)"},
-    {"incremental_speedup", "bench.dse.incremental.speedup",
-     Direction::HigherIsBetter, false,
-     "Incremental-estimation speedup (x)"},
     {"node_reuse_rate", "bench.dse.incremental.node_reuse_rate",
      Direction::HigherIsBetter, true, "Node-report reuse rate"},
     {"pass_seconds_total", "", Direction::LowerIsBetter, false,

@@ -10,7 +10,6 @@
  *        [--metrics-out FILE] [--dse-journal FILE] [--frontier-out FILE]
  *        [--replay-journal FILE --point ID] [--cache-dir DIR]
  *        [--pipeline-cache on|off] [--pipeline-cache-dir DIR]
- *        [--incremental-estimate on|off] [--dse-prune on|off]
  *        [--debug-fingerprints] [--connect SOCK] [--quiet|-q]
  *        [--verbose|-v]
  *   pomc --connect SOCK --daemon-stats [--format text|json|prom]
@@ -97,21 +96,7 @@
  *                       Same on-disk format as `pomd
  *                       --pipeline-cache-dir`.
  *
- * Incremental estimation (src/hls/node_cache.h, src/hls/bound.h):
- *   --incremental-estimate on|off
- *                       compose each candidate's synthesis report from
- *                       memoized per-node reports so a stage-2 step
- *                       that doubles one unit re-estimates only that
- *                       unit. On by default; reports and journals are
- *                       byte-identical either way (the off switch
- *                       exists for differential testing and timing).
- *   --dse-prune on|off  reject candidates whose admissible resource
- *                       lower bound already exceeds the device budget
- *                       without lowering or estimating them. The search
- *                       trajectory is unchanged (the bound never
- *                       exceeds the true estimate); journaled numbers
- *                       of pruned points are the bound's, hence off by
- *                       default.
+ * Cache keys (src/hls/estimator_cache.h, src/hls/node_cache.h):
  *   --debug-fingerprints
  *                       dump the canonical design-fingerprint text of
  *                       every cache key as a Debug diagnostic (use with
@@ -135,19 +120,16 @@
  *                       wire protocol and the cache spill format).
  *
  * Examples:
- *   pomc gemm 1024 --dse --jobs 8
- *   pomc gemm 256 --dse --dse-journal j.json
- *   pomc gemm 256 --replay-journal j.json --point 5 --emit
- *   pomc gemm 256 --dse --cache-dir .pom-cache
- *   pomc gemm 256 --dse --connect pomd.sock --frontier-out f.json
- *
- * Examples:
  *   pomc gemm 1024 --dse --emit
+ *   pomc gemm 1024 --dse --jobs 8
  *   pomc bicg 4096 --framework scalehls
  *   pomc seidel 256 --dse --ast
  *   pomc gemm --dse --verify
  *   pomc jacobi2d --fuzz 25 --seed 1
  *   pomc gemm 256 --dse --trace-out t.json --dse-journal j.json
+ *   pomc gemm 256 --replay-journal j.json --point 5 --emit
+ *   pomc gemm 256 --dse --cache-dir .pom-cache
+ *   pomc gemm 256 --dse --connect pomd.sock --frontier-out f.json
  */
 
 #include <cstdio>
@@ -194,7 +176,6 @@ usage(const char *argv0)
                  "[--replay-journal FILE --point ID] "
                  "[--cache-dir DIR] [--pipeline-cache on|off] "
                  "[--pipeline-cache-dir DIR] "
-                 "[--incremental-estimate on|off] [--dse-prune on|off] "
                  "[--debug-fingerprints] [--connect SOCK] "
                  "[--quiet|-q] [--verbose|-v]\n"
                  "       %s --connect SOCK --daemon-stats "
@@ -229,6 +210,32 @@ doubleArg(const char *flag, const char *text)
     return v;
 }
 
+/** Warm-load @p cache from @p dir (no-op when empty); false on error. */
+template <typename Cache>
+bool
+loadSpill(Cache &cache, const std::string &dir,
+          support::CacheSpillStats &stats)
+{
+    std::string error;
+    if (dir.empty() || cache.loadDir(dir, stats, error))
+        return true;
+    std::fprintf(stderr, "pomc: %s\n", error.c_str());
+    return false;
+}
+
+/** Spill @p cache to @p dir (no-op when empty), warning on failure. */
+template <typename Cache>
+void
+saveSpill(const Cache &cache, const std::string &dir, const char *what)
+{
+    support::CacheSpillStats stats;
+    std::string error;
+    if (!dir.empty() && !cache.saveDir(dir, stats, error)) {
+        std::fprintf(stderr, "pomc: %s spill failed: %s\n", what,
+                     error.c_str());
+    }
+}
+
 } // namespace
 
 int
@@ -254,8 +261,6 @@ main(int argc, char **argv)
     std::string connect_sock, cache_dir;
     std::string pipeline_cache_dir;
     bool pipeline_cache = false, pipeline_cache_flag = false;
-    bool incremental_estimate = true;
-    bool dse_prune = false;
     std::int64_t jobs = 0; ///< 0 = default; forwarded to --connect
     bool daemon_stats = false, daemon_shutdown = false;
     std::string stats_format = "text"; ///< --daemon-stats rendering
@@ -299,24 +304,6 @@ main(int argc, char **argv)
         } else if (arg == "--pipeline-cache-dir" && a + 1 < argc) {
             pipeline_cache_dir = argv[++a];
             pipeline_cache_flag = true;
-        } else if (arg == "--incremental-estimate" && a + 1 < argc) {
-            std::string mode = argv[++a];
-            if (mode != "on" && mode != "off") {
-                std::fprintf(stderr,
-                             "pomc: --incremental-estimate expects on "
-                             "or off, got '%s'\n", mode.c_str());
-                return 2;
-            }
-            incremental_estimate = (mode == "on");
-        } else if (arg == "--dse-prune" && a + 1 < argc) {
-            std::string mode = argv[++a];
-            if (mode != "on" && mode != "off") {
-                std::fprintf(stderr,
-                             "pomc: --dse-prune expects on or off, "
-                             "got '%s'\n", mode.c_str());
-                return 2;
-            }
-            dse_prune = (mode == "on");
         } else if (arg == "--debug-fingerprints") {
             hls::setFingerprintDebugDump(true);
         } else if (arg == "--daemon-stats") {
@@ -628,37 +615,23 @@ main(int argc, char **argv)
 
     // Persistent estimator cache: warm-load before the run, spill on
     // every exit path (the spill is incremental and content-addressed,
-    // so re-saving unchanged entries is cheap).
-    hls::SpillStats cache_stats;
-    if (!cache_dir.empty()) {
-        std::string cache_error;
-        if (!hls::EstimatorCache::global().loadDir(
-                cache_dir, cache_stats, cache_error)) {
-            std::fprintf(stderr, "pomc: %s\n", cache_error.c_str());
-            return 1;
-        }
-        // The per-node report cache spills beside the estimator cache
-        // (nodes.index / nodes/ in the same directory).
-        hls::SpillStats node_stats;
-        if (!hls::NodeReportCache::global().loadDir(
-                cache_dir, node_stats, cache_error)) {
-            std::fprintf(stderr, "pomc: %s\n", cache_error.c_str());
-            return 1;
-        }
+    // so re-saving unchanged entries is cheap). The per-node report
+    // cache spills beside it (nodes.index / nodes/ in the same dir).
+    support::CacheSpillStats cache_stats, node_stats, pipeline_stats;
+    if (!loadSpill(hls::EstimatorCache::global(), cache_dir,
+                   cache_stats) ||
+        !loadSpill(hls::NodeReportCache::global(), cache_dir,
+                   node_stats)) {
+        return 1;
     }
 
     // Pipeline result cache: a spill dir implies the cache itself.
     if (!pipeline_cache_dir.empty())
         pipeline_cache = true;
     pass::setPipelineCacheEnabled(pipeline_cache);
-    support::CacheSpillStats pipeline_stats;
-    if (!pipeline_cache_dir.empty()) {
-        std::string cache_error;
-        if (!pass::PipelineCache::global().loadDir(
-                pipeline_cache_dir, pipeline_stats, cache_error)) {
-            std::fprintf(stderr, "pomc: %s\n", cache_error.c_str());
-            return 1;
-        }
+    if (!loadSpill(pass::PipelineCache::global(), pipeline_cache_dir,
+                   pipeline_stats)) {
+        return 1;
     }
 
     struct CacheSpiller
@@ -668,34 +641,10 @@ main(int argc, char **argv)
 
         ~CacheSpiller()
         {
-            if (!dir.empty()) {
-                hls::SpillStats stats;
-                std::string error;
-                if (!hls::EstimatorCache::global().saveDir(dir, stats,
-                                                           error)) {
-                    std::fprintf(stderr,
-                                 "pomc: cache spill failed: %s\n",
-                                 error.c_str());
-                }
-                hls::SpillStats node_stats;
-                if (!hls::NodeReportCache::global().saveDir(
-                        dir, node_stats, error)) {
-                    std::fprintf(stderr,
-                                 "pomc: node-cache spill failed: %s\n",
-                                 error.c_str());
-                }
-            }
-            if (!pipelineDir.empty()) {
-                support::CacheSpillStats stats;
-                std::string error;
-                if (!pass::PipelineCache::global().saveDir(
-                        pipelineDir, stats, error)) {
-                    std::fprintf(stderr,
-                                 "pomc: pipeline-cache spill failed: "
-                                 "%s\n",
-                                 error.c_str());
-                }
-            }
+            saveSpill(hls::EstimatorCache::global(), dir, "cache");
+            saveSpill(hls::NodeReportCache::global(), dir, "node-cache");
+            saveSpill(pass::PipelineCache::global(), pipelineDir,
+                      "pipeline-cache");
         }
     } spiller{cache_dir, pipeline_cache_dir};
 
@@ -785,8 +734,6 @@ main(int argc, char **argv)
         baselines::BaselineOptions opt;
         opt.resourceFraction = fraction;
         opt.strategy = strategy;
-        opt.incrementalEstimate = incremental_estimate;
-        opt.prune = dse_prune;
 
         if (!frontier_out.empty() && framework != "pom") {
             std::fprintf(stderr, "pomc: --frontier-out requires a POM "
