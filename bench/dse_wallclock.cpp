@@ -17,13 +17,13 @@
  *      explored, final frontier size, wall-clock and cache hit rate
  *      per strategy ("bench.dse.strategy.<name>.*" gauges).
  *   5. Disk-warm start: sweep against a cache spill loaded from disk.
- *   6. Pipeline cache: the full 18-workload sweep (non-DNN at 128 plus
- *      both DNNs) cold, then again with the estimator cache dropped
- *      but the pass::PipelineCache kept warm, isolating the lowering
- *      prefix-skip ("bench.dse.pipeline.*" gauges).
- *   7. Incremental estimation: the same full sweep with every cache
- *      cold, reporting its wall-clock and the per-node report reuse
- *      rate ("bench.dse.incremental.*" gauges).
+ *   6. Incremental estimation: the full 18-workload sweep (non-DNN at
+ *      128 plus both DNNs) with every cache cold, reporting its
+ *      wall-clock and the per-node report reuse rate
+ *      ("bench.dse.incremental.*" gauges).
+ *
+ * Every cold or disk-warm leg also empties the dependence memo
+ * (transform::clearDependenceMemo), so it never measures a warm memo.
  *
  * Set POM_BENCH_JSON=BENCH_dse.json to capture every printed number as
  * "bench.dse.*" gauges (see bench_util.h). Speedups depend on the host:
@@ -45,8 +45,8 @@
 #include "dse/dse.h"
 #include "hls/estimator_cache.h"
 #include "hls/node_cache.h"
-#include "pass/pipeline_cache.h"
 #include "support/thread_pool.h"
+#include "transform/poly_stmt.h"
 
 using namespace pom;
 using Clock = std::chrono::steady_clock;
@@ -155,6 +155,10 @@ main()
 {
     std::string json = benchutil::initBenchMetrics();
     hls::EstimatorCache &cache = hls::EstimatorCache::global();
+    auto clearCaches = [&cache] {
+        cache.clear();
+        transform::clearDependenceMemo();
+    };
     const int threads = 4;
     std::printf("DSE wall-clock benchmark (%zu workloads, pool=%d, "
                 "hardware_concurrency=%u)\n\n",
@@ -162,10 +166,10 @@ main()
                 std::thread::hardware_concurrency());
 
     // 1. Workload-level fan-out, cold cache both times.
-    cache.clear();
+    clearCaches();
     std::uint64_t sum1 = 0, sumN = 0;
     double cold_seq = runSweep(1, sum1);
-    cache.clear();
+    clearCaches();
     double cold_par = runSweep(threads, sumN);
     if (sum1 != sumN) {
         std::fprintf(stderr, "FATAL: sweep checksum diverged (%llu vs "
@@ -214,9 +218,9 @@ main()
     gauge("cache.hit_rate", hit_rate);
 
     // 3. Intra-search speculation on the deepest workload.
-    cache.clear();
+    clearCaches();
     double dnn1 = runDnn(1);
-    cache.clear();
+    clearCaches();
     double dnn4 = runDnn(4);
     double spec_speedup = dnn4 > 0.0 ? dnn1 / dnn4 : 0.0;
     std::printf("vgg16 search, jobs=1:     %7.3f s\n", dnn1);
@@ -230,7 +234,7 @@ main()
     std::printf("\nper-strategy sweep (cold cache):\n");
     for (auto kind : {dse::StrategyKind::Greedy, dse::StrategyKind::Beam,
                       dse::StrategyKind::Anneal}) {
-        cache.clear();
+        clearCaches();
         std::uint64_t shits0 = cache.hits(), smisses0 = cache.misses();
         int points = 0;
         size_t frontier = 0;
@@ -271,7 +275,7 @@ main()
     std::printf("\ndisk-warm sweep (estimator-cache spill):\n");
     const std::string spill_dir = "BENCH_dse_cache";
     std::filesystem::remove_all(spill_dir);
-    cache.clear();
+    clearCaches();
     std::uint64_t sumD = 0;
     double disk_cold = runSweep(1, sumD);
     support::CacheSpillStats save_stats;
@@ -283,7 +287,7 @@ main()
         return 1;
     }
     double save_secs = seconds(t_save);
-    cache.clear();
+    clearCaches();
     support::CacheSpillStats load_stats;
     Clock::time_point t_load = Clock::now();
     if (!cache.loadDir(spill_dir, load_stats, spill_error)) {
@@ -321,51 +325,12 @@ main()
     gauge("spill.warm_speedup", disk_speedup);
     gauge("spill.hit_rate", dhit_rate);
 
-    // 6. Pipeline cache: cold (both caches empty) vs. warm (estimator
-    // cache dropped again, pipeline cache kept), so the delta is the
-    // lowering prefix-skip alone and not estimator memoization.
-    std::printf("\npipeline-cache sweep (18 workloads):\n");
-    auto &pipeline = pass::PipelineCache::global();
-    pass::setPipelineCacheEnabled(true);
-    pipeline.clear();
-    cache.clear();
-    std::uint64_t sumP = 0, sumP2 = 0;
-    double pipe_cold = runFullSweep(sumP);
-    cache.clear();
-    std::uint64_t phits0 = pipeline.hits();
-    std::uint64_t pmisses0 = pipeline.misses();
-    double pipe_warm = runFullSweep(sumP2);
-    pass::setPipelineCacheEnabled(false);
-    if (sumP2 != sumP) {
-        std::fprintf(stderr, "FATAL: pipeline-cache sweep checksum "
-                             "diverged\n");
-        return 1;
-    }
-    std::uint64_t phits = pipeline.hits() - phits0;
-    std::uint64_t pmisses = pipeline.misses() - pmisses0;
-    double phit_rate = phits + pmisses > 0
-                           ? static_cast<double>(phits) /
-                                 static_cast<double>(phits + pmisses)
-                           : 0.0;
-    double pipe_speedup = pipe_warm > 0.0 ? pipe_cold / pipe_warm : 0.0;
-    std::printf("  sweep cold (both caches empty): %7.3f s\n",
-                pipe_cold);
-    std::printf("  sweep warm (pipeline cache only): %5.3f s  "
-                "(%.2fx, hit rate %.0f%%)\n",
-                pipe_warm, pipe_speedup, 100.0 * phit_rate);
-    gauge("pipeline.cold_seconds", pipe_cold);
-    gauge("pipeline.warm_seconds", pipe_warm);
-    gauge("pipeline.speedup", pipe_speedup);
-    gauge("pipeline.hits", static_cast<double>(phits));
-    gauge("pipeline.misses", static_cast<double>(pmisses));
-    gauge("pipeline.hit_rate", phit_rate);
-
-    // 7. Incremental estimation: the full sweep fully cold (estimator
-    // AND node caches dropped, pipeline cache off), so every reused
-    // node report was produced within the sweep itself.
+    // 6. Incremental estimation: the full sweep fully cold (estimator
+    // and node caches and the dependence memo dropped), so every
+    // reused node report was produced within the sweep itself.
     std::printf("\nincremental-estimation sweep (18 workloads):\n");
     auto &nodes = hls::NodeReportCache::global();
-    cache.clear();
+    clearCaches();
     nodes.clear();
     std::uint64_t sumI = 0;
     double inc_incr = runFullSweep(sumI);

@@ -18,7 +18,6 @@
 #include "hls/node_cache.h"
 #include "obs/journal.h"
 #include "obs/obs.h"
-#include "pass/pipeline_cache.h"
 #include "support/diagnostics.h"
 #include "support/string_util.h"
 #include "support/thread_pool.h"
@@ -1233,15 +1232,7 @@ class Engine
         ev.primitives = s.primitives;
         span.arg("primitives", ev.primitives);
 
-        // Per-point verification must exercise the real pipeline (the
-        // oracle interprets the lowered IR), so it opts out of the
-        // pipeline cache; the plain estimation path reads only stmts +
-        // AST and can skip materializing cached IR entirely.
-        std::optional<pass::PipelineCacheDisableScope> no_pipeline_cache;
-        if (opt_.verifyEachPoint)
-            no_pipeline_cache.emplace();
-        auto lowered = lower::lowerStmts(func_, std::move(s.stmts),
-                                         /*needIr=*/opt_.verifyEachPoint);
+        auto lowered = lower::lowerStmts(func_, std::move(s.stmts));
         hls::EstimatorOptions eo = estOptions();
         eo.partitionOverride = &s.partitions;
         ev.report = hls::estimate(func_, lowered, eo);
@@ -1287,9 +1278,6 @@ class Engine
             key = hls::designFingerprint(funcDigest_, s.stmts,
                                          s.partitions, estOptions());
         }
-        std::optional<pass::PipelineCacheDisableScope> no_pipeline_cache;
-        if (opt_.verifyEachPoint)
-            no_pipeline_cache.emplace();
         c.design = lower::lowerStmts(func_, std::move(s.stmts));
 
         std::optional<hls::SynthesisReport> hit;

@@ -484,15 +484,13 @@ namespace {
 LoweredFunction
 runLoweringPipeline(const dsl::Function &func,
                     std::vector<transform::PolyStmt> stmts,
-                    const std::string &pipeline, bool needIr)
+                    const std::string &pipeline)
 {
     registerLoweringPasses();
     pass::PipelineState state;
     state.dslFunc = &func;
     state.stmts = std::move(stmts);
-    pass::PassManagerOptions options;
-    options.deferFinalIr = !needIr;
-    pass::PassManager pm(options);
+    pass::PassManager pm;
     pm.addPipeline(pipeline);
     pm.run(state);
     LoweredFunction out;
@@ -506,11 +504,10 @@ runLoweringPipeline(const dsl::Function &func,
 
 LoweredFunction
 lowerStmts(const dsl::Function &func,
-           std::vector<transform::PolyStmt> stmts, bool needIr)
+           std::vector<transform::PolyStmt> stmts)
 {
     return runLoweringPipeline(func, std::move(stmts),
-                               "annotate-pragmas,build-ast,ast-to-affine",
-                               needIr);
+                               "annotate-pragmas,build-ast,ast-to-affine");
 }
 
 LoweredFunction
@@ -532,8 +529,7 @@ lower(const dsl::Function &func)
     return runLoweringPipeline(
         func, {},
         "extract-stmts,schedule-apply,annotate-pragmas,build-ast,"
-        "ast-to-affine",
-        /*needIr=*/true);
+        "ast-to-affine");
 }
 
 } // namespace pom::lower

@@ -68,17 +68,9 @@ generateAffine(const dsl::Function &func,
                const std::vector<transform::PolyStmt> &stmts,
                const ast::AstNode &astRoot);
 
-/**
- * Build the polyhedral AST and generate annotated affine dialect.
- * With @p needIr false and the pipeline cache active, a cached
- * ast-to-affine result is left unparsed and LoweredFunction::func may
- * be null -- callers that read only stmts + astRoot (the DSE
- * estimation path) skip the parse entirely. With the cache off the
- * flag has no effect and func is always populated.
- */
+/** Build the polyhedral AST and generate annotated affine dialect. */
 LoweredFunction lowerStmts(const dsl::Function &func,
-                           std::vector<transform::PolyStmt> stmts,
-                           bool needIr = true);
+                           std::vector<transform::PolyStmt> stmts);
 
 /**
  * Estimation-only lowering of a statement subset: build just the

@@ -6,7 +6,6 @@
  */
 
 #include <mutex>
-#include <sstream>
 
 #include "lower/lower.h"
 #include "pass/pass_manager.h"
@@ -72,56 +71,6 @@ class AnnotatePragmasPass : public pass::Pass
   public:
     AnnotatePragmasPass() : Pass("annotate-pragmas") {}
 
-    // The pass only rewrites per-dim independentArrays lists; the
-    // payload is those lists for every (stmt, dim), so a replay
-    // reproduces the post-run state byte-for-byte and skips the
-    // dependence analysis.
-    pass::CachePayloadKind
-    cachePayloadKind() const override
-    {
-        return pass::CachePayloadKind::Custom;
-    }
-
-    std::string
-    encodeCachePayload(const pass::PipelineState &state) const override
-    {
-        std::ostringstream os;
-        for (std::size_t i = 0; i < state.stmts.size(); ++i) {
-            const auto &hw = state.stmts[i].sched.hwPerDim;
-            for (std::size_t j = 0; j < hw.size(); ++j) {
-                os << "d " << i << " " << j;
-                for (const auto &array : hw[j].independentArrays)
-                    os << " " << array;
-                os << "\n";
-            }
-        }
-        return os.str();
-    }
-
-    void
-    applyCachePayload(pass::PipelineState &state,
-                      const std::string &payload) const override
-    {
-        std::istringstream in(payload);
-        std::string line;
-        while (std::getline(in, line)) {
-            std::istringstream fields(line);
-            std::string tag;
-            std::size_t stmt = 0, dim = 0;
-            if (!(fields >> tag >> stmt >> dim) || tag != "d")
-                continue;
-            if (stmt >= state.stmts.size())
-                continue;
-            auto &hw = state.stmts[stmt].sched.hwPerDim;
-            if (dim >= hw.size())
-                continue;
-            hw[dim].independentArrays.clear();
-            std::string array;
-            while (fields >> array)
-                hw[dim].independentArrays.push_back(array);
-        }
-    }
-
     void
     run(pass::PipelineState &state) override
     {
@@ -157,15 +106,6 @@ class AstToAffinePass : public pass::Pass
 {
   public:
     AstToAffinePass() : Pass("ast-to-affine") {}
-
-    // The generated IR round-trips losslessly through the textual
-    // printer/parser, so a hit replays the printed IR (parsed back
-    // lazily, or never, when the caller only reads stmts + AST).
-    pass::CachePayloadKind
-    cachePayloadKind() const override
-    {
-        return pass::CachePayloadKind::IrText;
-    }
 
     void
     run(pass::PipelineState &state) override

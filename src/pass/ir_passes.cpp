@@ -30,14 +30,6 @@ class VerifyPass : public Pass
   public:
     VerifyPass() : Pass("verify") {}
 
-    // A failed verification throws before the result is stored, so a
-    // cached entry always replays "this exact IR verified clean".
-    CachePayloadKind
-    cachePayloadKind() const override
-    {
-        return CachePayloadKind::None;
-    }
-
     void
     run(PipelineState &state) override
     {
@@ -61,12 +53,6 @@ class StripHlsPass : public Pass
 {
   public:
     StripHlsPass() : Pass("strip-hls") {}
-
-    CachePayloadKind
-    cachePayloadKind() const override
-    {
-        return CachePayloadKind::IrText;
-    }
 
     void
     run(PipelineState &state) override
@@ -100,12 +86,6 @@ class CountOpsPass : public Pass
 {
   public:
     CountOpsPass() : Pass("count-ops") {}
-
-    CachePayloadKind
-    cachePayloadKind() const override
-    {
-        return CachePayloadKind::None;
-    }
 
     void
     run(PipelineState &state) override

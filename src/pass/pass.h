@@ -48,27 +48,6 @@ struct PipelineState
 using PassOptions = std::map<std::string, std::string>;
 
 /**
- * How a pass result can be replayed from the pipeline cache
- * (pass/pipeline_cache.h). A cached execution must leave the state
- * byte-identical to a real run; a pass whose effect cannot be encoded
- * that strictly stays NotCacheable.
- */
-enum class CachePayloadKind
-{
-    /** Result cannot be replayed from a payload; always run. */
-    NotCacheable,
-
-    /** Pass leaves the state unchanged (analyses); stats-only entry. */
-    None,
-
-    /** Pass (re)writes state.func; payload = post-pass textual IR. */
-    IrText,
-
-    /** Pass-defined payload via encode/applyCachePayload(). */
-    Custom,
-};
-
-/**
  * A single pipeline stage. Subclasses implement run() and may record
  * named statistics counters via addStat(); the PassManager collects
  * the counters and the wall-clock time of every execution.
@@ -87,44 +66,6 @@ class Pass
 
     /** Transform @p state in place. */
     virtual void run(PipelineState &state) = 0;
-
-    /** How (whether) this pass participates in the pipeline cache. */
-    virtual CachePayloadKind cachePayloadKind() const
-    {
-        return CachePayloadKind::NotCacheable;
-    }
-
-    /**
-     * Serialize the effect of the just-finished run() on @p state
-     * (Custom kind only). Must be a pure function of the post-run
-     * state so a replay is byte-identical.
-     */
-    virtual std::string encodeCachePayload(const PipelineState &state) const
-    {
-        (void)state;
-        return "";
-    }
-
-    /** Replay a payload produced by encodeCachePayload() (Custom). */
-    virtual void applyCachePayload(PipelineState &state,
-                                   const std::string &payload) const
-    {
-        (void)state;
-        (void)payload;
-    }
-
-    /**
-     * The canonicalized construction options, part of the cache key.
-     * PassRegistry::create() records them; a pass constructed directly
-     * with behaviour-changing options must call this itself (or stay
-     * NotCacheable, the default).
-     */
-    void setCacheOptions(PassOptions options)
-    {
-        cache_options_ = std::move(options);
-    }
-
-    const PassOptions &cacheOptions() const { return cache_options_; }
 
     /** Statistics recorded by the last run() invocation. */
     const std::map<std::string, std::int64_t> &statistics() const
@@ -146,7 +87,6 @@ class Pass
   private:
     std::string name_;
     std::map<std::string, std::int64_t> stats_;
-    PassOptions cache_options_;
 };
 
 } // namespace pom::pass

@@ -1,16 +1,12 @@
 #include "pass/pass_manager.h"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <sstream>
-#include <tuple>
 
-#include "ir/parser.h"
 #include "ir/verifier.h"
 #include "obs/obs.h"
-#include "pass/pipeline_cache.h"
 #include "support/diagnostics.h"
 
 namespace pom::pass {
@@ -65,10 +61,6 @@ PassRegistry::create(const std::string &name,
     auto pass = it->second.factory(options);
     POM_ASSERT(pass != nullptr, "factory for pass '", name,
                "' returned null");
-    // Record the canonical construction options: they are part of the
-    // pipeline-cache key, so two instantiations of one pass with
-    // different options can never alias each other's cached results.
-    pass->setCacheOptions(options);
     return pass;
 }
 
@@ -173,7 +165,6 @@ constexpr const char *kRunsPrefix = "pass.runs.";
 constexpr const char *kSecondsPrefix = "pass.seconds.";
 constexpr const char *kStatPrefix = "pass.stat.";
 constexpr const char *kWallMsPrefix = "pass.wall_ms.";
-constexpr const char *kCachedPrefix = "pass.cached.";
 
 std::atomic<bool> g_timing_enabled{false};
 
@@ -182,13 +173,6 @@ recordGlobal(const std::vector<PassExecution> &executions)
 {
     obs::counterAdd(kPipelineRuns);
     for (const auto &exec : executions) {
-        // Cache-replayed executions are counted separately: folding
-        // their near-zero lookup times into pass.seconds.* would skew
-        // the per-pass averages the profile-first workflow reads.
-        if (exec.fromCache) {
-            obs::counterAdd(kCachedPrefix + exec.pass);
-            continue;
-        }
         obs::counterAdd(kRunsPrefix + exec.pass);
         obs::accumulate(kSecondsPrefix + exec.pass, exec.seconds);
         // The accumulator keeps the total; the histogram keeps the
@@ -227,36 +211,14 @@ globalTimingReport()
 {
     auto metrics = obs::metricsSnapshot();
     std::int64_t pipeline_runs = 0;
-    // (name, runs, seconds, cached) in first-execution order. A pass
-    // may appear through its seconds accumulator (ran for real at
-    // least once), its cached counter (every execution replayed from
-    // the pipeline cache), or both.
-    std::vector<std::tuple<std::string, std::int64_t, double,
-                           std::int64_t>>
-        rows;
-    auto rowFor = [&rows](const std::string &pass)
-        -> std::tuple<std::string, std::int64_t, double, std::int64_t> & {
-        for (auto &row : rows) {
-            if (std::get<0>(row) == pass)
-                return row;
-        }
-        rows.emplace_back(pass, 0, 0.0, 0);
-        return rows.back();
-    };
+    // (name, total seconds) in first-execution order.
+    std::vector<std::pair<std::string, double>> rows;
     const size_t seconds_len = std::string(kSecondsPrefix).size();
-    const size_t cached_len = std::string(kCachedPrefix).size();
     for (const auto &[name, metric] : metrics) {
         if (name == kPipelineRuns)
             pipeline_runs = metric.count;
         else if (name.rfind(kSecondsPrefix, 0) == 0)
-            std::get<2>(rowFor(name.substr(seconds_len))) = metric.value;
-        else if (name.rfind(kCachedPrefix, 0) == 0)
-            std::get<3>(rowFor(name.substr(cached_len))) = metric.count;
-    }
-    for (auto &[pass, runs, seconds, cached] : rows) {
-        (void)seconds;
-        (void)cached;
-        runs = obs::counterValue(kRunsPrefix + pass);
+            rows.emplace_back(name.substr(seconds_len), metric.value);
     }
     if (rows.empty())
         return "";
@@ -264,28 +226,14 @@ globalTimingReport()
     os << "---- pass timing (" << pipeline_runs << " pipeline runs) ----\n";
     char line[160];
     double total = 0.0;
-    for (const auto &[pass, runs, seconds, cached] : rows) {
+    for (const auto &[pass, seconds] : rows) {
+        std::int64_t runs = obs::counterValue(kRunsPrefix + pass);
         total += seconds;
-        // A pass whose every execution replayed from the pipeline
-        // cache has no real runs to average; only its cached row
-        // prints.
-        if (runs > 0 || cached == 0) {
-            std::snprintf(
-                line, sizeof(line),
-                "  %-20s %8lld runs  %10.6f s total  %8.3f ms avg\n",
-                pass.c_str(), static_cast<long long>(runs), seconds,
-                runs > 0 ? seconds * 1e3 / runs : 0.0);
-            os << line;
-        }
-        if (cached > 0) {
-            // Cached replays sit in their own column: their lookup
-            // cost is not pass time and must not dilute the averages.
-            std::snprintf(line, sizeof(line),
-                          "  %-20s %8lld runs  (cached)\n",
-                          (pass + " (cached)").c_str(),
-                          static_cast<long long>(cached));
-            os << line;
-        }
+        std::snprintf(line, sizeof(line),
+                      "  %-20s %8lld runs  %10.6f s total  %8.3f ms avg\n",
+                      pass.c_str(), static_cast<long long>(runs), seconds,
+                      runs > 0 ? seconds * 1e3 / runs : 0.0);
+        os << line;
     }
     std::snprintf(line, sizeof(line), "  %-20s %16s %10.6f s total\n",
                   "total", "", total);
@@ -329,136 +277,31 @@ PassManager::run(PipelineState &state)
 {
     std::ostream &dump_os = options_.dumpStream ? *options_.dumpStream
                                                 : support::diagStream();
-    // When an IrText cache hit replays printed IR, the parse back into
-    // state.func is deferred until something actually reads the IR
-    // (the next uncached pass, verification, a dump, or the end of the
-    // pipeline). While deferred, `pending_ir` is the authoritative IR
-    // and state.func is null; the round-trip guarantee of the parser
-    // keeps the eventual print byte-identical either way.
-    std::string pending_ir;
-    bool ir_pending = false;
-    auto materialize = [&] {
-        if (!ir_pending)
-            return;
-        state.func = ir::parseIr(pending_ir);
-        pending_ir.clear();
-        ir_pending = false;
-    };
-
     for (auto &pass : passes_) {
-        if (options_.dumpBeforeEach) {
-            materialize();
+        if (options_.dumpBeforeEach)
             dumpState(state, "IR before " + pass->name(), dump_os);
+        pass->clearStatistics();
+        auto start = std::chrono::steady_clock::now();
+        {
+            obs::Span span("pass:" + pass->name(), "pass");
+            pass->run(state);
         }
-        const CachePayloadKind kind = pass->cachePayloadKind();
-        const bool cacheable =
-            kind != CachePayloadKind::NotCacheable &&
-            pipelineCacheActive();
-        std::string key;
-        bool replayed = false;
-        if (cacheable) {
-            auto lookup_start = std::chrono::steady_clock::now();
-            const std::string ir_text =
-                ir_pending ? pending_ir
-                           : (state.func ? state.func->str()
-                                         : std::string());
-            key = passCacheKey(*pass, state, &ir_text);
-            auto entry = PipelineCache::global().lookup(key);
-            if (entry) {
-                switch (kind) {
-                case CachePayloadKind::None:
-                    break;
-                case CachePayloadKind::IrText:
-                    state.func.reset();
-                    pending_ir = entry->payload;
-                    ir_pending = true;
-                    break;
-                case CachePayloadKind::Custom:
-                    pass->applyCachePayload(state, entry->payload);
-                    break;
-                case CachePayloadKind::NotCacheable:
-                    break;
-                }
-                PassExecution exec;
-                exec.pass = pass->name();
-                exec.seconds =
-                    std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - lookup_start)
-                        .count();
-                exec.statistics = entry->statistics;
-                exec.fromCache = true;
-                executions_.push_back(std::move(exec));
-                obs::counterAdd("pass.cache.hits");
-                replayed = true;
-            } else {
-                obs::counterAdd("pass.cache.misses");
-            }
-            if (obs::metricsEnabled()) {
-                obs::histogramRecord(
-                    "pass.cache.lookup_ms",
-                    std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - lookup_start)
-                            .count() *
-                        1e3);
+        auto end = std::chrono::steady_clock::now();
+        PassExecution exec;
+        exec.pass = pass->name();
+        exec.seconds = std::chrono::duration<double>(end - start).count();
+        exec.statistics = pass->statistics();
+        executions_.push_back(std::move(exec));
+        if (options_.verifyAfterEach && state.func) {
+            auto errors = ir::verify(*state.func);
+            if (!errors.empty()) {
+                support::fatal("IR verification failed after pass '" +
+                               pass->name() + "': " + errors[0]);
             }
         }
-        if (!replayed) {
-            materialize();
-            pass->clearStatistics();
-            auto start = std::chrono::steady_clock::now();
-            {
-                obs::Span span("pass:" + pass->name(), "pass");
-                pass->run(state);
-            }
-            auto end = std::chrono::steady_clock::now();
-            PassExecution exec;
-            exec.pass = pass->name();
-            exec.seconds =
-                std::chrono::duration<double>(end - start).count();
-            exec.statistics = pass->statistics();
-            if (cacheable) {
-                PipelineCacheEntry entry;
-                entry.seconds = exec.seconds;
-                entry.statistics = exec.statistics;
-                bool storable = true;
-                switch (kind) {
-                case CachePayloadKind::IrText:
-                    if (state.func)
-                        entry.payload = state.func->str();
-                    else
-                        storable = false;
-                    break;
-                case CachePayloadKind::Custom:
-                    entry.payload = pass->encodeCachePayload(state);
-                    break;
-                case CachePayloadKind::None:
-                case CachePayloadKind::NotCacheable:
-                    break;
-                }
-                if (storable)
-                    PipelineCache::global().store(key,
-                                                  std::move(entry));
-            }
-            executions_.push_back(std::move(exec));
-        }
-        if (options_.verifyAfterEach) {
-            materialize();
-            if (state.func) {
-                auto errors = ir::verify(*state.func);
-                if (!errors.empty()) {
-                    support::fatal(
-                        "IR verification failed after pass '" +
-                        pass->name() + "': " + errors[0]);
-                }
-            }
-        }
-        if (options_.dumpAfterEach) {
-            materialize();
+        if (options_.dumpAfterEach)
             dumpState(state, "IR after " + pass->name(), dump_os);
-        }
     }
-    if (!options_.deferFinalIr)
-        materialize();
     // Aggregate when either --timing asked for a report or metrics
     // export is on (the pass.* counters feed the metrics JSON too).
     if (globalTimingEnabled() || obs::metricsEnabled())
@@ -481,10 +324,8 @@ PassManager::timingReport() const
             stats += "=";
             stats += std::to_string(value);
         }
-        const std::string label =
-            exec.fromCache ? exec.pass + " (cached)" : exec.pass;
         std::snprintf(line, sizeof(line), "  %-20s %10.6f s%s%s%s\n",
-                      label.c_str(), exec.seconds,
+                      exec.pass.c_str(), exec.seconds,
                       stats.empty() ? "" : "   (",
                       stats.c_str(), stats.empty() ? "" : ")");
         os << line;

@@ -33,14 +33,6 @@ struct PassExecution
     std::string pass;
     double seconds = 0.0;
     std::map<std::string, std::int64_t> statistics;
-
-    /**
-     * Replayed from the pipeline cache instead of run for real.
-     * `seconds` is then the lookup+replay cost, and the timing
-     * aggregation reports the execution in a separate cached column
-     * instead of skewing the per-pass averages.
-     */
-    bool fromCache = false;
 };
 
 /** PassManager behaviour switches. */
@@ -55,15 +47,6 @@ struct PassManagerOptions
 
     /** Destination for dumps; null means support::diagStream(). */
     std::ostream *dumpStream = nullptr;
-
-    /**
-     * Leave state.func unmaterialized when the final passes were
-     * pipeline-cache IR hits. Callers that never read the IR (the DSE
-     * estimation path reads only stmts + AST) skip the parse
-     * entirely; everyone else keeps the default and always gets a
-     * real Operation back.
-     */
-    bool deferFinalIr = false;
 };
 
 /** Creates a pass from spec options. */

@@ -161,9 +161,6 @@ encodeResponse(const Response &r)
         // the two on the wire.
         field(os, first, "cache_hits", r.cacheHits);
         field(os, first, "cache_misses", r.cacheMisses);
-        field(os, first, "pipeline_cache_hits", r.pipelineCacheHits);
-        field(os, first, "pipeline_cache_misses",
-              r.pipelineCacheMisses);
     }
     if (r.status == "ok" && r.statsFrame) {
         field(os, first, "requests_served", r.requestsServed);
@@ -173,11 +170,6 @@ encodeResponse(const Response &r)
         field(os, first, "queue_depth_max", r.queueDepthMax);
         field(os, first, "uptime_seconds", r.uptimeSeconds);
         field(os, first, "cache_hit_rate", r.cacheHitRate);
-        field(os, first, "pipeline_cache_size", r.pipelineCacheSize);
-        field(os, first, "pipeline_cache_loaded",
-              r.pipelineCacheLoaded);
-        field(os, first, "pipeline_cache_hit_rate",
-              r.pipelineCacheHitRate);
         field(os, first, "node_cache_hits", r.nodeCacheHits);
         field(os, first, "node_cache_misses", r.nodeCacheMisses);
         field(os, first, "node_cache_size", r.nodeCacheSize);
@@ -214,8 +206,22 @@ decodeRequest(const std::string &text, Request &out, std::string &error)
     }
     if (const auto *v = doc.find("workload"))
         out.workload = v->asString();
-    if (const auto *v = doc.find("size"))
-        out.size = v->asInt(out.size);
+    // size and jobs reach integer arithmetic in the daemon: anything
+    // but an exact int64 is a field error, never a silent conversion.
+    auto intField = [&](const char *name, std::int64_t &field) {
+        const auto *v = doc.find(name);
+        if (v == nullptr)
+            return true;
+        if (auto exact = v->exactInt()) {
+            field = *exact;
+            return true;
+        }
+        error = std::string("field '") + name +
+                "' must be an integer in int64 range";
+        return false;
+    };
+    if (!intField("size", out.size))
+        return false;
     if (const auto *v = doc.find("framework"))
         out.framework = v->asString(out.framework);
     if (const auto *v = doc.find("strategy"))
@@ -226,8 +232,8 @@ decodeRequest(const std::string &text, Request &out, std::string &error)
         out.emit = v->asBool(out.emit);
     if (const auto *v = doc.find("journal"))
         out.journal = v->asString(out.journal);
-    if (const auto *v = doc.find("jobs"))
-        out.jobs = v->asInt(out.jobs);
+    if (!intField("jobs", out.jobs))
+        return false;
     if (const auto *v = doc.find("ir"))
         out.ir = v->asString();
     if (const auto *v = doc.find("pipeline"))
@@ -288,10 +294,6 @@ decodeResponse(const std::string &text, Response &out,
         out.cacheHits = v->asInt();
     if (const auto *v = doc.find("cache_misses"))
         out.cacheMisses = v->asInt();
-    if (const auto *v = doc.find("pipeline_cache_hits"))
-        out.pipelineCacheHits = v->asInt();
-    if (const auto *v = doc.find("pipeline_cache_misses"))
-        out.pipelineCacheMisses = v->asInt();
     if (const auto *v = doc.find("requests_served")) {
         out.statsFrame = true;
         out.requestsServed = v->asInt();
@@ -308,12 +310,6 @@ decodeResponse(const std::string &text, Response &out,
         out.uptimeSeconds = v->asDouble();
     if (const auto *v = doc.find("cache_hit_rate"))
         out.cacheHitRate = v->asDouble();
-    if (const auto *v = doc.find("pipeline_cache_size"))
-        out.pipelineCacheSize = v->asInt();
-    if (const auto *v = doc.find("pipeline_cache_loaded"))
-        out.pipelineCacheLoaded = v->asInt();
-    if (const auto *v = doc.find("pipeline_cache_hit_rate"))
-        out.pipelineCacheHitRate = v->asDouble();
     if (const auto *v = doc.find("node_cache_hits"))
         out.nodeCacheHits = v->asInt();
     if (const auto *v = doc.find("node_cache_misses"))
@@ -371,21 +367,6 @@ statsPrometheus(const Response &stats)
     scalar("pomd_estimator_cache_loaded_entries", "gauge",
            "Entries warm-loaded from the disk spill at start.",
            std::to_string(stats.cacheLoaded));
-    scalar("pomd_pipeline_cache_hits_total", "counter",
-           "Pipeline-cache hits across all requests.",
-           std::to_string(stats.pipelineCacheHits));
-    scalar("pomd_pipeline_cache_misses_total", "counter",
-           "Pipeline-cache misses across all requests.",
-           std::to_string(stats.pipelineCacheMisses));
-    scalar("pomd_pipeline_cache_hit_rate", "gauge",
-           "hits / (hits + misses); 0 when idle.",
-           num(stats.pipelineCacheHitRate));
-    scalar("pomd_pipeline_cache_entries", "gauge",
-           "Entries currently in the pipeline cache.",
-           std::to_string(stats.pipelineCacheSize));
-    scalar("pomd_pipeline_cache_loaded_entries", "gauge",
-           "Entries warm-loaded from the disk spill at start.",
-           std::to_string(stats.pipelineCacheLoaded));
     scalar("pomd_node_cache_hits_total", "counter",
            "Per-node report cache hits across all requests.",
            std::to_string(stats.nodeCacheHits));

@@ -119,8 +119,6 @@ struct Response
     // counters. Stats frames reuse the same fields for daemon totals.
     std::int64_t cacheHits = 0;
     std::int64_t cacheMisses = 0;
-    std::int64_t pipelineCacheHits = 0;
-    std::int64_t pipelineCacheMisses = 0;
 
     // -- stats frames only (statsFrame == true) --
     bool statsFrame = false; ///< not wire-encoded; set when the frame
@@ -132,9 +130,6 @@ struct Response
     std::int64_t queueDepthMax = 0; ///< high-water mark since start
     double uptimeSeconds = 0.0;
     double cacheHitRate = 0.0; ///< hits / (hits + misses), 0 when idle
-    std::int64_t pipelineCacheSize = 0;
-    std::int64_t pipelineCacheLoaded = 0; ///< warm-loaded from disk
-    double pipelineCacheHitRate = 0.0;
     std::int64_t nodeCacheHits = 0;   ///< per-node report cache (DSE)
     std::int64_t nodeCacheMisses = 0;
     std::int64_t nodeCacheSize = 0;

@@ -13,7 +13,6 @@
 #include "obs/journal.h"
 #include "obs/obs.h"
 #include "pass/pass_manager.h"
-#include "pass/pipeline_cache.h"
 #include "support/diagnostics.h"
 #include "support/version.h"
 #include "workloads/workloads.h"
@@ -105,14 +104,6 @@ Server::start(std::string &error)
     if (!opt_.cacheDir.empty() &&
         !hls::NodeReportCache::global().loadDir(
             opt_.cacheDir, node_load_stats_, error)) {
-        return false;
-    }
-    // The daemon always keeps the in-memory pipeline cache on: reusing
-    // lowered pipelines between requests is why one runs a daemon.
-    pass::setPipelineCacheEnabled(true);
-    if (!opt_.pipelineCacheDir.empty() &&
-        !pass::PipelineCache::global().loadDir(
-            opt_.pipelineCacheDir, pipeline_load_stats_, error)) {
         return false;
     }
     listener_ = support::listenUnix(opt_.socketPath, 64, error);
@@ -351,9 +342,6 @@ Server::compileResponse(const Request &request, std::int64_t requestId)
     auto &cache = hls::EstimatorCache::global();
     std::uint64_t hits0 = cache.hits();
     std::uint64_t misses0 = cache.misses();
-    auto &pipeline = pass::PipelineCache::global();
-    std::uint64_t phits0 = pipeline.hits();
-    std::uint64_t pmisses0 = pipeline.misses();
 
     auto workload =
         workloads::makeByName(request.workload, request.size);
@@ -389,10 +377,6 @@ Server::compileResponse(const Request &request, std::int64_t requestId)
     response.cacheHits = static_cast<std::int64_t>(cache.hits() - hits0);
     response.cacheMisses =
         static_cast<std::int64_t>(cache.misses() - misses0);
-    response.pipelineCacheHits =
-        static_cast<std::int64_t>(pipeline.hits() - phits0);
-    response.pipelineCacheMisses =
-        static_cast<std::int64_t>(pipeline.misses() - pmisses0);
     // requestId 0 = unattributed (direct execute / one-shot parity):
     // pass -1 so the journal header stays byte-identical to `pomc`.
     std::int64_t journalId = requestId > 0 ? requestId : -1;
@@ -414,9 +398,6 @@ Server::optResponse(const Request &request)
 {
     Response response;
     auto begin = std::chrono::steady_clock::now();
-    auto &pipeline = pass::PipelineCache::global();
-    std::uint64_t phits0 = pipeline.hits();
-    std::uint64_t pmisses0 = pipeline.misses();
     pass::PipelineState state;
     state.func = ir::parseIr(request.ir);
     pass::PassManager manager;
@@ -424,10 +405,6 @@ Server::optResponse(const Request &request)
         manager.addPipeline(request.pipeline);
     manager.run(state);
     response.irOut = state.func ? state.func->str() : "";
-    response.pipelineCacheHits =
-        static_cast<std::int64_t>(pipeline.hits() - phits0);
-    response.pipelineCacheMisses =
-        static_cast<std::int64_t>(pipeline.misses() - pmisses0);
     response.seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       begin)
@@ -448,22 +425,6 @@ Server::statsResponse()
     response.cacheSize = static_cast<std::int64_t>(cache.size());
     response.cacheLoaded =
         static_cast<std::int64_t>(load_stats_.loaded);
-    auto &pipeline = pass::PipelineCache::global();
-    response.pipelineCacheHits =
-        static_cast<std::int64_t>(pipeline.hits());
-    response.pipelineCacheMisses =
-        static_cast<std::int64_t>(pipeline.misses());
-    response.pipelineCacheSize =
-        static_cast<std::int64_t>(pipeline.size());
-    response.pipelineCacheLoaded =
-        static_cast<std::int64_t>(pipeline_load_stats_.loaded);
-    std::int64_t pprobes =
-        response.pipelineCacheHits + response.pipelineCacheMisses;
-    response.pipelineCacheHitRate =
-        pprobes > 0
-            ? static_cast<double>(response.pipelineCacheHits) /
-                  static_cast<double>(pprobes)
-            : 0.0;
     auto &nodes = hls::NodeReportCache::global();
     response.nodeCacheHits = static_cast<std::int64_t>(nodes.hits());
     response.nodeCacheMisses =
@@ -501,13 +462,11 @@ Server::statsResponse()
 void
 Server::saveCache()
 {
-    if (opt_.cacheDir.empty() && opt_.pipelineCacheDir.empty())
+    if (opt_.cacheDir.empty())
         return;
     std::lock_guard<std::mutex> lock(save_mutex_);
     saveSpill(hls::EstimatorCache::global(), opt_.cacheDir, "cache");
     saveSpill(hls::NodeReportCache::global(), opt_.cacheDir, "node-cache");
-    saveSpill(pass::PipelineCache::global(), opt_.pipelineCacheDir,
-              "pipeline-cache");
 }
 
 } // namespace pom::service

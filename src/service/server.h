@@ -59,12 +59,6 @@ struct ServerOptions
     /** Estimator-cache spill directory; empty = no persistence. */
     std::string cacheDir;
 
-    /** Pipeline-cache spill directory; empty = in-memory only. The
-     *  in-memory pipeline cache itself is always enabled in the
-     *  daemon -- keeping lowered pipelines warm between requests is
-     *  the point of a daemon. */
-    std::string pipelineCacheDir;
-
     /** FIFO capacity applied to the process-wide estimator and
      *  per-node report caches; 0 = unbounded (`pomd
      *  --estimator-cache-cap`). Evicted entries count toward the
@@ -117,12 +111,6 @@ class Server
     /** Entries warm-loaded from the cache dir at start(). */
     const support::CacheSpillStats &loadStats() const { return load_stats_; }
 
-    /** Pipeline-cache entries warm-loaded at start(). */
-    const support::CacheSpillStats &pipelineLoadStats() const
-    {
-        return pipeline_load_stats_;
-    }
-
     /** Per-node report-cache entries warm-loaded at start(). */
     const support::CacheSpillStats &nodeLoadStats() const
     {
@@ -161,7 +149,6 @@ class Server
     std::chrono::steady_clock::time_point startTime_;
     support::CacheSpillStats load_stats_;
     support::CacheSpillStats node_load_stats_;
-    support::CacheSpillStats pipeline_load_stats_;
     std::mutex save_mutex_;
 };
 

@@ -1,14 +1,16 @@
 /**
  * @file
  * The one content-addressed cache container of POM and its on-disk
- * spill format. The estimator cache and the per-node report cache in
- * src/hls and the pipeline result cache in src/pass are each a
- * ContentCache<V>: a mutex-guarded key -> value map with hit/miss
- * counts, an optional FIFO entry cap with an eviction counter, and
- * loadDir()/saveDir() against a `--cache-dir`. A cache kind supplies
- * only its key builder and a ContentCacheFormat -- the format name,
- * index and object file names, eviction-counter name and its payload
- * codec. Every spill follows the same conventions:
+ * spill format. Each cache is a ContentCache<V>: a mutex-guarded
+ * key -> value map with hit/miss counts, an optional FIFO entry cap
+ * with an eviction counter, and loadDir()/saveDir() against a
+ * `--cache-dir`. A cache kind supplies only its key builder and a
+ * ContentCacheFormat -- the format name, index and object file names,
+ * eviction-counter name and its payload codec. Two caches spill: the
+ * estimator cache and the per-node report cache in src/hls. The
+ * dependence memo in src/transform is a third, in-memory instance with
+ * no codec; loadDir()/saveDir() are never instantiated for it. Every
+ * spill follows the same conventions:
  *
  *  - FNV-1a-64 content hashes, printed as 16 lowercase hex digits,
  *  - a first line "<format-name> <version>" stamping every entry and
@@ -39,7 +41,7 @@
 #include <vector>
 
 // ContentCache bumps obs counters; pom_support itself does not link
-// pom_obs, so only libraries that do (hls, pass) instantiate it.
+// pom_obs, so only libraries that do (hls, transform) instantiate it.
 #include "obs/obs.h"
 
 namespace pom::support {

@@ -1,5 +1,6 @@
 #include "support/json.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -276,14 +277,23 @@ JsonValue::asString(const std::string &fallback) const
     return kind == Kind::String ? text : fallback;
 }
 
-std::int64_t
-JsonValue::asInt(std::int64_t fallback) const
+std::optional<std::int64_t>
+JsonValue::exactInt() const
 {
     if (kind == Kind::Int)
         return integer;
-    if (kind == Kind::Double)
+    // [-2^63, 2^63) holds exactly the doubles that fit an int64; the
+    // cast of anything else (NaN and infinities included) is undefined.
+    if (kind == Kind::Double && std::trunc(number) == number &&
+        number >= -9223372036854775808.0 && number < 9223372036854775808.0)
         return static_cast<std::int64_t>(number);
-    return fallback;
+    return std::nullopt;
+}
+
+std::int64_t
+JsonValue::asInt(std::int64_t fallback) const
+{
+    return exactInt().value_or(fallback);
 }
 
 double

@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <string>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -50,8 +51,16 @@ struct JsonValue
     /** Member lookup (first match); null when absent or not an object. */
     const JsonValue *find(const std::string &key) const;
 
+    /**
+     * The value as an int64: an Int, or a Double that is finite,
+     * integral and in int64 range (so `2.0` converts but `2.5`, `1e400`
+     * and integers too large for int64, which parse as Double, do not).
+     */
+    std::optional<std::int64_t> exactInt() const;
+
     // Typed accessors with defaults for optional protocol fields.
     std::string asString(const std::string &fallback = "") const;
+    /** exactInt(), or @p fallback when there is none. */
     std::int64_t asInt(std::int64_t fallback = 0) const;
     double asDouble(double fallback = 0.0) const;
     bool asBool(bool fallback = false) const;

@@ -28,9 +28,6 @@ inline constexpr char kProtocolName[] = "pom-service/1";
 /** On-disk estimator-cache entry/index format identifier. */
 inline constexpr char kCacheFormatName[] = "pom-estimator-cache/1";
 
-/** On-disk pipeline-result-cache entry/index format identifier. */
-inline constexpr char kPipelineCacheFormatName[] = "pom-pipeline-cache/1";
-
 /** On-disk per-node report-cache entry/index format identifier. */
 inline constexpr char kNodeCacheFormatName[] = "pom-node-cache/1";
 

@@ -1,7 +1,10 @@
 #include "transform/poly_stmt.h"
 
 #include <algorithm>
+#include <chrono>
 
+#include "obs/obs.h"
+#include "support/cache_store.h"
 #include "support/diagnostics.h"
 
 namespace pom::transform {
@@ -182,11 +185,82 @@ setUnroll(PolyStmt &stmt, const std::string &name, std::int64_t factor)
     stmt.sched.hwPerDim.at(stmt.dimIndex(name)).unrollFactor = factor;
 }
 
+namespace {
+
+/**
+ * Entry cap of the dependence memo. One search sees few distinct
+ * statements (52 for vgg16, 80 for resnet18, 8 for gemm), so the cap
+ * only bounds a long-lived daemon.
+ */
+constexpr std::size_t kDependenceMemoCap = 4096;
+
+using DependenceMemo = support::ContentCache<std::vector<poly::Dependence>>;
+
+DependenceMemo &
+dependenceMemo()
+{
+    // In-memory only: no layout, no codec, never spilled.
+    static const support::ContentCacheFormat<std::vector<poly::Dependence>>
+        format{{"", "", "", ""}, "dep.memo.evictions", nullptr, nullptr};
+    static DependenceMemo *memo = [] {
+        // Create the counters at zero so every metrics report has them.
+        obs::counterAdd("dep.analyses", 0);
+        obs::counterAdd("dep.memo.hits", 0);
+        obs::counterAdd("dep.memo.evictions", 0);
+        return new DependenceMemo(format, kDependenceMemoCap);
+    }();
+    return *memo;
+}
+
+/**
+ * The memo key: everything analyzeSelfDependences() reads, as text --
+ * the domain print, then each access in order (array, read/write flag,
+ * map print). Prints are exact (every constraint and coefficient), so
+ * equal keys mean equal inputs.
+ */
+std::string
+dependenceKey(const poly::IntegerSet &domain,
+              const std::vector<poly::Access> &accesses)
+{
+    std::string key = domain.str();
+    for (const auto &a : accesses) {
+        key += '\n';
+        key += a.array;
+        key += a.isWrite ? " W " : " R ";
+        key += a.map.str();
+    }
+    return key;
+}
+
+} // namespace
+
 std::vector<poly::Dependence>
 selfDependences(const PolyStmt &stmt)
 {
-    return poly::analyzeSelfDependences(stmt.sched.domain,
-                                        stmt.transformedAccesses());
+    std::vector<poly::Access> accesses = stmt.transformedAccesses();
+    const std::string key = dependenceKey(stmt.sched.domain, accesses);
+    DependenceMemo &memo = dependenceMemo();
+    if (auto hit = memo.lookup(key)) {
+        obs::counterAdd("dep.memo.hits");
+        return std::move(*hit);
+    }
+    // Two threads missing on one key both analyze; the analysis is
+    // deterministic and the first store wins, so callers agree.
+    obs::counterAdd("dep.analyses");
+    auto start = std::chrono::steady_clock::now();
+    auto deps = poly::analyzeSelfDependences(stmt.sched.domain, accesses);
+    obs::accumulate("dep.analysis_seconds",
+                    std::chrono::duration<double>(
+                        std::chrono::steady_clock::now() - start)
+                        .count());
+    memo.store(key, deps);
+    return deps;
+}
+
+void
+clearDependenceMemo()
+{
+    dependenceMemo().clear();
 }
 
 bool

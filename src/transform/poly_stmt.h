@@ -94,9 +94,17 @@ void setUnroll(PolyStmt &stmt, const std::string &name,
 
 /**
  * Loop-carried self-dependences of the statement in its *transformed*
- * loop order (dependence analysis used by the DSE stage 1).
+ * loop order. The one place POM computes them: the DSE, the estimator,
+ * the lowering's pragma hints and the dependence graph all call this.
+ * Results are memoized process-wide on the exact text of the domain
+ * and the transformed accesses (FIFO cap 4096, never spilled); counters
+ * `dep.analyses` (misses, timed in `dep.analysis_seconds`),
+ * `dep.memo.hits` and `dep.memo.evictions`. Thread-safe.
  */
 std::vector<poly::Dependence> selfDependences(const PolyStmt &stmt);
+
+/** Empty the dependence memo (benches timing a cold search). */
+void clearDependenceMemo();
 
 /**
  * True when two statements carry the same transformed schedule: name,

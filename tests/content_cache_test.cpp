@@ -1,14 +1,13 @@
 /**
  * @file
- * One typed suite over every support::ContentCache instantiation (the
- * estimator cache, the per-node report cache and the pipeline result
- * cache): hit/miss accounting, first-writer-wins, FIFO eviction past
- * the cap with its counter, clear(), and the disk spill -- round trip
- * with guaranteed hits, cold start on a missing directory,
- * skip-and-warn on corrupt or missing objects, clean errors on a
- * wrong-version index, and index merging between savers. The payload
- * codecs keep their own round-trip and corruption tests next to each
- * cache.
+ * One typed suite over every spilled support::ContentCache (the
+ * estimator cache and the per-node report cache): hit/miss accounting,
+ * first-writer-wins, FIFO eviction past the cap with its counter,
+ * clear(), and the disk spill -- round trip with guaranteed hits, cold
+ * start on a missing directory, skip-and-warn on corrupt or missing
+ * objects, clean errors on a wrong-version index, and index merging
+ * between savers. The payload codecs keep their own round-trip and
+ * corruption tests next to each cache.
  */
 
 #include <gtest/gtest.h>
@@ -23,7 +22,6 @@
 #include "hls/estimator_cache.h"
 #include "hls/node_cache.h"
 #include "obs/obs.h"
-#include "pass/pipeline_cache.h"
 
 namespace {
 
@@ -90,31 +88,6 @@ struct CacheTraits<hls::NodeReportCache>
     }
 };
 
-template <>
-struct CacheTraits<pass::PipelineCache>
-{
-    static constexpr const char *kName = "pipeline";
-    static constexpr const char *kIndex = "pipeline.index";
-    static constexpr const char *kObjects = "pipeline";
-    static constexpr const char *kEvictionCounter = "pass.cache.evictions";
-
-    static pass::PipelineCacheEntry
-    value(std::uint64_t tag)
-    {
-        pass::PipelineCacheEntry e;
-        e.payload = "payload\nline two";
-        e.statistics = {{"tag", static_cast<std::int64_t>(tag)}};
-        e.seconds = 0.5;
-        return e;
-    }
-
-    static std::uint64_t
-    tag(const pass::PipelineCacheEntry &e)
-    {
-        return static_cast<std::uint64_t>(e.statistics.at("tag"));
-    }
-};
-
 template <typename Cache>
 class ContentCacheTest : public ::testing::Test
 {
@@ -154,8 +127,7 @@ class ContentCacheTest : public ::testing::Test
 };
 
 using CacheTypes = ::testing::Types<hls::EstimatorCache,
-                                    hls::NodeReportCache,
-                                    pass::PipelineCache>;
+                                    hls::NodeReportCache>;
 TYPED_TEST_SUITE(ContentCacheTest, CacheTypes);
 
 TYPED_TEST(ContentCacheTest, CountsHitsAndMisses)

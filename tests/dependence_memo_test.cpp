@@ -1,0 +1,196 @@
+/**
+ * @file
+ * Property tests for the dependence memo inside
+ * transform::selfDependences(), checked against
+ * poly::analyzeSelfDependences() directly: the DSE journal
+ * differentials cannot catch a wrong memo answer, because both of
+ * their sides read the memo.
+ */
+
+#include <gtest/gtest.h>
+
+#include <memory>
+#include <string>
+#include <thread>
+#include <utility>
+#include <vector>
+
+#include "check/fuzzer.h"
+#include "lower/lower.h"
+#include "obs/obs.h"
+#include "poly/dependence.h"
+#include "transform/poly_stmt.h"
+#include "workloads/workloads.h"
+
+namespace {
+
+using namespace pom;
+
+std::vector<std::string>
+strs(const std::vector<poly::Dependence> &deps)
+{
+    std::vector<std::string> out;
+    out.reserve(deps.size());
+    for (const auto &d : deps)
+        out.push_back(d.str());
+    return out;
+}
+
+/** The reference: dependence analysis with no memo in between. */
+std::vector<std::string>
+direct(const transform::PolyStmt &stmt)
+{
+    return strs(poly::analyzeSelfDependences(stmt.sched.domain,
+                                             stmt.transformedAccesses()));
+}
+
+std::vector<std::string>
+memoized(const transform::PolyStmt &stmt)
+{
+    return strs(transform::selfDependences(stmt));
+}
+
+/** A workload's statements after a fuzzer-generated schedule. */
+struct Scheduled
+{
+    std::unique_ptr<workloads::Workload> workload; ///< owns the computes
+    std::vector<transform::PolyStmt> stmts;
+};
+
+Scheduled
+scheduled(const std::string &name, unsigned seed)
+{
+    const std::int64_t size = check::defaultFuzzSize(name);
+    auto gen = workloads::makeByName(name, size);
+    auto ops = check::generateSchedule(*gen, seed);
+    Scheduled out;
+    out.workload = workloads::makeByName(name, size);
+    EXPECT_TRUE(check::applyScheduleOps(*out.workload, ops));
+    out.stmts = lower::extractStmts(out.workload->func());
+    lower::applyDirectives(out.stmts);
+    return out;
+}
+
+/**
+ * S(i, j) over 0 <= i <= 7, 1 <= j <= jHigh:
+ *   A[i][j] = A[i][aCoeff*j - 1] + B[j][i]
+ * which carries a dependence on A at level 1.
+ */
+transform::PolyStmt
+stencilStmt(std::int64_t jHigh, std::int64_t aCoeff)
+{
+    const std::vector<std::string> dims = {"i", "j"};
+    transform::PolyStmt stmt;
+    stmt.sched.name = "S";
+    stmt.sched.domain = poly::IntegerSet(dims);
+    stmt.sched.domain.addDimBounds(0, 0, 7);
+    stmt.sched.domain.addDimBounds(1, 1, jHigh);
+    stmt.sched.origMap = poly::AffineMap::identity(dims);
+    stmt.sched.betas = {0, 0, 0};
+    stmt.sched.hwPerDim.resize(2);
+    auto i = poly::LinearExpr::dim(2, 0);
+    auto j = poly::LinearExpr::dim(2, 1);
+    auto one = poly::LinearExpr::constant(2, 1);
+    stmt.accesses = {
+        {"A", poly::AffineMap(dims, {i, j}), true},
+        {"A", poly::AffineMap(dims, {i, j.scaled(aCoeff) - one}), false},
+        {"B", poly::AffineMap(dims, {j, i}), false},
+    };
+    return stmt;
+}
+
+} // namespace
+
+TEST(DependenceMemo, MatchesDirectAnalysisOnFuzzedSchedules)
+{
+    std::size_t checked = 0;
+    for (const auto &name : workloads::allNames()) {
+        for (unsigned seed = 1; seed <= 8; ++seed) {
+            SCOPED_TRACE(name + " seed " + std::to_string(seed));
+            Scheduled s = scheduled(name, seed);
+            ASSERT_FALSE(s.stmts.empty());
+            for (const auto &stmt : s.stmts) {
+                SCOPED_TRACE(stmt.sched.name);
+                const auto expected = direct(stmt);
+                transform::clearDependenceMemo();
+
+                std::int64_t analyses = obs::counterValue("dep.analyses");
+                std::int64_t hits = obs::counterValue("dep.memo.hits");
+                EXPECT_EQ(memoized(stmt), expected);
+                EXPECT_EQ(obs::counterValue("dep.analyses"), analyses + 1)
+                    << "first call must be a miss";
+                EXPECT_EQ(obs::counterValue("dep.memo.hits"), hits);
+
+                EXPECT_EQ(memoized(stmt), expected);
+                EXPECT_EQ(obs::counterValue("dep.analyses"), analyses + 1)
+                    << "repeat call must not re-analyse";
+                EXPECT_EQ(obs::counterValue("dep.memo.hits"), hits + 1);
+                ++checked;
+            }
+        }
+    }
+    EXPECT_GT(checked, workloads::allNames().size() * 8);
+}
+
+TEST(DependenceMemo, NearlyEqualStatementsNeverShareAnEntry)
+{
+    const transform::PolyStmt base = stencilStmt(7, 1);
+    std::vector<std::pair<std::string, transform::PolyStmt>> variants;
+    variants.emplace_back("domain bound", stencilStmt(8, 1));
+    variants.emplace_back("access coefficient", stencilStmt(7, 2));
+    transform::PolyStmt flag = base;
+    flag.accesses[2].isWrite = true;
+    variants.emplace_back("read/write flag", flag);
+    transform::PolyStmt order = base;
+    std::swap(order.accesses[1], order.accesses[2]);
+    variants.emplace_back("access order", order);
+
+    transform::clearDependenceMemo();
+    EXPECT_EQ(memoized(base), direct(base));
+    EXPECT_FALSE(direct(base).empty());
+    for (const auto &[what, stmt] : variants) {
+        SCOPED_TRACE(what);
+        // Every earlier input is still memoized; this one must miss.
+        std::int64_t analyses = obs::counterValue("dep.analyses");
+        EXPECT_EQ(memoized(stmt), direct(stmt));
+        EXPECT_EQ(obs::counterValue("dep.analyses"), analyses + 1);
+    }
+    // And the base entry was not overwritten by any variant.
+    std::int64_t analyses = obs::counterValue("dep.analyses");
+    EXPECT_EQ(memoized(base), direct(base));
+    EXPECT_EQ(obs::counterValue("dep.analyses"), analyses);
+}
+
+TEST(DependenceMemo, ConcurrentCallersAgree)
+{
+    std::vector<Scheduled> all;
+    std::vector<const transform::PolyStmt *> stmts;
+    for (const auto &name : workloads::allNames())
+        all.push_back(scheduled(name, 1));
+    for (const auto &s : all)
+        for (const auto &stmt : s.stmts)
+            stmts.push_back(&stmt);
+    std::vector<std::vector<std::string>> expected;
+    for (const auto *stmt : stmts)
+        expected.push_back(direct(*stmt));
+
+    // Two passes: the first races on misses, the second on hits.
+    std::vector<std::vector<std::string>> twice = expected;
+    twice.insert(twice.end(), expected.begin(), expected.end());
+
+    transform::clearDependenceMemo();
+    constexpr int kThreads = 4;
+    std::vector<std::vector<std::vector<std::string>>> got(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            for (int pass = 0; pass < 2; ++pass)
+                for (const auto *stmt : stmts)
+                    got[t].push_back(memoized(*stmt));
+        });
+    }
+    for (auto &thread : threads)
+        thread.join();
+    for (int t = 0; t < kThreads; ++t)
+        EXPECT_EQ(got[t], twice) << "thread " << t;
+}

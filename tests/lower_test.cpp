@@ -13,6 +13,8 @@
 #include "ir/verifier.h"
 #include "lower/lower.h"
 #include "support/diagnostics.h"
+#include "support/thread_pool.h"
+#include "workloads/workloads.h"
 
 namespace {
 
@@ -299,6 +301,23 @@ TEST(Lower, IntegerElementTypes)
             saw_muli = true;
     });
     EXPECT_TRUE(saw_muli);
+}
+
+TEST(Lower, ParallelLoweringMatchesSequential)
+{
+    // Per-statement pragma annotation fans out on the worker pool; the
+    // printed IR must not depend on the worker count.
+    std::string narrow, mid, wide;
+    for (auto [jobs, out] : {std::pair<int, std::string *>{1, &narrow},
+                             {4, &mid},
+                             {13, &wide}}) {
+        support::setJobs(jobs);
+        auto w = workloads::makeByName("2mm", 64);
+        *out = lower::lower(w->func()).func->str();
+    }
+    support::setJobs(0);
+    EXPECT_EQ(narrow, mid);
+    EXPECT_EQ(narrow, wide);
 }
 
 /** Property sweep: tiled GEMM across sizes and factors. */

@@ -25,6 +25,7 @@
 #include "obs/journal.h"
 #include "service/client.h"
 #include "service/server.h"
+#include "support/socket.h"
 #include "support/version.h"
 #include "workloads/workloads.h"
 
@@ -134,8 +135,7 @@ TEST(Protocol, ResponseRoundTripIncludingBusy)
     ok.reportLine = "latency=1 cycles";
     ok.journalText = "{\"schema\": \"pom-dse-journal/v2\"}";
     ok.cacheHits = 7;
-    ok.pipelineCacheHits = 11;
-    ok.pipelineCacheMisses = 2;
+    ok.cacheMisses = 2;
     ASSERT_TRUE(service::decodeResponse(service::encodeResponse(ok),
                                         decoded, error))
         << error;
@@ -143,8 +143,7 @@ TEST(Protocol, ResponseRoundTripIncludingBusy)
     EXPECT_EQ(decoded.reportLine, ok.reportLine);
     EXPECT_EQ(decoded.journalText, ok.journalText);
     EXPECT_EQ(decoded.cacheHits, 7);
-    EXPECT_EQ(decoded.pipelineCacheHits, 11);
-    EXPECT_EQ(decoded.pipelineCacheMisses, 2);
+    EXPECT_EQ(decoded.cacheMisses, 2);
 }
 
 TEST(Protocol, StatsFrameRoundTripsHistogramSummaries)
@@ -261,6 +260,33 @@ TEST(Protocol, MalformedPayloadsAreErrors)
     EXPECT_FALSE(service::decodeResponse("{\"pom\": \"x\"}", resp,
                                          error));
     EXPECT_NE(error.find("status"), std::string::npos);
+}
+
+TEST(Protocol, NonIntegerSizeOrJobsIsAFieldError)
+{
+    // An integer too large for int64 parses as a Double; none of these
+    // may reach a float-to-int cast, and the error names the field.
+    for (const std::string field : {"size", "jobs"}) {
+        for (const char *bad :
+             {"99999999999999999999", "1e400", "-1e400", "2.5", "\"8\""}) {
+            const std::string frame =
+                "{\"method\": \"compile\", \"" + field + "\": " + bad + "}";
+            service::Request req;
+            std::string error;
+            EXPECT_FALSE(service::decodeRequest(frame, req, error))
+                << frame;
+            EXPECT_NE(error.find("'" + field + "'"), std::string::npos)
+                << frame << ": " << error;
+        }
+        // An integral double is still an integer.
+        service::Request req;
+        std::string error;
+        ASSERT_TRUE(service::decodeRequest(
+            "{\"method\": \"compile\", \"" + field + "\": 2.0}", req,
+            error))
+            << error;
+        EXPECT_EQ(field == "size" ? req.size : req.jobs, 2);
+    }
 }
 
 TEST(Server, RejectsVersionMismatchCleanly)
@@ -418,6 +444,37 @@ TEST(ServiceSocket, PingStatsAndShutdown)
                                     error))
         << error;
     EXPECT_EQ(resp.status, "ok");
+    loop.join();
+}
+
+TEST(ServiceSocket, OversizedIntegerFrameGetsAnErrorReply)
+{
+    service::ServerOptions options;
+    options.socketPath = scratchSocket("bigint");
+    service::Server server(options);
+    std::string error;
+    ASSERT_TRUE(server.start(error)) << error;
+    std::thread loop([&server]() { server.run(); });
+
+    // The frame that used to abort the daemon in a float-to-int cast.
+    support::Socket conn = support::connectUnix(options.socketPath, error);
+    ASSERT_TRUE(conn.valid()) << error;
+    ASSERT_TRUE(support::sendFrame(
+        conn,
+        std::string("{\"pom\": \"") + support::kVersionString +
+            "\", \"method\": \"compile\", \"workload\": \"gemm\", "
+            "\"size\": 99999999999999999999}",
+        error))
+        << error;
+    std::string reply_text;
+    ASSERT_TRUE(support::recvFrame(conn, reply_text,
+                                   service::kMaxFrameBytes, error))
+        << error;
+    service::Response resp;
+    ASSERT_TRUE(service::decodeResponse(reply_text, resp, error)) << error;
+    EXPECT_EQ(resp.status, "error");
+    EXPECT_NE(resp.error.find("'size'"), std::string::npos) << resp.error;
+    server.stop();
     loop.join();
 }
 

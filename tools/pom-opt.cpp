@@ -5,9 +5,8 @@
  * Usage:
  *   pom-opt [file.pom-ir|-] [--pass-pipeline=SPEC] [-o FILE]
  *           [--verify-each] [--dump-after] [--timing] [--list-passes]
- *           [--jobs N] [--pipeline-cache on|off]
- *           [--pipeline-cache-dir DIR] [--trace-out FILE]
- *           [--metrics-out FILE] [--quiet|-q] [--verbose|-v]
+ *           [--jobs N] [--trace-out FILE] [--metrics-out FILE]
+ *           [--quiet|-q] [--verbose|-v]
  *
  * Reads a `.pom-ir` module (from a file, or stdin with `-`/no input),
  * parses it, runs the requested pass pipeline over it, and prints the
@@ -24,12 +23,6 @@
  * --trace-out / --metrics-out (or the POM_TRACE environment variable)
  * write the per-pass Chrome trace and the flat metrics JSON from the
  * src/obs layer; -q/--quiet and -v/--verbose set the diagnostic level.
- *
- * --pipeline-cache on memoizes cacheable pass results keyed on the
- * pipeline-state fingerprint (src/pass/pipeline_cache.h);
- * --pipeline-cache-dir DIR additionally loads/saves the
- * content-addressed spill under DIR (and implies on). The printed IR
- * is byte-identical with the cache on or off.
  *
  * Examples:
  *   pom-opt design.pom-ir --pass-pipeline=verify,strip-hls
@@ -49,7 +42,6 @@
 #include "lower/lower.h"
 #include "obs/obs.h"
 #include "pass/pass_manager.h"
-#include "pass/pipeline_cache.h"
 #include "support/diagnostics.h"
 #include "support/string_util.h"
 #include "support/thread_pool.h"
@@ -64,9 +56,7 @@ usage(const char *argv0)
     std::fprintf(stderr,
                  "usage: %s [file.pom-ir|-] [--pass-pipeline=SPEC] "
                  "[-o FILE] [--verify-each] [--dump-after] [--timing] "
-                 "[--jobs N] [--pipeline-cache on|off] "
-                 "[--pipeline-cache-dir DIR] "
-                 "[--trace-out FILE] [--metrics-out FILE] "
+                 "[--jobs N] [--trace-out FILE] [--metrics-out FILE] "
                  "[--quiet|-q] [--verbose|-v]\n"
                  "       %s --list-passes\n",
                  argv0, argv0);
@@ -86,8 +76,6 @@ main(int argc, char **argv)
     bool list_passes = false;
     std::string trace_out = obs::traceEnvPath();
     std::string metrics_out;
-    std::string pipeline_cache_dir;
-    bool pipeline_cache = false;
 
     for (int a = 1; a < argc; ++a) {
         std::string arg = argv[a];
@@ -124,17 +112,6 @@ main(int argc, char **argv)
                 return 2;
             }
             support::setJobs(static_cast<int>(n));
-        } else if (arg == "--pipeline-cache" && a + 1 < argc) {
-            std::string mode = argv[++a];
-            if (mode != "on" && mode != "off") {
-                std::fprintf(stderr,
-                             "pom-opt: --pipeline-cache expects on or "
-                             "off, got '%s'\n", mode.c_str());
-                return 2;
-            }
-            pipeline_cache = (mode == "on");
-        } else if (arg == "--pipeline-cache-dir" && a + 1 < argc) {
-            pipeline_cache_dir = argv[++a];
         } else if (arg == "-" || arg[0] != '-') {
             if (input_set)
                 return usage(argv[0]);
@@ -172,40 +149,6 @@ main(int argc, char **argv)
     } flusher{trace_out, metrics_out};
 
     lower::registerLoweringPasses();
-
-    // A spill dir implies the cache; load before the run so a warm
-    // start skips already-seen pipeline prefixes.
-    if (!pipeline_cache_dir.empty())
-        pipeline_cache = true;
-    pass::setPipelineCacheEnabled(pipeline_cache);
-    if (!pipeline_cache_dir.empty()) {
-        support::CacheSpillStats stats;
-        std::string cache_error;
-        if (!pass::PipelineCache::global().loadDir(
-                pipeline_cache_dir, stats, cache_error)) {
-            std::fprintf(stderr, "pom-opt: %s\n", cache_error.c_str());
-            return 1;
-        }
-    }
-    struct PipelineCacheSpiller
-    {
-        std::string dir;
-
-        ~PipelineCacheSpiller()
-        {
-            if (dir.empty())
-                return;
-            support::CacheSpillStats stats;
-            std::string error;
-            if (!pass::PipelineCache::global().saveDir(dir, stats,
-                                                       error)) {
-                std::fprintf(stderr,
-                             "pom-opt: pipeline-cache spill failed: "
-                             "%s\n",
-                             error.c_str());
-            }
-        }
-    } pipeline_spiller{pipeline_cache_dir};
 
     if (list_passes) {
         for (const auto &[name, desc] :

@@ -90,10 +90,6 @@ constexpr SeriesSpec kSeries[] = {
      Direction::LowerIsBetter, false, "Greedy strategy wall-clock (s)"},
     {"spill_warm_seconds", "bench.dse.spill.warm_seconds",
      Direction::LowerIsBetter, false, "Disk-warm sweep (s)"},
-    {"pipeline_cache_hit_rate", "bench.dse.pipeline.hit_rate",
-     Direction::HigherIsBetter, true, "Pipeline-cache hit rate"},
-    {"pipeline_warm_seconds", "bench.dse.pipeline.warm_seconds",
-     Direction::LowerIsBetter, false, "Pipeline-warm sweep (s)"},
     {"node_reuse_rate", "bench.dse.incremental.node_reuse_rate",
      Direction::HigherIsBetter, true, "Node-report reuse rate"},
     {"pass_seconds_total", "", Direction::LowerIsBetter, false,

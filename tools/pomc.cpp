@@ -9,7 +9,6 @@
  *        [--fuzz N] [--seed S] [--timing] [--trace-out FILE]
  *        [--metrics-out FILE] [--dse-journal FILE] [--frontier-out FILE]
  *        [--replay-journal FILE --point ID] [--cache-dir DIR]
- *        [--pipeline-cache on|off] [--pipeline-cache-dir DIR]
  *        [--debug-fingerprints] [--connect SOCK] [--quiet|-q]
  *        [--verbose|-v]
  *   pomc --connect SOCK --daemon-stats [--format text|json|prom]
@@ -30,7 +29,9 @@
  *
  * --timing aggregates per-pass wall-clock time across every lowering
  * pipeline the run executes (a DSE sweep runs thousands) and prints one
- * breakdown at the end.
+ * breakdown at the end, followed by a `dependences:` line: how many
+ * dependence analyses ran (and their time) and how many calls the
+ * dependence memo answered (src/transform/poly_stmt.h).
  *
  * Observability (src/obs):
  *   --trace-out FILE    write a Chrome trace-event JSON of the whole
@@ -81,20 +82,6 @@
  *                       the same DIR) warm-starts with dse.cache.hits
  *                       instead of re-estimating. Same on-disk format
  *                       as `pomd --cache-dir`.
- *
- * Pipeline result cache (src/pass/pipeline_cache.h):
- *   --pipeline-cache on|off
- *                       memoize per-pass lowering results keyed on the
- *                       pipeline-state fingerprint, so a DSE sweep
- *                       skips the longest already-seen prefix of each
- *                       candidate's pipeline. Off by default in one
- *                       shot runs; journals, IR and HLS C are
- *                       byte-identical either way.
- *   --pipeline-cache-dir DIR
- *                       same, plus load/save the content-addressed
- *                       spill under DIR (implies --pipeline-cache on).
- *                       Same on-disk format as `pomd
- *                       --pipeline-cache-dir`.
  *
  * Cache keys (src/hls/estimator_cache.h, src/hls/node_cache.h):
  *   --debug-fingerprints
@@ -150,7 +137,6 @@
 #include "obs/journal.h"
 #include "obs/obs.h"
 #include "pass/pass_manager.h"
-#include "pass/pipeline_cache.h"
 #include "service/client.h"
 #include "support/diagnostics.h"
 #include "support/string_util.h"
@@ -174,9 +160,7 @@ usage(const char *argv0)
                  "[--trace-out FILE] [--metrics-out FILE] "
                  "[--dse-journal FILE] [--frontier-out FILE] "
                  "[--replay-journal FILE --point ID] "
-                 "[--cache-dir DIR] [--pipeline-cache on|off] "
-                 "[--pipeline-cache-dir DIR] "
-                 "[--debug-fingerprints] [--connect SOCK] "
+                 "[--cache-dir DIR] [--debug-fingerprints] [--connect SOCK] "
                  "[--quiet|-q] [--verbose|-v]\n"
                  "       %s --connect SOCK --daemon-stats "
                  "[--format text|json|prom] | --daemon-shutdown\n"
@@ -236,6 +220,20 @@ saveSpill(const Cache &cache, const std::string &dir, const char *what)
     }
 }
 
+/** The --timing report: the pass table, then the dependence memo. */
+void
+printTiming()
+{
+    std::printf("\n%s", pass::globalTimingReport().c_str());
+    std::printf("dependences: %lld analyses (%.6f s), %lld memo hits, "
+                "%lld evictions\n",
+                static_cast<long long>(obs::counterValue("dep.analyses")),
+                obs::metricValue("dep.analysis_seconds"),
+                static_cast<long long>(obs::counterValue("dep.memo.hits")),
+                static_cast<long long>(
+                    obs::counterValue("dep.memo.evictions")));
+}
+
 } // namespace
 
 int
@@ -259,8 +257,6 @@ main(int argc, char **argv)
     int replay_point = -1;
     dse::StrategyKind strategy = dse::StrategyKind::Greedy;
     std::string connect_sock, cache_dir;
-    std::string pipeline_cache_dir;
-    bool pipeline_cache = false, pipeline_cache_flag = false;
     std::int64_t jobs = 0; ///< 0 = default; forwarded to --connect
     bool daemon_stats = false, daemon_shutdown = false;
     std::string stats_format = "text"; ///< --daemon-stats rendering
@@ -291,19 +287,6 @@ main(int argc, char **argv)
             connect_sock = argv[++a];
         } else if (arg == "--cache-dir" && a + 1 < argc) {
             cache_dir = argv[++a];
-        } else if (arg == "--pipeline-cache" && a + 1 < argc) {
-            std::string mode = argv[++a];
-            if (mode != "on" && mode != "off") {
-                std::fprintf(stderr,
-                             "pomc: --pipeline-cache expects on or "
-                             "off, got '%s'\n", mode.c_str());
-                return 2;
-            }
-            pipeline_cache = (mode == "on");
-            pipeline_cache_flag = true;
-        } else if (arg == "--pipeline-cache-dir" && a + 1 < argc) {
-            pipeline_cache_dir = argv[++a];
-            pipeline_cache_flag = true;
         } else if (arg == "--debug-fingerprints") {
             hls::setFingerprintDebugDump(true);
         } else if (arg == "--daemon-stats") {
@@ -458,14 +441,6 @@ main(int argc, char **argv)
                         static_cast<long long>(resp.cacheSize),
                         static_cast<long long>(resp.cacheLoaded),
                         resp.cacheHitRate);
-            std::printf("pipeline:  %lld hits, %lld misses, %lld "
-                        "entries (%lld loaded from disk, hit rate "
-                        "%.2f)\n",
-                        static_cast<long long>(resp.pipelineCacheHits),
-                        static_cast<long long>(resp.pipelineCacheMisses),
-                        static_cast<long long>(resp.pipelineCacheSize),
-                        static_cast<long long>(resp.pipelineCacheLoaded),
-                        resp.pipelineCacheHitRate);
             std::printf("nodes:     %lld hits, %lld misses, %lld "
                         "entries (%lld loaded from disk, hit rate "
                         "%.2f)\n",
@@ -512,13 +487,12 @@ main(int argc, char **argv)
     // obs stays off so nothing is double-recorded.
     if (!connect_sock.empty()) {
         if (fuzz_cases > 0 || want_verify || !replay_journal.empty() ||
-            want_ast || want_dsl || !cache_dir.empty() ||
-            pipeline_cache_flag) {
+            want_ast || want_dsl || !cache_dir.empty()) {
             std::fprintf(stderr,
                          "pomc: --connect supports plain compile runs "
                          "only (no --fuzz/--verify/--replay-journal/"
-                         "--ast/--dsl/--cache-dir/--pipeline-cache"
-                         "[-dir]; the daemon owns the caches)\n");
+                         "--ast/--dsl/--cache-dir; the daemon owns the "
+                         "caches)\n");
             return 2;
         }
         if (!journal_out.empty() && !frontier_out.empty()) {
@@ -617,7 +591,7 @@ main(int argc, char **argv)
     // every exit path (the spill is incremental and content-addressed,
     // so re-saving unchanged entries is cheap). The per-node report
     // cache spills beside it (nodes.index / nodes/ in the same dir).
-    support::CacheSpillStats cache_stats, node_stats, pipeline_stats;
+    support::CacheSpillStats cache_stats, node_stats;
     if (!loadSpill(hls::EstimatorCache::global(), cache_dir,
                    cache_stats) ||
         !loadSpill(hls::NodeReportCache::global(), cache_dir,
@@ -625,28 +599,16 @@ main(int argc, char **argv)
         return 1;
     }
 
-    // Pipeline result cache: a spill dir implies the cache itself.
-    if (!pipeline_cache_dir.empty())
-        pipeline_cache = true;
-    pass::setPipelineCacheEnabled(pipeline_cache);
-    if (!loadSpill(pass::PipelineCache::global(), pipeline_cache_dir,
-                   pipeline_stats)) {
-        return 1;
-    }
-
     struct CacheSpiller
     {
         std::string dir;
-        std::string pipelineDir;
 
         ~CacheSpiller()
         {
             saveSpill(hls::EstimatorCache::global(), dir, "cache");
             saveSpill(hls::NodeReportCache::global(), dir, "node-cache");
-            saveSpill(pass::PipelineCache::global(), pipelineDir,
-                      "pipeline-cache");
         }
-    } spiller{cache_dir, pipeline_cache_dir};
+    } spiller{cache_dir};
 
     try {
         obs::Span root_span("pomc:" + name, "tool");
@@ -659,7 +621,7 @@ main(int argc, char **argv)
             check::FuzzResult fres = check::fuzzWorkload(name, fopt);
             std::printf("%s\n", fres.summary().c_str());
             if (want_timing)
-                std::printf("\n%s", pass::globalTimingReport().c_str());
+                printTiming();
             return fres.ok() ? 0 : 1;
         }
 
@@ -780,25 +742,6 @@ main(int argc, char **argv)
                         static_cast<unsigned long long>(cache.misses()),
                         cache_stats.loaded, cache_dir.c_str());
         }
-        if (pipeline_cache) {
-            auto &pcache = pass::PipelineCache::global();
-            if (!pipeline_cache_dir.empty()) {
-                std::printf(
-                    "pipeline:  %llu hits, %llu misses (%zu "
-                    "entries loaded from %s)\n",
-                    static_cast<unsigned long long>(pcache.hits()),
-                    static_cast<unsigned long long>(pcache.misses()),
-                    pipeline_stats.loaded,
-                    pipeline_cache_dir.c_str());
-            } else {
-                std::printf(
-                    "pipeline:  %llu hits, %llu misses (%zu "
-                    "entries)\n",
-                    static_cast<unsigned long long>(pcache.hits()),
-                    static_cast<unsigned long long>(pcache.misses()),
-                    pcache.size());
-            }
-        }
 
         if (want_verify) {
             check::OracleOptions oracle;
@@ -830,7 +773,7 @@ main(int argc, char **argv)
                         emit::emitHlsC(*result.design.func).c_str());
         }
         if (want_timing)
-            std::printf("\n%s", pass::globalTimingReport().c_str());
+            printTiming();
         return 0;
     } catch (const pom::support::FatalError &e) {
         std::fprintf(stderr, "pomc: %s\n", e.what());

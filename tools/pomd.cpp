@@ -3,8 +3,7 @@
  * pomd — the POM compile daemon.
  *
  * Usage:
- *   pomd [--socket PATH] [--cache-dir DIR]
- *        [--pipeline-cache-dir DIR] [--estimator-cache-cap N]
+ *   pomd [--socket PATH] [--cache-dir DIR] [--estimator-cache-cap N]
  *        [--workers N] [--queue N] [--retry-after MS] [--jobs N]
  *        [--version] [--quiet|-q] [--verbose|-v]
  *
@@ -14,10 +13,7 @@
  * With --cache-dir the estimator cache AND the per-node report cache
  * (src/hls/node_cache.h) are spilled to disk and warm-loaded on the
  * next start, so even a restarted daemon answers repeated DSE
- * requests from cache. The pipeline result cache
- * (src/pass/pipeline_cache.h) is always on in the daemon;
- * --pipeline-cache-dir additionally spills it to disk so restarted
- * daemons skip already-lowered pipeline prefixes too.
+ * requests from cache.
  *
  * --estimator-cache-cap bounds both in-memory caches to N entries
  * each (FIFO eviction, 0 = unbounded); evictions are visible as
@@ -60,7 +56,6 @@ usage(const char *argv0)
 {
     std::fprintf(stderr,
                  "usage: %s [--socket PATH] [--cache-dir DIR] "
-                 "[--pipeline-cache-dir DIR] "
                  "[--estimator-cache-cap N] "
                  "[--workers N] [--queue N] [--retry-after MS] "
                  "[--jobs N] [--version] [--quiet|-q] [--verbose|-v]\n",
@@ -93,8 +88,6 @@ main(int argc, char **argv)
             options.socketPath = argv[++a];
         } else if (arg == "--cache-dir" && a + 1 < argc) {
             options.cacheDir = argv[++a];
-        } else if (arg == "--pipeline-cache-dir" && a + 1 < argc) {
-            options.pipelineCacheDir = argv[++a];
         } else if (arg == "--estimator-cache-cap" && a + 1 < argc) {
             std::int64_t n = intArg("--estimator-cache-cap", argv[++a]);
             if (n < 0) {
@@ -176,14 +169,11 @@ main(int argc, char **argv)
     const auto &loaded = server.loadStats();
     std::fprintf(stderr,
                  "pomd %s listening on %s (%d workers, queue %d, "
-                 "cache: %zu entries warm%s, nodes: %zu warm, "
-                 "pipeline: %zu entries warm%s)\n",
+                 "cache: %zu entries warm%s, nodes: %zu warm)\n",
                  support::kVersionString, options.socketPath.c_str(),
                  options.workers, options.queueLimit, loaded.loaded,
                  options.cacheDir.empty() ? ", no spill" : "",
-                 server.nodeLoadStats().loaded,
-                 server.pipelineLoadStats().loaded,
-                 options.pipelineCacheDir.empty() ? ", no spill" : "");
+                 server.nodeLoadStats().loaded);
     server.run();
     std::fprintf(stderr, "pomd: shutting down after %llu requests\n",
                  static_cast<unsigned long long>(
