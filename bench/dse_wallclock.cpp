@@ -1,29 +1,32 @@
 /**
  * @file
- * Wall-clock benchmark for the parallel, memoized DSE (ISSUE 4
- * acceptance harness). Three measurements:
+ * Wall-clock benchmark for the parallel, memoized DSE. Six
+ * measurements:
  *
  *   1. Workload-level fan-out: the full non-DNN sweep run sequentially
  *      vs. fanned out across a support::ThreadPool (one autoDSE task
  *      per workload, each pinned to jobs=1 so the pool is the only
  *      source of parallelism).
- *   2. Intra-search speculation: one DNN search (vgg16) at jobs=1 vs.
- *      jobs=4, cold cache each time, to price the speculative stage-2
+ *   2. Memoization: the same sweep re-run against the warm
+ *      hls::NodeReportCache, plus the design-point hit rate (points
+ *      whose every unit was cached, from the dse.cache.* counters).
+ *   3. Intra-search speculation: one DNN search (vgg16) at jobs=1 vs.
+ *      jobs=4, cold caches each time, to price the speculative stage-2
  *      batches on real hardware.
- *   3. Memoization: the same sweep re-run against a warm
- *      hls::EstimatorCache, plus the cache hit rate.
  *   4. Search strategies: the non-DNN sweep once per stage-2 driver
- *      (greedy / beam / anneal), cold cache each, reporting points
- *      explored, final frontier size, wall-clock and cache hit rate
+ *      (greedy / beam / anneal), cold caches each, reporting points
+ *      explored, final frontier size, wall-clock and point hit rate
  *      per strategy ("bench.dse.strategy.<name>.*" gauges).
- *   5. Disk-warm start: sweep against a cache spill loaded from disk.
+ *   5. Disk-warm start: sweep against a node-cache spill loaded from
+ *      disk into an empty cache.
  *   6. Incremental estimation: the full 18-workload sweep (non-DNN at
  *      128 plus both DNNs) with every cache cold, reporting its
  *      wall-clock and the per-node report reuse rate
  *      ("bench.dse.incremental.*" gauges).
  *
- * Every cold or disk-warm leg also empties the dependence memo
- * (transform::clearDependenceMemo), so it never measures a warm memo.
+ * Every cold or disk-warm leg empties the node cache and the
+ * dependence memo (transform::clearDependenceMemo), so it never
+ * measures a warm memo.
  *
  * Set POM_BENCH_JSON=BENCH_dse.json to capture every printed number as
  * "bench.dse.*" gauges (see bench_util.h). Speedups depend on the host:
@@ -43,7 +46,6 @@
 
 #include "bench_util.h"
 #include "dse/dse.h"
-#include "hls/estimator_cache.h"
 #include "hls/node_cache.h"
 #include "support/thread_pool.h"
 #include "transform/poly_stmt.h"
@@ -81,6 +83,23 @@ seconds(Clock::time_point t0)
 {
     return std::chrono::duration<double>(Clock::now() - t0).count();
 }
+
+/** Design points composed entirely from cached nodes, and the rest. */
+struct PointCounts
+{
+    std::int64_t hits = obs::counterValue("dse.cache.hits");
+    std::int64_t misses = obs::counterValue("dse.cache.misses");
+
+    /** Hit rate of the points counted since construction. */
+    double
+    rateSince() const
+    {
+        PointCounts now;
+        double h = static_cast<double>(now.hits - hits);
+        double m = static_cast<double>(now.misses - misses);
+        return h + m > 0.0 ? h / (h + m) : 0.0;
+    }
+};
 
 /** Sweep wall-clock; checksum guards against dead-code elimination. */
 double
@@ -125,7 +144,7 @@ gauge(const std::string &name, double value)
 
 /**
  * The full 18-workload sweep: every non-DNN workload at 128 plus both
- * DNNs at a bounded depth (the section-2 settings), jobs=1 throughout.
+ * DNNs at a bounded depth (the section-3 settings), jobs=1 throughout.
  */
 double
 runFullSweep(std::uint64_t &checksum)
@@ -154,9 +173,9 @@ int
 main()
 {
     std::string json = benchutil::initBenchMetrics();
-    hls::EstimatorCache &cache = hls::EstimatorCache::global();
-    auto clearCaches = [&cache] {
-        cache.clear();
+    hls::NodeReportCache &nodes = hls::NodeReportCache::global();
+    auto clearCaches = [&nodes] {
+        nodes.clear();
         transform::clearDependenceMemo();
     };
     const int threads = 4;
@@ -192,18 +211,14 @@ main()
     // never "the CI machine was busy").
     gauge("sweep.latency_cycles_sum", static_cast<double>(sum1));
 
-    // 2. Memoization: the identical sweep against the cache the
+    // 2. Memoization: the identical sweep against the node cache the
     // pool run just filled.
-    std::uint64_t hits0 = cache.hits(), misses0 = cache.misses();
+    PointCounts warm0;
     std::uint64_t sumW = 0;
     double warm = runSweep(1, sumW);
     double memo_speedup = warm > 0.0 ? cold_seq / warm : 0.0;
-    std::uint64_t hits = cache.hits() - hits0;
-    std::uint64_t misses = cache.misses() - misses0;
-    double hit_rate = hits + misses > 0
-                          ? static_cast<double>(hits) /
-                                static_cast<double>(hits + misses)
-                          : 0.0;
+    PointCounts warm1;
+    double hit_rate = warm0.rateSince();
     if (sumW != sum1) {
         std::fprintf(stderr, "FATAL: warm sweep checksum diverged\n");
         return 1;
@@ -213,8 +228,9 @@ main()
                 warm, memo_speedup, 100.0 * hit_rate);
     gauge("sweep.warm_seconds", warm);
     gauge("sweep.memo_speedup", memo_speedup);
-    gauge("cache.hits", static_cast<double>(hits));
-    gauge("cache.misses", static_cast<double>(misses));
+    gauge("cache.hits", static_cast<double>(warm1.hits - warm0.hits));
+    gauge("cache.misses",
+          static_cast<double>(warm1.misses - warm0.misses));
     gauge("cache.hit_rate", hit_rate);
 
     // 3. Intra-search speculation on the deepest workload.
@@ -231,11 +247,11 @@ main()
     gauge("vgg16.speculation_speedup", spec_speedup);
 
     // 4. The same sweep once per search strategy, cold cache each.
-    std::printf("\nper-strategy sweep (cold cache):\n");
+    std::printf("\nper-strategy sweep (cold caches):\n");
     for (auto kind : {dse::StrategyKind::Greedy, dse::StrategyKind::Beam,
                       dse::StrategyKind::Anneal}) {
         clearCaches();
-        std::uint64_t shits0 = cache.hits(), smisses0 = cache.misses();
+        PointCounts strategy0;
         int points = 0;
         size_t frontier = 0;
         Clock::time_point t0 = Clock::now();
@@ -249,13 +265,7 @@ main()
             frontier += res.frontier.size();
         }
         double secs = seconds(t0);
-        std::uint64_t shits = cache.hits() - shits0;
-        std::uint64_t smisses = cache.misses() - smisses0;
-        double shit_rate =
-            shits + smisses > 0
-                ? static_cast<double>(shits) /
-                      static_cast<double>(shits + smisses)
-                : 0.0;
+        double shit_rate = strategy0.rateSince();
         const std::string sname = dse::strategyName(kind);
         std::printf("  %-7s %5d points, frontier %3zu, %7.3f s, "
                     "hit rate %.0f%%\n",
@@ -272,7 +282,7 @@ main()
     // 5. Disk-warm start: spill the cold sweep's cache, drop it, load
     // the spill back (a daemon restart / `pomc --cache-dir` re-run)
     // and measure the sweep against the disk-loaded entries.
-    std::printf("\ndisk-warm sweep (estimator-cache spill):\n");
+    std::printf("\ndisk-warm sweep (node-cache spill):\n");
     const std::string spill_dir = "BENCH_dse_cache";
     std::filesystem::remove_all(spill_dir);
     clearCaches();
@@ -281,7 +291,7 @@ main()
     support::CacheSpillStats save_stats;
     std::string spill_error;
     Clock::time_point t_save = Clock::now();
-    if (!cache.saveDir(spill_dir, save_stats, spill_error)) {
+    if (!nodes.saveDir(spill_dir, save_stats, spill_error)) {
         std::fprintf(stderr, "FATAL: cache spill failed: %s\n",
                      spill_error.c_str());
         return 1;
@@ -290,13 +300,13 @@ main()
     clearCaches();
     support::CacheSpillStats load_stats;
     Clock::time_point t_load = Clock::now();
-    if (!cache.loadDir(spill_dir, load_stats, spill_error)) {
+    if (!nodes.loadDir(spill_dir, load_stats, spill_error)) {
         std::fprintf(stderr, "FATAL: cache load failed: %s\n",
                      spill_error.c_str());
         return 1;
     }
     double load_secs = seconds(t_load);
-    std::uint64_t dhits0 = cache.hits(), dmisses0 = cache.misses();
+    PointCounts disk0;
     std::uint64_t sumD2 = 0;
     double disk_warm = runSweep(1, sumD2);
     if (sumD2 != sumD) {
@@ -304,12 +314,7 @@ main()
                              "diverged\n");
         return 1;
     }
-    std::uint64_t dhits = cache.hits() - dhits0;
-    std::uint64_t dmisses = cache.misses() - dmisses0;
-    double dhit_rate = dhits + dmisses > 0
-                           ? static_cast<double>(dhits) /
-                                 static_cast<double>(dhits + dmisses)
-                           : 0.0;
+    double dhit_rate = disk0.rateSince();
     double disk_speedup = disk_warm > 0.0 ? disk_cold / disk_warm : 0.0;
     std::printf("  spill:  %zu entries written in %.3f s, "
                 "loaded %zu in %.3f s\n",
@@ -325,13 +330,11 @@ main()
     gauge("spill.warm_speedup", disk_speedup);
     gauge("spill.hit_rate", dhit_rate);
 
-    // 6. Incremental estimation: the full sweep fully cold (estimator
-    // and node caches and the dependence memo dropped), so every
-    // reused node report was produced within the sweep itself.
+    // 6. Incremental estimation: the full sweep fully cold (node cache
+    // and dependence memo dropped), so every reused node report was
+    // produced within the sweep itself.
     std::printf("\nincremental-estimation sweep (18 workloads):\n");
-    auto &nodes = hls::NodeReportCache::global();
     clearCaches();
-    nodes.clear();
     std::uint64_t sumI = 0;
     double inc_incr = runFullSweep(sumI);
     std::uint64_t nhits = nodes.hits(), nmisses = nodes.misses();

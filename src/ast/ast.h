@@ -45,8 +45,6 @@ struct HwAnnotation
     {
         return pipelineII == o.pipelineII && unrollFactor == o.unrollFactor;
     }
-
-    bool operator==(const HwAnnotation &) const = default;
 };
 
 class AstNode;

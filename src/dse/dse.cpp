@@ -6,7 +6,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <set>
 #include <sstream>
 #include <utility>
@@ -14,7 +13,6 @@
 #include "check/oracle.h"
 #include "graph/dependence_graph.h"
 #include "hls/count.h"
-#include "hls/estimator_cache.h"
 #include "hls/node_cache.h"
 #include "obs/journal.h"
 #include "obs/obs.h"
@@ -134,9 +132,9 @@ carriedLevels(const PolyStmt &stmt)
 
 /**
  * Canonical digest of the function's compute semantics -- everything
- * the estimator can observe that the schedule fingerprint does not
+ * the estimator can observe that the schedule fragments do not
  * already cover: array shapes/types and the statement expressions.
- * Feeds hls::designFingerprint() as the funcDigest component.
+ * Feeds hls::nodeFingerprint() as the funcDigest component.
  */
 std::string
 functionDigest(const dsl::Function &func)
@@ -876,8 +874,8 @@ class Engine
             f.get();
 
         // Materialize the winning design (also rewrites partitions).
-        // Its estimate was stored by the search, so with memoization on
-        // this is always an estimator-cache hit.
+        // The search already estimated every one of its units, so with
+        // memoization on its report composes from cached nodes.
         std::vector<std::int64_t> degrees = strategy->result();
         POM_ASSERT(degrees.size() == units.size(),
                    "strategy returned a malformed degree vector");
@@ -1117,16 +1115,69 @@ class Engine
         return out;
     }
 
+    /** Memoized schedules of every unit at its current degree. */
+    std::vector<std::shared_ptr<const UnitSchedule>>
+    unitSchedules(const std::vector<PolyStmt> &base,
+                  const std::vector<Unit> &units)
+    {
+        std::vector<std::shared_ptr<const UnitSchedule>> parts;
+        parts.reserve(units.size());
+        for (size_t ui = 0; ui < units.size(); ++ui)
+            parts.push_back(unitSchedule(base, ui, units[ui]));
+        return parts;
+    }
+
+    /**
+     * Compose a design point's report from content-addressed per-unit
+     * NodeReports, lowering and estimating only units whose schedule
+     * was never seen. Unit order is beta order, which is exactly the
+     * top-level order of the full AST, so the composed report is
+     * byte-identical to the monolithic path's. The point counts as a
+     * `dse.cache.hits` when every unit came from the node cache, as a
+     * `dse.cache.misses` otherwise.
+     */
+    hls::SynthesisReport
+    composeReport(
+        const std::vector<std::shared_ptr<const UnitSchedule>> &parts,
+        const hls::PartitionPlan &partitions, obs::Span &span)
+    {
+        hls::EstimatorOptions eo = estOptions();
+        eo.partitionOverride = &partitions;
+        std::vector<hls::NodeReport> nodes;
+        bool allCached = true;
+        for (const auto &part : parts) {
+            const UnitSchedule &us = *part;
+            std::vector<const std::string *> memberFragments;
+            for (const std::string &f : us.fragments)
+                memberFragments.push_back(&f);
+            std::string nodeKey = hls::nodeFingerprint(
+                funcDigest_, memberFragments,
+                unitBankings(us, partitions), eo.costs);
+            if (auto cached =
+                    hls::NodeReportCache::global().lookup(nodeKey)) {
+                obs::counterAdd("dse.node_cache.hits");
+                for (auto &n : *cached)
+                    nodes.push_back(std::move(n));
+                continue;
+            }
+            obs::counterAdd("dse.node_cache.misses");
+            allCached = false;
+            auto lowered = lower::lowerNodeStmts(us.stmts);
+            std::vector<hls::NodeReport> fresh =
+                hls::estimateNodes(func_, lowered, eo);
+            hls::NodeReportCache::global().store(nodeKey, fresh);
+            for (auto &n : fresh)
+                nodes.push_back(std::move(n));
+        }
+        obs::counterAdd(allCached ? "dse.cache.hits" : "dse.cache.misses");
+        span.arg("cache", allCached ? "hit" : "miss");
+        return hls::combineNodeReports(func_, nodes, eo);
+    }
+
     /**
      * Incremental candidate evaluation: fetch each unit's memoized
-     * schedule, rebuild the whole-design fingerprint from the memoized
-     * fragments (base statement order -- the same bytes the monolithic
-     * builder hashes, so materialize() still gets its guaranteed cache
-     * hit), and on a whole-design miss compose the report from
-     * content-addressed per-unit NodeReports, lowering and estimating
-     * only units whose schedule was never seen. Unit order is beta
-     * order, which is exactly the top-level order of the full AST, so
-     * the composed report is byte-identical to the monolithic path's.
+     * schedule and compose the report from per-unit NodeReports
+     * (composeReport()).
      */
     Evaluation
     evaluateIncremental(const std::vector<PolyStmt> &base,
@@ -1137,10 +1188,7 @@ class Engine
         PointLatencyTimer pointTimer;
         Evaluation ev;
 
-        std::vector<std::shared_ptr<const UnitSchedule>> parts;
-        parts.reserve(units.size());
-        for (size_t ui = 0; ui < units.size(); ++ui)
-            parts.push_back(unitSchedule(base, ui, units[ui]));
+        auto parts = unitSchedules(base, units);
         hls::PartitionPlan merged = mergePartitions(parts);
         ev.primitives = primitivesSummary(base, units, merged);
         span.arg("primitives", ev.primitives);
@@ -1155,53 +1203,7 @@ class Engine
                             static_cast<std::int64_t>(units.size()));
         }
 
-        std::vector<const std::string *> fragments(base.size(), nullptr);
-        for (size_t ui = 0; ui < units.size(); ++ui) {
-            const auto &members = units[ui].members;
-            for (size_t k = 0; k < members.size(); ++k)
-                fragments[members[k]] = &parts[ui]->fragments[k];
-        }
-        std::string key = hls::designFingerprintFragments(
-            funcDigest_, fragments, merged, estOptions());
-        if (auto hit = hls::EstimatorCache::global().lookup(key)) {
-            obs::counterAdd("dse.cache.hits");
-            ev.report = std::move(*hit);
-            span.arg("cache", "hit");
-            span.arg("latency_cycles",
-                     static_cast<std::int64_t>(ev.report.latencyCycles));
-            return ev;
-        }
-        obs::counterAdd("dse.cache.misses");
-        span.arg("cache", "miss");
-
-        hls::EstimatorOptions eo = estOptions();
-        eo.partitionOverride = &merged;
-        std::vector<hls::NodeReport> nodes;
-        for (size_t ui = 0; ui < units.size(); ++ui) {
-            const UnitSchedule &us = *parts[ui];
-            std::vector<const std::string *> memberFragments;
-            for (const std::string &f : us.fragments)
-                memberFragments.push_back(&f);
-            std::string nodeKey = hls::nodeFingerprint(
-                funcDigest_, memberFragments, unitBankings(us, merged),
-                eo.costs);
-            if (auto cached =
-                    hls::NodeReportCache::global().lookup(nodeKey)) {
-                obs::counterAdd("dse.node_cache.hits");
-                for (auto &n : *cached)
-                    nodes.push_back(std::move(n));
-                continue;
-            }
-            obs::counterAdd("dse.node_cache.misses");
-            auto lowered = lower::lowerNodeStmts(us.stmts);
-            std::vector<hls::NodeReport> fresh =
-                hls::estimateNodes(func_, lowered, eo);
-            hls::NodeReportCache::global().store(nodeKey, fresh);
-            for (auto &n : fresh)
-                nodes.push_back(std::move(n));
-        }
-        ev.report = hls::combineNodeReports(func_, nodes, eo);
-        hls::EstimatorCache::global().store(key, ev.report);
+        ev.report = composeReport(parts, merged, span);
         span.arg("latency_cycles",
                  static_cast<std::int64_t>(ev.report.latencyCycles));
         return ev;
@@ -1254,9 +1256,11 @@ class Engine
 
     /**
      * Fully materialize a design point: rewrite the function's
-     * partition directives, lower, and estimate (a guaranteed cache hit
-     * when the search already evaluated this configuration). Only the
-     * final selected design and journal replays pay for this.
+     * partition directives and lower. With memoization the report is
+     * composed from node reports like every other point (all of them
+     * cached when the search already evaluated this configuration);
+     * otherwise the lowered design is estimated whole. Only the final
+     * selected design and journal replays pay for this.
      */
     Candidate
     materialize(const std::vector<PolyStmt> &base,
@@ -1271,32 +1275,14 @@ class Engine
         c.primitives = s.primitives;
         span.arg("primitives", c.primitives);
 
-        // Fingerprint before lowering: lowerStmts consumes the stmts.
-        bool use_cache = opt_.memoize && !opt_.verifyEachPoint;
-        std::string key;
-        if (use_cache) {
-            key = hls::designFingerprint(funcDigest_, s.stmts,
-                                         s.partitions, estOptions());
-        }
         c.design = lower::lowerStmts(func_, std::move(s.stmts));
-
-        std::optional<hls::SynthesisReport> hit;
-        if (use_cache)
-            hit = hls::EstimatorCache::global().lookup(key);
-        if (hit) {
-            obs::counterAdd("dse.cache.hits");
-            span.arg("cache", "hit");
-            c.report = std::move(*hit);
+        if (opt_.memoize && !opt_.verifyEachPoint) {
+            c.report = composeReport(unitSchedules(base, units),
+                                     s.partitions, span);
         } else {
-            if (use_cache) {
-                obs::counterAdd("dse.cache.misses");
-                span.arg("cache", "miss");
-            }
             hls::EstimatorOptions eo = estOptions();
             eo.partitionOverride = &s.partitions;
             c.report = hls::estimate(func_, c.design, eo);
-            if (use_cache)
-                hls::EstimatorCache::global().store(key, c.report);
         }
         span.arg("latency_cycles",
                  static_cast<std::int64_t>(c.report.latencyCycles));

@@ -81,18 +81,17 @@ struct DseOptions
     int jobs = 0;
 
     /**
-     * Memoize and evaluate stage-2 candidates incrementally. Each
-     * candidate's report is memoized in the process-wide EstimatorCache
-     * (hls/estimator_cache.h), keyed by the canonical design
-     * fingerprint, so repeated evaluations of the same schedule -- the
-     * final materialization, replays, repeated sweeps -- skip both
-     * lowering and estimation. On a miss the report is composed from
-     * per-unit NodeReports memoized in the process-wide
-     * hls::NodeReportCache, so a candidate that differs from its parent
-     * in one unit re-lowers and re-estimates only that unit. With
-     * memoize off every candidate is lowered and estimated whole,
-     * uncached: the reference the differential tests hold the default
-     * path to, byte for byte. Ignored when verifyEachPoint is set.
+     * Evaluate design points incrementally from memoized per-unit
+     * reports. Every point -- search candidates and the final
+     * materialization alike -- is composed from per-unit NodeReports
+     * held in the process-wide hls::NodeReportCache
+     * (hls/node_cache.h), so a candidate that differs from its parent
+     * in one unit re-lowers and re-estimates only that unit, and a
+     * point whose every unit is cached (`dse.cache.hits`) skips
+     * lowering and estimation entirely. With memoize off every point
+     * is lowered and estimated whole, uncached: the reference the
+     * differential tests hold the default path to, byte for byte.
+     * Ignored when verifyEachPoint is set.
      */
     bool memoize = true;
 

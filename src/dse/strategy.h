@@ -143,7 +143,7 @@ struct StrategyContext
     /**
      * Upper bound on evaluated points for the population strategies
      * (beam/anneal); greedy ignores it. Keeps deep workloads (the DNN
-     * stacks) affordable while the estimator cache absorbs re-visits.
+     * stacks) affordable while the node cache absorbs re-visits.
      */
     int pointBudget = 192;
 

@@ -4,12 +4,62 @@
 #include <cstdio>
 #include <sstream>
 
-#include "hls/estimator_cache.h"
-#include "support/fnv_stream.h"
 #include "support/string_util.h"
 #include "support/version.h"
 
 namespace pom::hls {
+
+namespace {
+
+/** Offset basis of the second FNV-1a-64 state of a node key: the high
+ *  word of the FNV-1a-128 basis (any constant distinct from
+ *  support::kFnvOffset64 makes an accidental 128-bit collision between
+ *  two distinct key texts implausible). */
+constexpr std::uint64_t kFnvAltOffset64 = 0x6c62272e07bb0142ull;
+
+void
+opCostsFingerprintTo(std::ostream &os, const OpCosts &c)
+{
+    os << "costs " << c.faddLat << " " << c.fmulLat << " " << c.fdivLat
+       << " " << c.fcmpLat << " " << c.iaddLat << " " << c.imulLat << " "
+       << c.loadLat << " " << c.storeLat << " " << c.faddDsp << " "
+       << c.faddLut << " " << c.faddFf << " " << c.fmulDsp << " "
+       << c.fmulLut << " " << c.fmulFf << " " << c.fdivDsp << " "
+       << c.fdivLut << " " << c.fdivFf << " " << c.fcmpDsp << " "
+       << c.fcmpLut << " " << c.fcmpFf << " " << c.iaddDsp << " "
+       << c.iaddLut << " " << c.iaddFf << " " << c.imulDsp << " "
+       << c.imulLut << " " << c.imulFf << " " << c.loopCtrlLut << " "
+       << c.loopCtrlFf << " " << c.bankMuxLut << " "
+       << c.pipelineRegFfPerCopy << "\n";
+}
+
+} // namespace
+
+std::string
+stmtScheduleFragment(const transform::PolyStmt &s)
+{
+    std::ostringstream os;
+    os << "stmt " << s.sched.name << "\n";
+    os << " domain " << s.sched.domain.str() << "\n";
+    os << " betas";
+    for (auto b : s.sched.betas)
+        os << " " << b;
+    os << "\n orig " << s.sched.origMap.str() << "\n";
+    for (size_t l = 0; l < s.sched.hwPerDim.size(); ++l) {
+        const auto &hw = s.sched.hwPerDim[l];
+        if (!hw.pipelineII && hw.unrollFactor == 1 &&
+            hw.independentArrays.empty()) {
+            continue;
+        }
+        os << " hw " << l << " ii="
+           << (hw.pipelineII ? *hw.pipelineII : -1)
+           << " unroll=" << hw.unrollFactor << " indep=";
+        for (const auto &a : hw.independentArrays)
+            os << a << ",";
+        os << "\n";
+    }
+    return os.str();
+}
 
 std::string
 nodeFingerprint(const std::string &funcDigest,
@@ -17,8 +67,7 @@ nodeFingerprint(const std::string &funcDigest,
                 const std::vector<NodeArrayBanking> &arrays,
                 const OpCosts &costs)
 {
-    support::FnvHashStream hash;
-    std::ostream &os = hash.out();
+    std::ostringstream os;
     os << support::cacheFormatHeader(support::kNodeCacheFormatName);
     os << "func\n" << funcDigest << "\n";
     for (const std::string *fragment : memberFragments)
@@ -28,7 +77,10 @@ nodeFingerprint(const std::string &funcDigest,
            << " complete=" << (a.complete ? 1 : 0) << "\n";
     }
     opCostsFingerprintTo(os, costs);
-    return hash.digest();
+    const std::string text = os.str();
+    return support::hex16(support::fnv1a64(text.data(), text.size())) +
+           support::hex16(
+               support::fnv1a64(text.data(), text.size(), kFnvAltOffset64));
 }
 
 // ----- on-disk spill format ----------------------------------------------

@@ -10,7 +10,7 @@
  * The key digests exactly what a NodeReport depends on:
  *
  *   - the function digest (array shapes + statement bodies),
- *   - the unit's member schedule fragments (hls::stmtScheduleFragment),
+ *   - the unit's member schedule fragments (stmtScheduleFragment()),
  *   - the effective banking (banks, complete) of every array the unit
  *     accesses under the candidate's partition plan,
  *   - the operator cost table.
@@ -22,13 +22,15 @@
  * keeps the node's schedule. Content addressing also dedupes distinct
  * parallelism degrees that clamp to the same schedule.
  *
- * The store is the shared support::ContentCache; it spills beside the
- * estimator cache in the same cache directory --
+ * Every DSE design point, the final one included, is composed from
+ * these reports. The store is the shared support::ContentCache;
+ * `--cache-dir` spills it as
  *
  *   <dir>/nodes.index         list of entry hashes (atomic rewrite)
  *   <dir>/nodes/<hash>        one entry: full key + node reports
  *
- * and takes the same FIFO capacity bound for long-lived daemons.
+ * and `pomd --estimator-cache-cap` bounds it (FIFO) in long-lived
+ * daemons.
  */
 
 #ifndef POM_HLS_NODE_CACHE_H
@@ -42,6 +44,9 @@
 #include "support/cache_store.h"
 
 namespace pom::hls {
+
+/** One statement's canonical schedule text: a node-key fragment. */
+std::string stmtScheduleFragment(const transform::PolyStmt &stmt);
 
 /** One array's banking as seen by a node: name, banks, complete. */
 struct NodeArrayBanking

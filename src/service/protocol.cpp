@@ -164,8 +164,6 @@ encodeResponse(const Response &r)
     }
     if (r.status == "ok" && r.statsFrame) {
         field(os, first, "requests_served", r.requestsServed);
-        field(os, first, "cache_size", r.cacheSize);
-        field(os, first, "cache_loaded", r.cacheLoaded);
         field(os, first, "queue_depth", r.queueDepth);
         field(os, first, "queue_depth_max", r.queueDepthMax);
         field(os, first, "uptime_seconds", r.uptimeSeconds);
@@ -175,7 +173,6 @@ encodeResponse(const Response &r)
         field(os, first, "node_cache_size", r.nodeCacheSize);
         field(os, first, "node_cache_loaded", r.nodeCacheLoaded);
         field(os, first, "node_cache_hit_rate", r.nodeCacheHitRate);
-        field(os, first, "cache_evictions", r.cacheEvictions);
         field(os, first, "node_cache_evictions",
               r.nodeCacheEvictions);
         histogramField(os, first, "queue_wait_ms", r.queueWaitMs);
@@ -298,10 +295,6 @@ decodeResponse(const std::string &text, Response &out,
         out.statsFrame = true;
         out.requestsServed = v->asInt();
     }
-    if (const auto *v = doc.find("cache_size"))
-        out.cacheSize = v->asInt();
-    if (const auto *v = doc.find("cache_loaded"))
-        out.cacheLoaded = v->asInt();
     if (const auto *v = doc.find("queue_depth"))
         out.queueDepth = v->asInt();
     if (const auto *v = doc.find("queue_depth_max"))
@@ -320,8 +313,6 @@ decodeResponse(const std::string &text, Response &out,
         out.nodeCacheLoaded = v->asInt();
     if (const auto *v = doc.find("node_cache_hit_rate"))
         out.nodeCacheHitRate = v->asDouble();
-    if (const auto *v = doc.find("cache_evictions"))
-        out.cacheEvictions = v->asInt();
     if (const auto *v = doc.find("node_cache_evictions"))
         out.nodeCacheEvictions = v->asInt();
     if (const auto *v = doc.find("queue_wait_ms"))
@@ -353,20 +344,15 @@ statsPrometheus(const Response &stats)
            "Requests executed to completion.",
            std::to_string(stats.requestsServed));
     scalar("pomd_estimator_cache_hits_total", "counter",
-           "Estimator-cache hits across all requests.",
+           "DSE design points composed entirely from cached node "
+           "reports.",
            std::to_string(stats.cacheHits));
     scalar("pomd_estimator_cache_misses_total", "counter",
-           "Estimator-cache misses across all requests.",
+           "DSE design points that estimated at least one node.",
            std::to_string(stats.cacheMisses));
     scalar("pomd_estimator_cache_hit_rate", "gauge",
            "hits / (hits + misses); 0 when idle.",
            num(stats.cacheHitRate));
-    scalar("pomd_estimator_cache_entries", "gauge",
-           "Entries currently in the estimator cache.",
-           std::to_string(stats.cacheSize));
-    scalar("pomd_estimator_cache_loaded_entries", "gauge",
-           "Entries warm-loaded from the disk spill at start.",
-           std::to_string(stats.cacheLoaded));
     scalar("pomd_node_cache_hits_total", "counter",
            "Per-node report cache hits across all requests.",
            std::to_string(stats.nodeCacheHits));
@@ -382,9 +368,6 @@ statsPrometheus(const Response &stats)
     scalar("pomd_node_cache_loaded_entries", "gauge",
            "Entries warm-loaded from the disk spill at start.",
            std::to_string(stats.nodeCacheLoaded));
-    scalar("pomd_estimator_cache_evictions_total", "counter",
-           "Estimator-cache entries evicted by --estimator-cache-cap.",
-           std::to_string(stats.cacheEvictions));
     scalar("pomd_node_cache_evictions_total", "counter",
            "Node-cache entries evicted by --estimator-cache-cap.",
            std::to_string(stats.nodeCacheEvictions));

@@ -13,7 +13,8 @@
  *
  * Methods:
  *  - "ping"     liveness + version probe.
- *  - "stats"    daemon counters: requests served, estimator-cache
+ *  - "stats"    daemon counters: requests served, design points
+ *               served from cached nodes (cache hits/misses), node-cache
  *               hits/misses/size, entries warm-loaded from disk, and
  *               the current queue depth.
  *  - "compile"  compile a named workload (optionally through the DSE)
@@ -114,9 +115,10 @@ struct Response
     std::string irOut;
 
     // -- per-request work report (compile/opt frames) --
-    // Snapshot-deltas taken around THIS request's execution, so
-    // concurrent requests do not alias each other's process-global
-    // counters. Stats frames reuse the same fields for daemon totals.
+    // DSE design points whose every unit came from the node cache
+    // (`dse.cache.hits`) and the others (`dse.cache.misses`):
+    // snapshot-deltas taken around THIS request's execution. Stats
+    // frames reuse the same fields for daemon totals.
     std::int64_t cacheHits = 0;
     std::int64_t cacheMisses = 0;
 
@@ -124,8 +126,6 @@ struct Response
     bool statsFrame = false; ///< not wire-encoded; set when the frame
                              ///< carries the fields below
     std::int64_t requestsServed = 0;
-    std::int64_t cacheSize = 0;
-    std::int64_t cacheLoaded = 0; ///< entries warm-loaded from disk
     std::int64_t queueDepth = 0;
     std::int64_t queueDepthMax = 0; ///< high-water mark since start
     double uptimeSeconds = 0.0;
@@ -135,8 +135,7 @@ struct Response
     std::int64_t nodeCacheSize = 0;
     std::int64_t nodeCacheLoaded = 0; ///< warm-loaded from disk
     double nodeCacheHitRate = 0.0;
-    std::int64_t cacheEvictions = 0;     ///< --estimator-cache-cap FIFO
-    std::int64_t nodeCacheEvictions = 0; ///< same cap, node cache
+    std::int64_t nodeCacheEvictions = 0; ///< --estimator-cache-cap FIFO
     HistogramWire queueWaitMs;  ///< dispatch -> execution start
     HistogramWire serviceMs;    ///< execution start -> response ready
 };

@@ -46,20 +46,6 @@ millisSince(std::chrono::steady_clock::time_point t0)
         .count();
 }
 
-/** Spill @p cache to @p dir (no-op when empty), warning on failure. */
-template <typename Cache>
-void
-saveSpill(const Cache &cache, const std::string &dir, const char *what)
-{
-    support::CacheSpillStats stats;
-    std::string error;
-    if (!dir.empty() && !cache.saveDir(dir, stats, error)) {
-        support::diag(support::DiagLevel::Warning,
-                      std::string("pomd: ") + what +
-                          " spill failed: " + error);
-    }
-}
-
 } // namespace
 
 Server::Server(ServerOptions options) : opt_(std::move(options))
@@ -92,18 +78,10 @@ Server::start(std::string &error)
     lower::registerLoweringPasses();
     // Apply the cap before the warm-load so an oversized spill is
     // trimmed (FIFO) on the way in rather than held until first use.
-    hls::EstimatorCache::global().setCapacity(opt_.estimatorCacheCap);
     hls::NodeReportCache::global().setCapacity(opt_.estimatorCacheCap);
     if (!opt_.cacheDir.empty() &&
-        !hls::EstimatorCache::global().loadDir(opt_.cacheDir,
-                                               load_stats_, error)) {
-        return false;
-    }
-    // The per-node report cache spills beside the estimator cache
-    // (nodes.index / nodes/ in the same directory).
-    if (!opt_.cacheDir.empty() &&
-        !hls::NodeReportCache::global().loadDir(
-            opt_.cacheDir, node_load_stats_, error)) {
+        !hls::NodeReportCache::global().loadDir(opt_.cacheDir,
+                                                load_stats_, error)) {
         return false;
     }
     listener_ = support::listenUnix(opt_.socketPath, 64, error);
@@ -336,12 +314,11 @@ Server::compileResponse(const Request &request, std::int64_t requestId)
     }
     options.jobs = static_cast<int>(request.jobs);
 
-    // Snapshot-delta around the run: the estimator cache is process
-    // global, so concurrent requests would otherwise alias each other's
-    // hit/miss counters in their response frames.
-    auto &cache = hls::EstimatorCache::global();
-    std::uint64_t hits0 = cache.hits();
-    std::uint64_t misses0 = cache.misses();
+    // Snapshot-delta around the run: the design-point counters are
+    // process global, so the response reports only what this run
+    // added (concurrent requests still overlap).
+    std::int64_t hits0 = obs::counterValue("dse.cache.hits");
+    std::int64_t misses0 = obs::counterValue("dse.cache.misses");
 
     auto workload =
         workloads::makeByName(request.workload, request.size);
@@ -374,9 +351,8 @@ Server::compileResponse(const Request &request, std::int64_t requestId)
     response.bramBits = result.report.resources.bramBits;
     response.lut = result.report.resources.lut;
     response.ff = result.report.resources.ff;
-    response.cacheHits = static_cast<std::int64_t>(cache.hits() - hits0);
-    response.cacheMisses =
-        static_cast<std::int64_t>(cache.misses() - misses0);
+    response.cacheHits = obs::counterValue("dse.cache.hits") - hits0;
+    response.cacheMisses = obs::counterValue("dse.cache.misses") - misses0;
     // requestId 0 = unattributed (direct execute / one-shot parity):
     // pass -1 so the journal header stays byte-identical to `pomc`.
     std::int64_t journalId = requestId > 0 ? requestId : -1;
@@ -417,21 +393,17 @@ Server::statsResponse()
 {
     Response response;
     response.statsFrame = true;
-    auto &cache = hls::EstimatorCache::global();
     response.requestsServed =
         static_cast<std::int64_t>(served_.load());
-    response.cacheHits = static_cast<std::int64_t>(cache.hits());
-    response.cacheMisses = static_cast<std::int64_t>(cache.misses());
-    response.cacheSize = static_cast<std::int64_t>(cache.size());
-    response.cacheLoaded =
-        static_cast<std::int64_t>(load_stats_.loaded);
+    response.cacheHits = obs::counterValue("dse.cache.hits");
+    response.cacheMisses = obs::counterValue("dse.cache.misses");
     auto &nodes = hls::NodeReportCache::global();
     response.nodeCacheHits = static_cast<std::int64_t>(nodes.hits());
     response.nodeCacheMisses =
         static_cast<std::int64_t>(nodes.misses());
     response.nodeCacheSize = static_cast<std::int64_t>(nodes.size());
     response.nodeCacheLoaded =
-        static_cast<std::int64_t>(node_load_stats_.loaded);
+        static_cast<std::int64_t>(load_stats_.loaded);
     std::int64_t nprobes =
         response.nodeCacheHits + response.nodeCacheMisses;
     response.nodeCacheHitRate =
@@ -439,8 +411,6 @@ Server::statsResponse()
             ? static_cast<double>(response.nodeCacheHits) /
                   static_cast<double>(nprobes)
             : 0.0;
-    response.cacheEvictions =
-        static_cast<std::int64_t>(cache.evictions());
     response.nodeCacheEvictions =
         static_cast<std::int64_t>(nodes.evictions());
     response.queueDepth = pending_.load(std::memory_order_relaxed);
@@ -465,8 +435,13 @@ Server::saveCache()
     if (opt_.cacheDir.empty())
         return;
     std::lock_guard<std::mutex> lock(save_mutex_);
-    saveSpill(hls::EstimatorCache::global(), opt_.cacheDir, "cache");
-    saveSpill(hls::NodeReportCache::global(), opt_.cacheDir, "node-cache");
+    support::CacheSpillStats stats;
+    std::string error;
+    if (!hls::NodeReportCache::global().saveDir(opt_.cacheDir, stats,
+                                                error)) {
+        support::diag(support::DiagLevel::Warning,
+                      "pomd: node-cache spill failed: " + error);
+    }
 }
 
 } // namespace pom::service

@@ -2,7 +2,7 @@
  * @file
  * The pomd compile server: a long-lived process that keeps the whole
  * compiler warm -- registered pass pipelines, the process-wide
- * hls::EstimatorCache, and (optionally) its disk spill -- and serves
+ * hls::NodeReportCache, and (optionally) its disk spill -- and serves
  * concurrent compile/DSE requests over a Unix-domain socket speaking
  * the protocol.h frames.
  *
@@ -16,20 +16,21 @@
  * elsewhere. Journals stay byte-identical to one-shot `pomc` runs
  * because each request's DseResult carries its own journal -- nothing
  * goes through the process-global obs::journal() -- and the shared
- * estimator cache can only change *where* a report comes from, never
- * what it says (the fingerprint pins the full estimator input).
+ * node cache can only change *where* a node report comes from, never
+ * what it says (the node fingerprint pins the full estimator input).
  *
  * Backpressure: at most `queueLimit` requests may be queued or
  * executing; beyond that the accept loop answers status "busy" with a
  * retry_after_ms hint immediately, so a flood degrades into client
  * retries instead of unbounded daemon memory.
  *
- * Persistence: with a cache dir configured, the estimator-cache spill
- * is loaded before the first request and re-saved (incrementally --
- * content-addressed entries already on disk are skipped) after every
- * request that grew the cache, and once more on shutdown. A daemon
- * restart therefore warm-starts from disk; `dse.cache.hits` is nonzero
- * for the first repeated request after a restart.
+ * Persistence: with a cache dir configured, the node-cache spill
+ * (`nodes.index` + `nodes/`) is loaded before the first request and
+ * re-saved (incrementally -- content-addressed entries already on disk
+ * are skipped) after every compile request, and once more on shutdown.
+ * A daemon restart therefore warm-starts from disk: every point of the
+ * first repeated request composes from cached nodes, so
+ * `dse.cache.hits` counts all of them.
  */
 
 #ifndef POM_SERVICE_SERVER_H
@@ -42,7 +43,6 @@
 #include <mutex>
 #include <string>
 
-#include "hls/estimator_cache.h"
 #include "service/protocol.h"
 #include "support/cache_store.h"
 #include "support/socket.h"
@@ -56,13 +56,12 @@ struct ServerOptions
     /** Unix-domain socket path to listen on. */
     std::string socketPath = "pomd.sock";
 
-    /** Estimator-cache spill directory; empty = no persistence. */
+    /** Node-cache spill directory; empty = no persistence. */
     std::string cacheDir;
 
-    /** FIFO capacity applied to the process-wide estimator and
-     *  per-node report caches; 0 = unbounded (`pomd
-     *  --estimator-cache-cap`). Evicted entries count toward the
-     *  stats frame's cache_evictions / node_cache_evictions. */
+    /** FIFO capacity applied to the process-wide node report cache;
+     *  0 = unbounded (`pomd --estimator-cache-cap`). Evicted entries
+     *  count toward the stats frame's node_cache_evictions. */
     std::size_t estimatorCacheCap = 0;
 
     /** Concurrent request executors. */
@@ -108,14 +107,8 @@ class Server
         return stopping_.load(std::memory_order_relaxed);
     }
 
-    /** Entries warm-loaded from the cache dir at start(). */
+    /** Node-cache entries warm-loaded from the cache dir at start(). */
     const support::CacheSpillStats &loadStats() const { return load_stats_; }
-
-    /** Per-node report-cache entries warm-loaded at start(). */
-    const support::CacheSpillStats &nodeLoadStats() const
-    {
-        return node_load_stats_;
-    }
 
     std::uint64_t requestsServed() const { return served_.load(); }
 
@@ -148,7 +141,6 @@ class Server
     std::atomic<std::int64_t> nextRequestId_{0};
     std::chrono::steady_clock::time_point startTime_;
     support::CacheSpillStats load_stats_;
-    support::CacheSpillStats node_load_stats_;
     std::mutex save_mutex_;
 };
 

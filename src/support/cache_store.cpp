@@ -5,8 +5,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "support/diagnostics.h"
@@ -37,6 +38,15 @@ std::string
 cacheContentHash(const std::string &key)
 {
     return hex16(fnv1a64(key.data(), key.size()));
+}
+
+bool
+isContentHash(const std::string &text)
+{
+    return text.size() == 16 &&
+           std::all_of(text.begin(), text.end(), [](char c) {
+               return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f');
+           });
 }
 
 std::string
@@ -195,6 +205,33 @@ readCacheIndex(const std::string &path, const char *formatName,
     return true;
 }
 
+namespace {
+
+/**
+ * Read @p path into @p out if it is a regular file. The open never
+ * blocks (a FIFO has no writer to wait for) and the type check runs on
+ * the opened descriptor, so a device or FIFO swapped in after an
+ * earlier check is still refused.
+ */
+bool
+readRegularFile(const std::string &path, std::string &out)
+{
+    int fd = ::open(path.c_str(), O_RDONLY | O_NONBLOCK | O_CLOEXEC);
+    if (fd < 0)
+        return false;
+    struct stat st;
+    bool ok = ::fstat(fd, &st) == 0 && S_ISREG(st.st_mode);
+    out.clear();
+    char buf[1 << 14];
+    ssize_t n = 0;
+    while (ok && (n = ::read(fd, buf, sizeof(buf))) > 0)
+        out.append(buf, static_cast<std::size_t>(n));
+    ::close(fd);
+    return ok && n == 0;
+}
+
+} // namespace
+
 bool
 loadCacheDir(
     const std::string &dir, const CacheDirLayout &layout,
@@ -207,25 +244,32 @@ loadCacheDir(
     stats = CacheSpillStats();
     error.clear();
     fs::path root(dir);
+    std::string index_path = (root / layout.indexName).string();
     std::vector<std::string> hashes;
-    if (!readCacheIndex((root / layout.indexName).string(),
-                        layout.formatName, hashes, error)) {
+    if (!readCacheIndex(index_path, layout.formatName, hashes, error))
         return false;
-    }
     for (const auto &hash : hashes) {
-        fs::path object = root / layout.objectsName / hash;
-        std::ifstream in(object, std::ios::binary);
-        if (!in) {
+        // Only what saveCacheDir() writes: anything else could name a
+        // path outside the objects directory.
+        if (!isContentHash(hash)) {
             diag(DiagLevel::Warning,
-                 std::string(layout.entryLabel) + " '" + object.string() +
-                     "' is indexed but missing; skipped");
+                 "cache index '" + index_path + "' line '" + hash +
+                     "' is not a content hash; skipped");
             ++stats.skipped;
             continue;
         }
-        std::ostringstream text;
-        text << in.rdbuf();
+        fs::path object = root / layout.objectsName / hash;
+        std::string text;
+        if (!readRegularFile(object.string(), text)) {
+            diag(DiagLevel::Warning,
+                 std::string(layout.entryLabel) + " '" + object.string() +
+                     "' is indexed but missing or not a regular file; "
+                     "skipped");
+            ++stats.skipped;
+            continue;
+        }
         std::string why;
-        if (!insert(hash, text.str(), why)) {
+        if (!insert(hash, text, why)) {
             diag(DiagLevel::Warning,
                  std::string(layout.entryLabel) + " '" + object.string() +
                      "' is unreadable (" +
@@ -267,11 +311,17 @@ saveCacheDir(const std::string &dir, const CacheDirLayout &layout,
                         index_error)) {
         hashes.clear(); // stale-format index: rebuild from scratch
     }
+    hashes.erase(std::remove_if(hashes.begin(), hashes.end(),
+                                [](const std::string &h) {
+                                    return !isContentHash(h);
+                                }),
+                 hashes.end());
 
     for (std::size_t i = 0; i < keys.size(); ++i) {
         std::string hash = cacheContentHash(keys[i]);
         fs::path object = objects / hash;
-        if (fs::exists(object, ec)) {
+        // A non-regular file (say a FIFO) is replaced, not kept.
+        if (fs::is_regular_file(object, ec)) {
             ++stats.kept;
         } else {
             if (!writeFileAtomically(object.string(), encode(i), error))

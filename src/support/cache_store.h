@@ -6,13 +6,16 @@
  * with an eviction counter, and loadDir()/saveDir() against a
  * `--cache-dir`. A cache kind supplies only its key builder and a
  * ContentCacheFormat -- the format name, index and object file names,
- * eviction-counter name and its payload codec. Two caches spill: the
- * estimator cache and the per-node report cache in src/hls. The
- * dependence memo in src/transform is a third, in-memory instance with
- * no codec; loadDir()/saveDir() are never instantiated for it. Every
- * spill follows the same conventions:
+ * eviction-counter name and its payload codec. One cache spills: the
+ * per-node report cache in src/hls (`nodes.index` + `nodes/`). The
+ * dependence memo in src/transform is a second, in-memory instance
+ * with no codec; loadDir()/saveDir() are never instantiated for it.
+ * The spill follows these conventions:
  *
  *  - FNV-1a-64 content hashes, printed as 16 lowercase hex digits,
+ *    which are also the only index lines a load accepts (anything
+ *    else, and any object that is not a regular file, is skipped with
+ *    a warning -- an index line can never name another path),
  *  - a first line "<format-name> <version>" stamping every entry and
  *    index file (a mismatch is a clean load error, never misread
  *    bytes),
@@ -58,6 +61,9 @@ std::string hex16(std::uint64_t v);
 
 /** Content address of a cache key: FNV-1a-64 of @p key, 16 hex. */
 std::string cacheContentHash(const std::string &key);
+
+/** True when @p text is spelled like a content hash (16 lower hex). */
+bool isContentHash(const std::string &text);
 
 /** "<formatName> <kVersionString>\n" -- first line of every file. */
 std::string cacheFormatHeader(const char *formatName);
@@ -133,10 +139,11 @@ struct CacheDirLayout
  * Read every entry indexed under @p dir and hand its hash and text to
  * @p insert, which decodes and stores it or returns false with a
  * reason (an empty reason means the key does not hash to the file
- * name). Rejected and missing entries are skipped with a warning and
- * counted in stats.skipped. A missing directory or index is a cold
- * start (true, zero stats); an index of another format/version is a
- * clean error (false + @p error).
+ * name). Index lines that are not content hashes, objects that are
+ * missing or not regular files, and rejected entries are skipped with
+ * a warning and counted in stats.skipped. A missing directory or index
+ * is a cold start (true, zero stats); an index of another
+ * format/version is a clean error (false + @p error).
  */
 bool loadCacheDir(
     const std::string &dir, const CacheDirLayout &layout,
@@ -147,10 +154,11 @@ bool loadCacheDir(
 
 /**
  * Spill the entries named by @p keys under @p dir (created on demand).
- * Entries already on disk are kept untouched; the others are written
- * from @p encode(i) to a temp name and rename()d into place. The index
- * is rewritten atomically as the union of @p keys' hashes and whatever
- * it already listed, so concurrent savers merge instead of clobbering.
+ * Entries already on disk as regular files are kept untouched; the
+ * others are written from @p encode(i) to a temp name and rename()d
+ * into place. The index is rewritten atomically as the union of
+ * @p keys' hashes and the content hashes it already listed, so
+ * concurrent savers merge instead of clobbering.
  */
 bool saveCacheDir(const std::string &dir, const CacheDirLayout &layout,
                   const std::vector<std::string> &keys,

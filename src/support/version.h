@@ -6,7 +6,7 @@
  *  - `pomc --version` / `pomd --version` print it,
  *  - every wire-protocol request/response carries it (the daemon
  *    rejects a mismatched client with a clean error),
- *  - every on-disk estimator-cache entry and index embeds it (a loader
+ *  - every on-disk node-cache entry and index embeds it (a loader
  *    seeing a different version reports a clean format error instead of
  *    misreading bytes).
  *
@@ -24,9 +24,6 @@ inline constexpr char kVersionString[] = "0.7.0";
 
 /** Wire protocol identifier (service/protocol.h frames). */
 inline constexpr char kProtocolName[] = "pom-service/1";
-
-/** On-disk estimator-cache entry/index format identifier. */
-inline constexpr char kCacheFormatName[] = "pom-estimator-cache/1";
 
 /** On-disk per-node report-cache entry/index format identifier. */
 inline constexpr char kNodeCacheFormatName[] = "pom-node-cache/1";

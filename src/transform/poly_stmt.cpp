@@ -263,30 +263,4 @@ clearDependenceMemo()
     dependenceMemo().clear();
 }
 
-bool
-sameSchedule(const ast::ScheduledStmt &a, const ast::ScheduledStmt &b)
-{
-    // Domains and maps compare via their canonical prints -- the same
-    // bytes the cache fingerprints hash, so "same schedule" and "same
-    // node fingerprint" can never disagree.
-    return a.name == b.name && a.betas == b.betas &&
-           a.hwPerDim == b.hwPerDim &&
-           a.domain.str() == b.domain.str() &&
-           a.origMap.str() == b.origMap.str();
-}
-
-std::vector<std::size_t>
-changedStmts(const std::vector<PolyStmt> &a, const std::vector<PolyStmt> &b)
-{
-    std::vector<std::size_t> changed;
-    size_t n = std::min(a.size(), b.size());
-    for (size_t i = 0; i < n; ++i) {
-        if (!sameSchedule(a[i].sched, b[i].sched))
-            changed.push_back(i);
-    }
-    for (size_t i = n; i < std::max(a.size(), b.size()); ++i)
-        changed.push_back(i);
-    return changed;
-}
-
 } // namespace pom::transform

@@ -106,24 +106,6 @@ std::vector<poly::Dependence> selfDependences(const PolyStmt &stmt);
 /** Empty the dependence memo (benches timing a cold search). */
 void clearDependenceMemo();
 
-/**
- * True when two statements carry the same transformed schedule: name,
- * domain, betas, origin map and all per-loop hardware annotations
- * (including independent-array hints). This is the equality the
- * estimator's node reports are keyed on -- two candidates whose
- * statements compare equal here get identical NodeReports.
- */
-bool sameSchedule(const ast::ScheduledStmt &a, const ast::ScheduledStmt &b);
-
-/**
- * Node-diff detection: indices (into @p a) of statements whose
- * schedules differ between two equally-long statement lists. The DSE's
- * bench/tests use it to count how many nodes a candidate actually
- * changed relative to its parent.
- */
-std::vector<std::size_t> changedStmts(const std::vector<PolyStmt> &a,
-                                      const std::vector<PolyStmt> &b);
-
 } // namespace pom::transform
 
 #endif // POM_TRANSFORM_POLY_STMT_H

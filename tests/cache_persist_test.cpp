@@ -1,11 +1,11 @@
 /**
  * @file
- * Tests for the estimator cache's disk persistence: bit-exact entry
- * encode/decode (hexfloat doubles, optional IIs), version-stamp
- * rejection, checksum-based corruption detection, concurrent stores
- * during a spill, and a real DSE run that warm-starts from disk. The
- * container mechanics shared by every cache (directory round trip,
- * skip-and-warn, index merging) are covered by content_cache_test.
+ * Tests for the node cache's disk persistence: exact entry
+ * encode/decode, version-stamp rejection, checksum-based corruption
+ * detection, concurrent stores during a spill, and a real DSE run that
+ * warm-starts from disk. The container mechanics (directory round
+ * trip, skip-and-warn, index merging) are covered by
+ * content_cache_test.
  */
 
 #include <gtest/gtest.h>
@@ -16,7 +16,8 @@
 #include <vector>
 
 #include "baselines/baselines.h"
-#include "hls/estimator_cache.h"
+#include "hls/node_cache.h"
+#include "obs/obs.h"
 #include "support/version.h"
 #include "workloads/workloads.h"
 
@@ -34,16 +35,16 @@ scratchDir(const std::string &name)
     return dir;
 }
 
-hls::SynthesisReport
-sampleReport()
+std::vector<hls::NodeReport>
+sampleNodes()
 {
-    hls::SynthesisReport r;
-    r.latencyCycles = 918274;
-    r.resources.dsp = 160;
-    r.resources.lut = 12068;
-    r.resources.ff = 25890;
-    r.resources.bramBits = 1 << 20;
-    r.powerW = 0.51492123456789; // exercises the hexfloat round-trip
+    hls::NodeReport n;
+    n.nest = "S0 \"quoted\" x"; // names are length-prefixed
+    n.latencyCycles = 918274;
+    n.resources.dsp = 160;
+    n.resources.lut = 12068;
+    n.resources.ff = 25890;
+    n.resources.bramBits = 1 << 20;
     hls::LoopReport with_target;
     with_target.iterName = "i0";
     with_target.trip = 256;
@@ -53,83 +54,71 @@ sampleReport()
     with_target.recMII = 2;
     with_target.resMII = 1;
     hls::LoopReport no_target;
-    no_target.iterName = "j \"quoted\" x"; // names are length-prefixed
+    no_target.iterName = "j:k";
     no_target.trip = 64;
-    r.loops = {with_target, no_target};
-    r.nestLatencies = {{"S0", 1234}, {"S1", 99}};
-    return r;
-}
-
-void
-expectReportsEqual(const hls::SynthesisReport &a,
-                   const hls::SynthesisReport &b)
-{
-    EXPECT_EQ(a.latencyCycles, b.latencyCycles);
-    EXPECT_EQ(a.resources.dsp, b.resources.dsp);
-    EXPECT_EQ(a.resources.lut, b.resources.lut);
-    EXPECT_EQ(a.resources.ff, b.resources.ff);
-    EXPECT_EQ(a.resources.bramBits, b.resources.bramBits);
-    EXPECT_EQ(a.powerW, b.powerW); // bit-exact, not approximate
-    ASSERT_EQ(a.loops.size(), b.loops.size());
-    for (size_t i = 0; i < a.loops.size(); ++i) {
-        EXPECT_EQ(a.loops[i].iterName, b.loops[i].iterName);
-        EXPECT_EQ(a.loops[i].trip, b.loops[i].trip);
-        EXPECT_EQ(a.loops[i].targetII, b.loops[i].targetII);
-        EXPECT_EQ(a.loops[i].achievedII, b.loops[i].achievedII);
-        EXPECT_EQ(a.loops[i].latency, b.loops[i].latency);
-        EXPECT_EQ(a.loops[i].recMII, b.loops[i].recMII);
-        EXPECT_EQ(a.loops[i].resMII, b.loops[i].resMII);
-    }
-    EXPECT_EQ(a.nestLatencies, b.nestLatencies);
+    n.loops = {with_target, no_target};
+    hls::NodeReport empty;
+    empty.nest = "S1";
+    empty.latencyCycles = 99;
+    return {n, empty};
 }
 
 TEST(CacheEntry, EncodeDecodeRoundTripIsExact)
 {
     const std::string key = "fingerprint with\nnewlines and spaces";
-    auto report = sampleReport();
-    std::string text = hls::encodeCacheEntry(key, report);
+    auto nodes = sampleNodes();
+    std::string text = hls::encodeNodeCacheEntry(key, nodes);
 
     std::string decoded_key, error;
-    hls::SynthesisReport decoded;
-    ASSERT_TRUE(hls::decodeCacheEntry(text, decoded_key, decoded, error))
+    std::vector<hls::NodeReport> decoded;
+    ASSERT_TRUE(hls::decodeNodeCacheEntry(text, decoded_key, decoded,
+                                          error))
         << error;
     EXPECT_EQ(decoded_key, key);
-    expectReportsEqual(report, decoded);
+    ASSERT_EQ(decoded.size(), nodes.size());
+    ASSERT_EQ(decoded[0].loops.size(), 2u);
+    EXPECT_EQ(decoded[0].loops[0].targetII, 2);
+    EXPECT_FALSE(decoded[0].loops[1].targetII.has_value());
+    // Every field survives: re-encoding gives the same bytes.
+    EXPECT_EQ(hls::encodeNodeCacheEntry(decoded_key, decoded), text);
 }
 
 TEST(CacheEntry, HashIsStableAndKeyDependent)
 {
-    EXPECT_EQ(hls::cacheEntryHash("k"), hls::cacheEntryHash("k"));
-    EXPECT_NE(hls::cacheEntryHash("k"), hls::cacheEntryHash("K"));
-    EXPECT_EQ(hls::cacheEntryHash("k").size(), 16u);
+    EXPECT_EQ(support::cacheContentHash("k"),
+              support::cacheContentHash("k"));
+    EXPECT_NE(support::cacheContentHash("k"),
+              support::cacheContentHash("K"));
+    EXPECT_TRUE(support::isContentHash(support::cacheContentHash("k")));
+    EXPECT_FALSE(support::isContentHash("../0123456789abc"));
+    EXPECT_FALSE(support::isContentHash("0123456789ABCDEF"));
 }
 
 TEST(CacheEntry, VersionMismatchIsCleanError)
 {
-    std::string text = hls::encodeCacheEntry("key", sampleReport());
-    // A future-version entry: rewrite the stamp and its checksum would
-    // no longer match, so corrupt the header the way an old/new POM
-    // would really produce it -- re-encode with a doctored first line.
+    std::string text = hls::encodeNodeCacheEntry("key", sampleNodes());
+    // A future-version entry: the header an old/new POM would really
+    // write, with the rest of the entry unchanged.
     auto nl = text.find('\n');
     ASSERT_NE(nl, std::string::npos);
     std::string doctored =
-        std::string(support::kCacheFormatName) + " 99.0.0" +
+        std::string(support::kNodeCacheFormatName) + " 99.0.0" +
         text.substr(nl);
 
     std::string key, error;
-    hls::SynthesisReport report;
-    EXPECT_FALSE(hls::decodeCacheEntry(doctored, key, report, error));
+    std::vector<hls::NodeReport> nodes;
+    EXPECT_FALSE(hls::decodeNodeCacheEntry(doctored, key, nodes, error));
     EXPECT_NE(error.find("mismatch"), std::string::npos) << error;
 }
 
 TEST(CacheEntry, CorruptByteFailsChecksum)
 {
-    std::string text = hls::encodeCacheEntry("key", sampleReport());
+    std::string text = hls::encodeNodeCacheEntry("key", sampleNodes());
     text[text.size() / 2] ^= 0x20;
 
     std::string key, error;
-    hls::SynthesisReport report;
-    EXPECT_FALSE(hls::decodeCacheEntry(text, key, report, error));
+    std::vector<hls::NodeReport> nodes;
+    EXPECT_FALSE(hls::decodeNodeCacheEntry(text, key, nodes, error));
     EXPECT_FALSE(error.empty());
 }
 
@@ -138,14 +127,14 @@ TEST(CachePersist, ConcurrentStoreAndSpillIsSafe)
     // Writers insert while a saver snapshots and spills: exercises
     // snapshot()'s locking under TSan/ASan.
     std::string dir = scratchDir("stress");
-    hls::EstimatorCache cache;
+    hls::NodeReportCache cache;
     std::vector<std::thread> threads;
     for (int t = 0; t < 4; ++t) {
         threads.emplace_back([&cache, t]() {
             for (int i = 0; i < 50; ++i) {
                 cache.store("key-" + std::to_string(t) + "-" +
                                 std::to_string(i),
-                            sampleReport());
+                            sampleNodes());
             }
         });
     }
@@ -160,7 +149,7 @@ TEST(CachePersist, ConcurrentStoreAndSpillIsSafe)
     std::string error;
     ASSERT_TRUE(cache.saveDir(dir, stats, error)) << error;
 
-    hls::EstimatorCache reader;
+    hls::NodeReportCache reader;
     support::CacheSpillStats load_stats;
     ASSERT_TRUE(reader.loadDir(dir, load_stats, error)) << error;
     EXPECT_EQ(load_stats.loaded, 200u);
@@ -169,7 +158,7 @@ TEST(CachePersist, ConcurrentStoreAndSpillIsSafe)
 TEST(CachePersist, RealDseWarmStartsFromDisk)
 {
     std::string dir = scratchDir("dse");
-    auto &cache = hls::EstimatorCache::global();
+    auto &cache = hls::NodeReportCache::global();
     cache.clear();
 
     auto cold = workloads::makeByName("gemm", 64);
@@ -180,6 +169,7 @@ TEST(CachePersist, RealDseWarmStartsFromDisk)
     std::string error;
     ASSERT_TRUE(cache.saveDir(dir, save_stats, error)) << error;
     EXPECT_GT(save_stats.written, 0u);
+    EXPECT_TRUE(fs::exists(dir + "/nodes.index"));
 
     // Simulate a fresh process: drop the in-memory cache, reload the
     // spill, and re-run the identical search.
@@ -188,10 +178,15 @@ TEST(CachePersist, RealDseWarmStartsFromDisk)
     ASSERT_TRUE(cache.loadDir(dir, load_stats, error)) << error;
     EXPECT_EQ(load_stats.loaded, save_stats.written);
 
+    std::int64_t hits0 = obs::counterValue("dse.cache.hits");
+    std::int64_t misses0 = obs::counterValue("dse.cache.misses");
     auto warm = workloads::makeByName("gemm", 64);
     auto warm_result = baselines::runPom(warm->func(), opt);
+    // Every node comes from disk, so every point is a hit.
     EXPECT_GT(cache.hits(), 0u);
     EXPECT_EQ(cache.misses(), 0u);
+    EXPECT_GT(obs::counterValue("dse.cache.hits"), hits0);
+    EXPECT_EQ(obs::counterValue("dse.cache.misses"), misses0);
 
     // The warm run lands on the same design.
     EXPECT_EQ(cold_result.report.latencyCycles,

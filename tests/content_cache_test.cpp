@@ -1,13 +1,13 @@
 /**
  * @file
- * One typed suite over every spilled support::ContentCache (the
- * estimator cache and the per-node report cache): hit/miss accounting,
- * first-writer-wins, FIFO eviction past the cap with its counter,
- * clear(), and the disk spill -- round trip with guaranteed hits, cold
- * start on a missing directory, skip-and-warn on corrupt or missing
- * objects, clean errors on a wrong-version index, and index merging
- * between savers. The payload codecs keep their own round-trip and
- * corruption tests next to each cache.
+ * One typed suite over every spilled support::ContentCache (today the
+ * per-node report cache): hit/miss accounting, first-writer-wins, FIFO
+ * eviction past the cap with its counter, clear(), and the disk spill
+ * -- round trip with guaranteed hits, cold start on a missing
+ * directory, skip-and-warn on corrupt or missing objects and on index
+ * lines that are not content hashes, clean errors on a wrong-version
+ * index, and index merging between savers. The payload codec keeps
+ * its own round-trip and corruption tests (cache_persist_test).
  */
 
 #include <gtest/gtest.h>
@@ -19,9 +19,11 @@
 #include <string>
 #include <vector>
 
-#include "hls/estimator_cache.h"
+#include <sys/stat.h>
+
 #include "hls/node_cache.h"
 #include "obs/obs.h"
+#include "support/diagnostics.h"
 
 namespace {
 
@@ -35,32 +37,6 @@ namespace fs = std::filesystem;
  */
 template <typename Cache>
 struct CacheTraits;
-
-template <>
-struct CacheTraits<hls::EstimatorCache>
-{
-    static constexpr const char *kName = "estimator";
-    static constexpr const char *kIndex = "index";
-    static constexpr const char *kObjects = "objects";
-    static constexpr const char *kEvictionCounter = "dse.cache.evictions";
-
-    static hls::SynthesisReport
-    value(std::uint64_t tag)
-    {
-        hls::SynthesisReport r;
-        r.latencyCycles = tag;
-        r.resources.dsp = 3;
-        r.powerW = 0.125;
-        r.nestLatencies = {{"S0", tag}};
-        return r;
-    }
-
-    static std::uint64_t
-    tag(const hls::SynthesisReport &r)
-    {
-        return r.latencyCycles;
-    }
-};
 
 template <>
 struct CacheTraits<hls::NodeReportCache>
@@ -126,8 +102,7 @@ class ContentCacheTest : public ::testing::Test
     }
 };
 
-using CacheTypes = ::testing::Types<hls::EstimatorCache,
-                                    hls::NodeReportCache>;
+using CacheTypes = ::testing::Types<hls::NodeReportCache>;
 TYPED_TEST_SUITE(ContentCacheTest, CacheTypes);
 
 TYPED_TEST(ContentCacheTest, CountsHitsAndMisses)
@@ -285,6 +260,55 @@ TYPED_TEST(ContentCacheTest, CorruptOrMissingObjectIsSkipped)
     EXPECT_EQ(this->tagOf(reader, "good"), 1u);
     EXPECT_EQ(this->tagOf(reader, "torn"), 0u);
     EXPECT_EQ(this->tagOf(reader, "gone"), 0u);
+    fs::remove_all(dir);
+}
+
+TYPED_TEST(ContentCacheTest, UntrustedIndexLinesAreSkipped)
+{
+    std::string dir = this->scratchDir("untrusted");
+    TypeParam writer;
+    this->store(writer, "good", 1);
+    support::CacheSpillStats stats;
+    std::string error;
+    ASSERT_TRUE(writer.saveDir(dir, stats, error)) << error;
+
+    // Index lines may only name content hashes under the objects dir:
+    // a device would be read until memory runs out, a path can escape,
+    // and opening a FIFO would block forever.
+    const std::string fifo = "0123456789abcdef";
+    std::string objects = dir + "/" + TestFixture::Traits::kObjects;
+    ASSERT_EQ(::mkfifo((objects + "/" + fifo).c_str(), 0600), 0);
+    {
+        std::ofstream index(dir + "/" + TestFixture::Traits::kIndex,
+                            std::ios::binary | std::ios::app);
+        index << "/dev/zero\n../escape\n" << fifo << "\n";
+    }
+
+    std::ostringstream warnings;
+    support::setDiagStream(&warnings);
+    TypeParam reader;
+    support::CacheSpillStats loaded;
+    bool ok = reader.loadDir(dir, loaded, error);
+    support::setDiagStream(nullptr);
+    ASSERT_TRUE(ok) << error;
+    EXPECT_EQ(loaded.loaded, 1u);
+    EXPECT_EQ(loaded.skipped, 3u);
+    EXPECT_EQ(this->tagOf(reader, "good"), 1u);
+    for (const char *line : {"'/dev/zero'", "'../escape'", fifo.c_str()}) {
+        EXPECT_NE(warnings.str().find(line), std::string::npos)
+            << line << " not warned about:\n" << warnings.str();
+    }
+
+    // A save drops the lines that are not content hashes; the FIFO's
+    // line is well-formed, so it stays and is skipped again.
+    ASSERT_TRUE(reader.saveDir(dir, stats, error)) << error;
+    TypeParam again;
+    support::setDiagStream(&warnings);
+    ok = again.loadDir(dir, loaded, error);
+    support::setDiagStream(nullptr);
+    ASSERT_TRUE(ok) << error;
+    EXPECT_EQ(loaded.loaded, 1u);
+    EXPECT_EQ(loaded.skipped, 1u);
     fs::remove_all(dir);
 }
 

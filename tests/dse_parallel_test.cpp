@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the parallel, memoized DSE: journal determinism across
- * speculation widths, estimator-cache behaviour during a search,
+ * speculation widths, node-cache behaviour during a search,
  * journal replay (pomc --replay-journal), the journal JSON parser, and
  * the all-workload sweep golden that gates final latency and explored
  * point count per workload.
@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "dse/dse.h"
-#include "hls/estimator_cache.h"
+#include "hls/node_cache.h"
 #include "obs/journal.h"
 #include "obs/obs.h"
 #include "support/diagnostics.h"
@@ -69,23 +69,26 @@ TEST(ParallelDse, MemoizationDoesNotChangeTheSearch)
 
 TEST(ParallelDse, FinalMaterializationHitsTheCache)
 {
-    hls::EstimatorCache &cache = hls::EstimatorCache::global();
+    hls::NodeReportCache &nodes = hls::NodeReportCache::global();
+    nodes.clear();
     std::int64_t hits0 = obs::counterValue("dse.cache.hits");
-    std::uint64_t chits0 = cache.hits();
 
     dse::DseResult res = runDse("atax", 96, 1);
     EXPECT_GT(res.pointsExplored, 2);
 
-    // The winning configuration was estimated during the search, so
-    // materializing it must be a cache hit -- on every run, even the
-    // first, which is what makes dse.cache.hits nonzero per workload.
+    // Every unit of the winning configuration was estimated during the
+    // search, so the final materialization composes from cached nodes
+    // and counts as a point hit -- on every run, even the first, which
+    // is what makes dse.cache.hits nonzero per workload.
     EXPECT_GT(obs::counterValue("dse.cache.hits"), hits0);
-    EXPECT_GT(cache.hits(), chits0);
+    EXPECT_GT(nodes.hits(), 0u);
 
     // A warm identical search: every point is served from the cache.
     std::int64_t misses1 = obs::counterValue("dse.cache.misses");
+    std::uint64_t node_misses1 = nodes.misses();
     dse::DseResult warm = runDse("atax", 96, 1);
     EXPECT_EQ(obs::counterValue("dse.cache.misses"), misses1);
+    EXPECT_EQ(nodes.misses(), node_misses1);
     EXPECT_EQ(warm.report.latencyCycles, res.report.latencyCycles);
     EXPECT_EQ(warm.pointsExplored, res.pointsExplored);
 }

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "baselines/baselines.h"
+#include "check/fuzzer.h"
 #include "dse/dse.h"
 #include "ir/interpreter.h"
 #include "ir/verifier.h"
@@ -190,8 +191,9 @@ TEST(Baselines, DesignsPreserveSemantics)
 }
 
 /**
- * Property sweep: DSE-selected designs stay correct across workloads.
- * The name is a std::string so the test name prints it, not its address.
+ * Property sweep: the design every search strategy selects stays
+ * correct across workloads. The name is a std::string so the test name
+ * prints it, not its address.
  */
 class DseSemanticsSweep
     : public ::testing::TestWithParam<std::pair<std::string, int>>
@@ -200,10 +202,23 @@ class DseSemanticsSweep
 TEST_P(DseSemanticsSweep, DesignMatchesReference)
 {
     auto [name, size] = GetParam();
-    auto w = makeByName(name, size);
-    auto result = dse::autoDSE(w->func());
-    expectDesignPreservesSemantics(w->func(), result.design);
-    EXPECT_GE(result.speedup(), 1.0);
+    for (auto kind : {dse::StrategyKind::Greedy, dse::StrategyKind::Beam,
+                      dse::StrategyKind::Anneal}) {
+        SCOPED_TRACE(dse::strategyName(kind));
+        auto w = makeByName(name, size);
+        dse::DseOptions opt;
+        opt.strategy = kind;
+        auto result = dse::autoDSE(w->func(), opt);
+        expectDesignPreservesSemantics(w->func(), result.design);
+        EXPECT_GE(result.speedup(), 1.0);
+    }
+}
+
+/** A sweep case at the size `pomc --verify` uses for @p name. */
+std::pair<std::string, int>
+verifySized(const std::string &name)
+{
+    return {name, static_cast<int>(check::defaultFuzzSize(name))};
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -219,6 +234,9 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_pair("seidel", 14),
                       std::make_pair("blur", 16),
                       std::make_pair("gaussian", 16),
-                      std::make_pair("edgedetect", 16)));
+                      std::make_pair("edgedetect", 16),
+                      verifySized("atax"), verifySized("mvt"),
+                      verifySized("syrk"), verifySized("conv2d"),
+                      verifySized("vgg16"), verifySized("resnet18")));
 
 } // namespace

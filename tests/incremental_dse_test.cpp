@@ -8,11 +8,8 @@
  *    monolithic reference (memoize off), for every workload, every
  *    stage-2 strategy, and every speculation width.
  *  - The NodeReportCache entry codec (its store and spill mechanics
- *    are covered with the other caches by content_cache_test).
- *  - designFingerprintFragments() equals designFingerprint() on the
- *    same schedules -- the property that keeps the incremental path's
- *    whole-design cache keys interchangeable with the monolithic ones.
- *  - sameSchedule()/changedStmts() node-diff detection.
+ *    are covered by content_cache_test).
+ *  - combineNodeReports(estimateNodes(f)) equals estimate(f).
  */
 
 #include <gtest/gtest.h>
@@ -22,7 +19,6 @@
 #include <vector>
 
 #include "dse/dse.h"
-#include "hls/estimator_cache.h"
 #include "hls/node_cache.h"
 #include "lower/lower.h"
 #include "obs/journal.h"
@@ -32,13 +28,6 @@ namespace {
 
 using namespace pom;
 using workloads::makeByName;
-
-void
-clearCaches()
-{
-    hls::EstimatorCache::global().clear();
-    hls::NodeReportCache::global().clear();
-}
 
 /** The sweep configuration of one workload (DNNs get a bounded depth). */
 dse::DseOptions
@@ -55,9 +44,9 @@ sweepOptions(const std::string &name, dse::StrategyKind kind)
  * The headline differential: for every workload, the default path
  * (memoized, incremental) must produce v1 AND v2 journals
  * byte-identical to the uncached monolithic reference's, at every
- * speculation width. Both caches are dropped before every run so the
- * incremental side really composes from nodes instead of replaying
- * whole-design cache hits.
+ * speculation width. The node cache is dropped before every run so the
+ * incremental side estimates its nodes within the run instead of
+ * reading another run's.
  */
 void
 differentialSweep(dse::StrategyKind kind)
@@ -68,7 +57,7 @@ differentialSweep(dse::StrategyKind kind)
 
         opt.memoize = false;
         opt.jobs = 1;
-        clearCaches();
+        hls::NodeReportCache::global().clear();
         auto w = makeByName(name, size);
         dse::DseResult mono = dse::autoDSE(w->func(), opt);
         std::string mono_v1 = obs::journalJson(mono.journal);
@@ -78,7 +67,7 @@ differentialSweep(dse::StrategyKind kind)
         opt.memoize = true;
         for (int jobs : {1, 4, 13}) {
             opt.jobs = jobs;
-            clearCaches();
+            hls::NodeReportCache::global().clear();
             auto wi = makeByName(name, size);
             dse::DseResult inc = dse::autoDSE(wi->func(), opt);
             EXPECT_EQ(mono_v1, obs::journalJson(inc.journal))
@@ -113,9 +102,9 @@ TEST(IncrementalDse, AnnealJournalsByteIdentical)
 TEST(IncrementalDse, NodeCacheIsActuallyUsed)
 {
     // A real search must compose at least some candidates from cached
-    // nodes: after the first whole-design miss, only the changed unit
-    // should miss the node cache.
-    clearCaches();
+    // nodes: after the initial design, mostly the changed unit should
+    // miss the node cache.
+    hls::NodeReportCache::global().clear();
     auto w = makeByName("2mm", 64);
     dse::DseOptions opt;
     opt.jobs = 1;
@@ -197,32 +186,6 @@ TEST(NodeReportCache, CodecRoundTrips)
     EXPECT_FALSE(error.empty());
 }
 
-// ----- fingerprint composition -------------------------------------------
-
-TEST(Fingerprints, FragmentDigestMatchesMonolithicDigest)
-{
-    auto w = makeByName("gemm", 64);
-    dsl::Function &func = w->func();
-    auto stmts = lower::extractStmts(func);
-    lower::applyDirectives(stmts, /*ordering_only=*/true);
-    hls::PartitionPlan partitions;
-    for (auto &s : stmts)
-        dse::applyParallelSchedule(s, 4, 16, func, partitions);
-
-    std::vector<std::string> storage;
-    storage.reserve(stmts.size());
-    for (const auto &s : stmts)
-        storage.push_back(hls::stmtScheduleFragment(s));
-    std::vector<const std::string *> fragments;
-    for (const auto &f : storage)
-        fragments.push_back(&f);
-
-    hls::EstimatorOptions eo;
-    EXPECT_EQ(hls::designFingerprint("fd", stmts, partitions, eo),
-              hls::designFingerprintFragments("fd", fragments,
-                                              partitions, eo));
-}
-
 // ----- node-report composition -------------------------------------------
 
 TEST(NodeReports, CombineMatchesMonolithicEstimate)
@@ -266,28 +229,6 @@ TEST(NodeReports, CombineMatchesMonolithicEstimate)
             }
         }
     }
-}
-
-// ----- node-diff detection -----------------------------------------------
-
-TEST(ScheduleDiff, SameScheduleAndChangedStmts)
-{
-    auto w = makeByName("2mm", 64);
-    dsl::Function &func = w->func();
-    auto base = lower::extractStmts(func);
-    lower::applyDirectives(base, /*ordering_only=*/true);
-    auto mutated = base;
-
-    EXPECT_TRUE(transform::sameSchedule(base[0].sched, mutated[0].sched));
-    EXPECT_TRUE(transform::changedStmts(base, mutated).empty());
-
-    hls::PartitionPlan partitions;
-    dse::applyParallelSchedule(mutated[0], 4, 16, func, partitions);
-    EXPECT_FALSE(transform::sameSchedule(base[0].sched,
-                                         mutated[0].sched));
-    auto changed = transform::changedStmts(base, mutated);
-    ASSERT_EQ(changed.size(), 1u);
-    EXPECT_EQ(changed[0], 0u);
 }
 
 } // namespace

@@ -1,7 +1,7 @@
-# Negative regression test for the estimator-cache spill: generate a
-# real spill with `pomc gemm 32 --dse --emit --cache-dir`, damage it in
-# a controlled way, and check the warm run degrades exactly as
-# documented.
+# Negative regression test for the node-cache spill (nodes.index +
+# nodes/): generate a real spill with `pomc gemm 32 --dse --emit
+# --cache-dir`, damage it in a controlled way, and check the warm run
+# degrades exactly as documented.
 #
 #   cmake -DPOMC=<pomc> -DWORK_DIR=<dir>
 #         -DCASE=corrupt|truncated|version -P run_badcache.cmake
@@ -30,7 +30,7 @@ set(cache_dir "${WORK_DIR}/cache")
 
 set(run_args gemm 32 --dse --emit --jobs 1 --cache-dir "${cache_dir}")
 
-# Cold run: populates ${cache_dir} with index + objects/.
+# Cold run: populates ${cache_dir} with nodes.index + nodes/.
 execute_process(
     COMMAND ${POMC} ${run_args}
     OUTPUT_VARIABLE cold_out
@@ -39,19 +39,19 @@ execute_process(
 if(NOT cold_rc EQUAL 0)
     message(FATAL_ERROR "cold pomc run failed (rc=${cold_rc}):\n${cold_err}")
 endif()
-if(NOT EXISTS "${cache_dir}/index")
-    message(FATAL_ERROR "cold run produced no ${cache_dir}/index")
+if(NOT EXISTS "${cache_dir}/nodes.index")
+    message(FATAL_ERROR "cold run produced no ${cache_dir}/nodes.index")
 endif()
 
 # Damage the spill according to CASE.
 if(CASE STREQUAL "version")
-    file(READ "${cache_dir}/index" index_text)
+    file(READ "${cache_dir}/nodes.index" index_text)
     string(FIND "${index_text}" "\n" eol)
     string(SUBSTRING "${index_text}" ${eol} -1 index_rest)
-    file(WRITE "${cache_dir}/index"
-         "pom-estimator-cache/1 0.0.0${index_rest}")
+    file(WRITE "${cache_dir}/nodes.index"
+         "pom-node-cache/1 0.0.0${index_rest}")
 else()
-    file(GLOB objects "${cache_dir}/objects/*")
+    file(GLOB objects "${cache_dir}/nodes/*")
     list(LENGTH objects count)
     if(count EQUAL 0)
         message(FATAL_ERROR "cold run spilled no objects")

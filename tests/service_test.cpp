@@ -19,7 +19,7 @@
 #include <vector>
 
 #include "baselines/baselines.h"
-#include "hls/estimator_cache.h"
+#include "hls/node_cache.h"
 #include "ir/parser.h"
 #include "lower/lower.h"
 #include "obs/journal.h"
@@ -154,8 +154,6 @@ TEST(Protocol, StatsFrameRoundTripsHistogramSummaries)
     stats.requestsServed = 9;
     stats.cacheHits = 6;
     stats.cacheMisses = 2;
-    stats.cacheSize = 8;
-    stats.cacheLoaded = 3;
     stats.queueDepth = 1;
     stats.queueDepthMax = 5;
     stats.uptimeSeconds = 12.25;
@@ -374,7 +372,7 @@ TEST(Server, ValidatesPerRequestJobsOverride)
 
 TEST(Server, CompileMatchesOneShotJournalByteForByte)
 {
-    hls::EstimatorCache::global().clear();
+    hls::NodeReportCache::global().clear();
     std::string direct = oneShotJournalV2("gemm", 64);
 
     service::Server server(service::ServerOptions{});
@@ -383,7 +381,7 @@ TEST(Server, CompileMatchesOneShotJournalByteForByte)
     ASSERT_EQ(resp.status, "ok") << resp.error;
     EXPECT_EQ(resp.journalText, direct);
     EXPECT_FALSE(resp.reportLine.empty());
-    hls::EstimatorCache::global().clear();
+    hls::NodeReportCache::global().clear();
 }
 
 TEST(Server, OptMethodMatchesDirectPipeline)
@@ -480,7 +478,7 @@ TEST(ServiceSocket, OversizedIntegerFrameGetsAnErrorReply)
 
 TEST(ServiceSocket, ConcurrentCompilesMatchOneShotByteForByte)
 {
-    hls::EstimatorCache::global().clear();
+    hls::NodeReportCache::global().clear();
     const std::vector<std::pair<std::string, std::int64_t>> jobs = {
         {"gemm", 64}, {"gemm", 32}, {"bicg", 64}, {"gemm", 64},
         {"bicg", 64}, {"gemm", 32}, {"gemm", 64}, {"bicg", 64},
@@ -537,7 +535,7 @@ TEST(ServiceSocket, ConcurrentCompilesMatchOneShotByteForByte)
     // Request IDs are unique across concurrent requests.
     std::sort(ids.begin(), ids.end());
     EXPECT_EQ(std::unique(ids.begin(), ids.end()), ids.end());
-    hls::EstimatorCache::global().clear();
+    hls::NodeReportCache::global().clear();
 }
 
 TEST(ServiceSocket, FullQueueAnswersBusyWithRetryHint)

@@ -83,7 +83,7 @@ constexpr SeriesSpec kSeries[] = {
     {"latency_cycles_sum", "bench.dse.sweep.latency_cycles_sum",
      Direction::LowerIsBetter, true, "Summed best latency (cycles)"},
     {"cache_hit_rate", "bench.dse.cache.hit_rate",
-     Direction::HigherIsBetter, true, "Estimator-cache hit rate"},
+     Direction::HigherIsBetter, true, "Design-point cache hit rate"},
     {"points_explored", "bench.dse.strategy.greedy.points",
      Direction::TrackedOnly, true, "Points explored (greedy)"},
     {"greedy_seconds", "bench.dse.strategy.greedy.seconds",

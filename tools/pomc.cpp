@@ -9,8 +9,7 @@
  *        [--fuzz N] [--seed S] [--timing] [--trace-out FILE]
  *        [--metrics-out FILE] [--dse-journal FILE] [--frontier-out FILE]
  *        [--replay-journal FILE --point ID] [--cache-dir DIR]
- *        [--debug-fingerprints] [--connect SOCK] [--quiet|-q]
- *        [--verbose|-v]
+ *        [--connect SOCK] [--quiet|-q] [--verbose|-v]
  *   pomc --connect SOCK --daemon-stats [--format text|json|prom]
  *   pomc --connect SOCK --daemon-shutdown
  *   pomc --version
@@ -75,19 +74,14 @@
  *                       size must match the recording run. Combine with
  *                       --emit to regenerate the point's HLS C.
  *
- * Persistent estimator cache (src/hls/estimator_cache.h):
- *   --cache-dir DIR     load the content-addressed estimator-cache
- *                       spill from DIR before the run and save it
- *                       after, so a later run (or a pomd daemon using
- *                       the same DIR) warm-starts with dse.cache.hits
+ * Persistent node cache (src/hls/node_cache.h):
+ *   --cache-dir DIR     load the content-addressed per-node report
+ *                       spill (DIR/nodes.index + DIR/nodes/) before the
+ *                       run and save it after, so a later run (or a
+ *                       pomd daemon using the same DIR) composes every
+ *                       design point from cached nodes (dse.cache.hits)
  *                       instead of re-estimating. Same on-disk format
  *                       as `pomd --cache-dir`.
- *
- * Cache keys (src/hls/estimator_cache.h, src/hls/node_cache.h):
- *   --debug-fingerprints
- *                       dump the canonical design-fingerprint text of
- *                       every cache key as a Debug diagnostic (use with
- *                       -v); costs what the streaming hash saves.
  *
  * Daemon client mode (src/service):
  *   --connect SOCK      send the compile to a running `pomd` daemon at
@@ -132,7 +126,6 @@
 #include "dse/dse.h"
 #include "dse/strategy.h"
 #include "emit/hls_emitter.h"
-#include "hls/estimator_cache.h"
 #include "hls/node_cache.h"
 #include "obs/journal.h"
 #include "obs/obs.h"
@@ -160,7 +153,7 @@ usage(const char *argv0)
                  "[--trace-out FILE] [--metrics-out FILE] "
                  "[--dse-journal FILE] [--frontier-out FILE] "
                  "[--replay-journal FILE --point ID] "
-                 "[--cache-dir DIR] [--debug-fingerprints] [--connect SOCK] "
+                 "[--cache-dir DIR] [--connect SOCK] "
                  "[--quiet|-q] [--verbose|-v]\n"
                  "       %s --connect SOCK --daemon-stats "
                  "[--format text|json|prom] | --daemon-shutdown\n"
@@ -192,32 +185,6 @@ doubleArg(const char *flag, const char *text)
         std::exit(2);
     }
     return v;
-}
-
-/** Warm-load @p cache from @p dir (no-op when empty); false on error. */
-template <typename Cache>
-bool
-loadSpill(Cache &cache, const std::string &dir,
-          support::CacheSpillStats &stats)
-{
-    std::string error;
-    if (dir.empty() || cache.loadDir(dir, stats, error))
-        return true;
-    std::fprintf(stderr, "pomc: %s\n", error.c_str());
-    return false;
-}
-
-/** Spill @p cache to @p dir (no-op when empty), warning on failure. */
-template <typename Cache>
-void
-saveSpill(const Cache &cache, const std::string &dir, const char *what)
-{
-    support::CacheSpillStats stats;
-    std::string error;
-    if (!dir.empty() && !cache.saveDir(dir, stats, error)) {
-        std::fprintf(stderr, "pomc: %s spill failed: %s\n", what,
-                     error.c_str());
-    }
 }
 
 /** The --timing report: the pass table, then the dependence memo. */
@@ -281,14 +248,12 @@ main(int argc, char **argv)
         } else if (arg == "--version") {
             std::printf("pomc %s (protocol %s, cache %s)\n",
                         support::kVersionString, support::kProtocolName,
-                        support::kCacheFormatName);
+                        support::kNodeCacheFormatName);
             return 0;
         } else if (arg == "--connect" && a + 1 < argc) {
             connect_sock = argv[++a];
         } else if (arg == "--cache-dir" && a + 1 < argc) {
             cache_dir = argv[++a];
-        } else if (arg == "--debug-fingerprints") {
-            hls::setFingerprintDebugDump(true);
         } else if (arg == "--daemon-stats") {
             daemon_stats = true;
         } else if (arg == "--format" && a + 1 < argc) {
@@ -433,13 +398,10 @@ main(int argc, char **argv)
                         static_cast<long long>(resp.requestsServed),
                         static_cast<long long>(resp.queueDepth),
                         static_cast<long long>(resp.queueDepthMax));
-            std::printf("cache:     %lld hits, %lld misses, %lld "
-                        "entries (%lld loaded from disk, hit rate "
-                        "%.2f)\n",
+            std::printf("cache:     %lld hits, %lld misses (design "
+                        "points, hit rate %.2f)\n",
                         static_cast<long long>(resp.cacheHits),
                         static_cast<long long>(resp.cacheMisses),
-                        static_cast<long long>(resp.cacheSize),
-                        static_cast<long long>(resp.cacheLoaded),
                         resp.cacheHitRate);
             std::printf("nodes:     %lld hits, %lld misses, %lld "
                         "entries (%lld loaded from disk, hit rate "
@@ -449,10 +411,9 @@ main(int argc, char **argv)
                         static_cast<long long>(resp.nodeCacheSize),
                         static_cast<long long>(resp.nodeCacheLoaded),
                         resp.nodeCacheHitRate);
-            if (resp.cacheEvictions > 0 || resp.nodeCacheEvictions > 0) {
-                std::printf("evicted:   %lld estimator, %lld node "
-                            "entries (--estimator-cache-cap)\n",
-                            static_cast<long long>(resp.cacheEvictions),
+            if (resp.nodeCacheEvictions > 0) {
+                std::printf("evicted:   %lld node entries "
+                            "(--estimator-cache-cap)\n",
                             static_cast<long long>(
                                 resp.nodeCacheEvictions));
             }
@@ -587,16 +548,17 @@ main(int argc, char **argv)
         }
     } flusher{trace_out, metrics_out, journal_out};
 
-    // Persistent estimator cache: warm-load before the run, spill on
-    // every exit path (the spill is incremental and content-addressed,
-    // so re-saving unchanged entries is cheap). The per-node report
-    // cache spills beside it (nodes.index / nodes/ in the same dir).
-    support::CacheSpillStats cache_stats, node_stats;
-    if (!loadSpill(hls::EstimatorCache::global(), cache_dir,
-                   cache_stats) ||
-        !loadSpill(hls::NodeReportCache::global(), cache_dir,
-                   node_stats)) {
-        return 1;
+    // Persistent node cache: warm-load before the run, spill on every
+    // exit path (the spill is incremental and content-addressed, so
+    // re-saving unchanged entries is cheap).
+    support::CacheSpillStats cache_stats;
+    if (!cache_dir.empty()) {
+        std::string error;
+        if (!hls::NodeReportCache::global().loadDir(cache_dir,
+                                                    cache_stats, error)) {
+            std::fprintf(stderr, "pomc: %s\n", error.c_str());
+            return 1;
+        }
     }
 
     struct CacheSpiller
@@ -605,8 +567,15 @@ main(int argc, char **argv)
 
         ~CacheSpiller()
         {
-            saveSpill(hls::EstimatorCache::global(), dir, "cache");
-            saveSpill(hls::NodeReportCache::global(), dir, "node-cache");
+            support::CacheSpillStats stats;
+            std::string error;
+            if (!dir.empty() &&
+                !hls::NodeReportCache::global().saveDir(dir, stats,
+                                                        error)) {
+                std::fprintf(stderr, "pomc: node-cache spill failed: "
+                                     "%s\n",
+                             error.c_str());
+            }
         }
     } spiller{cache_dir};
 
@@ -735,11 +704,12 @@ main(int argc, char **argv)
         std::printf("report:    %s\n", result.report.str(device).c_str());
         std::printf("toolchain: %.2f s\n", result.seconds);
         if (!cache_dir.empty()) {
-            auto &cache = hls::EstimatorCache::global();
-            std::printf("cache:     %llu hits, %llu misses (%zu "
+            std::printf("cache:     %lld hits, %lld misses (%zu node "
                         "entries loaded from %s)\n",
-                        static_cast<unsigned long long>(cache.hits()),
-                        static_cast<unsigned long long>(cache.misses()),
+                        static_cast<long long>(
+                            obs::counterValue("dse.cache.hits")),
+                        static_cast<long long>(
+                            obs::counterValue("dse.cache.misses")),
                         cache_stats.loaded, cache_dir.c_str());
         }
 

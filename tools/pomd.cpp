@@ -9,16 +9,16 @@
  *
  * Listens on a Unix-domain socket and serves concurrent compile/DSE
  * and pass-pipeline requests (see src/service/protocol.h), keeping
- * pass registrations and the estimator cache warm across requests.
- * With --cache-dir the estimator cache AND the per-node report cache
- * (src/hls/node_cache.h) are spilled to disk and warm-loaded on the
- * next start, so even a restarted daemon answers repeated DSE
+ * pass registrations and the per-node report cache
+ * (src/hls/node_cache.h) warm across requests. With --cache-dir that
+ * cache is spilled to DIR/nodes.index + DIR/nodes/ and warm-loaded on
+ * the next start, so even a restarted daemon answers repeated DSE
  * requests from cache.
  *
- * --estimator-cache-cap bounds both in-memory caches to N entries
- * each (FIFO eviction, 0 = unbounded); evictions are visible as
- * cache_evictions / node_cache_evictions in the stats frame and as
- * the dse.cache.evictions counter in metrics JSON. A long-lived
+ * --estimator-cache-cap bounds the node cache to N entries (FIFO
+ * eviction, 0 = unbounded); evictions are visible as
+ * node_cache_evictions in the stats frame and as the
+ * dse.node_cache.evictions counter in metrics JSON. A long-lived
  * daemon sweeping many workloads can otherwise grow without bound.
  *
  * Clients: `pomc --connect PATH ...` (same flags as one-shot pomc),
@@ -139,7 +139,7 @@ main(int argc, char **argv)
         } else if (arg == "--version") {
             std::printf("pomd %s (protocol %s, cache %s)\n",
                         support::kVersionString, support::kProtocolName,
-                        support::kCacheFormatName);
+                        support::kNodeCacheFormatName);
             return 0;
         } else if (arg == "--quiet" || arg == "-q") {
             support::setDiagLevel(support::DiagLevel::Error);
@@ -166,14 +166,13 @@ main(int argc, char **argv)
     std::signal(SIGTERM, handleSignal);
     std::signal(SIGPIPE, SIG_IGN);
 
-    const auto &loaded = server.loadStats();
     std::fprintf(stderr,
                  "pomd %s listening on %s (%d workers, queue %d, "
-                 "cache: %zu entries warm%s, nodes: %zu warm)\n",
+                 "nodes: %zu warm%s)\n",
                  support::kVersionString, options.socketPath.c_str(),
-                 options.workers, options.queueLimit, loaded.loaded,
-                 options.cacheDir.empty() ? ", no spill" : "",
-                 server.nodeLoadStats().loaded);
+                 options.workers, options.queueLimit,
+                 server.loadStats().loaded,
+                 options.cacheDir.empty() ? ", no spill" : "");
     server.run();
     std::fprintf(stderr, "pomd: shutting down after %llu requests\n",
                  static_cast<unsigned long long>(
