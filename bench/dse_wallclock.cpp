@@ -5,14 +5,14 @@
  *
  *   1. Workload-level fan-out: the full non-DNN sweep run sequentially
  *      vs. fanned out across a support::ThreadPool (one autoDSE task
- *      per workload, each pinned to jobs=1 so the pool is the only
- *      source of parallelism).
+ *      per workload), both under support::setJobs(1) so the bench's
+ *      own pool is the only source of parallelism.
  *   2. Memoization: the same sweep re-run against the warm
  *      hls::NodeReportCache, plus the design-point hit rate (points
  *      whose every unit was cached, from the dse.cache.* counters).
- *   3. Intra-search speculation: one DNN search (vgg16) at jobs=1 vs.
- *      jobs=4, cold caches each time, to price the speculative stage-2
- *      batches on real hardware.
+ *   3. Intra-search parallelism: one DNN search (vgg16) under
+ *      support::setJobs(1) vs. setJobs(4), cold caches each time, to
+ *      price the parallel dependence analysis on real hardware.
  *   4. Search strategies: the non-DNN sweep once per stage-2 driver
  *      (greedy / beam / anneal), cold caches each, reporting points
  *      explored, final frontier size, wall-clock and point hit rate
@@ -30,10 +30,9 @@
  *
  * Set POM_BENCH_JSON=BENCH_dse.json to capture every printed number as
  * "bench.dse.*" gauges (see bench_util.h). Speedups depend on the host:
- * on a single-core container the pool adds little and speculation can
- * even lose slightly (wasted trials), while the warm-cache run shows
- * the memoization ceiling; CI publishes the JSON so the numbers are
- * tracked per machine class.
+ * on a single-core container the pools add little, while the
+ * warm-cache run shows the memoization ceiling; CI publishes the JSON
+ * so the numbers are tracked per machine class.
  */
 
 #include <chrono>
@@ -73,9 +72,7 @@ std::uint64_t
 runOne(const std::string &name)
 {
     auto w = workloads::makeByName(name, 128);
-    dse::DseOptions opt;
-    opt.jobs = 1; // the pool below is the only parallelism
-    return dse::autoDSE(w->func(), opt).report.latencyCycles;
+    return dse::autoDSE(w->func()).report.latencyCycles;
 }
 
 double
@@ -126,13 +123,14 @@ runDnn(int jobs)
 {
     auto w = workloads::makeByName("vgg16", 64);
     dse::DseOptions opt;
-    opt.jobs = jobs;
-    // Bounded depth keeps the benchmark under a minute; the speculation
-    // cost/benefit ratio is the same at any depth.
+    // Bounded depth keeps the benchmark under a minute.
     opt.maxParallelism = 4;
+    support::setJobs(jobs);
     Clock::time_point t0 = Clock::now();
     dse::autoDSE(w->func(), opt);
-    return seconds(t0);
+    double secs = seconds(t0);
+    support::setJobs(0);
+    return secs;
 }
 
 void
@@ -144,23 +142,18 @@ gauge(const std::string &name, double value)
 
 /**
  * The full 18-workload sweep: every non-DNN workload at 128 plus both
- * DNNs at a bounded depth (the section-3 settings), jobs=1 throughout.
+ * DNNs at a bounded depth (the section-3 settings).
  */
 double
 runFullSweep(std::uint64_t &checksum)
 {
     checksum = 0;
     Clock::time_point t0 = Clock::now();
-    for (const auto &name : sweepNames()) {
-        auto w = workloads::makeByName(name, 128);
-        dse::DseOptions opt;
-        opt.jobs = 1;
-        checksum += dse::autoDSE(w->func(), opt).report.latencyCycles;
-    }
+    for (const auto &name : sweepNames())
+        checksum += runOne(name);
     for (const char *dnn : {"vgg16", "resnet18"}) {
         auto w = workloads::makeByName(dnn, 64);
         dse::DseOptions opt;
-        opt.jobs = 1;
         opt.maxParallelism = 4;
         checksum += dse::autoDSE(w->func(), opt).report.latencyCycles;
     }
@@ -185,11 +178,13 @@ main()
                 std::thread::hardware_concurrency());
 
     // 1. Workload-level fan-out, cold cache both times.
+    support::setJobs(1);
     clearCaches();
     std::uint64_t sum1 = 0, sumN = 0;
     double cold_seq = runSweep(1, sum1);
     clearCaches();
     double cold_par = runSweep(threads, sumN);
+    support::setJobs(0);
     if (sum1 != sumN) {
         std::fprintf(stderr, "FATAL: sweep checksum diverged (%llu vs "
                              "%llu)\n",
@@ -233,18 +228,18 @@ main()
           static_cast<double>(warm1.misses - warm0.misses));
     gauge("cache.hit_rate", hit_rate);
 
-    // 3. Intra-search speculation on the deepest workload.
+    // 3. Intra-search parallelism on the deepest workload.
     clearCaches();
     double dnn1 = runDnn(1);
     clearCaches();
     double dnn4 = runDnn(4);
-    double spec_speedup = dnn4 > 0.0 ? dnn1 / dnn4 : 0.0;
+    double jobs4_speedup = dnn4 > 0.0 ? dnn1 / dnn4 : 0.0;
     std::printf("vgg16 search, jobs=1:     %7.3f s\n", dnn1);
     std::printf("vgg16 search, jobs=4:     %7.3f s  (%.2fx)\n", dnn4,
-                spec_speedup);
+                jobs4_speedup);
     gauge("vgg16.jobs1_seconds", dnn1);
     gauge("vgg16.jobs4_seconds", dnn4);
-    gauge("vgg16.speculation_speedup", spec_speedup);
+    gauge("vgg16.jobs4_speedup", jobs4_speedup);
 
     // 4. The same sweep once per search strategy, cold cache each.
     std::printf("\nper-strategy sweep (cold caches):\n");
@@ -258,7 +253,6 @@ main()
         for (const auto &name : sweepNames()) {
             auto w = workloads::makeByName(name, 128);
             dse::DseOptions opt;
-            opt.jobs = 1;
             opt.strategy = kind;
             dse::DseResult res = dse::autoDSE(w->func(), opt);
             points += res.pointsExplored;

@@ -305,7 +305,6 @@ runPom(dsl::Function &func, const BaselineOptions &options)
     dopt.maxParallelism = options.maxParallelism;
     dopt.innerUnrollCap = options.innerUnrollCap;
     dopt.strategy = options.strategy;
-    dopt.jobs = options.jobs;
     dse::DseResult dres = dse::autoDSE(func, dopt);
 
     BaselineResult result;

@@ -60,10 +60,6 @@ struct BaselineOptions
 
     /** Stage-2 search driver of the POM DSE (`pomc --strategy`). */
     dse::StrategyKind strategy = dse::StrategyKind::Greedy;
-
-    /** POM DSE worker threads; 0 = support::jobs(). Lets a daemon
-     *  request run with fewer workers than the process default. */
-    int jobs = 0;
 };
 
 /** The input program without any optimization. */

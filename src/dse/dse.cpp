@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <future>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <set>
 #include <sstream>
 #include <utility>
@@ -18,7 +16,6 @@
 #include "obs/obs.h"
 #include "support/diagnostics.h"
 #include "support/string_util.h"
-#include "support/thread_pool.h"
 
 namespace pom::dse {
 
@@ -652,20 +649,16 @@ class Engine
     // ----- Stage 2: strategy-driven design space exploration -------------
     //
     // The search trajectory belongs to a SearchStrategy (dse/strategy.h:
-    // greedy / beam / anneal); this engine owns everything that must
-    // stay byte-deterministic at any worker count. Each round the
-    // strategy plans an ordered list of steps whose content cannot
-    // depend on the worker count; the engine evaluates the trial steps
-    // speculatively on the thread pool (at most `width` in flight,
-    // topped up as results are consumed) and hands results to
-    // consume() strictly in plan order on this thread, numbering
-    // points, journaling, and growing the Pareto frontier at consume
-    // time. A strategy abandons the rest of a round by returning false
-    // (greedy does on its first acceptance); the abandoned futures are
-    // parked and drained later, their results never observed. With
-    // width == 1 this degenerates to a fully sequential search; for any
-    // width the journal -- v1 events and v2 frontier sections alike --
-    // is byte-identical by construction.
+    // greedy / beam / anneal); this engine evaluates, numbers and
+    // journals the points and grows the Pareto frontier. Each round the
+    // strategy plans an ordered list of steps; the engine evaluates each
+    // trial step on this thread, in plan order, and hands the result to
+    // consume() before evaluating the next, so every point is evaluated
+    // exactly once. A strategy abandons the rest of a round by returning
+    // false (greedy does on its first acceptance). Parallelism lives
+    // below the point, in the dependence analysis, so the journal -- v1
+    // events and v2 frontier sections alike -- is byte-identical at any
+    // worker count by construction.
 
     /** Recorder the strategies journal through (numbering stays here). */
     class Recorder final : public SearchRecorder
@@ -774,20 +767,15 @@ class Engine
         std::unique_ptr<SearchStrategy> strategy =
             makeStrategy(opt_.strategy, std::move(ctx));
 
-        int width = speculationWidth();
-        support::ThreadPool *pool =
-            width > 1 ? &support::ThreadPool::global() : nullptr;
-        std::vector<std::future<Evaluation>> stale;
-
         // Evaluate the initial (pipeline-only) design.
-        Evaluation init = evaluate(base, units, {});
+        PointEval init = evaluate(base, units, {});
         ++points_;
         recordPoint("stage2-init", init.primitives, init.report,
                     "accepted", "initial pipeline-only design");
         result.log.push_back("stage2: initial design " +
                              init.report.str(device_));
         frontierInsert(init.report, init.primitives, points_);
-        strategy->begin(PointEval{init.report, init.primitives});
+        strategy->begin(init);
 
         Recorder rec(*this, result);
         auto unitsWith =
@@ -802,76 +790,27 @@ class Engine
             std::vector<StrategyStep> steps = strategy->plan();
             if (steps.empty())
                 break;
-
-            std::vector<std::future<Evaluation>> futures(steps.size());
-            std::vector<char> submitted(steps.size(), 0);
-            size_t next_submit = 0;
-            int outstanding = 0;
             bool round_evaluated = false;
-
             for (size_t si = 0; si < steps.size(); ++si) {
-                // Keep up to `width` speculative evaluations in flight.
-                if (pool != nullptr) {
-                    while (next_submit < steps.size() &&
-                           outstanding < width) {
-                        size_t sj = next_submit++;
-                        if (!steps[sj].needsEval)
-                            continue;
-                        auto trial_units = unitsWith(steps[sj].degrees);
-                        // parentDegrees is copied: a stale future can
-                        // outlive the round's steps vector.
-                        futures[sj] = pool->submit(
-                            [this, &base, tu = std::move(trial_units),
-                             pd = steps[sj].parentDegrees]() {
-                                return evaluate(base, tu, pd);
-                            });
-                        submitted[sj] = 1;
-                        ++outstanding;
-                    }
-                }
-
                 const StrategyStep &s = steps[si];
                 PointEval pe;
-                bool have = false;
                 if (s.needsEval) {
-                    Evaluation ev;
-                    if (submitted[si]) {
-                        ev = futures[si].get();
-                        --outstanding;
-                    } else {
-                        ev = evaluate(base, unitsWith(s.degrees),
-                                      s.parentDegrees);
-                    }
-                    pe.report = std::move(ev.report);
-                    pe.primitives = std::move(ev.primitives);
-                    have = true;
+                    pe = evaluate(base, unitsWith(s.degrees),
+                                  s.parentDegrees);
                     ++points_;
                     round_evaluated = true;
                 }
-                bool keep_going =
-                    strategy->consume(si, s, have ? &pe : nullptr, rec);
-                if (have)
+                bool keep_going = strategy->consume(
+                    si, s, s.needsEval ? &pe : nullptr, rec);
+                if (s.needsEval)
                     frontierInsert(pe.report, pe.primitives, points_);
-                if (!keep_going) {
-                    // The remaining speculations assumed this round
-                    // continued unchanged; park them for draining.
-                    // Their results never reach the journal.
-                    for (size_t sj = si + 1; sj < steps.size(); ++sj) {
-                        if (submitted[sj])
-                            stale.push_back(std::move(futures[sj]));
-                    }
+                if (!keep_going)
                     break;
-                }
             }
             strategy->endRound(rec);
             if (round_evaluated)
                 snapshotFrontier(strategy->kind());
         }
-
-        // Settle abandoned speculative work before the final
-        // materialization mutates the function's partition state.
-        for (auto &f : stale)
-            f.get();
 
         // Materialize the winning design (also rewrites partitions).
         // The search already estimated every one of its units, so with
@@ -896,13 +835,6 @@ class Engine
             }
         }
     }
-
-    /** A search-time design point: report only, never a lowered design. */
-    struct Evaluation
-    {
-        hls::SynthesisReport report;
-        std::string primitives; ///< journal summary of the schedule
-    };
 
     /** A materialized design point (the final / replayed design). */
     struct Candidate
@@ -974,28 +906,10 @@ class Engine
         return std::max<std::int64_t>(1, cap);
     }
 
-    /** Effective stage-2 speculation width (1 = sequential search). */
-    int
-    speculationWidth() const
-    {
-        if (opt_.verifyEachPoint)
-            return 1; // every point must really be lowered + interpreted
-        int width = opt_.jobs > 0 ? opt_.jobs : support::jobs();
-        if (width <= 1)
-            return 1;
-        // A pool worker must never wait on futures of its own pool
-        // (e.g. autoDSE called from a parallel sweep); fall back to the
-        // sequential search instead of deadlocking.
-        if (support::ThreadPool::global().isWorkerThread())
-            return 1;
-        return width;
-    }
-
     /**
      * Apply unit degrees to a copy of the base statements, producing
      * the transformed schedules, the partition plan and the journal
-     * summary. Pure with respect to the engine: safe to run on several
-     * pool workers at once.
+     * summary. Pure with respect to the engine.
      */
     struct Schedules
     {
@@ -1043,18 +957,15 @@ class Engine
     };
 
     /** Memoized schedule of unit @p ui at @p unit's current degree. */
-    std::shared_ptr<const UnitSchedule>
+    const UnitSchedule *
     unitSchedule(const std::vector<PolyStmt> &base, size_t ui,
                  const Unit &unit)
     {
         std::pair<size_t, std::int64_t> memoKey{ui, unit.degree};
-        {
-            std::lock_guard<std::mutex> lock(unitMemoMutex_);
-            auto it = unitMemo_.find(memoKey);
-            if (it != unitMemo_.end())
-                return it->second;
-        }
-        auto us = std::make_shared<UnitSchedule>();
+        auto it = unitMemo_.find(memoKey);
+        if (it != unitMemo_.end())
+            return &it->second;
+        UnitSchedule us;
         size_t min_level = 0;
         if (unit.members.size() > 1 &&
             anyProducerRelation(base, unit.members)) {
@@ -1063,13 +974,11 @@ class Engine
         for (size_t m : unit.members) {
             PolyStmt stmt = base[m];
             applyParallelSchedule(stmt, unit.degree, opt_.innerUnrollCap,
-                                  func_, us->partitions, min_level);
-            us->fragments.push_back(hls::stmtScheduleFragment(stmt));
-            us->stmts.push_back(std::move(stmt));
+                                  func_, us.partitions, min_level);
+            us.fragments.push_back(hls::stmtScheduleFragment(stmt));
+            us.stmts.push_back(std::move(stmt));
         }
-        // First writer wins so concurrent evaluations share one copy.
-        std::lock_guard<std::mutex> lock(unitMemoMutex_);
-        return unitMemo_.emplace(memoKey, std::move(us)).first->second;
+        return &unitMemo_.emplace(memoKey, std::move(us)).first->second;
     }
 
     /**
@@ -1079,8 +988,7 @@ class Engine
      * and max is associative and commutative.
      */
     static hls::PartitionPlan
-    mergePartitions(
-        const std::vector<std::shared_ptr<const UnitSchedule>> &parts)
+    mergePartitions(const std::vector<const UnitSchedule *> &parts)
     {
         hls::PartitionPlan merged;
         for (const auto &us : parts) {
@@ -1116,11 +1024,11 @@ class Engine
     }
 
     /** Memoized schedules of every unit at its current degree. */
-    std::vector<std::shared_ptr<const UnitSchedule>>
+    std::vector<const UnitSchedule *>
     unitSchedules(const std::vector<PolyStmt> &base,
                   const std::vector<Unit> &units)
     {
-        std::vector<std::shared_ptr<const UnitSchedule>> parts;
+        std::vector<const UnitSchedule *> parts;
         parts.reserve(units.size());
         for (size_t ui = 0; ui < units.size(); ++ui)
             parts.push_back(unitSchedule(base, ui, units[ui]));
@@ -1138,7 +1046,7 @@ class Engine
      */
     hls::SynthesisReport
     composeReport(
-        const std::vector<std::shared_ptr<const UnitSchedule>> &parts,
+        const std::vector<const UnitSchedule *> &parts,
         const hls::PartitionPlan &partitions, obs::Span &span)
     {
         hls::EstimatorOptions eo = estOptions();
@@ -1179,14 +1087,14 @@ class Engine
      * schedule and compose the report from per-unit NodeReports
      * (composeReport()).
      */
-    Evaluation
+    PointEval
     evaluateIncremental(const std::vector<PolyStmt> &base,
                         const std::vector<Unit> &units,
                         const std::vector<std::int64_t> &parentDegrees)
     {
         obs::Span span("dse.point", "dse");
         PointLatencyTimer pointTimer;
-        Evaluation ev;
+        PointEval ev;
 
         auto parts = unitSchedules(base, units);
         hls::PartitionPlan merged = mergePartitions(parts);
@@ -1213,14 +1121,14 @@ class Engine
      * Estimate one candidate design point without mutating the shared
      * function (partitioning goes through the estimator override) and
      * without touching the journal or the point counter -- the caller
-     * merges results deterministically. With memoization the work is
+     * numbers and journals the point. With memoization the work is
      * incremental: proportional to the units that changed relative to
      * @p parentDegrees instead of the whole design. Without it, or when
      * the oracle must see every lowered design, the point is lowered
      * and estimated whole and uncached -- the reference the
      * differential tests compare the incremental path against.
      */
-    Evaluation
+    PointEval
     evaluate(const std::vector<PolyStmt> &base,
              const std::vector<Unit> &units,
              const std::vector<std::int64_t> &parentDegrees)
@@ -1230,7 +1138,7 @@ class Engine
         obs::Span span("dse.point", "dse");
         PointLatencyTimer pointTimer;
         Schedules s = scheduleUnits(base, units);
-        Evaluation ev;
+        PointEval ev;
         ev.primitives = s.primitives;
         span.arg("primitives", ev.primitives);
 
@@ -1304,10 +1212,8 @@ class Engine
     DseOptions opt_;
     hls::Device device_;
     std::string funcDigest_;
-    std::mutex unitMemoMutex_;
-    std::map<std::pair<size_t, std::int64_t>,
-             std::shared_ptr<const UnitSchedule>>
-        unitMemo_;
+    /** std::map, so the pointers unitSchedule() returns stay valid. */
+    std::map<std::pair<size_t, std::int64_t>, UnitSchedule> unitMemo_;
     int points_ = 0;
     int verified_ = 0;
     std::vector<obs::JournalEntry> journal_;

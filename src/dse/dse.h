@@ -61,24 +61,13 @@ struct DseOptions
      * equivalence oracle (check/oracle.h) and abort the search if a
      * transformation ever changes the program's semantics. Costs one
      * pair of interpreter runs per point; meant for tests and debugging
-     * at interpreter-friendly sizes. Forces single-threaded, uncached
-     * evaluation so every point really is lowered and interpreted.
+     * at interpreter-friendly sizes. Forces uncached evaluation so
+     * every point really is lowered and interpreted.
      */
     bool verifyEachPoint = false;
 
     /** Buffer fill seed used by verifyEachPoint. */
     unsigned verifySeed = 1;
-
-    /**
-     * Speculative evaluation width for stage 2: how many candidate
-     * design points may be estimated concurrently on the process-wide
-     * thread pool (support/thread_pool.h). 0 means support::jobs()
-     * (i.e. `pomc --jobs N` / POM_JOBS / hardware concurrency). The
-     * search trajectory, the journal and the selected design are
-     * bit-identical for every value -- speculation only overlaps the
-     * estimator calls the sequential search would have made anyway.
-     */
-    int jobs = 0;
 
     /**
      * Evaluate design points incrementally from memoized per-unit

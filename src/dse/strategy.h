@@ -2,23 +2,23 @@
  * @file
  * The pluggable stage-2 search interface. A SearchStrategy owns the
  * search trajectory -- which candidate degree assignments to estimate
- * and in what order -- while the Engine owns everything that must stay
- * byte-deterministic at any worker count: speculative evaluation on the
- * thread pool, consume-in-submission-order merging, point numbering,
- * journaling, and the Pareto frontier.
+ * and in what order -- while the Engine owns evaluation, point
+ * numbering, journaling, and the Pareto frontier.
  *
- * The contract that makes every strategy `POM_JOBS`-invariant by
- * construction:
+ * The contract:
  *
- *  - plan() returns the next round of steps without knowing how many
- *    workers exist; its content may depend only on what the strategy
- *    observed through consume()/endRound().
- *  - The engine evaluates the round's trial steps speculatively (up to
- *    the worker count in flight) but hands results to consume()
- *    strictly in plan order, one at a time, on the driver thread.
+ *  - plan() returns the next round of steps; its content may depend
+ *    only on what the strategy observed through consume()/endRound().
+ *  - The engine evaluates the round's trial steps one at a time, in
+ *    plan order, on the driver thread, and hands each result to
+ *    consume() before evaluating the next step.
  *  - consume() returns false to abandon the rest of the round (greedy
- *    does this on its first acceptance); abandoned evaluations are
- *    never observed by anyone.
+ *    does this on its first acceptance); the abandoned steps are never
+ *    evaluated.
+ *
+ * Every point is thus evaluated exactly once, and the journal does not
+ * depend on the worker count: `--jobs` parallelism lives inside the
+ * dependence analysis of a point (poly::analyzeSelfDependences).
  *
  * Three drivers implement the interface (makeStrategy):
  *

@@ -137,24 +137,6 @@ accessesOf(const dsl::Compute &compute)
     return accesses;
 }
 
-namespace {
-
-/**
- * The worker pool for intra-candidate statement parallelism, or null
- * to run inline. parallelFor() additionally falls back to inline
- * execution on pool worker threads (a DSE worker lowering a candidate
- * must not block on its own pool), so nesting is always safe.
- */
-support::ThreadPool *
-stmtPool(std::size_t n)
-{
-    if (n < 2 || support::jobs() <= 1)
-        return nullptr;
-    return &support::ThreadPool::global();
-}
-
-} // namespace
-
 std::vector<transform::PolyStmt>
 extractStmts(const dsl::Function &func)
 {
@@ -165,7 +147,7 @@ extractStmts(const dsl::Function &func)
     // keeps the result byte-identical at any worker count.
     std::vector<transform::PolyStmt> stmts(computes.size());
     support::parallelFor(
-        stmtPool(computes.size()), computes.size(), [&](std::size_t i) {
+        support::parallelPool(), computes.size(), [&](std::size_t i) {
             const dsl::Compute *c = computes[i];
             std::vector<std::string> names;
             std::vector<std::int64_t> lows, highs;
@@ -445,7 +427,7 @@ annotateDependenceHints(std::vector<transform::PolyStmt> &stmts)
     // byte-identical at any worker count.
     std::vector<std::size_t> per_stmt(stmts.size(), 0);
     support::parallelFor(
-        stmtPool(stmts.size()), stmts.size(), [&](std::size_t idx) {
+        support::parallelPool(), stmts.size(), [&](std::size_t idx) {
             auto &stmt = stmts[idx];
             bool any_pipeline = false;
             for (const auto &hw : stmt.sched.hwPerDim)

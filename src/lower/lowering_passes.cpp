@@ -138,7 +138,7 @@ boolOption(const pass::PassOptions &options, const std::string &key)
 void
 registerLoweringPasses()
 {
-    // DSE worker threads lower candidates concurrently; registration
+    // Daemon requests and bench sweeps lower concurrently; registration
     // must be exactly-once, and callers must not observe a half-filled
     // registry, so the whole body runs under the once flag.
     static std::once_flag once;

@@ -4,6 +4,7 @@
 
 #include "support/diagnostics.h"
 #include "support/math_util.h"
+#include "support/thread_pool.h"
 
 namespace pom::poly {
 
@@ -149,48 +150,64 @@ dependencePolytope(const IntegerSet &domain, const Access &src,
 
 std::vector<Dependence>
 analyzeSelfDependences(const IntegerSet &domain,
-                       const std::vector<Access> &accesses)
+                       const std::vector<Access> &accesses,
+                       support::ThreadPool *pool)
 {
     std::vector<Dependence> deps;
     size_t n = domain.numDims();
     if (n == 0)
         return deps;
 
+    // Phase 1: the polytope of every (source, sink, level) triple.
+    std::vector<Dependence> triples;
     for (size_t a = 0; a < accesses.size(); ++a) {
         for (size_t b = 0; b < accesses.size(); ++b) {
-            const Access &src = accesses[a];
-            const Access &dst = accesses[b];
-            if (src.array != dst.array)
+            if (accesses[a].array != accesses[b].array)
                 continue;
-            if (!src.isWrite && !dst.isWrite)
+            if (!accesses[a].isWrite && !accesses[b].isWrite)
                 continue; // read-read is not a dependence
             for (size_t level = 0; level < n; ++level) {
-                auto poly = dependencePolytope(domain, src, dst, level);
-                if (!poly)
-                    continue;
                 Dependence d;
-                d.array = src.array;
+                d.array = accesses[a].array;
                 d.srcAccess = a;
                 d.dstAccess = b;
                 d.level = level;
-                d.distLo.resize(n);
-                d.distHi.resize(n);
-                d.direction.resize(n);
-                for (size_t k = 0; k < n; ++k) {
-                    LinearExpr delta = LinearExpr::dim(2 * n, n + k) -
-                                       LinearExpr::dim(2 * n, k);
-                    auto [lo, hi] = exprRange(*poly, delta);
-                    d.distLo[k] = lo;
-                    d.distHi[k] = hi;
-                    d.direction[k] = rangeDirection(lo, hi);
-                }
-                d.carriedDistance =
-                    d.distLo[level] ? std::max<std::int64_t>(
-                                          1, *d.distLo[level])
-                                    : 1;
-                deps.push_back(std::move(d));
+                triples.push_back(std::move(d));
             }
         }
+    }
+    std::vector<std::optional<IntegerSet>> polys(triples.size());
+    support::parallelFor(pool, triples.size(), [&](size_t i) {
+        const Dependence &t = triples[i];
+        polys[i] = dependencePolytope(domain, accesses[t.srcAccess],
+                                      accesses[t.dstAccess], t.level);
+    });
+    std::vector<const IntegerSet *> live;
+    for (size_t i = 0; i < triples.size(); ++i) {
+        if (!polys[i])
+            continue;
+        live.push_back(&*polys[i]);
+        deps.push_back(std::move(triples[i]));
+        deps.back().distLo.resize(n);
+        deps.back().distHi.resize(n);
+        deps.back().direction.resize(n);
+    }
+
+    // Phase 2: the range of t_k - s_k over every non-empty polytope.
+    support::parallelFor(pool, deps.size() * n, [&](size_t r) {
+        Dependence &d = deps[r / n];
+        size_t k = r % n;
+        LinearExpr delta = LinearExpr::dim(2 * n, n + k) -
+                           LinearExpr::dim(2 * n, k);
+        auto [lo, hi] = exprRange(*live[r / n], delta);
+        d.distLo[k] = lo;
+        d.distHi[k] = hi;
+        d.direction[k] = rangeDirection(lo, hi);
+    });
+    for (auto &d : deps) {
+        d.carriedDistance =
+            d.distLo[d.level] ? std::max<std::int64_t>(1, *d.distLo[d.level])
+                              : 1;
     }
     return deps;
 }

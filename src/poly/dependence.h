@@ -26,6 +26,10 @@
 #include "poly/affine_map.h"
 #include "poly/integer_set.h"
 
+namespace pom::support {
+class ThreadPool;
+}
+
 namespace pom::poly {
 
 /** One array access inside a statement. */
@@ -81,14 +85,21 @@ exprRange(const IntegerSet &set, const LinearExpr &expr);
 /**
  * All loop-carried self-dependences of a statement: write->read,
  * write->write and read->write pairs over the same array, at every
- * carrying level.
+ * carrying level, ordered by (source access, sink access, level).
+ *
+ * The work runs in two parallel phases on @p pool: first the
+ * dependence polytope of every (source, sink, level) triple, then the
+ * distance range of every (non-empty polytope, dimension) pair. Results
+ * merge in index order, so the vector is the same for any pool.
  *
  * @param domain The statement's iteration domain.
  * @param accesses Its array accesses (maps over the domain dims).
+ * @param pool Workers to fan out on; null runs inline.
  */
 std::vector<Dependence>
 analyzeSelfDependences(const IntegerSet &domain,
-                       const std::vector<Access> &accesses);
+                       const std::vector<Access> &accesses,
+                       support::ThreadPool *pool = nullptr);
 
 /**
  * Does a dependence flow from a (write) access of @p producer to any

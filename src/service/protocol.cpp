@@ -106,10 +106,6 @@ encodeRequest(const Request &r)
         field(os, first, "resources", r.resourceFraction);
         field(os, first, "emit", r.emit);
         field(os, first, "journal", r.journal);
-        // Only an explicit override goes on the wire; absence means
-        // "use the daemon's --jobs", exactly like an older client.
-        if (r.jobs != 0)
-            field(os, first, "jobs", r.jobs);
     } else if (r.method == "opt") {
         field(os, first, "ir", r.ir);
         field(os, first, "pipeline", r.pipeline);
@@ -203,22 +199,16 @@ decodeRequest(const std::string &text, Request &out, std::string &error)
     }
     if (const auto *v = doc.find("workload"))
         out.workload = v->asString();
-    // size and jobs reach integer arithmetic in the daemon: anything
-    // but an exact int64 is a field error, never a silent conversion.
-    auto intField = [&](const char *name, std::int64_t &field) {
-        const auto *v = doc.find(name);
-        if (v == nullptr)
-            return true;
-        if (auto exact = v->exactInt()) {
-            field = *exact;
-            return true;
+    // size reaches integer arithmetic in the daemon: anything but an
+    // exact int64 is a field error, never a silent conversion.
+    if (const auto *v = doc.find("size")) {
+        auto exact = v->exactInt();
+        if (!exact) {
+            error = "field 'size' must be an integer in int64 range";
+            return false;
         }
-        error = std::string("field '") + name +
-                "' must be an integer in int64 range";
-        return false;
-    };
-    if (!intField("size", out.size))
-        return false;
+        out.size = *exact;
+    }
     if (const auto *v = doc.find("framework"))
         out.framework = v->asString(out.framework);
     if (const auto *v = doc.find("strategy"))
@@ -229,8 +219,6 @@ decodeRequest(const std::string &text, Request &out, std::string &error)
         out.emit = v->asBool(out.emit);
     if (const auto *v = doc.find("journal"))
         out.journal = v->asString(out.journal);
-    if (!intField("jobs", out.jobs))
-        return false;
     if (const auto *v = doc.find("ir"))
         out.ir = v->asString();
     if (const auto *v = doc.find("pipeline"))

@@ -9,7 +9,10 @@
  * (support::kVersionString); the daemon rejects a mismatched client
  * with a clean "version mismatch" error instead of guessing at field
  * semantics. Unknown JSON fields are ignored on both sides, so
- * same-version minor extensions stay compatible.
+ * same-version minor extensions stay compatible; a compile frame's
+ * `jobs` key, which older clients send as a per-request worker
+ * override, is ignored the same way (the daemon's own `--jobs` sizes
+ * its one worker pool).
  *
  * Methods:
  *  - "ping"     liveness + version probe.
@@ -60,12 +63,6 @@ struct Request
     double resourceFraction = 1.0;
     bool emit = false;          ///< also return the HLS C
     std::string journal = "none"; ///< none | v1 | v2
-
-    /** Lowering/DSE worker override for THIS request; 0 = the daemon's
-     *  own `--jobs` setting. Must not exceed the daemon's `--workers`
-     *  pool (the daemon rejects larger values with a structured
-     *  error), so one request cannot oversubscribe the host. */
-    std::int64_t jobs = 0;
 
     // -- opt --
     std::string ir;       ///< textual .pom-ir module

@@ -296,23 +296,6 @@ Server::compileResponse(const Request &request, std::int64_t requestId)
                          "' (valid: " + dse::strategyNames() + ")";
         return response;
     }
-    if (request.jobs < 0) {
-        response.status = "error";
-        response.error = "jobs must be non-negative (0 = daemon "
-                         "default)";
-        return response;
-    }
-    if (request.jobs > opt_.workers) {
-        response.status = "error";
-        response.error =
-            "jobs " + std::to_string(request.jobs) +
-            " exceeds the daemon's --workers pool (" +
-            std::to_string(opt_.workers) +
-            "); request at most " + std::to_string(opt_.workers) +
-            " or restart the daemon with more workers";
-        return response;
-    }
-    options.jobs = static_cast<int>(request.jobs);
 
     // Snapshot-delta around the run: the design-point counters are
     // process global, so the response reports only what this run

@@ -144,4 +144,10 @@ ThreadPool::global()
     return *pool;
 }
 
+ThreadPool *
+parallelPool()
+{
+    return jobs() <= 1 ? nullptr : &ThreadPool::global();
+}
+
 } // namespace pom::support

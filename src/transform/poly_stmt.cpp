@@ -6,6 +6,7 @@
 #include "obs/obs.h"
 #include "support/cache_store.h"
 #include "support/diagnostics.h"
+#include "support/thread_pool.h"
 
 namespace pom::transform {
 
@@ -248,7 +249,8 @@ selfDependences(const PolyStmt &stmt)
     // deterministic and the first store wins, so callers agree.
     obs::counterAdd("dep.analyses");
     auto start = std::chrono::steady_clock::now();
-    auto deps = poly::analyzeSelfDependences(stmt.sched.domain, accesses);
+    auto deps = poly::analyzeSelfDependences(stmt.sched.domain, accesses,
+                                             support::parallelPool());
     obs::accumulate("dep.analysis_seconds",
                     std::chrono::duration<double>(
                         std::chrono::steady_clock::now() - start)

@@ -99,7 +99,8 @@ void setUnroll(PolyStmt &stmt, const std::string &name,
  * Results are memoized process-wide on the exact text of the domain
  * and the transformed accesses (FIFO cap 4096, never spilled); counters
  * `dep.analyses` (misses, timed in `dep.analysis_seconds`),
- * `dep.memo.hits` and `dep.memo.evictions`. Thread-safe.
+ * `dep.memo.hits` and `dep.memo.evictions`. A miss fans its polytopes
+ * out on support::parallelPool(). Thread-safe.
  */
 std::vector<poly::Dependence> selfDependences(const PolyStmt &stmt);
 

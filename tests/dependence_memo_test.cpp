@@ -4,12 +4,14 @@
  * transform::selfDependences(), checked against
  * poly::analyzeSelfDependences() directly: the DSE journal
  * differentials cannot catch a wrong memo answer, because both of
- * their sides read the memo.
+ * their sides read the memo. The direct analysis on a worker pool is
+ * held to the inline one the same way.
  */
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -19,6 +21,7 @@
 #include "lower/lower.h"
 #include "obs/obs.h"
 #include "poly/dependence.h"
+#include "support/thread_pool.h"
 #include "transform/poly_stmt.h"
 #include "workloads/workloads.h"
 
@@ -26,22 +29,33 @@ namespace {
 
 using namespace pom;
 
+/** Every field of each dependence, one string per dependence. */
 std::vector<std::string>
 strs(const std::vector<poly::Dependence> &deps)
 {
+    auto bound = [](const std::optional<std::int64_t> &v) {
+        return v ? std::to_string(*v) : std::string("inf");
+    };
     std::vector<std::string> out;
     out.reserve(deps.size());
-    for (const auto &d : deps)
-        out.push_back(d.str());
+    for (const auto &d : deps) {
+        std::string s = d.str() + " src=" + std::to_string(d.srcAccess) +
+                        " dst=" + std::to_string(d.dstAccess) +
+                        " carried=" + std::to_string(d.carriedDistance);
+        for (size_t k = 0; k < d.distLo.size(); ++k)
+            s += " [" + bound(d.distLo[k]) + "," + bound(d.distHi[k]) + "]";
+        out.push_back(std::move(s));
+    }
     return out;
 }
 
 /** The reference: dependence analysis with no memo in between. */
 std::vector<std::string>
-direct(const transform::PolyStmt &stmt)
+direct(const transform::PolyStmt &stmt,
+       support::ThreadPool *pool = nullptr)
 {
-    return strs(poly::analyzeSelfDependences(stmt.sched.domain,
-                                             stmt.transformedAccesses()));
+    return strs(poly::analyzeSelfDependences(
+        stmt.sched.domain, stmt.transformedAccesses(), pool));
 }
 
 std::vector<std::string>
@@ -103,6 +117,7 @@ stencilStmt(std::int64_t jHigh, std::int64_t aCoeff)
 
 TEST(DependenceMemo, MatchesDirectAnalysisOnFuzzedSchedules)
 {
+    support::ThreadPool pool(4);
     std::size_t checked = 0;
     for (const auto &name : workloads::allNames()) {
         for (unsigned seed = 1; seed <= 8; ++seed) {
@@ -112,6 +127,8 @@ TEST(DependenceMemo, MatchesDirectAnalysisOnFuzzedSchedules)
             for (const auto &stmt : s.stmts) {
                 SCOPED_TRACE(stmt.sched.name);
                 const auto expected = direct(stmt);
+                EXPECT_EQ(direct(stmt, &pool), expected)
+                    << "a 4-worker analysis differs from the inline one";
                 transform::clearDependenceMemo();
 
                 std::int64_t analyses = obs::counterValue("dep.analyses");

@@ -1,10 +1,10 @@
 /**
  * @file
- * Tests for the parallel, memoized DSE: journal determinism across
- * speculation widths, node-cache behaviour during a search,
- * journal replay (pomc --replay-journal), the journal JSON parser, and
- * the all-workload sweep golden that gates final latency and explored
- * point count per workload.
+ * Tests for the parallel, memoized DSE: journal and work-counter
+ * determinism across worker counts, node-cache behaviour during a
+ * search, journal replay (pomc --replay-journal), the journal JSON
+ * parser, and the all-workload sweep golden that gates final latency
+ * and explored point count per workload.
  */
 
 #include <gtest/gtest.h>
@@ -20,6 +20,8 @@
 #include "obs/journal.h"
 #include "obs/obs.h"
 #include "support/diagnostics.h"
+#include "support/thread_pool.h"
+#include "transform/poly_stmt.h"
 #include "workloads/workloads.h"
 
 namespace {
@@ -28,41 +30,76 @@ using namespace pom;
 using workloads::makeByName;
 
 dse::DseResult
-runDse(const std::string &name, std::int64_t size, int jobs,
-       bool memoize = true)
+runDse(const std::string &name, std::int64_t size, bool memoize = true)
 {
     auto w = makeByName(name, size);
     dse::DseOptions opt;
-    opt.jobs = jobs;
     opt.memoize = memoize;
     return dse::autoDSE(w->func(), opt);
 }
 
+/**
+ * One search at @p jobs workers, with the node cache and the
+ * dependence memo cleared first: otherwise a second run is all hits
+ * and compares nothing.
+ */
+dse::DseResult
+runColdAt(int jobs, const std::string &name, std::int64_t size)
+{
+    support::setJobs(jobs);
+    hls::NodeReportCache::global().clear();
+    transform::clearDependenceMemo();
+    dse::DseResult res = runDse(name, size);
+    support::setJobs(0);
+    return res;
+}
+
 TEST(ParallelDse, JournalIdenticalAcrossJobCounts)
 {
-    // The tentpole property: the speculative search must replay the
-    // sequential trajectory exactly, so the journal -- points, order,
-    // verdicts, numbers -- is byte-identical for any worker count.
+    // Every point is evaluated once, in plan order, whatever the worker
+    // count, so the journal -- points, order, verdicts, numbers -- is
+    // byte-identical for any worker count.
     for (const char *name : {"gemm", "bicg", "2mm", "jacobi2d"}) {
         std::string sequential =
-            obs::journalJson(runDse(name, 64, 1).journal);
-        std::string speculative =
-            obs::journalJson(runDse(name, 64, 4).journal);
-        EXPECT_EQ(sequential, speculative) << name;
-        std::string wide = obs::journalJson(runDse(name, 64, 13).journal);
-        EXPECT_EQ(sequential, wide) << name;
+            obs::journalJson(runColdAt(1, name, 64).journal);
+        std::string parallel =
+            obs::journalJson(runColdAt(4, name, 64).journal);
+        EXPECT_EQ(sequential, parallel) << name;
+    }
+}
+
+TEST(ParallelDse, WorkCountersIdenticalAcrossJobCounts)
+{
+    // More workers may only make a search faster, never make it do more
+    // work: the same points, the same node-cache misses and the same
+    // dependence analyses at 1 and at 4 workers.
+    auto work = [](int jobs, const std::string &name) {
+        std::int64_t points = obs::counterValue("dse.cache.hits") +
+                              obs::counterValue("dse.cache.misses");
+        std::int64_t nodes = obs::counterValue("dse.node_cache.misses");
+        std::int64_t analyses = obs::counterValue("dep.analyses");
+        runColdAt(jobs, name, 64);
+        return std::vector<std::int64_t>{
+            obs::counterValue("dse.cache.hits") +
+                obs::counterValue("dse.cache.misses") - points,
+            obs::counterValue("dse.node_cache.misses") - nodes,
+            obs::counterValue("dep.analyses") - analyses};
+    };
+    for (const char *name : {"2mm", "3mm"}) {
+        std::vector<std::int64_t> sequential = work(1, name);
+        EXPECT_GT(sequential[0], 2) << name;
+        EXPECT_EQ(sequential, work(4, name))
+            << name << ": {points, node misses, dependence analyses}";
     }
 }
 
 TEST(ParallelDse, MemoizationDoesNotChangeTheSearch)
 {
     std::string cold = obs::journalJson(
-        runDse("gesummv", 64, 2, /*memoize=*/false).journal);
-    std::string warm =
-        obs::journalJson(runDse("gesummv", 64, 2, true).journal);
+        runDse("gesummv", 64, /*memoize=*/false).journal);
+    std::string warm = obs::journalJson(runDse("gesummv", 64).journal);
     // Run again with every estimate already cached.
-    std::string hot =
-        obs::journalJson(runDse("gesummv", 64, 2, true).journal);
+    std::string hot = obs::journalJson(runDse("gesummv", 64).journal);
     EXPECT_EQ(cold, warm);
     EXPECT_EQ(cold, hot);
 }
@@ -73,7 +110,7 @@ TEST(ParallelDse, FinalMaterializationHitsTheCache)
     nodes.clear();
     std::int64_t hits0 = obs::counterValue("dse.cache.hits");
 
-    dse::DseResult res = runDse("atax", 96, 1);
+    dse::DseResult res = runDse("atax", 96);
     EXPECT_GT(res.pointsExplored, 2);
 
     // Every unit of the winning configuration was estimated during the
@@ -86,7 +123,7 @@ TEST(ParallelDse, FinalMaterializationHitsTheCache)
     // A warm identical search: every point is served from the cache.
     std::int64_t misses1 = obs::counterValue("dse.cache.misses");
     std::uint64_t node_misses1 = nodes.misses();
-    dse::DseResult warm = runDse("atax", 96, 1);
+    dse::DseResult warm = runDse("atax", 96);
     EXPECT_EQ(obs::counterValue("dse.cache.misses"), misses1);
     EXPECT_EQ(nodes.misses(), node_misses1);
     EXPECT_EQ(warm.report.latencyCycles, res.report.latencyCycles);
@@ -95,8 +132,8 @@ TEST(ParallelDse, FinalMaterializationHitsTheCache)
 
 TEST(ParallelDse, ParallelDesignMatchesSequentialDesign)
 {
-    dse::DseResult seq = runDse("conv2d", 64, 1);
-    dse::DseResult par = runDse("conv2d", 64, 8);
+    dse::DseResult seq = runColdAt(1, "conv2d", 64);
+    dse::DseResult par = runColdAt(8, "conv2d", 64);
     EXPECT_EQ(seq.report.latencyCycles, par.report.latencyCycles);
     EXPECT_EQ(seq.report.resources.dsp, par.report.resources.dsp);
     EXPECT_EQ(seq.pointsExplored, par.pointsExplored);
@@ -108,7 +145,7 @@ TEST(ParallelDse, ParallelDesignMatchesSequentialDesign)
 
 TEST(JournalParser, RoundTripsTheEmitter)
 {
-    dse::DseResult res = runDse("gemm", 64, 2);
+    dse::DseResult res = runDse("gemm", 64);
     std::string json = obs::journalJson(res.journal);
 
     std::vector<obs::JournalEntry> parsed;

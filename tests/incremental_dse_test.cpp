@@ -5,8 +5,9 @@
  *
  *  - The headline invariant: journals (v1 AND v2) of the default
  *    memoized, incremental path are byte-identical to the uncached
- *    monolithic reference (memoize off), for every workload, every
- *    stage-2 strategy, and every speculation width.
+ *    monolithic reference (memoize off), for every workload and every
+ *    stage-2 strategy. Worker-count identity is the ParallelDse and
+ *    StrategyDeterminism tests' job.
  *  - The NodeReportCache entry codec (its store and spill mechanics
  *    are covered by content_cache_test).
  *  - combineNodeReports(estimateNodes(f)) equals estimate(f).
@@ -43,10 +44,9 @@ sweepOptions(const std::string &name, dse::StrategyKind kind)
 /**
  * The headline differential: for every workload, the default path
  * (memoized, incremental) must produce v1 AND v2 journals
- * byte-identical to the uncached monolithic reference's, at every
- * speculation width. The node cache is dropped before every run so the
- * incremental side estimates its nodes within the run instead of
- * reading another run's.
+ * byte-identical to the uncached monolithic reference's. The node
+ * cache is dropped before every run so the incremental side estimates
+ * its nodes within the run instead of reading another run's.
  */
 void
 differentialSweep(dse::StrategyKind kind)
@@ -56,7 +56,6 @@ differentialSweep(dse::StrategyKind kind)
         const std::int64_t size = 64;
 
         opt.memoize = false;
-        opt.jobs = 1;
         hls::NodeReportCache::global().clear();
         auto w = makeByName(name, size);
         dse::DseResult mono = dse::autoDSE(w->func(), opt);
@@ -65,22 +64,17 @@ differentialSweep(dse::StrategyKind kind)
             obs::journalJsonV2(mono.journal, mono.frontierRounds);
 
         opt.memoize = true;
-        for (int jobs : {1, 4, 13}) {
-            opt.jobs = jobs;
-            hls::NodeReportCache::global().clear();
-            auto wi = makeByName(name, size);
-            dse::DseResult inc = dse::autoDSE(wi->func(), opt);
-            EXPECT_EQ(mono_v1, obs::journalJson(inc.journal))
-                << name << " jobs=" << jobs;
-            EXPECT_EQ(mono_v2, obs::journalJsonV2(inc.journal,
-                                                  inc.frontierRounds))
-                << name << " jobs=" << jobs;
-            EXPECT_EQ(mono.report.latencyCycles,
-                      inc.report.latencyCycles)
-                << name << " jobs=" << jobs;
-            EXPECT_EQ(mono.report.resources.dsp, inc.report.resources.dsp)
-                << name << " jobs=" << jobs;
-        }
+        hls::NodeReportCache::global().clear();
+        auto wi = makeByName(name, size);
+        dse::DseResult inc = dse::autoDSE(wi->func(), opt);
+        EXPECT_EQ(mono_v1, obs::journalJson(inc.journal)) << name;
+        EXPECT_EQ(mono_v2,
+                  obs::journalJsonV2(inc.journal, inc.frontierRounds))
+            << name;
+        EXPECT_EQ(mono.report.latencyCycles, inc.report.latencyCycles)
+            << name;
+        EXPECT_EQ(mono.report.resources.dsp, inc.report.resources.dsp)
+            << name;
     }
 }
 
@@ -106,9 +100,7 @@ TEST(IncrementalDse, NodeCacheIsActuallyUsed)
     // miss the node cache.
     hls::NodeReportCache::global().clear();
     auto w = makeByName("2mm", 64);
-    dse::DseOptions opt;
-    opt.jobs = 1;
-    dse::autoDSE(w->func(), opt);
+    dse::autoDSE(w->func());
     auto &nodes = hls::NodeReportCache::global();
     EXPECT_GT(nodes.hits(), 0u);
     EXPECT_GT(nodes.misses(), 0u);

@@ -103,7 +103,6 @@ TEST(Fingerprint, DeviceBudgetAndSharingModeAreNotInTheKey)
         return dse::autoDSE(w->func(), opt);
     };
     dse::DseOptions opt;
-    opt.jobs = 1;
     opt.maxParallelism = 1;
     search(opt);
     ASSERT_GT(nodes.misses(), 0u);

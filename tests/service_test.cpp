@@ -92,7 +92,6 @@ TEST(Protocol, RequestRoundTrip)
     req.strategy = "beam";
     req.resourceFraction = 0.75;
     req.emit = true;
-    req.jobs = 3;
 
     service::Request decoded;
     std::string error;
@@ -107,15 +106,14 @@ TEST(Protocol, RequestRoundTrip)
     EXPECT_EQ(decoded.resourceFraction, 0.75);
     EXPECT_TRUE(decoded.emit);
     EXPECT_EQ(decoded.journal, "v2");
-    EXPECT_EQ(decoded.jobs, 3);
 
-    // jobs = 0 means "daemon default" and is omitted from the wire
-    // frame, so an old daemon never sees the key.
-    req.jobs = 0;
-    std::string encoded = service::encodeRequest(req);
-    EXPECT_EQ(encoded.find("\"jobs\""), std::string::npos);
-    ASSERT_TRUE(service::decodeRequest(encoded, decoded, error)) << error;
-    EXPECT_EQ(decoded.jobs, 0);
+    // An older client's per-request worker override is ignored.
+    ASSERT_TRUE(service::decodeRequest(
+        "{\"method\": \"compile\", \"workload\": \"gemm\", "
+        "\"jobs\": 3}",
+        decoded, error))
+        << error;
+    EXPECT_EQ(decoded.workload, "gemm");
 }
 
 TEST(Protocol, ResponseRoundTripIncludingBusy)
@@ -260,31 +258,33 @@ TEST(Protocol, MalformedPayloadsAreErrors)
     EXPECT_NE(error.find("status"), std::string::npos);
 }
 
-TEST(Protocol, NonIntegerSizeOrJobsIsAFieldError)
+TEST(Protocol, NonIntegerSizeIsAFieldError)
 {
     // An integer too large for int64 parses as a Double; none of these
     // may reach a float-to-int cast, and the error names the field.
-    for (const std::string field : {"size", "jobs"}) {
-        for (const char *bad :
-             {"99999999999999999999", "1e400", "-1e400", "2.5", "\"8\""}) {
-            const std::string frame =
-                "{\"method\": \"compile\", \"" + field + "\": " + bad + "}";
-            service::Request req;
-            std::string error;
-            EXPECT_FALSE(service::decodeRequest(frame, req, error))
-                << frame;
-            EXPECT_NE(error.find("'" + field + "'"), std::string::npos)
-                << frame << ": " << error;
-        }
-        // An integral double is still an integer.
+    for (const char *bad :
+         {"99999999999999999999", "1e400", "-1e400", "2.5", "\"8\""}) {
+        const std::string frame =
+            std::string("{\"method\": \"compile\", \"size\": ") + bad +
+            "}";
         service::Request req;
         std::string error;
-        ASSERT_TRUE(service::decodeRequest(
-            "{\"method\": \"compile\", \"" + field + "\": 2.0}", req,
-            error))
-            << error;
-        EXPECT_EQ(field == "size" ? req.size : req.jobs, 2);
+        EXPECT_FALSE(service::decodeRequest(frame, req, error)) << frame;
+        EXPECT_NE(error.find("'size'"), std::string::npos)
+            << frame << ": " << error;
     }
+    // An integral double is still an integer.
+    service::Request req;
+    std::string error;
+    ASSERT_TRUE(service::decodeRequest(
+        "{\"method\": \"compile\", \"size\": 2.0}", req, error))
+        << error;
+    EXPECT_EQ(req.size, 2);
+    // `jobs` is no longer a field: an older client's value, even a
+    // non-integer one, decodes without error.
+    ASSERT_TRUE(service::decodeRequest(
+        "{\"method\": \"compile\", \"jobs\": 2.5}", req, error))
+        << error;
 }
 
 TEST(Server, RejectsVersionMismatchCleanly)
@@ -335,39 +335,6 @@ TEST(Server, RejectsBadRequestsWithoutDying)
     ping.version = support::kVersionString;
     ping.method = "ping";
     EXPECT_EQ(server.execute(ping).status, "ok");
-}
-
-TEST(Server, ValidatesPerRequestJobsOverride)
-{
-    service::ServerOptions options; // default workers = 2
-    service::Server server(options);
-
-    // Oversized: a request may not claim more workers than the pool.
-    service::Request req = compileRequest("gemm", 64);
-    req.jobs = options.workers + 1;
-    service::Response resp = server.execute(req);
-    EXPECT_EQ(resp.status, "error");
-    EXPECT_NE(resp.error.find("exceeds the daemon's --workers pool"),
-              std::string::npos)
-        << resp.error;
-
-    req.jobs = -1;
-    resp = server.execute(req);
-    EXPECT_EQ(resp.status, "error");
-    EXPECT_NE(resp.error.find("non-negative"), std::string::npos)
-        << resp.error;
-
-    // jobs == workers and jobs == 0 (daemon default) are both fine,
-    // and a narrower run answers the same report as the default one.
-    req.jobs = options.workers;
-    resp = server.execute(req);
-    ASSERT_EQ(resp.status, "ok") << resp.error;
-    std::string narrow_report = resp.reportLine;
-
-    req.jobs = 0;
-    resp = server.execute(req);
-    ASSERT_EQ(resp.status, "ok") << resp.error;
-    EXPECT_EQ(resp.reportLine, narrow_report);
 }
 
 TEST(Server, CompileMatchesOneShotJournalByteForByte)

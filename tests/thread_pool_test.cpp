@@ -1,17 +1,21 @@
 /**
  * @file
- * Tests for the support::ThreadPool that backs the parallel DSE: job
- * count resolution, FIFO execution, future plumbing (results and
- * exceptions), graceful shutdown, the worker-thread deadlock guard, and
- * a concurrent stress case meant to run under the sanitizer CI job.
+ * Tests for the support::ThreadPool that backs the parallel dependence
+ * analysis and lowering: job count resolution, FIFO execution, future
+ * plumbing (results and exceptions), parallelFor's failure handling,
+ * graceful shutdown, the worker-thread deadlock guard, and a concurrent
+ * stress case meant to run under the sanitizer CI job.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "support/thread_pool.h"
@@ -114,6 +118,41 @@ TEST(ThreadPool, ParallelForCoversEveryIndexOnce)
                 [&inline_hits](size_t i) { inline_hits[i] += 1; });
     EXPECT_EQ(
         std::accumulate(inline_hits.begin(), inline_hits.end(), 0), 10);
+}
+
+TEST(ThreadPool, ParallelForWaitsForAllTasksBeforeRethrowing)
+{
+    // Declared before the pool, so a task still running when
+    // parallelFor returns fails the count instead of outliving them.
+    std::atomic<int> finished{0};
+    auto body = [&finished](size_t i) {
+        if (i == 0)
+            throw std::runtime_error("index 0");
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        ++finished;
+    };
+    ThreadPool pool(4);
+    try {
+        parallelFor(&pool, 4, body);
+        ADD_FAILURE() << "parallelFor swallowed the exception";
+    } catch (const std::runtime_error &e) {
+        EXPECT_EQ(std::string(e.what()), "index 0");
+        EXPECT_EQ(finished.load(), 3) << "a sibling task was still running";
+    }
+
+    // Several failures: the lowest failing index wins, as inline.
+    auto odd = [](size_t i) {
+        if (i % 2 == 1)
+            throw std::runtime_error("index " + std::to_string(i));
+    };
+    for (int round = 0; round < 20; ++round) {
+        try {
+            parallelFor(&pool, 64, odd);
+            ADD_FAILURE() << "parallelFor swallowed the exception";
+        } catch (const std::runtime_error &e) {
+            EXPECT_EQ(std::string(e.what()), "index 1");
+        }
+    }
 }
 
 TEST(ThreadPool, ConcurrentStress)

@@ -58,12 +58,14 @@
  *                       are byte-deterministic at any --jobs count.
  *   -q / --quiet        errors only; -v / --verbose: debug diagnostics.
  *
- * Parallel search (src/support/thread_pool.h):
- *   --jobs N            worker threads for the DSE's speculative
- *                       candidate evaluation (equivalent to POM_JOBS=N;
- *                       default: hardware concurrency). The journal and
- *                       the selected design are bit-identical for every
- *                       N.
+ * Parallelism (src/support/thread_pool.h):
+ *   --jobs N            worker threads for the dependence analysis and
+ *                       lowering of each design point (equivalent to
+ *                       POM_JOBS=N; default: hardware concurrency). The
+ *                       search evaluates every point once, in order, so
+ *                       the journal, the selected design and every work
+ *                       counter are bit-identical for every N. A
+ *                       --connect run uses the daemon's own --jobs.
  *
  * Journal replay (src/dse/replayPoint):
  *   --replay-journal FILE --point ID
@@ -224,7 +226,6 @@ main(int argc, char **argv)
     int replay_point = -1;
     dse::StrategyKind strategy = dse::StrategyKind::Greedy;
     std::string connect_sock, cache_dir;
-    std::int64_t jobs = 0; ///< 0 = default; forwarded to --connect
     bool daemon_stats = false, daemon_shutdown = false;
     std::string stats_format = "text"; ///< --daemon-stats rendering
 
@@ -299,7 +300,6 @@ main(int argc, char **argv)
                 return 2;
             }
             support::setJobs(static_cast<int>(n));
-            jobs = n; // --connect forwards it as the request override
         } else if (arg == "--quiet" || arg == "-q") {
             support::setDiagLevel(support::DiagLevel::Error);
         } else if (arg == "--verbose" || arg == "-v") {
@@ -477,7 +477,6 @@ main(int argc, char **argv)
         req.strategy = dse::strategyName(strategy);
         req.resourceFraction = fraction;
         req.emit = want_emit;
-        req.jobs = jobs;
         if (!journal_out.empty())
             req.journal = "v1";
         else if (!frontier_out.empty())

@@ -15,6 +15,11 @@
  * the next start, so even a restarted daemon answers repeated DSE
  * requests from cache.
  *
+ * --workers N sets how many requests execute at once; --jobs N sizes
+ * the one process-wide worker pool their dependence analyses and
+ * lowerings fan out on (default: hardware concurrency). Journals do not
+ * depend on either.
+ *
  * --estimator-cache-cap bounds the node cache to N entries (FIFO
  * eviction, 0 = unbounded); evictions are visible as
  * node_cache_evictions in the stats frame and as the
