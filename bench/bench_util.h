@@ -1,25 +1,19 @@
 /**
  * @file
  * Shared helpers for the paper-table reproduction harnesses: framework
- * runners, utilization formatting, schedule-shape extraction
- * (tile/unroll factors and parallelism degree) from lowered designs,
- * and machine-readable measurement export through the src/obs metrics
- * API (set POM_BENCH_JSON=out.json to capture a table run).
+ * runners, utilization formatting, and schedule-shape extraction
+ * (tile/unroll factors and parallelism degree) from lowered designs.
  */
 
-#ifndef POM_BENCH_BENCH_UTIL_H
-#define POM_BENCH_BENCH_UTIL_H
+#ifndef POM_BENCHUTIL_H
+#define POM_BENCHUTIL_H
 
 #include <cstdio>
-#include <cstdlib>
-#include <ctime>
 #include <string>
 #include <vector>
 
 #include "baselines/baselines.h"
 #include "hls/count.h"
-#include "obs/obs.h"
-#include "support/version.h"
 #include "workloads/workloads.h"
 
 namespace pom::benchutil {
@@ -114,116 +108,6 @@ iiCell(const hls::SynthesisReport &report)
     return out;
 }
 
-/**
- * Enable metrics export when the POM_BENCH_JSON environment variable
- * names an output file. Call once at the top of a harness main();
- * returns the path to pass to writeBenchMetrics() ("" when disabled,
- * making both helpers no-ops).
- */
-inline std::string
-initBenchMetrics()
-{
-    const char *env = std::getenv("POM_BENCH_JSON");
-    std::string path = env != nullptr ? env : "";
-    if (!path.empty())
-        obs::setMetricsEnabled(true);
-    return path;
-}
-
-/**
- * Record one table row through the obs metrics API as
- * "bench.<table>.<row>.<field>" gauges, so every number a harness
- * prints is also available machine-readably. No-op unless metrics are
- * enabled (see initBenchMetrics()).
- */
-inline void
-recordMeasurement(const std::string &table, const std::string &row,
-                  const hls::SynthesisReport &report,
-                  double speedup = 0.0, double seconds = 0.0)
-{
-    if (!obs::metricsEnabled())
-        return;
-    std::string prefix = "bench." + table + "." + row + ".";
-    obs::gaugeSet(prefix + "latency_cycles",
-                  static_cast<double>(report.latencyCycles));
-    obs::gaugeSet(prefix + "dsp",
-                  static_cast<double>(report.resources.dsp));
-    obs::gaugeSet(prefix + "ff", static_cast<double>(report.resources.ff));
-    obs::gaugeSet(prefix + "lut",
-                  static_cast<double>(report.resources.lut));
-    obs::gaugeSet(prefix + "bram_bits",
-                  static_cast<double>(report.resources.bramBits));
-    obs::gaugeSet(prefix + "worst_ii",
-                  static_cast<double>(report.worstII()));
-    if (speedup > 0.0)
-        obs::gaugeSet(prefix + "speedup", speedup);
-    if (seconds > 0.0)
-        obs::gaugeSet(prefix + "toolchain_seconds", seconds);
-    obs::counterAdd("bench.measurements");
-}
-
-/**
- * The git SHA to stamp into bench output: the POM_BENCH_SHA override
- * when set (CI passes the exact commit being measured), else
- * `git rev-parse --short HEAD`, else "unknown" (a source tarball).
- */
-inline std::string
-benchGitSha()
-{
-    if (const char *env = std::getenv("POM_BENCH_SHA")) {
-        if (env[0] != '\0')
-            return env;
-    }
-    std::string sha;
-    if (FILE *pipe = ::popen("git rev-parse --short HEAD 2>/dev/null",
-                             "r")) {
-        char buf[64];
-        if (std::fgets(buf, sizeof(buf), pipe) != nullptr)
-            sha = buf;
-        ::pclose(pipe);
-    }
-    while (!sha.empty() && (sha.back() == '\n' || sha.back() == '\r'))
-        sha.pop_back();
-    return sha.empty() ? "unknown" : sha;
-}
-
-/** Current UTC time as ISO-8601 ("2026-08-08T12:34:56Z"). */
-inline std::string
-benchTimestamp()
-{
-    std::time_t now = std::time(nullptr);
-    std::tm utc{};
-    gmtime_r(&now, &utc);
-    char buf[32];
-    std::strftime(buf, sizeof(buf), "%Y-%m-%dT%H:%M:%SZ", &utc);
-    return buf;
-}
-
-/**
- * Flush the metrics captured by recordMeasurement() to `path` as a
- * self-describing pom-bench/v1 document: the pom-metrics/v1 payload
- * plus version/sha/timestamp header keys, so trend records
- * (tools/pom-trend) need no side channel to identify the commit.
- */
-inline void
-writeBenchMetrics(const std::string &path)
-{
-    if (path.empty())
-        return;
-    std::string body = obs::metricsJson();
-    const std::string metricsHeader = "{\"schema\": \"pom-metrics/v1\",";
-    if (body.rfind(metricsHeader, 0) == 0) {
-        std::string header =
-            "{\"schema\": \"pom-bench/v1\", \"version\": \"" +
-            std::string(support::kVersionString) + "\", \"sha\": \"" +
-            obs::jsonEscape(benchGitSha()) + "\", \"timestamp\": \"" +
-            benchTimestamp() + "\",";
-        body = header + body.substr(metricsHeader.size());
-    }
-    if (!obs::writeFile(path, body))
-        std::fprintf(stderr, "bench: cannot write '%s'\n", path.c_str());
-}
-
 } // namespace pom::benchutil
 
-#endif // POM_BENCH_BENCH_UTIL_H
+#endif // POM_BENCHUTIL_H

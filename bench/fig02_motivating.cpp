@@ -16,7 +16,6 @@ int
 main()
 {
     const std::int64_t n = 4096;
-    const std::string bench_json = benchutil::initBenchMetrics();
     std::printf("=== Fig. 2: motivating example (BICG, N=%lld) ===\n\n",
                 static_cast<long long>(n));
 
@@ -60,16 +59,11 @@ main()
                         row.result.report.speedupOver(base.report))
                         .c_str(),
                     benchutil::iiCell(row.result.report).c_str());
-        benchutil::recordMeasurement(
-            "fig02.bicg", row.name, row.result.report,
-            row.result.report.speedupOver(base.report),
-            row.result.seconds);
     }
 
     std::printf("\nExpected shape (paper): Pluto ~ baseline; POLSCA a "
                 "small constant factor;\nScaleHLS limited by the II it "
                 "cannot reduce for both statements;\nPOM pipelines at "
                 "II=1-2 via split-interchange-merge.\n");
-    benchutil::writeBenchMetrics(bench_json);
     return 0;
 }

@@ -16,7 +16,6 @@ int
 main()
 {
     const std::int64_t n = 4096;
-    const std::string bench_json = benchutil::initBenchMetrics();
     const auto device = hls::Device::xc7z020();
     const char *benchmarks[] = {"gemm", "bicg", "gesummv", "2mm", "3mm"};
 
@@ -67,10 +66,6 @@ main()
                 benchutil::tileShape(row.r.design).c_str(),
                 benchutil::parallelismDegree(row.r.design, rep),
                 row.r.seconds);
-            benchutil::recordMeasurement(std::string("table3.") + name,
-                                         row.fw, rep,
-                                         rep.speedupOver(base.report),
-                                         row.r.seconds);
         }
         std::printf("\n");
     }
@@ -80,6 +75,5 @@ main()
                 "but II-limited on BICG and under-optimized on 2MM/3MM;\n"
                 "POM II=1-2 everywhere with ~[1,2,16]-shaped unrolls and "
                 "the shortest DSE times.\n");
-    benchutil::writeBenchMetrics(bench_json);
     return 0;
 }

@@ -31,6 +31,12 @@ DseResult::speedup() const
 
 namespace {
 
+/** Stage-1 iteration bound (paper: "pre-defined bounds"). */
+constexpr int kMaxStage1Iterations = 6;
+
+/** Buffer fill seed of DseOptions::verifyEachPoint's oracle runs. */
+constexpr unsigned kVerifySeed = 1;
+
 /** A fused optimization unit: statements sharing a top-level nest. */
 struct Unit
 {
@@ -376,6 +382,7 @@ class Engine
         auto t1 = std::chrono::steady_clock::now();
         result.dseSeconds =
             std::chrono::duration<double>(t1 - t0).count();
+        obs::accumulate("dse.seconds", result.dseSeconds);
         result.pointsExplored = points_;
         result.pointsVerified = verified_;
         result.journal = std::move(journal_);
@@ -499,7 +506,7 @@ class Engine
 
         DependenceGraph graph(stmts);
         int skew_counter = 0;
-        for (int iter = 0; iter < opt_.maxStage1Iterations; ++iter) {
+        for (int iter = 0; iter < kMaxStage1Iterations; ++iter) {
             graph.refresh(stmts);
             bool changed = false;
 
@@ -759,11 +766,6 @@ class Engine
         }
         ctx.maxParallelism = opt_.maxParallelism;
         ctx.device = device_;
-        ctx.beamWidth = opt_.beamWidth;
-        ctx.annealRounds = opt_.annealRounds;
-        ctx.annealBatch = opt_.annealBatch;
-        ctx.seed = opt_.annealSeed;
-        ctx.pointBudget = opt_.strategyPointBudget;
         std::unique_ptr<SearchStrategy> strategy =
             makeStrategy(opt_.strategy, std::move(ctx));
 
@@ -907,40 +909,6 @@ class Engine
     }
 
     /**
-     * Apply unit degrees to a copy of the base statements, producing
-     * the transformed schedules, the partition plan and the journal
-     * summary. Pure with respect to the engine.
-     */
-    struct Schedules
-    {
-        std::vector<PolyStmt> stmts;
-        hls::PartitionPlan partitions;
-        std::string primitives;
-    };
-
-    Schedules
-    scheduleUnits(const std::vector<PolyStmt> &base,
-                  const std::vector<Unit> &units) const
-    {
-        Schedules s;
-        s.stmts = base;
-        for (const auto &unit : units) {
-            size_t min_level = 0;
-            if (unit.members.size() > 1 &&
-                anyProducerRelation(s.stmts, unit.members)) {
-                min_level = sharedDepth(s.stmts, unit.members);
-            }
-            for (size_t m : unit.members) {
-                applyParallelSchedule(s.stmts[m], unit.degree,
-                                      opt_.innerUnrollCap, func_,
-                                      s.partitions, min_level);
-            }
-        }
-        s.primitives = primitivesSummary(base, units, s.partitions);
-        return s;
-    }
-
-    /**
      * One unit's scheduled statements under a fixed degree, with the
      * partition factors its unrolled loops demand and the canonical
      * schedule fragment of each member. Memoized per (unit, degree):
@@ -983,9 +951,10 @@ class Engine
 
     /**
      * Fold per-unit partition demands into one plan. Elementwise max
-     * equals the sequential accumulation of scheduleUnits(): every
-     * factor vector is full-rank (resized to the array's rank with 1s)
-     * and max is associative and commutative.
+     * equals accumulating every unit into one plan through
+     * applyParallelSchedule(): every factor vector is full-rank
+     * (resized to the array's rank with 1s) and max is associative and
+     * commutative.
      */
     static hls::PartitionPlan
     mergePartitions(const std::vector<const UnitSchedule *> &parts)
@@ -1033,6 +1002,20 @@ class Engine
         for (size_t ui = 0; ui < units.size(); ++ui)
             parts.push_back(unitSchedule(base, ui, units[ui]));
         return parts;
+    }
+
+    /** The statements of @p parts, each back at its index in @p base. */
+    static std::vector<PolyStmt>
+    inBaseOrder(const std::vector<PolyStmt> &base,
+                const std::vector<Unit> &units,
+                const std::vector<const UnitSchedule *> &parts)
+    {
+        std::vector<PolyStmt> stmts = base;
+        for (size_t ui = 0; ui < units.size(); ++ui) {
+            for (size_t k = 0; k < units[ui].members.size(); ++k)
+                stmts[units[ui].members[k]] = parts[ui]->stmts[k];
+        }
+        return stmts;
     }
 
     /**
@@ -1137,20 +1120,22 @@ class Engine
             return evaluateIncremental(base, units, parentDegrees);
         obs::Span span("dse.point", "dse");
         PointLatencyTimer pointTimer;
-        Schedules s = scheduleUnits(base, units);
+        auto parts = unitSchedules(base, units);
+        hls::PartitionPlan partitions = mergePartitions(parts);
         PointEval ev;
-        ev.primitives = s.primitives;
+        ev.primitives = primitivesSummary(base, units, partitions);
         span.arg("primitives", ev.primitives);
 
-        auto lowered = lower::lowerStmts(func_, std::move(s.stmts));
+        auto lowered =
+            lower::lowerStmts(func_, inBaseOrder(base, units, parts));
         hls::EstimatorOptions eo = estOptions();
-        eo.partitionOverride = &s.partitions;
+        eo.partitionOverride = &partitions;
         ev.report = hls::estimate(func_, lowered, eo);
         span.arg("latency_cycles",
                  static_cast<std::int64_t>(ev.report.latencyCycles));
         if (opt_.verifyEachPoint) {
             check::OracleOptions oracle;
-            oracle.seed = opt_.verifySeed;
+            oracle.seed = kVerifySeed;
             check::OracleResult res =
                 check::checkLowered(func_, lowered, oracle);
             if (!res.equivalent)
@@ -1176,27 +1161,27 @@ class Engine
     {
         obs::Span span("dse.point", "dse");
         PointLatencyTimer pointTimer;
-        Schedules s = scheduleUnits(base, units);
-        applyPartitions(func_, s.partitions);
+        auto parts = unitSchedules(base, units);
+        hls::PartitionPlan partitions = mergePartitions(parts);
+        applyPartitions(func_, partitions);
 
         Candidate c;
-        c.primitives = s.primitives;
+        c.primitives = primitivesSummary(base, units, partitions);
         span.arg("primitives", c.primitives);
 
-        c.design = lower::lowerStmts(func_, std::move(s.stmts));
+        c.design = lower::lowerStmts(func_, inBaseOrder(base, units, parts));
         if (opt_.memoize && !opt_.verifyEachPoint) {
-            c.report = composeReport(unitSchedules(base, units),
-                                     s.partitions, span);
+            c.report = composeReport(parts, partitions, span);
         } else {
             hls::EstimatorOptions eo = estOptions();
-            eo.partitionOverride = &s.partitions;
+            eo.partitionOverride = &partitions;
             c.report = hls::estimate(func_, c.design, eo);
         }
         span.arg("latency_cycles",
                  static_cast<std::int64_t>(c.report.latencyCycles));
         if (opt_.verifyEachPoint) {
             check::OracleOptions oracle;
-            oracle.seed = opt_.verifySeed;
+            oracle.seed = kVerifySeed;
             check::OracleResult res =
                 check::checkLowered(func_, c.design, oracle);
             if (!res.equivalent)

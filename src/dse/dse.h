@@ -41,9 +41,6 @@ struct DseOptions
     /** Fraction of the device budget available (Fig. 11 sweeps this). */
     double resourceFraction = 1.0;
 
-    /** Stage-1 iteration bound (paper: "pre-defined bounds"). */
-    int maxStage1Iterations = 6;
-
     /** Upper bound on a single node's parallelism degree. */
     std::int64_t maxParallelism = 64;
 
@@ -65,9 +62,6 @@ struct DseOptions
      * every point really is lowered and interpreted.
      */
     bool verifyEachPoint = false;
-
-    /** Buffer fill seed used by verifyEachPoint. */
-    unsigned verifySeed = 1;
 
     /**
      * Evaluate design points incrementally from memoized per-unit
@@ -92,20 +86,6 @@ struct DseOptions
      * always has.
      */
     StrategyKind strategy = StrategyKind::Greedy;
-
-    /** Beam width of StrategyKind::Beam. */
-    int beamWidth = 4;
-
-    /** Annealing schedule of StrategyKind::Anneal. */
-    int annealRounds = 16;
-    int annealBatch = 4;
-    unsigned annealSeed = 1;
-
-    /**
-     * Evaluation budget for the population strategies (beam/anneal);
-     * greedy's walk is self-terminating and ignores it.
-     */
-    int strategyPointBudget = 192;
 };
 
 /** Outcome of a DSE run. */

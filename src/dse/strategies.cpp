@@ -58,6 +58,21 @@ StrategyContext::unitLatency(const hls::SynthesisReport &report,
 
 namespace {
 
+/** Beam width of the beam strategy. */
+constexpr int kBeamWidth = 4;
+
+/** Annealing schedule: rounds, proposals per round, and PRNG seed. */
+constexpr int kAnnealRounds = 16;
+constexpr int kAnnealBatch = 4;
+constexpr std::uint64_t kAnnealSeed = 1;
+
+/**
+ * Upper bound on evaluated points for the population strategies
+ * (beam/anneal); greedy ignores it. Keeps deep workloads (the DNN
+ * stacks) affordable while the node cache absorbs re-visits.
+ */
+constexpr int kPointBudget = 192;
+
 /** The paper's bottleneck walk, byte-identical to the pre-interface
  *  engine: visit open units in (latency desc, index asc) order, close
  *  at max parallelism, otherwise trial a doubled degree whose
@@ -194,7 +209,7 @@ configKey(const std::vector<std::int64_t> &degrees)
 
 /** Breadth-first beam search: every round expands each beam member by
  *  doubling one unit's degree, evaluates the deduplicated successor
- *  set, and keeps the `beamWidth` feasible candidates with the lowest
+ *  set, and keeps the `kBeamWidth` feasible candidates with the lowest
  *  latency (ties broken by primitives, so the beam is independent of
  *  evaluation order). */
 class BeamStrategy final : public SearchStrategy
@@ -221,7 +236,7 @@ class BeamStrategy final : public SearchStrategy
     plan() override
     {
         std::vector<StrategyStep> steps;
-        if (consumed_ >= ctx_.pointBudget)
+        if (consumed_ >= kPointBudget)
             return steps;
         candidates_.clear();
         for (const auto &member : beam_) {
@@ -241,7 +256,7 @@ class BeamStrategy final : public SearchStrategy
                 s.parentDegrees = member;
                 steps.push_back(std::move(s));
                 if (consumed_ + static_cast<int>(steps.size()) >=
-                    ctx_.pointBudget) {
+                    kPointBudget) {
                     return steps;
                 }
             }
@@ -280,10 +295,8 @@ class BeamStrategy final : public SearchStrategy
                              return std::tie(a.latency, a.primitives) <
                                     std::tie(b.latency, b.primitives);
                          });
-        if (candidates_.size() >
-            static_cast<size_t>(ctx_.beamWidth)) {
-            candidates_.resize(static_cast<size_t>(ctx_.beamWidth));
-        }
+        if (candidates_.size() > static_cast<size_t>(kBeamWidth))
+            candidates_.resize(static_cast<size_t>(kBeamWidth));
         beam_.clear();
         for (auto &c : candidates_)
             beam_.push_back(std::move(c.degrees));
@@ -347,7 +360,7 @@ class SplitMix64
     std::uint64_t state_;
 };
 
-/** Batched simulated annealing: each round proposes `annealBatch`
+/** Batched simulated annealing: each round proposes `kAnnealBatch`
  *  neighbors of the current configuration (double or halve one unit's
  *  degree), then applies Metropolis acceptance to each in consume
  *  order. All randomness is drawn on the driver thread in plan/consume
@@ -356,7 +369,7 @@ class AnnealingStrategy final : public SearchStrategy
 {
   public:
     explicit AnnealingStrategy(StrategyContext ctx)
-        : ctx_(std::move(ctx)), rng_(ctx_.seed)
+        : ctx_(std::move(ctx)), rng_(kAnnealSeed)
     {}
 
     StrategyKind kind() const override { return StrategyKind::Anneal; }
@@ -382,11 +395,9 @@ class AnnealingStrategy final : public SearchStrategy
     plan() override
     {
         std::vector<StrategyStep> steps;
-        if (round_ >= ctx_.annealRounds ||
-            consumed_ >= ctx_.pointBudget) {
+        if (round_ >= kAnnealRounds || consumed_ >= kPointBudget)
             return steps;
-        }
-        for (int b = 0; b < ctx_.annealBatch; ++b) {
+        for (int b = 0; b < kAnnealBatch; ++b) {
             size_t u = static_cast<size_t>(rng_.next() %
                                            ctx_.numUnits());
             bool up = (rng_.next() & 1) != 0;
@@ -412,14 +423,14 @@ class AnnealingStrategy final : public SearchStrategy
             s.parentDegrees = current_;
             steps.push_back(std::move(s));
             if (consumed_ + static_cast<int>(steps.size()) >=
-                ctx_.pointBudget) {
+                kPointBudget) {
                 break;
             }
         }
         // A fully pinned design space (every unit at max degree 1)
         // produces no proposals; terminate instead of spinning.
         if (steps.empty())
-            round_ = ctx_.annealRounds;
+            round_ = kAnnealRounds;
         return steps;
     }
 
@@ -465,7 +476,7 @@ class AnnealingStrategy final : public SearchStrategy
         temperature_ = std::max(1.0, temperature_ * 0.8);
         rec.note("strategy", "stage2",
                  "anneal: round " + std::to_string(round_) + " of " +
-                     std::to_string(ctx_.annealRounds) + " done");
+                     std::to_string(kAnnealRounds) + " done");
     }
 
     std::vector<std::int64_t>

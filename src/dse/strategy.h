@@ -24,7 +24,7 @@
  *
  *  - greedy: the paper's bottleneck walk, bit-identical to the
  *    pre-interface engine (the v1 journal golden pins it).
- *  - beam:   breadth-first beam search keeping the best `beamWidth`
+ *  - beam:   breadth-first beam search keeping the best `kBeamWidth`
  *    feasible configurations per round; explores a wider frontier.
  *  - anneal: batched simulated annealing with a portable seeded PRNG
  *    (splitmix64) so runs are reproducible across platforms.
@@ -129,23 +129,6 @@ struct StrategyContext
 
     /** The (resource-fraction-scaled) device budget. */
     hls::Device device;
-
-    /** Beam width of the beam strategy. */
-    int beamWidth = 4;
-
-    /** Annealing schedule: rounds and proposals per round. */
-    int annealRounds = 16;
-    int annealBatch = 4;
-
-    /** PRNG seed of the annealing strategy. */
-    unsigned seed = 1;
-
-    /**
-     * Upper bound on evaluated points for the population strategies
-     * (beam/anneal); greedy ignores it. Keeps deep workloads (the DNN
-     * stacks) affordable while the node cache absorbs re-visits.
-     */
-    int pointBudget = 192;
 
     size_t numUnits() const { return unitNames.size(); }
 

@@ -624,27 +624,31 @@ estimate(const dsl::Function &func, const lower::LoweredFunction &lowered,
     span.arg("latency_cycles",
              static_cast<std::int64_t>(report.latencyCycles));
     span.arg("dsp", static_cast<std::int64_t>(report.resources.dsp));
-    if (obs::metricsEnabled()) {
+    if (obs::metricsEnabled())
         obs::counterAdd("hls.estimates");
-        obs::gaugeSet("hls.latency_cycles",
-                      static_cast<double>(report.latencyCycles));
-        obs::gaugeSet("hls.dsp", report.resources.dsp);
-        obs::gaugeSet("hls.lut", report.resources.lut);
-        obs::gaugeSet("hls.ff", report.resources.ff);
-        obs::gaugeSet("hls.bram_bits",
-                      static_cast<double>(report.resources.bramBits));
-        obs::gaugeSet("hls.power_w", report.powerW);
-        obs::gaugeSet("hls.worst_ii", report.worstII());
-        // Per-node gauges: the latency of every top-level nest and the
-        // achieved II of every pipelined loop of the last estimate.
-        for (const auto &[nest, cycles] : report.nestLatencies) {
-            obs::gaugeSet("hls.nest_latency." + nest,
-                          static_cast<double>(cycles));
-        }
-        for (const auto &loop : report.loops)
-            obs::gaugeSet("hls.loop_ii." + loop.iterName, loop.achievedII);
-    }
     return report;
+}
+
+void
+publishReportGauges(const SynthesisReport &report)
+{
+    if (!obs::metricsEnabled())
+        return;
+    obs::gaugeSet("hls.latency_cycles",
+                  static_cast<double>(report.latencyCycles));
+    obs::gaugeSet("hls.dsp", report.resources.dsp);
+    obs::gaugeSet("hls.lut", report.resources.lut);
+    obs::gaugeSet("hls.ff", report.resources.ff);
+    obs::gaugeSet("hls.bram_bits",
+                  static_cast<double>(report.resources.bramBits));
+    obs::gaugeSet("hls.power_w", report.powerW);
+    obs::gaugeSet("hls.worst_ii", report.worstII());
+    for (const auto &[nest, cycles] : report.nestLatencies) {
+        obs::gaugeSet("hls.nest_latency." + nest,
+                      static_cast<double>(cycles));
+    }
+    for (const auto &loop : report.loops)
+        obs::gaugeSet("hls.loop_ii." + loop.iterName, loop.achievedII);
 }
 
 } // namespace pom::hls

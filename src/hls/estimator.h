@@ -169,6 +169,15 @@ SynthesisReport combineNodeReports(const dsl::Function &func,
                                    const std::vector<NodeReport> &nodes,
                                    const EstimatorOptions &options = {});
 
+/**
+ * Publish @p report as the `hls.*` gauges: latency, resources, power,
+ * worst II, and the latency of every top-level nest and the II of
+ * every pipelined loop. A run calls this once, for the report it
+ * prints; a search estimates many designs, so estimate() does not.
+ * No-op when metrics are off.
+ */
+void publishReportGauges(const SynthesisReport &report);
+
 } // namespace pom::hls
 
 #endif // POM_HLS_ESTIMATOR_H

@@ -150,19 +150,19 @@ parsePipelineSpec(const std::string &spec)
 
 // ----- global timing aggregation -----------------------------------------
 //
-// Reimplemented on top of the obs metrics registry: every pipeline run
-// contributes counters `pass.runs.<name>` / `pass.stat.<name>.<key>`
-// and the accumulator `pass.seconds.<name>`, all under the registry's
-// mutex, so concurrent PassManagers (a threaded DSE sweep, the test
-// suite) aggregate without data races. First-execution order is the
-// registry's insertion order, which keeps the --timing report layout
-// identical to the historical single-threaded implementation.
+// Reimplemented on top of the obs registries: every pipeline run adds
+// one sample per pass execution to the histogram `pass.wall_ms.<name>`
+// and bumps the counters `pass.pipeline_runs` / `pass.stat.<name>.<key>`,
+// all under the registries' mutexes, so concurrent PassManagers (the
+// test suite, lowering on pool workers) aggregate without data races.
+// The histogram's count and sum are the report's runs and total time;
+// its first-touch order is first-execution order, which keeps the
+// --timing report layout identical to the historical single-threaded
+// implementation.
 
 namespace {
 
 constexpr const char *kPipelineRuns = "pass.pipeline_runs";
-constexpr const char *kRunsPrefix = "pass.runs.";
-constexpr const char *kSecondsPrefix = "pass.seconds.";
 constexpr const char *kStatPrefix = "pass.stat.";
 constexpr const char *kWallMsPrefix = "pass.wall_ms.";
 
@@ -173,11 +173,6 @@ recordGlobal(const std::vector<PassExecution> &executions)
 {
     obs::counterAdd(kPipelineRuns);
     for (const auto &exec : executions) {
-        obs::counterAdd(kRunsPrefix + exec.pass);
-        obs::accumulate(kSecondsPrefix + exec.pass, exec.seconds);
-        // The accumulator keeps the total; the histogram keeps the
-        // per-run distribution (p99 catches a pass that is usually
-        // cheap but sometimes pathological).
         obs::histogramRecord(kWallMsPrefix + exec.pass,
                              exec.seconds * 1e3);
         for (const auto &[key, value] : exec.statistics)
@@ -209,32 +204,30 @@ resetGlobalTiming()
 std::string
 globalTimingReport()
 {
-    auto metrics = obs::metricsSnapshot();
-    std::int64_t pipeline_runs = 0;
-    // (name, total seconds) in first-execution order.
-    std::vector<std::pair<std::string, double>> rows;
-    const size_t seconds_len = std::string(kSecondsPrefix).size();
-    for (const auto &[name, metric] : metrics) {
-        if (name == kPipelineRuns)
-            pipeline_runs = metric.count;
-        else if (name.rfind(kSecondsPrefix, 0) == 0)
-            rows.emplace_back(name.substr(seconds_len), metric.value);
-    }
-    if (rows.empty())
-        return "";
-    std::ostringstream os;
-    os << "---- pass timing (" << pipeline_runs << " pipeline runs) ----\n";
+    const size_t prefix_len = std::string(kWallMsPrefix).size();
+    std::ostringstream rows;
     char line[160];
     double total = 0.0;
-    for (const auto &[pass, seconds] : rows) {
-        std::int64_t runs = obs::counterValue(kRunsPrefix + pass);
+    for (const auto &[name, histogram] : obs::histogramsSnapshot()) {
+        if (name.rfind(kWallMsPrefix, 0) != 0)
+            continue;
+        obs::HistogramSummary s = histogram.summary();
+        double seconds = s.sum * 1e-3;
         total += seconds;
         std::snprintf(line, sizeof(line),
                       "  %-20s %8lld runs  %10.6f s total  %8.3f ms avg\n",
-                      pass.c_str(), static_cast<long long>(runs), seconds,
-                      runs > 0 ? seconds * 1e3 / runs : 0.0);
-        os << line;
+                      name.substr(prefix_len).c_str(),
+                      static_cast<long long>(s.count), seconds,
+                      s.count > 0 ? s.sum / static_cast<double>(s.count)
+                                  : 0.0);
+        rows << line;
     }
+    if (rows.tellp() == 0)
+        return "";
+    std::ostringstream os;
+    os << "---- pass timing (" << obs::counterValue(kPipelineRuns)
+       << " pipeline runs) ----\n"
+       << rows.str();
     std::snprintf(line, sizeof(line), "  %-20s %16s %10.6f s total\n",
                   "total", "", total);
     os << line;
@@ -303,7 +296,7 @@ PassManager::run(PipelineState &state)
             dumpState(state, "IR after " + pass->name(), dump_os);
     }
     // Aggregate when either --timing asked for a report or metrics
-    // export is on (the pass.* counters feed the metrics JSON too).
+    // export is on (the pass.* metrics feed the metrics JSON too).
     if (globalTimingEnabled() || obs::metricsEnabled())
         recordGlobal(executions_);
 }

@@ -11,9 +11,9 @@
  * PassManager::run() contributes its executions when aggregation is
  * enabled, so a DSE sweep that lowers thousands of candidate schedules
  * still reports a single per-pass breakdown at the end. The aggregator
- * is backed by the obs metrics registry (`pass.runs.*`,
- * `pass.seconds.*`, `pass.stat.*` counters) and is safe to feed from
- * concurrent PassManagers.
+ * is backed by the obs registries (one `pass.wall_ms.<pass>`
+ * histogram sample per execution, `pass.stat.*` counters) and is safe
+ * to feed from concurrent PassManagers.
  */
 
 #ifndef POM_PASS_PASS_MANAGER_H

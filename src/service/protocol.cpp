@@ -109,8 +109,6 @@ encodeRequest(const Request &r)
     } else if (r.method == "opt") {
         field(os, first, "ir", r.ir);
         field(os, first, "pipeline", r.pipeline);
-    } else if (r.method == "sleep") {
-        field(os, first, "size", r.size);
     }
     os << "}";
     return os.str();

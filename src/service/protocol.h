@@ -29,9 +29,6 @@
  *               service): request carries the IR and the pipeline
  *               spec, the response the resulting IR.
  *  - "shutdown" save the cache spill and stop the daemon.
- *  - "sleep"    testing aid: hold one executor slot for `size`
- *               milliseconds, so backpressure is deterministic to
- *               exercise.
  *
  * Backpressure: when the daemon's bounded request queue is full it
  * responds status "busy" with a retry_after_ms hint instead of

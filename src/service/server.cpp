@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <exception>
-#include <thread>
 
 #include "baselines/baselines.h"
 #include "dse/strategy.h"
@@ -160,8 +159,7 @@ Server::dispatch(std::shared_ptr<support::Socket> connection)
 
     // Cheap control methods never queue: a full daemon must still
     // answer pings, stats probes and the shutdown request.
-    if (request.method != "compile" && request.method != "opt" &&
-        request.method != "sleep") {
+    if (request.method != "compile" && request.method != "opt") {
         reply(execute(request, requestId));
         return;
     }
@@ -231,9 +229,6 @@ Server::execute(const Request &request, std::int64_t requestId)
             response = optResponse(request);
         } else if (request.method == "shutdown") {
             stop();
-        } else if (request.method == "sleep") {
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(request.size));
         } else {
             response.status = "error";
             response.error =

@@ -245,7 +245,8 @@ struct SweepRow
 
 /** Pinned sweep configuration: every registered workload. The DNNs get
  *  a reduced stage-2 bound to keep the tier-1 suite fast; their full
- *  search depth is exercised by bench/dse_wallclock. */
+ *  search depth runs in the cold `pomc --dse --emit` sweep that
+ *  pom-trend folds. */
 std::vector<std::pair<std::string, dse::DseOptions>>
 sweepPlan(std::vector<std::int64_t> &sizes)
 {

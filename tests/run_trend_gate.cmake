@@ -1,7 +1,9 @@
-# Drives the pom-trend regression gate end-to-end on synthetic data.
-# The gate must demonstrably gate: a steady series passes (exit 0), an
-# injected deterministic regression fails (exit 3), and the rendered
-# page is self-contained SVG. Invoked by ctest as:
+# Drives the pom-trend regression gate end-to-end on synthetic
+# pom-metrics/v1 reports, two per sweep (as if a sweep compiled two
+# workloads). The gate must demonstrably gate: steady sweeps pass
+# (exit 0), a slowed layer fails (exit 3) with a REGRESSION line that
+# names that layer alone, and the rendered page is self-contained SVG.
+# Invoked by ctest as:
 #
 #   cmake -DPOM_TREND=<binary> -DWORK_DIR=<scratch> -P run_trend_gate.cmake
 
@@ -13,18 +15,35 @@ file(REMOVE_RECURSE "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}")
 set(history "${WORK_DIR}/history.ndjsonl")
 
-# One synthetic pom-bench/v1 document per run of the series.
-function(write_bench path sha cold latency hit_rate)
-    file(WRITE "${path}" "{\"schema\": \"pom-bench/v1\", \
-\"version\": \"0.0.0\", \"sha\": \"${sha}\", \
-\"timestamp\": \"2026-01-01T00:00:00Z\", \"metrics\": [
-{\"name\": \"bench.dse.sweep.cold_seq_seconds\", \"kind\": \"gauge\", \"value\": ${cold}},
-{\"name\": \"bench.dse.sweep.latency_cycles_sum\", \"kind\": \"gauge\", \"value\": ${latency}},
-{\"name\": \"bench.dse.cache.hit_rate\", \"kind\": \"gauge\", \"value\": ${hit_rate}},
-{\"name\": \"bench.dse.strategy.greedy.points\", \"kind\": \"gauge\", \"value\": 500}
+# One synthetic compile's report. Per report: dependence analysis and
+# the DSE total are timed layers (accumulators, seconds), dse.point_ms
+# is a timed layer too (histogram, milliseconds); pass.wall_ms.build-ast
+# sums to 20 ms per sweep, under the gate's 50 ms floor.
+function(write_report path dep_s dse_s point_ms latency changed ast_ms)
+    file(WRITE "${path}" "{\"schema\": \"pom-metrics/v1\", \"metrics\": [
+  {\"name\": \"dep.analyses\", \"kind\": \"counter\", \"count\": 168, \"value\": 168},
+  {\"name\": \"dep.analysis_seconds\", \"kind\": \"accumulator\", \"count\": 168, \"value\": ${dep_s}},
+  {\"name\": \"dse.node_cache.misses\", \"kind\": \"counter\", \"count\": 300, \"value\": 300},
+  {\"name\": \"dse.cache.misses\", \"kind\": \"counter\", \"count\": 150, \"value\": 150},
+  {\"name\": \"dse.delta.changed_units\", \"kind\": \"counter\", \"count\": ${changed}, \"value\": ${changed}},
+  {\"name\": \"dse.seconds\", \"kind\": \"accumulator\", \"count\": 1, \"value\": ${dse_s}},
+  {\"name\": \"dse.frontier.size\", \"kind\": \"gauge\", \"count\": 9, \"value\": 4},
+  {\"name\": \"hls.latency_cycles\", \"kind\": \"gauge\", \"count\": 1, \"value\": ${latency}},
+  {\"name\": \"dse.point_ms\", \"kind\": \"histogram\", \"count\": 150, \"min\": 1, \"max\": 4, \"sum\": ${point_ms}, \"p50\": 2, \"p90\": 3, \"p99\": 4, \"buckets\": []},
+  {\"name\": \"pass.wall_ms.build-ast\", \"kind\": \"histogram\", \"count\": 150, \"min\": 0.01, \"max\": 0.2, \"sum\": ${ast_ms}, \"p50\": 0.05, \"p90\": 0.1, \"p99\": 0.2, \"buckets\": []}
 ]}\n")
 endfunction()
 
+# A sweep of two reports; ${name}_a.json and ${name}_b.json.
+function(write_sweep name dep_s dse_s point_ms latency changed ast_ms)
+    write_report("${WORK_DIR}/${name}_a.json" ${dep_s} ${dse_s}
+        ${point_ms} ${latency} ${changed} ${ast_ms})
+    write_report("${WORK_DIR}/${name}_b.json" ${dep_s} ${dse_s}
+        ${point_ms} ${latency} ${changed} ${ast_ms})
+endfunction()
+
+# Runs pom-trend and checks its exit code; leaves stderr in
+# trend_stderr for the caller.
 function(run_trend expect)
     execute_process(COMMAND ${POM_TREND} ${ARGN}
         RESULT_VARIABLE result
@@ -33,50 +52,67 @@ function(run_trend expect)
         message(FATAL_ERROR "pom-trend ${ARGN}: expected exit ${expect}, "
             "got ${result}\nstdout:\n${stdout}\nstderr:\n${stderr}")
     endif()
+    set(trend_stderr "${stderr}" PARENT_SCOPE)
 endfunction()
 
-# 1. Build a 5-record baseline with mild wall-clock jitter around a
-#    steady deterministic QoR.
-set(colds 2.10 2.30 2.20 2.25 2.15)
+function(sweep_args out name)
+    set(${out} --metrics "${WORK_DIR}/${name}_a.json"
+        --metrics "${WORK_DIR}/${name}_b.json" PARENT_SCOPE)
+endfunction()
+
+# 1. Five steady sweeps: mild wall-clock jitter, identical work.
+set(deps 0.40 0.42 0.39 0.41 0.40)
 set(i 0)
-foreach(cold IN LISTS colds)
+foreach(dep IN LISTS deps)
     math(EXPR i "${i} + 1")
-    write_bench("${WORK_DIR}/b${i}.json" "sha${i}" ${cold} 1000000 0.95)
-    run_trend(0 --history "${history}" --bench "${WORK_DIR}/b${i}.json"
-        --append)
+    write_sweep("s${i}" ${dep} 0.60 300 500000 100 10)
+    sweep_args(args "s${i}")
+    run_trend(0 --history "${history}" ${args} --append --sha "sha${i}")
 endforeach()
 
-# 2. A matching run passes the gate.
-write_bench("${WORK_DIR}/good.json" "shaG" 2.20 1000000 0.95)
-run_trend(0 --history "${history}" --bench "${WORK_DIR}/good.json" --check)
+# 2. A steady sixth sweep passes the gate.
+write_sweep(good 0.41 0.61 305 500000 100 10)
+sweep_args(args good)
+run_trend(0 --history "${history}" ${args} --check)
 
-# 3. +5% summed latency breaches the 2% deterministic threshold.
-write_bench("${WORK_DIR}/bad.json" "shaB" 2.20 1050000 0.95)
-run_trend(3 --history "${history}" --bench "${WORK_DIR}/bad.json" --check)
+# 3. Dependence analysis +50% breaches the default 30% time threshold,
+#    and the REGRESSION line names that layer and no other.
+write_sweep(slow 0.60 0.60 300 500000 100 10)
+sweep_args(slow_args slow)
+run_trend(3 --history "${history}" ${slow_args} --check)
+string(REGEX MATCHALL "REGRESSION [^:]*" lines "${trend_stderr}")
+if(NOT lines STREQUAL "REGRESSION dep.analysis_seconds")
+    message(FATAL_ERROR "expected one REGRESSION line, for "
+        "dep.analysis_seconds; got '${lines}':\n${trend_stderr}")
+endif()
 
-# 4. A 50% wall-clock blowup breaches the noisy threshold, and the
-#    loose CI threshold (150%) tolerates it.
-write_bench("${WORK_DIR}/slow.json" "shaS" 3.40 1000000 0.95)
-run_trend(3 --history "${history}" --bench "${WORK_DIR}/slow.json" --check)
-run_trend(0 --history "${history}" --bench "${WORK_DIR}/slow.json" --check
-    --threshold 1.5)
+# 4. The loose CI threshold (150%) tolerates the same sweep.
+run_trend(0 --history "${history}" ${slow_args} --check --threshold 1.5)
 
-# 5. A cache-hit-rate drop (higher-is-better direction) also gates.
-write_bench("${WORK_DIR}/drop.json" "shaD" 2.20 1000000 0.85)
-run_trend(3 --history "${history}" --bench "${WORK_DIR}/drop.json" --check)
+# 5. +5% summed latency breaches the 2% deterministic threshold.
+write_sweep(qor 0.40 0.60 300 525000 100 10)
+sweep_args(args qor)
+run_trend(3 --history "${history}" ${args} --check)
 
-# 6. --append --check in one invocation: the record lands in the
+# 6. Plotted-only series never gate: a doubled counter outside the
+#    deterministic set, and a tripled time series under the 50 ms floor.
+write_sweep(plotted 0.40 0.60 300 500000 200 30)
+sweep_args(args plotted)
+run_trend(0 --history "${history}" ${args} --check)
+
+# 7. --append --check in one invocation: the record lands in the
 #    history AND the gate still fails -- the CI calling convention.
-write_bench("${WORK_DIR}/bad2.json" "shaB2" 2.20 1080000 0.95)
-run_trend(3 --history "${history}" --bench "${WORK_DIR}/bad2.json"
-    --append --check --html "${WORK_DIR}/trend.html")
+write_sweep(bad 0.40 0.60 300 540000 100 10)
+sweep_args(args bad)
+run_trend(3 --history "${history}" ${args} --append --check
+    --sha shaBad --html "${WORK_DIR}/trend.html")
 file(STRINGS "${history}" records)
 list(LENGTH records n)
 if(NOT n EQUAL 6)
     message(FATAL_ERROR "expected 6 history records after appends, got ${n}")
 endif()
 
-# 7. The page is self-contained: inline SVG, no script tags.
+# 8. The page is self-contained: inline SVG, no script tags.
 file(READ "${WORK_DIR}/trend.html" html)
 if(NOT html MATCHES "<svg ")
     message(FATAL_ERROR "trend.html has no inline SVG")
@@ -84,14 +120,17 @@ endif()
 if(html MATCHES "<script")
     message(FATAL_ERROR "trend.html must not reference scripts")
 endif()
-if(NOT html MATCHES "shaB2")
+if(NOT html MATCHES "shaBad")
     message(FATAL_ERROR "trend.html must include the appended record")
 endif()
 
-# 8. Usage and I/O errors use distinct exit codes.
-run_trend(2)                                       # no --history
-run_trend(2 --history "${history}" --append)       # --append sans --bench
-run_trend(1 --history "${history}" --bench "${WORK_DIR}/missing.json"
-    --check)                                       # unreadable bench
+# 9. Usage and I/O errors use distinct exit codes.
+run_trend(2)                                         # no --history
+run_trend(2 --history "${history}" ${slow_args} --check
+    --threshold abc)                                 # not a number
+run_trend(2 --history "${history}" --bench x)        # no such flag
+run_trend(2 --history "${history}" --append)         # nothing to fold
+run_trend(1 --history "${history}"
+    --metrics "${WORK_DIR}/missing.json" --check)    # unreadable report
 
 message(STATUS "pom-trend gate behaves: clean=0, regression=3")

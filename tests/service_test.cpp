@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -27,6 +28,7 @@
 #include "service/server.h"
 #include "support/socket.h"
 #include "support/version.h"
+#include "transform/poly_stmt.h"
 #include "workloads/workloads.h"
 
 namespace {
@@ -517,26 +519,33 @@ TEST(ServiceSocket, FullQueueAnswersBusyWithRetryHint)
     ASSERT_TRUE(server.start(error)) << error;
     std::thread loop([&server]() { server.run(); });
 
-    // Occupy the only slot for a while...
-    service::Request sleeper;
-    sleeper.version = support::kVersionString;
-    sleeper.method = "sleep";
-    sleeper.size = 800;
+    // Occupy the only slot with a real compile: the deepest search, on
+    // cold caches, so it holds the slot for a while...
+    hls::NodeReportCache::global().clear();
+    transform::clearDependenceMemo();
     std::thread holder([&]() {
         service::Response resp;
         std::string holder_error;
-        EXPECT_TRUE(service::callDaemon(options.socketPath, sleeper,
-                                        resp, holder_error))
+        EXPECT_TRUE(service::callDaemon(options.socketPath,
+                                        compileRequest("vgg16", 64), resp,
+                                        holder_error))
             << holder_error;
-        EXPECT_EQ(resp.status, "ok");
+        EXPECT_EQ(resp.status, "ok") << resp.error;
     });
-    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    service::Request stats;
+    stats.version = support::kVersionString;
+    stats.method = "stats";
+    service::Response stats_resp;
+    for (int poll = 0; poll < 10000 && stats_resp.queueDepth < 1; ++poll) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        EXPECT_TRUE(service::callDaemon(options.socketPath, stats,
+                                        stats_resp, error))
+            << error;
+    }
+    EXPECT_EQ(stats_resp.queueDepth, 1);
 
     // ... a raw single-shot client (zero retries) must see "busy" ...
-    service::Request probe;
-    probe.version = support::kVersionString;
-    probe.method = "sleep";
-    probe.size = 1;
+    service::Request probe = compileRequest("gemm", 32);
     service::Response resp;
     EXPECT_FALSE(service::callDaemon(options.socketPath, probe, resp,
                                      error, /*busyRetries=*/0));
@@ -557,11 +566,54 @@ TEST(ServiceSocket, FullQueueAnswersBusyWithRetryHint)
     service::Response retried;
     std::string retry_error;
     EXPECT_TRUE(service::callDaemon(options.socketPath, probe, retried,
-                                    retry_error))
+                                    retry_error, /*busyRetries=*/6000))
         << retry_error;
-    EXPECT_EQ(retried.status, "ok");
+    EXPECT_EQ(retried.status, "ok") << retried.error;
 
     holder.join();
+    server.stop();
+    loop.join();
+    hls::NodeReportCache::global().clear();
+}
+
+TEST(ServiceSocket, SleepIsNotAMethod)
+{
+    // No wire method may hold an executor slot for a client-chosen time:
+    // one such frame per worker used to wedge the daemon.
+    service::ServerOptions options;
+    options.socketPath = scratchSocket("sleep");
+    options.workers = 1;
+    options.queueLimit = 1;
+    service::Server server(options);
+    std::string error;
+    ASSERT_TRUE(server.start(error)) << error;
+    std::thread loop([&server]() { server.run(); });
+
+    support::Socket conn = support::connectUnix(options.socketPath, error);
+    ASSERT_TRUE(conn.valid()) << error;
+    ASSERT_TRUE(support::sendFrame(
+        conn,
+        std::string("{\"pom\": \"") + support::kVersionString +
+            "\", \"method\": \"sleep\", \"size\": 1}",
+        error))
+        << error;
+    std::string reply_text;
+    ASSERT_TRUE(support::recvFrame(conn, reply_text,
+                                   service::kMaxFrameBytes, error))
+        << error;
+    service::Response resp;
+    ASSERT_TRUE(service::decodeResponse(reply_text, resp, error)) << error;
+    EXPECT_EQ(resp.status, "error");
+    EXPECT_NE(resp.error.find("unknown method 'sleep'"), std::string::npos)
+        << resp.error;
+
+    // The daemon then serves a compile.
+    service::Response compiled;
+    ASSERT_TRUE(service::callDaemon(options.socketPath,
+                                    compileRequest("gemm", 32), compiled,
+                                    error))
+        << error;
+    EXPECT_EQ(compiled.status, "ok") << compiled.error;
     server.stop();
     loop.join();
 }

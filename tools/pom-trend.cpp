@@ -3,31 +3,44 @@
  * pom-trend — the perf-trend folder and regression gate.
  *
  * Usage:
- *   pom-trend --history FILE [--bench FILE] [--metrics FILE]
- *             [--append] [--check] [--baseline N] [--threshold F]
- *             [--det-threshold F] [--html FILE]
- *             [--sha SHA] [--timestamp TS]
- *   pom-trend --list-series
+ *   pom-trend --history FILE [--metrics FILE]... [--append] [--check]
+ *             [--baseline N] [--threshold F] [--det-threshold F]
+ *             [--html FILE] [--sha SHA] [--timestamp TS]
  *
- * Folds one benchmark run (`BENCH_dse.json`, written by
- * bench/dse_wallclock, plus optionally a pom-metrics JSON report for
- * pass timing) into a single pom-perf-trend/v1 NDJSON record keyed by
- * git SHA and timestamp, appends it to the checked-in history file
- * (`perf/history.ndjsonl`), renders a self-contained HTML trend page
- * (inline SVG, no external JS), and — the part CI cares about — gates:
+ * Folds the pom-metrics/v1 reports of one sweep -- one cold
+ * `pomc <workload> <size> --dse --emit --metrics-out FILE` process per
+ * workload, each report one --metrics -- into a single
+ * pom-perf-trend/v1 NDJSON record keyed by git SHA and timestamp. The
+ * series come from the reports, not from a table kept here; each is a
+ * sum over every report:
  *
- *   --check compares the newest record against the median of the up to
- *   --baseline N preceding records, per tracked series. Wall-clock
- *   series are noisy across machines, so they use the loose
- *   --threshold (default 0.30 = 30%); hardware-independent series
- *   (summed best latency, cache hit rate, points explored) use the
- *   tight --det-threshold (default 0.02). Any breach prints a
- *   REGRESSION line and exits 3, so a speed or QoR regression fails
- *   the build loudly instead of landing as a silently-worse artifact.
+ *   - every counter and accumulator, under its own name;
+ *   - every histogram's sum under its name, its count under
+ *     `<name>.count`;
+ *   - of the gauges, only `hls.latency_cycles`: the summed latency of
+ *     the reported designs, the QoR series.
  *
- * Order of operations: --append folds and appends first, then --check
- * judges the appended record against the history *before* it; the
- * rendered page therefore always shows the regressing point.
+ * --append adds the record to the history file (`perf/history.ndjsonl`)
+ * and --html renders the whole history as a self-contained page (inline
+ * SVG, no JS). --check judges the record against the median of up to
+ * --baseline N (default 5) records before it. Lower is better for every
+ * gated series:
+ *
+ *   - time series -- accumulators (seconds) and histogram sums
+ *     (milliseconds), one per timed layer -- gate at --threshold
+ *     (default 0.30). A time series whose baseline median is under
+ *     kTimeFloorSeconds is too short to time and is only plotted.
+ *   - `hls.latency_cycles`, `dep.analyses`, `dse.node_cache.misses` and
+ *     `dse.cache.misses` depend only on the search, so they gate at
+ *     --det-threshold (default 0.02).
+ *   - every other series is only plotted.
+ *
+ * Each breach prints a REGRESSION line that names its series -- so a
+ * slowed layer names itself -- and the run exits 3.
+ *
+ * Order of operations: --append writes the record first, then --check
+ * judges it against the history before it, so the page shows the
+ * regressing point.
  *
  * Exit codes: 0 ok, 1 I/O or parse failure, 2 usage, 3 regression.
  */
@@ -35,7 +48,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
+#include <ctime>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -43,58 +57,30 @@
 
 #include "obs/obs.h"
 #include "support/json.h"
+#include "support/string_util.h"
 #include "support/version.h"
 
 namespace {
 
 using pom::support::JsonValue;
 
-// ----- the tracked series ------------------------------------------------
+/** Time series whose baseline median is under this are only plotted. */
+constexpr double kTimeFloorSeconds = 0.050;
 
-/** Gate direction: which way is worse. */
-enum class Direction
+/** Series that depend only on the search: gated at --det-threshold. */
+constexpr const char *kExactSeries[] = {
+    "hls.latency_cycles",
+    "dep.analyses",
+    "dse.node_cache.misses",
+    "dse.cache.misses",
+};
+
+bool
+isExact(const std::string &key)
 {
-    LowerIsBetter,  ///< regression = value rose past the threshold
-    HigherIsBetter, ///< regression = value fell past the threshold
-    TrackedOnly,    ///< plotted, never gated
-};
-
-struct SeriesSpec
-{
-    const char *key;    ///< record key in the "series" object
-    const char *metric; ///< bench-doc metric name ("" = derived)
-    Direction direction;
-    bool deterministic; ///< hardware-independent -> tight threshold
-    const char *label;  ///< HTML page label
-};
-
-/**
- * One row per plotted/gated series. Wall-clock rows are machine-noisy;
- * the deterministic rows depend only on the search itself, so any
- * movement there is a real behaviour change.
- */
-constexpr SeriesSpec kSeries[] = {
-    {"dse_cold_seq_seconds", "bench.dse.sweep.cold_seq_seconds",
-     Direction::LowerIsBetter, false, "DSE sweep, cold sequential (s)"},
-    {"dse_cold_pool_seconds", "bench.dse.sweep.cold_pool_seconds",
-     Direction::LowerIsBetter, false, "DSE sweep, cold pooled (s)"},
-    {"dse_warm_seconds", "bench.dse.sweep.warm_seconds",
-     Direction::LowerIsBetter, false, "DSE sweep, warm cache (s)"},
-    {"latency_cycles_sum", "bench.dse.sweep.latency_cycles_sum",
-     Direction::LowerIsBetter, true, "Summed best latency (cycles)"},
-    {"cache_hit_rate", "bench.dse.cache.hit_rate",
-     Direction::HigherIsBetter, true, "Design-point cache hit rate"},
-    {"points_explored", "bench.dse.strategy.greedy.points",
-     Direction::TrackedOnly, true, "Points explored (greedy)"},
-    {"greedy_seconds", "bench.dse.strategy.greedy.seconds",
-     Direction::LowerIsBetter, false, "Greedy strategy wall-clock (s)"},
-    {"spill_warm_seconds", "bench.dse.spill.warm_seconds",
-     Direction::LowerIsBetter, false, "Disk-warm sweep (s)"},
-    {"node_reuse_rate", "bench.dse.incremental.node_reuse_rate",
-     Direction::HigherIsBetter, true, "Node-report reuse rate"},
-    {"pass_seconds_total", "", Direction::LowerIsBetter, false,
-     "Total pass pipeline time (s)"},
-};
+    return std::find(std::begin(kExactSeries), std::end(kExactSeries),
+                     key) != std::end(kExactSeries);
+}
 
 // ----- one history record ------------------------------------------------
 
@@ -102,6 +88,8 @@ struct SeriesValue
 {
     std::string key;
     double value = 0.0;
+    /** Seconds per unit of a time series; 0 for any other series. */
+    double secondsPerUnit = 0.0;
 };
 
 struct TrendRecord
@@ -109,7 +97,7 @@ struct TrendRecord
     std::string sha = "unknown";
     std::string timestamp;
     std::string version;
-    std::vector<SeriesValue> series; ///< spec order, absent = not run
+    std::vector<SeriesValue> series; ///< first-seen order
 
     const SeriesValue *
     find(const std::string &key) const
@@ -119,6 +107,19 @@ struct TrendRecord
                 return &s;
         }
         return nullptr;
+    }
+
+    /** Add @p value to series @p key, creating it on first sight. */
+    void
+    add(const std::string &key, double value, double secondsPerUnit)
+    {
+        for (auto &s : series) {
+            if (s.key == key) {
+                s.value += value;
+                return;
+            }
+        }
+        series.push_back({key, value, secondsPerUnit});
     }
 };
 
@@ -136,6 +137,18 @@ pretty(double v)
 {
     char buf[40];
     std::snprintf(buf, sizeof(buf), "%.6g", v);
+    return buf;
+}
+
+/** Current UTC time as ISO-8601 ("2026-08-08T12:34:56Z"). */
+std::string
+utcNow()
+{
+    std::time_t now = std::time(nullptr);
+    std::tm utc{};
+    gmtime_r(&now, &utc);
+    char buf[32];
+    std::strftime(buf, sizeof(buf), "%Y-%m-%dT%H:%M:%SZ", &utc);
     return buf;
 }
 
@@ -164,10 +177,6 @@ parseRecord(const std::string &line, TrendRecord &out,
     JsonValue doc;
     if (!pom::support::parseJson(line, doc, error))
         return false;
-    if (!doc.isObject()) {
-        error = "record is not a JSON object";
-        return false;
-    }
     const JsonValue *schema = doc.find("schema");
     if (schema == nullptr ||
         schema->asString() != "pom-perf-trend/v1") {
@@ -191,7 +200,7 @@ parseRecord(const std::string &line, TrendRecord &out,
     return true;
 }
 
-// ----- folding a bench run into a record ---------------------------------
+// ----- folding a sweep into a record -------------------------------------
 
 bool
 readFile(const std::string &path, std::string &out, std::string &error)
@@ -207,11 +216,10 @@ readFile(const std::string &path, std::string &out, std::string &error)
     return true;
 }
 
-/** name -> value over a pom-bench/v1 or pom-metrics/v1 document. */
+/** Add one pom-metrics/v1 report to @p record (see the file comment). */
 bool
-metricValues(const std::string &path,
-             std::vector<std::pair<std::string, double>> &out,
-             TrendRecord *header, std::string &error)
+foldReport(const std::string &path, TrendRecord &record,
+           std::string &error)
 {
     std::string text;
     if (!readFile(path, text, error))
@@ -221,85 +229,40 @@ metricValues(const std::string &path,
         error = path + ": " + error;
         return false;
     }
-    const JsonValue *schema = doc.isObject() ? doc.find("schema") : nullptr;
-    if (schema == nullptr || (schema->asString() != "pom-bench/v1" &&
-                              schema->asString() != "pom-metrics/v1")) {
-        error = path + ": not a pom-bench/v1 or pom-metrics/v1 document";
-        return false;
-    }
-    if (header != nullptr) {
-        if (const auto *v = doc.find("sha"))
-            header->sha = v->asString(header->sha);
-        if (const auto *v = doc.find("timestamp"))
-            header->timestamp = v->asString(header->timestamp);
-        if (const auto *v = doc.find("version"))
-            header->version = v->asString(header->version);
-    }
+    const JsonValue *schema = doc.find("schema");
     const JsonValue *metrics = doc.find("metrics");
-    if (metrics == nullptr ||
-        metrics->kind != JsonValue::Kind::Array) {
-        error = path + ": no metrics array";
+    if (schema == nullptr || schema->asString() != "pom-metrics/v1" ||
+        metrics == nullptr || metrics->kind != JsonValue::Kind::Array) {
+        error = path + ": not a pom-metrics/v1 report";
         return false;
     }
     for (const auto &entry : metrics->items) {
         const JsonValue *name = entry.find("name");
-        const JsonValue *value = entry.find("value");
-        if (name == nullptr)
-            continue;
-        // Histogram entries carry "sum"/"count" instead of "value";
-        // fold them as their sum so totals stay comparable.
-        double v = value != nullptr ? value->asDouble()
-                   : entry.find("sum") != nullptr
-                       ? entry.find("sum")->asDouble()
-                       : 0.0;
-        out.emplace_back(name->asString(), v);
-    }
-    return true;
-}
-
-bool
-foldRecord(const std::string &benchPath, const std::string &metricsPath,
-           TrendRecord &out, std::string &error)
-{
-    out = TrendRecord();
-    out.version = pom::support::kVersionString;
-    std::vector<std::pair<std::string, double>> values;
-    if (!metricValues(benchPath, values, &out, error))
-        return false;
-    if (!metricsPath.empty()) {
-        // The separate metrics report (e.g. a pomc --metrics-out run)
-        // contributes the pass.* timing; its header keys are ignored.
-        if (!metricValues(metricsPath, values, nullptr, error))
+        const JsonValue *kind = entry.find("kind");
+        if (name == nullptr || kind == nullptr) {
+            error = path + ": metric entry without a name or kind";
             return false;
-    }
-    auto lookup = [&values](const std::string &name, double &v) {
-        for (const auto &[n, value] : values) {
-            if (n == name) {
-                v = value;
-                return true;
-            }
         }
-        return false;
-    };
-    for (const auto &spec : kSeries) {
-        double v = 0.0;
-        if (spec.metric[0] != '\0') {
-            if (lookup(spec.metric, v))
-                out.series.push_back({spec.key, v});
-            continue;
-        }
-        // Derived: pass_seconds_total = sum of pass.seconds.* values.
-        if (std::strcmp(spec.key, "pass_seconds_total") == 0) {
-            double total = 0.0;
-            bool any = false;
-            for (const auto &[n, value] : values) {
-                if (n.rfind("pass.seconds.", 0) == 0) {
-                    total += value;
-                    any = true;
-                }
-            }
-            if (any)
-                out.series.push_back({spec.key, total});
+        auto field = [&entry](const char *key) {
+            const JsonValue *v = entry.find(key);
+            return v != nullptr ? v->asDouble() : 0.0;
+        };
+        const std::string n = name->asString();
+        const std::string k = kind->asString();
+        if (k == "counter") {
+            record.add(n, field("value"), 0.0);
+        } else if (k == "accumulator") {
+            record.add(n, field("value"), 1.0);
+        } else if (k == "histogram") {
+            record.add(n, field("sum"), 1e-3);
+            record.add(n + ".count", field("count"), 0.0);
+        } else if (k == "gauge") {
+            if (n == "hls.latency_cycles")
+                record.add(n, field("value"), 0.0);
+        } else {
+            error = path + ": metric '" + n + "' has unknown kind '" + k +
+                    "'";
+            return false;
         }
     }
     return true;
@@ -309,9 +272,9 @@ foldRecord(const std::string &benchPath, const std::string &metricsPath,
 
 struct GateOptions
 {
-    int baseline = 5;          ///< records to take the median over
-    double threshold = 0.30;   ///< noisy (wall-clock) series
-    double detThreshold = 0.02; ///< deterministic series
+    int baseline = 5;           ///< records to take the median over
+    double threshold = 0.30;    ///< time series
+    double detThreshold = 0.02; ///< the kExactSeries
 };
 
 double
@@ -331,45 +294,39 @@ check(const std::vector<TrendRecord> &history,
       const TrendRecord &candidate, const GateOptions &opt)
 {
     int breaches = 0;
-    for (const auto &spec : kSeries) {
-        const SeriesValue *current = candidate.find(spec.key);
-        if (current == nullptr)
-            continue; // series not produced by this run
-        if (spec.direction == Direction::TrackedOnly)
-            continue;
+    for (const auto &s : candidate.series) {
+        bool exact = isExact(s.key);
+        if (!exact && s.secondsPerUnit == 0.0)
+            continue; // plotted only
         std::vector<double> base;
         for (auto it = history.rbegin();
              it != history.rend() &&
              base.size() < static_cast<std::size_t>(opt.baseline);
              ++it) {
-            if (const SeriesValue *v = it->find(spec.key))
+            if (const SeriesValue *v = it->find(s.key))
                 base.push_back(v->value);
         }
         if (base.empty()) {
-            std::printf("trend: %-22s %s (new series, no baseline)\n",
-                        spec.key, pretty(current->value).c_str());
+            std::printf("trend: %-32s %s (new series, no baseline)\n",
+                        s.key.c_str(), pretty(s.value).c_str());
             continue;
         }
         double ref = median(base);
-        if (std::fabs(ref) < 1e-12)
-            continue; // nothing meaningful to compare against
-        double change = (current->value - ref) / ref;
-        double limit =
-            spec.deterministic ? opt.detThreshold : opt.threshold;
-        bool bad = spec.direction == Direction::LowerIsBetter
-                       ? change > limit
-                       : change < -limit;
-        if (bad) {
+        if (!exact && ref * s.secondsPerUnit < kTimeFloorSeconds)
+            continue; // too short to time: plotted only
+        double limit = exact ? opt.detThreshold : opt.threshold;
+        double change = ref != 0.0 ? (s.value - ref) / ref : 0.0;
+        if (s.value > ref * (1.0 + limit)) {
             ++breaches;
             std::fprintf(stderr,
                          "trend: REGRESSION %s: %s vs baseline %s "
                          "(%+.1f%%, limit %.1f%%, %zu-record median)\n",
-                         spec.key, pretty(current->value).c_str(),
+                         s.key.c_str(), pretty(s.value).c_str(),
                          pretty(ref).c_str(), 100.0 * change,
                          100.0 * limit, base.size());
         } else {
-            std::printf("trend: %-22s %s vs %s (%+.1f%%) ok\n",
-                        spec.key, pretty(current->value).c_str(),
+            std::printf("trend: %-32s %s vs %s (%+.1f%%) ok\n",
+                        s.key.c_str(), pretty(s.value).c_str(),
                         pretty(ref).c_str(), 100.0 * change);
         }
     }
@@ -416,15 +373,21 @@ renderHtml(const std::vector<TrendRecord> &history)
            << " @ " << htmlEscape(history.back().timestamp)
            << " (v" << htmlEscape(history.back().version) << ")</p>\n";
     }
-    for (const auto &spec : kSeries) {
+    // Every series any record carries, in first-seen order.
+    std::vector<std::string> keys;
+    for (const auto &record : history) {
+        for (const auto &s : record.series) {
+            if (std::find(keys.begin(), keys.end(), s.key) == keys.end())
+                keys.push_back(s.key);
+        }
+    }
+    for (const std::string &key : keys) {
         // Collect (recordIndex, value) for records carrying the series.
         std::vector<std::pair<std::size_t, double>> points;
         for (std::size_t i = 0; i < history.size(); ++i) {
-            if (const SeriesValue *v = history[i].find(spec.key))
+            if (const SeriesValue *v = history[i].find(key))
                 points.emplace_back(i, v->value);
         }
-        if (points.empty())
-            continue;
         double lo = points[0].second, hi = points[0].second;
         for (const auto &[i, v] : points) {
             lo = std::min(lo, v);
@@ -446,14 +409,7 @@ renderHtml(const std::vector<TrendRecord> &history)
             return height - pad -
                    (height - 2.0 * pad) * (v - lo) / (hi - lo);
         };
-        os << "<h2>" << htmlEscape(spec.label) << " <span class=\"meta\">("
-           << spec.key << ", "
-           << (spec.direction == Direction::LowerIsBetter
-                   ? "lower is better"
-                   : spec.direction == Direction::HigherIsBetter
-                         ? "higher is better"
-                         : "tracked")
-           << ")</span></h2>\n";
+        os << "<h2>" << htmlEscape(key) << "</h2>\n";
         os << "<svg width=\"" << width << "\" height=\"" << height
            << "\" viewBox=\"0 0 " << width << " " << height << "\">\n";
         os << "<polyline points=\"";
@@ -480,12 +436,11 @@ usage(const char *argv0)
 {
     std::fprintf(
         stderr,
-        "usage: %s --history FILE [--bench FILE] [--metrics FILE]\n"
-        "          [--append] [--check] [--baseline N] [--threshold F]\n"
+        "usage: %s --history FILE [--metrics FILE]... [--append]\n"
+        "          [--check] [--baseline N] [--threshold F]\n"
         "          [--det-threshold F] [--html FILE] [--sha SHA]\n"
-        "          [--timestamp TS]\n"
-        "       %s --list-series\n",
-        argv0, argv0);
+        "          [--timestamp TS]\n",
+        argv0);
     return 2;
 }
 
@@ -494,14 +449,15 @@ usage(const char *argv0)
 int
 main(int argc, char **argv)
 {
-    std::string history_path, bench_path, metrics_path, html_path;
+    std::string history_path, html_path;
+    std::vector<std::string> metrics_paths;
     std::string sha_override, timestamp_override;
     bool do_append = false, do_check = false;
     GateOptions gate;
 
     for (int a = 1; a < argc; ++a) {
         std::string arg = argv[a];
-        auto value = [&](const char *flag) -> const char * {
+        auto value = [&](const char *flag) -> std::string {
             if (a + 1 >= argc) {
                 std::fprintf(stderr, "pom-trend: %s needs a value\n",
                              flag);
@@ -509,12 +465,23 @@ main(int argc, char **argv)
             }
             return argv[++a];
         };
+        // Strict: `--threshold abc` is a usage error, never 0.
+        auto fraction = [&](const char *flag) {
+            std::string text = value(flag);
+            double v = 0.0;
+            if (!pom::support::parseDouble(text, v) || v < 0.0) {
+                std::fprintf(stderr,
+                             "pom-trend: %s expects a non-negative "
+                             "number, got '%s'\n",
+                             flag, text.c_str());
+                std::exit(2);
+            }
+            return v;
+        };
         if (arg == "--history") {
             history_path = value("--history");
-        } else if (arg == "--bench") {
-            bench_path = value("--bench");
         } else if (arg == "--metrics") {
-            metrics_path = value("--metrics");
+            metrics_paths.push_back(value("--metrics"));
         } else if (arg == "--html") {
             html_path = value("--html");
         } else if (arg == "--sha") {
@@ -526,31 +493,30 @@ main(int argc, char **argv)
         } else if (arg == "--check") {
             do_check = true;
         } else if (arg == "--baseline") {
-            gate.baseline = std::atoi(value("--baseline"));
-            if (gate.baseline < 1) {
+            std::string text = value("--baseline");
+            std::int64_t n = 0;
+            if (!pom::support::parseInt64(text, n) || n < 1 ||
+                n > 1000000) {
                 std::fprintf(stderr,
-                             "pom-trend: --baseline must be >= 1\n");
+                             "pom-trend: --baseline expects a record "
+                             "count >= 1, got '%s'\n",
+                             text.c_str());
                 return 2;
             }
+            gate.baseline = static_cast<int>(n);
         } else if (arg == "--threshold") {
-            gate.threshold = std::atof(value("--threshold"));
+            gate.threshold = fraction("--threshold");
         } else if (arg == "--det-threshold") {
-            gate.detThreshold = std::atof(value("--det-threshold"));
-        } else if (arg == "--list-series") {
-            for (const auto &spec : kSeries) {
-                std::printf("%-22s %-6s %s\n", spec.key,
-                            spec.deterministic ? "exact" : "noisy",
-                            spec.label);
-            }
-            return 0;
+            gate.detThreshold = fraction("--det-threshold");
         } else {
             return usage(argv[0]);
         }
     }
     if (history_path.empty())
         return usage(argv[0]);
-    if (do_append && bench_path.empty()) {
-        std::fprintf(stderr, "pom-trend: --append needs --bench\n");
+    if ((do_append || do_check) && metrics_paths.empty()) {
+        std::fprintf(stderr,
+                     "pom-trend: --append and --check need --metrics\n");
         return 2;
     }
 
@@ -576,57 +542,33 @@ main(int argc, char **argv)
         }
     }
 
-    // 2. Fold this run into a candidate record.
+    // 2. Fold this sweep into a candidate record.
     TrendRecord candidate;
-    bool have_candidate = false;
-    if (!bench_path.empty()) {
+    candidate.version = pom::support::kVersionString;
+    candidate.timestamp =
+        timestamp_override.empty() ? utcNow() : timestamp_override;
+    if (!sha_override.empty())
+        candidate.sha = sha_override;
+    for (const std::string &path : metrics_paths) {
         std::string error;
-        if (!foldRecord(bench_path, metrics_path, candidate, error)) {
+        if (!foldReport(path, candidate, error)) {
             std::fprintf(stderr, "pom-trend: %s\n", error.c_str());
             return 1;
         }
-        if (!sha_override.empty())
-            candidate.sha = sha_override;
-        if (!timestamp_override.empty())
-            candidate.timestamp = timestamp_override;
-        have_candidate = true;
     }
 
     // 3. Append before checking, so the page shows regressing points.
     if (do_append) {
         std::ofstream out(history_path, std::ios::app);
-        if (!out) {
-            std::fprintf(stderr, "pom-trend: cannot write '%s'\n",
-                         history_path.c_str());
-            return 1;
-        }
         out << recordJson(candidate) << "\n";
         if (!out) {
-            std::fprintf(stderr, "pom-trend: write to '%s' failed\n",
+            std::fprintf(stderr, "pom-trend: cannot append to '%s'\n",
                          history_path.c_str());
             return 1;
         }
     }
 
-    int breaches = 0;
-    if (do_check) {
-        // Judge the candidate (or, with no --bench, the newest record)
-        // against the history strictly before it.
-        std::vector<TrendRecord> before = history;
-        TrendRecord subject;
-        if (have_candidate) {
-            subject = candidate;
-        } else if (!history.empty()) {
-            subject = history.back();
-            before.pop_back();
-        } else {
-            std::fprintf(stderr,
-                         "pom-trend: --check needs --bench or a "
-                         "non-empty history\n");
-            return 2;
-        }
-        breaches = check(before, subject, gate);
-    }
+    int breaches = do_check ? check(history, candidate, gate) : 0;
 
     if (!html_path.empty()) {
         std::vector<TrendRecord> all = history;

@@ -40,7 +40,8 @@
  *                       environment variable to a path (or "1" for
  *                       pom-trace.json) does the same.
  *   --metrics-out FILE  write the flat metrics JSON report (pass
- *                       counters, estimator gauges, emitter stats).
+ *                       and DSE counters, the `hls.*` gauges of the
+ *                       printed report, emitter stats).
  *   --dse-journal FILE  write the machine-readable DSE search journal:
  *                       one event per explored design point with the
  *                       applied primitives, estimated latency, resource
@@ -634,6 +635,7 @@ main(int argc, char **argv)
             std::printf("primitives: %s\n", rr.primitives.c_str());
             std::printf("report:    %s\n",
                         rr.report.str(device).c_str());
+            hls::publishReportGauges(rr.report);
             if (rr.report.latencyCycles != rr.entry.latencyCycles) {
                 std::printf("note:      journaled latency was %llu "
                             "cycles\n",
@@ -701,6 +703,7 @@ main(int argc, char **argv)
         std::printf("framework: %s (%s)\n", framework.c_str(),
                     result.notes.c_str());
         std::printf("report:    %s\n", result.report.str(device).c_str());
+        hls::publishReportGauges(result.report);
         std::printf("toolchain: %.2f s\n", result.seconds);
         if (!cache_dir.empty()) {
             std::printf("cache:     %lld hits, %lld misses (%zu node "
