@@ -42,7 +42,6 @@ struct Unit
 {
     std::vector<size_t> members; ///< indices into the statement vector
     std::int64_t degree = 1;
-    bool open = true;
 };
 
 /**
@@ -1212,10 +1211,7 @@ DseResult
 autoDSE(dsl::Function &func, const DseOptions &options)
 {
     Engine engine(func, options);
-    DseResult result = engine.run();
-    if (obs::journalEnabled())
-        obs::journal().record(result.journal);
-    return result;
+    return engine.run();
 }
 
 ReplayResult

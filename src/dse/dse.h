@@ -119,8 +119,8 @@ struct DseResult
      * Machine-readable search journal: one entry per stage-1 decision,
      * stage-2 bottleneck selection, and explored design point (with
      * primitives, estimated latency/resources and the accept/reject
-     * verdict). Always recorded; autoDSE additionally publishes it into
-     * the process-wide obs::journal() when obs::journalEnabled().
+     * verdict). Always recorded, and the only copy: `pomc
+     * --dse-journal` and `pomd` serialize it with obs::journalJson.
      */
     std::vector<obs::JournalEntry> journal;
 

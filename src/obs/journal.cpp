@@ -1,405 +1,186 @@
 #include "obs/journal.h"
 
-#include <atomic>
+#include <algorithm>
 #include <limits>
 #include <sstream>
+#include <type_traits>
+#include <utility>
 
-#include "obs/obs.h"
+#include "support/json.h"
 
 namespace pom::obs {
 
 namespace {
 
-std::atomic<bool> g_journal{false};
+using support::JsonValue;
 
 /**
- * A minimal recursive-descent scanner for the journal's JSON subset:
- * objects, arrays, strings (journalJson's escapes), integers, and the
- * literals true/false/null. Values we do not store are still validated
- * and skipped.
+ * Each journal record's JSON keys, in emission order, paired with the
+ * field they carry. The emitter writes and the parser reads through
+ * this one list, so the two cannot drift apart. @p R is the record
+ * type, const when writing.
  */
-class JsonScanner
-{
-  public:
-    JsonScanner(const std::string &text, std::string &error)
-        : text_(text), error_(error)
-    {}
-
-    size_t pos_ = 0;
-
-    bool
-    fail(const std::string &what)
-    {
-        if (error_.empty()) {
-            error_ = what + " at offset " + std::to_string(pos_);
-        }
-        return false;
-    }
-
-    void
-    skipSpace()
-    {
-        while (pos_ < text_.size() &&
-               (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-                text_[pos_] == '\n' || text_[pos_] == '\r')) {
-            ++pos_;
-        }
-    }
-
-    bool
-    consume(char c)
-    {
-        skipSpace();
-        if (pos_ >= text_.size() || text_[pos_] != c)
-            return fail(std::string("expected '") + c + "'");
-        ++pos_;
-        return true;
-    }
-
-    bool
-    peek(char c)
-    {
-        skipSpace();
-        return pos_ < text_.size() && text_[pos_] == c;
-    }
-
-    bool
-    parseString(std::string &out)
-    {
-        out.clear();
-        if (!consume('"'))
-            return false;
-        while (pos_ < text_.size()) {
-            char c = text_[pos_++];
-            if (c == '"')
-                return true;
-            if (c != '\\') {
-                out += c;
-                continue;
-            }
-            if (pos_ >= text_.size())
-                break;
-            char esc = text_[pos_++];
-            switch (esc) {
-              case '"': out += '"'; break;
-              case '\\': out += '\\'; break;
-              case '/': out += '/'; break;
-              case 'n': out += '\n'; break;
-              case 'r': out += '\r'; break;
-              case 't': out += '\t'; break;
-              case 'b': out += '\b'; break;
-              case 'f': out += '\f'; break;
-              case 'u': {
-                if (pos_ + 4 > text_.size())
-                    return fail("truncated \\u escape");
-                unsigned v = 0;
-                for (int i = 0; i < 4; ++i) {
-                    char h = text_[pos_++];
-                    v <<= 4;
-                    if (h >= '0' && h <= '9')
-                        v |= static_cast<unsigned>(h - '0');
-                    else if (h >= 'a' && h <= 'f')
-                        v |= static_cast<unsigned>(h - 'a' + 10);
-                    else if (h >= 'A' && h <= 'F')
-                        v |= static_cast<unsigned>(h - 'A' + 10);
-                    else
-                        return fail("bad \\u escape digit");
-                }
-                // journalJson only emits \u00XX control codes.
-                out += static_cast<char>(v & 0xff);
-                break;
-              }
-              default:
-                return fail("unknown escape");
-            }
-        }
-        return fail("unterminated string");
-    }
-
-    bool
-    parseInt(std::int64_t &out)
-    {
-        skipSpace();
-        size_t start = pos_;
-        if (pos_ < text_.size() && text_[pos_] == '-')
-            ++pos_;
-        while (pos_ < text_.size() && text_[pos_] >= '0' &&
-               text_[pos_] <= '9') {
-            ++pos_;
-        }
-        if (pos_ == start)
-            return fail("expected an integer");
-        // Overflow-checked accumulation: a hostile or corrupted file
-        // must produce a diagnostic, not signed-overflow UB.
-        out = 0;
-        bool negative = text_[start] == '-';
-        constexpr std::int64_t kMax =
-            std::numeric_limits<std::int64_t>::max();
-        for (size_t i = start + (negative ? 1 : 0); i < pos_; ++i) {
-            int digit = text_[i] - '0';
-            if (out > (kMax - digit) / 10) {
-                pos_ = start;
-                return fail("integer out of range");
-            }
-            out = out * 10 + digit;
-        }
-        if (negative)
-            out = -out;
-        return true;
-    }
-
-    /** Validate and discard any value (for unknown keys). Nesting is
-     *  depth-limited so a pathological input exhausts the limit, not
-     *  the call stack. */
-    bool
-    skipValue(int depth = 0)
-    {
-        if (depth > kMaxSkipDepth)
-            return fail("value nested too deeply");
-        skipSpace();
-        if (pos_ >= text_.size())
-            return fail("expected a value");
-        char c = text_[pos_];
-        if (c == '"') {
-            std::string s;
-            return parseString(s);
-        }
-        if (c == '{' || c == '[') {
-            char close = c == '{' ? '}' : ']';
-            ++pos_;
-            skipSpace();
-            if (peek(close)) {
-                ++pos_;
-                return true;
-            }
-            while (true) {
-                if (c == '{') {
-                    std::string key;
-                    if (!parseString(key) || !consume(':'))
-                        return false;
-                }
-                if (!skipValue(depth + 1))
-                    return false;
-                skipSpace();
-                if (peek(',')) {
-                    ++pos_;
-                    continue;
-                }
-                return consume(close);
-            }
-        }
-        if (c == '-' || (c >= '0' && c <= '9')) {
-            std::int64_t v;
-            if (!parseInt(v))
-                return false;
-            // Accept (and ignore) a fractional / exponent tail.
-            while (pos_ < text_.size() &&
-                   (text_[pos_] == '.' || text_[pos_] == 'e' ||
-                    text_[pos_] == 'E' || text_[pos_] == '+' ||
-                    text_[pos_] == '-' ||
-                    (text_[pos_] >= '0' && text_[pos_] <= '9'))) {
-                ++pos_;
-            }
-            return true;
-        }
-        for (const char *lit : {"true", "false", "null"}) {
-            size_t n = std::char_traits<char>::length(lit);
-            if (text_.compare(pos_, n, lit) == 0) {
-                pos_ += n;
-                return true;
-            }
-        }
-        return fail("unrecognized value");
-    }
-
-    /** True once the whole input has been consumed (modulo space). */
-    bool
-    atEnd()
-    {
-        skipSpace();
-        return pos_ >= text_.size();
-    }
-
-  private:
-    static constexpr int kMaxSkipDepth = 64;
-
-    const std::string &text_;
-    std::string &error_;
-};
-
-bool
-parseJournalEntry(JsonScanner &s, JournalEntry &e)
-{
-    if (!s.consume('{'))
-        return false;
-    if (s.peek('}')) {
-        ++s.pos_;
-        return true;
-    }
-    while (true) {
-        std::string key;
-        if (!s.parseString(key) || !s.consume(':'))
-            return false;
-        bool ok;
-        std::int64_t v = 0;
-        if (key == "kind") {
-            ok = s.parseString(e.kind);
-        } else if (key == "phase") {
-            ok = s.parseString(e.phase);
-        } else if (key == "detail") {
-            ok = s.parseString(e.detail);
-        } else if (key == "primitives") {
-            ok = s.parseString(e.primitives);
-        } else if (key == "verdict") {
-            ok = s.parseString(e.verdict);
-        } else if (key == "reason") {
-            ok = s.parseString(e.reason);
-        } else if (key == "point") {
-            ok = s.parseInt(v);
-            e.point = static_cast<int>(v);
-        } else if (key == "latency_cycles") {
-            ok = s.parseInt(v);
-            e.latencyCycles = static_cast<std::uint64_t>(v);
-        } else if (key == "dsp") {
-            ok = s.parseInt(e.dsp);
-        } else if (key == "bram_bits") {
-            ok = s.parseInt(e.bramBits);
-        } else if (key == "lut") {
-            ok = s.parseInt(e.lut);
-        } else if (key == "ff") {
-            ok = s.parseInt(e.ff);
-        } else {
-            ok = s.skipValue(); // forward compatibility
-        }
-        if (!ok)
-            return false;
-        if (s.peek(',')) {
-            ++s.pos_;
-            continue;
-        }
-        return s.consume('}');
-    }
-}
-
-bool
-parseFrontierPoint(JsonScanner &s, FrontierPoint &p)
-{
-    if (!s.consume('{'))
-        return false;
-    if (s.peek('}')) {
-        ++s.pos_;
-        return true;
-    }
-    while (true) {
-        std::string key;
-        if (!s.parseString(key) || !s.consume(':'))
-            return false;
-        bool ok;
-        std::int64_t v = 0;
-        if (key == "primitives") {
-            ok = s.parseString(p.primitives);
-        } else if (key == "point") {
-            ok = s.parseInt(v);
-            p.point = static_cast<int>(v);
-        } else if (key == "latency_cycles") {
-            ok = s.parseInt(v);
-            p.latencyCycles = static_cast<std::uint64_t>(v);
-        } else if (key == "dsp") {
-            ok = s.parseInt(p.dsp);
-        } else if (key == "bram_bits") {
-            ok = s.parseInt(p.bramBits);
-        } else if (key == "lut") {
-            ok = s.parseInt(p.lut);
-        } else {
-            ok = s.skipValue();
-        }
-        if (!ok)
-            return false;
-        if (s.peek(',')) {
-            ++s.pos_;
-            continue;
-        }
-        return s.consume('}');
-    }
-}
-
-bool
-parseFrontierRound(JsonScanner &s, FrontierRound &r)
-{
-    if (!s.consume('{'))
-        return false;
-    if (s.peek('}')) {
-        ++s.pos_;
-        return true;
-    }
-    while (true) {
-        std::string key;
-        if (!s.parseString(key) || !s.consume(':'))
-            return false;
-        bool ok = true;
-        if (key == "round") {
-            std::int64_t v = 0;
-            ok = s.parseInt(v);
-            r.round = static_cast<int>(v);
-        } else if (key == "strategy") {
-            ok = s.parseString(r.strategy);
-        } else if (key == "points") {
-            if (!s.consume('['))
-                return false;
-            if (s.peek(']')) {
-                ++s.pos_;
-            } else {
-                while (true) {
-                    FrontierPoint p;
-                    if (!parseFrontierPoint(s, p))
-                        return false;
-                    r.points.push_back(std::move(p));
-                    if (s.peek(',')) {
-                        ++s.pos_;
-                        continue;
-                    }
-                    if (!s.consume(']'))
-                        return false;
-                    break;
-                }
-            }
-        } else {
-            ok = s.skipValue();
-        }
-        if (!ok)
-            return false;
-        if (s.peek(',')) {
-            ++s.pos_;
-            continue;
-        }
-        return s.consume('}');
-    }
-}
-
+template <typename R, typename Visit>
 void
-appendEvents(std::ostringstream &os,
-             const std::vector<JournalEntry> &entries)
+visitFields(R &r, Visit &&visit)
 {
-    os << "\"events\": [";
-    bool first = true;
-    for (const auto &e : entries) {
-        if (!first)
-            os << ",";
-        first = false;
-        os << "\n  {\"kind\": \"" << jsonEscape(e.kind)
-           << "\", \"phase\": \"" << jsonEscape(e.phase)
-           << "\", \"point\": " << e.point
-           << ", \"detail\": \"" << jsonEscape(e.detail)
-           << "\", \"primitives\": \"" << jsonEscape(e.primitives)
-           << "\", \"latency_cycles\": " << e.latencyCycles
-           << ", \"dsp\": " << e.dsp
-           << ", \"bram_bits\": " << e.bramBits
-           << ", \"lut\": " << e.lut
-           << ", \"ff\": " << e.ff
-           << ", \"verdict\": \"" << jsonEscape(e.verdict)
-           << "\", \"reason\": \"" << jsonEscape(e.reason) << "\"}";
+    using Record = std::remove_const_t<R>;
+    if constexpr (std::is_same_v<Record, JournalEntry>) {
+        visit("kind", r.kind);
+        visit("phase", r.phase);
+        visit("point", r.point);
+        visit("detail", r.detail);
+        visit("primitives", r.primitives);
+        visit("latency_cycles", r.latencyCycles);
+        visit("dsp", r.dsp);
+        visit("bram_bits", r.bramBits);
+        visit("lut", r.lut);
+        visit("ff", r.ff);
+        visit("verdict", r.verdict);
+        visit("reason", r.reason);
+    } else if constexpr (std::is_same_v<Record, FrontierPoint>) {
+        visit("point", r.point);
+        visit("primitives", r.primitives);
+        visit("latency_cycles", r.latencyCycles);
+        visit("dsp", r.dsp);
+        visit("bram_bits", r.bramBits);
+        visit("lut", r.lut);
+    } else {
+        static_assert(std::is_same_v<Record, FrontierRound>);
+        visit("round", r.round);
+        visit("strategy", r.strategy);
+        visit("points", r.points);
     }
-    os << "\n]";
+}
+
+template <typename R>
+void writeRecords(std::ostream &os, const std::vector<R> &records,
+                  const std::string &indent);
+
+/** @p r as one JSON object on one line; @p indent is that line's. */
+template <typename R>
+void
+writeRecord(std::ostream &os, const R &r, const std::string &indent)
+{
+    const char *sep = "{";
+    visitFields(r, [&](const char *key, const auto &value) {
+        os << sep << '"' << key << "\": ";
+        sep = ", ";
+        using T = std::decay_t<decltype(value)>;
+        if constexpr (std::is_same_v<T, std::string>)
+            os << support::jsonQuote(value);
+        else if constexpr (std::is_integral_v<T>)
+            os << value;
+        else
+            writeRecords(os, value, indent);
+    });
+    os << '}';
+}
+
+/** A JSON array with one record per line, two spaces past @p indent. */
+template <typename R>
+void
+writeRecords(std::ostream &os, const std::vector<R> &records,
+             const std::string &indent)
+{
+    os << '[';
+    const char *sep = "\n";
+    for (const R &r : records) {
+        os << sep << indent << "  ";
+        writeRecord(os, r, indent + "  ");
+        sep = ",\n";
+    }
+    os << '\n' << indent << ']';
+}
+
+/** The document header up to and including the "events" array. */
+void
+writeHeader(std::ostream &os, const char *schema,
+            const std::vector<JournalEntry> &entries,
+            std::int64_t requestId)
+{
+    os << "{\"schema\": \"" << schema << "\", ";
+    if (requestId >= 0)
+        os << "\"request\": " << requestId << ", ";
+    os << "\"events\": ";
+    writeRecords(os, entries, "");
+}
+
+bool
+readValue(const JsonValue &v, const char *key, std::string &out,
+          std::string &error)
+{
+    if (!v.isString()) {
+        error = std::string("field '") + key + "' must be a string";
+        return false;
+    }
+    out = v.text;
+    return true;
+}
+
+/**
+ * An integer literal that fits @p out. A double (`2.0`, `1e3`, an
+ * integer past int64) or a value that would narrow is an error that
+ * names the key, never a silent conversion.
+ */
+template <typename T>
+    requires std::is_integral_v<T>
+bool
+readValue(const JsonValue &v, const char *key, T &out, std::string &error)
+{
+    if (v.kind != JsonValue::Kind::Int || !std::in_range<T>(v.integer)) {
+        error = std::string("field '") + key +
+                "' must be an integer in [" +
+                std::to_string(std::numeric_limits<T>::min()) + ", " +
+                std::to_string(std::min<std::uint64_t>(
+                    std::numeric_limits<T>::max(),
+                    std::numeric_limits<std::int64_t>::max())) +
+                "]";
+        return false;
+    }
+    out = static_cast<T>(v.integer);
+    return true;
+}
+
+template <typename R>
+bool readValue(const JsonValue &v, const char *key, std::vector<R> &out,
+               std::string &error);
+
+/** Fill @p r from the object @p v: every known key present is read and
+ *  checked; unknown keys are ignored, so minor versions stay readable. */
+template <typename R>
+bool
+readRecord(const JsonValue &v, R &r, std::string &error)
+{
+    if (!v.isObject()) {
+        error = "a journal record is not a JSON object";
+        return false;
+    }
+    bool ok = true;
+    visitFields(r, [&](const char *key, auto &field) {
+        const JsonValue *value = v.find(key);
+        if (ok && value != nullptr)
+            ok = readValue(*value, key, field, error);
+    });
+    return ok;
+}
+
+/** An array of records. */
+template <typename R>
+bool
+readValue(const JsonValue &v, const char *key, std::vector<R> &out,
+          std::string &error)
+{
+    if (v.kind != JsonValue::Kind::Array) {
+        error = std::string("field '") + key + "' must be an array";
+        return false;
+    }
+    out.assign(v.items.size(), R());
+    for (size_t i = 0; i < out.size(); ++i) {
+        if (!readRecord(v.items[i], out[i], error))
+            return false;
+    }
+    return true;
 }
 
 } // namespace
@@ -409,10 +190,7 @@ journalJson(const std::vector<JournalEntry> &entries,
             std::int64_t requestId)
 {
     std::ostringstream os;
-    os << "{\"schema\": \"pom-dse-journal/v1\", ";
-    if (requestId >= 0)
-        os << "\"request\": " << requestId << ", ";
-    appendEvents(os, entries);
+    writeHeader(os, "pom-dse-journal/v1", entries, requestId);
     os << "}\n";
     return os.str();
 }
@@ -423,33 +201,10 @@ journalJsonV2(const std::vector<JournalEntry> &entries,
               std::int64_t requestId)
 {
     std::ostringstream os;
-    os << "{\"schema\": \"pom-dse-journal/v2\", ";
-    if (requestId >= 0)
-        os << "\"request\": " << requestId << ", ";
-    appendEvents(os, entries);
-    os << ",\n\"frontier\": [";
-    bool first_round = true;
-    for (const auto &r : rounds) {
-        if (!first_round)
-            os << ",";
-        first_round = false;
-        os << "\n  {\"round\": " << r.round << ", \"strategy\": \""
-           << jsonEscape(r.strategy) << "\", \"points\": [";
-        bool first_point = true;
-        for (const auto &p : r.points) {
-            if (!first_point)
-                os << ",";
-            first_point = false;
-            os << "\n    {\"point\": " << p.point
-               << ", \"primitives\": \"" << jsonEscape(p.primitives)
-               << "\", \"latency_cycles\": " << p.latencyCycles
-               << ", \"dsp\": " << p.dsp
-               << ", \"bram_bits\": " << p.bramBits
-               << ", \"lut\": " << p.lut << "}";
-        }
-        os << "\n  ]}";
-    }
-    os << "\n]}\n";
+    writeHeader(os, "pom-dse-journal/v2", entries, requestId);
+    os << ",\n\"frontier\": ";
+    writeRecords(os, rounds, "");
+    os << "}\n";
     return os.str();
 }
 
@@ -467,145 +222,34 @@ parseJournalJson(const std::string &text, std::vector<JournalEntry> &out,
 {
     out.clear();
     rounds.clear();
-    error.clear();
-    JsonScanner s(text, error);
-    if (!s.consume('{'))
+    JsonValue doc;
+    if (!support::parseJson(text, doc, error))
         return false;
-    bool saw_schema = false;
-    bool saw_events = false;
-    while (true) {
-        std::string key;
-        if (!s.parseString(key) || !s.consume(':'))
-            return false;
-        if (key == "schema") {
-            std::string schema;
-            if (!s.parseString(schema))
-                return false;
-            if (schema != "pom-dse-journal/v1" &&
-                schema != "pom-dse-journal/v2") {
-                error = "unsupported schema '" + schema + "'";
-                return false;
-            }
-            saw_schema = true;
-        } else if (key == "frontier") {
-            if (!s.consume('['))
-                return false;
-            if (s.peek(']')) {
-                ++s.pos_;
-            } else {
-                while (true) {
-                    FrontierRound r;
-                    if (!parseFrontierRound(s, r))
-                        return false;
-                    rounds.push_back(std::move(r));
-                    if (s.peek(',')) {
-                        ++s.pos_;
-                        continue;
-                    }
-                    if (!s.consume(']'))
-                        return false;
-                    break;
-                }
-            }
-        } else if (key == "events") {
-            if (!s.consume('['))
-                return false;
-            saw_events = true;
-            if (s.peek(']')) {
-                ++s.pos_;
-            } else {
-                while (true) {
-                    JournalEntry e;
-                    if (!parseJournalEntry(s, e))
-                        return false;
-                    out.push_back(std::move(e));
-                    if (s.peek(',')) {
-                        ++s.pos_;
-                        continue;
-                    }
-                    if (!s.consume(']'))
-                        return false;
-                    break;
-                }
-            }
-        } else if (!s.skipValue()) {
-            return false;
-        }
-        if (s.peek(',')) {
-            ++s.pos_;
-            continue;
-        }
-        if (!s.consume('}'))
-            return false;
-        break;
+    if (!doc.isObject()) {
+        error = "the document is not a JSON object";
+        return false;
     }
-    if (!saw_schema) {
+    const JsonValue *schema = doc.find("schema");
+    if (schema == nullptr) {
         error = "missing schema tag";
         return false;
     }
-    if (!saw_events) {
+    std::string tag;
+    if (!readValue(*schema, "schema", tag, error))
+        return false;
+    if (tag != "pom-dse-journal/v1" && tag != "pom-dse-journal/v2") {
+        error = "unsupported schema '" + tag + "'";
+        return false;
+    }
+    const JsonValue *events = doc.find("events");
+    if (events == nullptr) {
         error = "missing events array";
         return false;
     }
-    if (!s.atEnd()) {
-        error.clear();
-        s.fail("trailing garbage after journal document");
-        return false;
-    }
-    return true;
-}
-
-void
-SearchJournal::record(JournalEntry entry)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    entries_.push_back(std::move(entry));
-}
-
-void
-SearchJournal::record(const std::vector<JournalEntry> &entries)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    entries_.insert(entries_.end(), entries.begin(), entries.end());
-}
-
-std::vector<JournalEntry>
-SearchJournal::entries() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return entries_;
-}
-
-void
-SearchJournal::clear()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    entries_.clear();
-}
-
-std::string
-SearchJournal::json() const
-{
-    return journalJson(entries());
-}
-
-SearchJournal &
-journal()
-{
-    static SearchJournal *instance = new SearchJournal();
-    return *instance;
-}
-
-void
-setJournalEnabled(bool enabled)
-{
-    g_journal.store(enabled, std::memory_order_relaxed);
-}
-
-bool
-journalEnabled()
-{
-    return g_journal.load(std::memory_order_relaxed);
+    const JsonValue *frontier = doc.find("frontier");
+    return readValue(*events, "events", out, error) &&
+           (frontier == nullptr ||
+            readValue(*frontier, "frontier", rounds, error));
 }
 
 } // namespace pom::obs

@@ -25,13 +25,18 @@
  * one section per stage-2 search round, each holding the Pareto
  * frontier over (latency_cycles, dsp, bram_bits, lut) after that
  * round. v1 documents remain parseable; the parser accepts both.
+ *
+ * Both documents are built from the records a DseResult carries (see
+ * dse::DseResult::journal); there is no process-wide collector. The
+ * parser is a schema walker over the support::parseJson document model,
+ * so journals share the wire protocol's one JSON reader: it checks each
+ * known key's type and range and names the key it rejects.
  */
 
 #ifndef POM_OBS_JOURNAL_H
 #define POM_OBS_JOURNAL_H
 
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -112,7 +117,10 @@ std::string journalJsonV2(const std::vector<JournalEntry> &entries,
  * inverse of journalJson; what `pomc --replay-journal` loads). Unknown
  * keys are ignored so minor-version documents stay readable. Returns
  * false -- with @p error describing the first problem -- on malformed
- * input or a wrong schema tag.
+ * JSON, a wrong schema tag, or a known key whose value has the wrong
+ * type or does not fit its field: integers must be integer literals,
+ * `point` and `round` must fit an int, and `latency_cycles` must not
+ * be negative.
  */
 bool parseJournalJson(const std::string &text,
                       std::vector<JournalEntry> &out, std::string &error);
@@ -123,30 +131,6 @@ bool parseJournalJson(const std::string &text,
                       std::vector<JournalEntry> &out,
                       std::vector<FrontierRound> &rounds,
                       std::string &error);
-
-/** Thread-safe process-wide journal collector. */
-class SearchJournal
-{
-  public:
-    void record(JournalEntry entry);
-    void record(const std::vector<JournalEntry> &entries);
-    std::vector<JournalEntry> entries() const;
-    void clear();
-
-    /** JSON document for the collected entries. */
-    std::string json() const;
-
-  private:
-    mutable std::mutex mutex_;
-    std::vector<JournalEntry> entries_;
-};
-
-/** The process-wide journal (what `pomc --dse-journal` exports). */
-SearchJournal &journal();
-
-/** Gate for publishing DSE runs into the global journal (off by default). */
-void setJournalEnabled(bool enabled);
-bool journalEnabled();
 
 } // namespace pom::obs
 

@@ -16,6 +16,7 @@
 #endif
 
 #include "support/diagnostics.h"
+#include "support/json.h"
 
 namespace pom::obs {
 
@@ -219,7 +220,7 @@ void
 Span::arg(const std::string &key, const std::string &value)
 {
     if (active_)
-        event_.args.emplace_back(key, "\"" + jsonEscape(value) + "\"");
+        event_.args.emplace_back(key, support::jsonQuote(value));
 }
 
 void
@@ -414,31 +415,6 @@ setCurrentThreadName(const std::string &name)
 // ----- export ------------------------------------------------------------
 
 std::string
-jsonEscape(const std::string &text)
-{
-    std::string out;
-    out.reserve(text.size() + 8);
-    for (unsigned char c : text) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (c < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += static_cast<char>(c);
-            }
-        }
-    }
-    return out;
-}
-
-std::string
 chromeTraceJson()
 {
     std::vector<SpanEvent> events;
@@ -460,16 +436,16 @@ chromeTraceJson()
             os << ",";
         first = false;
         os << "\n  {\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, "
-           << "\"tid\": " << tid << ", \"args\": {\"name\": \""
-           << jsonEscape(name) << "\"}}";
+           << "\"tid\": " << tid << ", \"args\": {\"name\": "
+           << support::jsonQuote(name) << "}}";
     }
     for (const auto &e : events) {
         if (!first)
             os << ",";
         first = false;
-        os << "\n  {\"name\": \"" << jsonEscape(e.name)
-           << "\", \"cat\": \"" << jsonEscape(e.category)
-           << "\", \"ph\": \"X\", \"pid\": 1, \"tid\": " << e.threadId;
+        os << "\n  {\"name\": " << support::jsonQuote(e.name)
+           << ", \"cat\": " << support::jsonQuote(e.category)
+           << ", \"ph\": \"X\", \"pid\": 1, \"tid\": " << e.threadId;
         std::snprintf(num, sizeof(num), "%.3f", e.startUs);
         os << ", \"ts\": " << num;
         std::snprintf(num, sizeof(num), "%.3f", e.durationUs);
@@ -478,7 +454,7 @@ chromeTraceJson()
         if (e.requestId != 0)
             os << ", \"req\": " << e.requestId;
         for (const auto &[key, value] : e.args)
-            os << ", \"" << jsonEscape(key) << "\": " << value;
+            os << ", " << support::jsonQuote(key) << ": " << value;
         os << "}}";
     }
     os << "\n]}\n";
@@ -501,9 +477,9 @@ metricsJson()
                                ? "accumulator"
                                : "gauge";
         std::snprintf(num, sizeof(num), "%.9g", m.value);
-        os << "\n  {\"name\": \"" << jsonEscape(name) << "\", \"kind\": \""
-           << kind << "\", \"count\": " << m.count << ", \"value\": " << num
-           << "}";
+        os << "\n  {\"name\": " << support::jsonQuote(name)
+           << ", \"kind\": \"" << kind << "\", \"count\": " << m.count
+           << ", \"value\": " << num << "}";
     }
     // Histograms ride in the same array as a fourth kind; the body of
     // Histogram::json() (summary + sparse buckets) is spliced in.
@@ -513,8 +489,8 @@ metricsJson()
         first = false;
         std::string body = histogram.json();
         // body is "{...}": splice its fields after our name/kind header.
-        os << "\n  {\"name\": \"" << jsonEscape(name)
-           << "\", \"kind\": \"histogram\", " << body.substr(1);
+        os << "\n  {\"name\": " << support::jsonQuote(name)
+           << ", \"kind\": \"histogram\", " << body.substr(1);
     }
     os << "\n]}\n";
     return os.str();

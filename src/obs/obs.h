@@ -13,8 +13,8 @@
  *    distributions with p50/p90/p99 extraction, serialized into the
  *    same metrics JSON (kind "histogram").
  *  - **Exporters**: the Chrome trace-event JSON format for spans and a
- *    flat machine-readable JSON report for metrics. The DSE search
- *    journal (journal.h) shares the same JSON conventions.
+ *    flat machine-readable JSON report for metrics. They and the DSE
+ *    search journal (journal.h) quote strings with support::jsonQuote.
  *
  * Tracing and metrics are disabled by default; both gates are single
  * atomic loads, so instrumented code paths cost nothing measurable when
@@ -171,9 +171,6 @@ void resetHistogramsWithPrefix(const std::string &prefix);
 void setCurrentThreadName(const std::string &name);
 
 // ----- export ------------------------------------------------------------
-
-/** JSON string-literal escaping (quotes, backslashes, control chars). */
-std::string jsonEscape(const std::string &text);
 
 /**
  * All recorded spans in the Chrome trace-event format, loadable by

@@ -106,9 +106,6 @@ encodeRequest(const Request &r)
         field(os, first, "resources", r.resourceFraction);
         field(os, first, "emit", r.emit);
         field(os, first, "journal", r.journal);
-    } else if (r.method == "opt") {
-        field(os, first, "ir", r.ir);
-        field(os, first, "pipeline", r.pipeline);
     }
     os << "}";
     return os.str();
@@ -145,8 +142,6 @@ encodeResponse(const Response &r)
         field(os, first, "journal", r.journalText);
     if (!r.hlsC.empty())
         field(os, first, "hls_c", r.hlsC);
-    if (!r.irOut.empty())
-        field(os, first, "ir", r.irOut);
     if (r.requestId > 0)
         field(os, first, "request", r.requestId);
     if (r.status == "ok") {
@@ -217,10 +212,6 @@ decodeRequest(const std::string &text, Request &out, std::string &error)
         out.emit = v->asBool(out.emit);
     if (const auto *v = doc.find("journal"))
         out.journal = v->asString(out.journal);
-    if (const auto *v = doc.find("ir"))
-        out.ir = v->asString();
-    if (const auto *v = doc.find("pipeline"))
-        out.pipeline = v->asString();
     return true;
 }
 
@@ -269,8 +260,6 @@ decodeResponse(const std::string &text, Response &out,
         out.journalText = v->asString();
     if (const auto *v = doc.find("hls_c"))
         out.hlsC = v->asString();
-    if (const auto *v = doc.find("ir"))
-        out.irOut = v->asString();
     if (const auto *v = doc.find("request"))
         out.requestId = v->asInt();
     if (const auto *v = doc.find("cache_hits"))

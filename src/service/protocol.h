@@ -25,10 +25,9 @@
  *               carries the synthesis report and, when requested, the
  *               pom-dse-journal document byte-identical to `pomc
  *               --dse-journal` / `--frontier-out` output.
- *  - "opt"      run a pass pipeline over textual IR (`pom-opt` as a
- *               service): request carries the IR and the pipeline
- *               spec, the response the resulting IR.
  *  - "shutdown" save the cache spill and stop the daemon.
+ *
+ * Any other method is answered with an "unknown method" error.
  *
  * Backpressure: when the daemon's bounded request queue is full it
  * responds status "busy" with a retry_after_ms hint instead of
@@ -50,7 +49,7 @@ inline constexpr std::size_t kMaxFrameBytes = 64u << 20;
 struct Request
 {
     std::string version; ///< sender's support::kVersionString
-    std::string method;  ///< ping | stats | compile | opt | shutdown
+    std::string method;  ///< ping | stats | compile | shutdown
 
     // -- compile --
     std::string workload;            ///< workloads::makeByName name
@@ -60,10 +59,6 @@ struct Request
     double resourceFraction = 1.0;
     bool emit = false;          ///< also return the HLS C
     std::string journal = "none"; ///< none | v1 | v2
-
-    // -- opt --
-    std::string ir;       ///< textual .pom-ir module
-    std::string pipeline; ///< pass pipeline spec (may be empty)
 };
 
 /**
@@ -105,10 +100,7 @@ struct Response
     std::string journalText; ///< requested pom-dse-journal document
     std::string hlsC;        ///< requested HLS C
 
-    // -- opt --
-    std::string irOut;
-
-    // -- per-request work report (compile/opt frames) --
+    // -- per-request work report (compile frames) --
     // DSE design points whose every unit came from the node cache
     // (`dse.cache.hits`) and the others (`dse.cache.misses`):
     // snapshot-deltas taken around THIS request's execution. Stats

@@ -7,11 +7,8 @@
 #include "dse/strategy.h"
 #include "emit/hls_emitter.h"
 #include "hls/node_cache.h"
-#include "ir/parser.h"
-#include "lower/lower.h"
 #include "obs/journal.h"
 #include "obs/obs.h"
-#include "pass/pass_manager.h"
 #include "support/diagnostics.h"
 #include "support/version.h"
 #include "workloads/workloads.h"
@@ -74,7 +71,6 @@ Server::~Server()
 bool
 Server::start(std::string &error)
 {
-    lower::registerLoweringPasses();
     // Apply the cap before the warm-load so an oversized spill is
     // trimmed (FIFO) on the way in rather than held until first use.
     hls::NodeReportCache::global().setCapacity(opt_.estimatorCacheCap);
@@ -159,7 +155,7 @@ Server::dispatch(std::shared_ptr<support::Socket> connection)
 
     // Cheap control methods never queue: a full daemon must still
     // answer pings, stats probes and the shutdown request.
-    if (request.method != "compile" && request.method != "opt") {
+    if (request.method != "compile") {
         reply(execute(request, requestId));
         return;
     }
@@ -225,15 +221,13 @@ Server::execute(const Request &request, std::int64_t requestId)
             response = statsResponse();
         } else if (request.method == "compile") {
             response = compileResponse(request, requestId);
-        } else if (request.method == "opt") {
-            response = optResponse(request);
         } else if (request.method == "shutdown") {
             stop();
         } else {
             response.status = "error";
             response.error =
                 "unknown method '" + request.method +
-                "' (valid: ping, stats, compile, opt, shutdown)";
+                "' (valid: ping, stats, compile, shutdown)";
         }
     } catch (const support::FatalError &e) {
         response = Response();
@@ -344,25 +338,6 @@ Server::compileResponse(const Request &request, std::int64_t requestId)
         response.hlsC = emit::emitHlsC(*result.design.func);
 
     saveCache();
-    return response;
-}
-
-Response
-Server::optResponse(const Request &request)
-{
-    Response response;
-    auto begin = std::chrono::steady_clock::now();
-    pass::PipelineState state;
-    state.func = ir::parseIr(request.ir);
-    pass::PassManager manager;
-    if (!request.pipeline.empty())
-        manager.addPipeline(request.pipeline);
-    manager.run(state);
-    response.irOut = state.func ? state.func->str() : "";
-    response.seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      begin)
-            .count();
     return response;
 }
 

@@ -1,10 +1,9 @@
 /**
  * @file
  * The pomd compile server: a long-lived process that keeps the whole
- * compiler warm -- registered pass pipelines, the process-wide
- * hls::NodeReportCache, and (optionally) its disk spill -- and serves
- * concurrent compile/DSE requests over a Unix-domain socket speaking
- * the protocol.h frames.
+ * compiler warm -- the process-wide hls::NodeReportCache and
+ * (optionally) its disk spill -- and serves concurrent compile/DSE
+ * requests over a Unix-domain socket speaking the protocol.h frames.
  *
  * Concurrency model: one accept loop (run()) reads a single request
  * frame per connection and hands (request, connection) to a dedicated
@@ -14,11 +13,10 @@
  * global pool (`pomd --jobs`), and were the executors global workers,
  * the deadlock rule (a pool worker must never wait on futures of its
  * own pool) would run that work inline. Journals stay byte-identical
- * to one-shot `pomc` runs because each request's DseResult carries its
- * own journal -- nothing goes through the process-global
- * obs::journal() -- and the shared node cache can only change *where*
- * a node report comes from, never what it says (the node fingerprint
- * pins the full estimator input).
+ * to one-shot `pomc` runs because each request serializes the journal
+ * its own DseResult carries, as `pomc` does, and the shared node cache
+ * can only change *where* a node report comes from, never what it says
+ * (the node fingerprint pins the full estimator input).
  *
  * Backpressure: at most `queueLimit` requests may be queued or
  * executing; beyond that the accept loop answers status "busy" with a
@@ -88,9 +86,9 @@ class Server
     Server &operator=(const Server &) = delete;
 
     /**
-     * Bind the socket, register pass pipelines, and warm-load the
-     * cache spill. False + @p error when the socket or the cache
-     * index is unusable (a daemon must not start half-deaf).
+     * Bind the socket and warm-load the cache spill. False + @p error
+     * when the socket or the cache index is unusable (a daemon must not
+     * start half-deaf).
      */
     bool start(std::string &error);
 
@@ -128,7 +126,6 @@ class Server
     void dispatch(std::shared_ptr<support::Socket> connection);
     Response compileResponse(const Request &request,
                              std::int64_t requestId);
-    Response optResponse(const Request &request);
     Response statsResponse();
     void saveCache();
 

@@ -196,6 +196,65 @@ TEST(JournalParser, RejectsMalformedDocuments)
     EXPECT_TRUE(parsed.empty());
 }
 
+/** One splitmix64 step: the same mutation stream on every platform. */
+std::uint64_t
+splitMix64(std::uint64_t &state)
+{
+    std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+}
+
+TEST(JournalParser, SurvivesSeededMutations)
+{
+    // `pomc --replay-journal` reads files from anywhere: a damaged
+    // journal must come back as an error, or as records that re-emit
+    // to a fixed point -- never a crash, a hang or a wrapped integer.
+    dse::DseResult res = runDse("gemm", 32);
+    const std::string alphabet =
+        "{}[]\":,-+.0123456789eEtruefalsn \\/\n\t" "\x01";
+    // This seed's edit 655 of the v2 document makes a latency_cycles
+    // value negative: the mutant must be rejected, not wrapped.
+    std::uint64_t state = 9;
+    for (bool v2 : {false, true}) {
+        auto emit = [v2](const std::vector<obs::JournalEntry> &entries,
+                         const std::vector<obs::FrontierRound> &rounds) {
+            return v2 ? obs::journalJsonV2(entries, rounds)
+                      : obs::journalJson(entries);
+        };
+        const std::string doc = emit(res.journal, res.frontierRounds);
+        std::vector<obs::JournalEntry> entries;
+        std::vector<obs::FrontierRound> rounds;
+        std::string error;
+
+        // Any cut before the closing brace leaves the document open.
+        for (size_t cut = 0; cut < doc.rfind('}'); ++cut) {
+            ASSERT_FALSE(obs::parseJournalJson(doc.substr(0, cut), entries,
+                                               rounds, error))
+                << "v2=" << v2 << " cut at " << cut;
+        }
+
+        for (int edit = 0; edit < 1000; ++edit) {
+            std::string mutant = doc;
+            size_t at = splitMix64(state) % mutant.size();
+            char c = alphabet[splitMix64(state) % alphabet.size()];
+            switch (splitMix64(state) % 3) {
+              case 0: mutant[at] = c; break;
+              case 1: mutant.insert(at, 1, c); break;
+              default: mutant.erase(at, 1); break;
+            }
+            if (!obs::parseJournalJson(mutant, entries, rounds, error))
+                continue;
+            std::string once = emit(entries, rounds);
+            ASSERT_TRUE(obs::parseJournalJson(once, entries, rounds, error))
+                << "v2=" << v2 << " edit " << edit << ": " << error;
+            ASSERT_EQ(emit(entries, rounds), once)
+                << "v2=" << v2 << " edit " << edit;
+        }
+    }
+}
+
 TEST(Replay, ReproducesJournaledPoints)
 {
     auto w = makeByName("gemm", 64);

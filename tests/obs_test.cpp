@@ -351,38 +351,6 @@ TEST(ObsExport, MetricsJsonIsWellFormed)
     EXPECT_TRUE(jsonValid(obs::chromeTraceJson()));
 }
 
-TEST(ObsJournal, GlobalJournalIsGatedAndThreadSafe)
-{
-    obs::journal().clear();
-    obs::setJournalEnabled(false);
-
-    // autoDSE always records into the result, but only publishes to the
-    // process-wide journal when the gate is open.
-    auto w = workloads::makeGemm(32);
-    dse::DseResult res = dse::autoDSE(w->func(), dse::DseOptions());
-    EXPECT_FALSE(res.journal.empty());
-    EXPECT_TRUE(obs::journal().entries().empty());
-
-    std::vector<std::thread> writers;
-    for (int t = 0; t < 4; ++t) {
-        writers.emplace_back([t] {
-            for (int i = 0; i < 500; ++i) {
-                obs::JournalEntry e;
-                e.kind = "point";
-                e.phase = "stage2";
-                e.point = t * 1000 + i;
-                obs::journal().record(e);
-            }
-        });
-    }
-    for (auto &t : writers)
-        t.join();
-    EXPECT_EQ(obs::journal().entries().size(), 2000u);
-    EXPECT_TRUE(jsonValid(obs::journal().json()));
-    obs::journal().clear();
-    EXPECT_TRUE(obs::journal().entries().empty());
-}
-
 TEST(ObsJournal, GemmJournalMatchesGolden)
 {
     // The journal deliberately has no wall-clock fields and the

@@ -14,15 +14,12 @@
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <thread>
 #include <vector>
 
 #include "baselines/baselines.h"
 #include "hls/node_cache.h"
-#include "ir/parser.h"
-#include "lower/lower.h"
 #include "obs/journal.h"
 #include "service/client.h"
 #include "service/server.h"
@@ -324,13 +321,14 @@ TEST(Server, RejectsBadRequestsWithoutDying)
     resp = server.execute(v2_baseline);
     EXPECT_EQ(resp.status, "error");
 
-    // A parse error inside "opt" comes back as an error response.
-    service::Request bad_ir;
-    bad_ir.version = support::kVersionString;
-    bad_ir.method = "opt";
-    bad_ir.ir = "this is not pom-ir";
-    resp = server.execute(bad_ir);
+    // No wire method runs a pass pipeline over client-supplied IR.
+    service::Request opt;
+    opt.version = support::kVersionString;
+    opt.method = "opt";
+    resp = server.execute(opt);
     EXPECT_EQ(resp.status, "error");
+    EXPECT_NE(resp.error.find("unknown method 'opt'"), std::string::npos)
+        << resp.error;
 
     // The server still works after all those failures.
     service::Request ping;
@@ -351,29 +349,6 @@ TEST(Server, CompileMatchesOneShotJournalByteForByte)
     EXPECT_EQ(resp.journalText, direct);
     EXPECT_FALSE(resp.reportLine.empty());
     hls::NodeReportCache::global().clear();
-}
-
-TEST(Server, OptMethodMatchesDirectPipeline)
-{
-    lower::registerLoweringPasses();
-    std::ifstream in(std::string(POM_REGRESSION_DIR) +
-                     "/gemm_default.pom-ir");
-    ASSERT_TRUE(in.good());
-    std::ostringstream text;
-    text << in.rdbuf();
-
-    service::Request req;
-    req.version = support::kVersionString;
-    req.method = "opt";
-    req.ir = text.str();
-    req.pipeline = "verify";
-
-    service::Server server(service::ServerOptions{});
-    service::Response resp = server.execute(req);
-    ASSERT_EQ(resp.status, "ok") << resp.error;
-    // Round-trip identity: with a non-mutating pipeline the service
-    // returns the canonical printing of the parsed module.
-    EXPECT_EQ(resp.irOut, ir::parseIr(text.str())->str());
 }
 
 TEST(ServiceSocket, PingStatsAndShutdown)

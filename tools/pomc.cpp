@@ -519,14 +519,16 @@ main(int argc, char **argv)
         obs::setTracingEnabled(true);
     if (!metrics_out.empty())
         obs::setMetricsEnabled(true);
-    if (!journal_out.empty())
-        obs::setJournalEnabled(true);
+
+    // The compile's result; its journal stays empty unless a POM DSE ran.
+    baselines::BaselineResult result;
 
     // Writes the requested observability files on every exit path
     // (including FatalError) once all spans have closed.
     struct ObsFlusher
     {
         std::string trace, metrics, journal;
+        const std::vector<obs::JournalEntry> &events;
 
         ~ObsFlusher()
         {
@@ -541,12 +543,12 @@ main(int argc, char **argv)
                              metrics.c_str());
             }
             if (!journal.empty() &&
-                !obs::writeFile(journal, obs::journal().json())) {
+                !obs::writeFile(journal, obs::journalJson(events))) {
                 std::fprintf(stderr, "pomc: cannot write '%s'\n",
                              journal.c_str());
             }
         }
-    } flusher{trace_out, metrics_out, journal_out};
+    } flusher{trace_out, metrics_out, journal_out, result.journal};
 
     // Persistent node cache: warm-load before the run, spill on every
     // exit path (the spill is incremental and content-addressed, so
@@ -673,7 +675,6 @@ main(int argc, char **argv)
             return 2;
         }
 
-        baselines::BaselineResult result;
         if (framework == "pom") {
             result = baselines::runPom(w->func(), opt);
         } else if (framework == "scalehls") {

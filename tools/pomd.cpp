@@ -8,11 +8,10 @@
  *        [--version] [--quiet|-q] [--verbose|-v]
  *
  * Listens on a Unix-domain socket and serves concurrent compile/DSE
- * and pass-pipeline requests (see src/service/protocol.h), keeping
- * pass registrations and the per-node report cache
- * (src/hls/node_cache.h) warm across requests. With --cache-dir that
- * cache is spilled to DIR/nodes.index + DIR/nodes/ and warm-loaded on
- * the next start, so even a restarted daemon answers repeated DSE
+ * requests (see src/service/protocol.h), keeping the per-node report
+ * cache (src/hls/node_cache.h) warm across requests. With --cache-dir
+ * that cache is spilled to DIR/nodes.index + DIR/nodes/ and warm-loaded
+ * on the next start, so even a restarted daemon answers repeated DSE
  * requests from cache.
  *
  * --workers N sets how many requests execute at once; --jobs N sizes
