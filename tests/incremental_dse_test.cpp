@@ -8,6 +8,13 @@
  *    monolithic reference (memoize off), for every workload and every
  *    stage-2 strategy. Worker-count identity is the ParallelDse and
  *    StrategyDeterminism tests' job.
+ *  - The same sweeps pin every trajectory: the v2 journal digest of
+ *    each (strategy, workload) run must match
+ *    golden/dse_journal_digests.txt, so a changed greedy, beam or
+ *    anneal search fails here even when both paths change alike.
+ *    Regenerate (only for an intended search change) with
+ *      POM_UPDATE_EXPECTED=1 ./incremental_dse_test \
+ *          --gtest_filter='IncrementalDse.*JournalsByteIdentical'
  *  - The NodeReportCache entry codec (its store and spill mechanics
  *    are covered by content_cache_test).
  *  - combineNodeReports(estimateNodes(f)) equals estimate(f).
@@ -16,14 +23,24 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
+#include <fstream>
+#include <map>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dse/dse.h"
 #include "hls/node_cache.h"
 #include "lower/lower.h"
 #include "obs/journal.h"
+#include "support/cache_store.h"
 #include "workloads/workloads.h"
+
+#ifndef POM_GOLDEN_DIR
+#define POM_GOLDEN_DIR "tests/golden"
+#endif
 
 namespace {
 
@@ -41,16 +58,69 @@ sweepOptions(const std::string &name, dse::StrategyKind kind)
     return opt;
 }
 
+/** (strategy, workload) -> digest of its v2 journal. */
+using Digests = std::map<std::pair<std::string, std::string>, std::string>;
+
+const std::string &
+digestPath()
+{
+    static const std::string path =
+        std::string(POM_GOLDEN_DIR) + "/dse_journal_digests.txt";
+    return path;
+}
+
+/** The golden digests; empty when the file is missing. */
+Digests
+readDigests()
+{
+    Digests out;
+    std::ifstream in(digestPath());
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.empty() || line[0] == '#')
+            continue;
+        std::istringstream ls(line);
+        std::string strategy, workload, digest;
+        if (ls >> strategy >> workload >> digest)
+            out[{strategy, workload}] = digest;
+    }
+    return out;
+}
+
+/** Rewrite the golden file in (strategy, workload list) order. */
+void
+writeDigests(const Digests &digests)
+{
+    std::ofstream out(digestPath());
+    ASSERT_TRUE(out.good()) << "cannot write " << digestPath();
+    out << "# strategy workload fnv1a64(v2 journal) of the "
+           "IncrementalDse sweeps\n";
+    for (auto kind : {dse::StrategyKind::Greedy, dse::StrategyKind::Beam,
+                      dse::StrategyKind::Anneal}) {
+        for (const auto &name : workloads::allNames()) {
+            auto it = digests.find({dse::strategyName(kind), name});
+            if (it != digests.end()) {
+                out << it->first.first << " " << it->first.second << " "
+                    << it->second << "\n";
+            }
+        }
+    }
+}
+
 /**
  * The headline differential: for every workload, the default path
  * (memoized, incremental) must produce v1 AND v2 journals
  * byte-identical to the uncached monolithic reference's. The node
  * cache is dropped before every run so the incremental side estimates
- * its nodes within the run instead of reading another run's.
+ * its nodes within the run instead of reading another run's. The
+ * reference's v2 journal must also hash to its golden digest.
  */
 void
 differentialSweep(dse::StrategyKind kind)
 {
+    const std::string strategy = dse::strategyName(kind);
+    Digests golden = readDigests();
+    const bool update = std::getenv("POM_UPDATE_EXPECTED") != nullptr;
     for (const auto &name : workloads::allNames()) {
         dse::DseOptions opt = sweepOptions(name, kind);
         const std::int64_t size = 64;
@@ -75,7 +145,28 @@ differentialSweep(dse::StrategyKind kind)
             << name;
         EXPECT_EQ(mono.report.resources.dsp, inc.report.resources.dsp)
             << name;
+
+        std::string digest = support::hex16(
+            support::fnv1a64(mono_v2.data(), mono_v2.size()));
+        if (update) {
+            golden[{strategy, name}] = digest;
+            continue;
+        }
+        auto it = golden.find({strategy, name});
+        if (it == golden.end()) {
+            ADD_FAILURE() << strategy << " " << name << " has no digest in "
+                          << digestPath()
+                          << " (regenerate with POM_UPDATE_EXPECTED=1)";
+            continue;
+        }
+        EXPECT_EQ(it->second, digest)
+            << strategy << " " << name
+            << ": the v2 journal changed; regenerate with "
+               "POM_UPDATE_EXPECTED=1 only if the search change is "
+               "intended";
     }
+    if (update)
+        writeDigests(golden);
 }
 
 TEST(IncrementalDse, GreedyJournalsByteIdentical)
