@@ -202,33 +202,6 @@ runScaleHlsLike(dsl::Function &func, const BaselineOptions &options)
     for (const auto &[nest, members] : nests)
         degree[nest] = 1;
 
-    auto sharedDepth = [](const std::vector<PolyStmt> &all,
-                          const std::vector<size_t> &members) {
-        size_t depth = SIZE_MAX;
-        const auto &first = all[members[0]].sched.betas;
-        for (size_t m = 1; m < members.size(); ++m) {
-            const auto &other = all[members[m]].sched.betas;
-            size_t common = 0;
-            size_t limit = std::min(first.size(), other.size());
-            while (common < limit && first[common] == other[common])
-                ++common;
-            depth = std::min(depth, common);
-        }
-        return depth == SIZE_MAX ? size_t(0) : depth;
-    };
-    auto anyProducer = [](const std::vector<PolyStmt> &all,
-                          const std::vector<size_t> &members) {
-        for (size_t a : members) {
-            for (size_t b : members) {
-                if (a != b && poly::producesFor(all[a].accesses,
-                                                all[b].accesses)) {
-                    return true;
-                }
-            }
-        }
-        return false;
-    };
-
     // ScaleHLS's directive DSE explores tile/unroll factors; model it by
     // trying both the dependence-aware placement and the positional
     // (dependence-oblivious) one and keeping whichever synthesizes
@@ -240,9 +213,7 @@ runScaleHlsLike(dsl::Function &func, const BaselineOptions &options)
         std::vector<PolyStmt> base = snapshot;
         std::map<std::string, std::vector<std::int64_t>> partitions;
         for (const auto &[nest, members] : nests) {
-            size_t min_level = 0;
-            if (members.size() > 1 && anyProducer(base, members))
-                min_level = sharedDepth(base, members);
+            size_t min_level = dse::fusedNestMinLevel(base, members);
             for (size_t m : members) {
                 dse::applyParallelSchedule(base[m], degree[nest],
                                            options.innerUnrollCap, func,

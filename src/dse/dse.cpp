@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <map>
-#include <memory>
 #include <set>
 #include <sstream>
 #include <utility>
@@ -313,6 +312,15 @@ applyParallelSchedule(PolyStmt &stmt, std::int64_t degree,
     }
 }
 
+size_t
+fusedNestMinLevel(const std::vector<PolyStmt> &stmts,
+                  const std::vector<size_t> &members)
+{
+    if (members.size() > 1 && anyProducerRelation(stmts, members))
+        return sharedDepth(stmts, members);
+    return 0;
+}
+
 void
 applyPartitions(dsl::Function &func,
                 const std::map<std::string, std::vector<std::int64_t>>
@@ -337,7 +345,7 @@ applyPartitions(dsl::Function &func,
 
 namespace {
 
-class Engine
+class Engine final : public Search
 {
   public:
     Engine(dsl::Function &func, const DseOptions &options)
@@ -371,7 +379,7 @@ class Engine
 
         {
             obs::Span stage1_span("dse.stage1", "dse");
-            stage1(stmts, result.log);
+            stage1(stmts);
         }
         {
             obs::Span stage2_span("dse.stage2", "dse");
@@ -384,6 +392,7 @@ class Engine
         obs::accumulate("dse.seconds", result.dseSeconds);
         result.pointsExplored = points_;
         result.pointsVerified = verified_;
+        result.log = std::move(log_);
         result.journal = std::move(journal_);
         result.frontier = frontier_.points();
         result.frontierRounds = std::move(frontierRounds_);
@@ -416,8 +425,7 @@ class Engine
         std::vector<PolyStmt> stmts = lower::extractStmts(func_);
         if (opt_.applyUserDirectives)
             lower::applyDirectives(stmts);
-        std::vector<std::string> log;
-        stage1(stmts, log);
+        stage1(stmts);
 
         auto units = groupUnits(stmts);
         for (auto &u : units) {
@@ -432,17 +440,17 @@ class Engine
             u.degree = it->second;
         }
 
-        Candidate c = materialize(stmts, units);
-        if (c.primitives != entry.primitives) {
+        Candidate c = evaluatePoint(stmts, units, /*final=*/true);
+        if (c.eval.primitives != entry.primitives) {
             support::fatal(
                 "replay: re-derived primitives do not match the "
                 "journal entry -- the function differs from the one "
                 "the journal was recorded from.\n  journal:  " +
-                entry.primitives + "\n  replayed: " + c.primitives);
+                entry.primitives + "\n  replayed: " + c.eval.primitives);
         }
         out.design = std::move(c.design);
-        out.report = std::move(c.report);
-        out.primitives = std::move(c.primitives);
+        out.report = std::move(c.eval.report);
+        out.primitives = std::move(c.eval.primitives);
         return out;
     }
 
@@ -481,10 +489,10 @@ class Engine
 
     /** Journal a search decision and mirror it into the text log. */
     void
-    note(const char *kind, const char *phase, const std::string &detail,
-         std::vector<std::string> &log)
+    note(const std::string &kind, const std::string &phase,
+         const std::string &detail) override
     {
-        log.push_back(detail);
+        log_.push_back(detail);
         support::diag(support::DiagLevel::Debug, detail);
         obs::JournalEntry e;
         e.kind = kind;
@@ -496,7 +504,7 @@ class Engine
     // ----- Stage 1: dependence-aware code transformation ----------------
 
     void
-    stage1(std::vector<PolyStmt> &stmts, std::vector<std::string> &log)
+    stage1(std::vector<PolyStmt> &stmts)
     {
         // Remember the original top-level grouping for re-fusion.
         std::map<size_t, std::int64_t> orig_group;
@@ -523,7 +531,7 @@ class Engine
                 if (anyProducerRelation(stmts, unit.members)) {
                     note("stage1", "stage1",
                          "stage1: conflicting hints in fused nest "
-                         "but distribution is illegal; skipping", log);
+                         "but distribution is illegal; skipping");
                     continue;
                 }
                 std::int64_t next_beta = maxBeta(stmts) + 16;
@@ -533,7 +541,7 @@ class Engine
                 }
                 note("stage1", "stage1",
                      "stage1: split fused nest to resolve "
-                     "conflicting transformation strategies", log);
+                     "conflicting transformation strategies");
                 changed = true;
             }
             if (changed) {
@@ -555,7 +563,7 @@ class Engine
                         // could not be distributed (producer relation).
                         note("stage1", "stage1",
                              "stage1: conflicting hints in an "
-                             "undistributable nest; skipping", log);
+                             "undistributable nest; skipping");
                         continue;
                     }
                     // Identical hints: applying the same transform to
@@ -568,7 +576,7 @@ class Engine
                         anyProducerRelation(stmts, unit.members)) {
                         note("stage1", "stage1",
                              "stage1: hint touches a shared loop "
-                             "of a producer/consumer nest; skipping", log);
+                             "of a producer/consumer nest; skipping");
                         continue;
                     }
                 }
@@ -580,8 +588,7 @@ class Engine
                             stmt, stmt.sched.domain.dimName(h.fromLevel),
                             stmt.sched.domain.dimName(h.toLevel));
                         note("stage1", "stage1",
-                             "stage1: interchange " + stmt.sched.name,
-                             log);
+                             "stage1: interchange " + stmt.sched.name);
                         changed = true;
                     } else if (h.kind == Hint::Kind::Skew) {
                         size_t n = stmt.numDims();
@@ -592,7 +599,7 @@ class Engine
                         transform::skew(stmt, outer, inner, 1, outer,
                                         fresh);
                         note("stage1", "stage1",
-                             "stage1: skew " + stmt.sched.name, log);
+                             "stage1: skew " + stmt.sched.name);
                         changed = true;
                     }
                 }
@@ -601,7 +608,7 @@ class Engine
                 break;
         }
 
-        refuse(stmts, orig_group, log);
+        refuse(stmts, orig_group);
     }
 
     static std::int64_t
@@ -616,8 +623,7 @@ class Engine
     /** Conservative re-fusion of previously split nests (Fig. 10 (3)). */
     void
     refuse(std::vector<PolyStmt> &stmts,
-           const std::map<size_t, std::int64_t> &orig_group,
-           std::vector<std::string> &log)
+           const std::map<size_t, std::int64_t> &orig_group)
     {
         for (size_t a = 0; a < stmts.size(); ++a) {
             for (size_t b = a + 1; b < stmts.size(); ++b) {
@@ -647,66 +653,70 @@ class Engine
                 note("stage1", "stage1",
                      "stage1: conservatively re-fused " +
                          stmts[a].sched.name + " and " +
-                         stmts[b].sched.name, log);
+                         stmts[b].sched.name);
             }
         }
     }
 
     // ----- Stage 2: strategy-driven design space exploration -------------
     //
-    // The search trajectory belongs to a SearchStrategy (dse/strategy.h:
-    // greedy / beam / anneal); this engine evaluates, numbers and
-    // journals the points and grows the Pareto frontier. Each round the
-    // strategy plans an ordered list of steps; the engine evaluates each
-    // trial step on this thread, in plan order, and hands the result to
-    // consume() before evaluating the next, so every point is evaluated
-    // exactly once. A strategy abandons the rest of a round by returning
-    // false (greedy does on its first acceptance). Parallelism lives
-    // below the point, in the dependence analysis, so the journal -- v1
-    // events and v2 frontier sections alike -- is byte-identical at any
-    // worker count by construction.
+    // The search trajectory belongs to a strategy (dse/strategy.h:
+    // greedy / beam / anneal), a plain loop that calls back into this
+    // engine through the Search interface: evaluate() estimates,
+    // numbers and offers one point to the Pareto frontier, point()/
+    // note()/event()/log() journal, endRound() snapshots the frontier.
+    // Every point is evaluated once, on this thread, in the strategy's
+    // order; parallelism lives below the point, in the dependence
+    // analysis, so the journal -- v1 events and v2 frontier sections
+    // alike -- is byte-identical at any worker count by construction.
 
-    /** Recorder the strategies journal through (numbering stays here). */
-    class Recorder final : public SearchRecorder
+    PointEval
+    evaluate(const std::vector<std::int64_t> &degrees) override
     {
-      public:
-        Recorder(Engine &engine, DseResult &result)
-            : engine_(engine), result_(result)
-        {}
+        std::vector<Unit> units = unitsAt(degrees);
+        PointEval ev = evaluatePoint(*base_, units, /*final=*/false).eval;
+        ++points_;
+        roundEvaluated_ = true;
+        frontierInsert(ev.report, ev.primitives, points_);
+        return ev;
+    }
 
-        void
-        point(const std::string &phase, const PointEval &ev,
-              const std::string &verdict,
-              const std::string &reason) override
-        {
-            engine_.recordPoint(phase, ev.primitives, ev.report, verdict,
-                                reason);
-        }
+    void
+    point(const PointEval &ev, const std::string &verdict,
+          const std::string &reason) override
+    {
+        recordPoint("stage2", ev.primitives, ev.report, verdict, reason);
+    }
 
-        void
-        event(const obs::JournalEntry &entry) override
-        {
-            engine_.journal_.push_back(entry);
-        }
+    void
+    event(const obs::JournalEntry &entry) override
+    {
+        journal_.push_back(entry);
+    }
 
-        void
-        note(const std::string &kind, const std::string &phase,
-             const std::string &detail) override
-        {
-            engine_.note(kind.c_str(), phase.c_str(), detail,
-                         result_.log);
-        }
+    void
+    log(const std::string &line) override
+    {
+        log_.push_back(line);
+    }
 
-        void
-        log(const std::string &line) override
-        {
-            result_.log.push_back(line);
-        }
+    void
+    endRound() override
+    {
+        if (roundEvaluated_)
+            snapshotFrontier();
+        roundEvaluated_ = false;
+    }
 
-      private:
-        Engine &engine_;
-        DseResult &result_;
-    };
+    /** The stage-2 units at per-unit @p degrees. */
+    std::vector<Unit>
+    unitsAt(const std::vector<std::int64_t> &degrees) const
+    {
+        std::vector<Unit> units = units_;
+        for (size_t i = 0; i < units.size(); ++i)
+            units[i].degree = degrees[i];
+        return units;
+    }
 
     /** Offer a feasible estimated point to the Pareto frontier. */
     void
@@ -738,11 +748,11 @@ class Engine
 
     /** Append the current frontier as the next v2 journal section. */
     void
-    snapshotFrontier(StrategyKind kind)
+    snapshotFrontier()
     {
         obs::FrontierRound round;
         round.round = static_cast<int>(frontierRounds_.size()) + 1;
-        round.strategy = strategyName(kind);
+        round.strategy = strategyName(opt_.strategy);
         round.points = frontier_.points();
         frontierRounds_.push_back(std::move(round));
     }
@@ -750,12 +760,11 @@ class Engine
     void
     stage2(const std::vector<PolyStmt> &base, DseResult &result)
     {
-        auto units = groupUnits(base);
-        for (auto &u : units)
-            u.degree = 1;
+        base_ = &base;
+        units_ = groupUnits(base);
 
         StrategyContext ctx;
-        for (const auto &u : units) {
+        for (const auto &u : units_) {
             ctx.unitNames.push_back(unitNames(base, u));
             std::vector<std::string> members;
             for (size_t m : u.members)
@@ -765,70 +774,33 @@ class Engine
         }
         ctx.maxParallelism = opt_.maxParallelism;
         ctx.device = device_;
-        std::unique_ptr<SearchStrategy> strategy =
-            makeStrategy(opt_.strategy, std::move(ctx));
 
         // Evaluate the initial (pipeline-only) design.
-        PointEval init = evaluate(base, units, {});
+        PointEval init = evaluatePoint(base, units_, /*final=*/false).eval;
         ++points_;
         recordPoint("stage2-init", init.primitives, init.report,
                     "accepted", "initial pipeline-only design");
-        result.log.push_back("stage2: initial design " +
-                             init.report.str(device_));
+        log_.push_back("stage2: initial design " + init.report.str(device_));
         frontierInsert(init.report, init.primitives, points_);
-        strategy->begin(init);
 
-        Recorder rec(*this, result);
-        auto unitsWith =
-            [&units](const std::vector<std::int64_t> &degrees) {
-                auto copy = units;
-                for (size_t i = 0; i < copy.size(); ++i)
-                    copy[i].degree = degrees[i];
-                return copy;
-            };
-
-        while (true) {
-            std::vector<StrategyStep> steps = strategy->plan();
-            if (steps.empty())
-                break;
-            bool round_evaluated = false;
-            for (size_t si = 0; si < steps.size(); ++si) {
-                const StrategyStep &s = steps[si];
-                PointEval pe;
-                if (s.needsEval) {
-                    pe = evaluate(base, unitsWith(s.degrees),
-                                  s.parentDegrees);
-                    ++points_;
-                    round_evaluated = true;
-                }
-                bool keep_going = strategy->consume(
-                    si, s, s.needsEval ? &pe : nullptr, rec);
-                if (s.needsEval)
-                    frontierInsert(pe.report, pe.primitives, points_);
-                if (!keep_going)
-                    break;
-            }
-            strategy->endRound(rec);
-            if (round_evaluated)
-                snapshotFrontier(strategy->kind());
-        }
-
-        // Materialize the winning design (also rewrites partitions).
-        // The search already estimated every one of its units, so with
-        // memoization on its report composes from cached nodes.
-        std::vector<std::int64_t> degrees = strategy->result();
-        POM_ASSERT(degrees.size() == units.size(),
+        std::vector<std::int64_t> degrees =
+            runStrategy(opt_.strategy, ctx, init, *this);
+        POM_ASSERT(degrees.size() == units_.size(),
                    "strategy returned a malformed degree vector");
-        for (size_t i = 0; i < units.size(); ++i)
-            units[i].degree = degrees[i];
-        Candidate winner = materialize(base, units);
+
+        // The winning design, lowered whole (this also rewrites the
+        // partitions). The search already estimated every one of its
+        // units, so with memoization on its report composes from
+        // cached nodes.
+        std::vector<Unit> units = unitsAt(degrees);
+        Candidate winner = evaluatePoint(base, units, /*final=*/true);
         ++points_;
-        recordPoint("final", winner.primitives, winner.report, "accepted",
-                    "selected design");
-        frontierInsert(winner.report, winner.primitives, points_);
-        snapshotFrontier(strategy->kind());
+        recordPoint("final", winner.eval.primitives, winner.eval.report,
+                    "accepted", "selected design");
+        frontierInsert(winner.eval.report, winner.eval.primitives, points_);
+        snapshotFrontier();
         result.design = std::move(winner.design);
-        result.report = std::move(winner.report);
+        result.report = std::move(winner.eval.report);
         for (const auto &u : units) {
             for (size_t m : u.members) {
                 result.parallelism.emplace_back(base[m].sched.name,
@@ -837,12 +809,12 @@ class Engine
         }
     }
 
-    /** A materialized design point (the final / replayed design). */
+    /** An estimated design point; the design is lowered only for a
+     *  final point or on the reference path. */
     struct Candidate
     {
         lower::LoweredFunction design;
-        hls::SynthesisReport report;
-        std::string primitives; ///< journal summary of the schedule
+        PointEval eval;
     };
 
     /** "S0+S1" member list of a unit, for journal messages. */
@@ -933,11 +905,7 @@ class Engine
         if (it != unitMemo_.end())
             return &it->second;
         UnitSchedule us;
-        size_t min_level = 0;
-        if (unit.members.size() > 1 &&
-            anyProducerRelation(base, unit.members)) {
-            min_level = sharedDepth(base, unit.members);
-        }
+        size_t min_level = fusedNestMinLevel(base, unit.members);
         for (size_t m : unit.members) {
             PolyStmt stmt = base[m];
             applyParallelSchedule(stmt, unit.degree, opt_.innerUnrollCap,
@@ -1065,119 +1033,47 @@ class Engine
     }
 
     /**
-     * Incremental candidate evaluation: fetch each unit's memoized
-     * schedule and compose the report from per-unit NodeReports
-     * (composeReport()).
-     */
-    PointEval
-    evaluateIncremental(const std::vector<PolyStmt> &base,
-                        const std::vector<Unit> &units,
-                        const std::vector<std::int64_t> &parentDegrees)
-    {
-        obs::Span span("dse.point", "dse");
-        PointLatencyTimer pointTimer;
-        PointEval ev;
-
-        auto parts = unitSchedules(base, units);
-        hls::PartitionPlan merged = mergePartitions(parts);
-        ev.primitives = primitivesSummary(base, units, merged);
-        span.arg("primitives", ev.primitives);
-
-        if (obs::metricsEnabled() &&
-            parentDegrees.size() == units.size()) {
-            std::int64_t changed = 0;
-            for (size_t ui = 0; ui < units.size(); ++ui)
-                changed += units[ui].degree != parentDegrees[ui];
-            obs::counterAdd("dse.delta.changed_units", changed);
-            obs::counterAdd("dse.delta.total_units",
-                            static_cast<std::int64_t>(units.size()));
-        }
-
-        ev.report = composeReport(parts, merged, span);
-        span.arg("latency_cycles",
-                 static_cast<std::int64_t>(ev.report.latencyCycles));
-        return ev;
-    }
-
-    /**
-     * Estimate one candidate design point without mutating the shared
-     * function (partitioning goes through the estimator override) and
-     * without touching the journal or the point counter -- the caller
-     * numbers and journals the point. With memoization the work is
-     * incremental: proportional to the units that changed relative to
-     * @p parentDegrees instead of the whole design. Without it, or when
-     * the oracle must see every lowered design, the point is lowered
-     * and estimated whole and uncached -- the reference the
-     * differential tests compare the incremental path against.
-     */
-    PointEval
-    evaluate(const std::vector<PolyStmt> &base,
-             const std::vector<Unit> &units,
-             const std::vector<std::int64_t> &parentDegrees)
-    {
-        if (opt_.memoize && !opt_.verifyEachPoint)
-            return evaluateIncremental(base, units, parentDegrees);
-        obs::Span span("dse.point", "dse");
-        PointLatencyTimer pointTimer;
-        auto parts = unitSchedules(base, units);
-        hls::PartitionPlan partitions = mergePartitions(parts);
-        PointEval ev;
-        ev.primitives = primitivesSummary(base, units, partitions);
-        span.arg("primitives", ev.primitives);
-
-        auto lowered =
-            lower::lowerStmts(func_, inBaseOrder(base, units, parts));
-        hls::EstimatorOptions eo = estOptions();
-        eo.partitionOverride = &partitions;
-        ev.report = hls::estimate(func_, lowered, eo);
-        span.arg("latency_cycles",
-                 static_cast<std::int64_t>(ev.report.latencyCycles));
-        if (opt_.verifyEachPoint) {
-            check::OracleOptions oracle;
-            oracle.seed = kVerifySeed;
-            check::OracleResult res =
-                check::checkLowered(func_, lowered, oracle);
-            if (!res.equivalent)
-                support::fatal("DSE produced a non-equivalent design "
-                               "point:\n" +
-                               res.message);
-            ++verified_;
-        }
-        return ev;
-    }
-
-    /**
-     * Fully materialize a design point: rewrite the function's
-     * partition directives and lower. With memoization the report is
-     * composed from node reports like every other point (all of them
-     * cached when the search already evaluated this configuration);
-     * otherwise the lowered design is estimated whole. Only the final
-     * selected design and journal replays pay for this.
+     * Estimate one design point from each unit's memoized schedule. A
+     * search point leaves the shared function alone (partitioning goes
+     * through the estimator override) and composes its report from
+     * per-unit NodeReports (composeReport()), so it lowers and
+     * estimates only units whose schedule was never seen. A @p final
+     * point -- the selected design or a replay -- also rewrites the
+     * function's partitions and is lowered whole for emission. With
+     * memoize off, or when the oracle must see every lowered design,
+     * every point is lowered and estimated whole and uncached: the
+     * reference the differential tests hold the composed path to. The
+     * caller numbers and journals the point.
      */
     Candidate
-    materialize(const std::vector<PolyStmt> &base,
-                const std::vector<Unit> &units)
+    evaluatePoint(const std::vector<PolyStmt> &base,
+                  const std::vector<Unit> &units, bool final)
     {
         obs::Span span("dse.point", "dse");
         PointLatencyTimer pointTimer;
         auto parts = unitSchedules(base, units);
         hls::PartitionPlan partitions = mergePartitions(parts);
-        applyPartitions(func_, partitions);
+        if (final)
+            applyPartitions(func_, partitions);
 
         Candidate c;
-        c.primitives = primitivesSummary(base, units, partitions);
-        span.arg("primitives", c.primitives);
+        c.eval.primitives = primitivesSummary(base, units, partitions);
+        span.arg("primitives", c.eval.primitives);
 
-        c.design = lower::lowerStmts(func_, inBaseOrder(base, units, parts));
-        if (opt_.memoize && !opt_.verifyEachPoint) {
-            c.report = composeReport(parts, partitions, span);
-        } else {
+        bool reference = !opt_.memoize || opt_.verifyEachPoint;
+        if (final || reference) {
+            c.design =
+                lower::lowerStmts(func_, inBaseOrder(base, units, parts));
+        }
+        if (reference) {
             hls::EstimatorOptions eo = estOptions();
             eo.partitionOverride = &partitions;
-            c.report = hls::estimate(func_, c.design, eo);
+            c.eval.report = hls::estimate(func_, c.design, eo);
+        } else {
+            c.eval.report = composeReport(parts, partitions, span);
         }
         span.arg("latency_cycles",
-                 static_cast<std::int64_t>(c.report.latencyCycles));
+                 static_cast<std::int64_t>(c.eval.report.latencyCycles));
         if (opt_.verifyEachPoint) {
             check::OracleOptions oracle;
             oracle.seed = kVerifySeed;
@@ -1198,8 +1094,13 @@ class Engine
     std::string funcDigest_;
     /** std::map, so the pointers unitSchedule() returns stay valid. */
     std::map<std::pair<size_t, std::int64_t>, UnitSchedule> unitMemo_;
+    /** Stage 2's statements and units, for Search::evaluate(). */
+    const std::vector<PolyStmt> *base_ = nullptr;
+    std::vector<Unit> units_;
     int points_ = 0;
     int verified_ = 0;
+    bool roundEvaluated_ = false;
+    std::vector<std::string> log_;
     std::vector<obs::JournalEntry> journal_;
     ParetoFrontier frontier_;
     std::vector<obs::FrontierRound> frontierRounds_;

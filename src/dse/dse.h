@@ -64,17 +64,16 @@ struct DseOptions
     bool verifyEachPoint = false;
 
     /**
-     * Evaluate design points incrementally from memoized per-unit
-     * reports. Every point -- search candidates and the final
-     * materialization alike -- is composed from per-unit NodeReports
-     * held in the process-wide hls::NodeReportCache
-     * (hls/node_cache.h), so a candidate that differs from its parent
-     * in one unit re-lowers and re-estimates only that unit, and a
-     * point whose every unit is cached (`dse.cache.hits`) skips
-     * lowering and estimation entirely. With memoize off every point
-     * is lowered and estimated whole, uncached: the reference the
-     * differential tests hold the default path to, byte for byte.
-     * Ignored when verifyEachPoint is set.
+     * Compose every point's report from per-unit NodeReports held in
+     * the process-wide hls::NodeReportCache (hls/node_cache.h): a
+     * point re-lowers and re-estimates only the units whose schedule
+     * or banking was never seen, and a point whose every unit is
+     * cached (`dse.cache.hits`) skips lowering and estimation
+     * entirely. The selected design (and a replayed point) is still
+     * lowered whole for emission; only its report is composed. With
+     * memoize off every point is lowered and estimated whole,
+     * uncached: the reference the differential tests hold the default
+     * path to, byte for byte. Ignored when verifyEachPoint is set.
      */
     bool memoize = true;
 
@@ -200,6 +199,15 @@ void applyParallelSchedule(
     const dsl::Function &func,
     std::map<std::string, std::vector<std::int64_t>> &partitions,
     size_t min_level = 0, bool ignore_carried = false);
+
+/**
+ * The min_level to pass applyParallelSchedule() for the members of one
+ * fused nest (@p members index @p stmts, untransformed): the depth of
+ * the loops they share when data flows between them, else 0. Shared by
+ * the POM DSE and the ScaleHLS-like baseline.
+ */
+size_t fusedNestMinLevel(const std::vector<transform::PolyStmt> &stmts,
+                         const std::vector<size_t> &members);
 
 /** Set the accumulated partition plan on the function's placeholders. */
 void applyPartitions(

@@ -1,29 +1,27 @@
 /**
  * @file
- * The pluggable stage-2 search interface. A SearchStrategy owns the
- * search trajectory -- which candidate degree assignments to estimate
- * and in what order -- while the Engine owns evaluation, point
- * numbering, journaling, and the Pareto frontier.
+ * The stage-2 search strategies. A strategy owns the search trajectory --
+ * which degree assignments to estimate and in what order -- while the
+ * engine, through the Search interface, owns evaluation, point
+ * numbering, journaling and the Pareto frontier.
  *
- * The contract:
+ * The contract: runStrategy() is a plain loop on the calling thread.
+ * Each round it picks configurations, asks Search::evaluate() for each
+ * one in turn (every call is one numbered design point, evaluated
+ * exactly once and offered to the frontier), journals a verdict per
+ * point, and closes the round with Search::endRound(), which snapshots
+ * the frontier as a v2 journal section if the round evaluated anything.
+ * The loop returns the selected degrees when its list of open choices
+ * is empty or its budget is spent.
  *
- *  - plan() returns the next round of steps; its content may depend
- *    only on what the strategy observed through consume()/endRound().
- *  - The engine evaluates the round's trial steps one at a time, in
- *    plan order, on the driver thread, and hands each result to
- *    consume() before evaluating the next step.
- *  - consume() returns false to abandon the rest of the round (greedy
- *    does this on its first acceptance); the abandoned steps are never
- *    evaluated.
+ * The journal thus does not depend on the worker count: `--jobs`
+ * parallelism lives inside the dependence analysis of a point
+ * (poly::analyzeSelfDependences).
  *
- * Every point is thus evaluated exactly once, and the journal does not
- * depend on the worker count: `--jobs` parallelism lives inside the
- * dependence analysis of a point (poly::analyzeSelfDependences).
+ * Three strategies (runStrategy):
  *
- * Three drivers implement the interface (makeStrategy):
- *
- *  - greedy: the paper's bottleneck walk, bit-identical to the
- *    pre-interface engine (the v1 journal golden pins it).
+ *  - greedy: the paper's bottleneck walk (the v1 journal golden pins
+ *    it).
  *  - beam:   breadth-first beam search keeping the best `kBeamWidth`
  *    feasible configurations per round; explores a wider frontier.
  *  - anneal: batched simulated annealing with a portable seeded PRNG
@@ -34,7 +32,6 @@
 #define POM_DSE_STRATEGY_H
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -64,53 +61,11 @@ std::string strategyNames();
  */
 bool parseStrategy(const std::string &name, StrategyKind &out);
 
-/** One estimated candidate handed to SearchStrategy::consume. */
+/** One estimated design point. */
 struct PointEval
 {
     hls::SynthesisReport report;
     std::string primitives;
-};
-
-/** One planned step of a search round. */
-struct StrategyStep
-{
-    /** Steps without an evaluation (greedy's unit closes) are consumed
-     *  in order like any other but receive a null PointEval. */
-    bool needsEval = false;
-
-    /** Per-unit parallelism degrees to evaluate (when needsEval). */
-    std::vector<std::int64_t> degrees;
-
-    /**
-     * Degrees of the already-evaluated configuration this step was
-     * derived from (empty when there is none). All three drivers
-     * mutate exactly one unit per step, so the engine uses the parent
-     * to account node reuse (`dse.delta.*`); correctness never depends
-     * on it -- node reports are content-addressed.
-     */
-    std::vector<std::int64_t> parentDegrees;
-};
-
-/** Journal/log sink the engine hands to consume()/endRound(). */
-class SearchRecorder
-{
-  public:
-    virtual ~SearchRecorder() = default;
-
-    /** Journal one explored design point (numbered by the engine). */
-    virtual void point(const std::string &phase, const PointEval &ev,
-                       const std::string &verdict,
-                       const std::string &reason) = 0;
-
-    /** Push a raw journal entry (e.g. greedy's bottleneck selection). */
-    virtual void event(const obs::JournalEntry &entry) = 0;
-
-    /** Journal a decision and mirror it into the text log. */
-    virtual void note(const std::string &kind, const std::string &phase,
-                      const std::string &detail) = 0;
-
-    /** Text log only (no journal entry). */
-    virtual void log(const std::string &line) = 0;
 };
 
 /** Everything a strategy may consult; owned by the engine. */
@@ -135,40 +90,48 @@ struct StrategyContext
     /** Latency attributed to @p unit in @p report (bottleneck metric). */
     std::uint64_t unitLatency(const hls::SynthesisReport &report,
                               size_t unit) const;
+
+    /** May @p unit run at twice @p degree (max parallelism and the
+     *  unit's trip-count bound)? */
+    bool canDouble(size_t unit, std::int64_t degree) const;
 };
 
-/** A stage-2 search driver. See the file comment for the contract. */
-class SearchStrategy
+/** The engine side of a search. See the file comment. */
+class Search
 {
   public:
-    virtual ~SearchStrategy() = default;
+    virtual ~Search() = default;
 
-    virtual StrategyKind kind() const = 0;
+    /** Estimate one per-unit degree assignment as the next numbered
+     *  design point and offer it to the Pareto frontier. */
+    virtual PointEval evaluate(const std::vector<std::int64_t> &degrees) = 0;
 
-    /** Observe the initial (pipeline-only, all degrees 1) design. */
-    virtual void begin(const PointEval &init) = 0;
+    /** Journal the verdict on the point evaluate() last returned. */
+    virtual void point(const PointEval &ev, const std::string &verdict,
+                       const std::string &reason) = 0;
 
-    /** Plan the next round; empty means the search is finished. */
-    virtual std::vector<StrategyStep> plan() = 0;
+    /** Push a raw journal entry (e.g. greedy's bottleneck selection). */
+    virtual void event(const obs::JournalEntry &entry) = 0;
 
-    /**
-     * Observe step @p index of the current plan, with its evaluation
-     * when the step required one. Return false to abandon the rest of
-     * the round and re-plan.
-     */
-    virtual bool consume(size_t index, const StrategyStep &step,
-                         const PointEval *eval, SearchRecorder &rec) = 0;
+    /** Journal a decision and mirror it into the text log. */
+    virtual void note(const std::string &kind, const std::string &phase,
+                      const std::string &detail) = 0;
 
-    /** Called after every round, consumed fully or abandoned. */
-    virtual void endRound(SearchRecorder &rec) { (void)rec; }
+    /** Text log only (no journal entry). */
+    virtual void log(const std::string &line) = 0;
 
-    /** The selected per-unit degrees once plan() returned empty. */
-    virtual std::vector<std::int64_t> result() const = 0;
+    /** Close a round; snapshots the frontier if it evaluated a point. */
+    virtual void endRound() = 0;
 };
 
-/** Instantiate one of the three drivers. */
-std::unique_ptr<SearchStrategy> makeStrategy(StrategyKind kind,
-                                             StrategyContext context);
+/**
+ * Run strategy @p kind from the initial (pipeline-only, all degrees 1)
+ * design @p init and return the selected per-unit degrees.
+ */
+std::vector<std::int64_t> runStrategy(StrategyKind kind,
+                                      const StrategyContext &ctx,
+                                      const PointEval &init,
+                                      Search &search);
 
 } // namespace pom::dse
 

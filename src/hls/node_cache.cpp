@@ -205,12 +205,13 @@ decodeNodeCacheEntry(const std::string &text, std::string &key,
     return true;
 }
 
-NodeReportCache::NodeReportCache()
+NodeReportCache::NodeReportCache(std::size_t capacity)
     : ContentCache({{support::kNodeCacheFormatName, "nodes.index", "nodes",
                      "node-cache entry"},
                     "dse.node_cache.evictions",
                     encodeNodeCacheEntry,
-                    decodeNodeCacheEntry})
+                    decodeNodeCacheEntry},
+                   capacity)
 {}
 
 NodeReportCache &

@@ -20,14 +20,18 @@ directionStr(Direction d)
     return "?";
 }
 
-bool
-Dependence::isUniform() const
+Direction
+Dependence::direction(size_t k) const
 {
-    for (size_t i = 0; i < distLo.size(); ++i) {
-        if (!distLo[i] || !distHi[i] || *distLo[i] != *distHi[i])
-            return false;
-    }
-    return true;
+    const auto &lo = distLo[k];
+    const auto &hi = distHi[k];
+    if (lo && hi && *lo == 0 && *hi == 0)
+        return Direction::Eq;
+    if (lo && *lo > 0)
+        return Direction::Lt; // sink iterates after source
+    if (hi && *hi < 0)
+        return Direction::Gt;
+    return Direction::Star;
 }
 
 std::string
@@ -41,7 +45,7 @@ Dependence::str() const
         if (distLo[i] && distHi[i] && *distLo[i] == *distHi[i])
             os << *distLo[i];
         else
-            os << directionStr(direction[i]);
+            os << directionStr(direction(i));
     }
     os << ")";
     return os.str();
@@ -83,19 +87,6 @@ exprRange(const IntegerSet &set, const LinearExpr &expr)
 }
 
 namespace {
-
-/** Derive a direction entry from a distance range. */
-Direction
-rangeDirection(std::optional<std::int64_t> lo, std::optional<std::int64_t> hi)
-{
-    if (lo && hi && *lo == 0 && *hi == 0)
-        return Direction::Eq;
-    if (lo && *lo > 0)
-        return Direction::Lt; // sink iterates after source
-    if (hi && *hi < 0)
-        return Direction::Gt;
-    return Direction::Star;
-}
 
 /**
  * Build the dependence polytope over (s_0..s_{n-1}, t_0..t_{n-1}) for a
@@ -190,7 +181,6 @@ analyzeSelfDependences(const IntegerSet &domain,
         deps.push_back(std::move(triples[i]));
         deps.back().distLo.resize(n);
         deps.back().distHi.resize(n);
-        deps.back().direction.resize(n);
     }
 
     // Phase 2: the range of t_k - s_k over every non-empty polytope.
@@ -202,7 +192,6 @@ analyzeSelfDependences(const IntegerSet &domain,
         auto [lo, hi] = exprRange(*live[r / n], delta);
         d.distLo[k] = lo;
         d.distHi[k] = hi;
-        d.direction[k] = rangeDirection(lo, hi);
     });
     for (auto &d : deps) {
         d.carriedDistance =

@@ -58,9 +58,6 @@ struct Dependence
     std::vector<std::optional<std::int64_t>> distLo;
     std::vector<std::optional<std::int64_t>> distHi;
 
-    /** Direction vector derived from the distance ranges. */
-    std::vector<Direction> direction;
-
     /**
      * Minimal iteration distance at the carrying level (>= 1). This is
      * the denominator of the recurrence-MII bound when the level is
@@ -68,8 +65,8 @@ struct Dependence
      */
     std::int64_t carriedDistance = 1;
 
-    /** True when every distance entry is a single constant. */
-    bool isUniform() const;
+    /** Direction of dimension @p k, derived from its distance range. */
+    Direction direction(size_t k) const;
 
     std::string str() const;
 };

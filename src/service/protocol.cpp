@@ -344,7 +344,7 @@ statsPrometheus(const Response &stats)
            "Entries warm-loaded from the disk spill at start.",
            std::to_string(stats.nodeCacheLoaded));
     scalar("pomd_node_cache_evictions_total", "counter",
-           "Node-cache entries evicted by --estimator-cache-cap.",
+           "Node-cache entries evicted past its fixed FIFO cap.",
            std::to_string(stats.nodeCacheEvictions));
     scalar("pomd_request_queue_depth", "gauge",
            "Requests queued or executing right now.",

@@ -121,7 +121,7 @@ struct Response
     std::int64_t nodeCacheSize = 0;
     std::int64_t nodeCacheLoaded = 0; ///< warm-loaded from disk
     double nodeCacheHitRate = 0.0;
-    std::int64_t nodeCacheEvictions = 0; ///< --estimator-cache-cap FIFO
+    std::int64_t nodeCacheEvictions = 0; ///< past hls::kNodeCacheCap
     HistogramWire queueWaitMs;  ///< dispatch -> execution start
     HistogramWire serviceMs;    ///< execution start -> response ready
 };

@@ -71,9 +71,6 @@ Server::~Server()
 bool
 Server::start(std::string &error)
 {
-    // Apply the cap before the warm-load so an oversized spill is
-    // trimmed (FIFO) on the way in rather than held until first use.
-    hls::NodeReportCache::global().setCapacity(opt_.estimatorCacheCap);
     if (!opt_.cacheDir.empty() &&
         !hls::NodeReportCache::global().loadDir(opt_.cacheDir,
                                                 load_stats_, error)) {

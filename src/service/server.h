@@ -58,11 +58,6 @@ struct ServerOptions
     /** Node-cache spill directory; empty = no persistence. */
     std::string cacheDir;
 
-    /** FIFO capacity applied to the process-wide node report cache;
-     *  0 = unbounded (`pomd --estimator-cache-cap`). Evicted entries
-     *  count toward the stats frame's node_cache_evictions. */
-    std::size_t estimatorCacheCap = 0;
-
     /** Concurrent request executors. */
     int workers = 2;
 

@@ -2,8 +2,8 @@
  * @file
  * The one content-addressed cache container of POM and its on-disk
  * spill format. Each cache is a ContentCache<V>: a mutex-guarded
- * key -> value map with hit/miss counts, an optional FIFO entry cap
- * with an eviction counter, and loadDir()/saveDir() against a
+ * key -> value map with hit/miss counts, a fixed FIFO entry cap with
+ * an eviction counter, and loadDir()/saveDir() against a
  * `--cache-dir`. A cache kind supplies only its key builder and a
  * ContentCacheFormat -- the format name, index and object file names,
  * eviction-counter name and its payload codec. One cache spills: the
@@ -178,14 +178,16 @@ struct ContentCacheFormat
 
 /**
  * Thread-safe key -> V map with hit/miss statistics, a FIFO entry cap
- * and a content-addressed disk spill (see the file comment).
+ * and a content-addressed disk spill (see the file comment). Past the
+ * cap the oldest inserted entry is evicted -- a lookup does not
+ * refresh an entry -- and counted in evictions() and the format's
+ * eviction counter.
  */
 template <typename V>
 class ContentCache
 {
   public:
-    explicit ContentCache(const ContentCacheFormat<V> &format,
-                          std::size_t capacity = 0)
+    ContentCache(const ContentCacheFormat<V> &format, std::size_t capacity)
         : format_(format), capacity_(capacity)
     {}
 
@@ -208,9 +210,14 @@ class ContentCache
     store(const std::string &key, V value)
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        if (map_.emplace(key, std::move(value)).second) {
-            order_.push_back(key);
-            evictLocked();
+        if (!map_.emplace(key, std::move(value)).second)
+            return;
+        order_.push_back(key);
+        if (map_.size() > capacity_) {
+            map_.erase(order_.front());
+            order_.pop_front();
+            evictions_.fetch_add(1, std::memory_order_relaxed);
+            obs::counterAdd(format_.evictionCounter);
         }
     }
 
@@ -223,27 +230,6 @@ class ContentCache
     {
         std::lock_guard<std::mutex> lock(mutex_);
         return map_.size();
-    }
-
-    /**
-     * FIFO entry cap (0 = unbounded). Past the cap the oldest inserted
-     * entries are evicted -- a lookup does not refresh an entry -- and
-     * counted in evictions() and the format's eviction counter.
-     * Lowering the cap trims immediately.
-     */
-    std::size_t
-    capacity() const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return capacity_;
-    }
-
-    void
-    setCapacity(std::size_t capacity)
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        capacity_ = capacity;
-        evictLocked();
     }
 
     /** Drop all entries and reset the statistics (cold-run benches). */
@@ -314,29 +300,11 @@ class ContentCache
     }
 
   private:
-    void
-    evictLocked()
-    {
-        if (capacity_ == 0)
-            return;
-        std::uint64_t evicted = 0;
-        while (map_.size() > capacity_ && !order_.empty()) {
-            map_.erase(order_.front());
-            order_.pop_front();
-            ++evicted;
-        }
-        if (evicted > 0) {
-            evictions_.fetch_add(evicted, std::memory_order_relaxed);
-            obs::counterAdd(format_.evictionCounter,
-                            static_cast<std::int64_t>(evicted));
-        }
-    }
-
     const ContentCacheFormat<V> format_;
     mutable std::mutex mutex_;
     std::unordered_map<std::string, V> map_;
     std::deque<std::string> order_; ///< insertion order for FIFO eviction
-    std::size_t capacity_;          ///< 0 = unbounded
+    const std::size_t capacity_;
     std::atomic<std::uint64_t> hits_{0};
     std::atomic<std::uint64_t> misses_{0};
     std::atomic<std::uint64_t> evictions_{0};

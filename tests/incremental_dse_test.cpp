@@ -1,7 +1,7 @@
 /**
  * @file
  * Differential tests for incremental per-node estimation
- * (hls/node_cache.h, the DSE engine's evaluateIncremental path):
+ * (hls/node_cache.h, the composed path of the DSE engine's evaluatePoint):
  *
  *  - The headline invariant: journals (v1 AND v2) of the default
  *    memoized, incremental path are byte-identical to the uncached

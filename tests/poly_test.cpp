@@ -384,8 +384,8 @@ TEST(Dependence, Fig1DiagonalStencil)
         if (d.distLo[0] && d.distHi[0] && *d.distLo[0] == 1 &&
             *d.distHi[0] == 1 && d.distLo[1] && *d.distLo[1] == 1 &&
             *d.distHi[1] == 1) {
-            EXPECT_EQ(d.direction[0], Direction::Lt);
-            EXPECT_EQ(d.direction[1], Direction::Lt);
+            EXPECT_EQ(d.direction(0), Direction::Lt);
+            EXPECT_EQ(d.direction(1), Direction::Lt);
             found = true;
         }
     }

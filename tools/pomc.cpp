@@ -413,8 +413,7 @@ main(int argc, char **argv)
                         static_cast<long long>(resp.nodeCacheLoaded),
                         resp.nodeCacheHitRate);
             if (resp.nodeCacheEvictions > 0) {
-                std::printf("evicted:   %lld node entries "
-                            "(--estimator-cache-cap)\n",
+                std::printf("evicted:   %lld node entries (FIFO cap)\n",
                             static_cast<long long>(
                                 resp.nodeCacheEvictions));
             }

@@ -3,9 +3,9 @@
  * pomd — the POM compile daemon.
  *
  * Usage:
- *   pomd [--socket PATH] [--cache-dir DIR] [--estimator-cache-cap N]
- *        [--workers N] [--queue N] [--retry-after MS] [--jobs N]
- *        [--version] [--quiet|-q] [--verbose|-v]
+ *   pomd [--socket PATH] [--cache-dir DIR] [--workers N] [--queue N]
+ *        [--retry-after MS] [--jobs N] [--version] [--quiet|-q]
+ *        [--verbose|-v]
  *
  * Listens on a Unix-domain socket and serves concurrent compile/DSE
  * requests (see src/service/protocol.h), keeping the per-node report
@@ -19,11 +19,9 @@
  * lowerings fan out on (default: hardware concurrency). Journals do not
  * depend on either.
  *
- * --estimator-cache-cap bounds the node cache to N entries (FIFO
- * eviction, 0 = unbounded); evictions are visible as
- * node_cache_evictions in the stats frame and as the
- * dse.node_cache.evictions counter in metrics JSON. A long-lived
- * daemon sweeping many workloads can otherwise grow without bound.
+ * The node cache holds at most hls::kNodeCacheCap entries (FIFO);
+ * evictions are visible as node_cache_evictions in the stats frame and
+ * as the dse.node_cache.evictions counter in metrics JSON.
  *
  * Clients: `pomc --connect PATH ...` (same flags as one-shot pomc),
  * plus `pomc --daemon-stats` and `pomc --daemon-shutdown`.
@@ -33,12 +31,14 @@
  */
 
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <string>
 
 #include "service/server.h"
 #include "support/diagnostics.h"
+#include "support/string_util.h"
 #include "support/thread_pool.h"
 #include "support/version.h"
 
@@ -60,24 +60,27 @@ usage(const char *argv0)
 {
     std::fprintf(stderr,
                  "usage: %s [--socket PATH] [--cache-dir DIR] "
-                 "[--estimator-cache-cap N] "
                  "[--workers N] [--queue N] [--retry-after MS] "
                  "[--jobs N] [--version] [--quiet|-q] [--verbose|-v]\n",
                  argv0);
     return 2;
 }
 
-std::int64_t
-intArg(const char *flag, const char *text)
+/** @p text as @p flag's integer in [lo, hi] (@p what names it), or
+ *  exit 2 with a message naming the flag. */
+int
+intArg(const char *flag, const char *text, const char *what,
+       std::int64_t lo, std::int64_t hi)
 {
-    char *end = nullptr;
-    long long v = std::strtoll(text, &end, 10);
-    if (end == text || *end != '\0') {
-        std::fprintf(stderr, "pomd: %s expects an integer, got '%s'\n",
-                     flag, text);
+    std::int64_t v = 0;
+    if (!support::parseInt64(text, v) || v < lo || v > hi) {
+        std::fprintf(stderr,
+                     "pomd: %s expects %s in [%lld, %lld], got '%s'\n",
+                     flag, what, static_cast<long long>(lo),
+                     static_cast<long long>(hi), text);
         std::exit(2);
     }
-    return v;
+    return static_cast<int>(v);
 }
 
 } // namespace
@@ -92,54 +95,18 @@ main(int argc, char **argv)
             options.socketPath = argv[++a];
         } else if (arg == "--cache-dir" && a + 1 < argc) {
             options.cacheDir = argv[++a];
-        } else if (arg == "--estimator-cache-cap" && a + 1 < argc) {
-            std::int64_t n = intArg("--estimator-cache-cap", argv[++a]);
-            if (n < 0) {
-                std::fprintf(stderr,
-                             "pomd: --estimator-cache-cap expects a "
-                             "non-negative entry count (0 = "
-                             "unbounded), got '%s'\n",
-                             argv[a]);
-                return 2;
-            }
-            options.estimatorCacheCap = static_cast<std::size_t>(n);
         } else if (arg == "--workers" && a + 1 < argc) {
-            std::int64_t n = intArg("--workers", argv[++a]);
-            if (n < 1 || n > 64) {
-                std::fprintf(stderr, "pomd: --workers expects a count "
-                                     "in [1, 64], got '%s'\n",
-                             argv[a]);
-                return 2;
-            }
-            options.workers = static_cast<int>(n);
+            options.workers =
+                intArg("--workers", argv[++a], "a count", 1, 64);
         } else if (arg == "--queue" && a + 1 < argc) {
-            std::int64_t n = intArg("--queue", argv[++a]);
-            if (n < 1 || n > 4096) {
-                std::fprintf(stderr, "pomd: --queue expects a limit "
-                                     "in [1, 4096], got '%s'\n",
-                             argv[a]);
-                return 2;
-            }
-            options.queueLimit = static_cast<int>(n);
+            options.queueLimit =
+                intArg("--queue", argv[++a], "a limit", 1, 4096);
         } else if (arg == "--retry-after" && a + 1 < argc) {
-            std::int64_t n = intArg("--retry-after", argv[++a]);
-            if (n < 1 || n > 60000) {
-                std::fprintf(stderr,
-                             "pomd: --retry-after expects "
-                             "milliseconds in [1, 60000], got '%s'\n",
-                             argv[a]);
-                return 2;
-            }
-            options.retryAfterMs = static_cast<int>(n);
+            options.retryAfterMs = intArg("--retry-after", argv[++a],
+                                          "milliseconds", 1, 60000);
         } else if (arg == "--jobs" && a + 1 < argc) {
-            std::int64_t n = intArg("--jobs", argv[++a]);
-            if (n < 1 || n > 256) {
-                std::fprintf(stderr, "pomd: --jobs expects a worker "
-                                     "count in [1, 256], got '%s'\n",
-                             argv[a]);
-                return 2;
-            }
-            support::setJobs(static_cast<int>(n));
+            support::setJobs(
+                intArg("--jobs", argv[++a], "a worker count", 1, 256));
         } else if (arg == "--version") {
             std::printf("pomd %s (protocol %s, cache %s)\n",
                         support::kVersionString, support::kProtocolName,
