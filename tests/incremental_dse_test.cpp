@@ -8,11 +8,12 @@
  *    monolithic reference (memoize off), for every workload and every
  *    stage-2 strategy. Worker-count identity is the ParallelDse and
  *    StrategyDeterminism tests' job.
- *  - The same sweeps pin every trajectory: the v2 journal digest of
- *    each (strategy, workload) run must match
- *    golden/dse_journal_digests.txt, so a changed greedy, beam or
- *    anneal search fails here even when both paths change alike.
- *    Regenerate (only for an intended search change) with
+ *  - The same sweeps pin every trajectory and its output: the v2
+ *    journal digest and the HLS C digest of each (strategy, workload)
+ *    run must match golden/dse_journal_digests.txt, so a changed
+ *    greedy, beam or anneal search, or a changed lowering of the
+ *    selected design, fails here even when both paths change alike.
+ *    Regenerate (only for an intended search or codegen change) with
  *      POM_UPDATE_EXPECTED=1 ./incremental_dse_test \
  *          --gtest_filter='IncrementalDse.*JournalsByteIdentical'
  *  - The NodeReportCache entry codec (its store and spill mechanics
@@ -32,6 +33,7 @@
 #include <vector>
 
 #include "dse/dse.h"
+#include "emit/hls_emitter.h"
 #include "hls/node_cache.h"
 #include "lower/lower.h"
 #include "obs/journal.h"
@@ -58,8 +60,9 @@ sweepOptions(const std::string &name, dse::StrategyKind kind)
     return opt;
 }
 
-/** (strategy, workload) -> digest of its v2 journal. */
-using Digests = std::map<std::pair<std::string, std::string>, std::string>;
+/** (strategy, workload) -> digests of its v2 journal and HLS C. */
+using Digests = std::map<std::pair<std::string, std::string>,
+                         std::pair<std::string, std::string>>;
 
 const std::string &
 digestPath()
@@ -80,9 +83,9 @@ readDigests()
         if (line.empty() || line[0] == '#')
             continue;
         std::istringstream ls(line);
-        std::string strategy, workload, digest;
-        if (ls >> strategy >> workload >> digest)
-            out[{strategy, workload}] = digest;
+        std::string strategy, workload, journal, hls_c;
+        if (ls >> strategy >> workload >> journal >> hls_c)
+            out[{strategy, workload}] = {journal, hls_c};
     }
     return out;
 }
@@ -93,15 +96,16 @@ writeDigests(const Digests &digests)
 {
     std::ofstream out(digestPath());
     ASSERT_TRUE(out.good()) << "cannot write " << digestPath();
-    out << "# strategy workload fnv1a64(v2 journal) of the "
-           "IncrementalDse sweeps\n";
+    out << "# strategy workload fnv1a64(v2 journal) fnv1a64(HLS C) of "
+           "the IncrementalDse sweeps\n";
     for (auto kind : {dse::StrategyKind::Greedy, dse::StrategyKind::Beam,
                       dse::StrategyKind::Anneal}) {
         for (const auto &name : workloads::allNames()) {
             auto it = digests.find({dse::strategyName(kind), name});
             if (it != digests.end()) {
                 out << it->first.first << " " << it->first.second << " "
-                    << it->second << "\n";
+                    << it->second.first << " " << it->second.second
+                    << "\n";
             }
         }
     }
@@ -113,7 +117,8 @@ writeDigests(const Digests &digests)
  * byte-identical to the uncached monolithic reference's. The node
  * cache is dropped before every run so the incremental side estimates
  * its nodes within the run instead of reading another run's. The
- * reference's v2 journal must also hash to its golden digest.
+ * reference's v2 journal and the default path's HLS C must also hash
+ * to their golden digests.
  */
 void
 differentialSweep(dse::StrategyKind kind)
@@ -148,8 +153,11 @@ differentialSweep(dse::StrategyKind kind)
 
         std::string digest = support::hex16(
             support::fnv1a64(mono_v2.data(), mono_v2.size()));
+        std::string hls_c = emit::emitHlsC(*inc.design.func);
+        std::string hls_digest = support::hex16(
+            support::fnv1a64(hls_c.data(), hls_c.size()));
         if (update) {
-            golden[{strategy, name}] = digest;
+            golden[{strategy, name}] = {digest, hls_digest};
             continue;
         }
         auto it = golden.find({strategy, name});
@@ -159,10 +167,15 @@ differentialSweep(dse::StrategyKind kind)
                           << " (regenerate with POM_UPDATE_EXPECTED=1)";
             continue;
         }
-        EXPECT_EQ(it->second, digest)
+        EXPECT_EQ(it->second.first, digest)
             << strategy << " " << name
             << ": the v2 journal changed; regenerate with "
                "POM_UPDATE_EXPECTED=1 only if the search change is "
+               "intended";
+        EXPECT_EQ(it->second.second, hls_digest)
+            << strategy << " " << name
+            << ": the HLS C of the selected design changed; regenerate "
+               "with POM_UPDATE_EXPECTED=1 only if the codegen change is "
                "intended";
     }
     if (update)
