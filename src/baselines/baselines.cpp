@@ -74,9 +74,7 @@ runUnoptimized(dsl::Function &func, const BaselineOptions &options)
     obs::Span span("driver.runUnoptimized", "driver");
     auto t0 = std::chrono::steady_clock::now();
     BaselineResult result;
-    auto stmts = lower::extractStmts(func);
-    lower::applyDirectives(stmts, /*ordering_only=*/true);
-    result.design = lower::lowerStmts(func, std::move(stmts));
+    result.design = lower::lowerUnscheduled(func);
     result.report = hls::estimate(func, result.design,
                                   estOptions(options,
                                              hls::SharingMode::Reuse));

@@ -90,14 +90,6 @@ scheduleStr(const dsl::Function &func)
 
 } // namespace
 
-lower::LoweredFunction
-lowerReference(const dsl::Function &func)
-{
-    auto stmts = lower::extractStmts(func);
-    lower::applyDirectives(stmts, /*ordering_only=*/true);
-    return lower::lowerStmts(func, std::move(stmts));
-}
-
 ir::BufferMap
 runLowered(const lower::LoweredFunction &design, unsigned seed,
            std::uint64_t *work)
@@ -118,7 +110,7 @@ checkLowered(const dsl::Function &func,
 {
     obs::Span span("check.oracle", "check");
     OracleResult result;
-    auto ref_design = lowerReference(func);
+    auto ref_design = lower::lowerUnscheduled(func);
     ir::BufferMap ref =
         runLowered(ref_design, options.seed, &result.refWork);
     ir::BufferMap test = runLowered(design, options.seed, &result.testWork);

@@ -70,12 +70,6 @@ struct OracleResult
 };
 
 /**
- * Lower @p func with ordering primitives only: the semantic reference
- * every schedule of the function must reproduce.
- */
-lower::LoweredFunction lowerReference(const dsl::Function &func);
-
-/**
  * Interpret a lowered design over pattern-filled buffers and return the
  * final buffer state. @p work receives the dynamic op count if non-null.
  */

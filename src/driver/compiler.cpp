@@ -21,9 +21,7 @@ compile(dsl::Function &func, const CompileOptions &options)
 
     {
         obs::Span baseline_span("driver.baseline", "driver");
-        auto base = lower::extractStmts(func);
-        lower::applyDirectives(base, /*ordering_only=*/true);
-        auto plain = lower::lowerStmts(func, std::move(base));
+        auto plain = lower::lowerUnscheduled(func);
         hls::EstimatorOptions eo;
         eo.device = options.dseOptions.device;
         eo.sharing = options.dseOptions.sharing;

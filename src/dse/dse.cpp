@@ -364,9 +364,7 @@ class Engine final : public Search
         // Baseline: the unscheduled program.
         {
             obs::Span baseline_span("dse.baseline", "dse");
-            auto base_stmts = lower::extractStmts(func_);
-            lower::applyDirectives(base_stmts, /*ordering_only=*/true);
-            auto plain = lower::lowerStmts(func_, std::move(base_stmts));
+            auto plain = lower::lowerUnscheduled(func_);
             result.baseline = hls::estimate(func_, plain, estOptions());
             recordPoint("baseline", "(unscheduled)", result.baseline,
                         "info", "unoptimized reference design");
@@ -410,9 +408,7 @@ class Engine final : public Search
 
         if (entry.primitives == "(unscheduled)") {
             // The baseline point: ordering-only directives, no search.
-            auto stmts = lower::extractStmts(func_);
-            lower::applyDirectives(stmts, /*ordering_only=*/true);
-            out.design = lower::lowerStmts(func_, std::move(stmts));
+            out.design = lower::lowerUnscheduled(func_);
             out.report = hls::estimate(func_, out.design, estOptions());
             out.primitives = entry.primitives;
             return out;

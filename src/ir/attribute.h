@@ -3,8 +3,9 @@
  * Attributes: named compile-time constants attached to operations, the
  * mechanism POM uses to annotate the affine dialect with HLS pragma
  * information (paper §V.C). Structured polyhedral payloads (bound lists
- * and affine maps) are first-class attribute kinds so that affine.for
- * bounds and affine.load/store access maps round-trip losslessly.
+ * and affine maps) are first-class attribute kinds, so the emitter and
+ * the interpreter read affine.for bounds and affine.load/store access
+ * maps directly, and the printed debug view shows them exactly.
  */
 
 #ifndef POM_IR_ATTRIBUTE_H

@@ -88,20 +88,6 @@ Operation::intAttrOr(const std::string &key, std::int64_t dflt) const
     return it->second.asInt();
 }
 
-void
-Operation::setResultName(size_t i, std::string name)
-{
-    results_.at(i)->name_ = std::move(name);
-}
-
-Block *
-Operation::appendRegion()
-{
-    regions_.push_back(std::make_unique<Block>());
-    regions_.back()->parent_ = this;
-    return regions_.back().get();
-}
-
 namespace {
 
 /** Shortest decimal form that strtod parses back to exactly @p v. */
@@ -166,9 +152,8 @@ formatBoundList(const std::vector<poly::Bound> &list,
 
 /**
  * Assigns every printed SSA value a unique textual name so the output
- * is unambiguous and re-parseable. Block arguments keep their stored
- * names (uniquified on collision); op results are numbered %v0, %v1...
- * in print order, which makes printing idempotent across a parse.
+ * is unambiguous. Block arguments keep their stored names (uniquified
+ * on collision); op results are numbered %v0, %v1... in print order.
  */
 class Printer
 {

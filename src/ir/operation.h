@@ -126,19 +126,10 @@ class Operation
     /** Convenience: integer attribute or default. */
     std::int64_t intAttrOr(const std::string &key, std::int64_t dflt) const;
 
-    /** Rename result @p i (used by the textual IR parser). */
-    void setResultName(size_t i, std::string name);
-
     // Regions -----------------------------------------------------------
     size_t numRegions() const { return regions_.size(); }
     Block &region(size_t i = 0) { return *regions_.at(i); }
     const Block &region(size_t i = 0) const { return *regions_.at(i); }
-
-    /**
-     * Append an empty region. Normal construction passes num_regions to
-     * create(); the textual IR parser appends regions as it sees them.
-     */
-    Block *appendRegion();
 
     Block *parentBlock() const { return parent_; }
 
@@ -164,10 +155,9 @@ class Operation
     }
 
     /**
-     * Print the textual form (MLIR-flavoured). Value names are
-     * uniquified at print time, and every attribute kind prints
-     * losslessly, so the output parses back via ir::parseIr and
-     * reprints byte-identically.
+     * Print the textual form (MLIR-flavoured), the IR's debug view.
+     * Value names are uniquified at print time, so two values never
+     * share a name, and every attribute kind prints exactly.
      */
     std::string str(int indent = 0) const;
 

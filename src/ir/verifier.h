@@ -1,7 +1,7 @@
 /**
  * @file
- * Structural verifier for the affine dialect subset. Run after lowering
- * and after every annotation pass; a non-empty error list indicates a
+ * Structural verifier for the affine dialect subset. driver::compile
+ * runs it on every design it emits; a non-empty error list indicates a
  * compiler bug upstream.
  */
 

@@ -4,7 +4,7 @@
 #include <map>
 
 #include "ir/builder.h"
-#include "pass/pass_manager.h"
+#include "obs/obs.h"
 #include "support/diagnostics.h"
 #include "support/string_util.h"
 #include "support/thread_pool.h"
@@ -18,18 +18,33 @@ using poly::AffineMap;
 using poly::IntegerSet;
 using poly::LinearExpr;
 
-poly::LinearExpr
+namespace {
+
+/**
+ * A subscript constant or factor as an int64. Fatal unless @p v is an
+ * integer that int64 holds: a fraction would be silently truncated, and
+ * an out-of-range cast is undefined behaviour.
+ */
+std::int64_t
+integerConstant(double v)
+{
+    // -2^63 and 2^63 are exact doubles; NaN fails the first test.
+    if (v != std::floor(v) || v < -0x1p63 || v >= 0x1p63)
+        support::fatal("array subscript uses non-integer constant");
+    return static_cast<std::int64_t>(v);
+}
+
+/**
+ * The affine subscript of a DSL index expression over the given
+ * iterator names. Fatal on non-affine forms (user error).
+ */
+LinearExpr
 affineIndex(const ExprNode &node, const std::vector<std::string> &iters)
 {
     size_t n = iters.size();
     switch (node.kind) {
-      case ExprNode::Kind::Const: {
-        double v = node.value;
-        if (v != std::floor(v)) {
-            support::fatal("array subscript uses non-integer constant");
-        }
-        return LinearExpr::constant(n, static_cast<std::int64_t>(v));
-      }
+      case ExprNode::Kind::Const:
+        return LinearExpr::constant(n, integerConstant(node.value));
       case ExprNode::Kind::Iter: {
         for (size_t i = 0; i < n; ++i) {
             if (iters[i] == node.iterName)
@@ -51,11 +66,11 @@ affineIndex(const ExprNode &node, const std::vector<std::string> &iters)
             // One side must be a constant.
             if (node.lhs->kind == ExprNode::Kind::Const) {
                 return affineIndex(*node.rhs, iters)
-                    .scaled(static_cast<std::int64_t>(node.lhs->value));
+                    .scaled(integerConstant(node.lhs->value));
             }
             if (node.rhs->kind == ExprNode::Kind::Const) {
                 return affineIndex(*node.lhs, iters)
-                    .scaled(static_cast<std::int64_t>(node.rhs->value));
+                    .scaled(integerConstant(node.rhs->value));
             }
         }
         support::fatal("non-affine array subscript");
@@ -64,8 +79,6 @@ affineIndex(const ExprNode &node, const std::vector<std::string> &iters)
         support::fatal("non-affine array subscript");
     }
 }
-
-namespace {
 
 /** Collect the accesses of an expression tree (reads). */
 void
@@ -97,8 +110,7 @@ collectLoads(const ExprNode &node, const std::vector<std::string> &iters,
     }
 }
 
-} // namespace
-
+/** The access relation list of a compute over its iterators. */
 std::vector<poly::Access>
 accessesOf(const dsl::Compute &compute)
 {
@@ -136,6 +148,8 @@ accessesOf(const dsl::Compute &compute)
     }
     return accesses;
 }
+
+} // namespace
 
 std::vector<transform::PolyStmt>
 extractStmts(const dsl::Function &func)
@@ -406,8 +420,7 @@ class IrGen
     std::map<std::string, const transform::PolyStmt *> by_name_;
 };
 
-} // namespace
-
+/** Generate annotated affine dialect from a polyhedral AST. */
 std::unique_ptr<ir::Operation>
 generateAffine(const dsl::Function &func,
                const std::vector<transform::PolyStmt> &stmts,
@@ -417,15 +430,19 @@ generateAffine(const dsl::Function &func,
     return gen.run(astRoot);
 }
 
-std::size_t
+/**
+ * Attach HLS DEPENDENCE pragma hints (paper Section V.A): for each
+ * pipelined loop level, every written array with no loop-carried
+ * dependence at or below that level is provably inter-iteration
+ * independent, and the generated code can assert it to the HLS tool.
+ */
+void
 annotateDependenceHints(std::vector<transform::PolyStmt> &stmts)
 {
     // The dependence analysis of each statement is independent of the
     // others (selfDependences reads only that statement), so statements
-    // are processed in parallel; per-statement hint counts merge in
-    // statement order, keeping the total and every annotation
-    // byte-identical at any worker count.
-    std::vector<std::size_t> per_stmt(stmts.size(), 0);
+    // are processed in parallel; each writes only its own annotations,
+    // which keeps them byte-identical at any worker count.
     support::parallelFor(
         support::parallelPool(), stmts.size(), [&](std::size_t idx) {
             auto &stmt = stmts[idx];
@@ -448,38 +465,36 @@ annotateDependenceHints(std::vector<transform::PolyStmt> &stmts)
                         if (d.array == acc.array && d.level >= p)
                             carried_inside = true;
                     }
-                    if (!carried_inside) {
+                    if (!carried_inside)
                         hw.independentArrays.push_back(acc.array);
-                        ++per_stmt[idx];
-                    }
                 }
             }
         });
-    std::size_t hints = 0;
-    for (std::size_t n : per_stmt)
-        hints += n;
-    return hints;
 }
 
-namespace {
-
-LoweredFunction
-runLoweringPipeline(const dsl::Function &func,
-                    std::vector<transform::PolyStmt> stmts,
-                    const std::string &pipeline)
+/** The polyhedral AST of the statements' schedules. */
+ast::AstNodePtr
+buildAstOf(const std::vector<transform::PolyStmt> &stmts)
 {
-    registerLoweringPasses();
-    pass::PipelineState state;
-    state.dslFunc = &func;
-    state.stmts = std::move(stmts);
-    pass::PassManager pm;
-    pm.addPipeline(pipeline);
-    pm.run(state);
-    LoweredFunction out;
-    out.func = std::move(state.func);
-    out.astRoot = std::move(state.astRoot);
-    out.stmts = std::move(state.stmts);
-    return out;
+    std::vector<ast::ScheduledStmt> sched;
+    sched.reserve(stmts.size());
+    for (const auto &s : stmts)
+        sched.push_back(s.sched);
+    return ast::buildAst(sched);
+}
+
+/** Extract the statements and apply their (ordering) primitives. */
+std::vector<transform::PolyStmt>
+scheduledStmts(const dsl::Function &func, bool ordering_only)
+{
+    std::vector<transform::PolyStmt> stmts;
+    {
+        obs::Span span("lower.extract", "lower");
+        stmts = extractStmts(func);
+    }
+    obs::Span span("lower.schedule", "lower");
+    applyDirectives(stmts, ordering_only);
+    return stmts;
 }
 
 } // namespace
@@ -488,30 +503,42 @@ LoweredFunction
 lowerStmts(const dsl::Function &func,
            std::vector<transform::PolyStmt> stmts)
 {
-    return runLoweringPipeline(func, std::move(stmts),
-                               "annotate-pragmas,build-ast,ast-to-affine");
+    {
+        obs::Span span("lower.annotate", "lower");
+        annotateDependenceHints(stmts);
+    }
+    LoweredFunction out;
+    {
+        obs::Span span("lower.ast", "lower");
+        out.astRoot = buildAstOf(stmts);
+    }
+    {
+        obs::Span span("lower.affine", "lower");
+        out.func = generateAffine(func, stmts, *out.astRoot);
+    }
+    out.stmts = std::move(stmts);
+    return out;
 }
 
 LoweredFunction
 lowerNodeStmts(std::vector<transform::PolyStmt> stmts)
 {
     LoweredFunction out;
-    std::vector<ast::ScheduledStmt> sched;
-    sched.reserve(stmts.size());
-    for (const auto &s : stmts)
-        sched.push_back(s.sched);
-    out.astRoot = ast::buildAst(sched);
+    out.astRoot = buildAstOf(stmts);
     out.stmts = std::move(stmts);
     return out;
 }
 
 LoweredFunction
+lowerUnscheduled(const dsl::Function &func)
+{
+    return lowerStmts(func, scheduledStmts(func, /*ordering_only=*/true));
+}
+
+LoweredFunction
 lower(const dsl::Function &func)
 {
-    return runLoweringPipeline(
-        func, {},
-        "extract-stmts,schedule-apply,annotate-pragmas,build-ast,"
-        "ast-to-affine");
+    return lowerStmts(func, scheduledStmts(func, /*ordering_only=*/false));
 }
 
 } // namespace pom::lower

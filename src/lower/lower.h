@@ -2,9 +2,12 @@
  * @file
  * The progressive lowering pipeline (paper Fig. 7): POM DSL ->
  * polyhedral statements (extraction + scheduling primitives) ->
- * polyhedral AST -> annotated affine dialect. Each stage is exposed
- * separately so the DSE engine and the tests can intervene between
- * layers.
+ * polyhedral AST -> annotated affine dialect. lower() is five direct
+ * calls, each traced as one `lower.*` span: extract, schedule,
+ * annotate (HLS DEPENDENCE hints), ast and affine. The first two
+ * stages are exposed separately so the DSE engine, the baselines and
+ * the tests can transform the statements before lowerStmts() runs the
+ * last three.
  */
 
 #ifndef POM_LOWER_LOWER_H
@@ -53,22 +56,10 @@ void applyDirectives(std::vector<transform::PolyStmt> &stmts,
                      bool ordering_only = false);
 
 /**
- * Attach HLS DEPENDENCE pragma hints (paper Section V.A): for each
- * pipelined loop level, every written array with no loop-carried
- * dependence at or below that level is provably inter-iteration
- * independent, and the generated code can assert it to the HLS tool.
- * Returns the number of (loop level, array) hints attached.
+ * Lower already scheduled statements: attach the HLS DEPENDENCE pragma
+ * hints of pipelined loops (paper Section V.A), build the polyhedral
+ * AST and generate annotated affine dialect.
  */
-std::size_t
-annotateDependenceHints(std::vector<transform::PolyStmt> &stmts);
-
-/** Generate annotated affine dialect from a polyhedral AST. */
-std::unique_ptr<ir::Operation>
-generateAffine(const dsl::Function &func,
-               const std::vector<transform::PolyStmt> &stmts,
-               const ast::AstNode &astRoot);
-
-/** Build the polyhedral AST and generate annotated affine dialect. */
 LoweredFunction lowerStmts(const dsl::Function &func,
                            std::vector<transform::PolyStmt> stmts);
 
@@ -79,31 +70,20 @@ LoweredFunction lowerStmts(const dsl::Function &func,
  * incremental DSE uses to re-evaluate a single unit -- the estimator
  * reads only stmts + astRoot, and a node's AST subtree depends only on
  * its own statements, so the result is bit-identical to the matching
- * subtree of a full lowerStmts(). Skips the pass pipeline entirely
- * (no pragma hints, no IR): hls::estimateNodes never reads either.
+ * subtree of a full lowerStmts(). Skips the pragma hints and the IR:
+ * hls::estimateNodes never reads either.
  */
 LoweredFunction lowerNodeStmts(std::vector<transform::PolyStmt> stmts);
 
+/**
+ * The unscheduled design: extract the statements, apply only their
+ * ordering primitives (after/fuse) and lower. This is the semantic
+ * reference of the oracle and the baseline every search starts from.
+ */
+LoweredFunction lowerUnscheduled(const dsl::Function &func);
+
 /** Full pipeline: extract, apply primitives, build AST, generate IR. */
 LoweredFunction lower(const dsl::Function &func);
-
-/**
- * Register the front-end lowering passes (extract-stmts,
- * schedule-apply, annotate-pragmas, build-ast, ast-to-affine) with the
- * global PassRegistry. Idempotent; lower()/lowerStmts() call it, so
- * only direct PassManager users (pom-opt, tests) need it explicitly.
- */
-void registerLoweringPasses();
-
-/**
- * Extract the affine subscript of a DSL index expression over the given
- * iterator names. Fatal on non-affine forms (user error).
- */
-poly::LinearExpr affineIndex(const dsl::ExprNode &node,
-                             const std::vector<std::string> &iters);
-
-/** Build the access relation list of a compute over its iterators. */
-std::vector<poly::Access> accessesOf(const dsl::Compute &compute);
 
 } // namespace pom::lower
 

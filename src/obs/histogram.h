@@ -4,7 +4,7 @@
  * observability layer. A Histogram is:
  *
  *  - **thread-safe**: record() takes an internal mutex, so request
- *    executors, pass pipelines and DSE workers can feed one instance
+ *    executors and DSE workers can feed one instance
  *    concurrently;
  *  - **mergeable**: merge() adds another histogram bucket-by-bucket,
  *    and merging is associative and commutative (bucket counts and the

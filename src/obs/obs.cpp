@@ -327,21 +327,6 @@ resetMetrics()
     store.byName.clear();
 }
 
-void
-resetMetricsWithPrefix(const std::string &prefix)
-{
-    MetricStore &store = metricStore();
-    std::lock_guard<std::mutex> lock(store.mutex);
-    std::vector<std::string> kept;
-    for (const auto &name : store.order) {
-        if (name.rfind(prefix, 0) == 0)
-            store.byName.erase(name);
-        else
-            kept.push_back(name);
-    }
-    store.order = std::move(kept);
-}
-
 // ----- histograms --------------------------------------------------------
 
 void
@@ -384,21 +369,6 @@ resetHistograms()
     std::lock_guard<std::mutex> lock(store.mutex);
     store.order.clear();
     store.byName.clear();
-}
-
-void
-resetHistogramsWithPrefix(const std::string &prefix)
-{
-    HistogramStore &store = histogramStore();
-    std::lock_guard<std::mutex> lock(store.mutex);
-    std::vector<std::string> kept;
-    for (const auto &name : store.order) {
-        if (name.rfind(prefix, 0) == 0)
-            store.byName.erase(name);
-        else
-            kept.push_back(name);
-    }
-    store.order = std::move(kept);
 }
 
 // ----- thread naming -----------------------------------------------------

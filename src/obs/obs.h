@@ -134,9 +134,6 @@ std::vector<std::pair<std::string, Metric>> metricsSnapshot();
 /** Drop every metric. */
 void resetMetrics();
 
-/** Drop the metrics whose name starts with @p prefix. */
-void resetMetricsWithPrefix(const std::string &prefix);
-
 // ----- histograms --------------------------------------------------------
 
 /**
@@ -154,9 +151,6 @@ std::vector<std::pair<std::string, Histogram>> histogramsSnapshot();
 
 /** Drop every named histogram. */
 void resetHistograms();
-
-/** Drop the histograms whose name starts with @p prefix. */
-void resetHistogramsWithPrefix(const std::string &prefix);
 
 // ----- thread naming -----------------------------------------------------
 

@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "ir/builder.h"
 #include "ir/interpreter.h"
 #include "ir/operation.h"
@@ -123,6 +127,42 @@ TEST(Ir, PrinterShowsStructure)
     EXPECT_NE(printed.find("affine.load"), std::string::npos);
     EXPECT_NE(printed.find("arith.mulf"), std::string::npos);
     EXPECT_NE(printed.find("memref<4x4xf32>"), std::string::npos);
+}
+
+TEST(Ir, CollidingResultNamesPrintDistinct)
+{
+    // Both loads are default-named "affine.load.r0"; the printed form
+    // must still name them apart, and the add must use both.
+    auto func = OpBuilder::makeFunc("collide");
+    Value *a = OpBuilder::addFuncArg(
+        *func, Type::memref(ScalarKind::F32, {4}), "A");
+    OpBuilder builder(&func->region(0));
+    Operation *loop = builder.createFor(constBounds(0, 0, 3), "i", {});
+    Value *iv = loop->region(0).argument(0);
+    builder.setInsertionBlock(&loop->region(0));
+    AffineMap map({"i"}, {LinearExpr::dim(1, 0)});
+    Value *v1 = builder.createLoad(a, map, {iv});
+    Value *v2 = builder.createLoad(a, map, {iv});
+    ASSERT_EQ(v1->name(), v2->name());
+    builder.createStore(builder.createBinary("arith.addf", v1, v2), a, map,
+                        {iv});
+
+    std::istringstream lines(func->str());
+    std::vector<std::string> loads;
+    std::string add, line;
+    while (std::getline(lines, line)) {
+        std::size_t def = line.find('%');
+        std::size_t eq = line.find(" = affine.load");
+        if (eq != std::string::npos)
+            loads.push_back(line.substr(def, eq - def));
+        if (line.find("arith.addf") != std::string::npos)
+            add = line;
+    }
+    ASSERT_EQ(loads.size(), 2u);
+    EXPECT_NE(loads[0], loads[1]);
+    EXPECT_NE(add.find("arith.addf " + loads[0] + ", " + loads[1] + " "),
+              std::string::npos)
+        << add;
 }
 
 TEST(Ir, VerifierCatchesBadPipelineII)

@@ -12,6 +12,7 @@
 #include "ir/interpreter.h"
 #include "ir/verifier.h"
 #include "lower/lower.h"
+#include "obs/obs.h"
 #include "support/diagnostics.h"
 #include "support/thread_pool.h"
 #include "workloads/workloads.h"
@@ -225,6 +226,29 @@ TEST(Lower, NonAffineSubscriptIsFatal)
     EXPECT_THROW(lower::lower(f), FatalError);
 }
 
+TEST(Lower, NonIntegerSubscriptFactorIsFatal)
+{
+    // A fractional factor must not truncate (i * 2.5 is not 2*i), and
+    // an out-of-range one must not reach an undefined double->int cast.
+    auto lowerWith = [](auto subscript) {
+        Function f("bad");
+        Var i("i", 0, 8), j("j", 0, 8);
+        Placeholder A(f, "A", {8, 8});
+        Placeholder B(f, "B", {8, 8});
+        Compute s(f, "s", {i, j}, A(subscript(i), j), B(i, j));
+        lower::lower(f);
+    };
+    EXPECT_THROW(lowerWith([](Var i) { return Expr(i) * 0.5; }),
+                 FatalError);
+    EXPECT_THROW(lowerWith([](Var i) { return Expr(i) * 2.5; }),
+                 FatalError);
+    EXPECT_THROW(lowerWith([](Var i) { return Expr(i) * 1e30; }),
+                 FatalError);
+    EXPECT_THROW(lowerWith([](Var) { return Expr(1e30); }), FatalError);
+    // Integral factors and constants still lower.
+    EXPECT_NO_THROW(lowerWith([](Var i) { return Expr(i) * 1.0 + 0.0; }));
+}
+
 TEST(Lower, WrongRankIsFatal)
 {
     Function f("bad2");
@@ -301,6 +325,37 @@ TEST(Lower, IntegerElementTypes)
             saw_muli = true;
     });
     EXPECT_TRUE(saw_muli);
+}
+
+TEST(Lower, UnscheduledAppliesOrderingOnly)
+{
+    auto w = workloads::makeGemm(16);
+    w->func().findCompute("s")->pipeline(dsl::Var("j"), 1);
+    // The pipeline directive is hardware-only: the unscheduled design
+    // skips it, so its IR carries no pragma annotation.
+    EXPECT_EQ(lower::lowerUnscheduled(w->func()).func->str().find("hls."),
+              std::string::npos);
+    EXPECT_NE(lower::lower(w->func()).func->str().find("hls."),
+              std::string::npos);
+}
+
+TEST(Lower, StagesAreTracedInOrder)
+{
+    obs::resetTrace();
+    obs::setTracingEnabled(true);
+    auto w = workloads::makeGemm(16);
+    lower::lower(w->func());
+    obs::setTracingEnabled(false);
+    std::vector<std::string> stages;
+    for (const auto &event : obs::traceSnapshot()) {
+        if (event.category == "lower")
+            stages.push_back(event.name);
+    }
+    obs::resetTrace();
+    EXPECT_EQ(stages,
+              (std::vector<std::string>{"lower.extract", "lower.schedule",
+                                        "lower.annotate", "lower.ast",
+                                        "lower.affine"}));
 }
 
 TEST(Lower, ParallelLoweringMatchesSequential)

@@ -295,7 +295,7 @@ TEST(ObsMetrics, CounterAggregationAcrossThreads)
     EXPECT_DOUBLE_EQ(obs::metricValue("test.missing"), 0.0);
 }
 
-TEST(ObsMetrics, SnapshotPreservesInsertionOrderAndPrefixReset)
+TEST(ObsMetrics, SnapshotPreservesInsertionOrder)
 {
     ObsSandbox sandbox;
     obs::counterAdd("z.first");
@@ -307,11 +307,6 @@ TEST(ObsMetrics, SnapshotPreservesInsertionOrderAndPrefixReset)
     EXPECT_EQ(snap[0].first, "z.first");
     EXPECT_EQ(snap[1].first, "a.second");
     EXPECT_EQ(snap[2].first, "z.third");
-
-    obs::resetMetricsWithPrefix("z.");
-    snap = obs::metricsSnapshot();
-    ASSERT_EQ(snap.size(), 1u);
-    EXPECT_EQ(snap[0].first, "a.second");
 }
 
 TEST(ObsExport, ChromeTraceJsonIsWellFormed)
@@ -553,12 +548,9 @@ TEST(ObsHistogram, NamedHistogramsExportAndReset)
     EXPECT_NE(json.find("\"kind\": \"histogram\""), std::string::npos);
     EXPECT_NE(json.find("\"test.latency_ms\""), std::string::npos);
 
-    // Prefix reset drops only matching histograms.
-    obs::resetHistogramsWithPrefix("test.");
-    EXPECT_EQ(obs::histogramSnapshot("test.latency_ms").count(), 0u);
-    EXPECT_EQ(obs::histogramSnapshot("other.size").count(), 1u);
-
     obs::resetHistograms();
+    EXPECT_EQ(obs::histogramSnapshot("test.latency_ms").count(), 0u);
+    EXPECT_EQ(obs::histogramSnapshot("other.size").count(), 0u);
     obs::resetMetrics();
     obs::setMetricsEnabled(false);
 }

@@ -321,7 +321,7 @@ TEST(Server, RejectsBadRequestsWithoutDying)
     resp = server.execute(v2_baseline);
     EXPECT_EQ(resp.status, "error");
 
-    // No wire method runs a pass pipeline over client-supplied IR.
+    // No wire method takes client-supplied IR.
     service::Request opt;
     opt.version = support::kVersionString;
     opt.method = "opt";

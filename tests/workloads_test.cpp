@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "check/fuzzer.h"
 #include "ir/interpreter.h"
 #include "ir/verifier.h"
 #include "lower/lower.h"
@@ -18,22 +19,13 @@ namespace {
 using namespace pom;
 using workloads::makeByName;
 
-lower::LoweredFunction
-lowerWorkload(dsl::Function &func)
-{
-    auto stmts = lower::extractStmts(func);
-    lower::applyDirectives(stmts);
-    return lower::lowerStmts(func, std::move(stmts));
-}
-
 TEST(Workloads, AllByNameConstructAndVerify)
 {
-    const char *names[] = {"gemm", "bicg", "gesummv", "2mm", "3mm",
-                           "jacobi1d", "jacobi2d", "heat1d", "seidel",
-                           "edgedetect", "gaussian", "blur"};
-    for (const char *name : names) {
-        auto w = makeByName(name, 32);
-        auto lowered = lowerWorkload(w->func());
+    for (const auto &name : workloads::allNames()) {
+        // The DNN stacks' channel counts scale with the size.
+        bool dnn = name == "vgg16" || name == "resnet18";
+        auto w = makeByName(name, dnn ? check::defaultFuzzSize(name) : 32);
+        auto lowered = lower::lower(w->func());
         auto errors = ir::verify(*lowered.func);
         EXPECT_TRUE(errors.empty()) << name << ": " << errors.size();
     }
@@ -47,7 +39,7 @@ TEST(Workloads, UnknownNameIsFatal)
 TEST(Workloads, BicgIsOneFusedNest)
 {
     auto w = makeByName("bicg", 32);
-    auto lowered = lowerWorkload(w->func());
+    auto lowered = lower::lower(w->func());
     // Exactly one i-loop at the top (both statements fused).
     EXPECT_EQ(lowered.astRoot->kind(), ast::AstNode::Kind::For);
     EXPECT_EQ(w->func().computes().size(), 2u);
@@ -79,7 +71,7 @@ TEST(Workloads, GemmComputesMatMul)
 {
     const std::int64_t n = 8;
     auto w = makeByName("gemm", n);
-    auto lowered = lowerWorkload(w->func());
+    auto lowered = lower::lower(w->func());
     auto buffers = ir::makeBuffersFor(*lowered.func, 5);
     std::vector<double> ref = buffers["C"]->data();
     const auto &a = buffers["A"]->data();
@@ -97,7 +89,7 @@ TEST(Workloads, BicgComputesBothProducts)
 {
     const std::int64_t n = 8;
     auto w = makeByName("bicg", n);
-    auto lowered = lowerWorkload(w->func());
+    auto lowered = lower::lower(w->func());
     auto buffers = ir::makeBuffersFor(*lowered.func, 9);
     std::vector<double> q_ref = buffers["q"]->data();
     std::vector<double> s_ref = buffers["s"]->data();
@@ -121,7 +113,7 @@ TEST(Workloads, SeidelInPlaceSemantics)
 {
     const std::int64_t n = 10, steps = 2;
     auto w = workloads::makeSeidel2d(n, steps);
-    auto lowered = lowerWorkload(w->func());
+    auto lowered = lower::lower(w->func());
     auto buffers = ir::makeBuffersFor(*lowered.func, 3);
     std::vector<double> a = buffers["A"]->data();
     for (std::int64_t t = 0; t < steps; ++t) {
@@ -143,7 +135,7 @@ TEST(Workloads, BlurMatchesReference)
 {
     const std::int64_t n = 12;
     auto w = makeByName("blur", n);
-    auto lowered = lowerWorkload(w->func());
+    auto lowered = lower::lower(w->func());
     auto buffers = ir::makeBuffersFor(*lowered.func, 21);
     const auto &img = buffers["img"]->data();
     std::vector<double> bx(n * n, 0.0), out(n * n, 0.0);
@@ -170,7 +162,7 @@ TEST(Workloads, Jacobi1dMatchesFig16Reference)
 {
     const std::int64_t n = 16, steps = 3;
     auto w = workloads::makeJacobi1d(n, steps);
-    auto lowered = lowerWorkload(w->func());
+    auto lowered = lower::lower(w->func());
     auto buffers = ir::makeBuffersFor(*lowered.func, 8);
     std::vector<double> a = buffers["A"]->data();
     std::vector<double> b = buffers["B"]->data();
@@ -189,7 +181,7 @@ TEST(Workloads, EdgeDetectUsesAbsViaMax)
 {
     const std::int64_t n = 10;
     auto w = makeByName("edgedetect", n);
-    auto lowered = lowerWorkload(w->func());
+    auto lowered = lower::lower(w->func());
     auto buffers = ir::makeBuffersFor(*lowered.func, 4);
     ir::runFunction(*lowered.func, buffers);
     // |gx| + |gy| is non-negative everywhere it was written.

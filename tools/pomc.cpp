@@ -26,22 +26,20 @@
  * DSL reproducer; --seed S makes the run reproducible. Both default to
  * an interpreter-friendly size unless one is given explicitly.
  *
- * --timing aggregates per-pass wall-clock time across every lowering
- * pipeline the run executes (a DSE sweep runs thousands) and prints one
- * breakdown at the end, followed by a `dependences:` line: how many
- * dependence analyses ran (and their time) and how many calls the
+ * --timing prints a `dependences:` line at the end of the run: how
+ * many dependence analyses ran (and their time) and how many calls the
  * dependence memo answered (src/transform/poly_stmt.h).
  *
  * Observability (src/obs):
  *   --trace-out FILE    write a Chrome trace-event JSON of the whole
- *                       run (driver -> passes -> DSE stages -> HLS
- *                       estimator), loadable in chrome://tracing or
+ *                       run (driver -> lowering stages -> DSE stages
+ *                       -> HLS estimator), loadable in chrome://tracing or
  *                       https://ui.perfetto.dev. Setting the POM_TRACE
  *                       environment variable to a path (or "1" for
  *                       pom-trace.json) does the same.
- *   --metrics-out FILE  write the flat metrics JSON report (pass
- *                       and DSE counters, the `hls.*` gauges of the
- *                       printed report, emitter stats).
+ *   --metrics-out FILE  write the flat metrics JSON report
+ *                       (dependence and DSE counters, the `hls.*`
+ *                       gauges of the printed report, emitter stats).
  *   --dse-journal FILE  write the machine-readable DSE search journal:
  *                       one event per explored design point with the
  *                       applied primitives, estimated latency, resource
@@ -132,7 +130,6 @@
 #include "hls/node_cache.h"
 #include "obs/journal.h"
 #include "obs/obs.h"
-#include "pass/pass_manager.h"
 #include "service/client.h"
 #include "support/diagnostics.h"
 #include "support/string_util.h"
@@ -190,12 +187,11 @@ doubleArg(const char *flag, const char *text)
     return v;
 }
 
-/** The --timing report: the pass table, then the dependence memo. */
+/** The --timing report: dependence analyses and the memo. */
 void
 printTiming()
 {
-    std::printf("\n%s", pass::globalTimingReport().c_str());
-    std::printf("dependences: %lld analyses (%.6f s), %lld memo hits, "
+    std::printf("\ndependences: %lld analyses (%.6f s), %lld memo hits, "
                 "%lld evictions\n",
                 static_cast<long long>(obs::counterValue("dep.analyses")),
                 obs::metricValue("dep.analysis_seconds"),
@@ -512,8 +508,6 @@ main(int argc, char **argv)
         return 0;
     }
 
-    if (want_timing)
-        pass::setGlobalTimingEnabled(true);
     if (!trace_out.empty())
         obs::setTracingEnabled(true);
     if (!metrics_out.empty())
