@@ -2,19 +2,37 @@
  * @file
  * Tests for the two-stage DSE engine and the baseline strategies:
  * stage-1 split-interchange-merge on BICG (Fig. 10), skew convergence on
- * Seidel, bottleneck-driven stage 2, resource-constraint compliance, and
- * the semantic-preservation property of every selected design.
+ * Seidel, bottleneck-driven stage 2, resource-constraint compliance,
+ * the semantic-preservation property of every selected design, and the
+ * golden digests of every `--framework` baseline's report line and HLS
+ * C (golden/framework_digests.txt). Regenerate those (only for an
+ * intended baseline, estimator or codegen change) with
+ *   POM_UPDATE_EXPECTED=1 ./dse_test --gtest_filter='FrameworkDigests.*'
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <fstream>
+#include <functional>
+#include <map>
+#include <sstream>
+#include <string>
+#include <utility>
+
 #include "baselines/baselines.h"
 #include "check/fuzzer.h"
 #include "dse/dse.h"
+#include "emit/hls_emitter.h"
 #include "ir/interpreter.h"
 #include "ir/verifier.h"
 #include "lower/lower.h"
+#include "support/cache_store.h"
 #include "workloads/workloads.h"
+
+#ifndef POM_GOLDEN_DIR
+#define POM_GOLDEN_DIR "tests/golden"
+#endif
 
 namespace {
 
@@ -188,6 +206,134 @@ TEST(Baselines, DesignsPreserveSemantics)
     check([](dsl::Function &f) { return baselines::runPlutoLike(f); });
     check([](dsl::Function &f) { return baselines::runPolscaLike(f); });
     check([](dsl::Function &f) { return baselines::runScaleHlsLike(f); });
+}
+
+// ----- golden digests of the --framework baselines -------------------------
+
+/** (framework, workload) -> digests of its report line and HLS C. */
+using FrameworkDigestMap =
+    std::map<std::pair<std::string, std::string>,
+             std::pair<std::string, std::string>>;
+
+const std::string &
+frameworkDigestPath()
+{
+    static const std::string path =
+        std::string(POM_GOLDEN_DIR) + "/framework_digests.txt";
+    return path;
+}
+
+/** The `pomc --framework` names, in golden-file order. */
+const char *const kFrameworks[] = {"scalehls", "polsca", "pluto", "none"};
+
+/** The golden digests; empty when the file is missing. */
+FrameworkDigestMap
+readFrameworkDigests()
+{
+    FrameworkDigestMap out;
+    std::ifstream in(frameworkDigestPath());
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.empty() || line[0] == '#')
+            continue;
+        std::istringstream ls(line);
+        std::string framework, workload, report, hls_c;
+        if (ls >> framework >> workload >> report >> hls_c)
+            out[{framework, workload}] = {report, hls_c};
+    }
+    return out;
+}
+
+/** Rewrite the golden file in (framework, workload list) order. */
+void
+writeFrameworkDigests(const FrameworkDigestMap &digests)
+{
+    std::ofstream out(frameworkDigestPath());
+    ASSERT_TRUE(out.good()) << "cannot write " << frameworkDigestPath();
+    out << "# framework workload fnv1a64(report line) fnv1a64(HLS C) at "
+           "size 64\n";
+    for (const char *framework : kFrameworks) {
+        for (const auto &name : workloads::allNames()) {
+            auto it = digests.find({framework, name});
+            if (it != digests.end()) {
+                out << framework << " " << name << " " << it->second.first
+                    << " " << it->second.second << "\n";
+            }
+        }
+    }
+}
+
+std::string
+digestOf(const std::string &text)
+{
+    return support::hex16(support::fnv1a64(text.data(), text.size()));
+}
+
+/**
+ * Run one baseline on every workload at size 64 and hold the report
+ * line `pomc --framework` prints and the HLS C of its design to their
+ * golden digests: the baselines share the estimator and the lowering
+ * with POM, and nothing else pins their output.
+ */
+void
+checkFrameworkDigests(
+    const std::string &framework,
+    const std::function<baselines::BaselineResult(dsl::Function &)> &run)
+{
+    FrameworkDigestMap golden = readFrameworkDigests();
+    const bool update = std::getenv("POM_UPDATE_EXPECTED") != nullptr;
+    const hls::Device device = hls::Device::xc7z020();
+    for (const auto &name : workloads::allNames()) {
+        auto w = makeByName(name, 64);
+        baselines::BaselineResult r = run(w->func());
+        std::string report = digestOf(r.report.str(device));
+        std::string hls_c = digestOf(emit::emitHlsC(*r.design.func));
+        if (update) {
+            golden[{framework, name}] = {report, hls_c};
+            continue;
+        }
+        auto it = golden.find({framework, name});
+        if (it == golden.end()) {
+            ADD_FAILURE() << framework << " " << name
+                          << " has no digest in " << frameworkDigestPath()
+                          << " (regenerate with POM_UPDATE_EXPECTED=1)";
+            continue;
+        }
+        EXPECT_EQ(it->second.first, report)
+            << framework << " " << name << ": the report line changed";
+        EXPECT_EQ(it->second.second, hls_c)
+            << framework << " " << name << ": the HLS C changed";
+    }
+    if (update)
+        writeFrameworkDigests(golden);
+}
+
+TEST(FrameworkDigests, ScaleHlsLike)
+{
+    checkFrameworkDigests("scalehls", [](dsl::Function &f) {
+        return baselines::runScaleHlsLike(f);
+    });
+}
+
+TEST(FrameworkDigests, PolscaLike)
+{
+    checkFrameworkDigests("polsca", [](dsl::Function &f) {
+        return baselines::runPolscaLike(f);
+    });
+}
+
+TEST(FrameworkDigests, PlutoLike)
+{
+    checkFrameworkDigests("pluto", [](dsl::Function &f) {
+        return baselines::runPlutoLike(f);
+    });
+}
+
+TEST(FrameworkDigests, Unoptimized)
+{
+    checkFrameworkDigests("none", [](dsl::Function &f) {
+        return baselines::runUnoptimized(f);
+    });
 }
 
 /**

@@ -482,6 +482,67 @@ TEST(ServiceSocket, ConcurrentCompilesMatchOneShotByteForByte)
     hls::NodeReportCache::global().clear();
 }
 
+TEST(ServiceSocket, ConcurrentRepliesCountOnlyTheirOwnPoints)
+{
+    // A reply's cache_hits + cache_misses is the number of design
+    // points its own search composed, however many requests overlap
+    // it on other workers. The split between hits and misses depends
+    // on what the node cache already holds; the sum does not.
+    const std::vector<std::pair<std::string, std::int64_t>> jobs = {
+        {"2mm", 64},  {"gemm", 64}, {"3mm", 64}, {"atax", 64},
+        {"bicg", 64}, {"mvt", 64},  {"2mm", 64}, {"syrk", 64},
+    };
+    service::Server solo(service::ServerOptions{});
+    std::vector<std::int64_t> expected;
+    for (const auto &[name, size] : jobs) {
+        service::Response resp = solo.execute(compileRequest(name, size));
+        ASSERT_EQ(resp.status, "ok") << resp.error;
+        expected.push_back(resp.cacheHits + resp.cacheMisses);
+        EXPECT_GT(expected.back(), 1) << name;
+    }
+
+    service::ServerOptions options;
+    options.socketPath = scratchSocket("counts");
+    options.workers = 4;
+    service::Server server(options);
+    std::string error;
+    ASSERT_TRUE(server.start(error)) << error;
+    std::thread loop([&server]() { server.run(); });
+
+    std::vector<std::int64_t> served(jobs.size(), -1);
+    std::vector<std::string> failures(jobs.size());
+    std::vector<std::thread> clients;
+    for (size_t i = 0; i < jobs.size(); ++i) {
+        clients.emplace_back([&, i]() {
+            service::Response resp;
+            std::string client_error;
+            if (!service::callDaemon(
+                    options.socketPath,
+                    compileRequest(jobs[i].first, jobs[i].second), resp,
+                    client_error)) {
+                failures[i] = client_error;
+                return;
+            }
+            if (resp.status != "ok") {
+                failures[i] = resp.error;
+                return;
+            }
+            served[i] = resp.cacheHits + resp.cacheMisses;
+        });
+    }
+    for (auto &t : clients)
+        t.join();
+    server.stop();
+    loop.join();
+
+    for (size_t i = 0; i < jobs.size(); ++i) {
+        EXPECT_TRUE(failures[i].empty()) << failures[i];
+        EXPECT_EQ(served[i], expected[i])
+            << jobs[i].first << ": cache_hits + cache_misses";
+    }
+    hls::NodeReportCache::global().clear();
+}
+
 TEST(ServiceSocket, FullQueueAnswersBusyWithRetryHint)
 {
     service::ServerOptions options;
