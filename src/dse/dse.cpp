@@ -126,7 +126,7 @@ std::vector<bool>
 carriedLevels(const PolyStmt &stmt)
 {
     std::vector<bool> carried(stmt.numDims(), false);
-    for (const auto &d : transform::selfDependences(stmt))
+    for (const auto &d : transform::carriedDependences(stmt))
         carried[d.level] = true;
     return carried;
 }

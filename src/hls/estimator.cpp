@@ -63,7 +63,7 @@ struct StmtInfo
     const transform::PolyStmt *stmt = nullptr;
     BodyCosts body;
     std::vector<std::int64_t> trips;           ///< avg trip per level
-    std::vector<poly::Dependence> deps;        ///< transformed space
+    std::vector<poly::CarriedDependence> deps; ///< transformed space
     std::vector<poly::Access> taccesses;       ///< transformed space
 };
 
@@ -176,7 +176,7 @@ class Estimator
             info.stmt = &s;
             info.body = statementOpMix(*s.source, opt_.costs);
             info.trips = avgTrips(s.sched.domain);
-            info.deps = transform::selfDependences(s);
+            info.deps = transform::carriedDependences(s);
             info.taccesses = s.transformedAccesses();
             stmts_[s.sched.name] = std::move(info);
         }

@@ -440,9 +440,9 @@ void
 annotateDependenceHints(std::vector<transform::PolyStmt> &stmts)
 {
     // The dependence analysis of each statement is independent of the
-    // others (selfDependences reads only that statement), so statements
-    // are processed in parallel; each writes only its own annotations,
-    // which keeps them byte-identical at any worker count.
+    // others (carriedDependences reads only that statement), so
+    // statements are processed in parallel; each writes only its own
+    // annotations, which keeps them byte-identical at any worker count.
     support::parallelFor(
         support::parallelPool(), stmts.size(), [&](std::size_t idx) {
             auto &stmt = stmts[idx];
@@ -451,7 +451,7 @@ annotateDependenceHints(std::vector<transform::PolyStmt> &stmts)
                 any_pipeline |= hw.pipelineII.has_value();
             if (!any_pipeline)
                 return;
-            auto deps = transform::selfDependences(stmt);
+            auto deps = transform::carriedDependences(stmt);
             for (size_t p = 0; p < stmt.numDims(); ++p) {
                 auto &hw = stmt.sched.hwPerDim[p];
                 if (!hw.pipelineII)

@@ -1,6 +1,8 @@
 #include "poly/dependence.h"
 
+#include <algorithm>
 #include <sstream>
+#include <utility>
 
 #include "support/diagnostics.h"
 #include "support/math_util.h"
@@ -137,6 +139,58 @@ dependencePolytope(const IntegerSet &domain, const Access &src,
     return dep;
 }
 
+/**
+ * Phase 1 of both analyses: every (source, sink, level) triple whose
+ * dependence polytope is non-empty, in (source, sink, level) order,
+ * with its polytope. The polytopes are built in parallel on @p pool.
+ */
+std::vector<std::pair<CarriedDependence, IntegerSet>>
+carriedPolytopes(const IntegerSet &domain,
+                 const std::vector<Access> &accesses,
+                 support::ThreadPool *pool)
+{
+    size_t n = domain.numDims();
+    std::vector<CarriedDependence> triples;
+    for (size_t a = 0; a < accesses.size(); ++a) {
+        for (size_t b = 0; b < accesses.size(); ++b) {
+            if (accesses[a].array != accesses[b].array)
+                continue;
+            if (!accesses[a].isWrite && !accesses[b].isWrite)
+                continue; // read-read is not a dependence
+            for (size_t level = 0; level < n; ++level)
+                triples.push_back({accesses[a].array, a, b, level});
+        }
+    }
+    std::vector<std::optional<IntegerSet>> polys(triples.size());
+    support::parallelFor(pool, triples.size(), [&](size_t i) {
+        const CarriedDependence &t = triples[i];
+        polys[i] = dependencePolytope(domain, accesses[t.srcAccess],
+                                      accesses[t.dstAccess], t.level);
+    });
+    std::vector<std::pair<CarriedDependence, IntegerSet>> live;
+    for (size_t i = 0; i < triples.size(); ++i) {
+        if (polys[i])
+            live.emplace_back(std::move(triples[i]), std::move(*polys[i]));
+    }
+    return live;
+}
+
+/** Range of t_k - s_k over a dependence polytope of 2 * @p n dims. */
+std::pair<std::optional<std::int64_t>, std::optional<std::int64_t>>
+distanceRange(const IntegerSet &polytope, size_t n, size_t k)
+{
+    LinearExpr delta = LinearExpr::dim(2 * n, n + k) -
+                       LinearExpr::dim(2 * n, k);
+    return exprRange(polytope, delta);
+}
+
+/** The carried distance implied by the carrying level's lower bound. */
+std::int64_t
+carriedDistanceOf(const std::optional<std::int64_t> &levelLo)
+{
+    return levelLo ? std::max<std::int64_t>(1, *levelLo) : 1;
+}
+
 } // namespace
 
 std::vector<Dependence>
@@ -149,55 +203,48 @@ analyzeSelfDependences(const IntegerSet &domain,
     if (n == 0)
         return deps;
 
-    // Phase 1: the polytope of every (source, sink, level) triple.
-    std::vector<Dependence> triples;
-    for (size_t a = 0; a < accesses.size(); ++a) {
-        for (size_t b = 0; b < accesses.size(); ++b) {
-            if (accesses[a].array != accesses[b].array)
-                continue;
-            if (!accesses[a].isWrite && !accesses[b].isWrite)
-                continue; // read-read is not a dependence
-            for (size_t level = 0; level < n; ++level) {
-                Dependence d;
-                d.array = accesses[a].array;
-                d.srcAccess = a;
-                d.dstAccess = b;
-                d.level = level;
-                triples.push_back(std::move(d));
-            }
-        }
-    }
-    std::vector<std::optional<IntegerSet>> polys(triples.size());
-    support::parallelFor(pool, triples.size(), [&](size_t i) {
-        const Dependence &t = triples[i];
-        polys[i] = dependencePolytope(domain, accesses[t.srcAccess],
-                                      accesses[t.dstAccess], t.level);
-    });
-    std::vector<const IntegerSet *> live;
-    for (size_t i = 0; i < triples.size(); ++i) {
-        if (!polys[i])
-            continue;
-        live.push_back(&*polys[i]);
-        deps.push_back(std::move(triples[i]));
-        deps.back().distLo.resize(n);
-        deps.back().distHi.resize(n);
+    auto live = carriedPolytopes(domain, accesses, pool);
+    deps.resize(live.size());
+    for (size_t i = 0; i < live.size(); ++i) {
+        static_cast<CarriedDependence &>(deps[i]) = live[i].first;
+        deps[i].distLo.resize(n);
+        deps[i].distHi.resize(n);
     }
 
     // Phase 2: the range of t_k - s_k over every non-empty polytope.
     support::parallelFor(pool, deps.size() * n, [&](size_t r) {
         Dependence &d = deps[r / n];
         size_t k = r % n;
-        LinearExpr delta = LinearExpr::dim(2 * n, n + k) -
-                           LinearExpr::dim(2 * n, k);
-        auto [lo, hi] = exprRange(*live[r / n], delta);
+        auto [lo, hi] = distanceRange(live[r / n].second, n, k);
         d.distLo[k] = lo;
         d.distHi[k] = hi;
     });
-    for (auto &d : deps) {
+    for (auto &d : deps)
+        d.carriedDistance = carriedDistanceOf(d.distLo[d.level]);
+    return deps;
+}
+
+std::vector<CarriedDependence>
+analyzeCarriedDependences(const IntegerSet &domain,
+                          const std::vector<Access> &accesses,
+                          support::ThreadPool *pool)
+{
+    size_t n = domain.numDims();
+    if (n == 0)
+        return {};
+
+    auto live = carriedPolytopes(domain, accesses, pool);
+    // Phase 2: the range of t_level - s_level alone, the same call the
+    // full analysis makes for k = level.
+    support::parallelFor(pool, live.size(), [&](size_t i) {
+        auto &[d, polytope] = live[i];
         d.carriedDistance =
-            d.distLo[d.level] ? std::max<std::int64_t>(1, *d.distLo[d.level])
-                              : 1;
-    }
+            carriedDistanceOf(distanceRange(polytope, n, d.level).first);
+    });
+    std::vector<CarriedDependence> deps;
+    deps.reserve(live.size());
+    for (auto &[d, polytope] : live)
+        deps.push_back(std::move(d));
     return deps;
 }
 

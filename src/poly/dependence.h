@@ -13,6 +13,15 @@
  * is non-empty. The distance vector entries are the ranges of t_k - s_k
  * over that set; an entry is "exact" when its range collapses to one
  * value (e.g. (0, 0, 1) for the GEMM reduction in Fig. 8).
+ *
+ * Two views of the same analysis. The full one (Dependence) ranges
+ * every t_k - s_k; only the dependence graph reads those vectors, to
+ * choose interchange, skew and reduction dimensions in stage 1. The
+ * carried one (CarriedDependence) ranges only t_l - s_l at the carrying
+ * level l, which is all the DSE's parallel schedule, the estimator's
+ * recurrence-MII and the HLS DEPENDENCE hints read. Both build the same
+ * polytopes and make the same range call at level l, so the carried
+ * view is the full one restricted to its fields.
  */
 
 #ifndef POM_POLY_DEPENDENCE_H
@@ -46,17 +55,17 @@ enum class Direction { Lt, Eq, Gt, Star };
 /** Printable form of a direction entry. */
 const char *directionStr(Direction d);
 
-/** One dependence carried at a specific loop level. */
-struct Dependence
+/**
+ * One dependence carried at a specific loop level: the facts the
+ * carried-level readers use (the DSE's carried levels, the estimator's
+ * recurrence-MII, the lowering's DEPENDENCE hints).
+ */
+struct CarriedDependence
 {
     std::string array;        ///< array through which the dependence flows
     size_t srcAccess = 0;     ///< index of the (write) source access
     size_t dstAccess = 0;     ///< index of the sink access
     size_t level = 0;         ///< loop level carrying the dependence
-
-    /** Per-dimension distance range; entry is nullopt if unbounded. */
-    std::vector<std::optional<std::int64_t>> distLo;
-    std::vector<std::optional<std::int64_t>> distHi;
 
     /**
      * Minimal iteration distance at the carrying level (>= 1). This is
@@ -64,6 +73,16 @@ struct Dependence
      * pipelined.
      */
     std::int64_t carriedDistance = 1;
+
+    bool operator==(const CarriedDependence &) const = default;
+};
+
+/** A carried dependence with its full distance vector. */
+struct Dependence : CarriedDependence
+{
+    /** Per-dimension distance range; entry is nullopt if unbounded. */
+    std::vector<std::optional<std::int64_t>> distLo;
+    std::vector<std::optional<std::int64_t>> distHi;
 
     /** Direction of dimension @p k, derived from its distance range. */
     Direction direction(size_t k) const;
@@ -97,6 +116,18 @@ std::vector<Dependence>
 analyzeSelfDependences(const IntegerSet &domain,
                        const std::vector<Access> &accesses,
                        support::ThreadPool *pool = nullptr);
+
+/**
+ * The same dependences as analyzeSelfDependences(), in the same order,
+ * with only the carried-level facts: phase 2 ranges t_level - s_level
+ * alone, one range per non-empty polytope instead of one per
+ * dimension. Each element equals the CarriedDependence part of the
+ * full analysis's element.
+ */
+std::vector<CarriedDependence>
+analyzeCarriedDependences(const IntegerSet &domain,
+                          const std::vector<Access> &accesses,
+                          support::ThreadPool *pool = nullptr);
 
 /**
  * Does a dependence flow from a (write) access of @p producer to any

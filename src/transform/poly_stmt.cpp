@@ -189,34 +189,40 @@ setUnroll(PolyStmt &stmt, const std::string &name, std::int64_t factor)
 namespace {
 
 /**
- * Entry cap of the dependence memo. One search sees few distinct
+ * Entry cap of each dependence memo. One search sees few distinct
  * statements (52 for vgg16, 80 for resnet18, 8 for gemm), so the cap
  * only bounds a long-lived daemon.
  */
 constexpr std::size_t kDependenceMemoCap = 4096;
 
-using DependenceMemo = support::ContentCache<std::vector<poly::Dependence>>;
+template <typename Dep>
+using DependenceMemo = support::ContentCache<std::vector<Dep>>;
 
-DependenceMemo &
+/**
+ * The process-wide memo of one view. In-memory only: no layout, no
+ * codec, never spilled. Creates every `dep.*` counter at zero so each
+ * metrics report has them.
+ */
+template <typename Dep>
+DependenceMemo<Dep> &
 dependenceMemo()
 {
-    // In-memory only: no layout, no codec, never spilled.
-    static const support::ContentCacheFormat<std::vector<poly::Dependence>>
-        format{{"", "", "", ""}, "dep.memo.evictions", nullptr, nullptr};
-    static DependenceMemo *memo = [] {
-        // Create the counters at zero so every metrics report has them.
+    static const support::ContentCacheFormat<std::vector<Dep>> format{
+        {"", "", "", ""}, "dep.memo.evictions", nullptr, nullptr};
+    static DependenceMemo<Dep> *memo = [] {
         obs::counterAdd("dep.analyses", 0);
+        obs::counterAdd("dep.carried.analyses", 0);
         obs::counterAdd("dep.memo.hits", 0);
         obs::counterAdd("dep.memo.evictions", 0);
-        return new DependenceMemo(format, kDependenceMemoCap);
+        return new DependenceMemo<Dep>(format, kDependenceMemoCap);
     }();
     return *memo;
 }
 
 /**
- * The memo key: everything analyzeSelfDependences() reads, as text --
- * the domain print, then each access in order (array, read/write flag,
- * map print). Prints are exact (every constraint and coefficient), so
+ * The memo key: everything the analysis reads, as text -- the domain
+ * print, then each access in order (array, read/write flag, map
+ * print). Prints are exact (every constraint and coefficient), so
  * equal keys mean equal inputs.
  */
 std::string
@@ -233,24 +239,27 @@ dependenceKey(const poly::IntegerSet &domain,
     return key;
 }
 
-} // namespace
-
-std::vector<poly::Dependence>
-selfDependences(const PolyStmt &stmt)
+/**
+ * Answer @p stmt from the memo of one view, or run @p analyze on a miss
+ * (counted in @p missCounter) and store its result.
+ */
+template <typename Dep, typename Analyze>
+std::vector<Dep>
+memoized(const PolyStmt &stmt, const char *missCounter, Analyze analyze)
 {
     std::vector<poly::Access> accesses = stmt.transformedAccesses();
     const std::string key = dependenceKey(stmt.sched.domain, accesses);
-    DependenceMemo &memo = dependenceMemo();
+    DependenceMemo<Dep> &memo = dependenceMemo<Dep>();
     if (auto hit = memo.lookup(key)) {
         obs::counterAdd("dep.memo.hits");
         return std::move(*hit);
     }
     // Two threads missing on one key both analyze; the analysis is
     // deterministic and the first store wins, so callers agree.
-    obs::counterAdd("dep.analyses");
+    obs::counterAdd(missCounter);
     auto start = std::chrono::steady_clock::now();
-    auto deps = poly::analyzeSelfDependences(stmt.sched.domain, accesses,
-                                             support::parallelPool());
+    std::vector<Dep> deps = analyze(stmt.sched.domain, accesses,
+                                    support::parallelPool());
     obs::accumulate("dep.analysis_seconds",
                     std::chrono::duration<double>(
                         std::chrono::steady_clock::now() - start)
@@ -259,10 +268,27 @@ selfDependences(const PolyStmt &stmt)
     return deps;
 }
 
+} // namespace
+
+std::vector<poly::Dependence>
+selfDependences(const PolyStmt &stmt)
+{
+    return memoized<poly::Dependence>(stmt, "dep.analyses",
+                                      poly::analyzeSelfDependences);
+}
+
+std::vector<poly::CarriedDependence>
+carriedDependences(const PolyStmt &stmt)
+{
+    return memoized<poly::CarriedDependence>(
+        stmt, "dep.carried.analyses", poly::analyzeCarriedDependences);
+}
+
 void
 clearDependenceMemo()
 {
-    dependenceMemo().clear();
+    dependenceMemo<poly::Dependence>().clear();
+    dependenceMemo<poly::CarriedDependence>().clear();
 }
 
 } // namespace pom::transform

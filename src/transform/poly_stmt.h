@@ -94,17 +94,28 @@ void setUnroll(PolyStmt &stmt, const std::string &name,
 
 /**
  * Loop-carried self-dependences of the statement in its *transformed*
- * loop order. The one place POM computes them: the DSE, the estimator,
- * the lowering's pragma hints and the dependence graph all call this.
- * Results are memoized process-wide on the exact text of the domain
- * and the transformed accesses (FIFO cap 4096, never spilled); counters
- * `dep.analyses` (misses, timed in `dep.analysis_seconds`),
- * `dep.memo.hits` and `dep.memo.evictions`. A miss fans its polytopes
- * out on support::parallelPool(). Thread-safe.
+ * loop order, with full distance vectors. Only the dependence graph
+ * (stage 1 and the baselines) reads those vectors; everything else
+ * calls carriedDependences(). Results are memoized process-wide on the
+ * exact text of the domain and the transformed accesses (FIFO cap
+ * 4096, never spilled); a miss counts `dep.analyses`. A miss fans its
+ * polytopes out on support::parallelPool(). Thread-safe.
  */
 std::vector<poly::Dependence> selfDependences(const PolyStmt &stmt);
 
-/** Empty the dependence memo (benches timing a cold search). */
+/**
+ * The carried-level view of the same dependences: only array, access
+ * indices, level and carried distance, at the cost of one distance
+ * range per dependence instead of one per loop. The DSE's carried
+ * levels, the estimator and the lowering's pragma hints call this.
+ * Memoized like the full view, in its own memo on the same key text;
+ * a miss counts `dep.carried.analyses`. Both memos share
+ * `dep.memo.hits`, `dep.memo.evictions` and `dep.analysis_seconds`
+ * (misses only). Thread-safe.
+ */
+std::vector<poly::CarriedDependence> carriedDependences(const PolyStmt &stmt);
+
+/** Empty both dependence memos (benches timing a cold search). */
 void clearDependenceMemo();
 
 } // namespace pom::transform

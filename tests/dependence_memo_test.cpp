@@ -1,11 +1,12 @@
 /**
  * @file
- * Property tests for the dependence memo inside
- * transform::selfDependences(), checked against
- * poly::analyzeSelfDependences() directly: the DSE journal
- * differentials cannot catch a wrong memo answer, because both of
- * their sides read the memo. The direct analysis on a worker pool is
- * held to the inline one the same way.
+ * Property tests for the two dependence memos, of the full view
+ * (transform::selfDependences) and the carried-level view
+ * (transform::carriedDependences), checked against the direct
+ * analyses: the DSE journal differentials cannot catch a wrong memo
+ * answer, because both of their sides read the memo. The direct
+ * analyses on a worker pool are held to the inline ones the same way,
+ * and the carried view to the full analysis restricted to its fields.
  */
 
 #include <gtest/gtest.h>
@@ -49,6 +50,28 @@ strs(const std::vector<poly::Dependence> &deps)
     return out;
 }
 
+/** Every field of each carried dependence, one string per dependence. */
+std::vector<std::string>
+strs(const std::vector<poly::CarriedDependence> &deps)
+{
+    std::vector<std::string> out;
+    out.reserve(deps.size());
+    for (const auto &d : deps) {
+        out.push_back(d.array + "@level" + std::to_string(d.level) +
+                      " src=" + std::to_string(d.srcAccess) +
+                      " dst=" + std::to_string(d.dstAccess) +
+                      " carried=" + std::to_string(d.carriedDistance));
+    }
+    return out;
+}
+
+/** The full analysis restricted to the carried view's fields. */
+std::vector<poly::CarriedDependence>
+carriedPart(const std::vector<poly::Dependence> &deps)
+{
+    return {deps.begin(), deps.end()};
+}
+
 /** The reference: dependence analysis with no memo in between. */
 std::vector<std::string>
 direct(const transform::PolyStmt &stmt,
@@ -59,9 +82,31 @@ direct(const transform::PolyStmt &stmt,
 }
 
 std::vector<std::string>
+directCarried(const transform::PolyStmt &stmt,
+              support::ThreadPool *pool = nullptr)
+{
+    return strs(poly::analyzeCarriedDependences(
+        stmt.sched.domain, stmt.transformedAccesses(), pool));
+}
+
+std::vector<std::string>
 memoized(const transform::PolyStmt &stmt)
 {
     return strs(transform::selfDependences(stmt));
+}
+
+std::vector<std::string>
+memoizedCarried(const transform::PolyStmt &stmt)
+{
+    return strs(transform::carriedDependences(stmt));
+}
+
+/** The two work counters of the memos: {full, carried} analyses. */
+std::vector<std::int64_t>
+analyses()
+{
+    return {obs::counterValue("dep.analyses"),
+            obs::counterValue("dep.carried.analyses")};
 }
 
 /** A workload's statements after a fuzzer-generated schedule. */
@@ -126,22 +171,43 @@ TEST(DependenceMemo, MatchesDirectAnalysisOnFuzzedSchedules)
             ASSERT_FALSE(s.stmts.empty());
             for (const auto &stmt : s.stmts) {
                 SCOPED_TRACE(stmt.sched.name);
-                const auto expected = direct(stmt);
+                const auto full = poly::analyzeSelfDependences(
+                    stmt.sched.domain, stmt.transformedAccesses());
+                const auto expected = strs(full);
+                const auto expectedCarried = strs(carriedPart(full));
                 EXPECT_EQ(direct(stmt, &pool), expected)
                     << "a 4-worker analysis differs from the inline one";
+                EXPECT_EQ(directCarried(stmt), expectedCarried)
+                    << "the carried view differs from the full analysis";
+                EXPECT_EQ(directCarried(stmt, &pool), expectedCarried)
+                    << "a 4-worker carried analysis differs";
                 transform::clearDependenceMemo();
 
-                std::int64_t analyses = obs::counterValue("dep.analyses");
+                const std::vector<std::int64_t> before = analyses();
                 std::int64_t hits = obs::counterValue("dep.memo.hits");
                 EXPECT_EQ(memoized(stmt), expected);
-                EXPECT_EQ(obs::counterValue("dep.analyses"), analyses + 1)
-                    << "first call must be a miss";
+                EXPECT_EQ(analyses(),
+                          (std::vector<std::int64_t>{before[0] + 1,
+                                                     before[1]}))
+                    << "first full call must be a full miss";
                 EXPECT_EQ(obs::counterValue("dep.memo.hits"), hits);
 
                 EXPECT_EQ(memoized(stmt), expected);
-                EXPECT_EQ(obs::counterValue("dep.analyses"), analyses + 1)
-                    << "repeat call must not re-analyse";
                 EXPECT_EQ(obs::counterValue("dep.memo.hits"), hits + 1);
+
+                EXPECT_EQ(memoizedCarried(stmt), expectedCarried);
+                EXPECT_EQ(analyses(),
+                          (std::vector<std::int64_t>{before[0] + 1,
+                                                     before[1] + 1}))
+                    << "first carried call must be a carried miss";
+                EXPECT_EQ(obs::counterValue("dep.memo.hits"), hits + 1);
+
+                EXPECT_EQ(memoizedCarried(stmt), expectedCarried);
+                EXPECT_EQ(analyses(),
+                          (std::vector<std::int64_t>{before[0] + 1,
+                                                     before[1] + 1}))
+                    << "repeat calls must not re-analyse";
+                EXPECT_EQ(obs::counterValue("dep.memo.hits"), hits + 2);
                 ++checked;
             }
         }
@@ -164,18 +230,23 @@ TEST(DependenceMemo, NearlyEqualStatementsNeverShareAnEntry)
 
     transform::clearDependenceMemo();
     EXPECT_EQ(memoized(base), direct(base));
+    EXPECT_EQ(memoizedCarried(base), directCarried(base));
     EXPECT_FALSE(direct(base).empty());
     for (const auto &[what, stmt] : variants) {
         SCOPED_TRACE(what);
-        // Every earlier input is still memoized; this one must miss.
-        std::int64_t analyses = obs::counterValue("dep.analyses");
+        // Every earlier input is still memoized; this one must miss,
+        // in each view.
+        const std::vector<std::int64_t> before = analyses();
         EXPECT_EQ(memoized(stmt), direct(stmt));
-        EXPECT_EQ(obs::counterValue("dep.analyses"), analyses + 1);
+        EXPECT_EQ(memoizedCarried(stmt), directCarried(stmt));
+        EXPECT_EQ(analyses(), (std::vector<std::int64_t>{before[0] + 1,
+                                                         before[1] + 1}));
     }
-    // And the base entry was not overwritten by any variant.
-    std::int64_t analyses = obs::counterValue("dep.analyses");
+    // And the base entries were not overwritten by any variant.
+    const std::vector<std::int64_t> before = analyses();
     EXPECT_EQ(memoized(base), direct(base));
-    EXPECT_EQ(obs::counterValue("dep.analyses"), analyses);
+    EXPECT_EQ(memoizedCarried(base), directCarried(base));
+    EXPECT_EQ(analyses(), before);
 }
 
 TEST(DependenceMemo, ConcurrentCallersAgree)
@@ -187,9 +258,14 @@ TEST(DependenceMemo, ConcurrentCallersAgree)
     for (const auto &s : all)
         for (const auto &stmt : s.stmts)
             stmts.push_back(&stmt);
+    // Per statement, the full view then the carried view.
     std::vector<std::vector<std::string>> expected;
-    for (const auto *stmt : stmts)
-        expected.push_back(direct(*stmt));
+    for (const auto *stmt : stmts) {
+        auto full = poly::analyzeSelfDependences(
+            stmt->sched.domain, stmt->transformedAccesses());
+        expected.push_back(strs(full));
+        expected.push_back(strs(carriedPart(full)));
+    }
 
     // Two passes: the first races on misses, the second on hits.
     std::vector<std::vector<std::string>> twice = expected;
@@ -201,9 +277,12 @@ TEST(DependenceMemo, ConcurrentCallersAgree)
     std::vector<std::thread> threads;
     for (int t = 0; t < kThreads; ++t) {
         threads.emplace_back([&, t] {
-            for (int pass = 0; pass < 2; ++pass)
-                for (const auto *stmt : stmts)
+            for (int pass = 0; pass < 2; ++pass) {
+                for (const auto *stmt : stmts) {
                     got[t].push_back(memoized(*stmt));
+                    got[t].push_back(memoizedCarried(*stmt));
+                }
+            }
         });
     }
     for (auto &thread : threads)

@@ -72,24 +72,28 @@ TEST(ParallelDse, WorkCountersIdenticalAcrossJobCounts)
 {
     // More workers may only make a search faster, never make it do more
     // work: the same points, the same node-cache misses and the same
-    // dependence analyses at 1 and at 4 workers.
+    // full and carried dependence analyses at 1 and at 4 workers.
     auto work = [](int jobs, const std::string &name) {
         std::int64_t points = obs::counterValue("dse.cache.hits") +
                               obs::counterValue("dse.cache.misses");
         std::int64_t nodes = obs::counterValue("dse.node_cache.misses");
         std::int64_t analyses = obs::counterValue("dep.analyses");
+        std::int64_t carried = obs::counterValue("dep.carried.analyses");
         runColdAt(jobs, name, 64);
         return std::vector<std::int64_t>{
             obs::counterValue("dse.cache.hits") +
                 obs::counterValue("dse.cache.misses") - points,
             obs::counterValue("dse.node_cache.misses") - nodes,
-            obs::counterValue("dep.analyses") - analyses};
+            obs::counterValue("dep.analyses") - analyses,
+            obs::counterValue("dep.carried.analyses") - carried};
     };
     for (const char *name : {"2mm", "3mm"}) {
         std::vector<std::int64_t> sequential = work(1, name);
         EXPECT_GT(sequential[0], 2) << name;
+        EXPECT_GT(sequential[3], 0) << name;
         EXPECT_EQ(sequential, work(4, name))
-            << name << ": {points, node misses, dependence analyses}";
+            << name
+            << ": {points, node misses, full analyses, carried analyses}";
     }
 }
 

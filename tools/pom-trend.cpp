@@ -30,9 +30,9 @@
  *     (milliseconds), one per timed layer -- gate at --threshold
  *     (default 0.30). A time series whose baseline median is under
  *     kTimeFloorSeconds is too short to time and is only plotted.
- *   - `hls.latency_cycles`, `dep.analyses`, `dse.node_cache.misses` and
- *     `dse.cache.misses` depend only on the search, so they gate at
- *     --det-threshold (default 0.02).
+ *   - `hls.latency_cycles`, `dep.analyses`, `dep.carried.analyses`,
+ *     `dse.node_cache.misses` and `dse.cache.misses` depend only on the
+ *     search, so they gate at --det-threshold (default 0.02).
  *   - every other series is only plotted.
  *
  * Each breach prints a REGRESSION line that names its series -- so a
@@ -71,6 +71,7 @@ constexpr double kTimeFloorSeconds = 0.050;
 constexpr const char *kExactSeries[] = {
     "hls.latency_cycles",
     "dep.analyses",
+    "dep.carried.analyses",
     "dse.node_cache.misses",
     "dse.cache.misses",
 };
