@@ -18,10 +18,10 @@ namespace {
  * fixed prefix) and are not referenced by deeper constraints multiply.
  */
 std::int64_t
-countFrom(const IntegerSet &set, const std::vector<DimBounds> &bounds,
+countFrom(const std::vector<DimBounds> &bounds,
           std::vector<std::int64_t> &prefix, size_t level)
 {
-    size_t n = set.numDims();
+    size_t n = bounds.size();
     if (level == n)
         return 1;
 
@@ -68,16 +68,69 @@ countFrom(const IntegerSet &set, const std::vector<DimBounds> &bounds,
 
     if (!referenced) {
         prefix[level] = lo;
-        std::int64_t below = countFrom(set, bounds, prefix, level + 1);
+        std::int64_t below = countFrom(bounds, prefix, level + 1);
         return width * below;
     }
 
     std::int64_t total = 0;
     for (std::int64_t v = lo; v <= hi; ++v) {
         prefix[level] = v;
-        total += countFrom(set, bounds, prefix, level + 1);
+        total += countFrom(bounds, prefix, level + 1);
     }
     return total;
+}
+
+/**
+ * The projections of @p set onto each prefix of its dims, by the
+ * calls IntegerSet::projectOntoPrefix() makes: chain[n] is the
+ * simplified set and chain[k] = chain[k + 1].projectOut(k). One chain
+ * answers every isEmpty() and boundsForCodegen() question that
+ * counting any prefix of @p set asks, with n projections instead of
+ * O(n^3).
+ */
+std::vector<IntegerSet>
+projectionChain(const IntegerSet &set)
+{
+    size_t n = set.numDims();
+    std::vector<IntegerSet> chain(n + 1);
+    chain[n] = set;
+    chain[n].simplify();
+    for (size_t k = n; k-- > 0;)
+        chain[k] = chain[k + 1].projectOut(k);
+    return chain;
+}
+
+/**
+ * Per-prefix point counts read off @p chain: the number of points of
+ * chain[m], the projection onto the first m dims, for m = first..n. A
+ * prefix is empty when a false constraint shows anywhere down its
+ * chain, as isEmpty() finds it; the bounds of dim i come from
+ * chain[i + 1], as boundsForCodegen(i) derives them.
+ */
+std::vector<std::int64_t>
+prefixCounts(const std::vector<IntegerSet> &chain, size_t first)
+{
+    size_t n = chain.size() - 1;
+    std::vector<DimBounds> bounds;
+    bounds.reserve(n);
+    std::vector<std::int64_t> counts;
+    counts.reserve(n);
+    bool empty = chain[0].hasFalseConstraint();
+    for (size_t m = 1; m <= n; ++m) {
+        empty = empty || chain[m].hasFalseConstraint();
+        if (m < first)
+            continue;
+        if (empty) {
+            counts.push_back(0);
+            continue;
+        }
+        while (bounds.size() < m)
+            bounds.push_back(chain[bounds.size() + 1].boundsForCodegen(
+                bounds.size()));
+        std::vector<std::int64_t> prefix(m, 0);
+        counts.push_back(countFrom(bounds, prefix, 0));
+    }
+    return counts;
 }
 
 } // namespace
@@ -85,29 +138,23 @@ countFrom(const IntegerSet &set, const std::vector<DimBounds> &bounds,
 std::int64_t
 countPoints(const IntegerSet &set)
 {
+    std::vector<IntegerSet> chain = projectionChain(set);
     if (set.numDims() == 0)
-        return set.isEmpty() ? 0 : 1;
-    if (set.isEmpty())
-        return 0;
-    std::vector<DimBounds> bounds;
-    bounds.reserve(set.numDims());
-    for (size_t i = 0; i < set.numDims(); ++i)
-        bounds.push_back(set.boundsForCodegen(i));
-    std::vector<std::int64_t> prefix(set.numDims(), 0);
-    return countFrom(set, bounds, prefix, 0);
+        return chain[0].hasFalseConstraint() ? 0 : 1;
+    return prefixCounts(chain, set.numDims()).back();
 }
 
 std::vector<std::int64_t>
 avgTrips(const poly::IntegerSet &set)
 {
-    size_t n = set.numDims();
-    std::vector<std::int64_t> trips(n, 1);
+    std::vector<std::int64_t> counts =
+        prefixCounts(projectionChain(set), 1);
+    std::vector<std::int64_t> trips(counts.size(), 1);
     std::int64_t prev = 1;
-    for (size_t l = 0; l < n; ++l) {
-        std::int64_t count = countPoints(set.projectOntoPrefix(l + 1));
-        std::int64_t trip = prev > 0 ? (count + prev / 2) / prev : 1;
+    for (size_t l = 0; l < counts.size(); ++l) {
+        std::int64_t trip = prev > 0 ? (counts[l] + prev / 2) / prev : 1;
         trips[l] = std::max<std::int64_t>(1, trip);
-        prev = count;
+        prev = counts[l];
     }
     return trips;
 }

@@ -26,6 +26,9 @@ std::int64_t countPoints(const poly::IntegerSet &set);
  *   trips[l] = |proj_{0..l}(D)| / |proj_{0..l-1}(D)|
  * rounded to the nearest integer and at least 1. For rectangular levels
  * this is the exact trip count; for skewed levels it is the mean width.
+ * Every prefix is counted off one chain of n projections (the calls
+ * projectOntoPrefix() makes), so the result equals counting each
+ * prefix projection with countPoints().
  */
 std::vector<std::int64_t> avgTrips(const poly::IntegerSet &set);
 

@@ -310,21 +310,24 @@ IntegerSet::isEmpty() const
 {
     IntegerSet work = *this;
     work.simplify();
-    auto hasFalse = [](const IntegerSet &s) {
-        for (const auto &c : s.constraints()) {
-            if (!c.expr.isConstant())
-                continue;
-            std::int64_t k = c.expr.constantTerm();
-            if (c.isEq ? (k != 0) : (k < 0))
-                return true;
-        }
-        return false;
-    };
-    if (hasFalse(work))
+    if (work.hasFalseConstraint())
         return true;
     while (work.numDims() > 0) {
         work = work.projectOut(work.numDims() - 1);
-        if (hasFalse(work))
+        if (work.hasFalseConstraint())
+            return true;
+    }
+    return false;
+}
+
+bool
+IntegerSet::hasFalseConstraint() const
+{
+    for (const auto &c : constraints_) {
+        if (!c.expr.isConstant())
+            continue;
+        std::int64_t k = c.expr.constantTerm();
+        if (c.isEq ? (k != 0) : (k < 0))
             return true;
     }
     return false;

@@ -131,8 +131,14 @@ class IntegerSet
     /** Project onto the first @p k dims (drop the rest existentially). */
     IntegerSet projectOntoPrefix(size_t k) const;
 
-    /** True if the set provably contains no integer points. */
+    /**
+     * True if the set provably contains no integer points: some
+     * projection onto a prefix of its dims has a false constraint.
+     */
     bool isEmpty() const;
+
+    /** True if some constraint is a false constant, e.g. -1 >= 0. */
+    bool hasFalseConstraint() const;
 
     /** Exact membership test for a concrete point. */
     bool containsPoint(const std::vector<std::int64_t> &point) const;

@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
+#include "check/fuzzer.h"
 #include "hls/count.h"
 #include "hls/estimator.h"
 #include "lower/lower.h"
@@ -56,6 +60,62 @@ TEST(HlsCount, TiledDomain)
     s.addDimBounds(1, 0, 7);
     s.addInequality(poly::LinearExpr({-8, -1}, 29));
     EXPECT_EQ(countPoints(s), 30);
+}
+
+/**
+ * The reference for avgTrips(): the per-prefix formula it implements,
+ * counting each prefix projection on its own.
+ */
+std::vector<std::int64_t>
+tripsByPrefix(const poly::IntegerSet &set)
+{
+    std::vector<std::int64_t> trips(set.numDims(), 1);
+    std::int64_t prev = 1;
+    for (size_t l = 0; l < set.numDims(); ++l) {
+        std::int64_t count = countPoints(set.projectOntoPrefix(l + 1));
+        std::int64_t trip = prev > 0 ? (count + prev / 2) / prev : 1;
+        trips[l] = std::max<std::int64_t>(1, trip);
+        prev = count;
+    }
+    return trips;
+}
+
+TEST(HlsCount, AvgTripsMatchesPerPrefixFormulaOnFuzzedDomains)
+{
+    // Every statement domain of fuzzer-generated schedules (tiles with
+    // partial tiles, splits, skews, interchanges) of all workloads, at
+    // the fuzzer's size. Small domains are also counted by enumeration.
+    std::size_t checked = 0, enumerated = 0, skews = 0;
+    for (const auto &name : workloads::allNames()) {
+        const std::int64_t size = check::defaultFuzzSize(name);
+        for (unsigned seed = 1; seed <= 8; ++seed) {
+            SCOPED_TRACE(name + " seed " + std::to_string(seed));
+            auto gen = makeByName(name, size);
+            auto ops = check::generateSchedule(*gen, seed);
+            skews += std::count_if(ops.begin(), ops.end(), [](const auto &op) {
+                return op.kind == check::ScheduleOp::Kind::Skew;
+            });
+            auto w = makeByName(name, size);
+            ASSERT_TRUE(check::applyScheduleOps(*w, ops));
+            auto stmts = lower::extractStmts(w->func());
+            lower::applyDirectives(stmts);
+            for (const auto &stmt : stmts) {
+                const poly::IntegerSet &dom = stmt.sched.domain;
+                SCOPED_TRACE(dom.str());
+                EXPECT_EQ(hls::avgTrips(dom), tripsByPrefix(dom));
+                std::int64_t count = countPoints(dom);
+                if (count <= (1 << 16)) {
+                    EXPECT_EQ(count,
+                              static_cast<std::int64_t>(dom.countPoints()));
+                    ++enumerated;
+                }
+                ++checked;
+            }
+        }
+    }
+    EXPECT_GT(checked, workloads::allNames().size() * 8);
+    EXPECT_GT(enumerated, 0u);
+    EXPECT_GT(skews, 0u) << "no skewed domain was checked";
 }
 
 TEST(HlsEstimator, UnoptimizedGemmLatency)
