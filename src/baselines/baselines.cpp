@@ -284,6 +284,8 @@ runPom(dsl::Function &func, const BaselineOptions &options)
                    dse::strategyName(options.strategy) + " search";
     result.journal = std::move(dres.journal);
     result.frontierRounds = std::move(dres.frontierRounds);
+    result.pointCacheHits = dres.pointCacheHits;
+    result.pointCacheMisses = dres.pointCacheMisses;
     return result;
 }
 

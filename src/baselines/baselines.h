@@ -44,6 +44,10 @@ struct BaselineResult
 
     /** POM only: per-round Pareto frontier snapshots (journal v2). */
     std::vector<obs::FrontierRound> frontierRounds;
+
+    /** POM only: this run's design-point cache hits and misses. */
+    std::int64_t pointCacheHits = 0;
+    std::int64_t pointCacheMisses = 0;
 };
 
 /** Common configuration for all baselines. */

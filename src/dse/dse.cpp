@@ -390,6 +390,8 @@ class Engine final : public Search
         obs::accumulate("dse.seconds", result.dseSeconds);
         result.pointsExplored = points_;
         result.pointsVerified = verified_;
+        result.pointCacheHits = pointCacheHits_;
+        result.pointCacheMisses = pointCacheMisses_;
         result.log = std::move(log_);
         result.journal = std::move(journal_);
         result.frontier = frontier_.points();
@@ -988,7 +990,8 @@ class Engine final : public Search
      * top-level order of the full AST, so the composed report is
      * byte-identical to the monolithic path's. The point counts as a
      * `dse.cache.hits` when every unit came from the node cache, as a
-     * `dse.cache.misses` otherwise.
+     * `dse.cache.misses` otherwise, both process-wide and in this
+     * run's DseResult.
      */
     hls::SynthesisReport
     composeReport(
@@ -1024,6 +1027,7 @@ class Engine final : public Search
                 nodes.push_back(std::move(n));
         }
         obs::counterAdd(allCached ? "dse.cache.hits" : "dse.cache.misses");
+        ++(allCached ? pointCacheHits_ : pointCacheMisses_);
         span.arg("cache", allCached ? "hit" : "miss");
         return hls::combineNodeReports(func_, nodes, eo);
     }
@@ -1095,6 +1099,8 @@ class Engine final : public Search
     std::vector<Unit> units_;
     int points_ = 0;
     int verified_ = 0;
+    std::int64_t pointCacheHits_ = 0;
+    std::int64_t pointCacheMisses_ = 0;
     bool roundEvaluated_ = false;
     std::vector<std::string> log_;
     std::vector<obs::JournalEntry> journal_;

@@ -111,6 +111,14 @@ struct DseResult
     /** Design points checked by the oracle (verifyEachPoint). */
     int pointsVerified = 0;
 
+    /**
+     * This run's share of `dse.cache.hits`/`dse.cache.misses`: design
+     * points composed wholly from cached node reports, and the others.
+     * Unlike the process-wide counters, no concurrent run adds to them.
+     */
+    std::int64_t pointCacheHits = 0;
+    std::int64_t pointCacheMisses = 0;
+
     /** Human-readable search log. */
     std::vector<std::string> log;
 

@@ -102,9 +102,9 @@ struct Response
 
     // -- per-request work report (compile frames) --
     // DSE design points whose every unit came from the node cache
-    // (`dse.cache.hits`) and the others (`dse.cache.misses`):
-    // snapshot-deltas taken around THIS request's execution. Stats
-    // frames reuse the same fields for daemon totals.
+    // (`dse.cache.hits`) and the others (`dse.cache.misses`), counted
+    // by THIS request's own search (dse::DseResult). Stats frames
+    // reuse the same fields for daemon totals.
     std::int64_t cacheHits = 0;
     std::int64_t cacheMisses = 0;
 

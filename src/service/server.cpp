@@ -283,12 +283,6 @@ Server::compileResponse(const Request &request, std::int64_t requestId)
         return response;
     }
 
-    // Snapshot-delta around the run: the design-point counters are
-    // process global, so the response reports only what this run
-    // added (concurrent requests still overlap).
-    std::int64_t hits0 = obs::counterValue("dse.cache.hits");
-    std::int64_t misses0 = obs::counterValue("dse.cache.misses");
-
     auto workload =
         workloads::makeByName(request.workload, request.size);
     baselines::BaselineResult result;
@@ -320,8 +314,10 @@ Server::compileResponse(const Request &request, std::int64_t requestId)
     response.bramBits = result.report.resources.bramBits;
     response.lut = result.report.resources.lut;
     response.ff = result.report.resources.ff;
-    response.cacheHits = obs::counterValue("dse.cache.hits") - hits0;
-    response.cacheMisses = obs::counterValue("dse.cache.misses") - misses0;
+    // The run's own counts: the process-wide `dse.cache.*` counters
+    // also move with every request that overlaps this one.
+    response.cacheHits = result.pointCacheHits;
+    response.cacheMisses = result.pointCacheMisses;
     // requestId 0 = unattributed (direct execute / one-shot parity):
     // pass -1 so the journal header stays byte-identical to `pomc`.
     std::int64_t journalId = requestId > 0 ? requestId : -1;
