@@ -198,13 +198,9 @@ analyzeSelfDependences(const IntegerSet &domain,
                        const std::vector<Access> &accesses,
                        support::ThreadPool *pool)
 {
-    std::vector<Dependence> deps;
     size_t n = domain.numDims();
-    if (n == 0)
-        return deps;
-
     auto live = carriedPolytopes(domain, accesses, pool);
-    deps.resize(live.size());
+    std::vector<Dependence> deps(live.size());
     for (size_t i = 0; i < live.size(); ++i) {
         static_cast<CarriedDependence &>(deps[i]) = live[i].first;
         deps[i].distLo.resize(n);
@@ -230,9 +226,6 @@ analyzeCarriedDependences(const IntegerSet &domain,
                           support::ThreadPool *pool)
 {
     size_t n = domain.numDims();
-    if (n == 0)
-        return {};
-
     auto live = carriedPolytopes(domain, accesses, pool);
     // Phase 2: the range of t_level - s_level alone, the same call the
     // full analysis makes for k = level.

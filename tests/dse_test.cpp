@@ -12,27 +12,18 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <fstream>
 #include <functional>
-#include <map>
-#include <sstream>
 #include <string>
-#include <utility>
 
 #include "baselines/baselines.h"
 #include "check/fuzzer.h"
 #include "dse/dse.h"
 #include "emit/hls_emitter.h"
+#include "golden_digests.h"
 #include "ir/interpreter.h"
 #include "ir/verifier.h"
 #include "lower/lower.h"
-#include "support/cache_store.h"
 #include "workloads/workloads.h"
-
-#ifndef POM_GOLDEN_DIR
-#define POM_GOLDEN_DIR "tests/golden"
-#endif
 
 namespace {
 
@@ -211,62 +202,12 @@ TEST(Baselines, DesignsPreserveSemantics)
 // ----- golden digests of the --framework baselines -------------------------
 
 /** (framework, workload) -> digests of its report line and HLS C. */
-using FrameworkDigestMap =
-    std::map<std::pair<std::string, std::string>,
-             std::pair<std::string, std::string>>;
-
 const std::string &
 frameworkDigestPath()
 {
     static const std::string path =
-        std::string(POM_GOLDEN_DIR) + "/framework_digests.txt";
+        golden::goldenPath("framework_digests.txt");
     return path;
-}
-
-/** The `pomc --framework` names, in golden-file order. */
-const char *const kFrameworks[] = {"scalehls", "polsca", "pluto", "none"};
-
-/** The golden digests; empty when the file is missing. */
-FrameworkDigestMap
-readFrameworkDigests()
-{
-    FrameworkDigestMap out;
-    std::ifstream in(frameworkDigestPath());
-    std::string line;
-    while (std::getline(in, line)) {
-        if (line.empty() || line[0] == '#')
-            continue;
-        std::istringstream ls(line);
-        std::string framework, workload, report, hls_c;
-        if (ls >> framework >> workload >> report >> hls_c)
-            out[{framework, workload}] = {report, hls_c};
-    }
-    return out;
-}
-
-/** Rewrite the golden file in (framework, workload list) order. */
-void
-writeFrameworkDigests(const FrameworkDigestMap &digests)
-{
-    std::ofstream out(frameworkDigestPath());
-    ASSERT_TRUE(out.good()) << "cannot write " << frameworkDigestPath();
-    out << "# framework workload fnv1a64(report line) fnv1a64(HLS C) at "
-           "size 64\n";
-    for (const char *framework : kFrameworks) {
-        for (const auto &name : workloads::allNames()) {
-            auto it = digests.find({framework, name});
-            if (it != digests.end()) {
-                out << framework << " " << name << " " << it->second.first
-                    << " " << it->second.second << "\n";
-            }
-        }
-    }
-}
-
-std::string
-digestOf(const std::string &text)
-{
-    return support::hex16(support::fnv1a64(text.data(), text.size()));
 }
 
 /**
@@ -280,20 +221,21 @@ checkFrameworkDigests(
     const std::string &framework,
     const std::function<baselines::BaselineResult(dsl::Function &)> &run)
 {
-    FrameworkDigestMap golden = readFrameworkDigests();
-    const bool update = std::getenv("POM_UPDATE_EXPECTED") != nullptr;
+    golden::DigestTable table =
+        golden::readDigestTable(frameworkDigestPath());
+    const bool update = golden::updatingGoldens();
     const hls::Device device = hls::Device::xc7z020();
     for (const auto &name : workloads::allNames()) {
         auto w = makeByName(name, 64);
         baselines::BaselineResult r = run(w->func());
-        std::string report = digestOf(r.report.str(device));
-        std::string hls_c = digestOf(emit::emitHlsC(*r.design.func));
+        std::string report = golden::digestOf(r.report.str(device));
+        std::string hls_c = golden::digestOf(emit::emitHlsC(*r.design.func));
         if (update) {
-            golden[{framework, name}] = {report, hls_c};
+            table[{framework, name}] = {report, hls_c};
             continue;
         }
-        auto it = golden.find({framework, name});
-        if (it == golden.end()) {
+        auto it = table.find({framework, name});
+        if (it == table.end()) {
             ADD_FAILURE() << framework << " " << name
                           << " has no digest in " << frameworkDigestPath()
                           << " (regenerate with POM_UPDATE_EXPECTED=1)";
@@ -304,8 +246,15 @@ checkFrameworkDigests(
         EXPECT_EQ(it->second.second, hls_c)
             << framework << " " << name << ": the HLS C changed";
     }
-    if (update)
-        writeFrameworkDigests(golden);
+    if (update) {
+        EXPECT_TRUE(golden::writeDigestTable(
+            frameworkDigestPath(),
+            "framework workload fnv1a64(report line) fnv1a64(HLS C) at "
+            "size 64",
+            {"scalehls", "polsca", "pluto", "none"}, workloads::allNames(),
+            table))
+            << "cannot write " << frameworkDigestPath();
+    }
 }
 
 TEST(FrameworkDigests, ScaleHlsLike)

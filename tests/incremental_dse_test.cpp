@@ -24,29 +24,21 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
-#include <fstream>
-#include <map>
-#include <sstream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "dse/dse.h"
 #include "emit/hls_emitter.h"
+#include "golden_digests.h"
 #include "hls/node_cache.h"
 #include "lower/lower.h"
 #include "obs/journal.h"
-#include "support/cache_store.h"
 #include "workloads/workloads.h"
-
-#ifndef POM_GOLDEN_DIR
-#define POM_GOLDEN_DIR "tests/golden"
-#endif
 
 namespace {
 
 using namespace pom;
+using golden::digestOf;
 using workloads::makeByName;
 
 /** The sweep configuration of one workload (DNNs get a bounded depth). */
@@ -61,54 +53,24 @@ sweepOptions(const std::string &name, dse::StrategyKind kind)
 }
 
 /** (strategy, workload) -> digests of its v2 journal and HLS C. */
-using Digests = std::map<std::pair<std::string, std::string>,
-                         std::pair<std::string, std::string>>;
-
 const std::string &
 digestPath()
 {
     static const std::string path =
-        std::string(POM_GOLDEN_DIR) + "/dse_journal_digests.txt";
+        golden::goldenPath("dse_journal_digests.txt");
     return path;
-}
-
-/** The golden digests; empty when the file is missing. */
-Digests
-readDigests()
-{
-    Digests out;
-    std::ifstream in(digestPath());
-    std::string line;
-    while (std::getline(in, line)) {
-        if (line.empty() || line[0] == '#')
-            continue;
-        std::istringstream ls(line);
-        std::string strategy, workload, journal, hls_c;
-        if (ls >> strategy >> workload >> journal >> hls_c)
-            out[{strategy, workload}] = {journal, hls_c};
-    }
-    return out;
 }
 
 /** Rewrite the golden file in (strategy, workload list) order. */
 void
-writeDigests(const Digests &digests)
+writeDigests(const golden::DigestTable &digests)
 {
-    std::ofstream out(digestPath());
-    ASSERT_TRUE(out.good()) << "cannot write " << digestPath();
-    out << "# strategy workload fnv1a64(v2 journal) fnv1a64(HLS C) of "
-           "the IncrementalDse sweeps\n";
-    for (auto kind : {dse::StrategyKind::Greedy, dse::StrategyKind::Beam,
-                      dse::StrategyKind::Anneal}) {
-        for (const auto &name : workloads::allNames()) {
-            auto it = digests.find({dse::strategyName(kind), name});
-            if (it != digests.end()) {
-                out << it->first.first << " " << it->first.second << " "
-                    << it->second.first << " " << it->second.second
-                    << "\n";
-            }
-        }
-    }
+    EXPECT_TRUE(golden::writeDigestTable(
+        digestPath(),
+        "strategy workload fnv1a64(v2 journal) fnv1a64(HLS C) of the "
+        "IncrementalDse sweeps",
+        {"greedy", "beam", "anneal"}, workloads::allNames(), digests))
+        << "cannot write " << digestPath();
 }
 
 /**
@@ -124,8 +86,8 @@ void
 differentialSweep(dse::StrategyKind kind)
 {
     const std::string strategy = dse::strategyName(kind);
-    Digests golden = readDigests();
-    const bool update = std::getenv("POM_UPDATE_EXPECTED") != nullptr;
+    golden::DigestTable table = golden::readDigestTable(digestPath());
+    const bool update = golden::updatingGoldens();
     for (const auto &name : workloads::allNames()) {
         dse::DseOptions opt = sweepOptions(name, kind);
         const std::int64_t size = 64;
@@ -151,17 +113,14 @@ differentialSweep(dse::StrategyKind kind)
         EXPECT_EQ(mono.report.resources.dsp, inc.report.resources.dsp)
             << name;
 
-        std::string digest = support::hex16(
-            support::fnv1a64(mono_v2.data(), mono_v2.size()));
-        std::string hls_c = emit::emitHlsC(*inc.design.func);
-        std::string hls_digest = support::hex16(
-            support::fnv1a64(hls_c.data(), hls_c.size()));
+        std::string digest = digestOf(mono_v2);
+        std::string hls_digest = digestOf(emit::emitHlsC(*inc.design.func));
         if (update) {
-            golden[{strategy, name}] = {digest, hls_digest};
+            table[{strategy, name}] = {digest, hls_digest};
             continue;
         }
-        auto it = golden.find({strategy, name});
-        if (it == golden.end()) {
+        auto it = table.find({strategy, name});
+        if (it == table.end()) {
             ADD_FAILURE() << strategy << " " << name << " has no digest in "
                           << digestPath()
                           << " (regenerate with POM_UPDATE_EXPECTED=1)";
@@ -179,7 +138,7 @@ differentialSweep(dse::StrategyKind kind)
                "intended";
     }
     if (update)
-        writeDigests(golden);
+        writeDigests(table);
 }
 
 TEST(IncrementalDse, GreedyJournalsByteIdentical)
