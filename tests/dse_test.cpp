@@ -201,7 +201,10 @@ TEST(Baselines, DesignsPreserveSemantics)
 
 // ----- golden digests of the --framework baselines -------------------------
 
-/** (framework, workload) -> digests of its report line and HLS C. */
+/**
+ * The golden table: (framework, workload) -> digests of its report line
+ * and HLS C.
+ */
 const std::string &
 frameworkDigestPath()
 {

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <string>
+#include <vector>
 
 #include "check/fuzzer.h"
 #include "hls/count.h"
@@ -92,9 +93,8 @@ TEST(HlsCount, AvgTripsMatchesPerPrefixFormulaOnFuzzedDomains)
             SCOPED_TRACE(name + " seed " + std::to_string(seed));
             auto gen = makeByName(name, size);
             auto ops = check::generateSchedule(*gen, seed);
-            skews += std::count_if(ops.begin(), ops.end(), [](const auto &op) {
-                return op.kind == check::ScheduleOp::Kind::Skew;
-            });
+            for (const auto &op : ops)
+                skews += op.kind == check::ScheduleOp::Kind::Skew;
             auto w = makeByName(name, size);
             ASSERT_TRUE(check::applyScheduleOps(*w, ops));
             auto stmts = lower::extractStmts(w->func());

@@ -52,7 +52,10 @@ sweepOptions(const std::string &name, dse::StrategyKind kind)
     return opt;
 }
 
-/** (strategy, workload) -> digests of its v2 journal and HLS C. */
+/**
+ * The golden table: (strategy, workload) -> digests of its v2 journal
+ * and HLS C.
+ */
 const std::string &
 digestPath()
 {
