@@ -30,7 +30,7 @@
  * many full-vector and carried-level dependence analyses ran (and
  * their combined time) and how many calls the two dependence memos
  * answered (src/transform/poly_stmt.h), e.g.
- *   dependences: 13 full + 52 carried analyses (0.41 s), 210 memo hits,
+ *   dependences: 13 full + 52 carried analyses (0.433531 s), 210 memo hits,
  *   0 evictions
  *
  * Observability (src/obs):
