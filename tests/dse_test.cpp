@@ -238,15 +238,15 @@ checkFrameworkDigests(
             continue;
         }
         auto it = table.find({framework, name});
-        if (it == table.end()) {
+        if (it == table.end() || it->second.size() != 2) {
             ADD_FAILURE() << framework << " " << name
                           << " has no digest in " << frameworkDigestPath()
                           << " (regenerate with POM_UPDATE_EXPECTED=1)";
             continue;
         }
-        EXPECT_EQ(it->second.first, report)
+        EXPECT_EQ(it->second[0], report)
             << framework << " " << name << ": the report line changed";
-        EXPECT_EQ(it->second.second, hls_c)
+        EXPECT_EQ(it->second[1], hls_c)
             << framework << " " << name << ": the HLS C changed";
     }
     if (update) {

@@ -1,9 +1,9 @@
 /**
  * @file
  * The golden digest tables under tests/golden: one row per
- * (key, key) pair with two FNV-1a-64 digests, e.g.
- *   greedy gemm 7ea594d0ed0384cd 202ccafde08249cf
- * after a '#' header line. Tests compare what they compute with a row
+ * (key, key) pair with one FNV-1a-64 digest per column, e.g.
+ *   greedy gemm 7ea594d0ed0384cd 202ccafde08249cf 91d0c6a1e0c2f4b3
+ * after a '#' header line that names the columns. Tests compare what they compute with a row
  * and, under POM_UPDATE_EXPECTED=1, rewrite the table instead.
  */
 
@@ -26,9 +26,9 @@
 
 namespace pom::golden {
 
-/** (key, key) -> (digest, digest). */
+/** (key, key) -> one digest per column. */
 using DigestTable = std::map<std::pair<std::string, std::string>,
-                             std::pair<std::string, std::string>>;
+                             std::vector<std::string>>;
 
 inline std::string
 goldenPath(const std::string &file)
@@ -61,9 +61,14 @@ readDigestTable(const std::string &path)
         if (line.empty() || line[0] == '#')
             continue;
         std::istringstream ls(line);
-        std::string a, b, first, second;
-        if (ls >> a >> b >> first >> second)
-            out[{a, b}] = {first, second};
+        std::string a, b, digest;
+        std::vector<std::string> digests;
+        if (!(ls >> a >> b))
+            continue;
+        while (ls >> digest)
+            digests.push_back(digest);
+        if (!digests.empty())
+            out[{a, b}] = std::move(digests);
     }
     return out;
 }
@@ -86,10 +91,12 @@ writeDigestTable(const std::string &path, const std::string &header,
     for (const auto &a : firstKeys) {
         for (const auto &b : secondKeys) {
             auto it = table.find({a, b});
-            if (it != table.end()) {
-                out << a << " " << b << " " << it->second.first << " "
-                    << it->second.second << "\n";
-            }
+            if (it == table.end())
+                continue;
+            out << a << " " << b;
+            for (const auto &digest : it->second)
+                out << " " << digest;
+            out << "\n";
         }
     }
     return out.good();

@@ -9,10 +9,12 @@
  *    stage-2 strategy. Worker-count identity is the ParallelDse and
  *    StrategyDeterminism tests' job.
  *  - The same sweeps pin every trajectory and its output: the v2
- *    journal digest and the HLS C digest of each (strategy, workload)
- *    run must match golden/dse_journal_digests.txt, so a changed
- *    greedy, beam or anneal search, or a changed lowering of the
- *    selected design, fails here even when both paths change alike.
+ *    journal digest, the HLS C digest and the report-line digest of
+ *    each (strategy, workload) run must match
+ *    golden/dse_journal_digests.txt, so a changed greedy, beam or
+ *    anneal search, a changed lowering of the selected design, or a
+ *    changed estimate of it (power and II included), fails here even
+ *    when both paths change alike.
  *    Regenerate (only for an intended search or codegen change) with
  *      POM_UPDATE_EXPECTED=1 ./incremental_dse_test \
  *          --gtest_filter='IncrementalDse.*JournalsByteIdentical'
@@ -53,8 +55,8 @@ sweepOptions(const std::string &name, dse::StrategyKind kind)
 }
 
 /**
- * The golden table: (strategy, workload) -> digests of its v2 journal
- * and HLS C.
+ * The golden table: (strategy, workload) -> digests of its v2 journal,
+ * HLS C and report line.
  */
 const std::string &
 digestPath()
@@ -70,8 +72,8 @@ writeDigests(const golden::DigestTable &digests)
 {
     EXPECT_TRUE(golden::writeDigestTable(
         digestPath(),
-        "strategy workload fnv1a64(v2 journal) fnv1a64(HLS C) of the "
-        "IncrementalDse sweeps",
+        "strategy workload fnv1a64(v2 journal) fnv1a64(HLS C) "
+        "fnv1a64(report line) of the IncrementalDse sweeps",
         {"greedy", "beam", "anneal"}, workloads::allNames(), digests))
         << "cannot write " << digestPath();
 }
@@ -82,8 +84,8 @@ writeDigests(const golden::DigestTable &digests)
  * byte-identical to the uncached monolithic reference's. The node
  * cache is dropped before every run so the incremental side estimates
  * its nodes within the run instead of reading another run's. The
- * reference's v2 journal and the default path's HLS C must also hash
- * to their golden digests.
+ * reference's v2 journal and the default path's HLS C and report line
+ * (`pomc`'s `report:` line) must also hash to their golden digests.
  */
 void
 differentialSweep(dse::StrategyKind kind)
@@ -118,27 +120,33 @@ differentialSweep(dse::StrategyKind kind)
 
         std::string digest = digestOf(mono_v2);
         std::string hls_digest = digestOf(emit::emitHlsC(*inc.design.func));
+        std::string report_digest = digestOf(inc.report.str(opt.device));
         if (update) {
-            table[{strategy, name}] = {digest, hls_digest};
+            table[{strategy, name}] = {digest, hls_digest, report_digest};
             continue;
         }
         auto it = table.find({strategy, name});
-        if (it == table.end()) {
+        if (it == table.end() || it->second.size() != 3) {
             ADD_FAILURE() << strategy << " " << name << " has no digest in "
                           << digestPath()
                           << " (regenerate with POM_UPDATE_EXPECTED=1)";
             continue;
         }
-        EXPECT_EQ(it->second.first, digest)
+        EXPECT_EQ(it->second[0], digest)
             << strategy << " " << name
             << ": the v2 journal changed; regenerate with "
                "POM_UPDATE_EXPECTED=1 only if the search change is "
                "intended";
-        EXPECT_EQ(it->second.second, hls_digest)
+        EXPECT_EQ(it->second[1], hls_digest)
             << strategy << " " << name
             << ": the HLS C of the selected design changed; regenerate "
                "with POM_UPDATE_EXPECTED=1 only if the codegen change is "
                "intended";
+        EXPECT_EQ(it->second[2], report_digest)
+            << strategy << " " << name
+            << ": the report line of the selected design changed; "
+               "regenerate with POM_UPDATE_EXPECTED=1 only if the "
+               "estimate change is intended";
     }
     if (update)
         writeDigests(table);
