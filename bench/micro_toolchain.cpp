@@ -38,6 +38,25 @@ BM_DependenceAnalysisGemm(benchmark::State &state)
 BENCHMARK(BM_DependenceAnalysisGemm)->Arg(64)->Arg(4096);
 
 static void
+BM_DependenceAnalysisConv(benchmark::State &state)
+{
+    // The shape the DNN searches pay for: the carried analysis of a
+    // vgg16 conv statement after one split of its channel loop, so 7
+    // loops and 14-dimension dependence polytopes.
+    auto w = workloads::makeVgg16(state.range(0));
+    transform::PolyStmt stmt = lower::extractStmts(w->func())[1];
+    const std::string c = stmt.sched.domain.dimName(3);
+    transform::split(stmt, c, 4, c + "_o", c + "_i");
+    const auto accesses = stmt.transformedAccesses();
+    for (auto _ : state) {
+        auto deps = poly::analyzeCarriedDependences(stmt.sched.domain,
+                                                    accesses);
+        benchmark::DoNotOptimize(deps);
+    }
+}
+BENCHMARK(BM_DependenceAnalysisConv)->Arg(64);
+
+static void
 BM_GraphConstruction3mm(benchmark::State &state)
 {
     auto w = workloads::make3mm(state.range(0));

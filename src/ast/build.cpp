@@ -215,9 +215,10 @@ class Builder
                    "context/domain depth mismatch for ", stmt.name);
 
         std::vector<Constraint> guards;
-        for (const auto &c : stmt.domain.constraints()) {
+        for (size_t r = 0; r < stmt.domain.numConstraints(); ++r) {
+            Constraint c = stmt.domain.constraint(r);
             if (!ctx.implies(c))
-                guards.push_back(c);
+                guards.push_back(std::move(c));
         }
 
         auto user = makeNode(AstNode::Kind::User);

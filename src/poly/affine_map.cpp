@@ -141,7 +141,7 @@ AffineMap::image(const IntegerSet &domain,
         combined.addEquality(eq);
     }
     for (size_t i = 0; i < n; ++i)
-        combined = combined.projectOut(0);
+        combined.eliminate(0);
     return combined;
 }
 

@@ -63,22 +63,23 @@ exprRange(const IntegerSet &set, const LinearExpr &expr)
                     LinearExpr::dim(n + 1, n);
     work.addEquality(eq);
     for (size_t i = 0; i < n; ++i)
-        work = work.projectOut(0);
+        work.eliminate(0);
     work.simplify();
 
     std::optional<std::int64_t> lo, hi;
-    for (const auto &c : work.constraints()) {
-        std::int64_t a = c.expr.coeff(0);
-        std::int64_t k = c.expr.constantTerm();
+    for (size_t r = 0; r < work.numConstraints(); ++r) {
+        std::int64_t a = work.coeff(r, 0);
+        std::int64_t k = work.constantTerm(r);
+        bool is_eq = work.isEquality(r);
         if (a == 0)
             continue;
-        if (a > 0 || c.isEq) {
+        if (a > 0 || is_eq) {
             std::int64_t div = a > 0 ? a : -a;
             std::int64_t num = a > 0 ? -k : k;
             std::int64_t v = support::ceilDiv(num, div);
             lo = lo ? std::max(*lo, v) : v;
         }
-        if (a < 0 || c.isEq) {
+        if (a < 0 || is_eq) {
             std::int64_t div = a < 0 ? -a : a;
             std::int64_t num = a < 0 ? k : -k;
             std::int64_t v = support::floorDiv(num, div);

@@ -1,6 +1,8 @@
 #include "poly/integer_set.h"
 
 #include <algorithm>
+#include <limits>
+#include <numeric>
 #include <sstream>
 
 #include "support/diagnostics.h"
@@ -12,60 +14,139 @@ namespace {
 
 using support::ceilDiv;
 using support::floorDiv;
-using support::gcd;
+
+constexpr std::int64_t kInequality = 0;
+constexpr std::int64_t kEquality = 1;
 
 /**
- * Normalize a constraint in place. Returns false if the constraint is a
- * provably unsatisfiable constant (or integrality-violating equality), in
- * which case it is replaced by the canonical false constraint -1 >= 0.
+ * The matrix an elimination writes into, swapped with the set's own
+ * afterwards, so a chain of eliminations reuses two buffers.
  */
-bool
-normalizeConstraint(Constraint &c)
+thread_local std::vector<std::int64_t> t_scratch;
+
+/** Rows with a non-zero coefficient on the eliminated dim, by sign. */
+thread_local std::vector<size_t> t_lowers, t_uppers;
+
+/** The open-addressing table of dedupeRows(): kept row indices. */
+thread_local std::vector<std::uint32_t> t_slots;
+
+constexpr std::uint32_t kEmptySlot = std::numeric_limits<std::uint32_t>::max();
+
+// Checked int64 arithmetic: a result that does not fit sets @p overflow
+// (and wraps, with defined behaviour) instead of being undefined.
+
+inline std::int64_t
+checkedMul(std::int64_t a, std::int64_t b, bool &overflow)
 {
-    std::int64_t g = c.expr.coeffGcd();
-    if (g == 0) {
-        // Constant constraint.
-        std::int64_t k = c.expr.constantTerm();
-        bool ok = c.isEq ? (k == 0) : (k >= 0);
-        return ok;
+    std::int64_t r;
+    overflow |= __builtin_mul_overflow(a, b, &r);
+    return r;
+}
+
+inline std::int64_t
+checkedAdd(std::int64_t a, std::int64_t b, bool &overflow)
+{
+    std::int64_t r;
+    overflow |= __builtin_add_overflow(a, b, &r);
+    return r;
+}
+
+inline std::int64_t
+checkedNeg(std::int64_t a, bool &overflow)
+{
+    std::int64_t r;
+    overflow |= __builtin_sub_overflow(std::int64_t{0}, a, &r);
+    return r;
+}
+
+/** |v|, exact for the most negative int64 too. */
+inline std::uint64_t
+magnitude(std::int64_t v)
+{
+    return v < 0 ? std::uint64_t{0} - static_cast<std::uint64_t>(v)
+                 : static_cast<std::uint64_t>(v);
+}
+
+enum class RowStatus { Kept, True, False };
+
+/**
+ * Normalize one row (@p n coefficients, the constant, the kind) in
+ * place: divide by the gcd of the coefficients, rounding an
+ * inequality's constant down (integer tightening). Returns False if the
+ * row has no integer solution (a false constant, or an equality whose
+ * constant the gcd does not divide) and True for a true constant.
+ */
+RowStatus
+normalizeRow(std::int64_t *row, size_t n, bool &overflow)
+{
+    std::uint64_t g = 0;
+    for (size_t d = 0; d < n; ++d)
+        g = std::gcd(g, magnitude(row[d]));
+    std::int64_t &k = row[n];
+    const bool eq = row[n + 1] == kEquality;
+    if (g == 0)
+        return (eq ? k == 0 : k >= 0) ? RowStatus::True : RowStatus::False;
+    if (g > static_cast<std::uint64_t>(
+                std::numeric_limits<std::int64_t>::max())) {
+        overflow = true;
+        return RowStatus::Kept;
     }
-    if (c.isEq) {
-        if (c.expr.constantTerm() % g != 0)
-            return false; // No integer solutions (gcd test).
-        if (g > 1) {
-            LinearExpr e(c.expr.numDims());
-            for (size_t i = 0; i < c.expr.numDims(); ++i)
-                e.setCoeff(i, c.expr.coeff(i) / g);
-            e.setConstantTerm(c.expr.constantTerm() / g);
-            c.expr = e;
+    const auto div = static_cast<std::int64_t>(g);
+    if (eq && k % div != 0)
+        return RowStatus::False; // No integer solutions (gcd test).
+    if (div > 1) {
+        for (size_t d = 0; d < n; ++d)
+            row[d] /= div;
+        k = eq ? k / div : floorDiv(k, div);
+    }
+    return RowStatus::Kept;
+}
+
+inline std::uint64_t
+hashRow(const std::int64_t *row, size_t s)
+{
+    std::uint64_t h = 0x9e3779b97f4a7c15ull;
+    for (size_t d = 0; d < s; ++d) {
+        h = (h ^ static_cast<std::uint64_t>(row[d])) * 0xff51afd7ed558ccdull;
+        h ^= h >> 29;
+    }
+    return h;
+}
+
+/**
+ * Drop every row of @p rows (stride @p s) equal to an earlier one,
+ * keeping the first occurrences in order.
+ */
+void
+dedupeRows(std::vector<std::int64_t> &rows, size_t s)
+{
+    const size_t m = rows.size() / s;
+    if (m < 2)
+        return;
+    size_t cap = 16;
+    while (cap < 2 * m)
+        cap <<= 1;
+    std::vector<std::uint32_t> &slots = t_slots;
+    slots.assign(cap, kEmptySlot);
+    std::int64_t *base = rows.data();
+    size_t kept = 0;
+    for (size_t r = 0; r < m; ++r) {
+        const std::int64_t *row = base + r * s;
+        size_t h = hashRow(row, s) & (cap - 1);
+        bool dup = false;
+        for (; slots[h] != kEmptySlot; h = (h + 1) & (cap - 1)) {
+            if (std::equal(row, row + s, base + slots[h] * s)) {
+                dup = true;
+                break;
+            }
         }
-    } else if (g > 1) {
-        // Integer tightening: sum(a_i/g * d_i) >= ceil(-k/g), i.e. the
-        // constant becomes floor(k/g).
-        LinearExpr e(c.expr.numDims());
-        for (size_t i = 0; i < c.expr.numDims(); ++i)
-            e.setCoeff(i, c.expr.coeff(i) / g);
-        e.setConstantTerm(floorDiv(c.expr.constantTerm(), g));
-        c.expr = e;
+        if (dup)
+            continue;
+        if (kept != r)
+            std::copy(row, row + s, base + kept * s);
+        slots[h] = static_cast<std::uint32_t>(kept++);
     }
-    return true;
-}
-
-/** True if the constraint is trivially satisfied (e.g. 3 >= 0). */
-bool
-isTriviallyTrue(const Constraint &c)
-{
-    if (!c.expr.isConstant())
-        return false;
-    std::int64_t k = c.expr.constantTerm();
-    return c.isEq ? (k == 0) : (k >= 0);
-}
-
-/** The canonical false constraint over @p num_dims dims: -1 >= 0. */
-Constraint
-falseConstraint(size_t num_dims)
-{
-    return Constraint{LinearExpr::constant(num_dims, -1), false};
+    rows.resize(kept * s);
 }
 
 } // namespace
@@ -103,31 +184,53 @@ IntegerSet::findDim(const std::string &name) const
     return std::nullopt;
 }
 
+Constraint
+IntegerSet::constraint(size_t r) const
+{
+    const std::int64_t *row = rows_.data() + r * stride();
+    const size_t n = numDims();
+    return Constraint{
+        LinearExpr(std::vector<std::int64_t>(row, row + n), row[n]),
+        row[n + 1] == kEquality};
+}
+
+void
+IntegerSet::appendRow(const LinearExpr &expr, std::int64_t kind)
+{
+    POM_ASSERT(expr.numDims() == dims_.size(), "constraint dim mismatch");
+    rows_.insert(rows_.end(), expr.coeffs().begin(), expr.coeffs().end());
+    rows_.push_back(expr.constantTerm());
+    rows_.push_back(kind);
+    simplified_ = false;
+}
+
 void
 IntegerSet::addEquality(const LinearExpr &expr)
 {
-    POM_ASSERT(expr.numDims() == dims_.size(), "constraint dim mismatch");
-    constraints_.push_back(Constraint{expr, true});
+    appendRow(expr, kEquality);
 }
 
 void
 IntegerSet::addInequality(const LinearExpr &expr)
 {
-    POM_ASSERT(expr.numDims() == dims_.size(), "constraint dim mismatch");
-    constraints_.push_back(Constraint{expr, false});
+    appendRow(expr, kInequality);
 }
 
 void
 IntegerSet::addDimBounds(size_t i, std::int64_t low, std::int64_t high)
 {
-    // dim - low >= 0
-    LinearExpr lb = LinearExpr::dim(dims_.size(), i);
-    lb.setConstantTerm(-low);
-    addInequality(lb);
-    // high - dim >= 0
-    LinearExpr ub = -LinearExpr::dim(dims_.size(), i);
-    ub.setConstantTerm(high);
-    addInequality(ub);
+    POM_ASSERT(i < dims_.size(), "dim index out of range");
+    const size_t s = stride();
+    // dim - low >= 0, then high - dim >= 0
+    rows_.resize(rows_.size() + 2 * s, 0);
+    std::int64_t *lb = rows_.data() + rows_.size() - 2 * s;
+    std::int64_t *ub = lb + s;
+    lb[i] = 1;
+    lb[numDims()] = -low;
+    ub[i] = -1;
+    ub[numDims()] = high;
+    lb[numDims() + 1] = ub[numDims() + 1] = kInequality;
+    simplified_ = false;
 }
 
 IntegerSet
@@ -135,8 +238,8 @@ IntegerSet::intersect(const IntegerSet &other) const
 {
     POM_ASSERT(dims_ == other.dims_, "intersect over different spaces");
     IntegerSet r = *this;
-    r.constraints_.insert(r.constraints_.end(), other.constraints_.begin(),
-                          other.constraints_.end());
+    r.rows_.insert(r.rows_.end(), other.rows_.begin(), other.rows_.end());
+    r.simplified_ = false;
     return r;
 }
 
@@ -147,23 +250,39 @@ IntegerSet::withDimsInserted(size_t pos,
     POM_ASSERT(pos <= dims_.size(), "insert position out of range");
     IntegerSet r;
     r.dims_ = dims_;
-    r.dims_.insert(r.dims_.begin() + pos, names.begin(), names.end());
-    for (const auto &c : constraints_) {
-        r.constraints_.push_back(
-            Constraint{c.expr.withDimsInserted(pos, names.size()), c.isEq});
+    r.dims_.insert(r.dims_.begin() + pos,
+                   std::make_move_iterator(names.begin()),
+                   std::make_move_iterator(names.end()));
+    const size_t s = stride(), t = r.stride(), m = numConstraints();
+    r.rows_.assign(m * t, 0);
+    for (size_t k = 0; k < m; ++k) {
+        const std::int64_t *src = rows_.data() + k * s;
+        std::int64_t *dst = r.rows_.data() + k * t;
+        std::copy(src, src + pos, dst);
+        std::copy(src + pos, src + s, dst + pos + (t - s));
     }
+    // Zero columns keep every row normalized and distinct.
+    r.simplified_ = simplified_;
     return r;
 }
 
 IntegerSet
 IntegerSet::withDimRemoved(size_t i) const
 {
+    POM_ASSERT(i < dims_.size(), "remove index out of range");
     IntegerSet r;
     r.dims_ = dims_;
     r.dims_.erase(r.dims_.begin() + i);
-    for (const auto &c : constraints_)
-        r.constraints_.push_back(Constraint{c.expr.withDimRemoved(i),
-                                            c.isEq});
+    const size_t s = stride(), m = numConstraints();
+    r.rows_.resize(m * (s - 1));
+    for (size_t k = 0; k < m; ++k) {
+        const std::int64_t *src = rows_.data() + k * s;
+        POM_ASSERT(src[i] == 0, "removing dim with non-zero coefficient");
+        std::int64_t *dst = r.rows_.data() + k * (s - 1);
+        std::copy(src, src + i, dst);
+        std::copy(src + i + 1, src + s, dst + i);
+    }
+    r.simplified_ = simplified_;
     return r;
 }
 
@@ -179,12 +298,21 @@ IntegerSet
 IntegerSet::permuted(const std::vector<size_t> &perm) const
 {
     POM_ASSERT(perm.size() == dims_.size(), "permutation size mismatch");
+    const size_t n = numDims(), s = stride();
     IntegerSet r;
-    r.dims_.resize(dims_.size());
-    for (size_t i = 0; i < dims_.size(); ++i)
+    r.dims_.resize(n);
+    for (size_t i = 0; i < n; ++i)
         r.dims_[perm[i]] = dims_[i];
-    for (const auto &c : constraints_)
-        r.constraints_.push_back(Constraint{c.expr.permuted(perm), c.isEq});
+    r.rows_.resize(rows_.size());
+    for (size_t k = 0; k < numConstraints(); ++k) {
+        const std::int64_t *src = rows_.data() + k * s;
+        std::int64_t *dst = r.rows_.data() + k * s;
+        for (size_t i = 0; i < n; ++i)
+            dst[perm[i]] = src[i];
+        dst[n] = src[n];
+        dst[n + 1] = src[n + 1];
+    }
+    r.simplified_ = simplified_;
     return r;
 }
 
@@ -192,107 +320,206 @@ IntegerSet
 IntegerSet::withDimSubstituted(size_t i,
                                const LinearExpr &replacement) const
 {
-    IntegerSet r;
-    r.dims_ = dims_;
-    for (const auto &c : constraints_) {
-        r.constraints_.push_back(
-            Constraint{c.expr.substituted(i, replacement), c.isEq});
+    POM_ASSERT(replacement.numDims() == numDims(),
+               "dim mismatch in substitute");
+    POM_ASSERT(replacement.coeff(i) == 0,
+               "replacement must not reference the substituted dim");
+    const size_t n = numDims(), s = stride();
+    IntegerSet r = *this;
+    bool overflow = false;
+    for (size_t k = 0; k < numConstraints(); ++k) {
+        std::int64_t *row = r.rows_.data() + k * s;
+        const std::int64_t c = row[i];
+        row[i] = 0;
+        for (size_t d = 0; d < n; ++d) {
+            row[d] = checkedAdd(
+                row[d], checkedMul(replacement.coeff(d), c, overflow),
+                overflow);
+        }
+        row[n] = checkedAdd(
+            row[n], checkedMul(replacement.constantTerm(), c, overflow),
+            overflow);
     }
+    if (overflow) {
+        support::fatal("integer overflow substituting '" + dims_[i] +
+                       "' in " + str());
+    }
+    r.simplified_ = false;
     return r;
 }
 
 IntegerSet
 IntegerSet::projectOut(size_t i) const
 {
-    POM_ASSERT(i < dims_.size(), "projectOut index out of range");
-    IntegerSet work = *this;
-    work.simplify();
+    IntegerSet r = *this;
+    r.eliminate(i);
+    return r;
+}
 
-    // Prefer eliminating through an equality that involves the dim.
-    const Constraint *best_eq = nullptr;
-    for (const auto &c : work.constraints_) {
-        if (!c.isEq || c.expr.coeff(i) == 0)
+void
+IntegerSet::eliminate(size_t i)
+{
+    POM_ASSERT(i < dims_.size(), "projectOut index out of range");
+    simplify();
+    const size_t n = numDims();
+    const size_t s = n + 2; // columns per input row
+    const size_t t = n + 1; // columns per output row: dim i is gone
+    const size_t m = numConstraints();
+    const std::int64_t *in = rows_.data();
+    auto row = [&](size_t r) { return in + r * s; };
+
+    // Prefer eliminating through an equality that involves the dim: the
+    // first one with a unit coefficient, else the first one.
+    size_t eq = m;
+    for (size_t r = 0; r < m; ++r) {
+        const std::int64_t a = row(r)[i];
+        if (row(r)[n + 1] != kEquality || a == 0)
             continue;
-        std::int64_t a = c.expr.coeff(i);
         if (a == 1 || a == -1) {
-            best_eq = &c;
+            eq = r;
             break;
         }
-        if (!best_eq)
-            best_eq = &c;
+        if (eq == m)
+            eq = r;
     }
 
-    if (best_eq) {
-        Constraint eq = *best_eq;
-        std::int64_t a = eq.expr.coeff(i);
-        LinearExpr rest = eq.expr;
-        rest.setCoeff(i, 0);
-        IntegerSet out;
-        out.dims_ = work.dims_;
+    std::vector<std::int64_t> &out = t_scratch;
+    bool overflow = false, infeasible = false;
+    size_t kept = 0; // rows written to out
+    auto copyRow = [&](const std::int64_t *src) {
+        std::int64_t *dst = out.data() + kept++ * t;
+        std::copy(src, src + i, dst);
+        std::copy(src + i + 1, src + s, dst + i);
+    };
+    // The row just written at out[kept]: keep it unless it normalizes
+    // to a true constant; a false one makes the whole set false.
+    auto finishRow = [&]() {
+        switch (normalizeRow(out.data() + kept * t, n - 1, overflow)) {
+          case RowStatus::Kept: ++kept; break;
+          case RowStatus::True: break;
+          case RowStatus::False: infeasible = true; break;
+        }
+    };
+
+    if (eq < m) {
+        out.resize((m - 1) * t);
+        const std::int64_t *e = row(eq);
+        const std::int64_t a = e[i];
         if (a == 1 || a == -1) {
-            // d_i = -rest / a = -a * rest (a is a unit).
-            LinearExpr repl = rest.scaled(-a);
-            for (const auto &c : work.constraints_) {
-                if (c == eq)
+            // d_i = -a * rest, where rest is the equality without d_i.
+            for (size_t r = 0; r < m; ++r) {
+                const std::int64_t *c = row(r);
+                if (r == eq)
                     continue;
-                out.constraints_.push_back(
-                    Constraint{c.expr.substituted(i, repl), c.isEq});
-            }
-        } else {
-            // a * d_i = -rest with |a| > 1: scale each other constraint
-            // by |a| and replace the scaled term. This preserves integer
-            // solutions of the remaining system (the divisibility
-            // condition |a| divides rest is dropped -> rational
-            // relaxation for this case).
-            std::int64_t abs_a = a > 0 ? a : -a;
-            std::int64_t sign_a = a > 0 ? 1 : -1;
-            for (const auto &c : work.constraints_) {
-                if (c == eq)
-                    continue;
-                std::int64_t b = c.expr.coeff(i);
-                if (b == 0) {
-                    out.constraints_.push_back(c);
+                if (c[i] == 0) {
+                    copyRow(c);
                     continue;
                 }
-                LinearExpr scaled = c.expr.scaled(abs_a);
-                scaled.setCoeff(i, 0);
+                std::int64_t *dst = out.data() + kept * t;
+                for (size_t d = 0; d <= n; ++d) {
+                    if (d == i)
+                        continue;
+                    std::int64_t repl = checkedMul(e[d], -a, overflow);
+                    *dst++ = checkedAdd(
+                        c[d], checkedMul(repl, c[i], overflow), overflow);
+                }
+                *dst = c[n + 1];
+                finishRow();
+            }
+        } else {
+            // a * d_i = -rest with |a| > 1: scale each other row by |a|
+            // and replace the scaled term. This preserves the integer
+            // solutions of the remaining system but drops the condition
+            // that |a| divides rest: a rational relaxation.
+            const std::int64_t abs_a = a > 0 ? a : checkedNeg(a, overflow);
+            const std::int64_t sign_a = a > 0 ? 1 : -1;
+            for (size_t r = 0; r < m; ++r) {
+                const std::int64_t *c = row(r);
+                if (r == eq)
+                    continue;
+                if (c[i] == 0) {
+                    copyRow(c);
+                    continue;
+                }
                 // b*|a|*d_i == (b*sign_a)*(a*d_i) == (b*sign_a)*(-rest)
-                scaled = scaled + rest.scaled(-b * sign_a);
-                out.constraints_.push_back(Constraint{scaled, c.isEq});
+                const std::int64_t factor =
+                    checkedMul(checkedNeg(c[i], overflow), sign_a, overflow);
+                std::int64_t *dst = out.data() + kept * t;
+                for (size_t d = 0; d <= n; ++d) {
+                    if (d == i)
+                        continue;
+                    *dst++ = checkedAdd(checkedMul(c[d], abs_a, overflow),
+                                        checkedMul(e[d], factor, overflow),
+                                        overflow);
+                }
+                *dst = c[n + 1];
+                finishRow();
             }
         }
-        IntegerSet result = out.withDimRemoved(i);
-        result.simplify();
-        return result;
-    }
-
-    // Fourier-Motzkin on inequalities.
-    std::vector<Constraint> lowers, uppers, others;
-    for (const auto &c : work.constraints_) {
-        std::int64_t a = c.expr.coeff(i);
-        POM_ASSERT(!c.isEq || a == 0, "equality not eliminated");
-        if (a == 0)
-            others.push_back(c);
-        else if (a > 0)
-            lowers.push_back(c);
-        else
-            uppers.push_back(c);
-    }
-    IntegerSet out;
-    out.dims_ = work.dims_;
-    out.constraints_ = others;
-    for (const auto &l : lowers) {
-        for (const auto &u : uppers) {
-            std::int64_t a = l.expr.coeff(i);
-            std::int64_t b = -u.expr.coeff(i);
-            LinearExpr combined = l.expr.scaled(b) + u.expr.scaled(a);
-            POM_ASSERT(combined.coeff(i) == 0, "FM combination failed");
-            out.constraints_.push_back(Constraint{combined, false});
+    } else {
+        // Fourier-Motzkin on inequalities: the rows without the dim,
+        // then every (lower, upper) pair in order.
+        std::vector<size_t> &lowers = t_lowers, &uppers = t_uppers;
+        lowers.clear();
+        uppers.clear();
+        size_t others = 0;
+        for (size_t r = 0; r < m; ++r) {
+            const std::int64_t a = row(r)[i];
+            POM_ASSERT(row(r)[n + 1] != kEquality || a == 0,
+                       "equality not eliminated");
+            if (a == 0)
+                ++others;
+            else
+                (a > 0 ? lowers : uppers).push_back(r);
+        }
+        out.resize((others + lowers.size() * uppers.size()) * t);
+        for (size_t r = 0; r < m; ++r) {
+            if (row(r)[i] == 0)
+                copyRow(row(r));
+        }
+        for (size_t l : lowers) {
+            const std::int64_t *lo = row(l);
+            for (size_t u : uppers) {
+                const std::int64_t *up = row(u);
+                const std::int64_t a = lo[i];
+                const std::int64_t b = checkedNeg(up[i], overflow);
+                std::int64_t *dst = out.data() + kept * t;
+                for (size_t d = 0; d <= n; ++d) {
+                    if (d == i)
+                        continue;
+                    *dst++ = checkedAdd(checkedMul(lo[d], b, overflow),
+                                        checkedMul(up[d], a, overflow),
+                                        overflow);
+                }
+                *dst = kInequality;
+                finishRow();
+            }
         }
     }
-    IntegerSet result = out.withDimRemoved(i);
-    result.simplify();
-    return result;
+
+    if (overflow) {
+        support::fatal("integer overflow in Fourier-Motzkin elimination "
+                       "of '" + dims_[i] + "' from " + str());
+    }
+    dims_.erase(dims_.begin() + i);
+    simplified_ = true;
+    if (infeasible) {
+        setFalse();
+        return;
+    }
+    out.resize(kept * t);
+    rows_.swap(out);
+    dedupeRows(rows_, t);
+}
+
+void
+IntegerSet::setFalse()
+{
+    // The canonical false constraint: -1 >= 0.
+    rows_.assign(stride(), 0);
+    rows_[numDims()] = -1;
+    rows_[numDims() + 1] = kInequality;
+    simplified_ = true;
 }
 
 IntegerSet
@@ -301,7 +528,7 @@ IntegerSet::projectOntoPrefix(size_t k) const
     POM_ASSERT(k <= dims_.size(), "prefix larger than space");
     IntegerSet r = *this;
     while (r.numDims() > k)
-        r = r.projectOut(r.numDims() - 1);
+        r.eliminate(r.numDims() - 1);
     return r;
 }
 
@@ -309,12 +536,19 @@ bool
 IntegerSet::isEmpty() const
 {
     IntegerSet work = *this;
-    work.simplify();
-    if (work.hasFalseConstraint())
+    return work.becomesEmpty();
+}
+
+bool
+IntegerSet::becomesEmpty()
+{
+    simplify();
+    if (hasFalseConstraint())
         return true;
-    while (work.numDims() > 0) {
-        work = work.projectOut(work.numDims() - 1);
-        if (work.hasFalseConstraint())
+    // Projecting a set without constraints never yields a false one.
+    while (numDims() > 0 && numConstraints() > 0) {
+        eliminate(numDims() - 1);
+        if (hasFalseConstraint())
             return true;
     }
     return false;
@@ -323,11 +557,13 @@ IntegerSet::isEmpty() const
 bool
 IntegerSet::hasFalseConstraint() const
 {
-    for (const auto &c : constraints_) {
-        if (!c.expr.isConstant())
+    const size_t n = numDims(), s = stride();
+    for (size_t r = 0; r < numConstraints(); ++r) {
+        const std::int64_t *row = rows_.data() + r * s;
+        if (std::any_of(row, row + n,
+                        [](std::int64_t c) { return c != 0; }))
             continue;
-        std::int64_t k = c.expr.constantTerm();
-        if (c.isEq ? (k != 0) : (k < 0))
+        if (row[n + 1] == kEquality ? row[n] != 0 : row[n] < 0)
             return true;
     }
     return false;
@@ -337,9 +573,13 @@ bool
 IntegerSet::containsPoint(const std::vector<std::int64_t> &point) const
 {
     POM_ASSERT(point.size() == dims_.size(), "point dim mismatch");
-    for (const auto &c : constraints_) {
-        std::int64_t v = c.expr.evaluate(point);
-        if (c.isEq ? (v != 0) : (v < 0))
+    const size_t n = numDims(), s = stride();
+    for (size_t r = 0; r < numConstraints(); ++r) {
+        const std::int64_t *row = rows_.data() + r * s;
+        std::int64_t v = row[n];
+        for (size_t d = 0; d < n; ++d)
+            v += row[d] * point[d];
+        if (row[n + 1] == kEquality ? v != 0 : v < 0)
             return false;
     }
     return true;
@@ -355,7 +595,7 @@ IntegerSet::implies(const Constraint &c) const
         LinearExpr neg = -expr;
         neg.setConstantTerm(neg.constantTerm() - 1);
         test.addInequality(neg);
-        return test.isEmpty();
+        return test.becomesEmpty();
     };
     if (c.isEq)
         return impliesIneq(c.expr) && impliesIneq(-c.expr);
@@ -368,23 +608,20 @@ IntegerSet::boundsForCodegen(size_t i) const
     IntegerSet proj = projectOntoPrefix(i + 1);
     proj.simplify();
     DimBounds bounds;
-    for (const auto &c : proj.constraints()) {
-        std::int64_t a = c.expr.coeff(i);
+    for (size_t r = 0; r < proj.numConstraints(); ++r) {
+        const std::int64_t a = proj.coeff(r, i);
         if (a == 0)
             continue;
-        for (size_t d = i + 1; d < proj.numDims(); ++d) {
-            POM_ASSERT(c.expr.coeff(d) == 0,
-                       "bound references inner dim after projection");
-        }
-        LinearExpr rest = c.expr;
+        const bool eq = proj.isEquality(r);
+        LinearExpr rest = proj.constraint(r).expr;
         rest.setCoeff(i, 0);
-        if (a > 0 || c.isEq) {
+        if (a > 0 || eq) {
             // a*d_i + rest >= 0 (a>0)  =>  d_i >= ceil(-rest / a)
             std::int64_t div = a > 0 ? a : -a;
             LinearExpr num = (a > 0) ? -rest : rest;
             bounds.lower.push_back(Bound{num, div});
         }
-        if (a < 0 || c.isEq) {
+        if (a < 0 || eq) {
             // -b*d_i + rest >= 0 (b>0)  =>  d_i <= floor(rest / b)
             std::int64_t div = a < 0 ? -a : a;
             LinearExpr num = (a < 0) ? rest : -rest;
@@ -394,14 +631,14 @@ IntegerSet::boundsForCodegen(size_t i) const
     return bounds;
 }
 
-std::vector<std::vector<std::int64_t>>
-IntegerSet::enumerate(size_t limit) const
+template <typename Visit>
+void
+IntegerSet::forEachPoint(Visit &&visit) const
 {
-    std::vector<std::vector<std::int64_t>> points;
     if (numDims() == 0) {
         if (containsPoint({}))
-            points.push_back({});
-        return points;
+            visit(std::vector<std::int64_t>{});
+        return;
     }
 
     std::vector<DimBounds> per_dim;
@@ -453,11 +690,8 @@ IntegerSet::enumerate(size_t limit) const
         }
         prefix[level] = stack.back().cur;
         if (level + 1 == numDims()) {
-            if (containsPoint(prefix)) {
-                points.push_back(prefix);
-                POM_ASSERT(points.size() <= limit,
-                           "enumerate() exceeded point limit");
-            }
+            if (containsPoint(prefix) && !visit(prefix))
+                return;
             ++stack.back().cur;
         } else {
             evalBounds(level + 1, lo, hi);
@@ -465,6 +699,18 @@ IntegerSet::enumerate(size_t limit) const
             prefix[level + 1] = lo;
         }
     }
+}
+
+std::vector<std::vector<std::int64_t>>
+IntegerSet::enumerate(size_t limit) const
+{
+    std::vector<std::vector<std::int64_t>> points;
+    forEachPoint([&](const std::vector<std::int64_t> &p) {
+        points.push_back(p);
+        POM_ASSERT(points.size() <= limit,
+                   "enumerate() exceeded point limit");
+        return true;
+    });
     return points;
 }
 
@@ -477,28 +723,42 @@ IntegerSet::countPoints(size_t limit) const
 std::optional<std::vector<std::int64_t>>
 IntegerSet::lexMin() const
 {
-    auto points = enumerate();
-    if (points.empty())
-        return std::nullopt;
-    return points.front();
+    std::optional<std::vector<std::int64_t>> first;
+    forEachPoint([&](const std::vector<std::int64_t> &p) {
+        first = p;
+        return false;
+    });
+    return first;
 }
 
 void
 IntegerSet::simplify()
 {
-    std::vector<Constraint> kept;
-    for (auto &c : constraints_) {
-        if (!normalizeConstraint(c)) {
-            constraints_.clear();
-            constraints_.push_back(falseConstraint(dims_.size()));
+    if (simplified_)
+        return;
+    const size_t n = numDims(), s = stride(), m = numConstraints();
+    bool overflow = false;
+    size_t kept = 0;
+    for (size_t r = 0; r < m; ++r) {
+        std::int64_t *row = rows_.data() + r * s;
+        RowStatus status = normalizeRow(row, n, overflow);
+        if (overflow) {
+            support::fatal("integer overflow normalizing a constraint of " +
+                           str());
+        }
+        if (status == RowStatus::False) {
+            setFalse();
             return;
         }
-        if (isTriviallyTrue(c))
+        if (status == RowStatus::True)
             continue;
-        if (std::find(kept.begin(), kept.end(), c) == kept.end())
-            kept.push_back(c);
+        if (kept != r)
+            std::copy(row, row + s, rows_.data() + kept * s);
+        ++kept;
     }
-    constraints_ = std::move(kept);
+    rows_.resize(kept * s);
+    dedupeRows(rows_, s);
+    simplified_ = true;
 }
 
 std::string
@@ -512,14 +772,12 @@ IntegerSet::str() const
         os << dims_[i];
     }
     os << "]";
-    if (!constraints_.empty()) {
-        os << " : ";
-        for (size_t i = 0; i < constraints_.size(); ++i) {
-            if (i)
-                os << " and ";
-            os << constraints_[i].expr.str(dims_)
-               << (constraints_[i].isEq ? " = 0" : " >= 0");
-        }
+    const size_t n = numDims(), s = stride();
+    for (size_t r = 0; r < numConstraints(); ++r) {
+        const std::int64_t *row = rows_.data() + r * s;
+        os << (r ? " and " : " : ");
+        printAffine(os, row, row[n], dims_);
+        os << (row[n + 1] == kEquality ? " = 0" : " >= 0");
     }
     os << " }";
     return os.str();

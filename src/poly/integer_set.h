@@ -11,6 +11,13 @@
  * equalities. This is exact for the domains POM manipulates (rectangular
  * domains, tiling decompositions with explicit `i = t*i0 + i1` equalities,
  * and unimodular skews), and conservative in general.
+ *
+ * Representation: the constraints are one flat row-major int64 matrix,
+ * per row the coefficients of every dimension, the constant and the
+ * kind (equality or inequality); dimension names serve only printing
+ * and lookup. Every elimination works in place on that matrix with
+ * overflow-checked arithmetic: a combination that does not fit in
+ * int64 is a fatal() naming the set, never a wrong answer.
  */
 
 #ifndef POM_POLY_INTEGER_SET_H
@@ -83,10 +90,26 @@ class IntegerSet
     /** Index of a dimension by name, or nullopt. */
     std::optional<size_t> findDim(const std::string &name) const;
 
-    const std::vector<Constraint> &constraints() const
+    size_t numConstraints() const { return rows_.size() / stride(); }
+
+    /** Coefficient of dim @p d in constraint @p r. */
+    std::int64_t coeff(size_t r, size_t d) const
     {
-        return constraints_;
+        return rows_[r * stride() + d];
     }
+
+    std::int64_t constantTerm(size_t r) const
+    {
+        return rows_[r * stride() + numDims()];
+    }
+
+    bool isEquality(size_t r) const
+    {
+        return rows_[r * stride() + numDims() + 1] != 0;
+    }
+
+    /** Constraint @p r as a value. */
+    Constraint constraint(size_t r) const;
 
     /** Add constraint expr == 0. */
     void addEquality(const LinearExpr &expr);
@@ -128,6 +151,9 @@ class IntegerSet
      */
     IntegerSet projectOut(size_t i) const;
 
+    /** projectOut(@p i) in place. */
+    void eliminate(size_t i);
+
     /** Project onto the first @p k dims (drop the rest existentially). */
     IntegerSet projectOntoPrefix(size_t k) const;
 
@@ -166,20 +192,52 @@ class IntegerSet
     /** Number of integer points (enumeration-based; small sets only). */
     size_t countPoints(size_t limit = 1u << 22) const;
 
-    /** Lexicographically minimal point, if the set is non-empty. */
+    /**
+     * Lexicographically minimal point, if the set is non-empty: the
+     * first point of enumerate()'s order, found without enumerating the
+     * rest. Fatal if the set is unbounded.
+     */
     std::optional<std::vector<std::int64_t>> lexMin() const;
 
-    /** Normalize constraints: gcd-tighten, drop trivial, dedupe. */
+    /**
+     * Normalize constraints: gcd-tighten, drop trivial, dedupe (first
+     * occurrence kept). A no-op on a set that is already simplified.
+     */
     void simplify();
 
     /** Render as e.g. "{ [i, j] : 0 <= i <= 31 and i + j >= 2 }". */
     std::string str() const;
 
   private:
-    friend class FourierMotzkin;
+    /** Columns per row: the coefficients, the constant, the kind. */
+    size_t stride() const { return dims_.size() + 2; }
+
+    void appendRow(const LinearExpr &expr, std::int64_t kind);
+
+    /** Replace every constraint by the canonical false one, -1 >= 0. */
+    void setFalse();
+
+    /** isEmpty(), eliminating in place instead of on a copy. */
+    bool becomesEmpty();
+
+    /**
+     * Visit the points in lexicographic order until @p visit returns
+     * false. Fatal if the set is unbounded.
+     */
+    template <typename Visit>
+    void forEachPoint(Visit &&visit) const;
 
     std::vector<std::string> dims_;
-    std::vector<Constraint> constraints_;
+
+    /**
+     * The constraint matrix, row-major: per row numDims() coefficients,
+     * the constant term and the kind (1 for an equality, 0 for an
+     * inequality).
+     */
+    std::vector<std::int64_t> rows_;
+
+    /** rows_ is simplify()'s fixed point, so simplify() may skip it. */
+    bool simplified_ = false;
 };
 
 } // namespace pom::poly

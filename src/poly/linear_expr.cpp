@@ -164,9 +164,17 @@ LinearExpr::str(const std::vector<std::string> &dim_names) const
     POM_ASSERT(dim_names.size() == coeffs_.size(),
                "dim name count mismatch");
     std::ostringstream os;
+    printAffine(os, coeffs_.data(), constant_, dim_names);
+    return os.str();
+}
+
+void
+printAffine(std::ostream &os, const std::int64_t *coeffs,
+            std::int64_t constant, const std::vector<std::string> &dim_names)
+{
     bool first = true;
-    for (size_t i = 0; i < coeffs_.size(); ++i) {
-        std::int64_t c = coeffs_[i];
+    for (size_t i = 0; i < dim_names.size(); ++i) {
+        std::int64_t c = coeffs[i];
         if (c == 0)
             continue;
         if (first) {
@@ -184,12 +192,11 @@ LinearExpr::str(const std::vector<std::string> &dim_names) const
         first = false;
     }
     if (first) {
-        os << constant_;
-    } else if (constant_ != 0) {
-        os << (constant_ > 0 ? " + " : " - ")
-           << (constant_ > 0 ? constant_ : -constant_);
+        os << constant;
+    } else if (constant != 0) {
+        os << (constant > 0 ? " + " : " - ")
+           << (constant > 0 ? constant : -constant);
     }
-    return os.str();
 }
 
 } // namespace pom::poly

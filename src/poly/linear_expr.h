@@ -13,6 +13,7 @@
 #define POM_POLY_LINEAR_EXPR_H
 
 #include <cstdint>
+#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -41,6 +42,8 @@ class LinearExpr
     static LinearExpr constant(size_t num_dims, std::int64_t value);
 
     size_t numDims() const { return coeffs_.size(); }
+
+    const std::vector<std::int64_t> &coeffs() const { return coeffs_; }
 
     std::int64_t coeff(size_t i) const { return coeffs_.at(i); }
     void setCoeff(size_t i, std::int64_t v) { coeffs_.at(i) = v; }
@@ -91,6 +94,14 @@ class LinearExpr
     std::vector<std::int64_t> coeffs_;
     std::int64_t constant_ = 0;
 };
+
+/**
+ * Print sum coeffs[i] * dim_names[i] + constant the way LinearExpr::str
+ * renders it; @p coeffs holds dim_names.size() entries.
+ */
+void printAffine(std::ostream &os, const std::int64_t *coeffs,
+                 std::int64_t constant,
+                 const std::vector<std::string> &dim_names);
 
 } // namespace pom::poly
 
