@@ -188,6 +188,19 @@ TEST(Fuzzer, IsDeterministicPerSeed)
     EXPECT_EQ(a.failures.size(), b.failures.size());
 }
 
+TEST(Fuzzer, LegalityGateScalesToLargeDomains)
+{
+    // The legality gate names a witness for each rejected candidate
+    // with IntegerSet::lexMin(). At vgg16@64 seed 2 that violation
+    // polytope has far more points than enumerate()'s limit, so lexMin
+    // must stop at the first point instead of enumerating the set.
+    auto w = workloads::makeByName("vgg16", 64);
+    auto ops = check::generateSchedule(*w, 2);
+    EXPECT_FALSE(ops.empty());
+    auto replay = workloads::makeByName("vgg16", 64);
+    EXPECT_TRUE(check::applyScheduleOps(*replay, ops));
+}
+
 TEST(Fuzzer, RejectsInvalidReplaySequences)
 {
     auto w = workloads::makeByName("gemm", 8);

@@ -284,4 +284,16 @@ TEST(PolyProperty, LexMinMatchesEnumeration)
     EXPECT_EQ(*m, (std::vector<std::int64_t>{2, 6}));
 }
 
+TEST(PolyProperty, LexMinStopsAtTheFirstPoint)
+{
+    // 2^26 points, far past enumerate()'s limit of 2^22.
+    IntegerSet s({"i", "j"});
+    s.addDimBounds(0, 0, (1 << 13) - 1);
+    s.addDimBounds(1, 0, (1 << 13) - 1);
+    s.addInequality(LinearExpr({1, 1}, -100)); // i + j >= 100
+    auto m = s.lexMin();
+    ASSERT_TRUE(m.has_value());
+    EXPECT_EQ(*m, (std::vector<std::int64_t>{0, 100}));
+}
+
 } // namespace
