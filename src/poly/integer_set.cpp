@@ -80,7 +80,7 @@ RowStatus
 normalizeRow(std::int64_t *row, size_t n, bool &overflow)
 {
     std::uint64_t g = 0;
-    for (size_t d = 0; d < n; ++d)
+    for (size_t d = 0; d < n && g != 1; ++d)
         g = std::gcd(g, magnitude(row[d]));
     std::int64_t &k = row[n];
     const bool eq = row[n + 1] == kEquality;
@@ -102,15 +102,21 @@ normalizeRow(std::int64_t *row, size_t n, bool &overflow)
     return RowStatus::Kept;
 }
 
+/**
+ * A hash of one row: a sum of independent products (no dependency
+ * chain between columns), then one mixing step.
+ */
 inline std::uint64_t
 hashRow(const std::int64_t *row, size_t s)
 {
-    std::uint64_t h = 0x9e3779b97f4a7c15ull;
+    std::uint64_t h = 0;
     for (size_t d = 0; d < s; ++d) {
-        h = (h ^ static_cast<std::uint64_t>(row[d])) * 0xff51afd7ed558ccdull;
-        h ^= h >> 29;
+        h += static_cast<std::uint64_t>(row[d]) *
+             (0x9e3779b97f4a7c15ull + 2 * d * 0xbf58476d1ce4e5b9ull);
     }
-    return h;
+    h ^= h >> 32;
+    h *= 0xd6e8feb86659fd93ull;
+    return h ^ (h >> 32);
 }
 
 /**
@@ -147,6 +153,82 @@ dedupeRows(std::vector<std::int64_t> &rows, size_t s)
         slots[h] = static_cast<std::uint32_t>(kept++);
     }
     rows.resize(kept * s);
+}
+
+/**
+ * Visit the points of @p set in lexicographic order (depth-first over
+ * the codegen bounds of each dim) until @p visit returns false. Fatal
+ * if the set is unbounded.
+ */
+template <typename Visit>
+void
+forEachPoint(const IntegerSet &set, Visit &&visit)
+{
+    const size_t n = set.numDims();
+    if (n == 0) {
+        if (set.containsPoint({}))
+            visit(std::vector<std::int64_t>{});
+        return;
+    }
+
+    std::vector<DimBounds> per_dim;
+    per_dim.reserve(n);
+    for (size_t i = 0; i < n; ++i)
+        per_dim.push_back(set.boundsForCodegen(i));
+
+    std::vector<std::int64_t> prefix(n, 0);
+    auto evalBounds = [&](size_t level, std::int64_t &lo, std::int64_t &hi) {
+        const DimBounds &b = per_dim[level];
+        if (b.lower.empty() || b.upper.empty()) {
+            support::fatal("enumerate() on unbounded set: " + set.str());
+        }
+        std::vector<std::int64_t> pt(prefix.begin(),
+                                     prefix.begin() + level + 1);
+        pt[level] = 0;
+        bool first = true;
+        for (const auto &bound : b.lower) {
+            std::int64_t v = ceilDiv(bound.expr.evaluate(pt), bound.divisor);
+            lo = first ? v : std::max(lo, v);
+            first = false;
+        }
+        first = true;
+        for (const auto &bound : b.upper) {
+            std::int64_t v = floorDiv(bound.expr.evaluate(pt),
+                                      bound.divisor);
+            hi = first ? v : std::min(hi, v);
+            first = false;
+        }
+    };
+
+    // Iterative depth-first enumeration.
+    struct Frame { std::int64_t cur, hi; };
+    std::vector<Frame> stack;
+    size_t level = 0;
+    std::int64_t lo = 0, hi = 0;
+    evalBounds(0, lo, hi);
+    stack.push_back(Frame{lo, hi});
+    prefix[0] = lo;
+    while (!stack.empty()) {
+        level = stack.size() - 1;
+        if (stack.back().cur > stack.back().hi) {
+            stack.pop_back();
+            if (!stack.empty()) {
+                ++stack.back().cur;
+                prefix[stack.size() - 1] = stack.back().cur;
+            }
+            continue;
+        }
+        prefix[level] = stack.back().cur;
+        if (level + 1 == n) {
+            if (set.containsPoint(prefix) && !visit(prefix))
+                return;
+            ++stack.back().cur;
+        } else {
+            evalBounds(level + 1, lo, hi);
+            stack.push_back(Frame{lo, hi});
+            prefix[level + 1] = lo;
+        }
+    }
 }
 
 } // namespace
@@ -542,13 +624,17 @@ IntegerSet::isEmpty() const
 bool
 IntegerSet::becomesEmpty()
 {
+    // A simplified set with a false constraint is that one constraint.
+    auto isFalse = [this] {
+        return numConstraints() == 1 && hasFalseConstraint();
+    };
     simplify();
-    if (hasFalseConstraint())
+    if (isFalse())
         return true;
     // Projecting a set without constraints never yields a false one.
     while (numDims() > 0 && numConstraints() > 0) {
         eliminate(numDims() - 1);
-        if (hasFalseConstraint())
+        if (isFalse())
             return true;
     }
     return false;
@@ -631,81 +717,11 @@ IntegerSet::boundsForCodegen(size_t i) const
     return bounds;
 }
 
-template <typename Visit>
-void
-IntegerSet::forEachPoint(Visit &&visit) const
-{
-    if (numDims() == 0) {
-        if (containsPoint({}))
-            visit(std::vector<std::int64_t>{});
-        return;
-    }
-
-    std::vector<DimBounds> per_dim;
-    per_dim.reserve(numDims());
-    for (size_t i = 0; i < numDims(); ++i)
-        per_dim.push_back(boundsForCodegen(i));
-
-    std::vector<std::int64_t> prefix(numDims(), 0);
-    auto evalBounds = [&](size_t level, std::int64_t &lo, std::int64_t &hi) {
-        const DimBounds &b = per_dim[level];
-        if (b.lower.empty() || b.upper.empty()) {
-            support::fatal("enumerate() on unbounded set: " + str());
-        }
-        std::vector<std::int64_t> pt(prefix.begin(),
-                                     prefix.begin() + level + 1);
-        pt[level] = 0;
-        bool first = true;
-        for (const auto &bound : b.lower) {
-            std::int64_t v = ceilDiv(bound.expr.evaluate(pt), bound.divisor);
-            lo = first ? v : std::max(lo, v);
-            first = false;
-        }
-        first = true;
-        for (const auto &bound : b.upper) {
-            std::int64_t v = floorDiv(bound.expr.evaluate(pt),
-                                      bound.divisor);
-            hi = first ? v : std::min(hi, v);
-            first = false;
-        }
-    };
-
-    // Iterative depth-first enumeration.
-    struct Frame { std::int64_t cur, hi; };
-    std::vector<Frame> stack;
-    size_t level = 0;
-    std::int64_t lo = 0, hi = 0;
-    evalBounds(0, lo, hi);
-    stack.push_back(Frame{lo, hi});
-    prefix[0] = lo;
-    while (!stack.empty()) {
-        level = stack.size() - 1;
-        if (stack.back().cur > stack.back().hi) {
-            stack.pop_back();
-            if (!stack.empty()) {
-                ++stack.back().cur;
-                prefix[stack.size() - 1] = stack.back().cur;
-            }
-            continue;
-        }
-        prefix[level] = stack.back().cur;
-        if (level + 1 == numDims()) {
-            if (containsPoint(prefix) && !visit(prefix))
-                return;
-            ++stack.back().cur;
-        } else {
-            evalBounds(level + 1, lo, hi);
-            stack.push_back(Frame{lo, hi});
-            prefix[level + 1] = lo;
-        }
-    }
-}
-
 std::vector<std::vector<std::int64_t>>
 IntegerSet::enumerate(size_t limit) const
 {
     std::vector<std::vector<std::int64_t>> points;
-    forEachPoint([&](const std::vector<std::int64_t> &p) {
+    forEachPoint(*this, [&](const std::vector<std::int64_t> &p) {
         points.push_back(p);
         POM_ASSERT(points.size() <= limit,
                    "enumerate() exceeded point limit");
@@ -724,7 +740,7 @@ std::optional<std::vector<std::int64_t>>
 IntegerSet::lexMin() const
 {
     std::optional<std::vector<std::int64_t>> first;
-    forEachPoint([&](const std::vector<std::int64_t> &p) {
+    forEachPoint(*this, [&](const std::vector<std::int64_t> &p) {
         first = p;
         return false;
     });

@@ -220,13 +220,6 @@ class IntegerSet
     /** isEmpty(), eliminating in place instead of on a copy. */
     bool becomesEmpty();
 
-    /**
-     * Visit the points in lexicographic order until @p visit returns
-     * false. Fatal if the set is unbounded.
-     */
-    template <typename Visit>
-    void forEachPoint(Visit &&visit) const;
-
     std::vector<std::string> dims_;
 
     /**
