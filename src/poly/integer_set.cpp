@@ -164,6 +164,9 @@ template <typename Visit>
 void
 forEachPoint(const IntegerSet &set, Visit &&visit)
 {
+    // A set FM proves empty has no codegen bounds to walk.
+    if (set.isEmpty())
+        return;
     const size_t n = set.numDims();
     if (n == 0) {
         if (set.containsPoint({}))

@@ -183,8 +183,9 @@ class IntegerSet
     DimBounds boundsForCodegen(size_t i) const;
 
     /**
-     * Enumerate all integer points in lexicographic order. Fatal if the
-     * set is unbounded or has more than @p limit points.
+     * Enumerate all integer points in lexicographic order (none if
+     * isEmpty()). Fatal if the set is unbounded or has more than
+     * @p limit points.
      */
     std::vector<std::vector<std::int64_t>>
     enumerate(size_t limit = 1u << 22) const;

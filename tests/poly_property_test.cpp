@@ -294,6 +294,10 @@ TEST(PolyProperty, LexMinStopsAtTheFirstPoint)
     auto m = s.lexMin();
     ASSERT_TRUE(m.has_value());
     EXPECT_EQ(*m, (std::vector<std::int64_t>{0, 100}));
+
+    s.addInequality(LinearExpr({-1, -1}, 99)); // and i + j <= 99
+    EXPECT_FALSE(s.lexMin().has_value());
+    EXPECT_TRUE(s.enumerate().empty());
 }
 
 } // namespace
