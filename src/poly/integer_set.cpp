@@ -485,6 +485,20 @@ IntegerSet::eliminate(size_t i)
           case RowStatus::False: infeasible = true; break;
         }
     };
+    // Write x * xs + y * ys without dim i, of kind @p kind, as a row.
+    auto combine = [&](const std::int64_t *x, std::int64_t xs,
+                       const std::int64_t *y, std::int64_t ys,
+                       std::int64_t kind) {
+        std::int64_t *dst = out.data() + kept * t;
+        for (size_t d = 0; d <= n; ++d) {
+            if (d == i)
+                continue;
+            *dst++ = checkedAdd(checkedMul(x[d], xs, overflow),
+                                checkedMul(y[d], ys, overflow), overflow);
+        }
+        *dst = kind;
+        finishRow();
+    };
 
     if (eq < m) {
         out.resize((m - 1) * t);
@@ -529,16 +543,7 @@ IntegerSet::eliminate(size_t i)
                 // b*|a|*d_i == (b*sign_a)*(a*d_i) == (b*sign_a)*(-rest)
                 const std::int64_t factor =
                     checkedMul(checkedNeg(c[i], overflow), sign_a, overflow);
-                std::int64_t *dst = out.data() + kept * t;
-                for (size_t d = 0; d <= n; ++d) {
-                    if (d == i)
-                        continue;
-                    *dst++ = checkedAdd(checkedMul(c[d], abs_a, overflow),
-                                        checkedMul(e[d], factor, overflow),
-                                        overflow);
-                }
-                *dst = c[n + 1];
-                finishRow();
+                combine(c, abs_a, e, factor, c[n + 1]);
             }
         }
     } else {
@@ -563,21 +568,9 @@ IntegerSet::eliminate(size_t i)
                 copyRow(row(r));
         }
         for (size_t l : lowers) {
-            const std::int64_t *lo = row(l);
             for (size_t u : uppers) {
-                const std::int64_t *up = row(u);
-                const std::int64_t a = lo[i];
-                const std::int64_t b = checkedNeg(up[i], overflow);
-                std::int64_t *dst = out.data() + kept * t;
-                for (size_t d = 0; d <= n; ++d) {
-                    if (d == i)
-                        continue;
-                    *dst++ = checkedAdd(checkedMul(lo[d], b, overflow),
-                                        checkedMul(up[d], a, overflow),
-                                        overflow);
-                }
-                *dst = kInequality;
-                finishRow();
+                const std::int64_t b = checkedNeg(row(u)[i], overflow);
+                combine(row(l), b, row(u), row(l)[i], kInequality);
             }
         }
     }
