@@ -3,7 +3,6 @@
 #include <sstream>
 
 #include "support/diagnostics.h"
-#include "support/math_util.h"
 
 namespace pom::poly {
 
@@ -147,15 +146,6 @@ LinearExpr::permuted(const std::vector<size_t> &perm) const
         r.coeffs_[perm[i]] = coeffs_[i];
     r.constant_ = constant_;
     return r;
-}
-
-std::int64_t
-LinearExpr::coeffGcd() const
-{
-    std::int64_t g = 0;
-    for (auto c : coeffs_)
-        g = support::gcd(g, c);
-    return g;
 }
 
 std::string

@@ -82,9 +82,6 @@ class LinearExpr
     /** Reorder dims: result coeff[perm[i]] = coeff[i]. */
     LinearExpr permuted(const std::vector<size_t> &perm) const;
 
-    /** GCD of all non-zero dim coefficients (0 if expression constant). */
-    std::int64_t coeffGcd() const;
-
     /** Render using @p dim_names, e.g. "2*i + j - 1". */
     std::string str(const std::vector<std::string> &dim_names) const;
 
