@@ -664,9 +664,8 @@ class Engine final : public Search
     // numbers and offers one point to the Pareto frontier, point()/
     // note()/event()/log() journal, endRound() snapshots the frontier.
     // Every point is evaluated once, on this thread, in the strategy's
-    // order; parallelism lives below the point, in the dependence
-    // analysis, so the journal -- v1 events and v2 frontier sections
-    // alike -- is byte-identical at any worker count by construction.
+    // order, so the journal -- v1 events and v2 frontier sections
+    // alike -- is the same on every run.
 
     PointEval
     evaluate(const std::vector<std::int64_t> &degrees) override

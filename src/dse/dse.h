@@ -80,7 +80,7 @@ struct DseOptions
     /**
      * Which stage-2 search driver explores the design space (`pomc
      * --strategy`). All three maintain the same Pareto frontier and
-     * produce byte-identical journals at any worker count; greedy is
+     * produce byte-identical journals on every run; greedy is
      * the paper's bottleneck walk and selects the same final design it
      * always has.
      */

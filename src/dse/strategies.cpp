@@ -273,9 +273,8 @@ class SplitMix64
 /** Batched simulated annealing: each round draws `kAnnealBatch`
  *  neighbors of the round's starting configuration (double or halve
  *  one unit's degree) before it evaluates any, then applies Metropolis
- *  acceptance to each in draw order. All randomness is drawn on the
- *  calling thread, so the trajectory is independent of the worker
- *  count. */
+ *  acceptance to each in draw order. All randomness comes from one
+ *  seeded stream, so the trajectory is the same on every run. */
 Degrees
 anneal(const StrategyContext &ctx, const PointEval &init, Search &search)
 {

@@ -14,9 +14,8 @@
  * The loop returns the selected degrees when its list of open choices
  * is empty or its budget is spent.
  *
- * The journal thus does not depend on the worker count: `--jobs`
- * parallelism lives inside the dependence analysis of a point
- * (poly::analyzeSelfDependences).
+ * The whole search runs on the calling thread, so the journal is the
+ * same on every run.
  *
  * Three strategies (runStrategy):
  *

@@ -54,21 +54,6 @@ scalarName(ScalarKind kind)
     return "?";
 }
 
-std::optional<ScalarKind>
-scalarKindByName(const std::string &name)
-{
-    static const ScalarKind kinds[] = {
-        ScalarKind::I8,  ScalarKind::I16, ScalarKind::I32, ScalarKind::I64,
-        ScalarKind::U8,  ScalarKind::U16, ScalarKind::U32, ScalarKind::U64,
-        ScalarKind::F32, ScalarKind::F64, ScalarKind::Index,
-    };
-    for (ScalarKind k : kinds) {
-        if (scalarName(k) == name)
-            return k;
-    }
-    return std::nullopt;
-}
-
 std::string
 scalarCName(ScalarKind kind)
 {

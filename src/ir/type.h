@@ -11,7 +11,6 @@
 #define POM_IR_TYPE_H
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -34,9 +33,6 @@ bool isFloat(ScalarKind kind);
 
 /** Printable name, e.g. "f32", "i8", "index". */
 std::string scalarName(ScalarKind kind);
-
-/** Reverse of scalarName(); nullopt for unknown spellings. */
-std::optional<ScalarKind> scalarKindByName(const std::string &name);
 
 /** HLS C type spelling, e.g. "float", "int8_t". */
 std::string scalarCName(ScalarKind kind);
@@ -63,8 +59,6 @@ class Type
     }
 
     static Type f32() { return scalar(ScalarKind::F32); }
-    static Type f64() { return scalar(ScalarKind::F64); }
-    static Type i32() { return scalar(ScalarKind::I32); }
     static Type index() { return scalar(ScalarKind::Index); }
 
     bool isMemRef() const { return is_memref_; }

@@ -7,7 +7,6 @@
 #include "obs/obs.h"
 #include "support/diagnostics.h"
 #include "support/string_util.h"
-#include "support/thread_pool.h"
 
 namespace pom::lower {
 
@@ -157,29 +156,26 @@ extractStmts(const dsl::Function &func)
     if (func.computes().empty())
         support::fatal("function '" + func.name() + "' has no computes");
     const auto &computes = func.computes();
-    // Each statement is extracted independently; the indexed merge
-    // keeps the result byte-identical at any worker count.
-    std::vector<transform::PolyStmt> stmts(computes.size());
-    support::parallelFor(
-        support::parallelPool(), computes.size(), [&](std::size_t i) {
-            const dsl::Compute *c = computes[i];
-            std::vector<std::string> names;
-            std::vector<std::int64_t> lows, highs;
-            for (const auto &v : c->iters()) {
-                names.push_back(v.name());
-                lows.push_back(v.lo());
-                highs.push_back(v.hi() - 1); // DSL ranges are half-open
-            }
-            transform::PolyStmt stmt;
-            stmt.sched = ast::ScheduledStmt::identity(
-                c->name(), IntegerSet::box(names, lows, highs));
-            // Leave room between top-level betas so `after` can
-            // interleave.
-            stmt.sched.betas[0] = 16 * static_cast<std::int64_t>(i);
-            stmt.accesses = accessesOf(*c);
-            stmt.source = c;
-            stmts[i] = std::move(stmt);
-        });
+    std::vector<transform::PolyStmt> stmts;
+    stmts.reserve(computes.size());
+    for (std::size_t i = 0; i < computes.size(); ++i) {
+        const dsl::Compute *c = computes[i];
+        std::vector<std::string> names;
+        std::vector<std::int64_t> lows, highs;
+        for (const auto &v : c->iters()) {
+            names.push_back(v.name());
+            lows.push_back(v.lo());
+            highs.push_back(v.hi() - 1); // DSL ranges are half-open
+        }
+        transform::PolyStmt stmt;
+        stmt.sched = ast::ScheduledStmt::identity(
+            c->name(), IntegerSet::box(names, lows, highs));
+        // Leave room between top-level betas so `after` can interleave.
+        stmt.sched.betas[0] = 16 * static_cast<std::int64_t>(i);
+        stmt.accesses = accessesOf(*c);
+        stmt.source = c;
+        stmts.push_back(std::move(stmt));
+    }
     return stmts;
 }
 
@@ -439,37 +435,31 @@ generateAffine(const dsl::Function &func,
 void
 annotateDependenceHints(std::vector<transform::PolyStmt> &stmts)
 {
-    // The dependence analysis of each statement is independent of the
-    // others (carriedDependences reads only that statement), so
-    // statements are processed in parallel; each writes only its own
-    // annotations, which keeps them byte-identical at any worker count.
-    support::parallelFor(
-        support::parallelPool(), stmts.size(), [&](std::size_t idx) {
-            auto &stmt = stmts[idx];
-            bool any_pipeline = false;
-            for (const auto &hw : stmt.sched.hwPerDim)
-                any_pipeline |= hw.pipelineII.has_value();
-            if (!any_pipeline)
-                return;
-            auto deps = transform::carriedDependences(stmt);
-            for (size_t p = 0; p < stmt.numDims(); ++p) {
-                auto &hw = stmt.sched.hwPerDim[p];
-                if (!hw.pipelineII)
+    for (auto &stmt : stmts) {
+        bool any_pipeline = false;
+        for (const auto &hw : stmt.sched.hwPerDim)
+            any_pipeline |= hw.pipelineII.has_value();
+        if (!any_pipeline)
+            continue;
+        auto deps = transform::carriedDependences(stmt);
+        for (size_t p = 0; p < stmt.numDims(); ++p) {
+            auto &hw = stmt.sched.hwPerDim[p];
+            if (!hw.pipelineII)
+                continue;
+            hw.independentArrays.clear();
+            for (const auto &acc : stmt.accesses) {
+                if (!acc.isWrite)
                     continue;
-                hw.independentArrays.clear();
-                for (const auto &acc : stmt.accesses) {
-                    if (!acc.isWrite)
-                        continue;
-                    bool carried_inside = false;
-                    for (const auto &d : deps) {
-                        if (d.array == acc.array && d.level >= p)
-                            carried_inside = true;
-                    }
-                    if (!carried_inside)
-                        hw.independentArrays.push_back(acc.array);
+                bool carried_inside = false;
+                for (const auto &d : deps) {
+                    if (d.array == acc.array && d.level >= p)
+                        carried_inside = true;
                 }
+                if (!carried_inside)
+                    hw.independentArrays.push_back(acc.array);
             }
-        });
+        }
+    }
 }
 
 /** The polyhedral AST of the statements' schedules. */

@@ -3,9 +3,8 @@
  * Fixed-bucket log-scale latency histograms for the performance
  * observability layer. A Histogram is:
  *
- *  - **thread-safe**: record() takes an internal mutex, so request
- *    executors and DSE workers can feed one instance
- *    concurrently;
+ *  - **thread-safe**: record() takes an internal mutex, so concurrent
+ *    request executors can feed one instance;
  *  - **mergeable**: merge() adds another histogram bucket-by-bucket,
  *    and merging is associative and commutative (bucket counts and the
  *    sample count are exact; min/max combine exactly; the running sum

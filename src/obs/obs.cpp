@@ -371,17 +371,6 @@ resetHistograms()
     store.byName.clear();
 }
 
-// ----- thread naming -----------------------------------------------------
-
-void
-setCurrentThreadName(const std::string &name)
-{
-    TraceStore &store = traceStore();
-    std::lock_guard<std::mutex> lock(store.mutex);
-    int tid = threadIdOf(std::this_thread::get_id(), store);
-    store.threadNames[tid] = name;
-}
-
 // ----- export ------------------------------------------------------------
 
 std::string
@@ -400,7 +389,7 @@ chromeTraceJson()
     bool first = true;
     char num[64];
     // "M"-phase metadata first: thread names, so chrome://tracing labels
-    // each daemon executor / pool worker lane.
+    // each daemon executor lane.
     for (const auto &[tid, name] : names) {
         if (!first)
             os << ",";

@@ -152,18 +152,6 @@ std::vector<std::pair<std::string, Histogram>> histogramsSnapshot();
 /** Drop every named histogram. */
 void resetHistograms();
 
-// ----- thread naming -----------------------------------------------------
-
-/**
- * Name the calling thread for trace attribution: the name appears as a
- * Chrome-trace "thread_name" metadata event for this thread's tid, so
- * concurrent request traces are attributable in chrome://tracing.
- * Threads that never call this inherit their OS-level thread name (set
- * by support::ThreadPool for its workers) the first time they complete
- * a span.
- */
-void setCurrentThreadName(const std::string &name);
-
 // ----- export ------------------------------------------------------------
 
 /**

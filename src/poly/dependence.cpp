@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <sstream>
+#include <tuple>
 #include <utility>
 
 #include "support/diagnostics.h"
 #include "support/math_util.h"
-#include "support/thread_pool.h"
 
 namespace pom::poly {
 
@@ -141,39 +141,30 @@ dependencePolytope(const IntegerSet &domain, const Access &src,
 }
 
 /**
- * Phase 1 of both analyses: every (source, sink, level) triple whose
- * dependence polytope is non-empty, in (source, sink, level) order,
- * with its polytope. The polytopes are built in parallel on @p pool.
+ * Call @p fn(triple, polytope) for every (source, sink, level) triple
+ * whose dependence polytope is non-empty, in (source, sink, level)
+ * order.
  */
-std::vector<std::pair<CarriedDependence, IntegerSet>>
-carriedPolytopes(const IntegerSet &domain,
-                 const std::vector<Access> &accesses,
-                 support::ThreadPool *pool)
+template <typename Fn>
+void
+forEachCarriedPolytope(const IntegerSet &domain,
+                       const std::vector<Access> &accesses, Fn &&fn)
 {
-    size_t n = domain.numDims();
-    std::vector<CarriedDependence> triples;
     for (size_t a = 0; a < accesses.size(); ++a) {
         for (size_t b = 0; b < accesses.size(); ++b) {
             if (accesses[a].array != accesses[b].array)
                 continue;
             if (!accesses[a].isWrite && !accesses[b].isWrite)
                 continue; // read-read is not a dependence
-            for (size_t level = 0; level < n; ++level)
-                triples.push_back({accesses[a].array, a, b, level});
+            for (size_t level = 0; level < domain.numDims(); ++level) {
+                auto polytope = dependencePolytope(domain, accesses[a],
+                                                   accesses[b], level);
+                if (polytope)
+                    fn(CarriedDependence{accesses[a].array, a, b, level},
+                       *polytope);
+            }
         }
     }
-    std::vector<std::optional<IntegerSet>> polys(triples.size());
-    support::parallelFor(pool, triples.size(), [&](size_t i) {
-        const CarriedDependence &t = triples[i];
-        polys[i] = dependencePolytope(domain, accesses[t.srcAccess],
-                                      accesses[t.dstAccess], t.level);
-    });
-    std::vector<std::pair<CarriedDependence, IntegerSet>> live;
-    for (size_t i = 0; i < triples.size(); ++i) {
-        if (polys[i])
-            live.emplace_back(std::move(triples[i]), std::move(*polys[i]));
-    }
-    return live;
 }
 
 /** Range of t_k - s_k over a dependence polytope of 2 * @p n dims. */
@@ -196,49 +187,41 @@ carriedDistanceOf(const std::optional<std::int64_t> &levelLo)
 
 std::vector<Dependence>
 analyzeSelfDependences(const IntegerSet &domain,
-                       const std::vector<Access> &accesses,
-                       support::ThreadPool *pool)
+                       const std::vector<Access> &accesses)
 {
     size_t n = domain.numDims();
-    auto live = carriedPolytopes(domain, accesses, pool);
-    std::vector<Dependence> deps(live.size());
-    for (size_t i = 0; i < live.size(); ++i) {
-        static_cast<CarriedDependence &>(deps[i]) = live[i].first;
-        deps[i].distLo.resize(n);
-        deps[i].distHi.resize(n);
-    }
-
-    // Phase 2: the range of t_k - s_k over every non-empty polytope.
-    support::parallelFor(pool, deps.size() * n, [&](size_t r) {
-        Dependence &d = deps[r / n];
-        size_t k = r % n;
-        auto [lo, hi] = distanceRange(live[r / n].second, n, k);
-        d.distLo[k] = lo;
-        d.distHi[k] = hi;
-    });
-    for (auto &d : deps)
-        d.carriedDistance = carriedDistanceOf(d.distLo[d.level]);
+    std::vector<Dependence> deps;
+    forEachCarriedPolytope(
+        domain, accesses,
+        [&](const CarriedDependence &triple, const IntegerSet &polytope) {
+            Dependence d;
+            static_cast<CarriedDependence &>(d) = triple;
+            d.distLo.resize(n);
+            d.distHi.resize(n);
+            for (size_t k = 0; k < n; ++k)
+                std::tie(d.distLo[k], d.distHi[k]) =
+                    distanceRange(polytope, n, k);
+            d.carriedDistance = carriedDistanceOf(d.distLo[d.level]);
+            deps.push_back(std::move(d));
+        });
     return deps;
 }
 
 std::vector<CarriedDependence>
 analyzeCarriedDependences(const IntegerSet &domain,
-                          const std::vector<Access> &accesses,
-                          support::ThreadPool *pool)
+                          const std::vector<Access> &accesses)
 {
     size_t n = domain.numDims();
-    auto live = carriedPolytopes(domain, accesses, pool);
-    // Phase 2: the range of t_level - s_level alone, the same call the
-    // full analysis makes for k = level.
-    support::parallelFor(pool, live.size(), [&](size_t i) {
-        auto &[d, polytope] = live[i];
-        d.carriedDistance =
-            carriedDistanceOf(distanceRange(polytope, n, d.level).first);
-    });
     std::vector<CarriedDependence> deps;
-    deps.reserve(live.size());
-    for (auto &[d, polytope] : live)
-        deps.push_back(std::move(d));
+    // The range of t_level - s_level alone, the same call the full
+    // analysis makes for k = level.
+    forEachCarriedPolytope(
+        domain, accesses,
+        [&](CarriedDependence triple, const IntegerSet &polytope) {
+            triple.carriedDistance = carriedDistanceOf(
+                distanceRange(polytope, n, triple.level).first);
+            deps.push_back(std::move(triple));
+        });
     return deps;
 }
 

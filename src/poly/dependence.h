@@ -35,10 +35,6 @@
 #include "poly/affine_map.h"
 #include "poly/integer_set.h"
 
-namespace pom::support {
-class ThreadPool;
-}
-
 namespace pom::poly {
 
 /** One array access inside a statement. */
@@ -103,31 +99,27 @@ exprRange(const IntegerSet &set, const LinearExpr &expr);
  * write->write and read->write pairs over the same array, at every
  * carrying level, ordered by (source access, sink access, level).
  *
- * The work runs in two parallel phases on @p pool: first the
- * dependence polytope of every (source, sink, level) triple, then the
- * distance range of every (non-empty polytope, dimension) pair. Results
- * merge in index order, so the vector is the same for any pool.
+ * One loop over the (source, sink, level) triples: build the triple's
+ * dependence polytope and, if it is non-empty, range t_k - s_k over it
+ * for every dimension k.
  *
  * @param domain The statement's iteration domain.
  * @param accesses Its array accesses (maps over the domain dims).
- * @param pool Workers to fan out on; null runs inline.
  */
 std::vector<Dependence>
 analyzeSelfDependences(const IntegerSet &domain,
-                       const std::vector<Access> &accesses,
-                       support::ThreadPool *pool = nullptr);
+                       const std::vector<Access> &accesses);
 
 /**
  * The same dependences as analyzeSelfDependences(), in the same order,
- * with only the carried-level facts: phase 2 ranges t_level - s_level
- * alone, one range per non-empty polytope instead of one per
- * dimension. Each element equals the CarriedDependence part of the
- * full analysis's element.
+ * with only the carried-level facts: each non-empty polytope ranges
+ * t_level - s_level alone, one range instead of one per dimension.
+ * Each element equals the CarriedDependence part of the full
+ * analysis's element.
  */
 std::vector<CarriedDependence>
 analyzeCarriedDependences(const IntegerSet &domain,
-                          const std::vector<Access> &accesses,
-                          support::ThreadPool *pool = nullptr);
+                          const std::vector<Access> &accesses);
 
 /**
  * Does a dependence flow from a (write) access of @p producer to any

@@ -402,38 +402,6 @@ IntegerSet::permuted(const std::vector<size_t> &perm) const
 }
 
 IntegerSet
-IntegerSet::withDimSubstituted(size_t i,
-                               const LinearExpr &replacement) const
-{
-    POM_ASSERT(replacement.numDims() == numDims(),
-               "dim mismatch in substitute");
-    POM_ASSERT(replacement.coeff(i) == 0,
-               "replacement must not reference the substituted dim");
-    const size_t n = numDims(), s = stride();
-    IntegerSet r = *this;
-    bool overflow = false;
-    for (size_t k = 0; k < numConstraints(); ++k) {
-        std::int64_t *row = r.rows_.data() + k * s;
-        const std::int64_t c = row[i];
-        row[i] = 0;
-        for (size_t d = 0; d < n; ++d) {
-            row[d] = checkedAdd(
-                row[d], checkedMul(replacement.coeff(d), c, overflow),
-                overflow);
-        }
-        row[n] = checkedAdd(
-            row[n], checkedMul(replacement.constantTerm(), c, overflow),
-            overflow);
-    }
-    if (overflow) {
-        support::fatal("integer overflow substituting '" + dims_[i] +
-                       "' in " + str());
-    }
-    r.simplified_ = false;
-    return r;
-}
-
-IntegerSet
 IntegerSet::projectOut(size_t i) const
 {
     IntegerSet r = *this;

@@ -139,13 +139,6 @@ class IntegerSet
     IntegerSet permuted(const std::vector<size_t> &perm) const;
 
     /**
-     * Substitute dim @p i by @p replacement in every constraint (the dim
-     * itself stays in the space but becomes unconstrained).
-     */
-    IntegerSet withDimSubstituted(size_t i,
-                                  const LinearExpr &replacement) const;
-
-    /**
      * Existentially project out dimension @p i (Fourier–Motzkin). The dim
      * is removed from the space.
      */

@@ -24,12 +24,6 @@ LinearExpr::constant(size_t num_dims, std::int64_t value)
 }
 
 bool
-LinearExpr::isZero() const
-{
-    return isConstant() && constant_ == 0;
-}
-
-bool
 LinearExpr::isConstant() const
 {
     for (auto c : coeffs_) {

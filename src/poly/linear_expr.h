@@ -51,8 +51,6 @@ class LinearExpr
     std::int64_t constantTerm() const { return constant_; }
     void setConstantTerm(std::int64_t v) { constant_ = v; }
 
-    bool isZero() const;
-
     /** True iff all dimension coefficients are zero. */
     bool isConstant() const;
 

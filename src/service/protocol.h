@@ -11,8 +11,7 @@
  * semantics. Unknown JSON fields are ignored on both sides, so
  * same-version minor extensions stay compatible; a compile frame's
  * `jobs` key, which older clients send as a per-request worker
- * override, is ignored the same way (the daemon's own `--jobs` sizes
- * its one worker pool).
+ * override, is ignored the same way (a compile runs on one thread).
  *
  * Methods:
  *  - "ping"     liveness + version probe.

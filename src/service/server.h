@@ -7,16 +7,13 @@
  *
  * Concurrency model: one accept loop (run()) reads a single request
  * frame per connection and hands (request, connection) to a dedicated
- * support::ThreadPool of request executors. The executor pool is
- * deliberately distinct from support::ThreadPool::global(): the
- * dependence analysis and lowering inside a request fan out on the
- * global pool (`pomd --jobs`), and were the executors global workers,
- * the deadlock rule (a pool worker must never wait on futures of its
- * own pool) would run that work inline. Journals stay byte-identical
- * to one-shot `pomc` runs because each request serializes the journal
- * its own DseResult carries, as `pomc` does, and the shared node cache
- * can only change *where* a node report comes from, never what it says
- * (the node fingerprint pins the full estimator input).
+ * support::ThreadPool of request executors (`--workers`); each request
+ * compiles on its executor thread, and nothing inside it fans out.
+ * Journals stay byte-identical to one-shot `pomc` runs because each
+ * request serializes the journal its own DseResult carries, as `pomc`
+ * does, and the shared node cache can only change *where* a node report
+ * comes from, never what it says (the node fingerprint pins the full
+ * estimator input).
  *
  * Backpressure: at most `queueLimit` requests may be queued or
  * executing; beyond that the accept loop answers status "busy" with a

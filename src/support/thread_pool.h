@@ -1,34 +1,19 @@
 /**
  * @file
- * A small fixed-size thread pool for the compiler's parallel hot paths
- * (the polytopes of one dependence analysis, the statements of one
- * lowering, and the per-workload bench sweeps). There is deliberately
- * no work stealing and no task priorities: submitters enqueue
- * closures, workers drain them FIFO, and determinism is the caller's
- * job -- results must be merged in submission order, never in
- * completion order.
+ * A small fixed-size thread pool: `pomd`'s request executors
+ * (`--workers`). There is deliberately no work stealing and no task
+ * priorities: submitters enqueue closures and workers drain them FIFO.
  *
- * The process-wide worker count is resolved once from (in priority
- * order) setJobs(), the POM_JOBS environment variable, and
- * std::thread::hardware_concurrency(); `pomc --jobs N` feeds setJobs().
- * A value of 1 means "no worker threads": parallelPool() returns null
- * and every parallelFor() runs inline, so single-job runs stay
- * synchronous and easy to debug.
- *
- * Deadlock rule: a pool worker must never block on a future produced by
- * its own pool. parallelFor() checks isWorkerThread() and falls back to
- * inline execution, so nested parallel phases are always safe.
+ * A compile itself runs on its calling thread; nothing inside the
+ * compiler fans out (DESIGN.md §9 gives the measurements).
  */
 
 #ifndef POM_SUPPORT_THREAD_POOL_H
 #define POM_SUPPORT_THREAD_POOL_H
 
-#include <algorithm>
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <exception>
 #include <functional>
 #include <future>
 #include <memory>
@@ -39,16 +24,6 @@
 #include <vector>
 
 namespace pom::support {
-
-/**
- * Effective worker count for parallel phases: the last setJobs() value
- * if any, else the POM_JOBS environment variable (clamped to [1, 256]),
- * else std::thread::hardware_concurrency() (at least 1).
- */
-int jobs();
-
-/** Override the worker count (0 resets to the environment default). */
-void setJobs(int n);
 
 /** Fixed-count FIFO worker pool. */
 class ThreadPool
@@ -77,9 +52,6 @@ class ThreadPool
      */
     std::uint64_t tasksExecuted() const;
 
-    /** True when called from one of this pool's worker threads. */
-    bool isWorkerThread() const;
-
     /**
      * Enqueue a callable; the returned future carries its result (or
      * exception). Never call get()/wait() on it from a worker of the
@@ -97,13 +69,6 @@ class ThreadPool
         return result;
     }
 
-    /**
-     * The process-wide pool, lazily constructed with jobs() workers on
-     * first use. Call setJobs() (or export POM_JOBS) before the first
-     * parallel phase; later changes do not resize the live pool.
-     */
-    static ThreadPool &global();
-
   private:
     void post(std::function<void()> task);
     void workerLoop();
@@ -115,58 +80,6 @@ class ThreadPool
     std::uint64_t executed_ = 0;
     bool stopping_ = false;
 };
-
-/**
- * The pool parallel phases fan out on: ThreadPool::global(), or null
- * (run inline) when jobs() <= 1.
- */
-ThreadPool *parallelPool();
-
-/**
- * Run fn(0..n-1) across @p pool and wait for all of them; results are
- * deterministic because the caller indexes its own output storage. The
- * calling thread and up to workerCount() pool tasks take indices from
- * one shared counter. With a null pool, a single worker, n < 2, or a
- * caller that is itself one of the pool's workers, the loop runs
- * inline. Every task has finished before parallelFor returns or throws;
- * a failure rethrows the exception of the lowest failing index, as the
- * inline loop would.
- */
-template <typename Fn>
-void
-parallelFor(ThreadPool *pool, std::size_t n, Fn &&fn)
-{
-    if (n < 2 || pool == nullptr || pool->workerCount() <= 1 ||
-        pool->isWorkerThread()) {
-        for (std::size_t i = 0; i < n; ++i)
-            fn(i);
-        return;
-    }
-    std::atomic<std::size_t> next{0};
-    std::vector<std::exception_ptr> errors(n);
-    auto drain = [&]() {
-        for (std::size_t i = next++; i < n; i = next++) {
-            try {
-                fn(i);
-            } catch (...) {
-                errors[i] = std::current_exception();
-            }
-        }
-    };
-    std::size_t helpers =
-        std::min<std::size_t>(pool->workerCount(), n - 1);
-    std::vector<std::future<void>> done;
-    done.reserve(helpers);
-    for (std::size_t h = 0; h < helpers; ++h)
-        done.push_back(pool->submit(drain));
-    drain();
-    for (auto &f : done)
-        f.wait();
-    for (auto &e : errors) {
-        if (e)
-            std::rethrow_exception(e);
-    }
-}
 
 } // namespace pom::support
 

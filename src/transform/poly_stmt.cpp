@@ -6,7 +6,6 @@
 #include "obs/obs.h"
 #include "support/cache_store.h"
 #include "support/diagnostics.h"
-#include "support/thread_pool.h"
 
 namespace pom::transform {
 
@@ -258,8 +257,7 @@ memoized(const PolyStmt &stmt, const char *missCounter, Analyze analyze)
     // deterministic and the first store wins, so callers agree.
     obs::counterAdd(missCounter);
     auto start = std::chrono::steady_clock::now();
-    std::vector<Dep> deps = analyze(stmt.sched.domain, accesses,
-                                    support::parallelPool());
+    std::vector<Dep> deps = analyze(stmt.sched.domain, accesses);
     obs::accumulate("dep.analysis_seconds",
                     std::chrono::duration<double>(
                         std::chrono::steady_clock::now() - start)

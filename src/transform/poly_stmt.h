@@ -98,8 +98,7 @@ void setUnroll(PolyStmt &stmt, const std::string &name,
  * (stage 1 and the baselines) reads those vectors; everything else
  * calls carriedDependences(). Results are memoized process-wide on the
  * exact text of the domain and the transformed accesses (FIFO cap
- * 4096, never spilled); a miss counts `dep.analyses`. A miss fans its
- * polytopes out on support::parallelPool(). Thread-safe.
+ * 4096, never spilled); a miss counts `dep.analyses`. Thread-safe.
  */
 std::vector<poly::Dependence> selfDependences(const PolyStmt &stmt);
 

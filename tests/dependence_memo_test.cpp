@@ -4,9 +4,8 @@
  * (transform::selfDependences) and the carried-level view
  * (transform::carriedDependences), checked against the direct
  * analyses: the DSE journal differentials cannot catch a wrong memo
- * answer, because both of their sides read the memo. The direct
- * analyses on a worker pool are held to the inline ones the same way,
- * and the carried view to the full analysis restricted to its fields.
+ * answer, because both of their sides read the memo. The carried view
+ * is held to the full analysis restricted to its fields the same way.
  */
 
 #include <gtest/gtest.h>
@@ -22,7 +21,6 @@
 #include "lower/lower.h"
 #include "obs/obs.h"
 #include "poly/dependence.h"
-#include "support/thread_pool.h"
 #include "transform/poly_stmt.h"
 #include "workloads/workloads.h"
 
@@ -74,19 +72,17 @@ carriedPart(const std::vector<poly::Dependence> &deps)
 
 /** The reference: dependence analysis with no memo in between. */
 std::vector<std::string>
-direct(const transform::PolyStmt &stmt,
-       support::ThreadPool *pool = nullptr)
+direct(const transform::PolyStmt &stmt)
 {
-    return strs(poly::analyzeSelfDependences(
-        stmt.sched.domain, stmt.transformedAccesses(), pool));
+    return strs(poly::analyzeSelfDependences(stmt.sched.domain,
+                                             stmt.transformedAccesses()));
 }
 
 std::vector<std::string>
-directCarried(const transform::PolyStmt &stmt,
-              support::ThreadPool *pool = nullptr)
+directCarried(const transform::PolyStmt &stmt)
 {
     return strs(poly::analyzeCarriedDependences(
-        stmt.sched.domain, stmt.transformedAccesses(), pool));
+        stmt.sched.domain, stmt.transformedAccesses()));
 }
 
 std::vector<std::string>
@@ -162,7 +158,6 @@ stencilStmt(std::int64_t jHigh, std::int64_t aCoeff)
 
 TEST(DependenceMemo, MatchesDirectAnalysisOnFuzzedSchedules)
 {
-    support::ThreadPool pool(4);
     std::size_t checked = 0;
     for (const auto &name : workloads::allNames()) {
         for (unsigned seed = 1; seed <= 8; ++seed) {
@@ -175,12 +170,8 @@ TEST(DependenceMemo, MatchesDirectAnalysisOnFuzzedSchedules)
                     stmt.sched.domain, stmt.transformedAccesses());
                 const auto expected = strs(full);
                 const auto expectedCarried = strs(carriedPart(full));
-                EXPECT_EQ(direct(stmt, &pool), expected)
-                    << "a 4-worker analysis differs from the inline one";
                 EXPECT_EQ(directCarried(stmt), expectedCarried)
                     << "the carried view differs from the full analysis";
-                EXPECT_EQ(directCarried(stmt, &pool), expectedCarried)
-                    << "a 4-worker carried analysis differs";
                 transform::clearDependenceMemo();
 
                 const std::vector<std::int64_t> before = analyses();

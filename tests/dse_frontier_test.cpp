@@ -3,8 +3,8 @@
  * Property tests for the Pareto frontier (src/dse/pareto.h) and the
  * pluggable search strategies (src/dse/strategy.h): randomized
  * dominance invariants, insertion-order independence, no-op re-inserts,
- * per-strategy journal-v2 byte determinism across worker counts, and
- * the v2 round-trip through the journal parser.
+ * run-to-run journal-v2 byte determinism, and the v2 round-trip
+ * through the journal parser.
  */
 
 #include <gtest/gtest.h>
@@ -21,7 +21,6 @@
 #include "hls/node_cache.h"
 #include "obs/journal.h"
 #include "obs/obs.h"
-#include "support/thread_pool.h"
 #include "transform/poly_stmt.h"
 #include "workloads/workloads.h"
 
@@ -225,47 +224,27 @@ TEST(FrontierProperty, DominatedAndDuplicateReinsertsAreNoOps)
 // ----- strategies on the real DSE ---------------------------------------
 
 /**
- * One search at @p jobs workers (0 = the default), with the node cache
- * and the dependence memo cleared first so every run does its own work.
+ * One search with the node cache and the dependence memo cleared first
+ * so every run does its own work.
  */
 dse::DseResult
 runDse(const std::string &name, std::int64_t size,
-       dse::StrategyKind strategy, int jobs = 0)
+       dse::StrategyKind strategy)
 {
-    support::setJobs(jobs);
     hls::NodeReportCache::global().clear();
     transform::clearDependenceMemo();
     auto w = workloads::makeByName(name, size);
     dse::DseOptions opt;
     opt.strategy = strategy;
-    dse::DseResult res = dse::autoDSE(w->func(), opt);
-    support::setJobs(0);
-    return res;
-}
-
-TEST(StrategyDeterminism, JournalV2IdenticalAcrossJobCounts)
-{
-    // The acceptance property of the strategy interface: for every
-    // driver the full v2 document -- events and per-round frontier
-    // sections -- is byte-identical at any worker count.
-    for (auto kind : {dse::StrategyKind::Greedy, dse::StrategyKind::Beam,
-                      dse::StrategyKind::Anneal}) {
-        dse::DseResult seq = runDse("gemm", 64, kind, 1);
-        dse::DseResult par = runDse("gemm", 64, kind, 4);
-        std::string v2_seq =
-            obs::journalJsonV2(seq.journal, seq.frontierRounds);
-        std::string v2_par =
-            obs::journalJsonV2(par.journal, par.frontierRounds);
-        EXPECT_EQ(v2_seq, v2_par) << dse::strategyName(kind);
-    }
+    return dse::autoDSE(w->func(), opt);
 }
 
 TEST(StrategyDeterminism, RepeatedRunsAreIdentical)
 {
     // The anneal driver must be reproducible run-to-run (seeded
     // portable PRNG, no wall-clock or address-dependent state).
-    dse::DseResult a = runDse("bicg", 64, dse::StrategyKind::Anneal, 4);
-    dse::DseResult b = runDse("bicg", 64, dse::StrategyKind::Anneal, 4);
+    dse::DseResult a = runDse("bicg", 64, dse::StrategyKind::Anneal);
+    dse::DseResult b = runDse("bicg", 64, dse::StrategyKind::Anneal);
     EXPECT_EQ(obs::journalJsonV2(a.journal, a.frontierRounds),
               obs::journalJsonV2(b.journal, b.frontierRounds));
 }

@@ -14,7 +14,6 @@
 #include "lower/lower.h"
 #include "obs/obs.h"
 #include "support/diagnostics.h"
-#include "support/thread_pool.h"
 #include "workloads/workloads.h"
 
 namespace {
@@ -356,23 +355,6 @@ TEST(Lower, StagesAreTracedInOrder)
               (std::vector<std::string>{"lower.extract", "lower.schedule",
                                         "lower.annotate", "lower.ast",
                                         "lower.affine"}));
-}
-
-TEST(Lower, ParallelLoweringMatchesSequential)
-{
-    // Per-statement pragma annotation fans out on the worker pool; the
-    // printed IR must not depend on the worker count.
-    std::string narrow, mid, wide;
-    for (auto [jobs, out] : {std::pair<int, std::string *>{1, &narrow},
-                             {4, &mid},
-                             {13, &wide}}) {
-        support::setJobs(jobs);
-        auto w = workloads::makeByName("2mm", 64);
-        *out = lower::lower(w->func()).func->str();
-    }
-    support::setJobs(0);
-    EXPECT_EQ(narrow, mid);
-    EXPECT_EQ(narrow, wide);
 }
 
 /** Property sweep: tiled GEMM across sizes and factors. */

@@ -12,12 +12,10 @@
 #include "poly/integer_set.h"
 #include "poly/linear_expr.h"
 #include "support/math_util.h"
-#include "support/rational.h"
 
 namespace {
 
 using namespace pom::poly;
-using pom::support::Rational;
 
 LinearExpr
 expr(std::vector<std::int64_t> coeffs, std::int64_t c)
@@ -61,20 +59,6 @@ TEST(MathUtil, PowersOfTwo)
     EXPECT_FALSE(pom::support::isPowerOfTwo(48));
     EXPECT_EQ(pom::support::nextPowerOfTwo(33), 64);
     EXPECT_EQ(pom::support::nextPowerOfTwo(1), 1);
-}
-
-TEST(Rational, OrderingAndArithmetic)
-{
-    Rational a(1, 3), b(2, 6), c(1, 2);
-    EXPECT_EQ(a, b);
-    EXPECT_LT(a, c);
-    EXPECT_EQ((a + c).str(), "5/6");
-    EXPECT_EQ((c - a).str(), "1/6");
-    EXPECT_EQ((a * c).str(), "1/6");
-    EXPECT_EQ((a / c).str(), "2/3");
-    EXPECT_EQ(Rational(-3, -6), c);
-    EXPECT_EQ(Rational(7, -2).floor(), -4);
-    EXPECT_EQ(Rational(7, -2).ceil(), -3);
 }
 
 // ---------------------------------------------------------- LinearExpr

@@ -57,17 +57,12 @@
  *   --strategy NAME     stage-2 search driver: greedy (the paper's
  *                       bottleneck walk, the default), beam, or anneal.
  *                       All three record the same journal schema and
- *                       are byte-deterministic at any --jobs count.
+ *                       are byte-deterministic run to run.
  *   -q / --quiet        errors only; -v / --verbose: debug diagnostics.
  *
- * Parallelism (src/support/thread_pool.h):
- *   --jobs N            worker threads for the dependence analysis and
- *                       lowering of each design point (equivalent to
- *                       POM_JOBS=N; default: hardware concurrency). The
- *                       search evaluates every point once, in order, so
- *                       the journal, the selected design and every work
- *                       counter are bit-identical for every N. A
- *                       --connect run uses the daemon's own --jobs.
+ * Threads:
+ *   --jobs N            accepted for older scripts (N in [1, 256]) and
+ *                       ignored: a compile runs on the calling thread.
  *
  * Journal replay (src/dse/replayPoint):
  *   --replay-journal FILE --point ID
@@ -106,7 +101,6 @@
  *
  * Examples:
  *   pomc gemm 1024 --dse --emit
- *   pomc gemm 1024 --dse --jobs 8
  *   pomc bicg 4096 --framework scalehls
  *   pomc seidel 256 --dse --ast
  *   pomc gemm --dse --verify
@@ -136,7 +130,6 @@
 #include "service/client.h"
 #include "support/diagnostics.h"
 #include "support/string_util.h"
-#include "support/thread_pool.h"
 #include "support/version.h"
 #include "workloads/workloads.h"
 
@@ -151,8 +144,9 @@ usage(const char *argv0)
                  "usage: %s <workload> [size] [--dse] "
                  "[--framework pom|scalehls|polsca|pluto|none] "
                  "[--strategy greedy|beam|anneal] "
-                 "[--resources FRACTION] [--jobs N] [--emit] [--ast] "
-                 "[--dsl] [--verify] [--fuzz N] [--seed S] [--timing] "
+                 "[--resources FRACTION] [--jobs N (ignored)] [--emit] "
+                 "[--ast] [--dsl] [--verify] [--fuzz N] [--seed S] "
+                 "[--timing] "
                  "[--trace-out FILE] [--metrics-out FILE] "
                  "[--dse-journal FILE] [--frontier-out FILE] "
                  "[--replay-journal FILE --point ID] "
@@ -294,6 +288,7 @@ main(int argc, char **argv)
             }
             replay_point = static_cast<int>(p);
         } else if (arg == "--jobs" && a + 1 < argc) {
+            // Still validated; a compile runs on one thread whatever N.
             std::int64_t n = intArg("--jobs", argv[++a]);
             if (n < 1 || n > 256) {
                 std::fprintf(stderr, "pomc: --jobs expects a worker "
@@ -301,7 +296,6 @@ main(int argc, char **argv)
                              argv[a]);
                 return 2;
             }
-            support::setJobs(static_cast<int>(n));
         } else if (arg == "--quiet" || arg == "-q") {
             support::setDiagLevel(support::DiagLevel::Error);
         } else if (arg == "--verbose" || arg == "-v") {
@@ -585,8 +579,20 @@ main(int argc, char **argv)
             check::FuzzOptions fopt;
             fopt.seed = seed;
             fopt.cases = fuzz_cases;
-            if (size_set)
+            if (size_set) {
                 fopt.size = size;
+                const std::int64_t usual = check::defaultFuzzSize(name);
+                if (size > usual) {
+                    std::fprintf(stderr,
+                                 "pomc: note: --fuzz interprets every "
+                                 "case at size %lld, above the default "
+                                 "%lld for %s; interpreting large sizes "
+                                 "can take minutes\n",
+                                 static_cast<long long>(size),
+                                 static_cast<long long>(usual),
+                                 name.c_str());
+                }
+            }
             check::FuzzResult fres = check::fuzzWorkload(name, fopt);
             std::printf("%s\n", fres.summary().c_str());
             if (want_timing)

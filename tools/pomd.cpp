@@ -14,10 +14,9 @@
  * on the next start, so even a restarted daemon answers repeated DSE
  * requests from cache.
  *
- * --workers N sets how many requests execute at once; --jobs N sizes
- * the one process-wide worker pool their dependence analyses and
- * lowerings fan out on (default: hardware concurrency). Journals do not
- * depend on either.
+ * --workers N sets how many requests execute at once; each request
+ * runs on its executor thread, and journals do not depend on N.
+ * --jobs N is accepted for older scripts (N in [1, 256]) and ignored.
  *
  * The node cache holds at most hls::kNodeCacheCap entries (FIFO);
  * evictions are visible as node_cache_evictions in the stats frame and
@@ -39,7 +38,6 @@
 #include "service/server.h"
 #include "support/diagnostics.h"
 #include "support/string_util.h"
-#include "support/thread_pool.h"
 #include "support/version.h"
 
 using namespace pom;
@@ -61,7 +59,8 @@ usage(const char *argv0)
     std::fprintf(stderr,
                  "usage: %s [--socket PATH] [--cache-dir DIR] "
                  "[--workers N] [--queue N] [--retry-after MS] "
-                 "[--jobs N] [--version] [--quiet|-q] [--verbose|-v]\n",
+                 "[--jobs N (ignored)] [--version] [--quiet|-q] "
+                 "[--verbose|-v]\n",
                  argv0);
     return 2;
 }
@@ -105,8 +104,8 @@ main(int argc, char **argv)
             options.retryAfterMs = intArg("--retry-after", argv[++a],
                                           "milliseconds", 1, 60000);
         } else if (arg == "--jobs" && a + 1 < argc) {
-            support::setJobs(
-                intArg("--jobs", argv[++a], "a worker count", 1, 256));
+            // Still validated; a compile runs on one thread whatever N.
+            intArg("--jobs", argv[++a], "a worker count", 1, 256);
         } else if (arg == "--version") {
             std::printf("pomd %s (protocol %s, cache %s)\n",
                         support::kVersionString, support::kProtocolName,
