@@ -26,15 +26,6 @@ elapsedSince(std::chrono::steady_clock::time_point t0)
         .count();
 }
 
-hls::EstimatorOptions
-estOptions(const BaselineOptions &options, hls::SharingMode sharing)
-{
-    hls::EstimatorOptions eo;
-    eo.device = options.device.scaled(options.resourceFraction);
-    eo.sharing = sharing;
-    return eo;
-}
-
 /** Largest loop trip count of the program (problem-size proxy). */
 std::int64_t
 maxTrip(const std::vector<PolyStmt> &stmts)
@@ -69,15 +60,13 @@ plutoTile(PolyStmt &stmt, std::int64_t tile)
 } // namespace
 
 BaselineResult
-runUnoptimized(dsl::Function &func, const BaselineOptions &options)
+runUnoptimized(dsl::Function &func)
 {
     obs::Span span("driver.runUnoptimized", "driver");
     auto t0 = std::chrono::steady_clock::now();
     BaselineResult result;
     result.design = lower::lowerUnscheduled(func);
-    result.report = hls::estimate(func, result.design,
-                                  estOptions(options,
-                                             hls::SharingMode::Reuse));
+    result.report = hls::estimate(func, result.design);
     result.seconds = elapsedSince(t0);
     result.notes = "no optimization";
     return result;
@@ -95,9 +84,7 @@ runPlutoLike(dsl::Function &func, const BaselineOptions &options)
 
     BaselineResult result;
     result.design = lower::lowerStmts(func, std::move(stmts));
-    result.report = hls::estimate(func, result.design,
-                                  estOptions(options,
-                                             hls::SharingMode::Reuse));
+    result.report = hls::estimate(func, result.design);
     result.seconds = elapsedSince(t0);
     result.notes = "locality tiling only (CPU-oriented schedule)";
     return result;
@@ -123,9 +110,7 @@ runPolscaLike(dsl::Function &func, const BaselineOptions &options)
 
     BaselineResult result;
     result.design = lower::lowerStmts(func, std::move(stmts));
-    result.report = hls::estimate(func, result.design,
-                                  estOptions(options,
-                                             hls::SharingMode::Reuse));
+    result.report = hls::estimate(func, result.design);
     result.seconds = elapsedSince(t0);
     result.notes = "Pluto schedule + innermost pipelining, no "
                    "partitioning";
@@ -140,7 +125,8 @@ runScaleHlsLike(dsl::Function &func, const BaselineOptions &options)
     auto stmts = lower::extractStmts(func);
     lower::applyDirectives(stmts, /*ordering_only=*/true);
     hls::Device device = options.device.scaled(options.resourceFraction);
-    auto eo = estOptions(options, hls::SharingMode::Dataflow);
+    hls::EstimatorOptions eo;
+    eo.sharing = hls::SharingMode::Dataflow;
 
     // Loop-order optimization: apply the leading statement's preferred
     // interchange uniformly to every statement of the nest. Without

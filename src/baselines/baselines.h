@@ -67,8 +67,7 @@ struct BaselineOptions
 };
 
 /** The input program without any optimization. */
-BaselineResult runUnoptimized(dsl::Function &func,
-                              const BaselineOptions &options = {});
+BaselineResult runUnoptimized(dsl::Function &func);
 
 /** Pluto-like locality tiling, no FPGA directives. */
 BaselineResult runPlutoLike(dsl::Function &func,

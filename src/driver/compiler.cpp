@@ -19,27 +19,24 @@ compile(dsl::Function &func, const CompileOptions &options)
                   "compiling function '" + func.name() + "'");
     CompileResult result;
 
-    {
-        obs::Span baseline_span("driver.baseline", "driver");
-        auto plain = lower::lowerUnscheduled(func);
-        hls::EstimatorOptions eo;
-        eo.device = options.dseOptions.device;
-        eo.sharing = options.dseOptions.sharing;
-        result.baseline = hls::estimate(func, plain, eo);
-    }
-
     if (options.autoDse || func.autoDSERequested()) {
+        // The search's first point is the unscheduled baseline.
         obs::Span dse_span("driver.dse", "driver");
         dse::DseResult dres = dse::autoDSE(func, options.dseOptions);
+        result.baseline = std::move(dres.baseline);
         result.design = std::move(dres.design);
         result.report = std::move(dres.report);
         result.dseSeconds = dres.dseSeconds;
     } else {
+        hls::EstimatorOptions eo;
+        eo.sharing = options.dseOptions.sharing;
+        {
+            obs::Span baseline_span("driver.baseline", "driver");
+            result.baseline =
+                hls::estimate(func, lower::lowerUnscheduled(func), eo);
+        }
         obs::Span lower_span("driver.lower", "driver");
         result.design = lower::lower(func);
-        hls::EstimatorOptions eo;
-        eo.device = options.dseOptions.device;
-        eo.sharing = options.dseOptions.sharing;
         result.report = hls::estimate(func, result.design, eo);
     }
 

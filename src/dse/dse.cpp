@@ -457,7 +457,6 @@ class Engine final : public Search
     estOptions() const
     {
         hls::EstimatorOptions eo;
-        eo.device = device_;
         eo.sharing = opt_.sharing;
         return eo;
     }
@@ -509,10 +508,9 @@ class Engine final : public Search
         for (size_t i = 0; i < stmts.size(); ++i)
             orig_group[i] = stmts[i].sched.betas[0];
 
-        DependenceGraph graph(stmts);
         int skew_counter = 0;
         for (int iter = 0; iter < kMaxStage1Iterations; ++iter) {
-            graph.refresh(stmts);
+            DependenceGraph graph(stmts);
             bool changed = false;
 
             // Resolve conflicting strategies inside fused nests by

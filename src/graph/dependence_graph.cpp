@@ -26,14 +26,6 @@ Hint::str() const
 DependenceGraph::DependenceGraph(
     const std::vector<transform::PolyStmt> &stmts)
 {
-    refresh(stmts);
-}
-
-void
-DependenceGraph::refresh(const std::vector<transform::PolyStmt> &stmts)
-{
-    nodes_.clear();
-    edges_.clear();
     for (size_t i = 0; i < stmts.size(); ++i) {
         NodeInfo node;
         node.index = i;

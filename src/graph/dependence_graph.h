@@ -82,9 +82,6 @@ class DependenceGraph
     const std::vector<NodeInfo> &nodes() const { return nodes_; }
     const std::vector<Edge> &edges() const { return edges_; }
 
-    /** Recompute fine-grained info after transformations. */
-    void refresh(const std::vector<transform::PolyStmt> &stmts);
-
     /**
      * All data paths source->sink via DFS (paper Fig. 8 step 4), as
      * node-index sequences. Isolated nodes form singleton paths.

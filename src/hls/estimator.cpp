@@ -84,10 +84,6 @@ exprDepth(const dsl::ExprNode &node, const OpCosts &costs, BodyCosts &acc)
         int lhs = exprDepth(*node.lhs, costs, acc);
         int rhs = exprDepth(*node.rhs, costs, acc);
         int lat = 0;
-        bool flt = ir::isFloat(node.array != nullptr
-                                   ? node.array->elementType()
-                                   : ir::ScalarKind::F32);
-        (void)flt;
         switch (node.binOp) {
           case dsl::BinOp::Add:
           case dsl::BinOp::Sub:

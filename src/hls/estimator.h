@@ -121,15 +121,16 @@ ArrayBanking effectiveBanking(const dsl::Placeholder &placeholder,
 /** Estimator configuration. */
 struct EstimatorOptions
 {
-    Device device = Device::xc7z020();
     OpCosts costs;
     SharingMode sharing = SharingMode::Reuse;
 
     /**
      * When non-null, array banking comes from this plan instead of the
-     * function's placeholder partition directives. The DSE engine uses
-     * it to evaluate candidate design points concurrently without
-     * mutating the shared dsl::Function (estimating with the override
+     * function's placeholder partition directives. The DSE engine,
+     * which evaluates one candidate at a time on its calling thread,
+     * uses it to estimate a candidate's partitioning without writing
+     * it into the dsl::Function, so the function keeps its directives
+     * until a final point applies them (estimating with the override
      * is equivalent to applyPartitions() + estimating). The pointer is
      * only read during estimate(); the plan must outlive the call.
      */

@@ -23,14 +23,30 @@
  * parallelism degrees that clamp to the same schedule.
  *
  * Every DSE design point, the final one included, is composed from
- * these reports. The store is the shared support::ContentCache;
- * `--cache-dir` spills it as
+ * these reports. The store is a support::ContentCache with a fixed
+ * FIFO cap (kNodeCacheCap) that bounds it in long-lived daemons, and
+ * this module alone owns its one on-disk spill, `--cache-dir`:
  *
  *   <dir>/nodes.index         list of entry hashes (atomic rewrite)
  *   <dir>/nodes/<hash>        one entry: full key + node reports
  *
- * and a fixed FIFO cap (kNodeCacheCap) bounds it in long-lived
- * daemons.
+ * The spill follows these conventions:
+ *
+ *  - FNV-1a-64 content hashes of the keys, printed as 16 lowercase hex
+ *    digits, which are also the only index lines a load accepts
+ *    (anything else, and any object that is not a regular file, is
+ *    skipped with a warning -- an index line can never name another
+ *    path),
+ *  - a first line "pom-node-cache/1 <version>" stamping every entry
+ *    and the index (a mismatch is a clean load error, never misread
+ *    bytes),
+ *  - a trailing "sum <hex16>" checksum line over the entry body (a
+ *    corrupt entry is skipped with a warning, the rest still load),
+ *  - full-key storage inside each entry so a hash collision can never
+ *    alias two keys,
+ *  - atomic temp-file + rename() writes so a crash mid-save leaves no
+ *    torn files, and an index that merges with whatever a concurrent
+ *    saver already wrote.
  */
 
 #ifndef POM_HLS_NODE_CACHE_H
@@ -100,6 +116,31 @@ class NodeReportCache
 
     /** The process-wide cache the DSE engine uses. */
     static NodeReportCache &global();
+
+    /**
+     * Read every entry indexed under @p dir into the cache through
+     * store(), so in-memory values win over disk duplicates; the
+     * hit/miss statistics are untouched. Index lines that are not
+     * content hashes, objects that are missing or not regular files,
+     * and entries that fail to decode or whose key does not hash to
+     * the file name are skipped with a warning and counted in
+     * stats.skipped. A missing directory or index is a cold start
+     * (true, zero stats); an index of another format/version is a
+     * clean error (false + @p error).
+     */
+    bool loadDir(const std::string &dir, support::CacheSpillStats &stats,
+                 std::string &error);
+
+    /**
+     * Spill every entry under @p dir (created on demand). Entries
+     * already on disk as regular files are kept untouched; the others
+     * are written to a temp name and rename()d into place. The index is
+     * rewritten atomically as the union of the entries' hashes and the
+     * content hashes it already listed, so concurrent savers merge
+     * instead of clobbering.
+     */
+    bool saveDir(const std::string &dir, support::CacheSpillStats &stats,
+                 std::string &error) const;
 };
 
 } // namespace pom::hls

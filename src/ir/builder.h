@@ -25,7 +25,6 @@ class OpBuilder
     explicit OpBuilder(Block *block = nullptr) : block_(block) {}
 
     void setInsertionBlock(Block *block) { block_ = block; }
-    Block *insertionBlock() const { return block_; }
 
     /**
      * Create a detached func.func with the given name. Array parameters

@@ -15,16 +15,13 @@ namespace pom::ir {
 Value *
 Block::addArgument(Type type, std::string name)
 {
-    auto v = std::make_unique<Value>(type, std::move(name));
-    v->owner_ = this;
-    args_.push_back(std::move(v));
+    args_.push_back(std::make_unique<Value>(type, std::move(name)));
     return args_.back().get();
 }
 
 Operation *
 Block::push(std::unique_ptr<Operation> op)
 {
-    op->parent_ = this;
     ops_.push_back(std::move(op));
     return ops_.back().get();
 }
@@ -40,15 +37,11 @@ Operation::create(std::string name, std::vector<Value *> operands,
     op->operands_ = std::move(operands);
     op->attrs_ = std::move(attrs);
     for (size_t i = 0; i < result_types.size(); ++i) {
-        auto v = std::make_unique<Value>(
-            result_types[i], op->name_ + ".r" + std::to_string(i));
-        v->def_ = op.get();
-        op->results_.push_back(std::move(v));
+        op->results_.push_back(std::make_unique<Value>(
+            result_types[i], op->name_ + ".r" + std::to_string(i)));
     }
     for (size_t i = 0; i < num_regions; ++i)
         op->regions_.push_back(std::make_unique<Block>());
-    for (auto &r : op->regions_)
-        r->parent_ = op.get();
     return op;
 }
 

@@ -46,20 +46,9 @@ class Value
     const Type &type() const { return type_; }
     const std::string &name() const { return name_; }
 
-    /** Defining op (nullptr for block arguments). */
-    Operation *definingOp() const { return def_; }
-
-    /** Owning block (nullptr for op results). */
-    Block *ownerBlock() const { return owner_; }
-
   private:
-    friend class Operation;
-    friend class Block;
-
     Type type_;
     std::string name_;
-    Operation *def_ = nullptr;
-    Block *owner_ = nullptr;
 };
 
 /** A single-block region body: arguments plus an ordered op list. */
@@ -84,15 +73,11 @@ class Block
         return ops_;
     }
 
-    /** Enclosing operation (set when the block is attached). */
-    Operation *parentOp() const { return parent_; }
-
   private:
     friend class Operation;
 
     std::vector<std::unique_ptr<Value>> args_;
     std::vector<std::unique_ptr<Operation>> ops_;
-    Operation *parent_ = nullptr;
 };
 
 /** A generic operation. */
@@ -131,8 +116,6 @@ class Operation
     Block &region(size_t i = 0) { return *regions_.at(i); }
     const Block &region(size_t i = 0) const { return *regions_.at(i); }
 
-    Block *parentBlock() const { return parent_; }
-
     /** Walk this op and all nested ops pre-order. */
     template <typename Fn> void
     walk(Fn &&fn)
@@ -162,8 +145,6 @@ class Operation
     std::string str(int indent = 0) const;
 
   private:
-    friend class Block;
-
     Operation() = default;
 
     std::string name_;
@@ -171,7 +152,6 @@ class Operation
     std::vector<std::unique_ptr<Value>> results_;
     AttrMap attrs_;
     std::vector<std::unique_ptr<Block>> regions_;
-    Block *parent_ = nullptr;
 };
 
 } // namespace pom::ir

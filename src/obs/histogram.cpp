@@ -5,13 +5,11 @@
 #include <cstdio>
 #include <sstream>
 
-#include "support/json.h"
-
 namespace pom::obs {
 
 namespace {
 
-/** %.17g round-trips doubles exactly through json()/fromJson(). */
+/** %.17g prints a double so that it reads back exactly. */
 std::string
 num(double v)
 {
@@ -97,30 +95,6 @@ Histogram::record(double value)
     }
     ++count_;
     sum_ += value;
-}
-
-void
-Histogram::merge(const Histogram &other)
-{
-    if (this == &other)
-        return;
-    // Snapshot the source first so self/other lock order cannot ABBA.
-    Histogram copy(other);
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (int i = 0; i < kNumBuckets; ++i)
-        buckets_[static_cast<std::size_t>(i)] +=
-            copy.buckets_[static_cast<std::size_t>(i)];
-    if (copy.count_ > 0) {
-        if (count_ == 0) {
-            min_ = copy.min_;
-            max_ = copy.max_;
-        } else {
-            min_ = std::min(min_, copy.min_);
-            max_ = std::max(max_, copy.max_);
-        }
-        count_ += copy.count_;
-        sum_ += copy.sum_;
-    }
 }
 
 void
@@ -225,57 +199,6 @@ Histogram::json() const
     }
     os << "]}";
     return os.str();
-}
-
-bool
-Histogram::fromJson(const std::string &text, Histogram &out,
-                    std::string &error)
-{
-    out.clear();
-    support::JsonValue doc;
-    if (!support::parseJson(text, doc, error))
-        return false;
-    if (!doc.isObject()) {
-        error = "histogram is not a JSON object";
-        return false;
-    }
-    std::lock_guard<std::mutex> lock(out.mutex_);
-    if (const auto *v = doc.find("count"))
-        out.count_ = static_cast<std::uint64_t>(v->asInt());
-    if (const auto *v = doc.find("min"))
-        out.min_ = v->asDouble();
-    if (const auto *v = doc.find("max"))
-        out.max_ = v->asDouble();
-    if (const auto *v = doc.find("sum"))
-        out.sum_ = v->asDouble();
-    const support::JsonValue *buckets = doc.find("buckets");
-    if (buckets == nullptr ||
-        buckets->kind != support::JsonValue::Kind::Array) {
-        error = "histogram has no buckets array";
-        return false;
-    }
-    std::uint64_t total = 0;
-    for (const auto &pair : buckets->items) {
-        if (pair.kind != support::JsonValue::Kind::Array ||
-            pair.items.size() != 2) {
-            error = "bucket entry is not an [index, count] pair";
-            return false;
-        }
-        std::int64_t index = pair.items[0].asInt(-1);
-        std::int64_t count = pair.items[1].asInt(-1);
-        if (index < 0 || index >= kNumBuckets || count < 0) {
-            error = "bucket entry out of range";
-            return false;
-        }
-        out.buckets_[static_cast<std::size_t>(index)] +=
-            static_cast<std::uint64_t>(count);
-        total += static_cast<std::uint64_t>(count);
-    }
-    if (total != out.count_) {
-        error = "bucket counts disagree with the sample count";
-        return false;
-    }
-    return true;
 }
 
 } // namespace pom::obs

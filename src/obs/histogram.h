@@ -5,11 +5,6 @@
  *
  *  - **thread-safe**: record() takes an internal mutex, so concurrent
  *    request executors can feed one instance;
- *  - **mergeable**: merge() adds another histogram bucket-by-bucket,
- *    and merging is associative and commutative (bucket counts and the
- *    sample count are exact; min/max combine exactly; the running sum
- *    is a double, so use binary-exact sample values where byte-exact
- *    merges matter);
  *  - **summarizable**: count/min/max/sum plus p50/p90/p99 extracted
  *    from the bucket counts. A percentile falls back to the geometric
  *    midpoint of its bucket, clamped into [min, max], so a
@@ -23,8 +18,7 @@
  * counts as long as one histogram sticks to one unit.
  *
  * JSON: json() emits a self-contained object (summary plus the sparse
- * nonzero bucket list) and fromJson() reconstructs an equivalent
- * histogram, so metrics reports round-trip losslessly.
+ * nonzero bucket list) for the metrics report.
  */
 
 #ifndef POM_OBS_HISTOGRAM_H
@@ -79,9 +73,6 @@ class Histogram
     /** Record one sample (thread-safe). */
     void record(double value);
 
-    /** Add @p other's samples into this histogram (associative). */
-    void merge(const Histogram &other);
-
     /** Drop all samples. */
     void clear();
 
@@ -114,14 +105,6 @@ class Histogram
      * [[index, count], ...]}.
      */
     std::string json() const;
-
-    /**
-     * Rebuild a histogram from json() output. False + @p error on
-     * malformed input. Percentiles are recomputed from the buckets,
-     * so summary() round-trips exactly.
-     */
-    static bool fromJson(const std::string &text, Histogram &out,
-                         std::string &error);
 
   private:
     mutable std::mutex mutex_;

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -169,17 +168,6 @@ bool
 metricsEnabled()
 {
     return g_metrics.load(std::memory_order_relaxed);
-}
-
-std::string
-traceEnvPath()
-{
-    const char *env = std::getenv("POM_TRACE");
-    if (env == nullptr || env[0] == '\0')
-        return "";
-    if (std::string(env) == "1")
-        return "pom-trace.json";
-    return env;
 }
 
 double

@@ -44,14 +44,6 @@ bool tracingEnabled();
 void setMetricsEnabled(bool enabled);
 bool metricsEnabled();
 
-/**
- * The trace output path requested via the POM_TRACE environment
- * variable: unset/empty -> "", the literal "1" -> "pom-trace.json",
- * anything else -> the value itself. Does not enable tracing; tools do
- * that when they decide to honour the variable.
- */
-std::string traceEnvPath();
-
 /** Microseconds since the process-wide trace epoch (steady clock). */
 double nowMicros();
 

@@ -295,7 +295,7 @@ Server::compileResponse(const Request &request, std::int64_t requestId)
     } else if (request.framework == "pluto") {
         result = baselines::runPlutoLike(workload->func(), options);
     } else if (request.framework == "none") {
-        result = baselines::runUnoptimized(workload->func(), options);
+        result = baselines::runUnoptimized(workload->func());
     } else {
         response.status = "error";
         response.error =

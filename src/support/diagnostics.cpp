@@ -53,13 +53,6 @@ setDiagLevel(DiagLevel level)
     g_diag_level.store(static_cast<int>(level), std::memory_order_relaxed);
 }
 
-DiagLevel
-diagLevel()
-{
-    return static_cast<DiagLevel>(
-        g_diag_level.load(std::memory_order_relaxed));
-}
-
 void
 setDiagStream(std::ostream *os)
 {

@@ -63,7 +63,6 @@ enum class DiagLevel
  * Info; `--quiet` lowers it to Error, `-v` raises it to Debug.
  */
 void setDiagLevel(DiagLevel level);
-DiagLevel diagLevel();
 
 /** Redirect diagnostics; null restores the default (std::cerr). */
 void setDiagStream(std::ostream *os);

@@ -1,42 +1,17 @@
 /**
  * @file
- * Small integer math helpers used throughout the polyhedral library and
- * the HLS estimation model. All helpers use Euclidean (sign-safe)
- * semantics, which is what polyhedral floor-division reasoning requires.
+ * Sign-safe floor and ceiling division, which the polyhedral library's
+ * bound reasoning requires.
  */
 
 #ifndef POM_SUPPORT_MATH_UTIL_H
 #define POM_SUPPORT_MATH_UTIL_H
 
 #include <cstdint>
-#include <cstdlib>
 
 #include "support/diagnostics.h"
 
 namespace pom::support {
-
-/** Greatest common divisor; gcd(0, 0) == 0, result is non-negative. */
-constexpr std::int64_t
-gcd(std::int64_t a, std::int64_t b)
-{
-    if (a < 0) a = -a;
-    if (b < 0) b = -b;
-    while (b != 0) {
-        std::int64_t t = a % b;
-        a = b;
-        b = t;
-    }
-    return a;
-}
-
-/** Least common multiple; lcm(0, x) == 0. */
-constexpr std::int64_t
-lcm(std::int64_t a, std::int64_t b)
-{
-    if (a == 0 || b == 0)
-        return 0;
-    return (a / gcd(a, b)) * b;
-}
 
 /** Floor division: floorDiv(-1, 8) == -1, floorDiv(7, 8) == 0. */
 constexpr std::int64_t
@@ -55,35 +30,6 @@ ceilDiv(std::int64_t a, std::int64_t b)
 {
     POM_ASSERT(b != 0, "ceilDiv by zero");
     return -floorDiv(-a, b);
-}
-
-/** Euclidean modulo: result always in [0, |b|). */
-constexpr std::int64_t
-euclidMod(std::int64_t a, std::int64_t b)
-{
-    POM_ASSERT(b != 0, "mod by zero");
-    std::int64_t r = a % b;
-    if (r < 0)
-        r += (b < 0 ? -b : b);
-    return r;
-}
-
-/** True iff v is a power of two (v > 0). */
-constexpr bool
-isPowerOfTwo(std::int64_t v)
-{
-    return v > 0 && (v & (v - 1)) == 0;
-}
-
-/** Smallest power of two >= v (v >= 1). */
-constexpr std::int64_t
-nextPowerOfTwo(std::int64_t v)
-{
-    POM_ASSERT(v >= 1, "nextPowerOfTwo needs v >= 1");
-    std::int64_t p = 1;
-    while (p < v)
-        p <<= 1;
-    return p;
 }
 
 } // namespace pom::support

@@ -198,22 +198,20 @@ template <typename Dep>
 using DependenceMemo = support::ContentCache<std::vector<Dep>>;
 
 /**
- * The process-wide memo of one view. In-memory only: no layout, no
- * codec, never spilled. Creates every `dep.*` counter at zero so each
- * metrics report has them.
+ * The process-wide memo of one view, in memory only. Creates every
+ * `dep.*` counter at zero so each metrics report has them.
  */
 template <typename Dep>
 DependenceMemo<Dep> &
 dependenceMemo()
 {
-    static const support::ContentCacheFormat<std::vector<Dep>> format{
-        {"", "", "", ""}, "dep.memo.evictions", nullptr, nullptr};
     static DependenceMemo<Dep> *memo = [] {
         obs::counterAdd("dep.analyses", 0);
         obs::counterAdd("dep.carried.analyses", 0);
         obs::counterAdd("dep.memo.hits", 0);
         obs::counterAdd("dep.memo.evictions", 0);
-        return new DependenceMemo<Dep>(format, kDependenceMemoCap);
+        return new DependenceMemo<Dep>("dep.memo.evictions",
+                                       kDependenceMemoCap);
     }();
     return *memo;
 }

@@ -166,13 +166,13 @@ TEST(Graph, RefreshAfterTransform)
     Placeholder q(f, "q", {n});
     Compute s(f, "s", {i, j}, q(i) + A(i, j) * p(j), q(i));
     auto stmts = lower::extractStmts(f);
-    DependenceGraph graph(stmts);
-    ASSERT_EQ(graph.suggest(0).kind, Hint::Kind::Interchange);
+    ASSERT_EQ(DependenceGraph(stmts).suggest(0).kind,
+              Hint::Kind::Interchange);
 
-    // Apply the suggested interchange and refresh: the dependence is now
+    // Apply the suggested interchange and rebuild: the dependence is now
     // carried at the outer level, innermost is free.
     transform::interchange(stmts[0], "i", "j");
-    graph.refresh(stmts);
+    DependenceGraph graph(stmts);
     EXPECT_FALSE(graph.nodes()[0].innermostCarried);
     EXPECT_EQ(graph.suggest(0).kind, Hint::Kind::None);
 }

@@ -36,31 +36,6 @@ TEST(MathUtil, FloorCeilDiv)
     EXPECT_EQ(pom::support::ceilDiv(8, 8), 1);
 }
 
-TEST(MathUtil, EuclidMod)
-{
-    EXPECT_EQ(pom::support::euclidMod(7, 8), 7);
-    EXPECT_EQ(pom::support::euclidMod(-1, 8), 7);
-    EXPECT_EQ(pom::support::euclidMod(-8, 8), 0);
-}
-
-TEST(MathUtil, GcdLcm)
-{
-    EXPECT_EQ(pom::support::gcd(12, 18), 6);
-    EXPECT_EQ(pom::support::gcd(0, 5), 5);
-    EXPECT_EQ(pom::support::gcd(-12, 18), 6);
-    EXPECT_EQ(pom::support::lcm(4, 6), 12);
-}
-
-TEST(MathUtil, PowersOfTwo)
-{
-    EXPECT_TRUE(pom::support::isPowerOfTwo(1));
-    EXPECT_TRUE(pom::support::isPowerOfTwo(64));
-    EXPECT_FALSE(pom::support::isPowerOfTwo(0));
-    EXPECT_FALSE(pom::support::isPowerOfTwo(48));
-    EXPECT_EQ(pom::support::nextPowerOfTwo(33), 64);
-    EXPECT_EQ(pom::support::nextPowerOfTwo(1), 1);
-}
-
 // ---------------------------------------------------------- LinearExpr
 
 TEST(LinearExpr, BasicArithmetic)
