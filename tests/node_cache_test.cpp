@@ -3,17 +3,26 @@
  * Tests for the one estimate cache key, hls::nodeFingerprint():
  * canonicality (same node -> same key), sensitivity to everything a
  * NodeReport depends on, insensitivity to what the combiner applies
- * afterwards (device budget, sharing mode), and a concurrent
- * first-writer-wins stress case for the sanitizer CI job. Hit/miss
- * accounting is covered by content_cache_test.
+ * afterwards (device budget, sharing mode), the keys a cold greedy
+ * search stores on every workload against
+ * golden/node_key_digests.txt, and a concurrent first-writer-wins
+ * stress case for the sanitizer CI job. Hit/miss accounting is covered
+ * by content_cache_test.
+ *
+ * Regenerate the golden table (only for an intended key change, which
+ * also invalidates every `--cache-dir` spill) with
+ *   POM_UPDATE_EXPECTED=1 ./node_cache_test \
+ *       --gtest_filter='NodeKeys.ColdGreedySearchStoresTheGoldenKeys'
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <thread>
 #include <vector>
 
 #include "dse/dse.h"
+#include "golden_digests.h"
 #include "hls/node_cache.h"
 #include "lower/lower.h"
 #include "transform/poly_stmt.h"
@@ -121,6 +130,52 @@ TEST(Fingerprint, DeviceBudgetAndSharingModeAreNotInTheKey)
         EXPECT_EQ(nodes.size(), entries);
     }
     nodes.clear();
+}
+
+TEST(NodeKeys, ColdGreedySearchStoresTheGoldenKeys)
+{
+    // Every key a cold default (greedy) search stores, per workload at
+    // size 64: a changed key spelling or hashing fails here even when
+    // every report stays the same.
+    const std::string path = golden::goldenPath("node_key_digests.txt");
+    golden::DigestTable table = golden::readDigestTable(path);
+    const bool update = golden::updatingGoldens();
+    auto &nodes = hls::NodeReportCache::global();
+    for (const auto &name : workloads::allNames()) {
+        nodes.clear();
+        auto w = workloads::makeByName(name, 64);
+        dse::autoDSE(w->func());
+        std::vector<std::string> keys;
+        for (const auto &entry : nodes.snapshot())
+            keys.push_back(entry.first);
+        ASSERT_FALSE(keys.empty()) << name;
+        std::sort(keys.begin(), keys.end());
+        std::string text;
+        for (const auto &key : keys)
+            text += key + "\n";
+        const std::string digest = golden::digestOf(text);
+        if (update) {
+            table[{"greedy", name}] = {digest};
+            continue;
+        }
+        auto it = table.find({"greedy", name});
+        if (it == table.end() || it->second.size() != 1) {
+            ADD_FAILURE() << name << " has no digest in " << path
+                          << " (regenerate with POM_UPDATE_EXPECTED=1)";
+            continue;
+        }
+        EXPECT_EQ(it->second[0], digest)
+            << name << ": the stored node keys changed";
+    }
+    nodes.clear();
+    if (update) {
+        EXPECT_TRUE(golden::writeDigestTable(
+            path,
+            "strategy workload fnv1a64(sorted node-cache keys of a cold "
+            "search) at size 64",
+            {"greedy"}, workloads::allNames(), table))
+            << "cannot write " << path;
+    }
 }
 
 TEST(NodeReportCache, ConcurrentStress)
