@@ -136,6 +136,20 @@ BM_PointCounting(benchmark::State &state)
 BENCHMARK(BM_PointCounting)->Arg(4096)->Arg(8192);
 
 static void
+BM_AvgTripsTiled(benchmark::State &state)
+{
+    // The trip counts the search asks of a split loop: gemm with i
+    // split by 3, so the last tile is partial and the tile level is
+    // walked value by value.
+    auto w = workloads::makeGemm(state.range(0));
+    transform::PolyStmt stmt = lower::extractStmts(w->func())[0];
+    transform::split(stmt, "i", 3, "i0", "i1");
+    for (auto _ : state)
+        benchmark::DoNotOptimize(hls::avgTrips(stmt.sched.domain));
+}
+BENCHMARK(BM_AvgTripsTiled)->Arg(128)->Arg(4096);
+
+static void
 BM_AutoDseGemm(benchmark::State &state)
 {
     for (auto _ : state) {

@@ -135,7 +135,7 @@ carriedLevels(const PolyStmt &stmt)
  * Canonical digest of the function's compute semantics -- everything
  * the estimator can observe that the schedule fragments do not
  * already cover: array shapes/types and the statement expressions.
- * Feeds hls::nodeFingerprint() as the funcDigest component.
+ * The head of every node key (hls::NodeKey::ofFunction()).
  */
 std::string
 functionDigest(const dsl::Function &func)
@@ -351,7 +351,8 @@ class Engine final : public Search
     Engine(dsl::Function &func, const DseOptions &options)
         : func_(func), opt_(options),
           device_(options.device.scaled(options.resourceFraction)),
-          funcDigest_(functionDigest(func))
+          keyHead_(hls::NodeKey::ofFunction(functionDigest(func))),
+          costLine_(hls::opCostsLine(estOptions().costs))
     {}
 
     DseResult
@@ -876,18 +877,22 @@ class Engine final : public Search
 
     /**
      * One unit's scheduled statements under a fixed degree, with the
-     * partition factors its unrolled loops demand and the canonical
-     * schedule fragment of each member. Memoized per (unit, degree):
-     * a unit's schedule depends only on its own base statements (the
-     * min_level probe reads just the unit's untransformed members), so
-     * the stage-2 search -- which doubles one unit per step -- recomputes
-     * only the changed unit and shares everything else.
+     * partition factors its unrolled loops demand, its node key up to
+     * the bankings (keyHead_ plus each member's schedule fragment) and
+     * the arrays whose bankings complete the key. Memoized per (unit,
+     * degree): a unit's schedule depends only on its own base
+     * statements (the min_level probe reads just the unit's
+     * untransformed members), so the stage-2 search -- which doubles
+     * one unit per step -- recomputes only the changed unit and shares
+     * everything else.
      */
     struct UnitSchedule
     {
         std::vector<PolyStmt> stmts; ///< member order (= unit.members)
         hls::PartitionPlan partitions;
-        std::vector<std::string> fragments;
+        hls::NodeKey key;
+        /** The arrays the members access, in name order. */
+        std::vector<const dsl::Placeholder *> arrays;
     };
 
     /** Memoized schedule of unit @p ui at @p unit's current degree. */
@@ -900,13 +905,22 @@ class Engine final : public Search
         if (it != unitMemo_.end())
             return &it->second;
         UnitSchedule us;
+        us.key = keyHead_;
+        std::set<std::string> names;
         size_t min_level = fusedNestMinLevel(base, unit.members);
         for (size_t m : unit.members) {
             PolyStmt stmt = base[m];
             applyParallelSchedule(stmt, unit.degree, opt_.innerUnrollCap,
                                   func_, us.partitions, min_level);
-            us.fragments.push_back(hls::stmtScheduleFragment(stmt));
+            us.key.addSchedule(stmt);
+            for (const auto &a : stmt.accesses)
+                names.insert(a.array);
             us.stmts.push_back(std::move(stmt));
+        }
+        for (const std::string &name : names) {
+            const dsl::Placeholder *p = func_.findPlaceholder(name);
+            POM_ASSERT(p != nullptr, "unknown array in DSE");
+            us.arrays.push_back(p);
         }
         return &unitMemo_.emplace(memoKey, std::move(us)).first->second;
     }
@@ -934,24 +948,15 @@ class Engine final : public Search
         return merged;
     }
 
-    /** Name-sorted bankings of the arrays @p us's statements access. */
-    std::vector<hls::NodeArrayBanking>
-    unitBankings(const UnitSchedule &us,
-                 const hls::PartitionPlan &partitions) const
+    /** The node key of @p us under @p partitions' bankings. */
+    std::string
+    nodeKey(const UnitSchedule &us,
+            const hls::PartitionPlan &partitions) const
     {
-        std::set<std::string> names;
-        for (const PolyStmt &stmt : us.stmts) {
-            for (const auto &a : stmt.accesses)
-                names.insert(a.array);
-        }
-        std::vector<hls::NodeArrayBanking> out;
-        for (const std::string &name : names) {
-            const dsl::Placeholder *p = func_.findPlaceholder(name);
-            POM_ASSERT(p != nullptr, "unknown array in DSE");
-            hls::ArrayBanking b = hls::effectiveBanking(*p, &partitions);
-            out.push_back({name, b.banks, b.complete});
-        }
-        return out;
+        hls::NodeKey key = us.key;
+        for (const dsl::Placeholder *p : us.arrays)
+            key.addBanking(p->name(), hls::effectiveBanking(*p, &partitions));
+        return key.finish(costLine_);
     }
 
     /** Memoized schedules of every unit at its current degree. */
@@ -1001,14 +1006,8 @@ class Engine final : public Search
         bool allCached = true;
         for (const auto &part : parts) {
             const UnitSchedule &us = *part;
-            std::vector<const std::string *> memberFragments;
-            for (const std::string &f : us.fragments)
-                memberFragments.push_back(&f);
-            std::string nodeKey = hls::nodeFingerprint(
-                funcDigest_, memberFragments,
-                unitBankings(us, partitions), eo.costs);
-            if (auto cached =
-                    hls::NodeReportCache::global().lookup(nodeKey)) {
+            const std::string key = nodeKey(us, partitions);
+            if (auto cached = hls::NodeReportCache::global().lookup(key)) {
                 obs::counterAdd("dse.node_cache.hits");
                 for (auto &n : *cached)
                     nodes.push_back(std::move(n));
@@ -1019,7 +1018,7 @@ class Engine final : public Search
             auto lowered = lower::lowerNodeStmts(us.stmts);
             std::vector<hls::NodeReport> fresh =
                 hls::estimateNodes(func_, lowered, eo);
-            hls::NodeReportCache::global().store(nodeKey, fresh);
+            hls::NodeReportCache::global().store(key, fresh);
             for (auto &n : fresh)
                 nodes.push_back(std::move(n));
         }
@@ -1088,7 +1087,10 @@ class Engine final : public Search
     dsl::Function &func_;
     DseOptions opt_;
     hls::Device device_;
-    std::string funcDigest_;
+    /** The node-key text's head: format stamp and function digest. */
+    hls::NodeKey keyHead_;
+    /** The node-key text's tail: the cost table, rendered once. */
+    std::string costLine_;
     /** std::map, so the pointers unitSchedule() returns stay valid. */
     std::map<std::pair<size_t, std::int64_t>, UnitSchedule> unitMemo_;
     /** Stage 2's statements and units, for Search::evaluate(). */

@@ -13,33 +13,49 @@ using poly::IntegerSet;
 namespace {
 
 /**
- * Recursive counting over dims [level, n). @p prefix holds values for
- * dims [0, level). Bounds that only involve constants (relative to the
- * fixed prefix) and are not referenced by deeper constraints multiply.
+ * @p expr, a bound of dim `level` over dims [0, level], at @p prefix:
+ * LinearExpr::evaluate()'s sum without its last term, the bound's own
+ * dim, whose coefficient boundsForCodegen() leaves zero.
+ */
+std::int64_t
+boundAt(const poly::LinearExpr &expr, const std::int64_t *prefix)
+{
+    const std::vector<std::int64_t> &coeffs = expr.coeffs();
+    std::int64_t v = expr.constantTerm();
+    for (size_t i = 0; i + 1 < coeffs.size(); ++i)
+        v += coeffs[i] * prefix[i];
+    return v;
+}
+
+/**
+ * Recursive counting over dims [level, n) of @p bounds. @p prefix, one
+ * buffer for the whole walk, holds the values of dims [0, level). A
+ * level that no deeper bound references (@p referenced, one flag per
+ * level) has the same count below it for every value, so its width
+ * multiplies; only referenced levels are walked value by value.
  */
 std::int64_t
 countFrom(const std::vector<DimBounds> &bounds,
-          std::vector<std::int64_t> &prefix, size_t level)
+          const std::vector<bool> &referenced, std::int64_t *prefix,
+          size_t level)
 {
-    size_t n = bounds.size();
-    if (level == n)
+    if (level == bounds.size())
         return 1;
 
     const DimBounds &b = bounds[level];
     POM_ASSERT(!b.lower.empty() && !b.upper.empty(),
                "countPoints on unbounded set");
-    std::vector<std::int64_t> pt(prefix.begin(), prefix.begin() + level);
-    pt.push_back(0);
     std::int64_t lo = 0, hi = -1;
     bool first = true;
     for (const auto &bd : b.lower) {
-        std::int64_t v = support::ceilDiv(bd.expr.evaluate(pt), bd.divisor);
+        std::int64_t v = support::ceilDiv(boundAt(bd.expr, prefix),
+                                          bd.divisor);
         lo = first ? v : std::max(lo, v);
         first = false;
     }
     first = true;
     for (const auto &bd : b.upper) {
-        std::int64_t v = support::floorDiv(bd.expr.evaluate(pt),
+        std::int64_t v = support::floorDiv(boundAt(bd.expr, prefix),
                                            bd.divisor);
         hi = first ? v : std::min(hi, v);
         first = false;
@@ -48,36 +64,28 @@ countFrom(const std::vector<DimBounds> &bounds,
         return 0;
     std::int64_t width = hi - lo + 1;
 
-    // If no deeper bound references this dim, the count below is the
-    // same for every value -> multiply.
-    bool referenced = false;
-    for (size_t d = level + 1; d < n && !referenced; ++d) {
-        for (const auto &bd : bounds[d].lower) {
-            if (bd.expr.coeff(level) != 0) {
-                referenced = true;
-                break;
-            }
-        }
-        for (const auto &bd : bounds[d].upper) {
-            if (bd.expr.coeff(level) != 0) {
-                referenced = true;
-                break;
-            }
-        }
-    }
-
-    if (!referenced) {
+    if (!referenced[level]) {
         prefix[level] = lo;
-        std::int64_t below = countFrom(bounds, prefix, level + 1);
-        return width * below;
+        return width * countFrom(bounds, referenced, prefix, level + 1);
     }
 
     std::int64_t total = 0;
     for (std::int64_t v = lo; v <= hi; ++v) {
         prefix[level] = v;
-        total += countFrom(bounds, prefix, level + 1);
+        total += countFrom(bounds, referenced, prefix, level + 1);
     }
     return total;
+}
+
+/** Does a bound in @p b reference dim @p level? */
+bool
+references(const DimBounds &b, size_t level)
+{
+    auto uses = [level](const poly::Bound &bd) {
+        return bd.expr.coeff(level) != 0;
+    };
+    return std::any_of(b.lower.begin(), b.lower.end(), uses) ||
+           std::any_of(b.upper.begin(), b.upper.end(), uses);
 }
 
 /**
@@ -105,7 +113,9 @@ projectionChain(const IntegerSet &set)
  * chain[m], the projection onto the first m dims, for m = first..n. A
  * prefix is empty when a false constraint shows anywhere down its
  * chain, as isEmpty() finds it; the bounds of dim i come from
- * chain[i + 1], as boundsForCodegen(i) derives them.
+ * chain[i + 1], as boundsForCodegen(i) derives them. Each level's
+ * "referenced by a deeper bound" flag is updated once as each dim's
+ * bounds join, and every count walks the one prefix buffer.
  */
 std::vector<std::int64_t>
 prefixCounts(const std::vector<IntegerSet> &chain, size_t first)
@@ -113,6 +123,8 @@ prefixCounts(const std::vector<IntegerSet> &chain, size_t first)
     size_t n = chain.size() - 1;
     std::vector<DimBounds> bounds;
     bounds.reserve(n);
+    std::vector<bool> referenced;
+    std::vector<std::int64_t> prefix(n, 0);
     std::vector<std::int64_t> counts;
     counts.reserve(n);
     bool empty = chain[0].hasFalseConstraint();
@@ -124,11 +136,16 @@ prefixCounts(const std::vector<IntegerSet> &chain, size_t first)
             counts.push_back(0);
             continue;
         }
-        while (bounds.size() < m)
-            bounds.push_back(chain[bounds.size() + 1].boundsForCodegen(
-                bounds.size()));
-        std::vector<std::int64_t> prefix(m, 0);
-        counts.push_back(countFrom(bounds, prefix, 0));
+        while (bounds.size() < m) {
+            const size_t d = bounds.size();
+            bounds.push_back(chain[d + 1].boundsForCodegen(d));
+            for (size_t level = 0; level < d; ++level) {
+                if (references(bounds[d], level))
+                    referenced[level] = true;
+            }
+            referenced.push_back(false);
+        }
+        counts.push_back(countFrom(bounds, referenced, prefix.data(), 0));
     }
     return counts;
 }

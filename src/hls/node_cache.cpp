@@ -1,6 +1,7 @@
 #include "hls/node_cache.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
 #include <filesystem>
@@ -24,28 +25,6 @@ namespace fs = std::filesystem;
 /** Where the spill lives inside a cache directory. */
 constexpr char kIndexName[] = "nodes.index"; ///< one hash per line
 constexpr char kObjectsName[] = "nodes";     ///< <hash>: one entry
-
-/** Offset basis of the second FNV-1a-64 state of a node key: the high
- *  word of the FNV-1a-128 basis (any constant distinct from
- *  support::kFnvOffset64 makes an accidental 128-bit collision between
- *  two distinct key texts implausible). */
-constexpr std::uint64_t kFnvAltOffset64 = 0x6c62272e07bb0142ull;
-
-void
-opCostsFingerprintTo(std::ostream &os, const OpCosts &c)
-{
-    os << "costs " << c.faddLat << " " << c.fmulLat << " " << c.fdivLat
-       << " " << c.fcmpLat << " " << c.iaddLat << " " << c.imulLat << " "
-       << c.loadLat << " " << c.storeLat << " " << c.faddDsp << " "
-       << c.faddLut << " " << c.faddFf << " " << c.fmulDsp << " "
-       << c.fmulLut << " " << c.fmulFf << " " << c.fdivDsp << " "
-       << c.fdivLut << " " << c.fdivFf << " " << c.fcmpDsp << " "
-       << c.fcmpLut << " " << c.fcmpFf << " " << c.iaddDsp << " "
-       << c.iaddLut << " " << c.iaddFf << " " << c.imulDsp << " "
-       << c.imulLut << " " << c.imulFf << " " << c.loopCtrlLut << " "
-       << c.loopCtrlFf << " " << c.bankMuxLut << " "
-       << c.pipelineRegFfPerCopy << "\n";
-}
 
 // ----- spill-format helpers ----------------------------------------------
 
@@ -200,39 +179,6 @@ writeFileAtomically(const std::string &path, const std::string &content,
 }
 
 /**
- * Read the content-hash index at @p path into @p hashes. Absent file
- * -> true with nothing read (cold start); empty file or wrong
- * format/version -> false with @p error.
- */
-bool
-readCacheIndex(const std::string &path, std::vector<std::string> &hashes,
-               std::string &error)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return true;
-    std::string header;
-    if (!std::getline(in, header)) {
-        error = "cache index '" + path + "' is empty";
-        return false;
-    }
-    std::string expect = cacheFormatHeader();
-    expect.pop_back();
-    if (header != expect) {
-        error = "cache index '" + path +
-                "' format/version mismatch: index says '" + header +
-                "', this build is '" + expect + "'";
-        return false;
-    }
-    std::string line;
-    while (std::getline(in, line)) {
-        if (!line.empty())
-            hashes.push_back(line);
-    }
-    return true;
-}
-
-/**
  * Read @p path into @p out if it is a regular file. The open never
  * blocks (a FIFO has no writer to wait for) and the type check runs on
  * the opened descriptor, so a device or FIFO swapped in after an
@@ -253,6 +199,48 @@ readRegularFile(const std::string &path, std::string &out)
         out.append(buf, static_cast<std::size_t>(n));
     ::close(fd);
     return ok && n == 0;
+}
+
+/**
+ * Read the content-hash index at @p path into @p hashes, through
+ * readRegularFile() as the objects are read. Absent file -> true with
+ * nothing read (cold start); a path that is not a regular file (a FIFO,
+ * a device), an empty file or a wrong format/version -> false with
+ * @p error.
+ */
+bool
+readCacheIndex(const std::string &path, std::vector<std::string> &hashes,
+               std::string &error)
+{
+    std::string text;
+    if (!readRegularFile(path, text)) {
+        std::error_code ec;
+        if (!fs::exists(path, ec))
+            return true;
+        error = "cache index '" + path + "' is not a readable regular file";
+        return false;
+    }
+    if (text.empty()) {
+        error = "cache index '" + path + "' is empty";
+        return false;
+    }
+    std::size_t nl = text.find('\n');
+    std::string header = text.substr(0, nl);
+    std::string expect = cacheFormatHeader();
+    expect.pop_back();
+    if (header != expect) {
+        error = "cache index '" + path +
+                "' format/version mismatch: index says '" + header +
+                "', this build is '" + expect + "'";
+        return false;
+    }
+    while (nl != std::string::npos) {
+        std::size_t start = nl + 1;
+        nl = text.find('\n', start);
+        if (start < text.size() && start != nl)
+            hashes.push_back(text.substr(start, nl - start));
+    }
+    return true;
 }
 
 } // namespace
@@ -283,26 +271,69 @@ stmtScheduleFragment(const transform::PolyStmt &s)
     return os.str();
 }
 
+NodeKey
+NodeKey::ofFunction(const std::string &funcDigest)
+{
+    NodeKey key;
+    key.fold(cacheFormatHeader());
+    key.fold("func\n", 5);
+    key.fold(funcDigest);
+    key.fold("\n", 1);
+    return key;
+}
+
+void
+NodeKey::addSchedule(const transform::PolyStmt &stmt)
+{
+    fold(stmtScheduleFragment(stmt));
+}
+
+void
+NodeKey::addBanking(const std::string &array, const ArrayBanking &banking)
+{
+    // "arr <array> banks=<banks> complete=<0|1>\n"; to_chars spells an
+    // int64 as operator<< does.
+    char banks[24];
+    char *end =
+        std::to_chars(banks, banks + sizeof(banks), banking.banks).ptr;
+    fold("arr ", 4);
+    fold(array);
+    fold(" banks=", 7);
+    fold(banks, static_cast<std::size_t>(end - banks));
+    fold(banking.complete ? " complete=1\n" : " complete=0\n", 12);
+}
+
 std::string
-nodeFingerprint(const std::string &funcDigest,
-                const std::vector<const std::string *> &memberFragments,
-                const std::vector<NodeArrayBanking> &arrays,
-                const OpCosts &costs)
+NodeKey::finish(const std::string &costLine) const
+{
+    NodeKey key = *this;
+    key.fold(costLine);
+    return support::hex16(key.lo_) + support::hex16(key.hi_);
+}
+
+void
+NodeKey::fold(const char *data, std::size_t size)
+{
+    lo_ = support::fnv1a64(data, size, lo_);
+    hi_ = support::fnv1a64(data, size, hi_);
+}
+
+std::string
+opCostsLine(const OpCosts &c)
 {
     std::ostringstream os;
-    os << cacheFormatHeader();
-    os << "func\n" << funcDigest << "\n";
-    for (const std::string *fragment : memberFragments)
-        os << *fragment;
-    for (const auto &a : arrays) {
-        os << "arr " << a.array << " banks=" << a.banks
-           << " complete=" << (a.complete ? 1 : 0) << "\n";
-    }
-    opCostsFingerprintTo(os, costs);
-    const std::string text = os.str();
-    return support::hex16(support::fnv1a64(text.data(), text.size())) +
-           support::hex16(
-               support::fnv1a64(text.data(), text.size(), kFnvAltOffset64));
+    os << "costs " << c.faddLat << " " << c.fmulLat << " " << c.fdivLat
+       << " " << c.fcmpLat << " " << c.iaddLat << " " << c.imulLat << " "
+       << c.loadLat << " " << c.storeLat << " " << c.faddDsp << " "
+       << c.faddLut << " " << c.faddFf << " " << c.fmulDsp << " "
+       << c.fmulLut << " " << c.fmulFf << " " << c.fdivDsp << " "
+       << c.fdivLut << " " << c.fdivFf << " " << c.fcmpDsp << " "
+       << c.fcmpLut << " " << c.fcmpFf << " " << c.iaddDsp << " "
+       << c.iaddLut << " " << c.iaddFf << " " << c.imulDsp << " "
+       << c.imulLut << " " << c.imulFf << " " << c.loopCtrlLut << " "
+       << c.loopCtrlFf << " " << c.bankMuxLut << " "
+       << c.pipelineRegFfPerCopy << "\n";
+    return os.str();
 }
 
 // ----- on-disk spill format ----------------------------------------------

@@ -65,25 +65,51 @@ namespace pom::hls {
 /** One statement's canonical schedule text: a node-key fragment. */
 std::string stmtScheduleFragment(const transform::PolyStmt &stmt);
 
-/** One array's banking as seen by a node: name, banks, complete. */
-struct NodeArrayBanking
+/**
+ * A per-node fingerprint under construction. The key is a 128-bit
+ * digest (32 hex chars): two FNV-1a-64 states, seeded differently, over
+ * one text -- the node-cache format stamp, the function digest, the
+ * unit's member schedule fragments (statement order), one banking line
+ * per array the unit accesses (array-name order) and the cost-table
+ * line. FNV-1a folds bytes strictly in order, so the text can be folded
+ * in pieces, each where it becomes fixed, and the key is bit-identical
+ * to hashing the whole text at once:
+ *
+ *   - ofFunction(): the stamp and the function digest, once per search;
+ *   - addSchedule(): each member's fragment, once per unit schedule;
+ *   - addBanking() and finish(): per design point, only the bankings
+ *     and the cost line (opCostsLine(), rendered once per search).
+ */
+class NodeKey
 {
-    std::string array;
-    std::int64_t banks = 1;
-    bool complete = false;
+  public:
+    /** A key that has folded nothing yet. */
+    NodeKey() = default;
+
+    /** A key that has folded the format stamp and @p funcDigest. */
+    static NodeKey ofFunction(const std::string &funcDigest);
+
+    /** Fold @p stmt's schedule fragment (stmtScheduleFragment()). */
+    void addSchedule(const transform::PolyStmt &stmt);
+
+    /** Fold the banking line of @p array. */
+    void addBanking(const std::string &array, const ArrayBanking &banking);
+
+    /** The 32-hex key after folding @p costLine (opCostsLine()). */
+    std::string finish(const std::string &costLine) const;
+
+  private:
+    void fold(const char *data, std::size_t size);
+    void fold(const std::string &text) { fold(text.data(), text.size()); }
+
+    std::uint64_t lo_ = support::kFnvOffset64;
+    /** The high word of the FNV-1a-128 basis: any constant distinct
+     *  from lo_'s makes a 128-bit collision of two texts implausible. */
+    std::uint64_t hi_ = 0x6c62272e07bb0142ull;
 };
 
-/**
- * The per-node fingerprint: a 128-bit digest (32 hex chars) of the
- * node-cache format stamp, @p funcDigest, the unit's member schedule
- * fragments (statement order), the bankings of the arrays the unit
- * accesses (caller-sorted by array name) and the cost table.
- */
-std::string
-nodeFingerprint(const std::string &funcDigest,
-                const std::vector<const std::string *> &memberFragments,
-                const std::vector<NodeArrayBanking> &arrays,
-                const OpCosts &costs);
+/** The cost table's line of the node-key text. */
+std::string opCostsLine(const OpCosts &costs);
 
 /** Serialize one (key, reports) pair as the on-disk entry format. */
 std::string encodeNodeCacheEntry(const std::string &key,

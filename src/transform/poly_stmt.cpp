@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstring>
 
 #include "obs/obs.h"
 #include "support/cache_store.h"
@@ -216,22 +217,67 @@ dependenceMemo()
     return *memo;
 }
 
+/** Append @p v to a memo key as its 8 native bytes. */
+void
+putInt(std::string &key, std::int64_t v)
+{
+    char bytes[sizeof(v)];
+    std::memcpy(bytes, &v, sizeof(v));
+    key.append(bytes, sizeof(v));
+}
+
+/** Append @p text to a memo key, prefixed with its length. */
+void
+putName(std::string &key, const std::string &text)
+{
+    putInt(key, static_cast<std::int64_t>(text.size()));
+    key += text;
+}
+
+/** Append @p names to a memo key, prefixed with their count. */
+void
+putNames(std::string &key, const std::vector<std::string> &names)
+{
+    putInt(key, static_cast<std::int64_t>(names.size()));
+    for (const auto &name : names)
+        putName(key, name);
+}
+
 /**
- * The memo key: everything the analysis reads, as text -- the domain
- * print, then each access in order (array, read/write flag, map
- * print). Prints are exact (every constraint and coefficient), so
- * equal keys mean equal inputs.
+ * The memo key: everything the analysis reads, in a binary encoding of
+ * exactly the fields the domain and access prints spell out. The
+ * domain's dim names, then per constraint row its coefficients, its
+ * constant and its kind; then each access in order: its array, its
+ * read/write flag, its map's domain dims and per result row the
+ * coefficients and the constant. Every name and list is
+ * length-prefixed and a row's width is its space's dim count, so the
+ * encoding is exact: equal keys mean equal inputs, as with the prints.
  */
 std::string
 dependenceKey(const poly::IntegerSet &domain,
               const std::vector<poly::Access> &accesses)
 {
-    std::string key = domain.str();
+    std::string key;
+    const size_t n = domain.numDims();
+    putNames(key, domain.dimNames());
+    putInt(key, static_cast<std::int64_t>(domain.numConstraints()));
+    for (size_t r = 0; r < domain.numConstraints(); ++r) {
+        for (size_t d = 0; d < n; ++d)
+            putInt(key, domain.coeff(r, d));
+        putInt(key, domain.constantTerm(r));
+        key += domain.isEquality(r) ? 'E' : 'I';
+    }
+    putInt(key, static_cast<std::int64_t>(accesses.size()));
     for (const auto &a : accesses) {
-        key += '\n';
-        key += a.array;
-        key += a.isWrite ? " W " : " R ";
-        key += a.map.str();
+        putName(key, a.array);
+        key += a.isWrite ? 'W' : 'R';
+        putNames(key, a.map.domainDims());
+        putInt(key, static_cast<std::int64_t>(a.map.numResults()));
+        for (const auto &row : a.map.results()) {
+            for (std::int64_t c : row.coeffs())
+                putInt(key, c);
+            putInt(key, row.constantTerm());
+        }
     }
     return key;
 }

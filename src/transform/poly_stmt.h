@@ -96,9 +96,10 @@ void setUnroll(PolyStmt &stmt, const std::string &name,
  * Loop-carried self-dependences of the statement in its *transformed*
  * loop order, with full distance vectors. Only the dependence graph
  * (stage 1 and the baselines) reads those vectors; everything else
- * calls carriedDependences(). Results are memoized process-wide on the
- * exact text of the domain and the transformed accesses (FIFO cap
- * 4096, never spilled); a miss counts `dep.analyses`. Thread-safe.
+ * calls carriedDependences(). Results are memoized process-wide on an
+ * exact binary encoding of the domain and the transformed accesses
+ * (FIFO cap 4096, never spilled); a miss counts `dep.analyses`.
+ * Thread-safe.
  */
 std::vector<poly::Dependence> selfDependences(const PolyStmt &stmt);
 
@@ -107,7 +108,7 @@ std::vector<poly::Dependence> selfDependences(const PolyStmt &stmt);
  * indices, level and carried distance, at the cost of one distance
  * range per dependence instead of one per loop. The DSE's carried
  * levels, the estimator and the lowering's pragma hints call this.
- * Memoized like the full view, in its own memo on the same key text;
+ * Memoized like the full view, in its own memo on the same key;
  * a miss counts `dep.carried.analyses`. Both memos share
  * `dep.memo.hits`, `dep.memo.evictions` and `dep.analysis_seconds`
  * (misses only). Thread-safe.

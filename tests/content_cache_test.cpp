@@ -6,7 +6,8 @@
  * loadDir()/saveDir() -- round trip with guaranteed hits, cold start
  * on a missing directory, skip-and-warn on corrupt or missing objects
  * and on index lines that are not content hashes, clean errors on a
- * wrong-version index, and index merging between savers. The entry
+ * wrong-version index and on an index that is not a regular file, and
+ * index merging between savers. The entry
  * codec keeps its own round-trip and corruption tests
  * (cache_persist_test).
  */
@@ -292,6 +293,38 @@ TEST(ContentCacheTest, WrongIndexVersionIsCleanError)
     EXPECT_FALSE(reader.loadDir(dir, loaded, error));
     EXPECT_NE(error.find("version mismatch"), std::string::npos) << error;
     EXPECT_EQ(reader.size(), 0u);
+    fs::remove_all(dir);
+}
+
+TEST(ContentCacheTest, IndexThatIsNotARegularFileIsCleanError)
+{
+    // An index that is a device would be read until memory runs out;
+    // the load refuses it without reading and names the path.
+    std::string dir = scratchDir("devindex");
+    NodeReportCache writer;
+    store(writer, "k", 1);
+    support::CacheSpillStats stats;
+    std::string error;
+    ASSERT_TRUE(writer.saveDir(dir, stats, error)) << error;
+    std::string index_path = dir + "/nodes.index";
+    ASSERT_TRUE(fs::remove(index_path));
+    fs::create_symlink("/dev/zero", index_path);
+
+    NodeReportCache reader;
+    support::CacheSpillStats loaded;
+    EXPECT_FALSE(reader.loadDir(dir, loaded, error));
+    EXPECT_NE(error.find("'" + index_path + "' is not a readable regular "
+                         "file"),
+              std::string::npos)
+        << error;
+    EXPECT_EQ(reader.size(), 0u);
+
+    // A save replaces the symlink with a fresh index, which loads.
+    ASSERT_TRUE(writer.saveDir(dir, stats, error)) << error;
+    EXPECT_TRUE(fs::is_regular_file(fs::symlink_status(index_path)));
+    ASSERT_TRUE(reader.loadDir(dir, loaded, error)) << error;
+    EXPECT_EQ(loaded.loaded, 1u);
+    EXPECT_EQ(tagOf(reader, "k"), 1u);
     fs::remove_all(dir);
 }
 

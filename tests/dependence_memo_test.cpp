@@ -219,6 +219,37 @@ TEST(DependenceMemo, NearlyEqualStatementsNeverShareAnEntry)
     std::swap(order.accesses[1], order.accesses[2]);
     variants.emplace_back("access order", order);
 
+    // Inputs a binary key could conflate where the prints differ: the
+    // key must still spell out each name, row kind, constant and count.
+    transform::PolyStmt renamed = base;
+    renamed.sched.domain = base.sched.domain.withDimRenamed(1, "jj");
+    renamed.sched.origMap = base.sched.origMap.withDomainDimRenamed(1, "jj");
+    variants.emplace_back("renamed loop dimension", renamed);
+    transform::PolyStmt array = base;
+    array.accesses[2].array = "C";
+    variants.emplace_back("array name", array);
+    const auto diagonal = poly::LinearExpr({1, -1}, 0); // i - j
+    transform::PolyStmt ineq = base;
+    ineq.sched.domain.addInequality(diagonal);
+    variants.emplace_back("row as an inequality", ineq);
+    transform::PolyStmt eq = base;
+    eq.sched.domain.addEquality(diagonal);
+    variants.emplace_back("same row as an equality", eq);
+    transform::PolyStmt shifted = base;
+    poly::LinearExpr col = base.accesses[1].map.result(1);
+    col.setConstantTerm(col.constantTerm() - 1);
+    shifted.accesses[1].map.setResult(1, col);
+    variants.emplace_back("access constant term", shifted);
+    // One more loop of a single trip: the domain and every transformed
+    // access map range over three dims.
+    transform::PolyStmt wider = base;
+    wider.sched.domain = base.sched.domain.withDimsInserted(2, {"k"});
+    wider.sched.domain.addDimBounds(2, 0, 0);
+    wider.sched.origMap = base.sched.origMap.withDomainDimsInserted(2, {"k"});
+    wider.sched.betas.push_back(0);
+    wider.sched.hwPerDim.resize(3);
+    variants.emplace_back("access maps over one more dim", wider);
+
     transform::clearDependenceMemo();
     EXPECT_EQ(memoized(base), direct(base));
     EXPECT_EQ(memoizedCarried(base), directCarried(base));

@@ -15,6 +15,7 @@
 #include "hls/count.h"
 #include "hls/estimator.h"
 #include "lower/lower.h"
+#include "transform/poly_stmt.h"
 #include "workloads/workloads.h"
 
 namespace {
@@ -61,6 +62,66 @@ TEST(HlsCount, TiledDomain)
     s.addDimBounds(1, 0, 7);
     s.addInequality(poly::LinearExpr({-8, -1}, 29));
     EXPECT_EQ(countPoints(s), 30);
+}
+
+/** gemm's (i, j, k) statement at @p size, as the search starts it. */
+transform::PolyStmt
+gemmStmt(std::int64_t size)
+{
+    auto w = makeByName("gemm", size);
+    return lower::extractStmts(w->func()).at(0);
+}
+
+TEST(HlsCount, SplitHugeWithPartialTile)
+{
+    // i split by 3 at 4096: 1366 tiles, the last one partial (1 of 3
+    // points), so the tile level is walked; the count stays 4096^3.
+    transform::PolyStmt s = gemmStmt(4096);
+    transform::split(s, "i", 3, "i0", "i1");
+    EXPECT_EQ(countPoints(s.sched.domain), 4096LL * 4096 * 4096);
+    // round(4096 / 1366) = 3.
+    EXPECT_EQ(hls::avgTrips(s.sched.domain),
+              (std::vector<std::int64_t>{1366, 3, 4096, 4096}));
+}
+
+TEST(HlsCount, TiledHugeWithPartialTiles)
+{
+    // (i, j) tiled by (3, 5) at 4096: ceil(4096/3) = 1366 and
+    // ceil(4096/5) = 820 tiles, both with a partial last tile. Prefix
+    // counts: 1366, 1366*820, 4096*820, 4096^2, 4096^3.
+    transform::PolyStmt s = gemmStmt(4096);
+    transform::tile(s, "i", "j", 3, 5, "i0", "j0", "i1", "j1");
+    EXPECT_EQ(countPoints(s.sched.domain), 4096LL * 4096 * 4096);
+    // Rounded ratios: 4096*820/(1366*820) = 2.998 -> 3 and
+    // 4096^2/(4096*820) = 4.995 -> 5.
+    EXPECT_EQ(hls::avgTrips(s.sched.domain),
+              (std::vector<std::int64_t>{1366, 820, 3, 5, 4096}));
+}
+
+TEST(HlsCount, SkewedHuge)
+{
+    // j skewed by f*i at 4096 for f = 1, 2: f*i <= j' <= f*i + 4095, a
+    // parallelogram whose every row keeps 4096 points.
+    for (std::int64_t f : {1, 2}) {
+        SCOPED_TRACE(f);
+        transform::PolyStmt s = gemmStmt(4096);
+        transform::skew(s, "i", "j", f, "i", "jp");
+        EXPECT_EQ(countPoints(s.sched.domain), 4096LL * 4096 * 4096);
+        EXPECT_EQ(hls::avgTrips(s.sched.domain),
+                  (std::vector<std::int64_t>{4096, 4096, 4096}));
+    }
+}
+
+TEST(HlsCount, TriangleHuge)
+{
+    // 0 <= j <= i <= 4095: 4096*4097/2 points; the mean row width
+    // 4097/2 rounds to 2049.
+    poly::IntegerSet s({"i", "j"});
+    s.addDimBounds(0, 0, 4095);
+    s.addInequality(poly::LinearExpr({0, 1}, 0));  // j >= 0
+    s.addInequality(poly::LinearExpr({1, -1}, 0)); // i - j >= 0
+    EXPECT_EQ(countPoints(s), 4096LL * 4097 / 2);
+    EXPECT_EQ(hls::avgTrips(s), (std::vector<std::int64_t>{4096, 2049}));
 }
 
 /**

@@ -1,13 +1,17 @@
 /**
  * @file
- * Tests for the one estimate cache key, hls::nodeFingerprint():
- * canonicality (same node -> same key), sensitivity to everything a
- * NodeReport depends on, insensitivity to what the combiner applies
- * afterwards (device budget, sharing mode), the keys a cold greedy
- * search stores on every workload against
- * golden/node_key_digests.txt, and a concurrent first-writer-wins
- * stress case for the sanitizer CI job. Hit/miss accounting is covered
- * by content_cache_test.
+ * Tests for the one estimate cache key, hls::NodeKey: canonicality
+ * (same node -> same key), sensitivity to everything a NodeReport
+ * depends on, insensitivity to what the combiner applies afterwards
+ * (device budget, sharing mode), the keys a cold greedy search stores
+ * on every workload against golden/node_key_digests.txt, and a
+ * concurrent first-writer-wins stress case for the sanitizer CI job.
+ * Hit/miss accounting is covered by content_cache_test.
+ *
+ * The staged key is held to the one-shot key it replaced, kept here as
+ * the reference (referenceFingerprint()): print the whole key text,
+ * then hash it with both FNV-1a-64 states. Every Fingerprint.* variant
+ * computes both and requires them equal.
  *
  * Regenerate the golden table (only for an intended key change, which
  * also invalidates every `--cache-dir` spill) with
@@ -18,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -25,6 +30,7 @@
 #include "golden_digests.h"
 #include "hls/node_cache.h"
 #include "lower/lower.h"
+#include "support/version.h"
 #include "transform/poly_stmt.h"
 #include "workloads/workloads.h"
 
@@ -39,11 +45,70 @@ gemmStmts(std::int64_t size)
     return lower::extractStmts(w->func());
 }
 
-/** Node key of all of @p stmts as one unit. */
+// ----- the reference: the one-shot text-then-hash key -------------------
+
+/** One array's banking as seen by a node: name, banks, complete. */
+struct NodeArrayBanking
+{
+    std::string array;
+    std::int64_t banks = 1;
+    bool complete = false;
+};
+
+void
+opCostsFingerprintTo(std::ostream &os, const hls::OpCosts &c)
+{
+    os << "costs " << c.faddLat << " " << c.fmulLat << " " << c.fdivLat
+       << " " << c.fcmpLat << " " << c.iaddLat << " " << c.imulLat << " "
+       << c.loadLat << " " << c.storeLat << " " << c.faddDsp << " "
+       << c.faddLut << " " << c.faddFf << " " << c.fmulDsp << " "
+       << c.fmulLut << " " << c.fmulFf << " " << c.fdivDsp << " "
+       << c.fdivLut << " " << c.fdivFf << " " << c.fcmpDsp << " "
+       << c.fcmpLut << " " << c.fcmpFf << " " << c.iaddDsp << " "
+       << c.iaddLut << " " << c.iaddFf << " " << c.imulDsp << " "
+       << c.imulLut << " " << c.imulFf << " " << c.loopCtrlLut << " "
+       << c.loopCtrlFf << " " << c.bankMuxLut << " "
+       << c.pipelineRegFfPerCopy << "\n";
+}
+
+/**
+ * The key text -- format stamp, @p funcDigest, the member schedule
+ * fragments, the bankings (sorted by array name) and the cost table --
+ * hashed whole with FNV-1a-64 from two offset bases.
+ */
+std::string
+referenceFingerprint(const std::string &funcDigest,
+                     const std::vector<const std::string *> &memberFragments,
+                     const std::vector<NodeArrayBanking> &arrays,
+                     const hls::OpCosts &costs)
+{
+    std::ostringstream os;
+    os << support::kNodeCacheFormatName << " " << support::kVersionString
+       << "\n";
+    os << "func\n" << funcDigest << "\n";
+    for (const std::string *fragment : memberFragments)
+        os << *fragment;
+    for (const auto &a : arrays) {
+        os << "arr " << a.array << " banks=" << a.banks
+           << " complete=" << (a.complete ? 1 : 0) << "\n";
+    }
+    opCostsFingerprintTo(os, costs);
+    const std::string text = os.str();
+    return support::hex16(support::fnv1a64(text.data(), text.size())) +
+           support::hex16(support::fnv1a64(text.data(), text.size(),
+                                           0x6c62272e07bb0142ull));
+}
+
+// ----- tests --------------------------------------------------------------
+
+/**
+ * Node key of all of @p stmts as one unit, built in stages as the DSE
+ * engine builds it; must equal the reference's.
+ */
 std::string
 keyOf(const std::string &funcDigest,
       const std::vector<transform::PolyStmt> &stmts,
-      const std::vector<hls::NodeArrayBanking> &arrays,
+      const std::vector<NodeArrayBanking> &arrays,
       const hls::OpCosts &costs = {})
 {
     std::vector<std::string> fragments;
@@ -52,10 +117,20 @@ keyOf(const std::string &funcDigest,
     std::vector<const std::string *> members;
     for (const auto &f : fragments)
         members.push_back(&f);
-    return hls::nodeFingerprint(funcDigest, members, arrays, costs);
+    const std::string reference =
+        referenceFingerprint(funcDigest, members, arrays, costs);
+
+    hls::NodeKey key = hls::NodeKey::ofFunction(funcDigest);
+    for (const auto &s : stmts)
+        key.addSchedule(s);
+    for (const auto &a : arrays)
+        key.addBanking(a.array, {a.banks, a.complete});
+    const std::string staged = key.finish(hls::opCostsLine(costs));
+    EXPECT_EQ(staged, reference) << "the staged key left the reference";
+    return staged;
 }
 
-const std::vector<hls::NodeArrayBanking> kPlain = {
+const std::vector<NodeArrayBanking> kPlain = {
     {"A", 1, false}, {"B", 1, false}, {"C", 1, false}};
 
 TEST(Fingerprint, DeterministicAcrossExtractions)
@@ -89,6 +164,11 @@ TEST(Fingerprint, SensitiveToEveryObservableInput)
     // Cyclic vs complete partitioning at the same bank count.
     banked[2].complete = true;
     EXPECT_NE(keyOf("f", base, banked), cyclic);
+
+    // A bank count of several digits.
+    auto wide = kPlain;
+    wide[0].banks = 4096;
+    EXPECT_NE(keyOf("f", base, wide), ref);
 
     // The function digest distinguishes different programs.
     EXPECT_NE(keyOf("g", base, kPlain), ref);

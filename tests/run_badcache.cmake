@@ -4,7 +4,7 @@
 # degrades exactly as documented.
 #
 #   cmake -DPOMC=<pomc> -DWORK_DIR=<dir>
-#         -DCASE=corrupt|truncated|version -P run_badcache.cmake
+#         -DCASE=corrupt|truncated|version|fifo -P run_badcache.cmake
 #
 # CASE=corrupt    flip one byte inside a spilled object: the warm run
 #                 must skip the entry with a warning, exit 0 and print
@@ -12,6 +12,9 @@
 # CASE=truncated  keep only the first half of an object: same contract.
 # CASE=version    stamp the index with a stale version: the warm run
 #                 must fail cleanly with a format/version mismatch.
+# CASE=fifo       replace the index with a FIFO that has no writer: the
+#                 warm run must not block opening it, but fail cleanly
+#                 with an error that names the index.
 #
 # Stdout is compared without the `toolchain:` line (wall-clock) and the
 # `cache:` line (hit/miss counts differ between a cold and a warm run).
@@ -44,7 +47,14 @@ if(NOT EXISTS "${cache_dir}/nodes.index")
 endif()
 
 # Damage the spill according to CASE.
-if(CASE STREQUAL "version")
+if(CASE STREQUAL "fifo")
+    file(REMOVE "${cache_dir}/nodes.index")
+    execute_process(COMMAND mkfifo "${cache_dir}/nodes.index"
+        RESULT_VARIABLE fifo_rc)
+    if(NOT fifo_rc EQUAL 0)
+        message(FATAL_ERROR "mkfifo failed (rc=${fifo_rc})")
+    endif()
+elseif(CASE STREQUAL "version")
     file(READ "${cache_dir}/nodes.index" index_text)
     string(FIND "${index_text}" "\n" eol)
     string(SUBSTRING "${index_text}" ${eol} -1 index_rest)
@@ -78,14 +88,25 @@ else()
     endif()
 endif()
 
-# Warm run against the damaged spill.
+# Warm run against the damaged spill; a blocked open is a failure, not
+# a hang.
 execute_process(
     COMMAND ${POMC} ${run_args}
     OUTPUT_VARIABLE warm_out
     ERROR_VARIABLE warm_err
-    RESULT_VARIABLE warm_rc)
+    RESULT_VARIABLE warm_rc
+    TIMEOUT 20)
 
-if(CASE STREQUAL "version")
+if(CASE STREQUAL "fifo")
+    if(warm_rc EQUAL 0 OR NOT warm_rc MATCHES "^[0-9]+$")
+        message(FATAL_ERROR
+            "a FIFO index must be a clean load error (rc=${warm_rc})")
+    endif()
+    if(NOT warm_err MATCHES "nodes.index' is not a readable regular file")
+        message(FATAL_ERROR
+            "expected an error naming the index, got:\n${warm_err}")
+    endif()
+elseif(CASE STREQUAL "version")
     if(warm_rc EQUAL 0)
         message(FATAL_ERROR
             "stale index version was accepted; expected a clean failure")
