@@ -276,9 +276,9 @@ NodeKey::ofFunction(const std::string &funcDigest)
 {
     NodeKey key;
     key.fold(cacheFormatHeader());
-    key.fold("func\n", 5);
+    key.fold("func\n");
     key.fold(funcDigest);
-    key.fold("\n", 1);
+    key.fold("\n");
     return key;
 }
 
@@ -296,11 +296,11 @@ NodeKey::addBanking(const std::string &array, const ArrayBanking &banking)
     char banks[24];
     char *end =
         std::to_chars(banks, banks + sizeof(banks), banking.banks).ptr;
-    fold("arr ", 4);
+    fold("arr ");
     fold(array);
-    fold(" banks=", 7);
-    fold(banks, static_cast<std::size_t>(end - banks));
-    fold(banking.complete ? " complete=1\n" : " complete=0\n", 12);
+    fold(" banks=");
+    fold({banks, static_cast<std::size_t>(end - banks)});
+    fold(banking.complete ? " complete=1\n" : " complete=0\n");
 }
 
 std::string
@@ -312,10 +312,10 @@ NodeKey::finish(const std::string &costLine) const
 }
 
 void
-NodeKey::fold(const char *data, std::size_t size)
+NodeKey::fold(std::string_view bytes)
 {
-    lo_ = support::fnv1a64(data, size, lo_);
-    hi_ = support::fnv1a64(data, size, hi_);
+    lo_ = support::fnv1a64(bytes.data(), bytes.size(), lo_);
+    hi_ = support::fnv1a64(bytes.data(), bytes.size(), hi_);
 }
 
 std::string

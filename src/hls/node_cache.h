@@ -55,6 +55,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "hls/estimator.h"
@@ -99,8 +100,7 @@ class NodeKey
     std::string finish(const std::string &costLine) const;
 
   private:
-    void fold(const char *data, std::size_t size);
-    void fold(const std::string &text) { fold(text.data(), text.size()); }
+    void fold(std::string_view bytes);
 
     std::uint64_t lo_ = support::kFnvOffset64;
     /** The high word of the FNV-1a-128 basis: any constant distinct

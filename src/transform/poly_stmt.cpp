@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 
 #include "obs/obs.h"
 #include "support/cache_store.h"
@@ -221,9 +220,7 @@ dependenceMemo()
 void
 putInt(std::string &key, std::int64_t v)
 {
-    char bytes[sizeof(v)];
-    std::memcpy(bytes, &v, sizeof(v));
-    key.append(bytes, sizeof(v));
+    key.append(reinterpret_cast<const char *>(&v), sizeof(v));
 }
 
 /** Append @p text to a memo key, prefixed with its length. */
