@@ -14,11 +14,14 @@
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <map>
 #include <sstream>
 #include <thread>
 #include <vector>
 
 #include "baselines/baselines.h"
+#include "golden_digests.h"
 #include "hls/node_cache.h"
 #include "obs/journal.h"
 #include "service/client.h"
@@ -241,6 +244,104 @@ TEST(Protocol, PrometheusExpositionIsWellFormed)
         std::strtod(line.c_str() + space + 1, &end);
         EXPECT_EQ(*end, '\0') << line;
     }
+}
+
+/**
+ * One frame of every shape the daemon and its clients send, each named
+ * for the golden file: requests without and with every compile field,
+ * and compile, busy, error and stats replies.
+ */
+std::vector<std::pair<std::string, std::string>>
+sampleFrames()
+{
+    std::vector<std::pair<std::string, std::string>> frames;
+    for (const char *method : {"ping", "stats", "shutdown"}) {
+        service::Request req;
+        req.method = method;
+        frames.emplace_back(std::string("request-") + method,
+                            service::encodeRequest(req));
+    }
+    service::Request compile = compileRequest("gemm", 4096, "v2");
+    compile.framework = "scalehls";
+    compile.strategy = "anneal";
+    compile.resourceFraction = 0.1; // %.17g: 0.10000000000000001
+    compile.emit = true;
+    frames.emplace_back("request-compile", service::encodeRequest(compile));
+
+    service::Response reply;
+    reply.requestId = 17;
+    reply.reportLine = "latency=4198401 cycles, DSP=60 (27%)";
+    reply.notes = "DSE: 12 points";
+    reply.seconds = 1.0 / 3.0;
+    reply.latencyCycles = 4198401;
+    reply.dsp = 60;
+    reply.bramBits = 1048576;
+    reply.lut = 14000;
+    reply.ff = 9000;
+    reply.journalText =
+        "{\"schema\": \"pom-dse-journal/v1\", \"events\": [\n]}\n";
+    reply.hlsC = "void gemm(float A[4][4]) {\n\t#pragma HLS pipeline\n}\n";
+    reply.cacheHits = 5;
+    reply.cacheMisses = 2;
+    frames.emplace_back("response-compile", service::encodeResponse(reply));
+
+    service::Response busy;
+    busy.status = "busy";
+    busy.retryAfterMs = 150;
+    frames.emplace_back("response-busy", service::encodeResponse(busy));
+
+    service::Response failed;
+    failed.status = "error";
+    failed.error = "unknown workload 'nope'";
+    failed.requestId = 3;
+    frames.emplace_back("response-error", service::encodeResponse(failed));
+
+    service::Response stats;
+    stats.statsFrame = true;
+    stats.requestsServed = 9;
+    stats.cacheHits = 6;
+    stats.cacheMisses = 2;
+    stats.queueDepth = 1;
+    stats.queueDepthMax = 5;
+    stats.uptimeSeconds = 12.25;
+    stats.cacheHitRate = 0.75;
+    stats.nodeCacheHits = 40;
+    stats.nodeCacheMisses = 8;
+    stats.nodeCacheSize = 48;
+    stats.nodeCacheLoaded = 11;
+    stats.nodeCacheHitRate = 40.0 / 48.0;
+    stats.nodeCacheEvictions = 1;
+    stats.queueWaitMs = {4, 10.5, 0.5, 2.0, 8.0, 8.0};
+    stats.serviceMs = {4, 1000.1, 100.0, 400.0, 900.0, 901.5};
+    frames.emplace_back("response-stats", service::encodeResponse(stats));
+    return frames;
+}
+
+TEST(Protocol, FramesMatchTheGolden)
+{
+    // The exact payload bytes of every frame shape: key order, number
+    // spelling and which keys a frame carries are part of the protocol.
+    const std::string path = golden::goldenPath("protocol_frames.txt");
+    const auto frames = sampleFrames();
+    if (golden::updatingGoldens()) {
+        std::ofstream out(path);
+        out << "# encodeRequest/encodeResponse payloads: <name> <frame>\n";
+        for (const auto &[name, frame] : frames)
+            out << name << " " << frame << "\n";
+        ASSERT_TRUE(out.good()) << path;
+        return;
+    }
+    std::map<std::string, std::string> golden;
+    std::ifstream in(path);
+    std::string line;
+    while (std::getline(in, line)) {
+        std::size_t space = line.find(' ');
+        if (!line.empty() && line[0] != '#' && space != std::string::npos)
+            golden[line.substr(0, space)] = line.substr(space + 1);
+    }
+    ASSERT_EQ(golden.size(), frames.size()) << path;
+    for (const auto &[name, frame] : frames)
+        EXPECT_EQ(frame, golden[name]) << name;
 }
 
 TEST(Protocol, MalformedPayloadsAreErrors)
