@@ -261,10 +261,11 @@ TEST(StrategyFrontier, InvariantsHoldOnRealSearches)
         ASSERT_FALSE(res.frontier.empty()) << dse::strategyName(kind);
         for (size_t i = 0; i < res.frontier.size(); ++i) {
             for (size_t j = 0; j < res.frontier.size(); ++j) {
-                if (i != j)
+                if (i != j) {
                     EXPECT_FALSE(dominates(res.frontier[i],
                                            res.frontier[j]))
                         << dse::strategyName(kind);
+                }
             }
         }
         ASSERT_FALSE(res.frontierRounds.empty());
