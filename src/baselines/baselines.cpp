@@ -4,6 +4,7 @@
 #include <chrono>
 #include <map>
 #include <optional>
+#include <utility>
 
 #include "graph/dependence_graph.h"
 #include "hls/count.h"
@@ -273,6 +274,61 @@ runPom(dsl::Function &func, const BaselineOptions &options)
     result.pointCacheHits = dres.pointCacheHits;
     result.pointCacheMisses = dres.pointCacheMisses;
     return result;
+}
+
+namespace {
+
+constexpr std::pair<const char *, Framework> kFrameworks[] = {
+    {"pom", Framework::Pom},       {"scalehls", Framework::ScaleHls},
+    {"polsca", Framework::Polsca}, {"pluto", Framework::Pluto},
+    {"none", Framework::None},
+};
+
+} // namespace
+
+const char *
+frameworkName(Framework framework)
+{
+    for (const auto &[name, value] : kFrameworks) {
+        if (value == framework)
+            return name;
+    }
+    return "none";
+}
+
+std::string
+frameworkNames()
+{
+    std::string names;
+    for (const auto &[name, value] : kFrameworks)
+        names += (names.empty() ? "" : ", ") + std::string(name);
+    return names;
+}
+
+bool
+parseFramework(const std::string &name, Framework &out)
+{
+    for (const auto &[known, value] : kFrameworks) {
+        if (name == known) {
+            out = value;
+            return true;
+        }
+    }
+    return false;
+}
+
+BaselineResult
+runFramework(Framework framework, dsl::Function &func,
+             const BaselineOptions &options)
+{
+    switch (framework) {
+      case Framework::Pom: return runPom(func, options);
+      case Framework::ScaleHls: return runScaleHlsLike(func, options);
+      case Framework::Polsca: return runPolscaLike(func, options);
+      case Framework::Pluto: return runPlutoLike(func, options);
+      case Framework::None: break;
+    }
+    return runUnoptimized(func);
 }
 
 } // namespace pom::baselines

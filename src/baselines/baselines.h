@@ -66,6 +66,33 @@ struct BaselineOptions
     dse::StrategyKind strategy = dse::StrategyKind::Greedy;
 };
 
+/** The frameworks a compile can run: `pomc --framework`/`--dse` and
+ *  the `framework` of a pomd compile frame. */
+enum class Framework
+{
+    Pom,
+    ScaleHls,
+    Polsca,
+    Pluto,
+    None, ///< the unoptimized input
+};
+
+/** Canonical lower-case name of a framework ("pom" | ...). */
+const char *frameworkName(Framework framework);
+
+/** Comma-separated list of valid framework names (for error messages). */
+std::string frameworkNames();
+
+/**
+ * Parse a framework name. Returns false on an unknown name -- callers
+ * must treat that as a hard error (never fall back to a default).
+ */
+bool parseFramework(const std::string &name, Framework &out);
+
+/** Run @p framework on @p func: the one dispatch over the runners below. */
+BaselineResult runFramework(Framework framework, dsl::Function &func,
+                            const BaselineOptions &options = {});
+
 /** The input program without any optimization. */
 BaselineResult runUnoptimized(dsl::Function &func);
 

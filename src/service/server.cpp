@@ -282,27 +282,18 @@ Server::compileResponse(const Request &request, std::int64_t requestId)
                          "' (valid: " + dse::strategyNames() + ")";
         return response;
     }
+    baselines::Framework framework;
+    if (!baselines::parseFramework(request.framework, framework)) {
+        response.status = "error";
+        response.error = "unknown framework '" + request.framework +
+                         "' (valid: " + baselines::frameworkNames() + ")";
+        return response;
+    }
 
     auto workload =
         workloads::makeByName(request.workload, request.size);
-    baselines::BaselineResult result;
-    if (request.framework == "pom") {
-        result = baselines::runPom(workload->func(), options);
-    } else if (request.framework == "scalehls") {
-        result = baselines::runScaleHlsLike(workload->func(), options);
-    } else if (request.framework == "polsca") {
-        result = baselines::runPolscaLike(workload->func(), options);
-    } else if (request.framework == "pluto") {
-        result = baselines::runPlutoLike(workload->func(), options);
-    } else if (request.framework == "none") {
-        result = baselines::runUnoptimized(workload->func());
-    } else {
-        response.status = "error";
-        response.error =
-            "unknown framework '" + request.framework +
-            "' (valid: pom, scalehls, polsca, pluto, none)";
-        return response;
-    }
+    baselines::BaselineResult result =
+        baselines::runFramework(framework, workload->func(), options);
 
     auto device =
         hls::Device::xc7z020().scaled(request.resourceFraction);

@@ -16,4 +16,5 @@ if(at EQUAL -1)
     message(FATAL_ERROR "${FLAG} '${VALUE}': message does not name the "
         "flag:\n${err}")
 endif()
-message("USAGE_ERROR_OK")
+# The tool's message too, for a ctest that pins its text.
+message("${err}USAGE_ERROR_OK")

@@ -208,7 +208,7 @@ main(int argc, char **argv)
     std::string name;
     std::int64_t size = 1024;
     bool size_set = false;
-    std::string framework = "none";
+    baselines::Framework framework = baselines::Framework::None;
     double fraction = 1.0;
     bool want_emit = false, want_ast = false, want_dsl = false;
     bool want_verify = false, want_timing = false;
@@ -298,9 +298,18 @@ main(int argc, char **argv)
         } else if (arg == "--verbose" || arg == "-v") {
             support::setDiagLevel(support::DiagLevel::Debug);
         } else if (arg == "--dse") {
-            framework = "pom";
+            framework = baselines::Framework::Pom;
         } else if (arg == "--framework" && a + 1 < argc) {
-            framework = argv[++a];
+            // As --strategy: an unknown name never falls back silently.
+            const std::string text = argv[++a];
+            if (!baselines::parseFramework(text, framework)) {
+                std::fprintf(stderr,
+                             "pomc: --framework: unknown framework '%s' "
+                             "(valid: %s)\n",
+                             text.c_str(),
+                             baselines::frameworkNames().c_str());
+                return 2;
+            }
         } else if (arg == "--resources" && a + 1 < argc) {
             fraction = doubleArg("--resources", argv[++a]);
             if (fraction <= 0.0 || fraction > 1.0) {
@@ -455,7 +464,7 @@ main(int argc, char **argv)
                          "--frontier-out\n");
             return 2;
         }
-        if (!frontier_out.empty() && framework != "pom") {
+        if (!frontier_out.empty() && framework != baselines::Framework::Pom) {
             std::fprintf(stderr, "pomc: --frontier-out requires a POM "
                                  "DSE run (--dse or --framework pom)\n");
             return 2;
@@ -465,7 +474,7 @@ main(int argc, char **argv)
         req.method = "compile";
         req.workload = name;
         req.size = size;
-        req.framework = framework;
+        req.framework = baselines::frameworkName(framework);
         req.strategy = dse::strategyName(strategy);
         req.resourceFraction = fraction;
         req.emit = want_emit;
@@ -494,8 +503,8 @@ main(int argc, char **argv)
         }
         std::printf("workload:  %s (size %lld)\n", name.c_str(),
                     static_cast<long long>(size));
-        std::printf("framework: %s (%s)\n", framework.c_str(),
-                    resp.notes.c_str());
+        std::printf("framework: %s (%s)\n",
+                    baselines::frameworkName(framework), resp.notes.c_str());
         std::printf("report:    %s\n", resp.reportLine.c_str());
         std::printf("toolchain: %.2f s (daemon at %s)\n", resp.seconds,
                     connect_sock.c_str());
@@ -670,25 +679,13 @@ main(int argc, char **argv)
         opt.resourceFraction = fraction;
         opt.strategy = strategy;
 
-        if (!frontier_out.empty() && framework != "pom") {
+        if (!frontier_out.empty() && framework != baselines::Framework::Pom) {
             std::fprintf(stderr, "pomc: --frontier-out requires a POM "
                                  "DSE run (--dse or --framework pom)\n");
             return 2;
         }
 
-        if (framework == "pom") {
-            result = baselines::runPom(w->func(), opt);
-        } else if (framework == "scalehls") {
-            result = baselines::runScaleHlsLike(w->func(), opt);
-        } else if (framework == "polsca") {
-            result = baselines::runPolscaLike(w->func(), opt);
-        } else if (framework == "pluto") {
-            result = baselines::runPlutoLike(w->func(), opt);
-        } else if (framework == "none") {
-            result = baselines::runUnoptimized(w->func());
-        } else {
-            return usage(argv[0]);
-        }
+        result = baselines::runFramework(framework, w->func(), opt);
 
         if (!frontier_out.empty() &&
             !obs::writeFile(frontier_out,
@@ -702,7 +699,8 @@ main(int argc, char **argv)
         auto device = hls::Device::xc7z020().scaled(fraction);
         std::printf("workload:  %s (size %lld)\n", name.c_str(),
                     static_cast<long long>(size));
-        std::printf("framework: %s (%s)\n", framework.c_str(),
+        std::printf("framework: %s (%s)\n",
+                    baselines::frameworkName(framework),
                     result.notes.c_str());
         std::printf("report:    %s\n", result.report.str(device).c_str());
         hls::publishReportGauges(result.report);
