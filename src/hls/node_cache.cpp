@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cinttypes>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -13,10 +11,39 @@
 #include <unistd.h>
 
 #include "support/diagnostics.h"
-#include "support/string_util.h"
+#include "support/record.h"
 #include "support/version.h"
 
 namespace pom::hls {
+
+// The spill's field tables (support/record.h): a node report and each
+// of its pipelined loops, in entry order.
+
+template <support::RecordOf<LoopReport> R, typename Visit>
+void
+visitFields(R &l, Visit &&visit)
+{
+    visit("iter", l.iterName);
+    visit("trip", l.trip);
+    visit("target_ii", l.targetII);
+    visit("achieved_ii", l.achievedII);
+    visit("latency_cycles", l.latency);
+    visit("rec_mii", l.recMII);
+    visit("res_mii", l.resMII);
+}
+
+template <support::RecordOf<NodeReport> R, typename Visit>
+void
+visitFields(R &n, Visit &&visit)
+{
+    visit("nest", n.nest);
+    visit("latency_cycles", n.latencyCycles);
+    visit("dsp", n.resources.dsp);
+    visit("lut", n.resources.lut);
+    visit("ff", n.resources.ff);
+    visit("bram_bits", n.resources.bramBits);
+    visit("loops", n.loops);
+}
 
 namespace {
 
@@ -28,7 +55,7 @@ constexpr char kObjectsName[] = "nodes";     ///< <hash>: one entry
 
 // ----- spill-format helpers ----------------------------------------------
 
-/** "pom-node-cache/1 <version>\n": first line of every spill file. */
+/** "pom-node-cache/2 <version>\n": first line of every spill file. */
 std::string
 cacheFormatHeader()
 {
@@ -47,12 +74,13 @@ sealCacheEntry(const std::string &body)
 
 /**
  * Validate the trailing checksum and the version-stamped header of a
- * sealed entry. On success @p bodyStart points just past the header
- * line. On failure @p error gets "missing checksum line", "checksum
- * mismatch (corrupt entry)" or a format/version mismatch diagnostic.
+ * sealed entry. On success @p record is the text between the header
+ * line and the checksum line. On failure @p error gets "missing
+ * checksum line", "checksum mismatch (corrupt entry)" or a
+ * format/version mismatch diagnostic.
  */
 bool
-openCacheEntry(const std::string &text, std::size_t &bodyStart,
+openCacheEntry(const std::string &text, std::string &record,
                std::string &error)
 {
     error.clear();
@@ -86,71 +114,23 @@ openCacheEntry(const std::string &text, std::size_t &bodyStart,
                 "', this build is '" + expect + "'";
         return false;
     }
-    bodyStart = nl + 1;
+    record = text.substr(nl + 1, sum_at - nl - 1);
     return true;
 }
 
-/** Cursor over an entry text: strict line-oriented reads. */
-struct CacheEntryReader
+/** One spill entry's record: the full key and its node reports. */
+struct Entry
 {
-    const std::string &text;
-    std::size_t pos = 0;
-    std::string error = {};
-
-    bool
-    fail(const std::string &what)
-    {
-        if (error.empty())
-            error = what + " at offset " + std::to_string(pos);
-        return false;
-    }
-
-    /** Read up to the next '\n' (consumed, not returned). */
-    bool
-    line(std::string &out)
-    {
-        std::size_t nl = text.find('\n', pos);
-        if (nl == std::string::npos)
-            return fail("truncated entry (missing newline)");
-        out = text.substr(pos, nl - pos);
-        pos = nl + 1;
-        return true;
-    }
-
-    /** Read exactly @p n raw bytes plus a trailing '\n'. */
-    bool
-    raw(std::size_t n, std::string &out)
-    {
-        if (pos + n + 1 > text.size() || text[pos + n] != '\n')
-            return fail("truncated raw block");
-        out = text.substr(pos, n);
-        pos += n + 1;
-        return true;
-    }
+    std::string key;
+    std::vector<NodeReport> nodes;
 };
 
-/** sscanf a single %SCNu64-style field out of @p line. */
-bool
-scanU64(const std::string &line, const char *fmt, std::uint64_t &out)
+template <support::RecordOf<Entry> R, typename Visit>
+void
+visitFields(R &e, Visit &&visit)
 {
-    return std::sscanf(line.c_str(), fmt, &out) == 1;
-}
-
-/** Parse "<len>:<name>" at the front of @p rest; true on success. */
-bool
-splitNamed(const std::string &rest, std::string &name, std::string &tail)
-{
-    std::size_t colon = rest.find(':');
-    if (colon == std::string::npos)
-        return false;
-    std::int64_t n = 0;
-    if (!support::parseInt64(rest.substr(0, colon), n) || n < 0 ||
-        colon + 1 + static_cast<std::size_t>(n) > rest.size()) {
-        return false;
-    }
-    name = rest.substr(colon + 1, static_cast<std::size_t>(n));
-    tail = rest.substr(colon + 1 + static_cast<std::size_t>(n));
-    return true;
+    visit("key", e.key);
+    visit("nodes", e.nodes);
 }
 
 /** Write @p content to @p path via a temp file + rename (atomic). */
@@ -342,27 +322,10 @@ std::string
 encodeNodeCacheEntry(const std::string &key,
                      const std::vector<NodeReport> &nodes)
 {
-    std::ostringstream os;
-    os << cacheFormatHeader();
-    os << "key " << key.size() << "\n" << key << "\n";
-    os << "nodes " << nodes.size() << "\n";
-    for (const auto &n : nodes) {
-        os << "node " << n.nest.size() << ":" << n.nest
-           << " latency=" << n.latencyCycles
-           << " dsp=" << n.resources.dsp << " lut=" << n.resources.lut
-           << " ff=" << n.resources.ff
-           << " bram=" << n.resources.bramBits << "\n";
-        os << "loops " << n.loops.size() << "\n";
-        for (const auto &l : n.loops) {
-            os << "loop " << l.iterName.size() << ":" << l.iterName
-               << " trip=" << l.trip
-               << " target=" << (l.targetII ? std::to_string(*l.targetII)
-                                            : std::string("none"))
-               << " achieved=" << l.achievedII << " latency=" << l.latency
-               << " rec=" << l.recMII << " res=" << l.resMII << "\n";
-        }
-    }
-    return sealCacheEntry(os.str());
+    std::string body = cacheFormatHeader();
+    support::writeRecord(body, Entry{key, nodes});
+    body += '\n';
+    return sealCacheEntry(body);
 }
 
 bool
@@ -371,84 +334,16 @@ decodeNodeCacheEntry(const std::string &text, std::string &key,
 {
     error.clear();
     nodes.clear();
-
-    std::size_t body = 0;
-    if (!openCacheEntry(text, body, error))
+    std::string record;
+    support::JsonValue doc;
+    Entry entry;
+    if (!openCacheEntry(text, record, error) ||
+        !support::parseJson(record, doc, error) ||
+        !support::readRecord(doc, entry, error)) {
         return false;
-
-    CacheEntryReader r{text, body};
-    std::string ln;
-    auto fail = [&](const std::string &what) {
-        error = r.error.empty() ? what : r.error;
-        return false;
-    };
-
-    if (!r.line(ln) || ln.rfind("key ", 0) != 0)
-        return fail("missing key line");
-    std::int64_t key_len = 0;
-    if (!support::parseInt64(ln.substr(4), key_len) || key_len < 0)
-        return fail("malformed key length");
-    if (!r.raw(static_cast<std::size_t>(key_len), key))
-        return fail("truncated key");
-
-    std::uint64_t node_count = 0;
-    if (!r.line(ln) || !scanU64(ln, "nodes %" SCNu64, node_count))
-        return fail("missing nodes count");
-    if (node_count > 1000000)
-        return fail("implausible node count");
-    for (std::uint64_t i = 0; i < node_count; ++i) {
-        if (!r.line(ln) || ln.rfind("node ", 0) != 0)
-            return fail("missing node line");
-        NodeReport node;
-        std::string tail;
-        if (!splitNamed(ln.substr(5), node.nest, tail))
-            return fail("malformed node name");
-        unsigned long long latency = 0;
-        long long bram = 0;
-        if (std::sscanf(tail.c_str(),
-                        " latency=%llu dsp=%d lut=%d ff=%d bram=%lld",
-                        &latency, &node.resources.dsp,
-                        &node.resources.lut, &node.resources.ff,
-                        &bram) != 5) {
-            return fail("malformed node line");
-        }
-        node.latencyCycles = latency;
-        node.resources.bramBits = bram;
-
-        std::uint64_t loop_count = 0;
-        if (!r.line(ln) || !scanU64(ln, "loops %" SCNu64, loop_count))
-            return fail("missing loops count");
-        if (loop_count > 1000000)
-            return fail("implausible loop count");
-        for (std::uint64_t j = 0; j < loop_count; ++j) {
-            if (!r.line(ln) || ln.rfind("loop ", 0) != 0)
-                return fail("missing loop line");
-            LoopReport loop;
-            std::string loop_tail;
-            if (!splitNamed(ln.substr(5), loop.iterName, loop_tail))
-                return fail("malformed loop name");
-            char target[32] = {0};
-            long long trip = 0;
-            unsigned long long lat = 0;
-            if (std::sscanf(loop_tail.c_str(),
-                            " trip=%lld target=%31s achieved=%d "
-                            "latency=%llu rec=%d res=%d",
-                            &trip, target, &loop.achievedII, &lat,
-                            &loop.recMII, &loop.resMII) != 6) {
-                return fail("malformed loop line");
-            }
-            loop.trip = trip;
-            loop.latency = lat;
-            if (std::string(target) != "none") {
-                std::int64_t t = 0;
-                if (!support::parseInt64(target, t))
-                    return fail("malformed target II");
-                loop.targetII = static_cast<int>(t);
-            }
-            node.loops.push_back(std::move(loop));
-        }
-        nodes.push_back(std::move(node));
     }
+    key = std::move(entry.key);
+    nodes = std::move(entry.nodes);
     return true;
 }
 

@@ -30,6 +30,15 @@
  *   <dir>/nodes.index         list of entry hashes (atomic rewrite)
  *   <dir>/nodes/<hash>        one entry: full key + node reports
  *
+ * An entry is three parts: the stamp line, one JSON record
+ * {"key": ..., "nodes": [{"nest", "latency_cycles", "dsp", "lut", "ff",
+ * "bram_bits", "loops": [{"iter", "trip", "target_ii" (null or n),
+ * "achieved_ii", "latency_cycles", "rec_mii", "res_mii"}]}]} written and
+ * read through the field tables of support/record.h, and the checksum
+ * line. A value of the wrong type or out of its field's range (a
+ * negative latency, a DSP count past INT_MAX) fails the entry like a
+ * bad checksum does.
+ *
  * The spill follows these conventions:
  *
  *  - FNV-1a-64 content hashes of the keys, printed as 16 lowercase hex
@@ -37,7 +46,7 @@
  *    (anything else, and any object that is not a regular file, is
  *    skipped with a warning -- an index line can never name another
  *    path),
- *  - a first line "pom-node-cache/1 <version>" stamping every entry
+ *  - a first line "pom-node-cache/2 <version>" stamping every entry
  *    and the index (a mismatch is a clean load error, never misread
  *    bytes),
  *  - a trailing "sum <hex16>" checksum line over the entry body (a
@@ -115,7 +124,9 @@ std::string opCostsLine(const OpCosts &costs);
 std::string encodeNodeCacheEntry(const std::string &key,
                                  const std::vector<NodeReport> &nodes);
 
-/** Parse an entry produced by encodeNodeCacheEntry(). */
+/** Parse an entry produced by encodeNodeCacheEntry(); false with
+ *  @p error on a bad stamp or checksum, malformed JSON, or a field of
+ *  the wrong type or range (the error names the field). */
 bool decodeNodeCacheEntry(const std::string &text, std::string &key,
                           std::vector<NodeReport> &nodes,
                           std::string &error);

@@ -1,186 +1,67 @@
 #include "obs/journal.h"
 
-#include <algorithm>
-#include <limits>
-#include <sstream>
-#include <type_traits>
-#include <utility>
-
-#include "support/json.h"
+#include "support/record.h"
 
 namespace pom::obs {
 
-namespace {
+// Each journal record's JSON keys, in emission order, paired with the
+// field they carry (support/record.h): the emitter and the parser both
+// walk these tables.
 
-using support::JsonValue;
-
-/**
- * Each journal record's JSON keys, in emission order, paired with the
- * field they carry. The emitter writes and the parser reads through
- * this one list, so the two cannot drift apart. @p R is the record
- * type, const when writing.
- */
-template <typename R, typename Visit>
+template <support::RecordOf<JournalEntry> R, typename Visit>
 void
 visitFields(R &r, Visit &&visit)
 {
-    using Record = std::remove_const_t<R>;
-    if constexpr (std::is_same_v<Record, JournalEntry>) {
-        visit("kind", r.kind);
-        visit("phase", r.phase);
-        visit("point", r.point);
-        visit("detail", r.detail);
-        visit("primitives", r.primitives);
-        visit("latency_cycles", r.latencyCycles);
-        visit("dsp", r.dsp);
-        visit("bram_bits", r.bramBits);
-        visit("lut", r.lut);
-        visit("ff", r.ff);
-        visit("verdict", r.verdict);
-        visit("reason", r.reason);
-    } else if constexpr (std::is_same_v<Record, FrontierPoint>) {
-        visit("point", r.point);
-        visit("primitives", r.primitives);
-        visit("latency_cycles", r.latencyCycles);
-        visit("dsp", r.dsp);
-        visit("bram_bits", r.bramBits);
-        visit("lut", r.lut);
-    } else {
-        static_assert(std::is_same_v<Record, FrontierRound>);
-        visit("round", r.round);
-        visit("strategy", r.strategy);
-        visit("points", r.points);
-    }
+    visit("kind", r.kind);
+    visit("phase", r.phase);
+    visit("point", r.point);
+    visit("detail", r.detail);
+    visit("primitives", r.primitives);
+    visit("latency_cycles", r.latencyCycles);
+    visit("dsp", r.dsp);
+    visit("bram_bits", r.bramBits);
+    visit("lut", r.lut);
+    visit("ff", r.ff);
+    visit("verdict", r.verdict);
+    visit("reason", r.reason);
 }
 
-template <typename R>
-void writeRecords(std::ostream &os, const std::vector<R> &records,
-                  const std::string &indent);
-
-/** @p r as one JSON object on one line; @p indent is that line's. */
-template <typename R>
+template <support::RecordOf<FrontierPoint> R, typename Visit>
 void
-writeRecord(std::ostream &os, const R &r, const std::string &indent)
+visitFields(R &r, Visit &&visit)
 {
-    const char *sep = "{";
-    visitFields(r, [&](const char *key, const auto &value) {
-        os << sep << '"' << key << "\": ";
-        sep = ", ";
-        using T = std::decay_t<decltype(value)>;
-        if constexpr (std::is_same_v<T, std::string>)
-            os << support::jsonQuote(value);
-        else if constexpr (std::is_integral_v<T>)
-            os << value;
-        else
-            writeRecords(os, value, indent);
-    });
-    os << '}';
+    visit("point", r.point);
+    visit("primitives", r.primitives);
+    visit("latency_cycles", r.latencyCycles);
+    visit("dsp", r.dsp);
+    visit("bram_bits", r.bramBits);
+    visit("lut", r.lut);
 }
 
-/** A JSON array with one record per line, two spaces past @p indent. */
-template <typename R>
+template <support::RecordOf<FrontierRound> R, typename Visit>
 void
-writeRecords(std::ostream &os, const std::vector<R> &records,
-             const std::string &indent)
+visitFields(R &r, Visit &&visit)
 {
-    os << '[';
-    const char *sep = "\n";
-    for (const R &r : records) {
-        os << sep << indent << "  ";
-        writeRecord(os, r, indent + "  ");
-        sep = ",\n";
-    }
-    os << '\n' << indent << ']';
+    visit("round", r.round);
+    visit("strategy", r.strategy);
+    visit("points", r.points);
 }
+
+namespace {
 
 /** The document header up to and including the "events" array. */
-void
-writeHeader(std::ostream &os, const char *schema,
-            const std::vector<JournalEntry> &entries,
-            std::int64_t requestId)
+std::string
+header(const char *schema, const std::vector<JournalEntry> &entries,
+       std::int64_t requestId)
 {
-    os << "{\"schema\": \"" << schema << "\", ";
+    std::string out = "{\"schema\": \"";
+    out += schema;
+    out += "\", ";
     if (requestId >= 0)
-        os << "\"request\": " << requestId << ", ";
-    os << "\"events\": ";
-    writeRecords(os, entries, "");
-}
-
-bool
-readValue(const JsonValue &v, const char *key, std::string &out,
-          std::string &error)
-{
-    if (!v.isString()) {
-        error = std::string("field '") + key + "' must be a string";
-        return false;
-    }
-    out = v.text;
-    return true;
-}
-
-/**
- * An integer literal that fits @p out. A double (`2.0`, `1e3`, an
- * integer past int64) or a value that would narrow is an error that
- * names the key, never a silent conversion.
- */
-template <typename T>
-    requires std::is_integral_v<T>
-bool
-readValue(const JsonValue &v, const char *key, T &out, std::string &error)
-{
-    if (v.kind != JsonValue::Kind::Int || !std::in_range<T>(v.integer)) {
-        error = std::string("field '") + key +
-                "' must be an integer in [" +
-                std::to_string(std::numeric_limits<T>::min()) + ", " +
-                std::to_string(std::min<std::uint64_t>(
-                    std::numeric_limits<T>::max(),
-                    std::numeric_limits<std::int64_t>::max())) +
-                "]";
-        return false;
-    }
-    out = static_cast<T>(v.integer);
-    return true;
-}
-
-template <typename R>
-bool readValue(const JsonValue &v, const char *key, std::vector<R> &out,
-               std::string &error);
-
-/** Fill @p r from the object @p v: every known key present is read and
- *  checked; unknown keys are ignored, so minor versions stay readable. */
-template <typename R>
-bool
-readRecord(const JsonValue &v, R &r, std::string &error)
-{
-    if (!v.isObject()) {
-        error = "a journal record is not a JSON object";
-        return false;
-    }
-    bool ok = true;
-    visitFields(r, [&](const char *key, auto &field) {
-        const JsonValue *value = v.find(key);
-        if (ok && value != nullptr)
-            ok = readValue(*value, key, field, error);
-    });
-    return ok;
-}
-
-/** An array of records. */
-template <typename R>
-bool
-readValue(const JsonValue &v, const char *key, std::vector<R> &out,
-          std::string &error)
-{
-    if (v.kind != JsonValue::Kind::Array) {
-        error = std::string("field '") + key + "' must be an array";
-        return false;
-    }
-    out.assign(v.items.size(), R());
-    for (size_t i = 0; i < out.size(); ++i) {
-        if (!readRecord(v.items[i], out[i], error))
-            return false;
-    }
-    return true;
+        out += "\"request\": " + std::to_string(requestId) + ", ";
+    out += "\"events\": ";
+    support::writeRecords(out, entries, "");
+    return out;
 }
 
 } // namespace
@@ -189,10 +70,7 @@ std::string
 journalJson(const std::vector<JournalEntry> &entries,
             std::int64_t requestId)
 {
-    std::ostringstream os;
-    writeHeader(os, "pom-dse-journal/v1", entries, requestId);
-    os << "}\n";
-    return os.str();
+    return header("pom-dse-journal/v1", entries, requestId) + "}\n";
 }
 
 std::string
@@ -200,12 +78,11 @@ journalJsonV2(const std::vector<JournalEntry> &entries,
               const std::vector<FrontierRound> &rounds,
               std::int64_t requestId)
 {
-    std::ostringstream os;
-    writeHeader(os, "pom-dse-journal/v2", entries, requestId);
-    os << ",\n\"frontier\": ";
-    writeRecords(os, rounds, "");
-    os << "}\n";
-    return os.str();
+    std::string out = header("pom-dse-journal/v2", entries, requestId);
+    out += ",\n\"frontier\": ";
+    support::writeRecords(out, rounds, "");
+    out += "}\n";
+    return out;
 }
 
 bool
@@ -222,34 +99,34 @@ parseJournalJson(const std::string &text, std::vector<JournalEntry> &out,
 {
     out.clear();
     rounds.clear();
-    JsonValue doc;
+    support::JsonValue doc;
     if (!support::parseJson(text, doc, error))
         return false;
     if (!doc.isObject()) {
         error = "the document is not a JSON object";
         return false;
     }
-    const JsonValue *schema = doc.find("schema");
+    const support::JsonValue *schema = doc.find("schema");
     if (schema == nullptr) {
         error = "missing schema tag";
         return false;
     }
     std::string tag;
-    if (!readValue(*schema, "schema", tag, error))
+    if (!support::readValue(*schema, "schema", tag, error))
         return false;
     if (tag != "pom-dse-journal/v1" && tag != "pom-dse-journal/v2") {
         error = "unsupported schema '" + tag + "'";
         return false;
     }
-    const JsonValue *events = doc.find("events");
+    const support::JsonValue *events = doc.find("events");
     if (events == nullptr) {
         error = "missing events array";
         return false;
     }
-    const JsonValue *frontier = doc.find("frontier");
-    return readValue(*events, "events", out, error) &&
+    const support::JsonValue *frontier = doc.find("frontier");
+    return support::readValue(*events, "events", out, error) &&
            (frontier == nullptr ||
-            readValue(*frontier, "frontier", rounds, error));
+            support::readValue(*frontier, "frontier", rounds, error));
 }
 
 } // namespace pom::obs

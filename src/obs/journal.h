@@ -27,10 +27,11 @@
  * round. v1 documents remain parseable; the parser accepts both.
  *
  * Both documents are built from the records a DseResult carries (see
- * dse::DseResult::journal); there is no process-wide collector. The
- * parser is a schema walker over the support::parseJson document model,
- * so journals share the wire protocol's one JSON reader: it checks each
- * known key's type and range and names the key it rejects.
+ * dse::DseResult::journal); there is no process-wide collector. Each
+ * record type has one field table, which the emitter and the parser
+ * walk through support/record.h -- the codec of the wire frames and the
+ * node-cache spill too: the parser checks each known key's type and
+ * range and names the key it rejects.
  */
 
 #ifndef POM_OBS_JOURNAL_H
@@ -118,9 +119,9 @@ std::string journalJsonV2(const std::vector<JournalEntry> &entries,
  * keys are ignored so minor-version documents stay readable. Returns
  * false -- with @p error describing the first problem -- on malformed
  * JSON, a wrong schema tag, or a known key whose value has the wrong
- * type or does not fit its field: integers must be integer literals,
- * `point` and `round` must fit an int, and `latency_cycles` must not
- * be negative.
+ * type or does not fit its field: an integer field takes any exact
+ * integral value (`2.0` reads as 2, `2.5` is an error), `point` and
+ * `round` must fit an int, and `latency_cycles` must not be negative.
  */
 bool parseJournalJson(const std::string &text,
                       std::vector<JournalEntry> &out, std::string &error);

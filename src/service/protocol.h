@@ -8,10 +8,14 @@
  * Every message carries the sender's POM version
  * (support::kVersionString); the daemon rejects a mismatched client
  * with a clean "version mismatch" error instead of guessing at field
- * semantics. Unknown JSON fields are ignored on both sides, so
- * same-version minor extensions stay compatible; a compile frame's
- * `jobs` key, which older clients send as a per-request worker
- * override, is ignored the same way (a compile runs on one thread).
+ * semantics. Frames are written and read through one field table per
+ * record (support/record.h). Unknown JSON fields are ignored on both
+ * sides, so same-version minor extensions stay compatible; a compile
+ * frame's `jobs` key, which older clients send as a per-request worker
+ * override, is ignored the same way (a compile runs on one thread). A
+ * known field of the wrong type or out of its range (`"resources":
+ * "0.25"`, `"emit": "yes"`, `"size": 2.5`) makes the frame an error
+ * that names the field.
  *
  * Methods:
  *  - "ping"     liveness + version probe.
@@ -39,6 +43,8 @@
 #include <cstdint>
 #include <string>
 
+#include "support/version.h"
+
 namespace pom::service {
 
 /** Upper bound on one frame (a journal for a deep DSE is ~1 MB). */
@@ -47,8 +53,8 @@ inline constexpr std::size_t kMaxFrameBytes = 64u << 20;
 /** One client request. */
 struct Request
 {
-    std::string version; ///< sender's support::kVersionString
-    std::string method;  ///< ping | stats | compile | shutdown
+    std::string version = support::kVersionString; ///< the sender's
+    std::string method; ///< ping | stats | compile | shutdown
 
     // -- compile --
     std::string workload;            ///< workloads::makeByName name
@@ -77,7 +83,7 @@ struct HistogramWire
 /** One daemon response. */
 struct Response
 {
-    std::string version;         ///< daemon's support::kVersionString
+    std::string version = support::kVersionString; ///< the daemon's
     std::string status = "ok";   ///< ok | error | busy
     std::string error;           ///< status "error": what went wrong
     int retryAfterMs = 0;        ///< status "busy": back-off hint
@@ -108,8 +114,8 @@ struct Response
     std::int64_t cacheMisses = 0;
 
     // -- stats frames only (statsFrame == true) --
-    bool statsFrame = false; ///< not wire-encoded; set when the frame
-                             ///< carries the fields below
+    bool statsFrame = false; ///< the frame carries the fields below;
+                             ///< decoding sets it on requests_served
     std::int64_t requestsServed = 0;
     std::int64_t queueDepth = 0;
     std::int64_t queueDepthMax = 0; ///< high-water mark since start
@@ -129,9 +135,10 @@ struct Response
 std::string encodeRequest(const Request &request);
 std::string encodeResponse(const Response &response);
 
-/** Parse a frame payload; false + @p error on malformed JSON or a
- *  missing method/status field. Does NOT check the version -- the
- *  server does that so it can answer with a proper error response. */
+/** Parse a frame payload; false + @p error on malformed JSON, a known
+ *  field of the wrong type or range, or a missing method/status field.
+ *  Does NOT check the version -- the server does that so it can answer
+ *  with a proper error response. */
 bool decodeRequest(const std::string &text, Request &out,
                    std::string &error);
 bool decodeResponse(const std::string &text, Response &out,

@@ -260,7 +260,7 @@ class Parser
 } // namespace
 
 const JsonValue *
-JsonValue::find(const std::string &key) const
+JsonValue::find(std::string_view key) const
 {
     if (kind != Kind::Object)
         return nullptr;
@@ -269,12 +269,6 @@ JsonValue::find(const std::string &key) const
             return &value;
     }
     return nullptr;
-}
-
-std::string
-JsonValue::asString(const std::string &fallback) const
-{
-    return kind == Kind::String ? text : fallback;
 }
 
 std::optional<std::int64_t>
@@ -288,28 +282,6 @@ JsonValue::exactInt() const
         number >= -9223372036854775808.0 && number < 9223372036854775808.0)
         return static_cast<std::int64_t>(number);
     return std::nullopt;
-}
-
-std::int64_t
-JsonValue::asInt(std::int64_t fallback) const
-{
-    return exactInt().value_or(fallback);
-}
-
-double
-JsonValue::asDouble(double fallback) const
-{
-    if (kind == Kind::Double)
-        return number;
-    if (kind == Kind::Int)
-        return static_cast<double>(integer);
-    return fallback;
-}
-
-bool
-JsonValue::asBool(bool fallback) const
-{
-    return kind == Kind::Bool ? boolean : fallback;
 }
 
 bool

@@ -1,15 +1,16 @@
 /**
  * @file
- * A minimal JSON document model for the compile-service wire protocol
- * (service/protocol.h). Parses the full JSON value grammar -- objects,
- * arrays, strings, numbers, booleans, null -- into a small DOM with
- * strict errors: bounded nesting depth, overflow-checked integers, and
- * no trailing garbage. Object member order is preserved so encoders
- * can emit canonical documents.
+ * A minimal JSON document model for everything POM reads from outside
+ * the process; support/record.h reads typed records out of it. Parses
+ * the full JSON value grammar -- objects, arrays, strings, numbers,
+ * booleans, null -- into a small DOM with strict errors: bounded
+ * nesting depth, overflow-checked integers, and no trailing garbage.
+ * Object member order is preserved.
  *
  * This is intentionally not a general-purpose JSON library: documents
- * are protocol messages of at most a few megabytes, so the DOM favours
- * simplicity (one struct, value semantics) over allocation tricks.
+ * are frames, journals and spill entries of at most a few megabytes, so
+ * the DOM favours simplicity (one struct, value semantics) over
+ * allocation tricks.
  */
 
 #ifndef POM_SUPPORT_JSON_H
@@ -18,6 +19,7 @@
 #include <cstdint>
 #include <string>
 #include <optional>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -49,7 +51,7 @@ struct JsonValue
     bool isString() const { return kind == Kind::String; }
 
     /** Member lookup (first match); null when absent or not an object. */
-    const JsonValue *find(const std::string &key) const;
+    const JsonValue *find(std::string_view key) const;
 
     /**
      * The value as an int64: an Int, or a Double that is finite,
@@ -57,13 +59,6 @@ struct JsonValue
      * and integers too large for int64, which parse as Double, do not).
      */
     std::optional<std::int64_t> exactInt() const;
-
-    // Typed accessors with defaults for optional protocol fields.
-    std::string asString(const std::string &fallback = "") const;
-    /** exactInt(), or @p fallback when there is none. */
-    std::int64_t asInt(std::int64_t fallback = 0) const;
-    double asDouble(double fallback = 0.0) const;
-    bool asBool(bool fallback = false) const;
 };
 
 /**

@@ -10,8 +10,11 @@
  *    seeing a different version reports a clean format error instead of
  *    misreading bytes).
  *
- * Bump it whenever the wire protocol or the cache entry format changes
- * shape; old daemons/caches then fail loudly rather than corrupt.
+ * Bump the version, or the format name below, whenever the wire
+ * protocol or the cache entry format changes shape; old daemons and
+ * caches then fail loudly rather than corrupt. Reading more leniently
+ * is not a change of shape: every reader goes through support/record.h,
+ * which takes any exact integral value (`2.0` too) for an integer field.
  */
 
 #ifndef POM_SUPPORT_VERSION_H
@@ -25,8 +28,9 @@ inline constexpr char kVersionString[] = "0.7.0";
 /** Wire protocol identifier (service/protocol.h frames). */
 inline constexpr char kProtocolName[] = "pom-service/1";
 
-/** On-disk per-node report-cache entry/index format identifier. */
-inline constexpr char kNodeCacheFormatName[] = "pom-node-cache/1";
+/** On-disk per-node report-cache entry/index format identifier. /2:
+ *  an entry's body is one JSON record (hls/node_cache.h). */
+inline constexpr char kNodeCacheFormatName[] = "pom-node-cache/2";
 
 } // namespace pom::support
 

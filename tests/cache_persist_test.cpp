@@ -10,14 +10,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <thread>
 #include <vector>
 
 #include "baselines/baselines.h"
 #include "hls/node_cache.h"
+#include "mutation.h"
 #include "obs/obs.h"
+#include "support/diagnostics.h"
 #include "support/version.h"
 #include "workloads/workloads.h"
 
@@ -61,6 +66,31 @@ sampleNodes()
     empty.nest = "S1";
     empty.latencyCycles = 99;
     return {n, empty};
+}
+
+/** @p body (an entry up to its checksum line) sealed with a valid sum. */
+std::string
+reseal(const std::string &body)
+{
+    return body + "sum " +
+           support::hex16(support::fnv1a64(body.data(), body.size())) + "\n";
+}
+
+/**
+ * @p entry with the first value of @p key replaced by @p value and the
+ * checksum recomputed: damage only the record reader can see.
+ */
+std::string
+withField(const std::string &entry, const std::string &key,
+          const std::string &value)
+{
+    std::string body = entry.substr(0, entry.rfind("sum "));
+    const std::string at = "\"" + key + "\": ";
+    std::size_t start = body.find(at);
+    EXPECT_NE(start, std::string::npos) << key;
+    start += at.size();
+    std::size_t end = body.find_first_of(",}", start);
+    return reseal(body.replace(start, end - start, value));
 }
 
 TEST(CacheEntry, EncodeDecodeRoundTripIsExact)
@@ -120,6 +150,55 @@ TEST(CacheEntry, CorruptByteFailsChecksum)
     std::vector<hls::NodeReport> nodes;
     EXPECT_FALSE(hls::decodeNodeCacheEntry(text, key, nodes, error));
     EXPECT_FALSE(error.empty());
+}
+
+TEST(CacheEntry, OutOfRangeFieldsAreErrorsThatNameThem)
+{
+    // Under a valid checksum these used to load as 2^64 - 5 cycles and
+    // as a DSP count wrapped to 10.
+    const std::string text = hls::encodeNodeCacheEntry("key", sampleNodes());
+    const std::pair<const char *, const char *> fields[] = {
+        {"latency_cycles", "-5"}, {"dsp", "4294967306"},
+        {"target_ii", "\"2\""}, {"trip", "2.5"},
+        {"key", "7"},
+    };
+    for (const auto &[key, value] : fields) {
+        std::string decoded_key, error;
+        std::vector<hls::NodeReport> nodes;
+        EXPECT_FALSE(hls::decodeNodeCacheEntry(withField(text, key, value),
+                                               decoded_key, nodes, error))
+            << key;
+        EXPECT_NE(error.find(std::string("'") + key + "'"),
+                  std::string::npos)
+            << key << ": " << error;
+    }
+}
+
+TEST(CacheEntry, SurvivesSeededMutations)
+{
+    // A spill is read from disk: an edited entry, resealed so the
+    // checksum passes, must decode to an error or to reports that
+    // re-encode to a fixed point.
+    const std::string text = hls::encodeNodeCacheEntry("key", sampleNodes());
+    const std::string body = text.substr(0, text.rfind("sum "));
+    std::uint64_t state = 11;
+    int decoded = 0;
+    for (int edit = 0; edit < 2000; ++edit) {
+        const std::string mutant =
+            reseal(mutation::mutateOnce(body, state));
+        std::string key, error;
+        std::vector<hls::NodeReport> nodes;
+        if (!hls::decodeNodeCacheEntry(mutant, key, nodes, error))
+            continue;
+        ++decoded;
+        const std::string once = hls::encodeNodeCacheEntry(key, nodes);
+        ASSERT_TRUE(hls::decodeNodeCacheEntry(once, key, nodes, error))
+            << "edit " << edit << ": " << error;
+        ASSERT_EQ(hls::encodeNodeCacheEntry(key, nodes), once)
+            << "edit " << edit;
+    }
+    // The stream reaches the record reader, not just the stamp check.
+    EXPECT_GT(decoded, 100);
 }
 
 TEST(CachePersist, ConcurrentStoreAndSpillIsSafe)
@@ -194,6 +273,57 @@ TEST(CachePersist, RealDseWarmStartsFromDisk)
     EXPECT_EQ(cold_result.report.resources.dsp,
               warm_result.report.resources.dsp);
     cache.clear();
+}
+
+TEST(CachePersist, OutOfRangeEntriesAreSkippedAndWarmMatchesCold)
+{
+    std::string dir = scratchDir("range");
+    auto &cache = hls::NodeReportCache::global();
+    cache.clear();
+    auto cold = workloads::makeByName("gemm", 32);
+    auto cold_result = baselines::runPom(cold->func());
+    support::CacheSpillStats save_stats;
+    std::string error;
+    ASSERT_TRUE(cache.saveDir(dir, save_stats, error)) << error;
+    ASSERT_GE(save_stats.written, 2u);
+
+    // Two entries whose checksums pass but whose values do not fit.
+    std::vector<fs::path> objects;
+    for (const auto &f : fs::directory_iterator(dir + "/nodes"))
+        objects.push_back(f.path());
+    std::sort(objects.begin(), objects.end());
+    const std::pair<const char *, const char *> damage[] = {
+        {"latency_cycles", "-5"}, {"dsp", "4294967306"}};
+    for (size_t i = 0; i < 2; ++i) {
+        std::ifstream in(objects[i], std::ios::binary);
+        std::ostringstream text;
+        text << in.rdbuf();
+        in.close();
+        std::ofstream out(objects[i], std::ios::binary | std::ios::trunc);
+        out << withField(text.str(), damage[i].first, damage[i].second);
+    }
+
+    cache.clear();
+    std::ostringstream warnings;
+    support::setDiagStream(&warnings);
+    support::CacheSpillStats load_stats;
+    bool ok = cache.loadDir(dir, load_stats, error);
+    support::setDiagStream(nullptr);
+    ASSERT_TRUE(ok) << error;
+    EXPECT_EQ(load_stats.skipped, 2u);
+    EXPECT_EQ(load_stats.loaded, save_stats.written - 2);
+    for (const char *key : {"'latency_cycles'", "'dsp'"}) {
+        EXPECT_NE(warnings.str().find(key), std::string::npos)
+            << key << " not warned about:\n" << warnings.str();
+    }
+
+    auto warm = workloads::makeByName("gemm", 32);
+    auto warm_result = baselines::runPom(warm->func());
+    const auto device = hls::Device::xc7z020();
+    EXPECT_EQ(warm_result.report.str(device),
+              cold_result.report.str(device));
+    cache.clear();
+    fs::remove_all(dir);
 }
 
 } // namespace

@@ -16,6 +16,7 @@
 
 #include "dse/dse.h"
 #include "hls/node_cache.h"
+#include "mutation.h"
 #include "obs/journal.h"
 #include "obs/obs.h"
 #include "support/diagnostics.h"
@@ -147,14 +148,24 @@ TEST(JournalParser, RejectsMalformedDocuments)
     EXPECT_TRUE(parsed.empty());
 }
 
-/** One splitmix64 step: the same mutation stream on every platform. */
-std::uint64_t
-splitMix64(std::uint64_t &state)
+TEST(JournalParser, IntegerFieldsTakeExactIntegralValues)
 {
-    std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
+    // One codec reads journals, frames and spills: an integer field
+    // takes any exact integral value, and nothing else.
+    std::vector<obs::JournalEntry> parsed;
+    std::string error;
+    const std::string head =
+        "{\"schema\": \"pom-dse-journal/v1\", \"events\": [{\"point\": ";
+    ASSERT_TRUE(obs::parseJournalJson(head + "2.0}]}", parsed, error))
+        << error;
+    ASSERT_EQ(parsed.size(), 1u);
+    EXPECT_EQ(parsed[0].point, 2);
+    for (const char *bad : {"2.5", "\"2\"", "1e400", "null"}) {
+        EXPECT_FALSE(obs::parseJournalJson(head + bad + "}]}", parsed,
+                                           error))
+            << bad;
+        EXPECT_NE(error.find("'point'"), std::string::npos) << error;
+    }
 }
 
 TEST(JournalParser, SurvivesSeededMutations)
@@ -163,8 +174,6 @@ TEST(JournalParser, SurvivesSeededMutations)
     // journal must come back as an error, or as records that re-emit
     // to a fixed point -- never a crash, a hang or a wrapped integer.
     dse::DseResult res = runDse("gemm", 32);
-    const std::string alphabet =
-        "{}[]\":,-+.0123456789eEtruefalsn \\/\n\t" "\x01";
     // This seed's edit 655 of the v2 document makes a latency_cycles
     // value negative: the mutant must be rejected, not wrapped.
     std::uint64_t state = 9;
@@ -187,14 +196,7 @@ TEST(JournalParser, SurvivesSeededMutations)
         }
 
         for (int edit = 0; edit < 1000; ++edit) {
-            std::string mutant = doc;
-            size_t at = splitMix64(state) % mutant.size();
-            char c = alphabet[splitMix64(state) % alphabet.size()];
-            switch (splitMix64(state) % 3) {
-              case 0: mutant[at] = c; break;
-              case 1: mutant.insert(at, 1, c); break;
-              default: mutant.erase(at, 1); break;
-            }
+            const std::string mutant = mutation::mutateOnce(doc, state);
             if (!obs::parseJournalJson(mutant, entries, rounds, error))
                 continue;
             std::string once = emit(entries, rounds);

@@ -473,9 +473,16 @@ TEST(ObsHistogram, JsonRoundTrip)
     auto field = [&doc](const char *key) {
         const support::JsonValue *v = doc.find(key);
         EXPECT_NE(v, nullptr) << key;
-        return v != nullptr ? v->asDouble() : -1.0;
+        if (v == nullptr)
+            return -1.0;
+        // %.17g spells an integral double without a fraction.
+        return v->kind == support::JsonValue::Kind::Int
+                   ? static_cast<double>(v->integer)
+                   : v->number;
     };
-    EXPECT_EQ(field("count"), static_cast<double>(s.count));
+    ASSERT_NE(doc.find("count"), nullptr);
+    EXPECT_EQ(doc.find("count")->exactInt(),
+              static_cast<std::int64_t>(s.count));
     EXPECT_EQ(field("min"), s.min);
     EXPECT_EQ(field("max"), s.max);
     EXPECT_EQ(field("sum"), s.sum);
@@ -490,8 +497,10 @@ TEST(ObsHistogram, JsonRoundTrip)
     std::uint64_t total = 0;
     for (const auto &pair : buckets->items) {
         ASSERT_EQ(pair.items.size(), 2u);
-        read.emplace_back(static_cast<int>(pair.items[0].asInt(-1)),
-                          static_cast<std::uint64_t>(pair.items[1].asInt()));
+        ASSERT_EQ(pair.items[0].kind, support::JsonValue::Kind::Int);
+        ASSERT_EQ(pair.items[1].kind, support::JsonValue::Kind::Int);
+        read.emplace_back(static_cast<int>(pair.items[0].integer),
+                          static_cast<std::uint64_t>(pair.items[1].integer));
         total += read.back().second;
     }
     EXPECT_EQ(read, h.nonzeroBuckets());

@@ -133,4 +133,23 @@ run_trend(2 --history "${history}" --append)         # nothing to fold
 run_trend(1 --history "${history}"
     --metrics "${WORK_DIR}/missing.json" --check)    # unreadable report
 
+# 10. A value that is not a number is a parse error naming the file and
+#     the field, never a silent 0 in a gated sum: in a report, and in a
+#     history record's series.
+write_sweep(strval "\"0.40\"" 0.60 300 500000 100 10)
+sweep_args(args strval)
+run_trend(1 --history "${history}" ${args} --check)
+if(NOT trend_stderr MATCHES "strval_a.json: field 'value' must be a finite number")
+    message(FATAL_ERROR "expected an error naming the report and 'value', "
+        "got:\n${trend_stderr}")
+endif()
+set(bad_history "${WORK_DIR}/bad_history.ndjsonl")
+file(WRITE "${bad_history}" "{\"schema\": \"pom-perf-trend/v1\", \"sha\": \"x\", \"series\": {\"dep.analyses\": \"168\"}}\n")
+sweep_args(args good)
+run_trend(1 --history "${bad_history}" ${args} --check)
+if(NOT trend_stderr MATCHES "bad_history.ndjsonl:1: field 'dep.analyses' must be a finite number")
+    message(FATAL_ERROR "expected an error naming the history line and "
+        "the series, got:\n${trend_stderr}")
+endif()
+
 message(STATUS "pom-trend gate behaves: clean=0, regression=3")

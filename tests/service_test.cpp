@@ -23,6 +23,7 @@
 #include "baselines/baselines.h"
 #include "golden_digests.h"
 #include "hls/node_cache.h"
+#include "mutation.h"
 #include "obs/journal.h"
 #include "service/client.h"
 #include "service/server.h"
@@ -387,6 +388,76 @@ TEST(Protocol, NonIntegerSizeIsAFieldError)
         << error;
 }
 
+TEST(Protocol, MistypedFieldsAreErrorsThatNameThem)
+{
+    // Each of these used to decode to a default or a wrapped value.
+    const std::pair<const char *, const char *> requests[] = {
+        {"resources", "\"0.25\""}, {"emit", "\"yes\""},
+        {"framework", "7"}, {"strategy", "[]"},
+        {"journal", "null"}, {"resources", "1e400"},
+    };
+    for (const auto &[key, value] : requests) {
+        const std::string frame =
+            std::string("{\"method\": \"compile\", \"") + key +
+            "\": " + value + "}";
+        service::Request req;
+        std::string error;
+        EXPECT_FALSE(service::decodeRequest(frame, req, error)) << frame;
+        EXPECT_NE(error.find(std::string("'") + key + "'"),
+                  std::string::npos)
+            << frame << ": " << error;
+    }
+    const std::pair<const char *, const char *> responses[] = {
+        {"retry_after_ms", "10000000000"}, {"latency_cycles", "-1"},
+        {"seconds", "\"0.5\""}, {"cache_hits", "true"},
+        {"queue_wait_ms", "5"}, {"p50", "\"1\""},
+    };
+    for (const auto &[key, value] : responses) {
+        const std::string field = std::string("\"") + key + "\": " + value;
+        const std::string frame =
+            std::string(key) == "p50"
+                ? "{\"status\": \"ok\", \"service_ms\": {" + field + "}}"
+                : "{\"status\": \"ok\", " + field + "}";
+        service::Response resp;
+        std::string error;
+        EXPECT_FALSE(service::decodeResponse(frame, resp, error)) << frame;
+        EXPECT_NE(error.find(std::string("'") + key + "'"),
+                  std::string::npos)
+            << frame << ": " << error;
+    }
+}
+
+TEST(Protocol, SurvivesSeededMutations)
+{
+    // Frames arrive from any local process: a damaged frame must come
+    // back as an error, or as a record that re-encodes to a fixed point.
+    std::uint64_t state = 27;
+    for (const auto &[name, frame] : sampleFrames()) {
+        const bool request = name.rfind("request-", 0) == 0;
+        auto roundTrip = [request](const std::string &text,
+                                   std::string &encoded,
+                                   std::string &error) {
+            service::Request req;
+            service::Response resp;
+            if (request ? !service::decodeRequest(text, req, error)
+                        : !service::decodeResponse(text, resp, error))
+                return false;
+            encoded = request ? service::encodeRequest(req)
+                              : service::encodeResponse(resp);
+            return true;
+        };
+        std::string once, twice, error;
+        for (int edit = 0; edit < 500; ++edit) {
+            const std::string mutant = mutation::mutateOnce(frame, state);
+            if (!roundTrip(mutant, once, error))
+                continue;
+            ASSERT_TRUE(roundTrip(once, twice, error))
+                << name << " edit " << edit << ": " << error;
+            ASSERT_EQ(twice, once) << name << " edit " << edit;
+        }
+    }
+}
+
 TEST(Server, RejectsVersionMismatchCleanly)
 {
     service::Server server(service::ServerOptions{});
@@ -517,6 +588,49 @@ TEST(ServiceSocket, OversizedIntegerFrameGetsAnErrorReply)
     ASSERT_TRUE(service::decodeResponse(reply_text, resp, error)) << error;
     EXPECT_EQ(resp.status, "error");
     EXPECT_NE(resp.error.find("'size'"), std::string::npos) << resp.error;
+    server.stop();
+    loop.join();
+}
+
+TEST(ServiceSocket, MistypedCompileFieldsGetAnErrorReply)
+{
+    service::ServerOptions options;
+    options.socketPath = scratchSocket("mistyped");
+    service::Server server(options);
+    std::string error;
+    ASSERT_TRUE(server.start(error)) << error;
+    std::thread loop([&server]() { server.run(); });
+
+    // Each used to compile: at the full budget, without HLS C, or as
+    // framework "pom".
+    const std::pair<const char *, const char *> fields[] = {
+        {"resources", "\"0.25\""},
+        {"emit", "\"yes\""},
+        {"framework", "7"},
+    };
+    for (const auto &[key, value] : fields) {
+        support::Socket conn =
+            support::connectUnix(options.socketPath, error);
+        ASSERT_TRUE(conn.valid()) << error;
+        ASSERT_TRUE(support::sendFrame(
+            conn,
+            std::string("{\"pom\": \"") + support::kVersionString +
+                "\", \"method\": \"compile\", \"workload\": \"gemm\", "
+                "\"size\": 8, \"" + key + "\": " + value + "}",
+            error))
+            << error;
+        std::string reply_text;
+        ASSERT_TRUE(support::recvFrame(conn, reply_text,
+                                       service::kMaxFrameBytes, error))
+            << error;
+        service::Response resp;
+        ASSERT_TRUE(service::decodeResponse(reply_text, resp, error))
+            << error;
+        EXPECT_EQ(resp.status, "error") << key;
+        EXPECT_NE(resp.error.find(std::string("'") + key + "'"),
+                  std::string::npos)
+            << resp.error;
+    }
     server.stop();
     loop.join();
 }

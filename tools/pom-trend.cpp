@@ -56,7 +56,7 @@
 #include <vector>
 
 #include "obs/obs.h"
-#include "support/json.h"
+#include "support/record.h"
 #include "support/string_util.h"
 #include "support/version.h"
 
@@ -95,6 +95,7 @@ struct SeriesValue
 
 struct TrendRecord
 {
+    std::string schema; ///< as read; recordJson() writes the v1 tag
     std::string sha = "unknown";
     std::string timestamp;
     std::string version;
@@ -123,6 +124,17 @@ struct TrendRecord
         series.push_back({key, value, secondsPerUnit});
     }
 };
+
+/** A history record's header; its series are one number per key. */
+template <pom::support::RecordOf<TrendRecord> R, typename Visit>
+void
+visitFields(R &r, Visit &&visit)
+{
+    visit("schema", r.schema);
+    visit("sha", r.sha);
+    visit("timestamp", r.timestamp);
+    visit("version", r.version);
+}
 
 std::string
 num(double v)
@@ -176,28 +188,25 @@ parseRecord(const std::string &line, TrendRecord &out,
             std::string &error)
 {
     JsonValue doc;
-    if (!pom::support::parseJson(line, doc, error))
+    out = TrendRecord();
+    if (!pom::support::parseJson(line, doc, error) ||
+        !pom::support::readRecord(doc, out, error))
         return false;
-    const JsonValue *schema = doc.find("schema");
-    if (schema == nullptr ||
-        schema->asString() != "pom-perf-trend/v1") {
+    if (out.schema != "pom-perf-trend/v1") {
         error = "record has no pom-perf-trend/v1 schema tag";
         return false;
     }
-    out = TrendRecord();
-    if (const auto *v = doc.find("sha"))
-        out.sha = v->asString();
-    if (const auto *v = doc.find("timestamp"))
-        out.timestamp = v->asString();
-    if (const auto *v = doc.find("version"))
-        out.version = v->asString();
     const JsonValue *series = doc.find("series");
     if (series == nullptr || !series->isObject()) {
         error = "record has no series object";
         return false;
     }
-    for (const auto &[key, value] : series->members)
-        out.series.push_back({key, value.asDouble()});
+    for (const auto &[key, value] : series->members) {
+        out.series.push_back({key, 0.0});
+        if (!pom::support::readValue(value, key.c_str(),
+                                     out.series.back().value, error))
+            return false;
+    }
     return true;
 }
 
@@ -217,6 +226,42 @@ readFile(const std::string &path, std::string &out, std::string &error)
     return true;
 }
 
+/** One entry of a pom-metrics/v1 report, as far as a record reads it. */
+struct MetricEntry
+{
+    std::string name;
+    std::string kind;
+    double value = 0.0; ///< counters, accumulators, gauges
+    double sum = 0.0;   ///< histograms
+    double count = 0.0; ///< histograms
+};
+
+template <pom::support::RecordOf<MetricEntry> R, typename Visit>
+void
+visitFields(R &m, Visit &&visit)
+{
+    visit("name", m.name);
+    visit("kind", m.kind);
+    visit("value", m.value);
+    visit("sum", m.sum);
+    visit("count", m.count);
+}
+
+/** A pom-metrics/v1 report's header. */
+struct MetricsReport
+{
+    std::string schema;
+    std::vector<MetricEntry> metrics;
+};
+
+template <pom::support::RecordOf<MetricsReport> R, typename Visit>
+void
+visitFields(R &r, Visit &&visit)
+{
+    visit("schema", r.schema);
+    visit("metrics", r.metrics);
+}
+
 /** Add one pom-metrics/v1 report to @p record (see the file comment). */
 bool
 foldReport(const std::string &path, TrendRecord &record,
@@ -226,40 +271,33 @@ foldReport(const std::string &path, TrendRecord &record,
     if (!readFile(path, text, error))
         return false;
     JsonValue doc;
-    if (!pom::support::parseJson(text, doc, error)) {
+    MetricsReport report;
+    if (!pom::support::parseJson(text, doc, error) ||
+        !pom::support::readRecord(doc, report, error)) {
         error = path + ": " + error;
         return false;
     }
-    const JsonValue *schema = doc.find("schema");
-    const JsonValue *metrics = doc.find("metrics");
-    if (schema == nullptr || schema->asString() != "pom-metrics/v1" ||
-        metrics == nullptr || metrics->kind != JsonValue::Kind::Array) {
+    if (report.schema != "pom-metrics/v1" || doc.find("metrics") == nullptr) {
         error = path + ": not a pom-metrics/v1 report";
         return false;
     }
-    for (const auto &entry : metrics->items) {
-        const JsonValue *name = entry.find("name");
-        const JsonValue *kind = entry.find("kind");
-        if (name == nullptr || kind == nullptr) {
+    for (const MetricEntry &m : report.metrics) {
+        const std::string &n = m.name;
+        const std::string &k = m.kind;
+        if (n.empty() || k.empty()) {
             error = path + ": metric entry without a name or kind";
             return false;
         }
-        auto field = [&entry](const char *key) {
-            const JsonValue *v = entry.find(key);
-            return v != nullptr ? v->asDouble() : 0.0;
-        };
-        const std::string n = name->asString();
-        const std::string k = kind->asString();
         if (k == "counter") {
-            record.add(n, field("value"), 0.0);
+            record.add(n, m.value, 0.0);
         } else if (k == "accumulator") {
-            record.add(n, field("value"), 1.0);
+            record.add(n, m.value, 1.0);
         } else if (k == "histogram") {
-            record.add(n, field("sum"), 1e-3);
-            record.add(n + ".count", field("count"), 0.0);
+            record.add(n, m.sum, 1e-3);
+            record.add(n + ".count", m.count, 0.0);
         } else if (k == "gauge") {
             if (n == "hls.latency_cycles")
-                record.add(n, field("value"), 0.0);
+                record.add(n, m.value, 0.0);
         } else {
             error = path + ": metric '" + n + "' has unknown kind '" + k +
                     "'";
