@@ -44,6 +44,7 @@
 #ifndef POM_SUPPORT_RECORD_H
 #define POM_SUPPORT_RECORD_H
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <concepts>
@@ -293,6 +294,7 @@ readRecord(const JsonValue &v, R &r, std::string &error)
         if (value == nullptr)
             return;
         ok = readValue(*value, key, field, error);
+        // A mutable bool member, not a condition: it learns the key is here.
         if constexpr ((std::is_same_v<decltype(written), bool &> && ...))
             ((written = true), ...);
     });

@@ -392,14 +392,14 @@ TEST(Protocol, MistypedFieldsAreErrorsThatNameThem)
 {
     // Each of these used to decode to a default or a wrapped value.
     const std::pair<const char *, const char *> requests[] = {
-        {"resources", "\"0.25\""}, {"emit", "\"yes\""},
-        {"framework", "7"}, {"strategy", "[]"},
-        {"journal", "null"}, {"resources", "1e400"},
+        {"resources", R"({"method": "compile", "resources": "0.25"})"},
+        {"resources", R"({"method": "compile", "resources": 1e400})"},
+        {"emit", R"({"method": "compile", "emit": "yes"})"},
+        {"framework", R"({"method": "compile", "framework": 7})"},
+        {"strategy", R"({"method": "compile", "strategy": []})"},
+        {"journal", R"({"method": "compile", "journal": null})"},
     };
-    for (const auto &[key, value] : requests) {
-        const std::string frame =
-            std::string("{\"method\": \"compile\", \"") + key +
-            "\": " + value + "}";
+    for (const auto &[key, frame] : requests) {
         service::Request req;
         std::string error;
         EXPECT_FALSE(service::decodeRequest(frame, req, error)) << frame;
@@ -408,16 +408,14 @@ TEST(Protocol, MistypedFieldsAreErrorsThatNameThem)
             << frame << ": " << error;
     }
     const std::pair<const char *, const char *> responses[] = {
-        {"retry_after_ms", "10000000000"}, {"latency_cycles", "-1"},
-        {"seconds", "\"0.5\""}, {"cache_hits", "true"},
-        {"queue_wait_ms", "5"}, {"p50", "\"1\""},
+        {"retry_after_ms", R"({"status": "busy", "retry_after_ms": 1e10})"},
+        {"latency_cycles", R"({"status": "ok", "latency_cycles": -1})"},
+        {"seconds", R"({"status": "ok", "seconds": "0.5"})"},
+        {"cache_hits", R"({"status": "ok", "cache_hits": true})"},
+        {"queue_wait_ms", R"({"status": "ok", "queue_wait_ms": 5})"},
+        {"p50", R"({"status": "ok", "service_ms": {"p50": "1"}})"},
     };
-    for (const auto &[key, value] : responses) {
-        const std::string field = std::string("\"") + key + "\": " + value;
-        const std::string frame =
-            std::string(key) == "p50"
-                ? "{\"status\": \"ok\", \"service_ms\": {" + field + "}}"
-                : "{\"status\": \"ok\", " + field + "}";
+    for (const auto &[key, frame] : responses) {
         service::Response resp;
         std::string error;
         EXPECT_FALSE(service::decodeResponse(frame, resp, error)) << frame;
