@@ -8,6 +8,7 @@ namespace pom::support {
 
 namespace {
 
+/** Most arrays and objects one value may nest. */
 constexpr int kMaxDepth = 64;
 
 class Parser
@@ -91,24 +92,25 @@ class Parser
               case 'b': out += '\b'; break;
               case 'f': out += '\f'; break;
               case 'u': {
-                if (pos_ + 4 > text_.size())
-                    return fail("truncated \\u escape");
-                unsigned v = 0;
-                for (int i = 0; i < 4; ++i) {
-                    char h = text_[pos_++];
-                    v <<= 4;
-                    if (h >= '0' && h <= '9')
-                        v |= static_cast<unsigned>(h - '0');
-                    else if (h >= 'a' && h <= 'f')
-                        v |= static_cast<unsigned>(h - 'a' + 10);
-                    else if (h >= 'A' && h <= 'F')
-                        v |= static_cast<unsigned>(h - 'A' + 10);
-                    else
-                        return fail("bad \\u escape digit");
+                std::uint32_t cp = 0;
+                if (!parseHex4(cp))
+                    return false;
+                if (cp >= 0xDC00 && cp <= 0xDFFF)
+                    return fail("lone low surrogate in \\u escape");
+                if (cp >= 0xD800 && cp <= 0xDBFF) {
+                    // A high surrogate must be followed by the escape
+                    // of a low one; the pair is one code point.
+                    std::uint32_t low = 0;
+                    if (text_.compare(pos_, 2, "\\u") != 0)
+                        return fail("lone high surrogate in \\u escape");
+                    pos_ += 2;
+                    if (!parseHex4(low))
+                        return false;
+                    if (low < 0xDC00 || low > 0xDFFF)
+                        return fail("lone high surrogate in \\u escape");
+                    cp = 0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
                 }
-                // Protocol strings only escape control codes; encode
-                // the code point as-is for the Latin-1 subset.
-                out += static_cast<char>(v & 0xff);
+                appendUtf8(out, cp);
                 break;
               }
               default:
@@ -116,6 +118,49 @@ class Parser
             }
         }
         return fail("unterminated string");
+    }
+
+    /** The 4 hex digits of a \\u escape at pos_, as @p v. */
+    bool
+    parseHex4(std::uint32_t &v)
+    {
+        if (pos_ + 4 > text_.size())
+            return fail("truncated \\u escape");
+        v = 0;
+        for (int i = 0; i < 4; ++i) {
+            char h = text_[pos_++];
+            v <<= 4;
+            if (h >= '0' && h <= '9')
+                v |= static_cast<std::uint32_t>(h - '0');
+            else if (h >= 'a' && h <= 'f')
+                v |= static_cast<std::uint32_t>(h - 'a' + 10);
+            else if (h >= 'A' && h <= 'F')
+                v |= static_cast<std::uint32_t>(h - 'A' + 10);
+            else
+                return fail("bad \\u escape digit");
+        }
+        return true;
+    }
+
+    /** Append code point @p cp (at most 0x10FFFF) as UTF-8. */
+    static void
+    appendUtf8(std::string &out, std::uint32_t cp)
+    {
+        if (cp < 0x80) {
+            out += static_cast<char>(cp);
+        } else if (cp < 0x800) {
+            out += static_cast<char>(0xC0 | (cp >> 6));
+            out += static_cast<char>(0x80 | (cp & 0x3F));
+        } else if (cp < 0x10000) {
+            out += static_cast<char>(0xE0 | (cp >> 12));
+            out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
+            out += static_cast<char>(0x80 | (cp & 0x3F));
+        } else {
+            out += static_cast<char>(0xF0 | (cp >> 18));
+            out += static_cast<char>(0x80 | ((cp >> 12) & 0x3F));
+            out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
+            out += static_cast<char>(0x80 | (cp & 0x3F));
+        }
     }
 
     bool
@@ -173,16 +218,17 @@ class Parser
         return true;
     }
 
+    /** One value; @p depth counts the arrays and objects around it. */
     bool
     parseValue(JsonValue &out, int depth)
     {
-        if (depth > kMaxDepth)
-            return fail("nesting deeper than " +
-                        std::to_string(kMaxDepth) + " levels");
         skipSpace();
         if (pos_ >= text_.size())
             return fail("expected a value");
         char c = text_[pos_];
+        if ((c == '{' || c == '[') && depth >= kMaxDepth)
+            return fail("nesting deeper than " +
+                        std::to_string(kMaxDepth) + " levels");
         if (c == '"') {
             out.kind = JsonValue::Kind::String;
             return parseString(out.text);

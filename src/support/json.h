@@ -5,7 +5,9 @@
  * the full JSON value grammar -- objects, arrays, strings, numbers,
  * booleans, null -- into a small DOM with strict errors: bounded
  * nesting depth, overflow-checked integers, and no trailing garbage.
- * Object member order is preserved.
+ * A `\u` escape decodes to the UTF-8 bytes of its code point, a
+ * surrogate pair to the one code point it spells; a lone surrogate is
+ * an error. Object member order is preserved.
  *
  * This is intentionally not a general-purpose JSON library: documents
  * are frames, journals and spill entries of at most a few megabytes, so
@@ -50,6 +52,8 @@ struct JsonValue
     bool isObject() const { return kind == Kind::Object; }
     bool isString() const { return kind == Kind::String; }
 
+    bool operator==(const JsonValue &) const = default;
+
     /** Member lookup (first match); null when absent or not an object. */
     const JsonValue *find(std::string_view key) const;
 
@@ -64,8 +68,8 @@ struct JsonValue
 /**
  * Parse @p text into @p out. The whole input must be one JSON value
  * (plus whitespace); returns false with a position-annotated @p error
- * on malformed input, nesting deeper than 64 levels, or integer
- * overflow.
+ * on malformed input (a lone surrogate escape included), more than 64
+ * nested arrays and objects, or integer overflow.
  */
 bool parseJson(const std::string &text, JsonValue &out,
                std::string &error);

@@ -633,6 +633,38 @@ TEST(ServiceSocket, MistypedCompileFieldsGetAnErrorReply)
     loop.join();
 }
 
+TEST(ServiceSocket, EscapedWorkloadNameKeepsEveryCodePoint)
+{
+    // "\u0167emm" used to decode as "gemm" (the code point's low byte
+    // is 'g') and compile.
+    service::ServerOptions options;
+    options.socketPath = scratchSocket("escaped");
+    service::Server server(options);
+    std::string error;
+    ASSERT_TRUE(server.start(error)) << error;
+    std::thread loop([&server]() { server.run(); });
+
+    support::Socket conn = support::connectUnix(options.socketPath, error);
+    ASSERT_TRUE(conn.valid()) << error;
+    ASSERT_TRUE(support::sendFrame(
+        conn,
+        std::string("{\"pom\": \"") + support::kVersionString +
+            R"(", "method": "compile", "workload": "\u0167emm", )"
+            R"("size": 8})",
+        error))
+        << error;
+    std::string reply_text;
+    ASSERT_TRUE(support::recvFrame(conn, reply_text,
+                                   service::kMaxFrameBytes, error))
+        << error;
+    service::Response resp;
+    ASSERT_TRUE(service::decodeResponse(reply_text, resp, error)) << error;
+    EXPECT_EQ(resp.status, "error");
+    EXPECT_EQ(resp.error, "unknown workload '\xC5\xA7" "emm'");
+    server.stop();
+    loop.join();
+}
+
 TEST(ServiceSocket, ConcurrentCompilesMatchOneShotByteForByte)
 {
     hls::NodeReportCache::global().clear();
