@@ -362,17 +362,17 @@ class Engine final : public Search
         auto t0 = std::chrono::steady_clock::now();
         DseResult result;
 
+        std::vector<PolyStmt> stmts = lower::extractStmts(func_);
+
         // Baseline: the unscheduled program.
         {
             obs::Span baseline_span("dse.baseline", "dse");
-            auto plain = lower::lowerUnscheduled(func_);
-            result.baseline = hls::estimate(func_, plain, estOptions());
+            result.baseline = baselineReport(stmts);
             recordPoint("baseline", "(unscheduled)", result.baseline,
                         "info", "unoptimized reference design");
             frontierInsert(result.baseline, "(unscheduled)", points_);
         }
 
-        std::vector<PolyStmt> stmts = lower::extractStmts(func_);
         if (opt_.applyUserDirectives)
             lower::applyDirectives(stmts);
 
@@ -905,24 +905,33 @@ class Engine final : public Search
         if (it != unitMemo_.end())
             return &it->second;
         UnitSchedule us;
-        us.key = keyHead_;
-        std::set<std::string> names;
         size_t min_level = fusedNestMinLevel(base, unit.members);
         for (size_t m : unit.members) {
             PolyStmt stmt = base[m];
             applyParallelSchedule(stmt, unit.degree, opt_.innerUnrollCap,
                                   func_, us.partitions, min_level);
+            us.stmts.push_back(std::move(stmt));
+        }
+        keyUnit(us);
+        return &unitMemo_.emplace(memoKey, std::move(us)).first->second;
+    }
+
+    /** Fill @p us's key and arrays from its scheduled statements. */
+    void
+    keyUnit(UnitSchedule &us) const
+    {
+        us.key = keyHead_;
+        std::set<std::string> names;
+        for (const PolyStmt &stmt : us.stmts) {
             us.key.addSchedule(stmt);
             for (const auto &a : stmt.accesses)
                 names.insert(a.array);
-            us.stmts.push_back(std::move(stmt));
         }
         for (const std::string &name : names) {
             const dsl::Placeholder *p = func_.findPlaceholder(name);
             POM_ASSERT(p != nullptr, "unknown array in DSE");
             us.arrays.push_back(p);
         }
-        return &unitMemo_.emplace(memoKey, std::move(us)).first->second;
     }
 
     /**
@@ -948,14 +957,17 @@ class Engine final : public Search
         return merged;
     }
 
-    /** The node key of @p us under @p partitions' bankings. */
+    /**
+     * The node key of @p us under @p partitions' bankings, or under the
+     * function's own partition directives when it is null.
+     */
     std::string
     nodeKey(const UnitSchedule &us,
-            const hls::PartitionPlan &partitions) const
+            const hls::PartitionPlan *partitions) const
     {
         hls::NodeKey key = us.key;
         for (const dsl::Placeholder *p : us.arrays)
-            key.addBanking(p->name(), hls::effectiveBanking(*p, &partitions));
+            key.addBanking(p->name(), hls::effectiveBanking(*p, partitions));
         return key.finish(costLine_);
     }
 
@@ -986,24 +998,19 @@ class Engine final : public Search
     }
 
     /**
-     * Compose a design point's report from content-addressed per-unit
-     * NodeReports, lowering and estimating only units whose schedule
-     * was never seen. Unit order is beta order, which is exactly the
-     * top-level order of the full AST, so the composed report is
-     * byte-identical to the monolithic path's. The point counts as a
-     * `dse.cache.hits` when every unit came from the node cache, as a
-     * `dse.cache.misses` otherwise, both process-wide and in this
-     * run's DseResult.
+     * The content-addressed NodeReports of @p parts, in order, banked
+     * by @p partitions (the function's own directives when null):
+     * each unit's come from the node cache, or are lowered, estimated
+     * and stored when its key was never seen (counted in
+     * `dse.node_cache.*`). @p allCached is cleared on any miss.
      */
-    hls::SynthesisReport
-    composeReport(
-        const std::vector<const UnitSchedule *> &parts,
-        const hls::PartitionPlan &partitions, obs::Span &span)
+    std::vector<hls::NodeReport>
+    cachedNodes(const std::vector<const UnitSchedule *> &parts,
+                const hls::PartitionPlan *partitions, bool &allCached)
     {
         hls::EstimatorOptions eo = estOptions();
-        eo.partitionOverride = &partitions;
+        eo.partitionOverride = partitions;
         std::vector<hls::NodeReport> nodes;
-        bool allCached = true;
         for (const auto &part : parts) {
             const UnitSchedule &us = *part;
             const std::string key = nodeKey(us, partitions);
@@ -1022,10 +1029,68 @@ class Engine final : public Search
             for (auto &n : fresh)
                 nodes.push_back(std::move(n));
         }
+        return nodes;
+    }
+
+    /**
+     * Compose a design point's report from per-unit NodeReports
+     * (cachedNodes()), lowering and estimating only units whose
+     * schedule was never seen. Unit order is beta order, which is
+     * exactly the top-level order of the full AST, so the composed
+     * report is byte-identical to the monolithic path's. The point
+     * counts as a `dse.cache.hits` when every unit came from the node
+     * cache, as a `dse.cache.misses` otherwise, both process-wide and
+     * in this run's DseResult.
+     */
+    hls::SynthesisReport
+    composeReport(
+        const std::vector<const UnitSchedule *> &parts,
+        const hls::PartitionPlan &partitions, obs::Span &span)
+    {
+        bool allCached = true;
+        std::vector<hls::NodeReport> nodes =
+            cachedNodes(parts, &partitions, allCached);
         obs::counterAdd(allCached ? "dse.cache.hits" : "dse.cache.misses");
         ++(allCached ? pointCacheHits_ : pointCacheMisses_);
         span.arg("cache", allCached ? "hit" : "miss");
+        hls::EstimatorOptions eo = estOptions();
+        eo.partitionOverride = &partitions;
         return hls::combineNodeReports(func_, nodes, eo);
+    }
+
+    /**
+     * The report of the unscheduled design: @p extracted (the
+     * function's statements, no directives applied) under only their
+     * ordering directives, banked as the function's own partition
+     * directives say. Composed per unit from the node cache
+     * (cachedNodes()) like a search point, but not counted as one;
+     * with memoize off, or when the oracle checks every point, the
+     * whole unscheduled design is lowered and estimated instead: the
+     * reference the differential tests hold the composed baseline to.
+     */
+    hls::SynthesisReport
+    baselineReport(const std::vector<PolyStmt> &extracted)
+    {
+        if (!opt_.memoize || opt_.verifyEachPoint) {
+            return hls::estimate(func_, lower::lowerUnscheduled(func_),
+                                 estOptions());
+        }
+        std::vector<PolyStmt> plain = extracted;
+        lower::applyDirectives(plain, /*ordering_only=*/true);
+        std::vector<UnitSchedule> units;
+        for (const Unit &unit : groupUnits(plain)) {
+            UnitSchedule us;
+            for (size_t m : unit.members)
+                us.stmts.push_back(plain[m]);
+            keyUnit(us);
+            units.push_back(std::move(us));
+        }
+        std::vector<const UnitSchedule *> parts;
+        for (const UnitSchedule &us : units)
+            parts.push_back(&us);
+        bool allCached = true;
+        return hls::combineNodeReports(
+            func_, cachedNodes(parts, nullptr, allCached), estOptions());
     }
 
     /**

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "obs/obs.h"
+#include "support/cache_store.h"
 #include "support/diagnostics.h"
 #include "support/math_util.h"
 
@@ -162,7 +164,7 @@ countPoints(const IntegerSet &set)
 }
 
 std::vector<std::int64_t>
-avgTrips(const poly::IntegerSet &set)
+countTrips(const poly::IntegerSet &set)
 {
     std::vector<std::int64_t> counts =
         prefixCounts(projectionChain(set), 1);
@@ -174,6 +176,67 @@ avgTrips(const poly::IntegerSet &set)
         prev = counts[l];
     }
     return trips;
+}
+
+namespace {
+
+using TripMemo = support::ContentCache<std::vector<std::int64_t>>;
+
+/**
+ * The process-wide trip-count memo, in memory only. Creates every
+ * `trips.*` counter at zero so each metrics report has them.
+ */
+TripMemo &
+tripMemo()
+{
+    static TripMemo *memo = [] {
+        obs::counterAdd("trips.counts", 0);
+        obs::counterAdd("trips.memo.hits", 0);
+        obs::counterAdd("trips.memo.evictions", 0);
+        return new TripMemo("trips.memo.evictions", kTripMemoCap);
+    }();
+    return *memo;
+}
+
+/**
+ * The memo key: the dim count, then the constraint rows. Neither the
+ * dim names nor the simplified flag can change a count (the walk reads
+ * neither), so both are left out and renamed or re-simplified copies
+ * of one set share an entry.
+ */
+std::string
+tripKey(const IntegerSet &set)
+{
+    std::string key;
+    const auto n = static_cast<std::int64_t>(set.numDims());
+    key.append(reinterpret_cast<const char *>(&n), sizeof(n));
+    set.appendRowsKey(key);
+    return key;
+}
+
+} // namespace
+
+std::vector<std::int64_t>
+avgTrips(const poly::IntegerSet &set)
+{
+    const std::string key = tripKey(set);
+    TripMemo &memo = tripMemo();
+    if (auto hit = memo.lookup(key)) {
+        obs::counterAdd("trips.memo.hits");
+        return std::move(*hit);
+    }
+    // Two threads missing on one key both count; the count is
+    // deterministic and the first store wins, so callers agree.
+    obs::counterAdd("trips.counts");
+    std::vector<std::int64_t> trips = countTrips(set);
+    memo.store(key, trips);
+    return trips;
+}
+
+void
+clearTripMemo()
+{
+    tripMemo().clear();
 }
 
 } // namespace pom::hls

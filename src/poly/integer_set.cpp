@@ -741,6 +741,23 @@ IntegerSet::simplify()
     simplified_ = true;
 }
 
+void
+IntegerSet::appendRowsKey(std::string &key) const
+{
+    const size_t n = numDims(), s = stride(), m = numConstraints();
+    const auto rows = static_cast<std::int64_t>(m);
+    key.reserve(key.size() + sizeof(rows) +
+                m * ((n + 1) * sizeof(std::int64_t) + 1));
+    key.append(reinterpret_cast<const char *>(&rows), sizeof(rows));
+    for (size_t r = 0; r < m; ++r) {
+        // The coefficients and the constant are adjacent in the row.
+        const std::int64_t *row = rows_.data() + r * s;
+        key.append(reinterpret_cast<const char *>(row),
+                   (n + 1) * sizeof(std::int64_t));
+        key += row[n + 1] == kEquality ? 'E' : 'I';
+    }
+}
+
 std::string
 IntegerSet::str() const
 {

@@ -202,6 +202,15 @@ class IntegerSet
     /** Render as e.g. "{ [i, j] : 0 <= i <= 31 and i + j >= 2 }". */
     std::string str() const;
 
+    /**
+     * Append an exact binary encoding of the constraints to @p key: the
+     * row count, then per row its numDims() coefficients and its
+     * constant as 8 native bytes each and its kind as 'E' or 'I'. The
+     * one row encoder of the memo keys (the dependence views', the trip
+     * counts'); a key that needs the dim names or count adds them.
+     */
+    void appendRowsKey(std::string &key) const;
+
   private:
     /** Columns per row: the coefficients, the constant, the kind. */
     size_t stride() const { return dims_.size() + 2; }

@@ -243,27 +243,21 @@ putNames(std::string &key, const std::vector<std::string> &names)
 /**
  * The memo key: everything the analysis reads, in a binary encoding of
  * exactly the fields the domain and access prints spell out. The
- * domain's dim names, then per constraint row its coefficients, its
- * constant and its kind; then each access in order: its array, its
- * read/write flag, its map's domain dims and per result row the
- * coefficients and the constant. Every name and list is
- * length-prefixed and a row's width is its space's dim count, so the
- * encoding is exact: equal keys mean equal inputs, as with the prints.
+ * domain's dim names, then its constraint rows (appendRowsKey(): per
+ * row the coefficients, the constant and the kind); then each access
+ * in order: its array, its read/write flag, its map's domain dims and
+ * per result row the coefficients and the constant. Every name and
+ * list is length-prefixed and a row's width is its space's dim count,
+ * so the encoding is exact: equal keys mean equal inputs, as with the
+ * prints.
  */
 std::string
 dependenceKey(const poly::IntegerSet &domain,
               const std::vector<poly::Access> &accesses)
 {
     std::string key;
-    const size_t n = domain.numDims();
     putNames(key, domain.dimNames());
-    putInt(key, static_cast<std::int64_t>(domain.numConstraints()));
-    for (size_t r = 0; r < domain.numConstraints(); ++r) {
-        for (size_t d = 0; d < n; ++d)
-            putInt(key, domain.coeff(r, d));
-        putInt(key, domain.constantTerm(r));
-        key += domain.isEquality(r) ? 'E' : 'I';
-    }
+    domain.appendRowsKey(key);
     putInt(key, static_cast<std::int64_t>(accesses.size()));
     for (const auto &a : accesses) {
         putName(key, a.array);

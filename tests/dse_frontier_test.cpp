@@ -18,6 +18,7 @@
 #include "dse/dse.h"
 #include "dse/pareto.h"
 #include "dse/strategy.h"
+#include "hls/count.h"
 #include "hls/node_cache.h"
 #include "obs/journal.h"
 #include "obs/obs.h"
@@ -224,8 +225,8 @@ TEST(FrontierProperty, DominatedAndDuplicateReinsertsAreNoOps)
 // ----- strategies on the real DSE ---------------------------------------
 
 /**
- * One search with the node cache and the dependence memo cleared first
- * so every run does its own work.
+ * One search with the node cache, the dependence memo and the trip
+ * memo cleared first so every run does its own work.
  */
 dse::DseResult
 runDse(const std::string &name, std::int64_t size,
@@ -233,6 +234,7 @@ runDse(const std::string &name, std::int64_t size,
 {
     hls::NodeReportCache::global().clear();
     transform::clearDependenceMemo();
+    hls::clearTripMemo();
     auto w = workloads::makeByName(name, size);
     dse::DseOptions opt;
     opt.strategy = strategy;

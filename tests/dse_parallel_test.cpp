@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "dse/dse.h"
+#include "hls/count.h"
 #include "hls/node_cache.h"
 #include "mutation.h"
 #include "obs/journal.h"
@@ -38,14 +39,15 @@ runDse(const std::string &name, std::int64_t size, bool memoize = true)
 }
 
 /**
- * One search with the node cache and the dependence memo cleared
- * first, so that it does all of its own work.
+ * One search with the node cache, the dependence memo and the trip
+ * memo cleared first, so that it does all of its own work.
  */
 dse::DseResult
 runCold(const std::string &name, std::int64_t size)
 {
     hls::NodeReportCache::global().clear();
     transform::clearDependenceMemo();
+    hls::clearTripMemo();
     return runDse(name, size);
 }
 

@@ -1,20 +1,24 @@
 /**
  * @file
  * Tests for the HLS synthesis estimator substrate: symbolic point
- * counting at paper-scale problem sizes, II computation (recurrence and
+ * counting at paper-scale problem sizes and its process-wide trip-count
+ * memo (exact keys, concurrent callers), II computation (recurrence and
  * resource MII), resource accounting, and sharing modes.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "check/fuzzer.h"
 #include "hls/count.h"
 #include "hls/estimator.h"
 #include "lower/lower.h"
+#include "obs/obs.h"
 #include "transform/poly_stmt.h"
 #include "workloads/workloads.h"
 
@@ -142,11 +146,42 @@ tripsByPrefix(const poly::IntegerSet &set)
     return trips;
 }
 
+/** The trip-count memo's miss and hit counters, in that order. */
+std::vector<std::int64_t>
+tripCounters()
+{
+    return {obs::counterValue("trips.counts"),
+            obs::counterValue("trips.memo.hits")};
+}
+
+/**
+ * @p set's constraints added one by one to a fresh set: the same rows,
+ * never marked simplified.
+ */
+poly::IntegerSet
+sameRowsUnsimplified(const poly::IntegerSet &set)
+{
+    poly::IntegerSet out(set.dimNames());
+    for (size_t r = 0; r < set.numConstraints(); ++r) {
+        poly::Constraint c = set.constraint(r);
+        if (c.isEq)
+            out.addEquality(c.expr);
+        else
+            out.addInequality(c.expr);
+    }
+    return out;
+}
+
 TEST(HlsCount, AvgTripsMatchesPerPrefixFormulaOnFuzzedDomains)
 {
     // Every statement domain of fuzzer-generated schedules (tiles with
     // partial tiles, splits, skews, interchanges) of all workloads, at
     // the fuzzer's size. Small domains are also counted by enumeration.
+    // Each domain is asked twice, on an empty memo: the first call
+    // counts it, the second -- the same rows rebuilt, so a domain a
+    // projection left marked simplified comes back unmarked -- must
+    // hit that entry and still be its own set's answer, which is what
+    // keeps the simplified flag out of the key.
     std::size_t checked = 0, enumerated = 0, skews = 0;
     for (const auto &name : workloads::allNames()) {
         const std::int64_t size = check::defaultFuzzSize(name);
@@ -163,7 +198,14 @@ TEST(HlsCount, AvgTripsMatchesPerPrefixFormulaOnFuzzedDomains)
             for (const auto &stmt : stmts) {
                 const poly::IntegerSet &dom = stmt.sched.domain;
                 SCOPED_TRACE(dom.str());
+                hls::clearTripMemo();
+                const std::vector<std::int64_t> before = tripCounters();
                 EXPECT_EQ(hls::avgTrips(dom), tripsByPrefix(dom));
+                const poly::IntegerSet rebuilt = sameRowsUnsimplified(dom);
+                EXPECT_EQ(hls::avgTrips(rebuilt), tripsByPrefix(rebuilt));
+                EXPECT_EQ(tripCounters(),
+                          (std::vector<std::int64_t>{before[0] + 1,
+                                                     before[1] + 1}));
                 std::int64_t count = countPoints(dom);
                 if (count <= (1 << 16)) {
                     EXPECT_EQ(count,
@@ -177,6 +219,106 @@ TEST(HlsCount, AvgTripsMatchesPerPrefixFormulaOnFuzzedDomains)
     EXPECT_GT(checked, workloads::allNames().size() * 8);
     EXPECT_GT(enumerated, 0u);
     EXPECT_GT(skews, 0u) << "no skewed domain was checked";
+}
+
+TEST(HlsCount, NearlyEqualSetsNeverShareATripEntry)
+{
+    // A triangle, so every variant below changes some level's trips.
+    poly::IntegerSet base({"i", "j"});
+    base.addDimBounds(0, 0, 9);
+    base.addInequality(poly::LinearExpr({0, 1}, 0));  // j >= 0
+    base.addInequality(poly::LinearExpr({1, -1}, 2)); // i - j + 2 >= 0
+    auto triangle = [](const poly::LinearExpr &diagonal, bool isEq) {
+        poly::IntegerSet s({"i", "j"});
+        s.addDimBounds(0, 0, 9);
+        s.addInequality(poly::LinearExpr({0, 1}, 0));
+        if (isEq)
+            s.addEquality(diagonal);
+        else
+            s.addInequality(diagonal);
+        return s;
+    };
+    std::vector<std::pair<std::string, poly::IntegerSet>> variants;
+    variants.emplace_back("coefficient",
+                          triangle(poly::LinearExpr({1, -2}, 2), false));
+    variants.emplace_back("constant",
+                          triangle(poly::LinearExpr({1, -1}, 3), false));
+    variants.emplace_back("row kind",
+                          triangle(poly::LinearExpr({1, -1}, 2), true));
+    // One more loop of a single trip.
+    poly::IntegerSet wider = base.withDimsInserted(2, {"k"});
+    wider.addDimBounds(2, 0, 0);
+    variants.emplace_back("dim count", wider);
+
+    hls::clearTripMemo();
+    const std::vector<std::int64_t> want = hls::countTrips(base);
+    EXPECT_EQ(hls::avgTrips(base), want);
+    for (const auto &[what, set] : variants) {
+        SCOPED_TRACE(what);
+        // Every earlier set is still memoized; this one must miss.
+        const std::vector<std::int64_t> before = tripCounters();
+        EXPECT_NE(hls::countTrips(set), want);
+        EXPECT_EQ(hls::avgTrips(set), hls::countTrips(set));
+        EXPECT_EQ(tripCounters()[0], before[0] + 1);
+    }
+    // The base entry was not overwritten, and dim names are not part
+    // of the key: a renamed copy is answered from it.
+    const std::vector<std::int64_t> before = tripCounters();
+    EXPECT_EQ(hls::avgTrips(base), want);
+    EXPECT_EQ(hls::avgTrips(base.withDimRenamed(1, "jj")), want);
+    EXPECT_EQ(tripCounters(),
+              (std::vector<std::int64_t>{before[0], before[1] + 2}));
+}
+
+TEST(HlsCount, ConcurrentCallersAgree)
+{
+    // Every statement domain of one fuzzed schedule per workload, asked
+    // by 4 threads at once in different orders on an empty memo.
+    std::vector<poly::IntegerSet> domains;
+    for (const auto &name : workloads::allNames()) {
+        auto gen = makeByName(name, check::defaultFuzzSize(name));
+        auto ops = check::generateSchedule(*gen, 1);
+        auto w = makeByName(name, check::defaultFuzzSize(name));
+        ASSERT_TRUE(check::applyScheduleOps(*w, ops));
+        auto stmts = lower::extractStmts(w->func());
+        lower::applyDirectives(stmts);
+        for (const auto &stmt : stmts)
+            domains.push_back(stmt.sched.domain);
+    }
+    std::vector<std::vector<std::int64_t>> expected;
+    for (const auto &dom : domains)
+        expected.push_back(hls::countTrips(dom));
+
+    hls::clearTripMemo();
+    const std::vector<std::int64_t> before = tripCounters();
+    constexpr std::size_t kThreads = 4, kRounds = 3;
+    std::atomic<std::size_t> wrong{0};
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t]() {
+            for (std::size_t r = 0; r < kRounds; ++r) {
+                for (std::size_t k = 0; k < domains.size(); ++k) {
+                    // Thread t starts a quarter of the list further on.
+                    std::size_t i =
+                        (k + t * domains.size() / kThreads) % domains.size();
+                    if (hls::avgTrips(domains[i]) != expected[i])
+                        ++wrong;
+                }
+            }
+        });
+    }
+    for (auto &th : threads)
+        th.join();
+    EXPECT_EQ(wrong.load(), 0u);
+    const std::vector<std::int64_t> after = tripCounters();
+    const auto calls =
+        static_cast<std::int64_t>(kThreads * kRounds * domains.size());
+    // Every call is a count or a hit; a domain is counted at least once
+    // and at most once per thread that missed on it concurrently.
+    EXPECT_EQ((after[0] - before[0]) + (after[1] - before[1]), calls);
+    EXPECT_LE(after[0] - before[0],
+              static_cast<std::int64_t>(kThreads * domains.size()));
+    EXPECT_GT(after[1] - before[1], 0);
 }
 
 TEST(HlsEstimator, UnoptimizedGemmLatency)

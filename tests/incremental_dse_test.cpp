@@ -18,6 +18,10 @@
  *    Regenerate (only for an intended search or codegen change) with
  *      POM_UPDATE_EXPECTED=1 ./incremental_dse_test \
  *          --gtest_filter='IncrementalDse.*JournalsByteIdentical'
+ *  - The same sweeps hold the baseline composed from node reports to
+ *    the monolithic estimate of the whole unscheduled design, and a
+ *    second identical search counts no trips, estimates no node and
+ *    runs no monolithic estimate.
  *  - The NodeReportCache entry codec (its store and spill mechanics
  *    are covered by content_cache_test).
  *  - combineNodeReports(estimateNodes(f)) equals estimate(f).
@@ -32,9 +36,12 @@
 #include "dse/dse.h"
 #include "emit/hls_emitter.h"
 #include "golden_digests.h"
+#include "hls/count.h"
 #include "hls/node_cache.h"
 #include "lower/lower.h"
 #include "obs/journal.h"
+#include "obs/obs.h"
+#include "transform/poly_stmt.h"
 #include "workloads/workloads.h"
 
 namespace {
@@ -117,6 +124,12 @@ differentialSweep(dse::StrategyKind kind)
             << name;
         EXPECT_EQ(mono.report.resources.dsp, inc.report.resources.dsp)
             << name;
+        // The baseline composed from node reports against the whole
+        // unscheduled design's monolithic estimate.
+        EXPECT_EQ(mono.baseline.str(opt.device), inc.baseline.str(opt.device))
+            << name;
+        EXPECT_EQ(mono.baseline.nestLatencies, inc.baseline.nestLatencies)
+            << name;
 
         std::string digest = digestOf(mono_v2);
         std::string hls_digest = digestOf(emit::emitHlsC(*inc.design.func));
@@ -181,6 +194,48 @@ TEST(IncrementalDse, NodeCacheIsActuallyUsed)
     // Hits do not necessarily dominate on small designs: the node key
     // includes the banking of every accessed array under the *merged*
     // plan, so doubling one unit re-keys neighbours that share arrays.
+}
+
+TEST(IncrementalDse, RepeatedSearchCountsAndEstimatesNothing)
+{
+    // What a warm request costs: a second identical search finds every
+    // trip count, node report and dependence the first one stored, its
+    // baseline included, and never runs the monolithic estimator.
+    obs::setMetricsEnabled(true);
+    const char *counters[] = {"trips.counts", "dse.node_cache.misses",
+                              "hls.estimates", "dep.analyses",
+                              "dep.carried.analyses"};
+    auto snapshot = [&counters]() {
+        std::vector<std::int64_t> values;
+        for (const char *c : counters)
+            values.push_back(obs::counterValue(c));
+        return values;
+    };
+    for (const char *name : {"gemm", "2mm", "jacobi2d", "seidel", "blur"}) {
+        SCOPED_TRACE(name);
+        auto search = [name]() {
+            auto w = makeByName(name, 32);
+            return dse::autoDSE(w->func());
+        };
+        hls::NodeReportCache::global().clear();
+        hls::clearTripMemo();
+        transform::clearDependenceMemo();
+        const std::vector<std::int64_t> cold = snapshot();
+        dse::DseResult first = search();
+        const std::vector<std::int64_t> warm = snapshot();
+        EXPECT_EQ(warm[2], cold[2]) << "the first search ran hls::estimate";
+        EXPECT_GT(warm[0], cold[0]);
+        EXPECT_GT(warm[1], cold[1]);
+        const std::int64_t hits = obs::counterValue("trips.memo.hits");
+        dse::DseResult second = search();
+        EXPECT_EQ(snapshot(), warm);
+        EXPECT_GT(obs::counterValue("trips.memo.hits"), hits);
+        EXPECT_EQ(second.pointCacheMisses, 0);
+        const hls::Device device = hls::Device::xc7z020();
+        EXPECT_EQ(first.baseline.str(device), second.baseline.str(device));
+        EXPECT_EQ(first.report.str(device), second.report.str(device));
+    }
+    obs::setMetricsEnabled(false);
 }
 
 // ----- NodeReportCache entry codec ---------------------------------------

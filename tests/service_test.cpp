@@ -22,6 +22,7 @@
 
 #include "baselines/baselines.h"
 #include "golden_digests.h"
+#include "hls/count.h"
 #include "hls/node_cache.h"
 #include "mutation.h"
 #include "obs/journal.h"
@@ -804,6 +805,7 @@ TEST(ServiceSocket, FullQueueAnswersBusyWithRetryHint)
     // cold caches, so it holds the slot for a while...
     hls::NodeReportCache::global().clear();
     transform::clearDependenceMemo();
+    hls::clearTripMemo();
     std::thread holder([&]() {
         service::Response resp;
         std::string holder_error;

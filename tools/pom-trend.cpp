@@ -74,6 +74,7 @@ constexpr const char *kExactSeries[] = {
     "dep.carried.analyses",
     "dse.node_cache.misses",
     "dse.cache.misses",
+    "trips.counts",
 };
 
 bool

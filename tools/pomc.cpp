@@ -29,9 +29,12 @@
  * --timing prints a `dependences:` line at the end of the run: how
  * many full-vector and carried-level dependence analyses ran (and
  * their combined time) and how many calls the two dependence memos
- * answered (src/transform/poly_stmt.h), e.g. for `pomc vgg16 64 --dse`
+ * answered (src/transform/poly_stmt.h); and beside it a `trip counts:`
+ * line: how many domains hls::avgTrips counted and how many calls its
+ * memo answered (src/hls/count.h), e.g. for `pomc vgg16 64 --dse`
  *   dependences: 13 full + 52 carried analyses (0.035710 s), 197 memo hits,
  *   0 evictions
+ *   trip counts: 300 counted, 0 memo hits
  *
  * Observability (src/obs):
  *   --trace-out FILE    write a Chrome trace-event JSON of the whole
@@ -182,7 +185,10 @@ doubleArg(const char *flag, const char *text)
     return v;
 }
 
-/** The --timing report: dependence analyses of both views and the memo. */
+/**
+ * The --timing report: dependence analyses of both views and their
+ * memo, then the trip counts and theirs.
+ */
 void
 printTiming()
 {
@@ -195,6 +201,10 @@ printTiming()
                 static_cast<long long>(obs::counterValue("dep.memo.hits")),
                 static_cast<long long>(
                     obs::counterValue("dep.memo.evictions")));
+    std::printf("trip counts: %lld counted, %lld memo hits\n",
+                static_cast<long long>(obs::counterValue("trips.counts")),
+                static_cast<long long>(
+                    obs::counterValue("trips.memo.hits")));
 }
 
 } // namespace
