@@ -64,16 +64,17 @@ struct DseOptions
     bool verifyEachPoint = false;
 
     /**
-     * Compose every point's report from per-unit NodeReports held in
-     * the process-wide hls::NodeReportCache (hls/node_cache.h): a
-     * point re-lowers and re-estimates only the units whose schedule
-     * or banking was never seen, and a point whose every unit is
-     * cached (`dse.cache.hits`) skips lowering and estimation
-     * entirely. The selected design (and a replayed point) is still
-     * lowered whole for emission; only its report is composed. With
-     * memoize off every point is lowered and estimated whole,
-     * uncached: the reference the differential tests hold the default
-     * path to, byte for byte. Ignored when verifyEachPoint is set.
+     * Compose every point's report, and the unscheduled baseline's,
+     * from per-unit NodeReports held in the process-wide
+     * hls::NodeReportCache (hls/node_cache.h): a point re-lowers and
+     * re-estimates only the units whose schedule or banking was never
+     * seen, and a point whose every unit is cached (`dse.cache.hits`)
+     * skips lowering and estimation entirely. The selected design
+     * (and a replayed point) is still lowered whole for emission; only
+     * its report is composed. With memoize off every point and the
+     * baseline are lowered and estimated whole, uncached: the
+     * reference the differential tests hold the default path to, byte
+     * for byte. Ignored when verifyEachPoint is set.
      */
     bool memoize = true;
 

@@ -19,7 +19,6 @@
 #ifndef POM_HLS_COUNT_H
 #define POM_HLS_COUNT_H
 
-#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -46,20 +45,14 @@ std::vector<std::int64_t> countTrips(const poly::IntegerSet &set);
  * countTrips(@p set), memoized process-wide on an exact binary encoding
  * of what it reads: the dim count, then per constraint row the
  * coefficients, the constant and the kind (IntegerSet::appendRowsKey()).
- * FIFO cap kTripMemoCap, in memory only; a miss counts `trips.counts`,
- * a hit `trips.memo.hits`, an eviction `trips.memo.evictions`, each
- * created at zero with the memo. Thread-safe.
+ * FIFO cap of 4096 entries, in memory only; a miss counts
+ * `trips.counts`, a hit `trips.memo.hits`, an eviction
+ * `trips.memo.evictions`, each created at zero with the memo.
+ * Thread-safe.
  */
 std::vector<std::int64_t> avgTrips(const poly::IntegerSet &set);
 
-/**
- * Entry cap of the trip-count memo. The cold 18-workload sweep counts
- * 198 domains under greedy and 533 under greedy, beam and anneal
- * together, so the cap only bounds a long-lived daemon.
- */
-inline constexpr std::size_t kTripMemoCap = 4096;
-
-/** Empty the trip-count memo (tests and benches of a cold search). */
+/** Empty the trip-count memo (tests of a cold search). */
 void clearTripMemo();
 
 } // namespace pom::hls
