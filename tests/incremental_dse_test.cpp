@@ -200,11 +200,12 @@ TEST(IncrementalDse, RepeatedSearchCountsAndEstimatesNothing)
 {
     // What a warm request costs: a second identical search finds every
     // trip count, node report and dependence the first one stored, its
-    // baseline included, and never runs the monolithic estimator.
+    // baseline included, and never runs the monolithic estimator. The
+    // reference path (memoize off) still does, for the baseline too.
     obs::setMetricsEnabled(true);
     const char *counters[] = {"trips.counts", "dse.node_cache.misses",
                               "hls.estimates", "dep.analyses",
-                              "dep.carried.analyses"};
+                              "dep.carried.analyses", "dse.cache.misses"};
     auto snapshot = [&counters]() {
         std::vector<std::int64_t> values;
         for (const char *c : counters)
@@ -226,14 +227,32 @@ TEST(IncrementalDse, RepeatedSearchCountsAndEstimatesNothing)
         EXPECT_EQ(warm[2], cold[2]) << "the first search ran hls::estimate";
         EXPECT_GT(warm[0], cold[0]);
         EXPECT_GT(warm[1], cold[1]);
+        // The baseline is no design point of the cache counts.
+        EXPECT_EQ(first.pointCacheHits + first.pointCacheMisses,
+                  first.pointsExplored);
         const std::int64_t hits = obs::counterValue("trips.memo.hits");
+        const std::int64_t pointHits = obs::counterValue("dse.cache.hits");
         dse::DseResult second = search();
         EXPECT_EQ(snapshot(), warm);
         EXPECT_GT(obs::counterValue("trips.memo.hits"), hits);
         EXPECT_EQ(second.pointCacheMisses, 0);
+        EXPECT_EQ(second.pointCacheHits, second.pointsExplored);
+        EXPECT_EQ(obs::counterValue("dse.cache.hits") - pointHits,
+                  second.pointsExplored);
         const hls::Device device = hls::Device::xc7z020();
         EXPECT_EQ(first.baseline.str(device), second.baseline.str(device));
         EXPECT_EQ(first.report.str(device), second.report.str(device));
+
+        // The reference path estimates every point and the baseline
+        // whole.
+        dse::DseOptions reference;
+        reference.memoize = false;
+        const std::int64_t estimates = obs::counterValue("hls.estimates");
+        auto w = makeByName(name, 32);
+        dse::DseResult mono = dse::autoDSE(w->func(), reference);
+        EXPECT_EQ(obs::counterValue("hls.estimates") - estimates,
+                  mono.pointsExplored + 1);
+        EXPECT_EQ(mono.baseline.str(device), first.baseline.str(device));
     }
     obs::setMetricsEnabled(false);
 }
