@@ -11,6 +11,7 @@
 
 #include "bench_util.h"
 #include "driver/compiler.h"
+#include "dsl/render.h"
 #include "support/string_util.h"
 
 using namespace pom;
@@ -23,7 +24,7 @@ runCase(const char *name, std::int64_t size)
     // (a) DSL + autoDSE.
     auto w_auto = workloads::makeByName(name, size);
     w_auto->func().autoDSE();
-    int dsl_auto = support::countLoc(driver::renderDsl(w_auto->func()));
+    int dsl_auto = support::countLoc(dsl::renderDsl(w_auto->func()));
 
     // Run the DSE to obtain the HLS C and the chosen schedule shape.
     auto result = driver::compile(w_auto->func());

@@ -11,7 +11,6 @@
 
 #include "baselines/baselines.h"
 #include "dse/dse.h"
-#include "graph/dependence_graph.h"
 #include "hls/count.h"
 #include "hls/estimator.h"
 #include "lower/lower.h"
@@ -55,18 +54,6 @@ BM_DependenceAnalysisConv(benchmark::State &state)
     }
 }
 BENCHMARK(BM_DependenceAnalysisConv)->Arg(64);
-
-static void
-BM_GraphConstruction3mm(benchmark::State &state)
-{
-    auto w = workloads::make3mm(state.range(0));
-    auto stmts = lower::extractStmts(w->func());
-    for (auto _ : state) {
-        graph::DependenceGraph g(stmts);
-        benchmark::DoNotOptimize(g.collectPaths());
-    }
-}
-BENCHMARK(BM_GraphConstruction3mm)->Arg(4096);
 
 static void
 BM_TileTransformation(benchmark::State &state)

@@ -5,8 +5,8 @@
  * 1. Describe a matrix multiplication with the POM DSL (iterators,
  *    placeholders, one compute).
  * 2. Attach scheduling primitives: tile, pipeline, unroll, partition.
- * 3. codegen(): lower through dependence-graph IR -> polyhedral IR ->
- *    annotated affine dialect, and emit synthesizable HLS C.
+ * 3. codegen(): lower through the polyhedral IR to the annotated
+ *    affine dialect, and emit synthesizable HLS C.
  *
  * Build and run:  ./build/examples/quickstart
  */

@@ -5,8 +5,8 @@
  * Two computes share the time loop via `after` (Fig. 16 (2)). A user
  * with FPGA expertise could specify primitives directly (Fig. 16 (3));
  * here we use the autoDSE primitive (Fig. 16 (4)) and let the two-stage
- * engine pick the schedule, then print the search log, the chosen
- * design and its report.
+ * engine pick the schedule, then print the search's journaled
+ * decisions, the chosen design and its report.
  *
  * Build and run:  ./build/examples/stencil_autodse
  */
@@ -41,9 +41,11 @@ main()
 
     pom::dse::DseResult result = pom::dse::autoDSE(f);
 
-    std::printf("---- DSE log ----\n");
-    for (const auto &line : result.log)
-        std::printf("  %s\n", line.c_str());
+    std::printf("---- DSE decisions ----\n");
+    for (const auto &e : result.journal) {
+        if (!e.detail.empty())
+            std::printf("  [%s] %s\n", e.phase.c_str(), e.detail.c_str());
+    }
     std::printf("\n---- chosen polyhedral AST ----\n%s\n",
                 result.design.astRoot->str().c_str());
     std::printf("---- report ----\n%s\n",

@@ -6,15 +6,12 @@
 #include <optional>
 #include <utility>
 
-#include "graph/dependence_graph.h"
 #include "hls/count.h"
 #include "obs/obs.h"
 #include "support/diagnostics.h"
 
 namespace pom::baselines {
 
-using graph::DependenceGraph;
-using graph::Hint;
 using transform::PolyStmt;
 
 namespace {
@@ -134,21 +131,20 @@ runScaleHlsLike(dsl::Function &func, const BaselineOptions &options)
     // split-interchange-merge, conflicting statements lose out (the
     // paper's BICG discussion, Fig. 2(d)).
     {
-        DependenceGraph graph(stmts);
-        std::map<std::int64_t, Hint> nest_hint;
+        std::map<std::int64_t, dse::Hint> nest_hint;
         for (size_t i = 0; i < stmts.size(); ++i) {
             std::int64_t nest = stmts[i].sched.betas[0];
             if (nest_hint.count(nest))
                 continue;
-            Hint h = graph.suggest(i);
-            if (h.kind == Hint::Kind::Interchange)
+            dse::Hint h = dse::suggestHint(stmts[i]);
+            if (h.kind == dse::Hint::Kind::Interchange)
                 nest_hint[nest] = h;
         }
         for (size_t i = 0; i < stmts.size(); ++i) {
             auto it = nest_hint.find(stmts[i].sched.betas[0]);
             if (it == nest_hint.end())
                 continue;
-            const Hint &h = it->second;
+            const dse::Hint &h = it->second;
             if (h.toLevel < stmts[i].numDims() &&
                 h.fromLevel < stmts[i].numDims()) {
                 transform::interchange(

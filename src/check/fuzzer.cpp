@@ -4,7 +4,7 @@
 #include <sstream>
 
 #include "check/legality.h"
-#include "driver/compiler.h"
+#include "dsl/render.h"
 #include "lower/lower.h"
 #include "obs/obs.h"
 #include "support/diagnostics.h"
@@ -659,7 +659,7 @@ fuzzWorkload(const std::string &workload, const FuzzOptions &options)
         failure.message = *msg;
         auto wr = workloads::makeByName(workload, result.size);
         if (applyScheduleOps(*wr, ops))
-            failure.dsl = driver::renderDsl(wr->func());
+            failure.dsl = dsl::renderDsl(wr->func());
         result.failures.push_back(std::move(failure));
     }
     return result;

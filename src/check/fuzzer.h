@@ -23,7 +23,7 @@
  *
  * A failing sequence is shrunk to a minimal reproducer by greedy
  * one-op removal and rendered as canonical POM DSL via
- * driver::renderDsl(), so every failure is replayable from the report.
+ * dsl::renderDsl(), so every failure is replayable from the report.
  */
 
 #ifndef POM_CHECK_FUZZER_H

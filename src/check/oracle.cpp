@@ -3,9 +3,8 @@
 #include <cmath>
 #include <sstream>
 
+#include "dsl/render.h"
 #include "obs/obs.h"
-#include "support/diagnostics.h"
-#include "support/string_util.h"
 
 namespace pom::check {
 
@@ -21,71 +20,6 @@ unflatten(size_t flat, const std::vector<std::int64_t> &shape)
         flat /= static_cast<size_t>(shape[d]);
     }
     return idx;
-}
-
-/** Compact rendering of one directive for failure reports. */
-std::string
-directiveStr(const dsl::Compute &c, const dsl::Directive &d)
-{
-    using K = dsl::Directive::Kind;
-    std::ostringstream os;
-    os << c.name() << ".";
-    auto factors = [&] {
-        return support::joinMapped(d.factors, ", ",
-            [](std::int64_t f) { return std::to_string(f); });
-    };
-    switch (d.kind) {
-      case K::Interchange:
-        os << "interchange(" << d.vars[0] << ", " << d.vars[1] << ")";
-        break;
-      case K::Split:
-        os << "split(" << d.vars[0] << ", " << factors() << ", "
-           << d.newVars[0] << ", " << d.newVars[1] << ")";
-        break;
-      case K::Tile:
-        os << "tile(" << d.vars[0] << ", " << d.vars[1] << ", "
-           << factors() << ", " << support::join(d.newVars, ", ") << ")";
-        break;
-      case K::Skew:
-        os << "skew(" << d.vars[0] << ", " << d.vars[1] << ", "
-           << factors() << ", " << d.newVars[0] << ", " << d.newVars[1]
-           << ")";
-        break;
-      case K::After:
-        os << "after(" << d.other->name()
-           << (d.vars.empty() ? "" : ", " + d.vars[0]) << ")";
-        break;
-      case K::Fuse:
-        os << "fuse(" << d.other->name() << ")";
-        break;
-      case K::Pipeline:
-        os << "pipeline(" << d.vars[0] << ", " << factors() << ")";
-        break;
-      case K::Unroll:
-        os << "unroll(" << d.vars[0] << ", " << factors() << ")";
-        break;
-    }
-    return os.str();
-}
-
-/** The primitive sequence recorded on a function, one per line. */
-std::string
-scheduleStr(const dsl::Function &func)
-{
-    std::ostringstream os;
-    for (const dsl::Compute *c : func.computes()) {
-        for (const auto &d : c->directives())
-            os << "  " << directiveStr(*c, d) << "\n";
-    }
-    for (const dsl::Placeholder *p : func.placeholders()) {
-        if (p->partitionFactors().empty())
-            continue;
-        os << "  " << p->name() << ".partition({"
-           << support::joinMapped(p->partitionFactors(), ", ",
-                  [](std::int64_t f) { return std::to_string(f); })
-           << "}, \"" << p->partitionKind() << "\")\n";
-    }
-    return os.str();
 }
 
 } // namespace
@@ -149,7 +83,7 @@ checkLowered(const dsl::Function &func,
             os << "] expected " << div.expected << ", got " << div.actual
                << " (seed " << options.seed << ")\n"
                << "offending primitive sequence:\n"
-               << scheduleStr(func);
+               << dsl::renderSchedule(func);
             result.message = os.str();
             result.divergence = std::move(div);
             return result;

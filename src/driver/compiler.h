@@ -55,12 +55,6 @@ struct CompileResult
 CompileResult compile(dsl::Function &func,
                       const CompileOptions &options = {});
 
-/**
- * Render a function back to canonical POM DSL source (used for the
- * lines-of-code comparison of Fig. 15).
- */
-std::string renderDsl(const dsl::Function &func);
-
 } // namespace pom::driver
 
 #endif // POM_DRIVER_COMPILER_H

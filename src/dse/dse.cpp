@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "check/oracle.h"
-#include "graph/dependence_graph.h"
 #include "hls/count.h"
 #include "hls/node_cache.h"
 #include "obs/journal.h"
@@ -18,8 +17,6 @@
 
 namespace pom::dse {
 
-using graph::DependenceGraph;
-using graph::Hint;
 using transform::PolyStmt;
 
 double
@@ -65,13 +62,6 @@ struct PointLatencyTimer
                 .count());
     }
 };
-
-std::string
-hintKey(const Hint &h)
-{
-    return std::to_string(static_cast<int>(h.kind)) + ":" +
-           std::to_string(h.fromLevel) + ":" + std::to_string(h.toLevel);
-}
 
 /** Number of leading schedule levels all members share. */
 size_t
@@ -131,6 +121,40 @@ carriedLevels(const PolyStmt &stmt)
     return carried;
 }
 
+/** 0, 1, ..., n-1 with positions @p a and @p b swapped. */
+std::vector<size_t>
+swappedOrder(size_t n, size_t a, size_t b)
+{
+    std::vector<size_t> order(n);
+    for (size_t i = 0; i < n; ++i)
+        order[i] = i;
+    std::swap(order[a], order[b]);
+    return order;
+}
+
+/**
+ * Level carrying a dependence after permuting its distance vector, or
+ * the dimension count when the carrying level cannot be proven to move
+ * off the innermost position (unknown signs are conservative).
+ */
+size_t
+carriedLevelAfterPerm(const poly::Dependence &dep,
+                      const std::vector<size_t> &order)
+{
+    size_t n = order.size();
+    for (size_t pos = 0; pos < n; ++pos) {
+        size_t k = order[pos];
+        if (dep.distLo[k] && *dep.distLo[k] > 0)
+            return pos;
+        if (dep.distLo[k] && dep.distHi[k] && *dep.distLo[k] == 0 &&
+            *dep.distHi[k] == 0) {
+            continue;
+        }
+        return n; // unknown sign: assume the worst
+    }
+    return n;
+}
+
 /**
  * Canonical digest of the function's compute semantics -- everything
  * the estimator can observe that the schedule fragments do not
@@ -186,6 +210,92 @@ parsePrimitiveDegrees(const std::string &primitives)
 }
 
 } // namespace
+
+bool
+interchangeIsLegal(const std::vector<poly::Dependence> &deps, size_t a,
+                   size_t b)
+{
+    for (const auto &d : deps) {
+        size_t n = d.distLo.size();
+        POM_ASSERT(a < n && b < n, "interchange level out of range");
+        std::vector<size_t> order = swappedOrder(n, a, b);
+        // The permuted distance vector must stay lexicographically
+        // positive. Unknown entries are conservatively illegal unless a
+        // strictly positive entry precedes them; an all-zero vector
+        // cannot be carried.
+        for (size_t pos = 0; pos < n; ++pos) {
+            size_t k = order[pos];
+            if (d.distLo[k] && *d.distLo[k] > 0)
+                break; // strictly positive first -> legal dep
+            if (!d.distLo[k] || !d.distHi[k] || *d.distLo[k] != 0 ||
+                *d.distHi[k] != 0) {
+                return false; // could be negative first -> illegal
+            }
+        }
+    }
+    return true;
+}
+
+Hint
+suggestHint(const PolyStmt &stmt)
+{
+    size_t n = stmt.numDims();
+    Hint hint;
+    if (n < 2)
+        return hint;
+    std::vector<bool> carried = carriedLevels(stmt);
+    if (!carried[n - 1])
+        return hint;
+    const std::vector<poly::Dependence> deps =
+        transform::selfDependences(stmt);
+
+    // Step 1: a dependence-free outer level that can legally move
+    // innermost (the Fig. 8 guidance for GEMM-style reductions).
+    for (size_t l = 0; l < n - 1; ++l) {
+        if (!carried[l] && interchangeIsLegal(deps, l, n - 1)) {
+            hint.kind = Hint::Kind::Interchange;
+            hint.fromLevel = l;
+            hint.toLevel = n - 1;
+            return hint;
+        }
+    }
+
+    // Step 2: no free level; an interchange may still pull every
+    // dependence off the innermost position (this is what makes a
+    // skewed Seidel nest converge: skew first, then interchange).
+    for (size_t l = 0; l + 1 < n; ++l) {
+        if (!interchangeIsLegal(deps, l, n - 1))
+            continue;
+        std::vector<size_t> order = swappedOrder(n, l, n - 1);
+        bool frees_innermost = true;
+        for (const auto &d : deps) {
+            if (carriedLevelAfterPerm(d, order) >= n - 1) {
+                frees_innermost = false;
+                break;
+            }
+        }
+        if (frees_innermost) {
+            hint.kind = Hint::Kind::Interchange;
+            hint.fromLevel = l;
+            hint.toLevel = n - 1;
+            return hint;
+        }
+    }
+
+    // If some level is dependence-free, stage 2 can still extract
+    // parallelism there (unroll the free level, pipeline above the
+    // reduction suffix, e.g. convolutions) -- no restructuring needed.
+    for (size_t l = 0; l < n; ++l) {
+        if (!carried[l])
+            return hint; // Kind::None
+    }
+
+    // Step 3: every level carries a dependence; restructure the
+    // iteration space (paper §VI.A: "leverage other transformations such
+    // as loop splitting and loop skewing").
+    hint.kind = Hint::Kind::Skew;
+    return hint;
+}
 
 void
 applyParallelSchedule(PolyStmt &stmt, std::int64_t degree,
@@ -393,7 +503,6 @@ class Engine final : public Search
         result.pointsVerified = verified_;
         result.pointCacheHits = pointCacheHits_;
         result.pointCacheMisses = pointCacheMisses_;
-        result.log = std::move(log_);
         result.journal = std::move(journal_);
         result.frontier = frontier_.points();
         result.frontierRounds = std::move(frontierRounds_);
@@ -485,12 +594,11 @@ class Engine final : public Search
         journal_.push_back(std::move(e));
     }
 
-    /** Journal a search decision and mirror it into the text log. */
+    /** Journal a search decision (also a Debug diagnostic). */
     void
     note(const std::string &kind, const std::string &phase,
          const std::string &detail) override
     {
-        log_.push_back(detail);
         support::diag(support::DiagLevel::Debug, detail);
         obs::JournalEntry e;
         e.kind = kind;
@@ -511,19 +619,26 @@ class Engine final : public Search
 
         int skew_counter = 0;
         for (int iter = 0; iter < kMaxStage1Iterations; ++iter) {
-            DependenceGraph graph(stmts);
+            // Every hint of this iteration, from the statements as they
+            // are before any of its transforms.
+            std::vector<Hint> hints;
+            hints.reserve(stmts.size());
+            for (const PolyStmt &stmt : stmts)
+                hints.push_back(suggestHint(stmt));
+            auto agree = [&](const Unit &unit) {
+                for (size_t m : unit.members) {
+                    if (hints[m] != hints[unit.members[0]])
+                        return false;
+                }
+                return true;
+            };
             bool changed = false;
 
             // Resolve conflicting strategies inside fused nests by
             // splitting the nest (Fig. 10 step 1).
             auto units = groupUnits(stmts);
             for (const auto &unit : units) {
-                if (unit.members.size() < 2)
-                    continue;
-                std::set<std::string> keys;
-                for (size_t m : unit.members)
-                    keys.insert(hintKey(graph.suggest(m)));
-                if (keys.size() < 2)
+                if (agree(unit))
                     continue;
                 if (anyProducerRelation(stmts, unit.members)) {
                     note("stage1", "stage1",
@@ -550,12 +665,9 @@ class Engine final : public Search
             units = groupUnits(stmts);
             for (const auto &unit : units) {
                 size_t shared = sharedDepth(stmts, unit.members);
-                Hint hint = graph.suggest(unit.members[0]);
+                const Hint &hint = hints[unit.members[0]];
                 if (unit.members.size() > 1) {
-                    std::set<std::string> keys;
-                    for (size_t m : unit.members)
-                        keys.insert(hintKey(graph.suggest(m)));
-                    if (keys.size() > 1) {
+                    if (!agree(unit)) {
                         // Conflicting hints survive only when the nest
                         // could not be distributed (producer relation).
                         note("stage1", "stage1",
@@ -579,7 +691,7 @@ class Engine final : public Search
                 }
                 for (size_t m : unit.members) {
                     PolyStmt &stmt = stmts[m];
-                    Hint h = graph.suggest(m);
+                    const Hint &h = hints[m];
                     if (h.kind == Hint::Kind::Interchange) {
                         transform::interchange(
                             stmt, stmt.sched.domain.dimName(h.fromLevel),
@@ -661,7 +773,7 @@ class Engine final : public Search
     // greedy / beam / anneal), a plain loop that calls back into this
     // engine through the Search interface: evaluate() estimates,
     // numbers and offers one point to the Pareto frontier, point()/
-    // note()/event()/log() journal, endRound() snapshots the frontier.
+    // note()/event() journal, endRound() snapshots the frontier.
     // Every point is evaluated once, on this thread, in the strategy's
     // order, so the journal -- v1 events and v2 frontier sections
     // alike -- is the same on every run.
@@ -688,12 +800,6 @@ class Engine final : public Search
     event(const obs::JournalEntry &entry) override
     {
         journal_.push_back(entry);
-    }
-
-    void
-    log(const std::string &line) override
-    {
-        log_.push_back(line);
     }
 
     void
@@ -776,7 +882,6 @@ class Engine final : public Search
         ++points_;
         recordPoint("stage2-init", init.primitives, init.report,
                     "accepted", "initial pipeline-only design");
-        log_.push_back("stage2: initial design " + init.report.str(device_));
         frontierInsert(init.report, init.primitives, points_);
 
         std::vector<std::int64_t> degrees =
@@ -1166,7 +1271,6 @@ class Engine final : public Search
     std::int64_t pointCacheHits_ = 0;
     std::int64_t pointCacheMisses_ = 0;
     bool roundEvaluated_ = false;
-    std::vector<std::string> log_;
     std::vector<obs::JournalEntry> journal_;
     ParetoFrontier frontier_;
     std::vector<obs::FrontierRound> frontierRounds_;

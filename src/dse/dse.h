@@ -3,10 +3,11 @@
  * POM's two-stage design space exploration engine (paper §VI).
  *
  * Stage 1 -- dependence-aware code transformation: iterate over the
- * dependence graph, relieving tight loop-carried dependences with
- * interchange and skewing; conflicting strategies inside a fused loop
- * nest are resolved by splitting the nest, transforming each statement,
- * and conservatively re-fusing (the Fig. 10 split-interchange-merge).
+ * statements, relieving tight loop-carried dependences with the
+ * interchange or skew each statement's hint (suggestHint()) names;
+ * conflicting strategies inside a fused loop nest are resolved by
+ * splitting the nest, transforming each statement, and conservatively
+ * re-fusing (the Fig. 10 split-interchange-merge).
  *
  * Stage 2 -- bottleneck-oriented code optimization: estimate the latency
  * of every node, order data paths by latency, and repeatedly double the
@@ -120,9 +121,6 @@ struct DseResult
     std::int64_t pointCacheHits = 0;
     std::int64_t pointCacheMisses = 0;
 
-    /** Human-readable search log. */
-    std::vector<std::string> log;
-
     /**
      * Machine-readable search journal: one entry per stage-1 decision,
      * stage-2 bottleneck selection, and explored design point (with
@@ -186,6 +184,50 @@ struct ReplayResult
 ReplayResult replayPoint(dsl::Function &func,
                          const std::vector<obs::JournalEntry> &journal,
                          int point, const DseOptions &options = {});
+
+/** A stage-1 transformation hint for one statement (paper §VI.A). */
+struct Hint
+{
+    enum class Kind
+    {
+        None,        ///< no tight loop-carried dependence
+        Interchange, ///< move a level innermost
+        Skew,        ///< every level carries: skew to create a free one
+    };
+
+    Kind kind = Kind::None;
+
+    /** For Interchange: the level to move innermost. */
+    size_t fromLevel = 0;
+
+    /** For Interchange: the (innermost) level it replaces. */
+    size_t toLevel = 0;
+
+    bool operator==(const Hint &) const = default;
+};
+
+/**
+ * The transformation that relieves @p stmt's tight loop-carried
+ * dependence, if any: the guidance the dependence-graph IR gives stage
+ * 1 (paper §V.A, Fig. 8 "loop-carried dependence in node S4 can be
+ * alleviated using loop interchange"). None unless the innermost of at
+ * least two loops carries a dependence; then the first dependence-free
+ * level that can legally move innermost, else the first legal
+ * interchange that pulls every dependence off the innermost level, else
+ * None if some level is still free, else Skew. Reads the carried-level
+ * view (transform::carriedDependences) and asks for full distance
+ * vectors (transform::selfDependences) only when the innermost level
+ * carries, the one case that reads them.
+ */
+Hint suggestHint(const transform::PolyStmt &stmt);
+
+/**
+ * Would interchanging levels @p a and @p b keep every dependence of
+ * @p deps (one statement's transform::selfDependences()) lexicographically
+ * positive? Conservative: an unknown distance sign counts as illegal.
+ */
+bool interchangeIsLegal(const std::vector<poly::Dependence> &deps, size_t a,
+                        size_t b);
 
 /**
  * Apply the standard parallelism pattern to one statement (Fig. 6):

@@ -132,21 +132,16 @@ greedy(const StrategyContext &ctx, const PointEval &init, Search &search)
             if (!fits(ctx, ev)) {
                 search.point(ev, "rejected", "exceeds resource budget");
                 open[u] = false; // exit mechanism: resource bound
-                search.log("stage2: unit exceeds resource budget, removed");
                 continue;
             }
             if (ev.report.latencyCycles >= best.report.latencyCycles) {
                 search.point(ev, "rejected", "no latency improvement");
                 open[u] = false;
-                search.log("stage2: no latency improvement, removed");
                 continue;
             }
             degrees = std::move(trial);
             best = std::move(ev);
             search.point(best, "accepted", "latency improved");
-            search.log("stage2: parallelism " +
-                       std::to_string(degrees[u]) + " -> " +
-                       best.report.str(ctx.device));
             break;
         }
         search.endRound();

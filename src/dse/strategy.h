@@ -112,12 +112,9 @@ class Search
     /** Push a raw journal entry (e.g. greedy's bottleneck selection). */
     virtual void event(const obs::JournalEntry &entry) = 0;
 
-    /** Journal a decision and mirror it into the text log. */
+    /** Journal a decision (kind, phase and detail text). */
     virtual void note(const std::string &kind, const std::string &phase,
                       const std::string &detail) = 0;
-
-    /** Text log only (no journal entry). */
-    virtual void log(const std::string &line) = 0;
 
     /** Close a round; snapshots the frontier if it evaluated a point. */
     virtual void endRound() = 0;

@@ -15,10 +15,11 @@
  * value (e.g. (0, 0, 1) for the GEMM reduction in Fig. 8).
  *
  * Two views of the same analysis. The full one (Dependence) ranges
- * every t_k - s_k; only the dependence graph reads those vectors, to
- * choose interchange, skew and reduction dimensions in stage 1. The
- * carried one (CarriedDependence) ranges only t_l - s_l at the carrying
- * level l, which is all the DSE's parallel schedule, the estimator's
+ * every t_k - s_k; only stage 1's hint (dse::suggestHint) reads those
+ * vectors, to choose interchange or skew for a statement whose
+ * innermost loop carries a dependence. The carried one
+ * (CarriedDependence) ranges only t_l - s_l at the carrying level l,
+ * which is all the DSE's parallel schedule, the estimator's
  * recurrence-MII and the HLS DEPENDENCE hints read. Both build the same
  * polytopes and make the same range call at level l, so the carried
  * view is the full one restricted to its fields.
@@ -123,8 +124,9 @@ analyzeCarriedDependences(const IntegerSet &domain,
 
 /**
  * Does a dependence flow from a (write) access of @p producer to any
- * access of @p consumer? Used to build the coarse dependence graph edges
- * from load/store sets (paper Fig. 8, step 1-2).
+ * access of @p consumer? The coarse producer/consumer relation of the
+ * dependence graph IR, from load/store sets (paper Fig. 8, steps 1-2):
+ * the DSE reads it to keep data-exchanging statements fused.
  */
 bool producesFor(const std::vector<Access> &producer,
                  const std::vector<Access> &consumer);

@@ -76,6 +76,8 @@ class Parser
             if (c == '"')
                 return true;
             if (c != '\\') {
+                if (static_cast<unsigned char>(c) < 0x20)
+                    return fail("unescaped control byte in a string");
                 out += c;
                 continue;
             }
@@ -163,36 +165,64 @@ class Parser
         }
     }
 
+    /** Skip the decimal digits at pos_; how many there were. */
+    size_t
+    skipDigits()
+    {
+        size_t from = pos_;
+        while (pos_ < text_.size() && text_[pos_] >= '0' &&
+               text_[pos_] <= '9') {
+            ++pos_;
+        }
+        return pos_ - from;
+    }
+
+    /** Is the byte at pos_ one of @p chars? Consumes it if so. */
+    bool
+    accept(std::string_view chars)
+    {
+        if (pos_ >= text_.size() ||
+            chars.find(text_[pos_]) == std::string_view::npos) {
+            return false;
+        }
+        ++pos_;
+        return true;
+    }
+
+    /**
+     * RFC 8259: `-`? (`0` | [1-9][0-9]*) (`.` [0-9]+)? ([eE] [+-]?
+     * [0-9]+)?
+     */
     bool
     parseNumber(JsonValue &out)
     {
         skipSpace();
         size_t start = pos_;
-        if (pos_ < text_.size() && text_[pos_] == '-')
-            ++pos_;
+        accept("-");
+        size_t first = pos_;
+        size_t intDigits = skipDigits();
+        if (intDigits == 0)
+            return fail("expected digits");
+        if (intDigits > 1 && text_[first] == '0')
+            return fail("leading zero in a number");
         bool fractional = false;
-        while (pos_ < text_.size()) {
-            char c = text_[pos_];
-            if (c >= '0' && c <= '9') {
-                ++pos_;
-            } else if (c == '.' || c == 'e' || c == 'E' || c == '+' ||
-                       c == '-') {
-                fractional = true;
-                ++pos_;
-            } else {
-                break;
-            }
+        if (accept(".")) {
+            fractional = true;
+            if (skipDigits() == 0)
+                return fail("expected digits after the decimal point");
         }
-        if (pos_ == start)
-            return fail("expected a number");
+        if (accept("eE")) {
+            fractional = true;
+            accept("+-");
+            if (skipDigits() == 0)
+                return fail("expected digits in the exponent");
+        }
         std::string token = text_.substr(start, pos_ - start);
         if (!fractional) {
             // Overflow-checked decimal int64.
             std::int64_t v = 0;
             bool negative = token[0] == '-';
             size_t i = negative ? 1 : 0;
-            if (i == token.size())
-                return fail("expected digits");
             bool overflow = false;
             for (; i < token.size(); ++i) {
                 int d = token[i] - '0';
@@ -207,7 +237,8 @@ class Parser
                 out.integer = negative ? -v : v;
                 return true;
             }
-            // Fall through: a huge integer still parses, as a double.
+            // Fall through: an integer outside int64 parses as a double,
+            // which exactInt() refuses.
         }
         char *end = nullptr;
         double d = std::strtod(token.c_str(), &end);

@@ -3,11 +3,14 @@
  * A minimal JSON document model for everything POM reads from outside
  * the process; support/record.h reads typed records out of it. Parses
  * the full JSON value grammar -- objects, arrays, strings, numbers,
- * booleans, null -- into a small DOM with strict errors: bounded
- * nesting depth, overflow-checked integers, and no trailing garbage.
- * A `\u` escape decodes to the UTF-8 bytes of its code point, a
- * surrogate pair to the one code point it spells; a lone surrogate is
- * an error. Object member order is preserved.
+ * booleans, null -- into a small DOM with strict errors: RFC 8259's
+ * number and string grammar (no leading zero, digits on both sides of
+ * a '.' and after an exponent, no raw byte below 0x20 in a string),
+ * bounded nesting depth, and no trailing garbage. An integer literal
+ * outside int64 reads as a Double, which exactInt() refuses. A `\u`
+ * escape decodes to the UTF-8 bytes of its code point, a surrogate
+ * pair to the one code point it spells; a lone surrogate is an error.
+ * Object member order is preserved.
  *
  * This is intentionally not a general-purpose JSON library: documents
  * are frames, journals and spill entries of at most a few megabytes, so
@@ -68,8 +71,9 @@ struct JsonValue
 /**
  * Parse @p text into @p out. The whole input must be one JSON value
  * (plus whitespace); returns false with a position-annotated @p error
- * on malformed input (a lone surrogate escape included), more than 64
- * nested arrays and objects, or integer overflow.
+ * on malformed input (a number or string outside RFC 8259's grammar
+ * and a lone surrogate escape included) or more than 64 nested arrays
+ * and objects.
  */
 bool parseJson(const std::string &text, JsonValue &out,
                std::string &error);

@@ -94,12 +94,13 @@ void setUnroll(PolyStmt &stmt, const std::string &name,
 
 /**
  * Loop-carried self-dependences of the statement in its *transformed*
- * loop order, with full distance vectors. Only the dependence graph
- * (stage 1 and the baselines) reads those vectors; everything else
- * calls carriedDependences(). Results are memoized process-wide on an
- * exact binary encoding of the domain and the transformed accesses
- * (FIFO cap 4096, never spilled); a miss counts `dep.analyses`.
- * Thread-safe.
+ * loop order, with full distance vectors. Only stage 1's hint
+ * (dse::suggestHint, also read by the ScaleHLS-like baseline) asks for
+ * them, and only for a statement whose innermost loop carries a
+ * dependence; everything else calls carriedDependences(). Results
+ * are memoized process-wide on an exact binary encoding of the domain
+ * and the transformed accesses (FIFO cap 4096, never spilled); a miss
+ * counts `dep.analyses`. Thread-safe.
  */
 std::vector<poly::Dependence> selfDependences(const PolyStmt &stmt);
 

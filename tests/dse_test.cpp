@@ -14,6 +14,7 @@
 
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "baselines/baselines.h"
 #include "check/fuzzer.h"
@@ -53,6 +54,18 @@ expectDesignPreservesSemantics(dsl::Function &func,
     }
 }
 
+/** The journaled stage-1 decisions of a search, in order. */
+std::vector<std::string>
+stage1Details(const dse::DseResult &result)
+{
+    std::vector<std::string> out;
+    for (const auto &e : result.journal) {
+        if (e.kind == "stage1")
+            out.push_back(e.detail);
+    }
+    return out;
+}
+
 TEST(Dse, GemmFindsParallelDesign)
 {
     auto w = makeByName("gemm", 64);
@@ -73,10 +86,10 @@ TEST(Dse, BicgSplitInterchangeMerge)
     // Stage 1 must split the fused nest (conflicting strategies),
     // transform, and conservatively re-fuse (Fig. 10).
     bool saw_split = false, saw_refuse = false;
-    for (const auto &line : result.log) {
-        if (line.find("split fused nest") != std::string::npos)
+    for (const std::string &detail : stage1Details(result)) {
+        if (detail.find("split fused nest") != std::string::npos)
             saw_split = true;
-        if (line.find("re-fused") != std::string::npos)
+        if (detail.find("re-fused") != std::string::npos)
             saw_refuse = true;
     }
     EXPECT_TRUE(saw_split);
@@ -91,10 +104,10 @@ TEST(Dse, SeidelSkewConverges)
     auto w = makeByName("seidel", 18); // small for interpretation
     auto result = dse::autoDSE(w->func());
     bool saw_skew = false, saw_interchange = false;
-    for (const auto &line : result.log) {
-        if (line.find("skew") != std::string::npos)
+    for (const std::string &detail : stage1Details(result)) {
+        if (detail.find("skew") != std::string::npos)
             saw_skew = true;
-        if (line.find("interchange") != std::string::npos)
+        if (detail.find("interchange") != std::string::npos)
             saw_interchange = true;
     }
     EXPECT_TRUE(saw_skew);

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "driver/compiler.h"
+#include "dsl/render.h"
 #include "emit/hls_emitter.h"
 #include "support/string_util.h"
 #include "workloads/workloads.h"
@@ -136,7 +137,7 @@ TEST(Driver, CompileWithoutDseAppliesUserSchedule)
 TEST(Driver, RenderDslRoundTripsStructure)
 {
     auto w = makeByName("bicg", 64);
-    std::string dsl_src = driver::renderDsl(w->func());
+    std::string dsl_src = dsl::renderDsl(w->func());
     EXPECT_NE(dsl_src.find("placeholder A"), std::string::npos);
     EXPECT_NE(dsl_src.find("compute s_q"), std::string::npos);
     EXPECT_NE(dsl_src.find("s_s.fuse(s_q);"), std::string::npos);
@@ -151,7 +152,7 @@ TEST(Driver, DslIsMuchShorterThanHlsC)
     auto w = makeByName("3mm", 64);
     w->func().autoDSE();
     auto result = driver::compile(w->func());
-    int dsl_loc = support::countLoc(driver::renderDsl(w->func()));
+    int dsl_loc = support::countLoc(dsl::renderDsl(w->func()));
     int c_loc = support::countLoc(result.hlsCode);
     EXPECT_LT(dsl_loc * 2, c_loc);
 }
@@ -167,7 +168,7 @@ TEST(Driver, RenderDslShowsPrimitives)
     s.pipeline(j0, 1);
     s.unroll(j1, 4);
     A.partition({4, 4}, "cyclic");
-    std::string src = driver::renderDsl(f);
+    std::string src = dsl::renderDsl(f);
     EXPECT_NE(src.find("s.tile(i, j, 4, 4, i0, j0, i1, j1);"),
               std::string::npos);
     EXPECT_NE(src.find("s.pipeline(j0, 1);"), std::string::npos);

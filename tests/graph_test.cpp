@@ -1,25 +1,152 @@
 /**
  * @file
- * Tests for the dependence graph IR: coarse edges, data-path collection
- * (paper Fig. 8), reduction-dimension detection, and transformation
- * hints used by DSE stage 1.
+ * Tests for what stage 1 reads of the dependence-graph IR (paper §V.A,
+ * Fig. 8): the coarse producer/consumer relation between computes
+ * (poly::producesFor), each statement's transformation hint
+ * (dse::suggestHint) and the interchange-legality check beside it. The
+ * hint is held to a reference that reads full distance vectors for
+ * every statement, while suggestHint asks for them only when the
+ * innermost loop carries a dependence.
  */
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "check/fuzzer.h"
+#include "dse/dse.h"
 #include "dsl/dsl.h"
-#include "graph/dependence_graph.h"
 #include "lower/lower.h"
+#include "obs/obs.h"
+#include "poly/dependence.h"
+#include "transform/poly_stmt.h"
+#include "workloads/workloads.h"
 
 namespace {
 
 using namespace pom;
+using dse::Hint;
+using dse::interchangeIsLegal;
+using dse::suggestHint;
 using dsl::Compute;
 using dsl::Function;
 using dsl::Placeholder;
 using dsl::Var;
-using graph::DependenceGraph;
-using graph::Hint;
+
+/** Does a dependence of @p stmt sit at its innermost loop? */
+bool
+innermostCarried(const transform::PolyStmt &stmt)
+{
+    for (const auto &d : transform::carriedDependences(stmt)) {
+        if (d.level + 1 == stmt.numDims())
+            return true;
+    }
+    return false;
+}
+
+/**
+ * The reference hint: the same three steps over the full distance
+ * vectors of every statement, innermost or not, the way the
+ * dependence graph computed them before suggestHint.
+ */
+Hint
+referenceHint(const transform::PolyStmt &stmt)
+{
+    const auto deps = transform::selfDependences(stmt);
+    const size_t n = stmt.numDims();
+    std::vector<bool> carried(n, false);
+    for (const auto &d : deps)
+        carried[d.level] = true;
+    Hint hint;
+    if (n < 2 || !carried[n - 1])
+        return hint;
+
+    auto legal = [&](size_t a, size_t b) {
+        for (const auto &d : deps) {
+            std::vector<size_t> order(n);
+            for (size_t i = 0; i < n; ++i)
+                order[i] = i;
+            std::swap(order[a], order[b]);
+            bool decided = false;
+            for (size_t pos = 0; pos < n && !decided; ++pos) {
+                size_t k = order[pos];
+                if (d.distLo[k] && *d.distLo[k] > 0)
+                    decided = true;
+                else if (d.distLo[k] && d.distHi[k] && *d.distLo[k] == 0 &&
+                         *d.distHi[k] == 0)
+                    continue;
+                else
+                    return false;
+            }
+        }
+        return true;
+    };
+    auto carriedAfter = [&](const poly::Dependence &d,
+                            const std::vector<size_t> &order) {
+        for (size_t pos = 0; pos < n; ++pos) {
+            size_t k = order[pos];
+            if (d.distLo[k] && *d.distLo[k] > 0)
+                return pos;
+            if (d.distLo[k] && d.distHi[k] && *d.distLo[k] == 0 &&
+                *d.distHi[k] == 0)
+                continue;
+            return n;
+        }
+        return n;
+    };
+    auto interchange = [&](size_t l) {
+        hint.kind = Hint::Kind::Interchange;
+        hint.fromLevel = l;
+        hint.toLevel = n - 1;
+        return hint;
+    };
+
+    for (size_t l = 0; l < n - 1; ++l) {
+        if (!carried[l] && legal(l, n - 1))
+            return interchange(l);
+    }
+    for (size_t l = 0; l + 1 < n; ++l) {
+        if (!legal(l, n - 1))
+            continue;
+        std::vector<size_t> order(n);
+        for (size_t i = 0; i < n; ++i)
+            order[i] = i;
+        std::swap(order[l], order[n - 1]);
+        bool frees = true;
+        for (const auto &d : deps)
+            frees &= carriedAfter(d, order) < n - 1;
+        if (frees)
+            return interchange(l);
+    }
+    for (size_t l = 0; l < n; ++l) {
+        if (!carried[l])
+            return hint;
+    }
+    hint.kind = Hint::Kind::Skew;
+    return hint;
+}
+
+/** The work counters of the two dependence memos: {full, carried}. */
+std::vector<std::int64_t>
+analyses()
+{
+    return {obs::counterValue("dep.analyses"),
+            obs::counterValue("dep.carried.analyses")};
+}
+
+/** bicg's q[i] += A[i][j] * p[j]: carried at j, the innermost loop. */
+struct BicgQ
+{
+    static constexpr std::int64_t n = 8;
+    Function f{"bicg_q"};
+    Var i{"i", 0, n}, j{"j", 0, n};
+    Placeholder A{f, "A", {n, n}};
+    Placeholder p{f, "p", {n}};
+    Placeholder q{f, "q", {n}};
+    Compute s{f, "s", {i, j}, q(i) + A(i, j) * p(j), q(i)};
+};
 
 TEST(Graph, Fig8FourNodeGraph)
 {
@@ -37,64 +164,36 @@ TEST(Graph, Fig8FourNodeGraph)
     Compute s4(f, "S4", {i, j, k}, D(i, j) + B(i, k) * C(k, j), D(i, j));
 
     auto stmts = lower::extractStmts(f);
-    DependenceGraph graph(stmts);
-    // Edges: S1->S2, S1->S3, S2->S4, S3->S4 (and S1->S1 style self loops
-    // are not edges). S1 also writes A read by itself only.
-    ASSERT_EQ(graph.nodes().size(), 4u);
-    auto hasEdge = [&](size_t a, size_t b) {
-        for (const auto &e : graph.edges()) {
-            if (e.from == a && e.to == b)
-                return true;
-        }
-        return false;
+    ASSERT_EQ(stmts.size(), 4u);
+    // Coarse edges in program order: S1->S2, S1->S3, S2->S4, S3->S4.
+    auto edge = [&](size_t a, size_t b) {
+        return poly::producesFor(stmts[a].accesses, stmts[b].accesses);
     };
-    EXPECT_TRUE(hasEdge(0, 1));
-    EXPECT_TRUE(hasEdge(0, 2));
-    EXPECT_TRUE(hasEdge(1, 3));
-    EXPECT_TRUE(hasEdge(2, 3));
-    EXPECT_FALSE(hasEdge(1, 2));
+    EXPECT_TRUE(edge(0, 1));
+    EXPECT_TRUE(edge(0, 2));
+    EXPECT_TRUE(edge(1, 3));
+    EXPECT_TRUE(edge(2, 3));
+    EXPECT_FALSE(edge(1, 2));
 
-    // Paths: S1-S2-S4 and S1-S3-S4 (Fig. 8 step 4).
-    auto paths = graph.collectPaths();
-    ASSERT_EQ(paths.size(), 2u);
-    EXPECT_EQ(paths[0], (std::vector<size_t>{0, 1, 3}));
-    EXPECT_EQ(paths[1], (std::vector<size_t>{0, 2, 3}));
-
-    // S4 is the GEMM-like node: reduction dimension k (level 2), with a
-    // loop-carried dependence at the innermost level.
-    const auto &s4_info = graph.nodes()[3];
-    ASSERT_FALSE(s4_info.selfDeps.empty());
-    ASSERT_EQ(s4_info.reductionDims.size(), 1u);
-    EXPECT_EQ(s4_info.reductionDims[0], 2u);
-    EXPECT_TRUE(s4_info.innermostCarried);
+    // S4 is the GEMM-like node, with a loop-carried dependence at the
+    // innermost level (its reduction dimension k).
+    EXPECT_FALSE(transform::selfDependences(stmts[3]).empty());
+    EXPECT_TRUE(innermostCarried(stmts[3]));
 
     // The hint: interchange a free level innermost (Fig. 8 "Guidance").
-    Hint hint = graph.suggest(3);
+    Hint hint = suggestHint(stmts[3]);
     EXPECT_EQ(hint.kind, Hint::Kind::Interchange);
     EXPECT_EQ(hint.toLevel, 2u);
-
-    // The graph prints something useful.
-    std::string s = graph.str();
-    EXPECT_NE(s.find("S4"), std::string::npos);
-    EXPECT_NE(s.find("edge"), std::string::npos);
 }
 
 TEST(Graph, BicgInnerCarriedSuggestsInterchange)
 {
-    // q[i] += A[i][j]*p[j]: dependence carried at j (innermost); level i
-    // is free -> interchange hint.
-    const std::int64_t n = 8;
-    Function f("bicg_q");
-    Var i("i", 0, n), j("j", 0, n);
-    Placeholder A(f, "A", {n, n});
-    Placeholder p(f, "p", {n});
-    Placeholder q(f, "q", {n});
-    Compute s(f, "s", {i, j}, q(i) + A(i, j) * p(j), q(i));
-
-    auto stmts = lower::extractStmts(f);
-    DependenceGraph graph(stmts);
-    EXPECT_TRUE(graph.nodes()[0].innermostCarried);
-    Hint hint = graph.suggest(0);
+    // Dependence carried at j (innermost); level i is free ->
+    // interchange hint.
+    BicgQ w;
+    auto stmts = lower::extractStmts(w.f);
+    EXPECT_TRUE(innermostCarried(stmts[0]));
+    Hint hint = suggestHint(stmts[0]);
     EXPECT_EQ(hint.kind, Hint::Kind::Interchange);
     EXPECT_EQ(hint.fromLevel, 0u);
     EXPECT_EQ(hint.toLevel, 1u);
@@ -110,11 +209,8 @@ TEST(Graph, SeidelLikeSuggestsSkew)
     Compute s(f, "s", {i, j},
               (A(i - 1, j) + A(i, j - 1) + A(i, j)) / 3.0, A(i, j));
     auto stmts = lower::extractStmts(f);
-    DependenceGraph graph(stmts);
-    EXPECT_TRUE(graph.nodes()[0].innermostCarried);
-    Hint hint = graph.suggest(0);
-    EXPECT_EQ(hint.kind, Hint::Kind::Skew);
-    EXPECT_NE(hint.str(), "");
+    EXPECT_TRUE(innermostCarried(stmts[0]));
+    EXPECT_EQ(suggestHint(stmts[0]).kind, Hint::Kind::Skew);
 }
 
 TEST(Graph, NoDependenceNoHint)
@@ -126,10 +222,9 @@ TEST(Graph, NoDependenceNoHint)
     Placeholder Y(f, "Y", {n, n});
     Compute s(f, "s", {i, j}, X(i, j) * 2.0, Y(i, j));
     auto stmts = lower::extractStmts(f);
-    DependenceGraph graph(stmts);
-    EXPECT_TRUE(graph.nodes()[0].selfDeps.empty());
-    EXPECT_FALSE(graph.nodes()[0].innermostCarried);
-    EXPECT_EQ(graph.suggest(0).kind, Hint::Kind::None);
+    EXPECT_TRUE(transform::selfDependences(stmts[0]).empty());
+    EXPECT_FALSE(innermostCarried(stmts[0]));
+    EXPECT_EQ(suggestHint(stmts[0]).kind, Hint::Kind::None);
 }
 
 TEST(Graph, InterchangeLegality)
@@ -141,8 +236,7 @@ TEST(Graph, InterchangeLegality)
     Placeholder A(f, "A", {10, 10});
     Compute s(f, "s", {i, j}, A(i - 1, j - 1) * 2.0, A(i, j));
     auto stmts = lower::extractStmts(f);
-    DependenceGraph graph(stmts);
-    EXPECT_TRUE(graph.interchangeIsLegal(0, 0, 1));
+    EXPECT_TRUE(interchangeIsLegal(transform::selfDependences(stmts[0]), 0, 1));
 }
 
 TEST(Graph, AntiDiagonalInterchangeIllegal)
@@ -152,42 +246,73 @@ TEST(Graph, AntiDiagonalInterchangeIllegal)
     Placeholder B(f, "B", {10, 10});
     Compute s(f, "s", {i, j}, B(i - 1, j + 1) * 2.0, B(i, j));
     auto stmts = lower::extractStmts(f);
-    DependenceGraph graph(stmts);
-    EXPECT_FALSE(graph.interchangeIsLegal(0, 0, 1));
+    EXPECT_FALSE(
+        interchangeIsLegal(transform::selfDependences(stmts[0]), 0, 1));
 }
 
 TEST(Graph, RefreshAfterTransform)
 {
-    const std::int64_t n = 8;
-    Function f("bicg_q");
-    Var i("i", 0, n), j("j", 0, n);
-    Placeholder A(f, "A", {n, n});
-    Placeholder p(f, "p", {n});
-    Placeholder q(f, "q", {n});
-    Compute s(f, "s", {i, j}, q(i) + A(i, j) * p(j), q(i));
-    auto stmts = lower::extractStmts(f);
-    ASSERT_EQ(DependenceGraph(stmts).suggest(0).kind,
-              Hint::Kind::Interchange);
+    BicgQ w;
+    auto stmts = lower::extractStmts(w.f);
+    ASSERT_EQ(suggestHint(stmts[0]).kind, Hint::Kind::Interchange);
 
-    // Apply the suggested interchange and rebuild: the dependence is now
-    // carried at the outer level, innermost is free.
+    // Apply the suggested interchange and ask again: the dependence is
+    // now carried at the outer level, innermost is free.
     transform::interchange(stmts[0], "i", "j");
-    DependenceGraph graph(stmts);
-    EXPECT_FALSE(graph.nodes()[0].innermostCarried);
-    EXPECT_EQ(graph.suggest(0).kind, Hint::Kind::None);
+    EXPECT_FALSE(innermostCarried(stmts[0]));
+    EXPECT_EQ(suggestHint(stmts[0]).kind, Hint::Kind::None);
 }
 
-TEST(Graph, SingletonPath)
+TEST(Graph, HintMatchesTheFullVectorReferenceOnFuzzedSchedules)
 {
-    Function f("one");
-    Var i("i", 0, 4);
-    Placeholder X(f, "X", {4});
-    Compute s(f, "s", {i}, X(i) + 1.0, X(i));
-    auto stmts = lower::extractStmts(f);
-    DependenceGraph graph(stmts);
-    auto paths = graph.collectPaths();
-    ASSERT_EQ(paths.size(), 1u);
-    EXPECT_EQ(paths[0], (std::vector<size_t>{0}));
+    std::size_t checked = 0, interchanges = 0, skews = 0;
+    for (const auto &name : workloads::allNames()) {
+        const std::int64_t size = check::defaultFuzzSize(name);
+        for (unsigned seed = 1; seed <= 8; ++seed) {
+            SCOPED_TRACE(name + " seed " + std::to_string(seed));
+            auto gen = workloads::makeByName(name, size);
+            auto ops = check::generateSchedule(*gen, seed);
+            auto w = workloads::makeByName(name, size);
+            ASSERT_TRUE(check::applyScheduleOps(*w, ops));
+            auto stmts = lower::extractStmts(w->func());
+            lower::applyDirectives(stmts);
+            for (const auto &stmt : stmts) {
+                SCOPED_TRACE(stmt.sched.name);
+                const Hint expected = referenceHint(stmt);
+                EXPECT_TRUE(suggestHint(stmt) == expected);
+                interchanges += expected.kind == Hint::Kind::Interchange;
+                skews += expected.kind == Hint::Kind::Skew;
+                ++checked;
+            }
+        }
+    }
+    EXPECT_GT(checked, workloads::allNames().size() * 8);
+    // Every branch of the hint is exercised, not only None.
+    EXPECT_GT(interchanges, 0u);
+    EXPECT_GT(skews, 0u);
+}
+
+TEST(Graph, FreeInnermostLoopReadsOnlyTheCarriedView)
+{
+    BicgQ w;
+    auto stmts = lower::extractStmts(w.f);
+    transform::PolyStmt carried = stmts[0];
+    transform::PolyStmt freed = stmts[0];
+    transform::interchange(freed, "i", "j");
+
+    // Innermost free: the carried view decides, no full vectors.
+    transform::clearDependenceMemo();
+    std::vector<std::int64_t> before = analyses();
+    EXPECT_EQ(suggestHint(freed).kind, Hint::Kind::None);
+    EXPECT_EQ(analyses(),
+              (std::vector<std::int64_t>{before[0], before[1] + 1}));
+
+    // Innermost carried: the full vectors are read too.
+    transform::clearDependenceMemo();
+    before = analyses();
+    EXPECT_EQ(suggestHint(carried).kind, Hint::Kind::Interchange);
+    EXPECT_EQ(analyses(),
+              (std::vector<std::int64_t>{before[0] + 1, before[1] + 1}));
 }
 
 } // namespace

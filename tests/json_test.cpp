@@ -3,9 +3,11 @@
  * Tests for support::parseJson on its own: `\u` escapes decode to the
  * UTF-8 bytes of their code point (surrogate pairs joined, a lone
  * surrogate an error), every escape jsonQuote() writes reads back, the
- * nesting bound is exact, and a seeded mutation stream over escapes,
- * number spellings and deep nesting only ever yields an error or a
- * value that re-serializes to a fixed point -- never a crash or a hang.
+ * nesting bound is exact, numbers and strings follow RFC 8259's grammar
+ * (no leading zero or digitless fraction, no raw control byte), and a
+ * seeded mutation stream over escapes, number spellings and deep
+ * nesting only ever yields an error or a value that re-serializes to a
+ * fixed point -- never a crash or a hang.
  */
 
 #include <gtest/gtest.h>
@@ -163,8 +165,34 @@ TEST(Json, NumberSpellings)
     EXPECT_EQ(v.kind, JsonValue::Kind::Double);
     EXPECT_TRUE(std::isinf(v.number));
     EXPECT_FALSE(v.exactInt().has_value());
-    for (const char *bad : {".5", "-", "--1", "1e", "+1", "1.2.3", "0x10"})
+    // An integer outside int64 reads as a Double that exactInt() refuses.
+    ASSERT_TRUE(parseJson("99999999999999999999", v, error)) << error;
+    EXPECT_EQ(v.kind, JsonValue::Kind::Double);
+    EXPECT_FALSE(v.exactInt().has_value());
+    for (const char *good : {"0", "-0.0", "0.5", "0e0", "10", "1E+2", "-1e-2"})
+        EXPECT_TRUE(parseJson(good, v, error)) << good << ": " << error;
+    // RFC 8259: no leading zero, and digits after '.' and an exponent.
+    for (const char *bad :
+         {".5", "-", "--1", "1e", "+1", "1.2.3", "0x10", "01", "-01", "00",
+          "01.5", "-.5", "1.", "1.e5", "1e+", "[01]", "{\"a\": 1.}"}) {
         EXPECT_FALSE(parseJson(bad, v, error)) << bad;
+        EXPECT_FALSE(error.empty()) << bad;
+    }
+}
+
+TEST(Json, UnescapedControlBytesAreErrors)
+{
+    JsonValue v;
+    std::string error;
+    for (int c = 0; c < 0x20; ++c) {
+        const std::string doc = "\"a" + std::string(1, static_cast<char>(c)) +
+                                "b\"";
+        EXPECT_FALSE(parseJson(doc, v, error)) << "byte " << c;
+        EXPECT_NE(error.find("control byte"), std::string::npos) << error;
+    }
+    // Escaped, the same bytes read back; DEL and UTF-8 bytes stay raw.
+    EXPECT_EQ(decoded(R"("a\u001fb\tc")"), "a\x1F" "b\tc");
+    EXPECT_EQ(decoded("\"\x7F\xC5\xA7\""), "\x7F\xC5\xA7");
 }
 
 TEST(Json, SurvivesSeededMutations)

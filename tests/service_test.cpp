@@ -18,7 +18,11 @@
 #include <map>
 #include <sstream>
 #include <thread>
+#include <utility>
 #include <vector>
+
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include "baselines/baselines.h"
 #include "golden_digests.h"
@@ -455,6 +459,131 @@ TEST(Protocol, SurvivesSeededMutations)
             ASSERT_EQ(twice, once) << name << " edit " << edit;
         }
     }
+}
+
+/** A connected AF_UNIX stream pair whose reading end times out. */
+struct SocketPair
+{
+    support::Socket reader, writer;
+
+    SocketPair()
+    {
+        int fds[2] = {-1, -1};
+        EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+        reader = support::Socket(fds[0]);
+        writer = support::Socket(fds[1]);
+        // A read that waits for bytes never sent returns an error
+        // after two seconds instead of hanging the suite.
+        EXPECT_TRUE(support::setRecvTimeout(reader, 2000));
+    }
+
+    /** Send @p bytes raw, one send() per byte when @p split. */
+    bool
+    send(const std::string &bytes, bool split) const
+    {
+        const std::size_t step = split ? 1 : bytes.size();
+        for (std::size_t at = 0; at < bytes.size(); at += step) {
+            if (::send(writer.fd(), bytes.data() + at, step, MSG_NOSIGNAL) !=
+                static_cast<ssize_t>(step))
+                return false;
+            if (split)
+                std::this_thread::sleep_for(std::chrono::microseconds(20));
+        }
+        return true;
+    }
+};
+
+/** The 4-byte big-endian length prefix of a frame. */
+std::string
+lengthPrefix(std::uint32_t n)
+{
+    std::string out;
+    for (int shift = 24; shift >= 0; shift -= 8)
+        out += static_cast<char>((n >> shift) & 0xff);
+    return out;
+}
+
+TEST(Protocol, RecvFrameSurvivesSeededPrefixes)
+{
+    // The length prefix comes from any local process: each read must
+    // return an error or exactly the payload sent, and return at once
+    // -- the receive timeout is there only to fail a hang.
+    constexpr std::size_t kMax = 64; // no case may allocate more
+    std::uint64_t state = 29;
+    auto bytes = [&state](std::size_t n) {
+        std::string out;
+        for (std::size_t i = 0; i < n; ++i)
+            out += static_cast<char>(mutation::splitMix64(state));
+        return out;
+    };
+    auto receive = [](const SocketPair &pair, std::string &payload,
+                   std::string &error) {
+        auto t0 = std::chrono::steady_clock::now();
+        bool ok = support::recvFrame(pair.reader, payload, kMax, error);
+        EXPECT_LT(std::chrono::steady_clock::now() - t0,
+                  std::chrono::seconds(1))
+            << "recvFrame waited for bytes that never came: " << error;
+        return ok;
+    };
+
+    for (int round = 0; round < 25; ++round) {
+        SCOPED_TRACE("round " + std::to_string(round));
+        std::string payload, error;
+        // 0-3 bytes of a prefix, then EOF.
+        for (std::size_t len = 0; len < 4; ++len) {
+            SocketPair pair;
+            ASSERT_TRUE(pair.send(bytes(len), false));
+            pair.writer.reset();
+            EXPECT_FALSE(receive(pair, payload, error)) << len << " bytes";
+            EXPECT_NE(error.find("closed"), std::string::npos) << error;
+        }
+        // A length above the limit, the writer still open: reading on
+        // would time out instead of naming the limit.
+        const std::uint32_t over = static_cast<std::uint32_t>(
+            kMax + 1 + mutation::splitMix64(state) % (0xFFFFFFFFull - kMax));
+        for (std::uint32_t n : {over, 0xFFFFFFFFu}) {
+            SocketPair pair;
+            ASSERT_TRUE(pair.send(lengthPrefix(n) + bytes(8), false));
+            EXPECT_FALSE(receive(pair, payload, error)) << n;
+            EXPECT_NE(error.find("exceeds the limit of 64"),
+                      std::string::npos)
+                << error;
+        }
+        // A length promising more bytes than are sent, then EOF.
+        {
+            const auto n = static_cast<std::uint32_t>(
+                1 + mutation::splitMix64(state) % kMax);
+            SocketPair pair;
+            ASSERT_TRUE(pair.send(
+                lengthPrefix(n) + bytes(mutation::splitMix64(state) % n),
+                false));
+            pair.writer.reset();
+            EXPECT_FALSE(receive(pair, payload, error)) << n;
+            EXPECT_NE(error.find("closed"), std::string::npos) << error;
+        }
+    }
+
+    // Valid frames back to back on one connection, written one byte at
+    // a time by another thread: each read returns exactly its frame.
+    std::vector<std::string> frames = {"", bytes(kMax)};
+    for (int i = 0; i < 30; ++i)
+        frames.push_back(bytes(mutation::splitMix64(state) % (kMax + 1)));
+    SocketPair pair;
+    bool sent = true;
+    std::thread writer([&] {
+        for (const std::string &frame : frames)
+            sent &= pair.send(lengthPrefix(frame.size()) + frame, true);
+    });
+    for (const std::string &frame : frames) {
+        std::string payload, error;
+        EXPECT_TRUE(receive(pair, payload, error)) << error;
+        EXPECT_EQ(payload, frame);
+    }
+    writer.join();
+    EXPECT_TRUE(sent);
+    pair.writer.reset();
+    std::string payload, error;
+    EXPECT_FALSE(receive(pair, payload, error));
 }
 
 TEST(Server, RejectsVersionMismatchCleanly)

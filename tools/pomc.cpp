@@ -32,7 +32,7 @@
  * answered (src/transform/poly_stmt.h); and beside it a `trip counts:`
  * line: how many domains hls::avgTrips counted and how many calls its
  * memo answered (src/hls/count.h), e.g. for `pomc vgg16 64 --dse`
- *   dependences: 13 full + 52 carried analyses (0.035710 s), 197 memo hits,
+ *   dependences: 13 full + 52 carried analyses (0.032871 s), 210 memo hits,
  *   0 evictions
  *   trip counts: 29 counted, 271 memo hits
  *
@@ -122,6 +122,7 @@
 #include "check/fuzzer.h"
 #include "check/oracle.h"
 #include "driver/compiler.h"
+#include "dsl/render.h"
 #include "dse/dse.h"
 #include "dse/strategy.h"
 #include "emit/hls_emitter.h"
@@ -666,7 +667,7 @@ main(int argc, char **argv)
             }
             if (want_dsl) {
                 std::printf("\n---- DSL ----\n%s",
-                            driver::renderDsl(w->func()).c_str());
+                            dsl::renderDsl(w->func()).c_str());
             }
             if (want_ast) {
                 std::printf("\n---- polyhedral AST ----\n%s",
@@ -744,7 +745,7 @@ main(int argc, char **argv)
 
         if (want_dsl) {
             std::printf("\n---- DSL ----\n%s",
-                        driver::renderDsl(w->func()).c_str());
+                        dsl::renderDsl(w->func()).c_str());
         }
         if (want_ast) {
             std::printf("\n---- polyhedral AST ----\n%s",
