@@ -43,8 +43,15 @@ main()
 
     std::printf("---- DSE decisions ----\n");
     for (const auto &e : result.journal) {
-        if (!e.detail.empty())
+        if (e.kind == "point") {
+            std::printf("  [%s] point %d %s (%s): latency=%llu, %s\n",
+                        e.phase.c_str(), e.point, e.verdict.c_str(),
+                        e.reason.c_str(),
+                        static_cast<unsigned long long>(e.latencyCycles),
+                        e.primitives.c_str());
+        } else {
             std::printf("  [%s] %s\n", e.phase.c_str(), e.detail.c_str());
+        }
     }
     std::printf("\n---- chosen polyhedral AST ----\n%s\n",
                 result.design.astRoot->str().c_str());
