@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <map>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <utility>
@@ -12,6 +13,7 @@
 #include "hls/node_cache.h"
 #include "obs/journal.h"
 #include "obs/obs.h"
+#include "support/cache_store.h"
 #include "support/diagnostics.h"
 #include "support/string_util.h"
 
@@ -39,6 +41,51 @@ struct Unit
     std::vector<size_t> members; ///< indices into the statement vector
     std::int64_t degree = 1;
 };
+
+/**
+ * One unit's scheduled statements under a fixed degree, with the
+ * partition factors its unrolled loops demand, its node key up to the
+ * bankings (the key head plus each member's schedule fragment) and the
+ * names of the arrays whose bankings complete the key. A scheduled one
+ * points into no function -- each statement's `source` is null -- so
+ * it serves every search of an equal function (scheduleMemo()); only
+ * the baseline's, built per search and never shared, keep theirs.
+ */
+struct UnitSchedule
+{
+    std::vector<PolyStmt> stmts; ///< member order (= unit.members)
+    hls::PartitionPlan partitions;
+    hls::NodeKey key;
+    /** The arrays the members access, in name order. */
+    std::vector<std::string> arrays;
+};
+
+/**
+ * Entry cap of the schedule memo. The cold 18-workload sweep builds
+ * 371 unit schedules under greedy and 882 under greedy, beam and
+ * anneal together, so the cap only bounds a long-lived daemon.
+ */
+constexpr std::size_t kScheduleMemoCap = 4096;
+
+using ScheduleMemo =
+    support::ContentCache<std::shared_ptr<const UnitSchedule>>;
+
+/**
+ * The process-wide schedule memo, in memory only. Creates every
+ * `dse.schedule*` counter at zero so each metrics report has them.
+ */
+ScheduleMemo &
+scheduleMemo()
+{
+    static ScheduleMemo *memo = [] {
+        obs::counterAdd("dse.schedules", 0);
+        obs::counterAdd("dse.schedule_memo.hits", 0);
+        obs::counterAdd("dse.schedule_memo.evictions", 0);
+        return new ScheduleMemo("dse.schedule_memo.evictions",
+                                kScheduleMemoCap);
+    }();
+    return *memo;
+}
 
 /**
  * RAII sampler for the per-point estimate-latency histogram. Gated on
@@ -451,6 +498,12 @@ applyPartitions(dsl::Function &func,
         else
             mp->clearPartition();
     }
+}
+
+void
+clearScheduleMemo()
+{
+    scheduleMemo().clear();
 }
 
 namespace {
@@ -981,27 +1034,39 @@ class Engine final : public Search
     }
 
     /**
-     * One unit's scheduled statements under a fixed degree, with the
-     * partition factors its unrolled loops demand, its node key up to
-     * the bankings (keyHead_ plus each member's schedule fragment) and
-     * the arrays whose bankings complete the key. Memoized per (unit,
-     * degree): a unit's schedule depends only on its own base
-     * statements (the min_level probe reads just the unit's
-     * untransformed members), so the stage-2 search -- which doubles
-     * one unit per step -- recomputes only the changed unit and shares
-     * everything else.
+     * A UnitSchedule as this search uses it: the schedule, plus what
+     * binds it to this engine's function -- its arrays resolved in
+     * func_ and its members' computes, read off the search's own base
+     * statements.
      */
-    struct UnitSchedule
+    struct BoundSchedule
     {
-        std::vector<PolyStmt> stmts; ///< member order (= unit.members)
-        hls::PartitionPlan partitions;
-        hls::NodeKey key;
-        /** The arrays the members access, in name order. */
+        std::shared_ptr<const UnitSchedule> schedule;
+        /** schedule->arrays, resolved in func_. */
         std::vector<const dsl::Placeholder *> arrays;
+        /** Each member's DSL compute, in member order. */
+        std::vector<const dsl::Compute *> sources;
     };
 
-    /** Memoized schedule of unit @p ui at @p unit's current degree. */
-    const UnitSchedule *
+    /** With memoize off, or under the oracle, nothing is shared. */
+    bool
+    reference() const
+    {
+        return !opt_.memoize || opt_.verifyEachPoint;
+    }
+
+    /**
+     * The schedule of unit @p ui at @p unit's current degree, bound to
+     * this search. Memoized per (unit, degree) for the search: a unit's
+     * schedule depends only on its own base statements (the min_level
+     * probe reads just the unit's untransformed members), so the
+     * stage-2 search -- which doubles one unit per step -- schedules
+     * only the changed unit and shares everything else. Each new
+     * (unit, degree) comes from the process-wide schedule memo, or is
+     * built and stored there, so a repeated request builds none; on
+     * the reference path the search builds every schedule itself.
+     */
+    const BoundSchedule *
     unitSchedule(const std::vector<PolyStmt> &base, size_t ui,
                  const Unit &unit)
     {
@@ -1009,19 +1074,75 @@ class Engine final : public Search
         auto it = unitMemo_.find(memoKey);
         if (it != unitMemo_.end())
             return &it->second;
-        UnitSchedule us;
+        std::shared_ptr<const UnitSchedule> us;
+        if (reference()) {
+            us = buildSchedule(base, unit);
+        } else {
+            const std::string key = scheduleKey(base, ui, unit);
+            ScheduleMemo &memo = scheduleMemo();
+            if (auto hit = memo.lookup(key)) {
+                obs::counterAdd("dse.schedule_memo.hits");
+                us = std::move(*hit);
+            } else {
+                // Two searches missing on one key both build it; the
+                // schedules are equal and the first store wins.
+                obs::counterAdd("dse.schedules");
+                us = buildSchedule(base, unit);
+                memo.store(key, us);
+            }
+        }
+        return &unitMemo_
+                    .emplace(memoKey, bind(std::move(us), base,
+                                           unit.members))
+                    .first->second;
+    }
+
+    /**
+     * The schedule memo's key of unit @p ui at @p unit's degree:
+     * keyHead_ and each member's base schedule fragment, folded once
+     * per unit per search and finished to 32 hex, then the degree and
+     * the inner unroll cap. That is everything applyParallelSchedule()
+     * and fusedNestMinLevel() read: the members' domains, betas, origin
+     * maps and annotations (the fragments), their accesses and the
+     * array shapes (the function digest), and the two numbers -- the
+     * argument the node key already rests on.
+     */
+    std::string
+    scheduleKey(const std::vector<PolyStmt> &base, size_t ui,
+                const Unit &unit)
+    {
+        if (unitKeys_.size() <= ui)
+            unitKeys_.resize(ui + 1);
+        std::string &head = unitKeys_[ui];
+        if (head.empty()) {
+            hls::NodeKey key = keyHead_;
+            for (size_t m : unit.members)
+                key.addSchedule(base[m]);
+            head = key.finish("");
+        }
+        return head + " " + std::to_string(unit.degree) + " " +
+               std::to_string(opt_.innerUnrollCap);
+    }
+
+    /** @p unit's members scheduled at its degree, sources cleared. */
+    std::shared_ptr<const UnitSchedule>
+    buildSchedule(const std::vector<PolyStmt> &base,
+                  const Unit &unit) const
+    {
+        auto us = std::make_shared<UnitSchedule>();
         size_t min_level = fusedNestMinLevel(base, unit.members);
         for (size_t m : unit.members) {
             PolyStmt stmt = base[m];
+            stmt.source = nullptr;
             applyParallelSchedule(stmt, unit.degree, opt_.innerUnrollCap,
-                                  func_, us.partitions, min_level);
-            us.stmts.push_back(std::move(stmt));
+                                  func_, us->partitions, min_level);
+            us->stmts.push_back(std::move(stmt));
         }
-        keyUnit(us);
-        return &unitMemo_.emplace(memoKey, std::move(us)).first->second;
+        keyUnit(*us);
+        return us;
     }
 
-    /** Fill @p us's key and arrays from its scheduled statements. */
+    /** Fill @p us's key and array names from its scheduled statements. */
     void
     keyUnit(UnitSchedule &us) const
     {
@@ -1032,11 +1153,25 @@ class Engine final : public Search
             for (const auto &a : stmt.accesses)
                 names.insert(a.array);
         }
-        for (const std::string &name : names) {
+        us.arrays.assign(names.begin(), names.end());
+    }
+
+    /** @p us bound to func_ and to the members @p members of @p base. */
+    BoundSchedule
+    bind(std::shared_ptr<const UnitSchedule> us,
+         const std::vector<PolyStmt> &base,
+         const std::vector<size_t> &members) const
+    {
+        BoundSchedule bound;
+        for (const std::string &name : us->arrays) {
             const dsl::Placeholder *p = func_.findPlaceholder(name);
             POM_ASSERT(p != nullptr, "unknown array in DSE");
-            us.arrays.push_back(p);
+            bound.arrays.push_back(p);
         }
+        for (size_t m : members)
+            bound.sources.push_back(base[m].source);
+        bound.schedule = std::move(us);
+        return bound;
     }
 
     /**
@@ -1047,11 +1182,11 @@ class Engine final : public Search
      * commutative.
      */
     static hls::PartitionPlan
-    mergePartitions(const std::vector<const UnitSchedule *> &parts)
+    mergePartitions(const std::vector<const BoundSchedule *> &parts)
     {
         hls::PartitionPlan merged;
-        for (const auto &us : parts) {
-            for (const auto &[array, factors] : us->partitions) {
+        for (const auto &part : parts) {
+            for (const auto &[array, factors] : part->schedule->partitions) {
                 auto &dst = merged[array];
                 if (dst.size() < factors.size())
                     dst.resize(factors.size(), 1);
@@ -1067,37 +1202,44 @@ class Engine final : public Search
      * function's own partition directives when it is null.
      */
     std::string
-    nodeKey(const UnitSchedule &us,
+    nodeKey(const BoundSchedule &part,
             const hls::PartitionPlan *partitions) const
     {
-        hls::NodeKey key = us.key;
-        for (const dsl::Placeholder *p : us.arrays)
+        hls::NodeKey key = part.schedule->key;
+        for (const dsl::Placeholder *p : part.arrays)
             key.addBanking(p->name(), hls::effectiveBanking(*p, partitions));
         return key.finish(costLine_);
     }
 
     /** Memoized schedules of every unit at its current degree. */
-    std::vector<const UnitSchedule *>
+    std::vector<const BoundSchedule *>
     unitSchedules(const std::vector<PolyStmt> &base,
                   const std::vector<Unit> &units)
     {
-        std::vector<const UnitSchedule *> parts;
+        std::vector<const BoundSchedule *> parts;
         parts.reserve(units.size());
         for (size_t ui = 0; ui < units.size(); ++ui)
             parts.push_back(unitSchedule(base, ui, units[ui]));
         return parts;
     }
 
-    /** The statements of @p parts, each back at its index in @p base. */
+    /**
+     * The statements of @p parts, each back at its index in @p base
+     * and pointing at its compute there.
+     */
     static std::vector<PolyStmt>
     inBaseOrder(const std::vector<PolyStmt> &base,
                 const std::vector<Unit> &units,
-                const std::vector<const UnitSchedule *> &parts)
+                const std::vector<const BoundSchedule *> &parts)
     {
         std::vector<PolyStmt> stmts = base;
         for (size_t ui = 0; ui < units.size(); ++ui) {
-            for (size_t k = 0; k < units[ui].members.size(); ++k)
-                stmts[units[ui].members[k]] = parts[ui]->stmts[k];
+            for (size_t k = 0; k < units[ui].members.size(); ++k) {
+                PolyStmt &stmt = stmts[units[ui].members[k]];
+                const dsl::Compute *source = stmt.source;
+                stmt = parts[ui]->schedule->stmts[k];
+                stmt.source = source;
+            }
         }
         return stmts;
     }
@@ -1110,15 +1252,14 @@ class Engine final : public Search
      * `dse.node_cache.*`). @p allCached is cleared on any miss.
      */
     std::vector<hls::NodeReport>
-    cachedNodes(const std::vector<const UnitSchedule *> &parts,
+    cachedNodes(const std::vector<const BoundSchedule *> &parts,
                 const hls::PartitionPlan *partitions, bool &allCached)
     {
         hls::EstimatorOptions eo = estOptions();
         eo.partitionOverride = partitions;
         std::vector<hls::NodeReport> nodes;
-        for (const auto &part : parts) {
-            const UnitSchedule &us = *part;
-            const std::string key = nodeKey(us, partitions);
+        for (const BoundSchedule *part : parts) {
+            const std::string key = nodeKey(*part, partitions);
             if (auto cached = hls::NodeReportCache::global().lookup(key)) {
                 obs::counterAdd("dse.node_cache.hits");
                 for (auto &n : *cached)
@@ -1127,7 +1268,10 @@ class Engine final : public Search
             }
             obs::counterAdd("dse.node_cache.misses");
             allCached = false;
-            auto lowered = lower::lowerNodeStmts(us.stmts);
+            std::vector<PolyStmt> stmts = part->schedule->stmts;
+            for (size_t k = 0; k < stmts.size(); ++k)
+                stmts[k].source = part->sources[k];
+            auto lowered = lower::lowerNodeStmts(std::move(stmts));
             std::vector<hls::NodeReport> fresh =
                 hls::estimateNodes(func_, lowered, eo);
             hls::NodeReportCache::global().store(key, fresh);
@@ -1149,7 +1293,7 @@ class Engine final : public Search
      */
     hls::SynthesisReport
     composeReport(
-        const std::vector<const UnitSchedule *> &parts,
+        const std::vector<const BoundSchedule *> &parts,
         const hls::PartitionPlan &partitions, obs::Span &span)
     {
         bool allCached = true;
@@ -1176,23 +1320,23 @@ class Engine final : public Search
     hls::SynthesisReport
     baselineReport(const std::vector<PolyStmt> &extracted)
     {
-        if (!opt_.memoize || opt_.verifyEachPoint) {
+        if (reference()) {
             return hls::estimate(func_, lower::lowerUnscheduled(func_),
                                  estOptions());
         }
         std::vector<PolyStmt> plain = extracted;
         lower::applyDirectives(plain, /*ordering_only=*/true);
-        std::vector<UnitSchedule> units;
+        std::vector<BoundSchedule> units;
         for (const Unit &unit : groupUnits(plain)) {
-            UnitSchedule us;
+            auto us = std::make_shared<UnitSchedule>();
             for (size_t m : unit.members)
-                us.stmts.push_back(plain[m]);
-            keyUnit(us);
-            units.push_back(std::move(us));
+                us->stmts.push_back(plain[m]);
+            keyUnit(*us);
+            units.push_back(bind(std::move(us), plain, unit.members));
         }
-        std::vector<const UnitSchedule *> parts;
-        for (const UnitSchedule &us : units)
-            parts.push_back(&us);
+        std::vector<const BoundSchedule *> parts;
+        for (const BoundSchedule &unit : units)
+            parts.push_back(&unit);
         bool allCached = true;
         return hls::combineNodeReports(
             func_, cachedNodes(parts, nullptr, allCached), estOptions());
@@ -1226,12 +1370,11 @@ class Engine final : public Search
         c.eval.primitives = primitivesSummary(base, units, partitions);
         span.arg("primitives", c.eval.primitives);
 
-        bool reference = !opt_.memoize || opt_.verifyEachPoint;
-        if (final || reference) {
+        if (final || reference()) {
             c.design =
                 lower::lowerStmts(func_, inBaseOrder(base, units, parts));
         }
-        if (reference) {
+        if (reference()) {
             hls::EstimatorOptions eo = estOptions();
             eo.partitionOverride = &partitions;
             c.eval.report = hls::estimate(func_, c.design, eo);
@@ -1262,7 +1405,9 @@ class Engine final : public Search
     /** The node-key text's tail: the cost table, rendered once. */
     std::string costLine_;
     /** std::map, so the pointers unitSchedule() returns stay valid. */
-    std::map<std::pair<size_t, std::int64_t>, UnitSchedule> unitMemo_;
+    std::map<std::pair<size_t, std::int64_t>, BoundSchedule> unitMemo_;
+    /** Per unit index, the unit part of its schedule-memo key. */
+    std::vector<std::string> unitKeys_;
     /** Stage 2's statements and units, for Search::evaluate(). */
     const std::vector<PolyStmt> *base_ = nullptr;
     std::vector<Unit> units_;

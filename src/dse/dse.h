@@ -70,9 +70,12 @@ struct DseOptions
      * hls::NodeReportCache (hls/node_cache.h): a point re-lowers and
      * re-estimates only the units whose schedule or banking was never
      * seen, and a point whose every unit is cached (`dse.cache.hits`)
-     * skips lowering and estimation entirely. The selected design
-     * (and a replayed point) is still lowered whole for emission; only
-     * its report is composed. With memoize off every point and the
+     * skips lowering and estimation entirely. Each unit's schedule at
+     * each degree likewise comes from a process-wide memo (see
+     * clearScheduleMemo()), so a repeated search schedules nothing.
+     * The selected design (and a replayed point) is still lowered whole
+     * for emission; only its report is composed. With memoize off every
+     * schedule is built by the search itself and every point and the
      * baseline are lowered and estimated whole, uncached: the
      * reference the differential tests hold the default path to, byte
      * for byte. Ignored when verifyEachPoint is set.
@@ -264,6 +267,19 @@ size_t fusedNestMinLevel(const std::vector<transform::PolyStmt> &stmts,
 void applyPartitions(
     dsl::Function &func,
     const std::map<std::string, std::vector<std::int64_t>> &partitions);
+
+/**
+ * Empty the process-wide schedule memo (tests of a cold search). A
+ * memoized search takes each unit's schedule at each degree from it:
+ * the unit's statements after applyParallelSchedule(), their partition
+ * demands and their node-key state, keyed on the function digest, the
+ * members' base schedule fragments, the degree and the inner unroll
+ * cap. FIFO cap of 4096 entries, in memory only; an entry points into
+ * no function, so it serves every search of an equal function. A miss
+ * counts `dse.schedules`, a hit `dse.schedule_memo.hits`, an eviction
+ * `dse.schedule_memo.evictions`, each created at zero with the memo.
+ */
+void clearScheduleMemo();
 
 } // namespace pom::dse
 

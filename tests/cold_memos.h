@@ -1,0 +1,32 @@
+/**
+ * @file
+ * How a test starts a search on cold caches: empty every process-wide
+ * memo a search reads, so that it does all of its own work.
+ */
+
+#ifndef POM_TESTS_COLD_MEMOS_H
+#define POM_TESTS_COLD_MEMOS_H
+
+#include "dse/dse.h"
+#include "hls/count.h"
+#include "hls/node_cache.h"
+#include "transform/poly_stmt.h"
+
+namespace pom::cold {
+
+/**
+ * Empty the node-report cache, both dependence memos, the trip-count
+ * memo and the schedule memo, and reset their statistics.
+ */
+inline void
+clearProcessMemos()
+{
+    hls::NodeReportCache::global().clear();
+    transform::clearDependenceMemo();
+    hls::clearTripMemo();
+    dse::clearScheduleMemo();
+}
+
+} // namespace pom::cold
+
+#endif // POM_TESTS_COLD_MEMOS_H

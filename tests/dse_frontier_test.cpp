@@ -15,14 +15,12 @@
 #include <string>
 #include <vector>
 
+#include "cold_memos.h"
 #include "dse/dse.h"
 #include "dse/pareto.h"
 #include "dse/strategy.h"
-#include "hls/count.h"
-#include "hls/node_cache.h"
 #include "obs/journal.h"
 #include "obs/obs.h"
-#include "transform/poly_stmt.h"
 #include "workloads/workloads.h"
 
 namespace {
@@ -224,17 +222,12 @@ TEST(FrontierProperty, DominatedAndDuplicateReinsertsAreNoOps)
 
 // ----- strategies on the real DSE ---------------------------------------
 
-/**
- * One search with the node cache, the dependence memo and the trip
- * memo cleared first so every run does its own work.
- */
+/** One search on cold process memos, so every run does its own work. */
 dse::DseResult
 runDse(const std::string &name, std::int64_t size,
        dse::StrategyKind strategy)
 {
-    hls::NodeReportCache::global().clear();
-    transform::clearDependenceMemo();
-    hls::clearTripMemo();
+    cold::clearProcessMemos();
     auto w = workloads::makeByName(name, size);
     dse::DseOptions opt;
     opt.strategy = strategy;

@@ -14,14 +14,13 @@
 #include <string>
 #include <vector>
 
+#include "cold_memos.h"
 #include "dse/dse.h"
-#include "hls/count.h"
 #include "hls/node_cache.h"
 #include "mutation.h"
 #include "obs/journal.h"
 #include "obs/obs.h"
 #include "support/diagnostics.h"
-#include "transform/poly_stmt.h"
 #include "workloads/workloads.h"
 
 namespace {
@@ -38,16 +37,11 @@ runDse(const std::string &name, std::int64_t size, bool memoize = true)
     return dse::autoDSE(w->func(), opt);
 }
 
-/**
- * One search with the node cache, the dependence memo and the trip
- * memo cleared first, so that it does all of its own work.
- */
+/** One search on cold process memos, so that it does all of its own work. */
 dse::DseResult
 runCold(const std::string &name, std::int64_t size)
 {
-    hls::NodeReportCache::global().clear();
-    transform::clearDependenceMemo();
-    hls::clearTripMemo();
+    cold::clearProcessMemos();
     return runDse(name, size);
 }
 

@@ -20,8 +20,12 @@
  *          --gtest_filter='IncrementalDse.*JournalsByteIdentical'
  *  - The same sweeps hold the baseline composed from node reports to
  *    the monolithic estimate of the whole unscheduled design, and a
- *    second identical search counts no trips, estimates no node and
- *    runs no monolithic estimate.
+ *    second identical search counts no trips, builds no unit schedule,
+ *    estimates no node and runs no monolithic estimate.
+ *  - The process-wide schedule memo: its entries never alias across
+ *    sizes, user directives or unroll caps, the reference path leaves
+ *    it alone, an entry outlives the function it was built from, and
+ *    concurrent searches that share it agree.
  *  - The NodeReportCache entry codec (its store and spill mechanics
  *    are covered by content_cache_test).
  *  - combineNodeReports(estimateNodes(f)) equals estimate(f).
@@ -30,18 +34,19 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "cold_memos.h"
 #include "dse/dse.h"
 #include "emit/hls_emitter.h"
 #include "golden_digests.h"
-#include "hls/count.h"
 #include "hls/node_cache.h"
 #include "lower/lower.h"
 #include "obs/journal.h"
 #include "obs/obs.h"
-#include "transform/poly_stmt.h"
 #include "workloads/workloads.h"
 
 namespace {
@@ -199,13 +204,15 @@ TEST(IncrementalDse, NodeCacheIsActuallyUsed)
 TEST(IncrementalDse, RepeatedSearchCountsAndEstimatesNothing)
 {
     // What a warm request costs: a second identical search finds every
-    // trip count, node report and dependence the first one stored, its
-    // baseline included, and never runs the monolithic estimator. The
-    // reference path (memoize off) still does, for the baseline too.
+    // trip count, unit schedule, node report and dependence the first
+    // one stored, its baseline included, and never runs the monolithic
+    // estimator. The reference path (memoize off) still does, for the
+    // baseline too.
     obs::setMetricsEnabled(true);
     const char *counters[] = {"trips.counts", "dse.node_cache.misses",
                               "hls.estimates", "dep.analyses",
-                              "dep.carried.analyses", "dse.cache.misses"};
+                              "dep.carried.analyses", "dse.cache.misses",
+                              "dse.schedules"};
     auto snapshot = [&counters]() {
         std::vector<std::int64_t> values;
         for (const char *c : counters)
@@ -218,23 +225,25 @@ TEST(IncrementalDse, RepeatedSearchCountsAndEstimatesNothing)
             auto w = makeByName(name, 32);
             return dse::autoDSE(w->func());
         };
-        hls::NodeReportCache::global().clear();
-        hls::clearTripMemo();
-        transform::clearDependenceMemo();
+        cold::clearProcessMemos();
         const std::vector<std::int64_t> cold = snapshot();
         dse::DseResult first = search();
         const std::vector<std::int64_t> warm = snapshot();
         EXPECT_EQ(warm[2], cold[2]) << "the first search ran hls::estimate";
         EXPECT_GT(warm[0], cold[0]);
         EXPECT_GT(warm[1], cold[1]);
+        EXPECT_GT(warm[6], cold[6]);
         // The baseline is no design point of the cache counts.
         EXPECT_EQ(first.pointCacheHits + first.pointCacheMisses,
                   first.pointsExplored);
         const std::int64_t hits = obs::counterValue("trips.memo.hits");
         const std::int64_t pointHits = obs::counterValue("dse.cache.hits");
+        const std::int64_t scheduleHits =
+            obs::counterValue("dse.schedule_memo.hits");
         dse::DseResult second = search();
         EXPECT_EQ(snapshot(), warm);
         EXPECT_GT(obs::counterValue("trips.memo.hits"), hits);
+        EXPECT_GT(obs::counterValue("dse.schedule_memo.hits"), scheduleHits);
         EXPECT_EQ(second.pointCacheMisses, 0);
         EXPECT_EQ(second.pointCacheHits, second.pointsExplored);
         EXPECT_EQ(obs::counterValue("dse.cache.hits") - pointHits,
@@ -255,6 +264,174 @@ TEST(IncrementalDse, RepeatedSearchCountsAndEstimatesNothing)
         EXPECT_EQ(mono.baseline.str(device), first.baseline.str(device));
     }
     obs::setMetricsEnabled(false);
+}
+
+// ----- the process-wide schedule memo -------------------------------------
+
+/** What one search printed, and how it used the schedule memo. */
+struct SearchRun
+{
+    std::string journal; ///< the v2 journal
+    std::string hlsC;
+    std::int64_t schedules = 0;    ///< `dse.schedules` delta
+    std::int64_t scheduleHits = 0; ///< `dse.schedule_memo.hits` delta
+};
+
+SearchRun
+searchOf(dsl::Function &func, const dse::DseOptions &opt = {})
+{
+    const std::int64_t built = obs::counterValue("dse.schedules");
+    const std::int64_t hits = obs::counterValue("dse.schedule_memo.hits");
+    dse::DseResult res = dse::autoDSE(func, opt);
+    SearchRun run;
+    run.journal = obs::journalJsonV2(res.journal, res.frontierRounds);
+    run.hlsC = emit::emitHlsC(*res.design.func);
+    run.schedules = obs::counterValue("dse.schedules") - built;
+    run.scheduleHits = obs::counterValue("dse.schedule_memo.hits") - hits;
+    return run;
+}
+
+/** A gemm search that differs from the others in one key part. */
+struct GemmCase
+{
+    const char *label;
+    std::int64_t size;
+    bool userSplit;
+    std::int64_t innerUnrollCap;
+
+    SearchRun
+    search() const
+    {
+        auto w = makeByName("gemm", size);
+        if (userSplit) {
+            w->func().findCompute("s")->split(dsl::Var("i"), 4,
+                                              dsl::Var("i0"),
+                                              dsl::Var("i1"));
+        }
+        dse::DseOptions opt;
+        opt.innerUnrollCap = innerUnrollCap;
+        return searchOf(w->func(), opt);
+    }
+};
+
+TEST(ScheduleMemo, EntriesNeverAlias)
+{
+    // Each case changes one part of the key: the function digest (the
+    // size), the members' base fragments (a user split) or the inner
+    // unroll cap. Run one after another in a warm process, each must
+    // build every schedule it builds in a cold one, and print what a
+    // cold process prints.
+    const GemmCase cases[] = {{"gemm@32", 32, false, 16},
+                              {"gemm@64", 64, false, 16},
+                              {"gemm@64 split i by 4", 64, true, 16},
+                              {"gemm@64 inner cap 4", 64, false, 4}};
+    std::vector<SearchRun> cold_runs;
+    for (const GemmCase &c : cases) {
+        cold::clearProcessMemos();
+        cold_runs.push_back(c.search());
+        EXPECT_GT(cold_runs.back().schedules, 0) << c.label;
+        EXPECT_EQ(cold_runs.back().scheduleHits, 0) << c.label;
+    }
+    cold::clearProcessMemos();
+    for (size_t i = 0; i < std::size(cases); ++i) {
+        SCOPED_TRACE(cases[i].label);
+        SearchRun warm = cases[i].search();
+        EXPECT_EQ(warm.schedules, cold_runs[i].schedules);
+        EXPECT_EQ(warm.scheduleHits, 0);
+        EXPECT_EQ(warm.journal, cold_runs[i].journal);
+        EXPECT_EQ(warm.hlsC, cold_runs[i].hlsC);
+    }
+    // And again: now each finds all of its own schedules.
+    for (size_t i = 0; i < std::size(cases); ++i) {
+        SCOPED_TRACE(cases[i].label);
+        SearchRun again = cases[i].search();
+        EXPECT_EQ(again.schedules, 0);
+        EXPECT_EQ(again.scheduleHits, cold_runs[i].schedules);
+        EXPECT_EQ(again.journal, cold_runs[i].journal);
+        EXPECT_EQ(again.hlsC, cold_runs[i].hlsC);
+    }
+}
+
+TEST(ScheduleMemo, ReferencePathLeavesItAlone)
+{
+    // With memoize off, or the oracle on every point, a search builds
+    // its own schedules even when the memo holds every one of them.
+    cold::clearProcessMemos();
+    auto warmup = makeByName("2mm", 8);
+    const SearchRun memoized = searchOf(warmup->func());
+    EXPECT_GT(memoized.schedules, 0);
+    for (bool verify : {false, true}) {
+        SCOPED_TRACE(verify ? "verifyEachPoint" : "memoize off");
+        dse::DseOptions opt;
+        opt.memoize = verify;
+        opt.verifyEachPoint = verify;
+        auto w = makeByName("2mm", 8);
+        SearchRun reference = searchOf(w->func(), opt);
+        EXPECT_EQ(reference.schedules, 0);
+        EXPECT_EQ(reference.scheduleHits, 0);
+        EXPECT_EQ(reference.journal, memoized.journal);
+        EXPECT_EQ(reference.hlsC, memoized.hlsC);
+    }
+}
+
+TEST(ScheduleMemo, ServesAnEqualFunctionAfterTheFirstIsGone)
+{
+    // An entry points into no function. Function A fills the memo and
+    // is destroyed; an equal function B, allocated while A was alive,
+    // then takes every schedule from it and lowers from them twice:
+    // each unit on a node-cache miss, and the selected design whole.
+    // Each statement must read B's own compute -- a stale one is a
+    // use-after-free under the sanitizer build.
+    cold::clearProcessMemos();
+    auto fresh = makeByName("2mm", 32);
+    const SearchRun cold_run = searchOf(fresh->func());
+
+    cold::clearProcessMemos();
+    auto a = makeByName("2mm", 32);
+    auto b = makeByName("2mm", 32);
+    searchOf(a->func());
+    a.reset();
+    hls::NodeReportCache::global().clear();
+    const std::int64_t node_misses =
+        obs::counterValue("dse.node_cache.misses");
+    const std::int64_t built = obs::counterValue("dse.schedules");
+    const std::int64_t hits = obs::counterValue("dse.schedule_memo.hits");
+    dse::DseResult res = dse::autoDSE(b->func());
+    EXPECT_EQ(obs::counterValue("dse.schedules"), built);
+    EXPECT_EQ(obs::counterValue("dse.schedule_memo.hits") - hits,
+              cold_run.schedules);
+    EXPECT_GT(obs::counterValue("dse.node_cache.misses"), node_misses);
+    EXPECT_EQ(emit::emitHlsC(*res.design.func), cold_run.hlsC);
+    EXPECT_EQ(obs::journalJsonV2(res.journal, res.frontierRounds),
+              cold_run.journal);
+    for (const auto &stmt : res.design.stmts) {
+        EXPECT_EQ(stmt.source, b->func().findCompute(stmt.sched.name))
+            << stmt.sched.name;
+    }
+}
+
+TEST(ScheduleMemo, ConcurrentSearchesAgree)
+{
+    // Four threads search one workload at once on cold memos, so they
+    // race to build and store the same schedules.
+    cold::clearProcessMemos();
+    auto solo = makeByName("3mm", 32);
+    const std::string cold_journal = searchOf(solo->func()).journal;
+
+    cold::clearProcessMemos();
+    std::vector<std::string> journals(4);
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < journals.size(); ++t) {
+        threads.emplace_back([&journals, t]() {
+            auto w = makeByName("3mm", 32);
+            dse::DseResult res = dse::autoDSE(w->func());
+            journals[t] = obs::journalJsonV2(res.journal, res.frontierRounds);
+        });
+    }
+    for (std::thread &t : threads)
+        t.join();
+    for (const std::string &journal : journals)
+        EXPECT_EQ(journal, cold_journal);
 }
 
 // ----- NodeReportCache entry codec ---------------------------------------

@@ -25,8 +25,8 @@
 #include <unistd.h>
 
 #include "baselines/baselines.h"
+#include "cold_memos.h"
 #include "golden_digests.h"
-#include "hls/count.h"
 #include "hls/node_cache.h"
 #include "mutation.h"
 #include "obs/journal.h"
@@ -34,7 +34,6 @@
 #include "service/server.h"
 #include "support/socket.h"
 #include "support/version.h"
-#include "transform/poly_stmt.h"
 #include "workloads/workloads.h"
 
 namespace {
@@ -932,9 +931,7 @@ TEST(ServiceSocket, FullQueueAnswersBusyWithRetryHint)
 
     // Occupy the only slot with a real compile: the deepest search, on
     // cold caches, so it holds the slot for a while...
-    hls::NodeReportCache::global().clear();
-    transform::clearDependenceMemo();
-    hls::clearTripMemo();
+    cold::clearProcessMemos();
     std::thread holder([&]() {
         service::Response resp;
         std::string holder_error;

@@ -31,8 +31,9 @@
  *     (default 0.30). A time series whose baseline median is under
  *     kTimeFloorSeconds is too short to time and is only plotted.
  *   - `hls.latency_cycles`, `dep.analyses`, `dep.carried.analyses`,
- *     `dse.node_cache.misses` and `dse.cache.misses` depend only on the
- *     search, so they gate at --det-threshold (default 0.02).
+ *     `dse.node_cache.misses`, `dse.cache.misses` and `trips.counts`
+ *     depend only on the search, so they gate at --det-threshold
+ *     (default 0.02).
  *   - every other series is only plotted.
  *
  * Each breach prints a REGRESSION line that names its series -- so a

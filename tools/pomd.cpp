@@ -4,14 +4,15 @@
  *
  * Usage:
  *   pomd [--socket PATH] [--cache-dir DIR] [--workers N] [--queue N]
- *        [--retry-after MS] [--jobs N] [--version] [--quiet|-q]
- *        [--verbose|-v]
+ *        [--retry-after MS] [--jobs N] [--metrics-out FILE]
+ *        [--trace-out FILE] [--version] [--quiet|-q] [--verbose|-v]
  *
  * Listens on a Unix-domain socket and serves concurrent compile/DSE
  * requests (see src/service/protocol.h), keeping the per-node report
- * cache (src/hls/node_cache.h) warm across requests. With --cache-dir
- * that cache is spilled to DIR/nodes.index + DIR/nodes/ and warm-loaded
- * on the next start, so even a restarted daemon answers repeated DSE
+ * cache (src/hls/node_cache.h), the unit-schedule, trip-count and
+ * dependence memos warm across requests. With --cache-dir the node
+ * cache is spilled to DIR/nodes.index + DIR/nodes/ and warm-loaded on
+ * the next start, so even a restarted daemon answers repeated DSE
  * requests from cache.
  *
  * --workers N sets how many requests execute at once; each request
@@ -21,6 +22,13 @@
  * The node cache holds at most hls::kNodeCacheCap entries (FIFO);
  * evictions are visible as node_cache_evictions in the stats frame and
  * as the dse.node_cache.evictions counter in metrics JSON.
+ *
+ * --metrics-out FILE and --trace-out FILE are pomc's flags, written
+ * once, after a clean shutdown: the metrics JSON of every request the
+ * daemon served (the counters are process-wide), and a Chrome
+ * trace-event JSON of their spans, one lane per executor. The trace
+ * keeps every span in memory until shutdown, so turn it on for a
+ * measurement, not for a long-lived daemon.
  *
  * Clients: `pomc --connect PATH ...` (same flags as one-shot pomc),
  * plus `pomc --daemon-stats` and `pomc --daemon-shutdown`.
@@ -35,6 +43,7 @@
 #include <cstdlib>
 #include <string>
 
+#include "obs/obs.h"
 #include "service/server.h"
 #include "support/diagnostics.h"
 #include "support/string_util.h"
@@ -59,8 +68,9 @@ usage(const char *argv0)
     std::fprintf(stderr,
                  "usage: %s [--socket PATH] [--cache-dir DIR] "
                  "[--workers N] [--queue N] [--retry-after MS] "
-                 "[--jobs N (ignored)] [--version] [--quiet|-q] "
-                 "[--verbose|-v]\n",
+                 "[--jobs N (ignored)] [--metrics-out FILE] "
+                 "[--trace-out FILE (keeps every span until shutdown)] "
+                 "[--version] [--quiet|-q] [--verbose|-v]\n",
                  argv0);
     return 2;
 }
@@ -88,6 +98,8 @@ int
 main(int argc, char **argv)
 {
     service::ServerOptions options;
+    std::string metrics_out;
+    std::string trace_out;
     for (int a = 1; a < argc; ++a) {
         std::string arg = argv[a];
         if (arg == "--socket" && a + 1 < argc) {
@@ -106,6 +118,10 @@ main(int argc, char **argv)
         } else if (arg == "--jobs" && a + 1 < argc) {
             // Still validated; a compile runs on one thread whatever N.
             intArg("--jobs", argv[++a], "a worker count", 1, 256);
+        } else if (arg == "--metrics-out" && a + 1 < argc) {
+            metrics_out = argv[++a];
+        } else if (arg == "--trace-out" && a + 1 < argc) {
+            trace_out = argv[++a];
         } else if (arg == "--version") {
             std::printf("pomd %s (protocol %s, cache %s)\n",
                         support::kVersionString, support::kProtocolName,
@@ -125,27 +141,46 @@ main(int argc, char **argv)
         }
     }
 
-    service::Server server(options);
-    std::string error;
-    if (!server.start(error)) {
-        std::fprintf(stderr, "pomd: %s\n", error.c_str());
-        return 1;
-    }
-    g_server = &server;
-    std::signal(SIGINT, handleSignal);
-    std::signal(SIGTERM, handleSignal);
-    std::signal(SIGPIPE, SIG_IGN);
+    if (!trace_out.empty())
+        obs::setTracingEnabled(true);
+    if (!metrics_out.empty())
+        obs::setMetricsEnabled(true);
 
-    std::fprintf(stderr,
-                 "pomd %s listening on %s (%d workers, queue %d, "
-                 "nodes: %zu warm%s)\n",
-                 support::kVersionString, options.socketPath.c_str(),
-                 options.workers, options.queueLimit,
-                 server.loadStats().loaded,
-                 options.cacheDir.empty() ? ", no spill" : "");
-    server.run();
-    std::fprintf(stderr, "pomd: shutting down after %llu requests\n",
-                 static_cast<unsigned long long>(
-                     server.requestsServed()));
-    return 0;
+    {
+        service::Server server(options);
+        std::string error;
+        if (!server.start(error)) {
+            std::fprintf(stderr, "pomd: %s\n", error.c_str());
+            return 1;
+        }
+        g_server = &server;
+        std::signal(SIGINT, handleSignal);
+        std::signal(SIGTERM, handleSignal);
+        std::signal(SIGPIPE, SIG_IGN);
+
+        std::fprintf(stderr,
+                     "pomd %s listening on %s (%d workers, queue %d, "
+                     "nodes: %zu warm%s)\n",
+                     support::kVersionString, options.socketPath.c_str(),
+                     options.workers, options.queueLimit,
+                     server.loadStats().loaded,
+                     options.cacheDir.empty() ? ", no spill" : "");
+        server.run();
+        g_server = nullptr;
+        std::fprintf(stderr, "pomd: shutting down after %llu requests\n",
+                     static_cast<unsigned long long>(
+                         server.requestsServed()));
+        // Leaving the scope finishes the requests still in flight and
+        // saves the cache spill.
+    }
+    // Every request has finished, so every span has closed.
+    auto write = [](const std::string &path, const std::string &content) {
+        if (path.empty() || obs::writeFile(path, content))
+            return true;
+        std::fprintf(stderr, "pomd: cannot write '%s'\n", path.c_str());
+        return false;
+    };
+    bool ok = write(metrics_out, obs::metricsJson());
+    ok = write(trace_out, obs::chromeTraceJson()) && ok;
+    return ok ? 0 : 1;
 }
