@@ -15,7 +15,6 @@ int
 main()
 {
     const std::int64_t n = 4096;
-    const auto device = hls::Device::xc7z020();
     const double fractions[] = {0.25, 0.5, 0.75, 1.0};
 
     std::printf("=== Fig. 11: 2MM under resource constraints (N=%lld) "
@@ -29,9 +28,9 @@ main()
     auto base = baselines::runUnoptimized(base_w->func());
 
     for (double fraction : fractions) {
-        baselines::BaselineOptions opt;
+        dse::DseOptions opt;
         opt.resourceFraction = fraction;
-        hls::Device budget = device.scaled(fraction);
+        const hls::Device budget = opt.budget();
 
         auto w_sc = workloads::make2mm(n);
         auto sc = baselines::runScaleHlsLike(w_sc->func(), opt);

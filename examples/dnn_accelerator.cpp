@@ -34,9 +34,7 @@ main()
 
     // POM: sequential layers, hardware shared between them.
     auto w_pom = workloads::makeResnet18(size);
-    dse::DseOptions opt;
-    opt.sharing = hls::SharingMode::Reuse;
-    auto pom = dse::autoDSE(w_pom->func(), opt);
+    auto pom = dse::autoDSE(w_pom->func());
     std::printf("POM (resource reuse):\n  %s\n  speedup %.1fx, DSE "
                 "%.2fs\n  per-layer parallelism:\n",
                 pom.report.str(device).c_str(), pom.speedup(),

@@ -16,6 +16,16 @@ using transform::PolyStmt;
 
 namespace {
 
+/** Pluto's locality tile edge. */
+constexpr std::int64_t kPlutoTile = 32;
+
+/**
+ * Largest trip count at which the ScaleHLS-like design space still
+ * holds tile/unroll/partition; from here on it pipelines only (the
+ * Fig. 12 cliff).
+ */
+constexpr std::int64_t kScaleHlsSizeCliff = 8192;
+
 double
 elapsedSince(std::chrono::steady_clock::time_point t0)
 {
@@ -38,20 +48,21 @@ maxTrip(const std::vector<PolyStmt> &stmts)
 
 /** Pluto-style locality tiling: tile the two innermost levels. */
 void
-plutoTile(PolyStmt &stmt, std::int64_t tile)
+plutoTile(PolyStmt &stmt)
 {
     size_t n = stmt.numDims();
     auto trips = hls::avgTrips(stmt.sched.domain);
     // Tile the innermost two loops when they are large enough; this is
     // the locality-oriented schedule Pluto would emit for CPUs.
-    if (n >= 2 && trips[n - 1] >= 2 * tile && trips[n - 2] >= 2 * tile) {
+    if (n >= 2 && trips[n - 1] >= 2 * kPlutoTile &&
+        trips[n - 2] >= 2 * kPlutoTile) {
         std::string a = stmt.sched.domain.dimName(n - 2);
         std::string b = stmt.sched.domain.dimName(n - 1);
-        transform::tile(stmt, a, b, tile, tile, a + "_T", b + "_T",
-                        a + "_P", b + "_P");
-    } else if (trips[n - 1] >= 2 * tile) {
+        transform::tile(stmt, a, b, kPlutoTile, kPlutoTile, a + "_T",
+                        b + "_T", a + "_P", b + "_P");
+    } else if (trips[n - 1] >= 2 * kPlutoTile) {
         std::string b = stmt.sched.domain.dimName(n - 1);
-        transform::split(stmt, b, tile, b + "_T", b + "_P");
+        transform::split(stmt, b, kPlutoTile, b + "_T", b + "_P");
     }
 }
 
@@ -71,14 +82,14 @@ runUnoptimized(dsl::Function &func)
 }
 
 BaselineResult
-runPlutoLike(dsl::Function &func, const BaselineOptions &options)
+runPlutoLike(dsl::Function &func)
 {
     obs::Span span("driver.runPlutoLike", "driver");
     auto t0 = std::chrono::steady_clock::now();
     auto stmts = lower::extractStmts(func);
     lower::applyDirectives(stmts, /*ordering_only=*/true);
     for (auto &s : stmts)
-        plutoTile(s, options.plutoTileSize);
+        plutoTile(s);
 
     BaselineResult result;
     result.design = lower::lowerStmts(func, std::move(stmts));
@@ -89,14 +100,14 @@ runPlutoLike(dsl::Function &func, const BaselineOptions &options)
 }
 
 BaselineResult
-runPolscaLike(dsl::Function &func, const BaselineOptions &options)
+runPolscaLike(dsl::Function &func)
 {
     obs::Span span("driver.runPolscaLike", "driver");
     auto t0 = std::chrono::steady_clock::now();
     auto stmts = lower::extractStmts(func);
     lower::applyDirectives(stmts, /*ordering_only=*/true);
     for (auto &s : stmts) {
-        plutoTile(s, options.plutoTileSize);
+        plutoTile(s);
         // Pipeline the innermost loop; the Pluto schedule has not
         // relieved loop-carried dependences and arrays stay
         // unpartitioned (paper §VII.B).
@@ -116,13 +127,13 @@ runPolscaLike(dsl::Function &func, const BaselineOptions &options)
 }
 
 BaselineResult
-runScaleHlsLike(dsl::Function &func, const BaselineOptions &options)
+runScaleHlsLike(dsl::Function &func, const dse::DseOptions &options)
 {
     obs::Span span("driver.runScaleHlsLike", "driver");
     auto t0 = std::chrono::steady_clock::now();
     auto stmts = lower::extractStmts(func);
     lower::applyDirectives(stmts, /*ordering_only=*/true);
-    hls::Device device = options.device.scaled(options.resourceFraction);
+    const hls::Device device = options.budget();
     hls::EstimatorOptions eo;
     eo.sharing = hls::SharingMode::Dataflow;
 
@@ -158,7 +169,7 @@ runScaleHlsLike(dsl::Function &func, const BaselineOptions &options)
 
     // Bounded design space: at very large problem sizes the search
     // degrades to basic pipelining (the Fig. 12 cliff).
-    if (maxTrip(stmts) >= options.scaleHlsSizeCliff) {
+    if (maxTrip(stmts) >= kScaleHlsSizeCliff) {
         for (auto &s : stmts) {
             transform::setPipeline(
                 s, s.sched.domain.dimName(s.numDims() - 1), 1);
@@ -248,16 +259,10 @@ runScaleHlsLike(dsl::Function &func, const BaselineOptions &options)
 }
 
 BaselineResult
-runPom(dsl::Function &func, const BaselineOptions &options)
+runPom(dsl::Function &func, const dse::DseOptions &options)
 {
     obs::Span span("driver.runPom", "driver");
-    dse::DseOptions dopt;
-    dopt.device = options.device;
-    dopt.resourceFraction = options.resourceFraction;
-    dopt.maxParallelism = options.maxParallelism;
-    dopt.innerUnrollCap = options.innerUnrollCap;
-    dopt.strategy = options.strategy;
-    dse::DseResult dres = dse::autoDSE(func, dopt);
+    dse::DseResult dres = dse::autoDSE(func, options);
 
     BaselineResult result;
     result.design = std::move(dres.design);
@@ -315,13 +320,13 @@ parseFramework(const std::string &name, Framework &out)
 
 BaselineResult
 runFramework(Framework framework, dsl::Function &func,
-             const BaselineOptions &options)
+             const dse::DseOptions &options)
 {
     switch (framework) {
       case Framework::Pom: return runPom(func, options);
       case Framework::ScaleHls: return runScaleHlsLike(func, options);
-      case Framework::Polsca: return runPolscaLike(func, options);
-      case Framework::Pluto: return runPlutoLike(func, options);
+      case Framework::Polsca: return runPolscaLike(func);
+      case Framework::Pluto: return runPlutoLike(func);
       case Framework::None: break;
     }
     return runUnoptimized(func);

@@ -50,22 +50,6 @@ struct BaselineResult
     std::int64_t pointCacheMisses = 0;
 };
 
-/** Common configuration for all baselines. */
-struct BaselineOptions
-{
-    hls::Device device = hls::Device::xc7z020();
-    double resourceFraction = 1.0;
-    std::int64_t plutoTileSize = 32;
-    std::int64_t maxParallelism = 64;
-    std::int64_t innerUnrollCap = 16;
-
-    /** Problem size beyond which the ScaleHLS-like DSE degrades. */
-    std::int64_t scaleHlsSizeCliff = 8192;
-
-    /** Stage-2 search driver of the POM DSE (`pomc --strategy`). */
-    dse::StrategyKind strategy = dse::StrategyKind::Greedy;
-};
-
 /** The frameworks a compile can run: `pomc --framework`/`--dse` and
  *  the `framework` of a pomd compile frame. */
 enum class Framework
@@ -89,28 +73,33 @@ std::string frameworkNames();
  */
 bool parseFramework(const std::string &name, Framework &out);
 
-/** Run @p framework on @p func: the one dispatch over the runners below. */
+/**
+ * Run @p framework on @p func: the one dispatch over the runners below.
+ * The Pluto-like and POLSCA-like schedules read no option.
+ */
 BaselineResult runFramework(Framework framework, dsl::Function &func,
-                            const BaselineOptions &options = {});
+                            const dse::DseOptions &options = {});
 
 /** The input program without any optimization. */
 BaselineResult runUnoptimized(dsl::Function &func);
 
-/** Pluto-like locality tiling, no FPGA directives. */
-BaselineResult runPlutoLike(dsl::Function &func,
-                            const BaselineOptions &options = {});
+/** Pluto-like locality tiling (32 x 32 tiles), no FPGA directives. */
+BaselineResult runPlutoLike(dsl::Function &func);
 
 /** POLSCA-like: Pluto tiling + innermost pipelining, no partitioning. */
-BaselineResult runPolscaLike(dsl::Function &func,
-                             const BaselineOptions &options = {});
+BaselineResult runPolscaLike(dsl::Function &func);
 
-/** ScaleHLS-like: interchange + greedy tile/unroll/partition DSE. */
+/**
+ * ScaleHLS-like: interchange + greedy tile/unroll/partition DSE under
+ * @p options' budget(), maxParallelism and innerUnrollCap; plain
+ * pipelining once a loop runs 8192 or more iterations.
+ */
 BaselineResult runScaleHlsLike(dsl::Function &func,
-                               const BaselineOptions &options = {});
+                               const dse::DseOptions &options = {});
 
 /** POM itself (wraps dse::autoDSE) for uniform comparison tables. */
 BaselineResult runPom(dsl::Function &func,
-                      const BaselineOptions &options = {});
+                      const dse::DseOptions &options = {});
 
 } // namespace pom::baselines
 

@@ -8,6 +8,7 @@
 #include "lower/lower.h"
 #include "obs/obs.h"
 #include "support/diagnostics.h"
+#include "support/splitmix64.h"
 #include "support/string_util.h"
 #include "transform/poly_stmt.h"
 
@@ -15,34 +16,8 @@ namespace pom::check {
 
 namespace {
 
-/** SplitMix64: tiny, seedable, reproducible across platforms. */
-class Rng
-{
-  public:
-    explicit Rng(std::uint64_t seed) : state_(seed) {}
-
-    std::uint64_t
-    next()
-    {
-        std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ULL);
-        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-        z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-        return z ^ (z >> 31);
-    }
-
-    /** Uniform value in [0, n). */
-    std::uint64_t range(std::uint64_t n) { return n ? next() % n : 0; }
-
-    /** Uniform pick from a small list. */
-    template <typename T> T
-    pick(std::initializer_list<T> xs)
-    {
-        return xs.begin()[range(xs.size())];
-    }
-
-  private:
-    std::uint64_t state_;
-};
+/** Maximum primitives per generated schedule. */
+constexpr std::uint64_t kMaxOps = 5;
 
 std::int64_t
 find(const std::vector<std::string> &dims, const std::string &name)
@@ -204,7 +179,8 @@ sameIterRanges(const dsl::Compute &a, const dsl::Compute &b)
  * @p options.checkLegality is off.
  */
 std::vector<ScheduleOp>
-generateOps(workloads::Workload &w, Rng &rng, const FuzzOptions &options)
+generateOps(workloads::Workload &w, support::SplitMix64 &rng,
+            const FuzzOptions &options)
 {
     const dsl::Function &func = w.func();
     auto stmts = lower::extractStmts(func);
@@ -225,8 +201,7 @@ generateOps(workloads::Workload &w, Rng &rng, const FuzzOptions &options)
     auto freshName = [&](const std::string &base) {
         return base + "_z" + std::to_string(fresh++);
     };
-    size_t n_ops = 1 + rng.range(static_cast<std::uint64_t>(
-                           std::max(1, options.maxOps)));
+    size_t n_ops = 1 + rng.range(kMaxOps);
 
     // At most one ordering primitive per schedule, generated first so
     // the loop-sharing protection below covers the structural ops.
@@ -578,7 +553,8 @@ std::vector<ScheduleOp>
 generateSchedule(workloads::Workload &w, unsigned seed,
                  const FuzzOptions &options)
 {
-    Rng rng((static_cast<std::uint64_t>(seed) << 32) ^ 1ULL);
+    support::SplitMix64 rng((static_cast<std::uint64_t>(seed) << 32) ^
+                            1ULL);
     return generateOps(w, rng, options);
 }
 
@@ -602,7 +578,7 @@ fuzzWorkload(const std::string &workload, const FuzzOptions &options)
         if (!applyScheduleOps(*w, ops))
             return std::nullopt;
         try {
-            OracleResult res = checkFunction(w->func(), options.oracle);
+            OracleResult res = checkFunction(w->func());
             if (!res.equivalent)
                 return res.message;
         } catch (const support::FatalError &e) {
@@ -614,9 +590,9 @@ fuzzWorkload(const std::string &workload, const FuzzOptions &options)
     for (int idx = 0; idx < options.cases; ++idx) {
         obs::Span case_span("check.fuzz.case", "check");
         case_span.arg("case", static_cast<std::int64_t>(idx));
-        Rng rng((static_cast<std::uint64_t>(options.seed) << 32) ^
-                (static_cast<std::uint64_t>(idx) * 0x2545f4914f6cdd1dULL +
-                 1));
+        support::SplitMix64 rng(
+            (static_cast<std::uint64_t>(options.seed) << 32) ^
+            (static_cast<std::uint64_t>(idx) * 0x2545f4914f6cdd1dULL + 1));
         auto gen = workloads::makeByName(workload, result.size);
         std::vector<ScheduleOp> ops = generateOps(*gen, rng, options);
         ++result.casesRun;
@@ -630,7 +606,8 @@ fuzzWorkload(const std::string &workload, const FuzzOptions &options)
         if (!msg)
             continue;
 
-        if (options.shrink) {
+        // Shrink to a minimal reproducer by greedy one-op removal.
+        {
             obs::Span shrink_span("check.fuzz.shrink", "check");
             shrink_span.arg("from_ops",
                             static_cast<std::int64_t>(ops.size()));

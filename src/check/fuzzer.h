@@ -70,20 +70,12 @@ struct FuzzOptions
     /** Workload size (0 = per-workload default, kept interpreter-small). */
     std::int64_t size = 0;
 
-    /** Maximum primitives per generated schedule. */
-    int maxOps = 5;
-
-    /** Shrink failing sequences to a minimal reproducer. */
-    bool shrink = true;
-
     /**
      * Gate structural ops on the dependence-legality check. Disabling
      * this makes the fuzzer emit semantics-breaking schedules, which is
      * how the test suite proves the oracle catches miscompiles.
      */
     bool checkLegality = true;
-
-    OracleOptions oracle;
 };
 
 /** One oracle failure with its (shrunk) reproducer. */

@@ -10,6 +10,12 @@ namespace pom::check {
 
 namespace {
 
+/** Relative tolerance (reduction reordering drifts by rounding). */
+constexpr double kRtol = 1e-6;
+
+/** Absolute tolerance for values near zero. */
+constexpr double kAtol = 1e-9;
+
 /** Unflatten a row-major offset into per-dimension indices. */
 std::vector<std::int64_t>
 unflatten(size_t flat, const std::vector<std::int64_t> &shape)
@@ -39,16 +45,14 @@ runLowered(const lower::LoweredFunction &design, unsigned seed,
 
 OracleResult
 checkLowered(const dsl::Function &func,
-             const lower::LoweredFunction &design,
-             const OracleOptions &options)
+             const lower::LoweredFunction &design, unsigned seed)
 {
     obs::Span span("check.oracle", "check");
     OracleResult result;
     auto ref_design = lower::lowerUnscheduled(func);
-    ir::BufferMap ref =
-        runLowered(ref_design, options.seed, &result.refWork);
-    ir::BufferMap test = runLowered(design, options.seed, &result.testWork);
-    span.arg("seed", static_cast<std::int64_t>(options.seed));
+    ir::BufferMap ref = runLowered(ref_design, seed, &result.refWork);
+    ir::BufferMap test = runLowered(design, seed, &result.testWork);
+    span.arg("seed", static_cast<std::int64_t>(seed));
 
     for (const auto &[name, ref_buf] : ref) {
         auto it = test.find(name);
@@ -65,9 +69,8 @@ checkLowered(const dsl::Function &func,
             return result;
         }
         for (size_t i = 0; i < a.size(); ++i) {
-            double tol = options.atol +
-                         options.rtol *
-                             std::max(std::abs(a[i]), std::abs(b[i]));
+            double tol =
+                kAtol + kRtol * std::max(std::abs(a[i]), std::abs(b[i]));
             if (std::abs(a[i] - b[i]) <= tol)
                 continue;
             result.equivalent = false;
@@ -81,7 +84,7 @@ checkLowered(const dsl::Function &func,
             for (size_t d = 0; d < div.index.size(); ++d)
                 os << (d ? ", " : "") << div.index[d];
             os << "] expected " << div.expected << ", got " << div.actual
-               << " (seed " << options.seed << ")\n"
+               << " (seed " << seed << ")\n"
                << "offending primitive sequence:\n"
                << dsl::renderSchedule(func);
             result.message = os.str();
@@ -93,10 +96,10 @@ checkLowered(const dsl::Function &func,
 }
 
 OracleResult
-checkFunction(const dsl::Function &func, const OracleOptions &options)
+checkFunction(const dsl::Function &func, unsigned seed)
 {
     auto design = lower::lower(func);
-    return checkLowered(func, design, options);
+    return checkLowered(func, design, seed);
 }
 
 } // namespace pom::check

@@ -31,19 +31,6 @@
 
 namespace pom::check {
 
-/** Oracle configuration. */
-struct OracleOptions
-{
-    /** Seed for the deterministic buffer fill pattern. */
-    unsigned seed = 1;
-
-    /** Relative tolerance (reduction reordering drifts by rounding). */
-    double rtol = 1e-6;
-
-    /** Absolute tolerance for values near zero. */
-    double atol = 1e-9;
-};
-
 /** First divergent element between reference and test run. */
 struct Divergence
 {
@@ -78,18 +65,18 @@ ir::BufferMap runLowered(const lower::LoweredFunction &design,
 
 /**
  * Check a fully-lowered design (e.g. a DSE design point) against the
- * reference semantics of @p func.
+ * reference semantics of @p func, both run over buffers filled from
+ * @p seed.
  */
 OracleResult checkLowered(const dsl::Function &func,
                           const lower::LoweredFunction &design,
-                          const OracleOptions &options = {});
+                          unsigned seed = 1);
 
 /**
  * Check the schedule currently recorded on @p func: lower it with all
  * directives applied and compare against the reference lowering.
  */
-OracleResult checkFunction(const dsl::Function &func,
-                           const OracleOptions &options = {});
+OracleResult checkFunction(const dsl::Function &func, unsigned seed = 1);
 
 } // namespace pom::check
 

@@ -8,7 +8,7 @@
 namespace pom::driver {
 
 CompileResult
-compile(dsl::Function &func, const CompileOptions &options)
+compile(dsl::Function &func)
 {
     obs::Span span("driver.compile", "driver");
     span.arg("function", func.name());
@@ -16,25 +16,23 @@ compile(dsl::Function &func, const CompileOptions &options)
                   "compiling function '" + func.name() + "'");
     CompileResult result;
 
-    if (options.autoDse || func.autoDSERequested()) {
+    if (func.autoDSERequested()) {
         // The search's first point is the unscheduled baseline.
         obs::Span dse_span("driver.dse", "driver");
-        dse::DseResult dres = dse::autoDSE(func, options.dseOptions);
+        dse::DseResult dres = dse::autoDSE(func);
         result.baseline = std::move(dres.baseline);
         result.design = std::move(dres.design);
         result.report = std::move(dres.report);
         result.dseSeconds = dres.dseSeconds;
     } else {
-        hls::EstimatorOptions eo;
-        eo.sharing = options.dseOptions.sharing;
         {
             obs::Span baseline_span("driver.baseline", "driver");
             result.baseline =
-                hls::estimate(func, lower::lowerUnscheduled(func), eo);
+                hls::estimate(func, lower::lowerUnscheduled(func));
         }
         obs::Span lower_span("driver.lower", "driver");
         result.design = lower::lower(func);
-        result.report = hls::estimate(func, result.design, eo);
+        result.report = hls::estimate(func, result.design);
     }
 
     {

@@ -2,9 +2,9 @@
  * @file
  * The end-to-end POM driver: the `codegen()` entry of the paper's DSL
  * (Fig. 4 line 9). Compiles a DSL function through all three IR layers
- * into synthesizable HLS C, optionally running the two-stage DSE first
- * (the f.auto_DSE() primitive), and returns the synthesis report from
- * the virtual-Vitis estimator.
+ * into synthesizable HLS C, running the two-stage DSE first when the
+ * function asked for it (the f.auto_DSE() primitive), and returns the
+ * synthesis report from the virtual-Vitis estimator.
  */
 
 #ifndef POM_DRIVER_COMPILER_H
@@ -18,19 +18,6 @@
 #include "lower/lower.h"
 
 namespace pom::driver {
-
-/** Compilation options. */
-struct CompileOptions
-{
-    /**
-     * Run automatic DSE (overrides to true when the function called
-     * autoDSE()). When false, only user-specified scheduling primitives
-     * are applied.
-     */
-    bool autoDse = false;
-
-    dse::DseOptions dseOptions;
-};
 
 /** End-to-end compilation result. */
 struct CompileResult
@@ -51,9 +38,12 @@ struct CompileResult
     double dseSeconds = 0.0;
 };
 
-/** Compile a DSL function to HLS C (paper: codegen()). */
-CompileResult compile(dsl::Function &func,
-                      const CompileOptions &options = {});
+/**
+ * Compile a DSL function to HLS C (paper: codegen()): through the DSE
+ * at its default options when the function called autoDSE(), else with
+ * only the user's scheduling primitives applied.
+ */
+CompileResult compile(dsl::Function &func);
 
 } // namespace pom::driver
 

@@ -513,9 +513,9 @@ class Engine final : public Search
   public:
     Engine(dsl::Function &func, const DseOptions &options)
         : func_(func), opt_(options),
-          device_(options.device.scaled(options.resourceFraction)),
+          device_(options.budget()),
           keyHead_(hls::NodeKey::ofFunction(functionDigest(func))),
-          costLine_(hls::opCostsLine(estOptions().costs))
+          costLine_(hls::opCostsLine(hls::kOpCosts))
     {}
 
     DseResult
@@ -536,8 +536,7 @@ class Engine final : public Search
             frontierInsert(result.baseline, "(unscheduled)", points_);
         }
 
-        if (opt_.applyUserDirectives)
-            lower::applyDirectives(stmts);
+        lower::applyDirectives(stmts);
 
         {
             obs::Span stage1_span("dse.stage1", "dse");
@@ -574,7 +573,7 @@ class Engine final : public Search
         if (entry.primitives == "(unscheduled)") {
             // The baseline point: ordering-only directives, no search.
             out.design = lower::lowerUnscheduled(func_);
-            out.report = hls::estimate(func_, out.design, estOptions());
+            out.report = hls::estimate(func_, out.design);
             out.primitives = entry.primitives;
             return out;
         }
@@ -584,8 +583,7 @@ class Engine final : public Search
         // Stage 1 is deterministic: re-running it reproduces the
         // statement schedules the journaled degrees were applied to.
         std::vector<PolyStmt> stmts = lower::extractStmts(func_);
-        if (opt_.applyUserDirectives)
-            lower::applyDirectives(stmts);
+        lower::applyDirectives(stmts);
         stage1(stmts);
 
         auto units = groupUnits(stmts);
@@ -616,14 +614,6 @@ class Engine final : public Search
     }
 
   private:
-    hls::EstimatorOptions
-    estOptions() const
-    {
-        hls::EstimatorOptions eo;
-        eo.sharing = opt_.sharing;
-        return eo;
-    }
-
     // ----- search journal -----------------------------------------------
 
     /** Journal one explored design point with its verdict. */
@@ -1255,7 +1245,7 @@ class Engine final : public Search
     cachedNodes(const std::vector<const BoundSchedule *> &parts,
                 const hls::PartitionPlan *partitions, bool &allCached)
     {
-        hls::EstimatorOptions eo = estOptions();
+        hls::EstimatorOptions eo;
         eo.partitionOverride = partitions;
         std::vector<hls::NodeReport> nodes;
         for (const BoundSchedule *part : parts) {
@@ -1302,7 +1292,7 @@ class Engine final : public Search
         obs::counterAdd(allCached ? "dse.cache.hits" : "dse.cache.misses");
         ++(allCached ? pointCacheHits_ : pointCacheMisses_);
         span.arg("cache", allCached ? "hit" : "miss");
-        hls::EstimatorOptions eo = estOptions();
+        hls::EstimatorOptions eo;
         eo.partitionOverride = &partitions;
         return hls::combineNodeReports(func_, nodes, eo);
     }
@@ -1321,8 +1311,7 @@ class Engine final : public Search
     baselineReport(const std::vector<PolyStmt> &extracted)
     {
         if (reference()) {
-            return hls::estimate(func_, lower::lowerUnscheduled(func_),
-                                 estOptions());
+            return hls::estimate(func_, lower::lowerUnscheduled(func_));
         }
         std::vector<PolyStmt> plain = extracted;
         lower::applyDirectives(plain, /*ordering_only=*/true);
@@ -1339,7 +1328,7 @@ class Engine final : public Search
             parts.push_back(&unit);
         bool allCached = true;
         return hls::combineNodeReports(
-            func_, cachedNodes(parts, nullptr, allCached), estOptions());
+            func_, cachedNodes(parts, nullptr, allCached));
     }
 
     /**
@@ -1375,7 +1364,7 @@ class Engine final : public Search
                 lower::lowerStmts(func_, inBaseOrder(base, units, parts));
         }
         if (reference()) {
-            hls::EstimatorOptions eo = estOptions();
+            hls::EstimatorOptions eo;
             eo.partitionOverride = &partitions;
             c.eval.report = hls::estimate(func_, c.design, eo);
         } else {
@@ -1384,10 +1373,8 @@ class Engine final : public Search
         span.arg("latency_cycles",
                  static_cast<std::int64_t>(c.eval.report.latencyCycles));
         if (opt_.verifyEachPoint) {
-            check::OracleOptions oracle;
-            oracle.seed = kVerifySeed;
             check::OracleResult res =
-                check::checkLowered(func_, c.design, oracle);
+                check::checkLowered(func_, c.design, kVerifySeed);
             if (!res.equivalent)
                 support::fatal("DSE produced a non-equivalent design "
                                "point:\n" +

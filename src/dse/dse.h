@@ -34,11 +34,12 @@
 
 namespace pom::dse {
 
-/** DSE configuration. */
+/**
+ * The options of a compile, from the `pomc`/`pomd` flags to the search
+ * and the comparators (baselines::runFramework).
+ */
 struct DseOptions
 {
-    hls::Device device = hls::Device::xc7z020();
-
     /** Fraction of the device budget available (Fig. 11 sweeps this). */
     double resourceFraction = 1.0;
 
@@ -47,12 +48,6 @@ struct DseOptions
 
     /** Cap on the unroll factor of the innermost parallel loop. */
     std::int64_t innerUnrollCap = 16;
-
-    /** Hardware sharing model passed to the estimator. */
-    hls::SharingMode sharing = hls::SharingMode::Reuse;
-
-    /** Apply user-specified primitives before exploring. */
-    bool applyUserDirectives = true;
 
     /**
      * Run every explored design point through the differential
@@ -90,6 +85,14 @@ struct DseOptions
      * always has.
      */
     StrategyKind strategy = StrategyKind::Greedy;
+
+    /** The budget a design must fit: the XC7Z020 scaled by
+     *  resourceFraction. */
+    hls::Device
+    budget() const
+    {
+        return hls::Device::xc7z020().scaled(resourceFraction);
+    }
 };
 
 /** Outcome of a DSE run. */

@@ -6,6 +6,8 @@
 #include <tuple>
 #include <utility>
 
+#include "support/splitmix64.h"
+
 namespace pom::dse {
 
 const char *
@@ -236,35 +238,6 @@ beam(const StrategyContext &ctx, const PointEval &init, Search &search)
     return best;
 }
 
-/** splitmix64: tiny, portable, and identical on every platform --
- *  std::uniform_*_distribution is implementation-defined and would
- *  break cross-platform journal reproducibility. */
-class SplitMix64
-{
-  public:
-    explicit SplitMix64(std::uint64_t seed) : state_(seed) {}
-
-    std::uint64_t
-    next()
-    {
-        std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ull);
-        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-        z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-        return z ^ (z >> 31);
-    }
-
-    /** Uniform double in [0, 1). */
-    double
-    nextUnit()
-    {
-        return static_cast<double>(next() >> 11) *
-               (1.0 / 9007199254740992.0);
-    }
-
-  private:
-    std::uint64_t state_;
-};
-
 /** Batched simulated annealing: each round draws `kAnnealBatch`
  *  neighbors of the round's starting configuration (double or halve
  *  one unit's degree) before it evaluates any, then applies Metropolis
@@ -273,7 +246,7 @@ class SplitMix64
 Degrees
 anneal(const StrategyContext &ctx, const PointEval &init, Search &search)
 {
-    SplitMix64 rng(kAnnealSeed);
+    support::SplitMix64 rng(kAnnealSeed);
     Degrees current(ctx.numUnits(), 1);
     Degrees best = current;
     bool feasible = fits(ctx, init);

@@ -72,6 +72,9 @@ struct OpCosts
     int pipelineRegFfPerCopy = 220;          ///< pipeline registers
 };
 
+/** The one operator table the estimator reads. */
+inline constexpr OpCosts kOpCosts{};
+
 /** Aggregate resource usage. */
 struct Resources
 {

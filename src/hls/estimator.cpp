@@ -68,7 +68,7 @@ struct StmtInfo
 };
 
 int
-exprDepth(const dsl::ExprNode &node, const OpCosts &costs, BodyCosts &acc)
+exprDepth(const dsl::ExprNode &node, BodyCosts &acc)
 {
     using K = dsl::ExprNode::Kind;
     switch (node.kind) {
@@ -79,36 +79,36 @@ exprDepth(const dsl::ExprNode &node, const OpCosts &costs, BodyCosts &acc)
       case K::Load:
         ++acc.loads;
         ++acc.accessesPerArray[node.array->name()];
-        return costs.loadLat;
+        return kOpCosts.loadLat;
       case K::Binary: {
-        int lhs = exprDepth(*node.lhs, costs, acc);
-        int rhs = exprDepth(*node.rhs, costs, acc);
+        int lhs = exprDepth(*node.lhs, acc);
+        int rhs = exprDepth(*node.rhs, acc);
         int lat = 0;
         switch (node.binOp) {
           case dsl::BinOp::Add:
           case dsl::BinOp::Sub:
             ++acc.fadd;
-            lat = costs.faddLat;
+            lat = kOpCosts.faddLat;
             break;
           case dsl::BinOp::Mul:
             ++acc.fmul;
-            lat = costs.fmulLat;
+            lat = kOpCosts.fmulLat;
             break;
           case dsl::BinOp::Div:
             ++acc.fdiv;
-            lat = costs.fdivLat;
+            lat = kOpCosts.fdivLat;
             break;
           case dsl::BinOp::Max:
           case dsl::BinOp::Min:
             ++acc.fcmp;
-            lat = costs.fcmpLat;
+            lat = kOpCosts.fcmpLat;
             break;
         }
         return std::max(lhs, rhs) + lat;
       }
       case K::Unary: {
-        int lhs = exprDepth(*node.lhs, costs, acc);
-        return lhs + costs.faddLat;
+        int lhs = exprDepth(*node.lhs, acc);
+        return lhs + kOpCosts.faddLat;
       }
     }
     return 0;
@@ -116,14 +116,14 @@ exprDepth(const dsl::ExprNode &node, const OpCosts &costs, BodyCosts &acc)
 
 /** Operator mix of one compute statement (destination store included). */
 BodyCosts
-statementOpMix(const dsl::Compute &compute, const OpCosts &costs)
+statementOpMix(const dsl::Compute &compute)
 {
     BodyCosts acc;
-    int rhs_depth = exprDepth(*compute.rhs().node(), costs, acc);
+    int rhs_depth = exprDepth(*compute.rhs().node(), acc);
     // Destination store.
     ++acc.stores;
     ++acc.accessesPerArray[compute.dest().node()->array->name()];
-    acc.depth = rhs_depth + costs.storeLat;
+    acc.depth = rhs_depth + kOpCosts.storeLat;
     return acc;
 }
 
@@ -170,7 +170,7 @@ class Estimator
         for (const auto &s : lowered.stmts) {
             StmtInfo info;
             info.stmt = &s;
-            info.body = statementOpMix(*s.source, opt_.costs);
+            info.body = statementOpMix(*s.source);
             info.trips = avgTrips(s.sched.domain);
             info.deps = transform::carriedDependences(s);
             info.taccesses = s.transformedAccesses();
@@ -300,8 +300,8 @@ class Estimator
         e.latency = static_cast<std::uint64_t>(seq_trip) *
                         (child.latency + 1) + 2;
         e.res = child.res.scaledBy(copies);
-        e.res.lut += opt_.costs.loopCtrlLut;
-        e.res.ff += opt_.costs.loopCtrlFf;
+        e.res.lut += kOpCosts.loopCtrlLut;
+        e.res.ff += kOpCosts.loopCtrlFf;
         return e;
     }
 
@@ -380,7 +380,7 @@ class Estimator
                     // spatial copies.
                     chain = std::max<int>(
                         chain, static_cast<int>(pl.copies - 1) *
-                                   opt_.costs.faddLat);
+                                   kOpCosts.faddLat);
                     continue;
                 }
                 // Sequential distance in flattened pipeline iterations.
@@ -400,8 +400,8 @@ class Estimator
                     info->taccesses.at(dep.srcAccess).map ==
                     info->taccesses.at(dep.dstAccess).map;
                 int dep_lat = accumulator
-                                  ? opt_.costs.faddLat +
-                                        opt_.costs.storeLat + chain
+                                  ? kOpCosts.faddLat +
+                                        kOpCosts.storeLat + chain
                                   : stmt_depth + chain;
                 rec_mii = std::max<int>(
                     rec_mii,
@@ -469,11 +469,11 @@ class Estimator
         }
         e.res = opResources(total, 1, ii);
         for (const auto &[array, count] : accesses) {
-            e.res.lut += opt_.costs.bankMuxLut *
+            e.res.lut += kOpCosts.bankMuxLut *
                          static_cast<int>(arrays_.at(array).banks);
         }
-        e.res.lut += opt_.costs.loopCtrlLut * static_cast<int>(loops.size());
-        e.res.ff += opt_.costs.loopCtrlFf * static_cast<int>(loops.size());
+        e.res.lut += kOpCosts.loopCtrlLut * static_cast<int>(loops.size());
+        e.res.ff += kOpCosts.loopCtrlFf * static_cast<int>(loops.size());
 
         LoopReport lr;
         lr.iterName = node.iterName;
@@ -497,7 +497,7 @@ class Estimator
                 ceilDiv(static_cast<std::int64_t>(count) * copies,
                         std::max(1, ii)));
         };
-        const OpCosts &c = opt_.costs;
+        const OpCosts &c = kOpCosts;
         Resources r;
         int fadd = units(body.fadd), fmul = units(body.fmul);
         int fdiv = units(body.fdiv), fcmp = units(body.fcmp);

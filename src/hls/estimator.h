@@ -121,7 +121,6 @@ ArrayBanking effectiveBanking(const dsl::Placeholder &placeholder,
 /** Estimator configuration. */
 struct EstimatorOptions
 {
-    OpCosts costs;
     SharingMode sharing = SharingMode::Reuse;
 
     /**

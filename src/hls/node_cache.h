@@ -117,7 +117,11 @@ class NodeKey
     std::uint64_t hi_ = 0x6c62272e07bb0142ull;
 };
 
-/** The cost table's line of the node-key text. */
+/**
+ * The cost table's line of the node-key text; the search folds
+ * opCostsLine(kOpCosts), the table the estimator reads, so an edit to
+ * the table misses every spilled entry.
+ */
 std::string opCostsLine(const OpCosts &costs);
 
 /** Serialize one (key, reports) pair as the on-disk entry format. */

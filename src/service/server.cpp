@@ -274,7 +274,7 @@ Server::compileResponse(const Request &request, std::int64_t requestId)
         return response;
     }
 
-    baselines::BaselineOptions options;
+    dse::DseOptions options;
     options.resourceFraction = request.resourceFraction;
     if (!dse::parseStrategy(request.strategy, options.strategy)) {
         response.status = "error";
@@ -295,9 +295,7 @@ Server::compileResponse(const Request &request, std::int64_t requestId)
     baselines::BaselineResult result =
         baselines::runFramework(framework, workload->func(), options);
 
-    auto device =
-        hls::Device::xc7z020().scaled(request.resourceFraction);
-    response.reportLine = result.report.str(device);
+    response.reportLine = result.report.str(options.budget());
     response.notes = result.notes;
     response.seconds = result.seconds;
     response.latencyCycles = result.report.latencyCycles;

@@ -181,11 +181,11 @@ TEST(CacheEntry, SurvivesSeededMutations)
     // re-encode to a fixed point.
     const std::string text = hls::encodeNodeCacheEntry("key", sampleNodes());
     const std::string body = text.substr(0, text.rfind("sum "));
-    std::uint64_t state = 11;
+    support::SplitMix64 rng(11);
     int decoded = 0;
     for (int edit = 0; edit < 2000; ++edit) {
         const std::string mutant =
-            reseal(mutation::mutateOnce(body, state));
+            reseal(mutation::mutateOnce(body, rng));
         std::string key, error;
         std::vector<hls::NodeReport> nodes;
         if (!hls::decodeNodeCacheEntry(mutant, key, nodes, error))
@@ -241,8 +241,7 @@ TEST(CachePersist, RealDseWarmStartsFromDisk)
     cache.clear();
 
     auto cold = workloads::makeByName("gemm", 64);
-    baselines::BaselineOptions opt;
-    auto cold_result = baselines::runPom(cold->func(), opt);
+    auto cold_result = baselines::runPom(cold->func());
 
     support::CacheSpillStats save_stats;
     std::string error;
@@ -260,7 +259,7 @@ TEST(CachePersist, RealDseWarmStartsFromDisk)
     std::int64_t hits0 = obs::counterValue("dse.cache.hits");
     std::int64_t misses0 = obs::counterValue("dse.cache.misses");
     auto warm = workloads::makeByName("gemm", 64);
-    auto warm_result = baselines::runPom(warm->func(), opt);
+    auto warm_result = baselines::runPom(warm->func());
     // Every node comes from disk, so every point is a hit.
     EXPECT_GT(cache.hits(), 0u);
     EXPECT_EQ(cache.misses(), 0u);

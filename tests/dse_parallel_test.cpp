@@ -172,7 +172,7 @@ TEST(JournalParser, SurvivesSeededMutations)
     dse::DseResult res = runDse("gemm", 32);
     // This seed's edit 655 of the v2 document makes a latency_cycles
     // value negative: the mutant must be rejected, not wrapped.
-    std::uint64_t state = 9;
+    support::SplitMix64 rng(9);
     for (bool v2 : {false, true}) {
         auto emit = [v2](const std::vector<obs::JournalEntry> &entries,
                          const std::vector<obs::FrontierRound> &rounds) {
@@ -192,7 +192,7 @@ TEST(JournalParser, SurvivesSeededMutations)
         }
 
         for (int edit = 0; edit < 1000; ++edit) {
-            const std::string mutant = mutation::mutateOnce(doc, state);
+            const std::string mutant = mutation::mutateOnce(doc, rng);
             if (!obs::parseJournalJson(mutant, entries, rounds, error))
                 continue;
             std::string once = emit(entries, rounds);

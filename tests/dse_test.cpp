@@ -189,13 +189,19 @@ TEST(Baselines, OrderingOnBicg)
 TEST(Baselines, ScaleHlsCliffAtHugeSizes)
 {
     auto w = makeByName("gemm", 8192);
-    baselines::BaselineOptions opt;
-    auto r = baselines::runScaleHlsLike(w->func(), opt);
+    auto r = baselines::runScaleHlsLike(w->func());
     EXPECT_NE(r.notes.find("basic pipelining"), std::string::npos);
 
     auto w2 = makeByName("gemm", 8192);
     auto r_pom = baselines::runPom(w2->func());
     EXPECT_LT(r_pom.report.latencyCycles, r.report.latencyCycles);
+
+    // The cliff is exactly at 8192: one size below, the design space
+    // still holds tile/unroll/partition.
+    auto below = makeByName("gemm", 4096);
+    auto r_below = baselines::runScaleHlsLike(below->func());
+    EXPECT_EQ(r_below.notes.find("basic pipelining"), std::string::npos)
+        << r_below.notes;
 }
 
 TEST(Baselines, DesignsPreserveSemantics)

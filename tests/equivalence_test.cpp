@@ -152,7 +152,7 @@ TEST(Fuzzer, UngatedTransformsAreCaughtAndShrunk)
     ASSERT_TRUE(check::applyScheduleOps(*w, f.ops));
     bool failed = false;
     try {
-        failed = !check::checkFunction(w->func(), options.oracle).equivalent;
+        failed = !check::checkFunction(w->func()).equivalent;
     } catch (const FatalError &) {
         failed = true; // shrunk to a lowering crash: also a failure
     }
@@ -167,8 +167,7 @@ TEST(Fuzzer, UngatedTransformsAreCaughtAndShrunk)
         if (!check::applyScheduleOps(*w2, trimmed))
             continue;
         try {
-            EXPECT_TRUE(
-                check::checkFunction(w2->func(), options.oracle).equivalent)
+            EXPECT_TRUE(check::checkFunction(w2->func()).equivalent)
                 << "sub-sequence without op " << skip << " still fails";
         } catch (const FatalError &) {
             ADD_FAILURE() << "sub-sequence without op " << skip

@@ -40,9 +40,8 @@ TEST(EstimatorModel, AccumulatorRecurrenceIsAdderBound)
     auto report = accumulatorReport(256);
     ASSERT_EQ(report.loops.size(), 1u);
     // II = fadd latency + store, not the whole body depth.
-    hls::OpCosts costs;
     EXPECT_EQ(report.loops[0].achievedII,
-              costs.faddLat + costs.storeLat);
+              hls::kOpCosts.faddLat + hls::kOpCosts.storeLat);
 }
 
 TEST(EstimatorModel, NonAccumulatorRecurrenceUsesFullDepth)

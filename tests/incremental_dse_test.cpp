@@ -131,14 +131,15 @@ differentialSweep(dse::StrategyKind kind)
             << name;
         // The baseline composed from node reports against the whole
         // unscheduled design's monolithic estimate.
-        EXPECT_EQ(mono.baseline.str(opt.device), inc.baseline.str(opt.device))
+        EXPECT_EQ(mono.baseline.str(opt.budget()),
+                  inc.baseline.str(opt.budget()))
             << name;
         EXPECT_EQ(mono.baseline.nestLatencies, inc.baseline.nestLatencies)
             << name;
 
         std::string digest = digestOf(mono_v2);
         std::string hls_digest = digestOf(emit::emitHlsC(*inc.design.func));
-        std::string report_digest = digestOf(inc.report.str(opt.device));
+        std::string report_digest = digestOf(inc.report.str(opt.budget()));
         if (update) {
             table[{strategy, name}] = {digest, hls_digest, report_digest};
             continue;

@@ -211,14 +211,14 @@ TEST(Json, SurvivesSeededMutations)
         nested(65, "0"),
     };
     const std::string alphabet = pom::mutation::kJsonAlphabet + "uDdA";
-    std::uint64_t state = 28;
+    pom::support::SplitMix64 rng(28);
     std::size_t parsed = 0, rejected = 0;
     for (const std::string &seed : seeds) {
         std::string doc = seed;
         for (int edit = 0; edit < 4000; ++edit) {
             // Drift by up to four edits from the seed, then start over.
             doc = edit % 4 == 0 ? seed : doc;
-            doc = pom::mutation::mutateOnce(doc, state, alphabet);
+            doc = pom::mutation::mutateOnce(doc, rng, alphabet);
             JsonValue value;
             std::string error;
             if (!parseJson(doc, value, error)) {

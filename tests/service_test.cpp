@@ -67,8 +67,7 @@ std::string
 oneShotJournalV2(const std::string &workload, std::int64_t size)
 {
     auto w = workloads::makeByName(workload, size);
-    baselines::BaselineOptions opt;
-    auto result = baselines::runPom(w->func(), opt);
+    auto result = baselines::runPom(w->func());
     return obs::journalJsonV2(result.journal, result.frontierRounds);
 }
 
@@ -433,7 +432,7 @@ TEST(Protocol, SurvivesSeededMutations)
 {
     // Frames arrive from any local process: a damaged frame must come
     // back as an error, or as a record that re-encodes to a fixed point.
-    std::uint64_t state = 27;
+    support::SplitMix64 rng(27);
     for (const auto &[name, frame] : sampleFrames()) {
         const bool request = name.rfind("request-", 0) == 0;
         auto roundTrip = [request](const std::string &text,
@@ -450,7 +449,7 @@ TEST(Protocol, SurvivesSeededMutations)
         };
         std::string once, twice, error;
         for (int edit = 0; edit < 500; ++edit) {
-            const std::string mutant = mutation::mutateOnce(frame, state);
+            const std::string mutant = mutation::mutateOnce(frame, rng);
             if (!roundTrip(mutant, once, error))
                 continue;
             ASSERT_TRUE(roundTrip(once, twice, error))
@@ -508,11 +507,11 @@ TEST(Protocol, RecvFrameSurvivesSeededPrefixes)
     // return an error or exactly the payload sent, and return at once
     // -- the receive timeout is there only to fail a hang.
     constexpr std::size_t kMax = 64; // no case may allocate more
-    std::uint64_t state = 29;
-    auto bytes = [&state](std::size_t n) {
+    support::SplitMix64 rng(29);
+    auto bytes = [&rng](std::size_t n) {
         std::string out;
         for (std::size_t i = 0; i < n; ++i)
-            out += static_cast<char>(mutation::splitMix64(state));
+            out += static_cast<char>(rng.next());
         return out;
     };
     auto receive = [](const SocketPair &pair, std::string &payload,
@@ -539,7 +538,7 @@ TEST(Protocol, RecvFrameSurvivesSeededPrefixes)
         // A length above the limit, the writer still open: reading on
         // would time out instead of naming the limit.
         const std::uint32_t over = static_cast<std::uint32_t>(
-            kMax + 1 + mutation::splitMix64(state) % (0xFFFFFFFFull - kMax));
+            kMax + 1 + rng.next() % (0xFFFFFFFFull - kMax));
         for (std::uint32_t n : {over, 0xFFFFFFFFu}) {
             SocketPair pair;
             ASSERT_TRUE(pair.send(lengthPrefix(n) + bytes(8), false));
@@ -551,10 +550,10 @@ TEST(Protocol, RecvFrameSurvivesSeededPrefixes)
         // A length promising more bytes than are sent, then EOF.
         {
             const auto n = static_cast<std::uint32_t>(
-                1 + mutation::splitMix64(state) % kMax);
+                1 + rng.next() % kMax);
             SocketPair pair;
             ASSERT_TRUE(pair.send(
-                lengthPrefix(n) + bytes(mutation::splitMix64(state) % n),
+                lengthPrefix(n) + bytes(rng.next() % n),
                 false));
             pair.writer.reset();
             EXPECT_FALSE(receive(pair, payload, error)) << n;
@@ -566,7 +565,7 @@ TEST(Protocol, RecvFrameSurvivesSeededPrefixes)
     // a time by another thread: each read returns exactly its frame.
     std::vector<std::string> frames = {"", bytes(kMax)};
     for (int i = 0; i < 30; ++i)
-        frames.push_back(bytes(mutation::splitMix64(state) % (kMax + 1)));
+        frames.push_back(bytes(rng.next() % (kMax + 1)));
     SocketPair pair;
     bool sent = true;
     std::thread writer([&] {
@@ -648,6 +647,49 @@ TEST(Server, CompileMatchesOneShotJournalByteForByte)
     EXPECT_EQ(resp.journalText, direct);
     EXPECT_FALSE(resp.reportLine.empty());
     hls::NodeReportCache::global().clear();
+}
+
+TEST(Server, CompileFrameOptionsReachTheSearch)
+{
+    // A frame's framework, strategy and resources reach the run: each
+    // reply carries the report line runFramework gives under the same
+    // DseOptions, printed against its budget(), and that line is not
+    // the default request's. On gemm 64 the budget alone moves the
+    // line, so the notes, which name the framework and the search
+    // strategy, must match too.
+    service::Server server(service::ServerOptions{});
+    service::Response plain = server.execute(compileRequest("gemm", 64));
+    ASSERT_EQ(plain.status, "ok") << plain.error;
+
+    struct Case
+    {
+        const char *framework;
+        baselines::Framework kind;
+        dse::StrategyKind strategy;
+    };
+    for (const Case &c :
+         {Case{"pom", baselines::Framework::Pom, dse::StrategyKind::Beam},
+          Case{"scalehls", baselines::Framework::ScaleHls,
+               dse::StrategyKind::Greedy}}) {
+        SCOPED_TRACE(c.framework);
+        service::Request req = compileRequest("gemm", 64);
+        req.framework = c.framework;
+        req.strategy = dse::strategyName(c.strategy);
+        req.resourceFraction = 0.25;
+        service::Response resp = server.execute(req);
+        ASSERT_EQ(resp.status, "ok") << resp.error;
+
+        dse::DseOptions options;
+        options.strategy = c.strategy;
+        options.resourceFraction = 0.25;
+        auto w = workloads::makeByName("gemm", 64);
+        baselines::BaselineResult direct =
+            baselines::runFramework(c.kind, w->func(), options);
+        EXPECT_EQ(resp.reportLine, direct.report.str(options.budget()));
+        EXPECT_NE(resp.reportLine, plain.reportLine);
+        EXPECT_EQ(resp.notes, direct.notes);
+        EXPECT_NE(resp.notes, plain.notes);
+    }
 }
 
 TEST(ServiceSocket, PingStatsAndShutdown)

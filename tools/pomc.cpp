@@ -51,8 +51,13 @@
  *                       decisions and stage-2 bottleneck selections.
  *   --frontier-out FILE write the pom-dse-journal/v2 document: the same
  *                       events plus the per-round Pareto frontier over
- *                       (latency, DSP, BRAM, LUT). Requires a POM DSE
- *                       run (--dse / --framework pom).
+ *                       (latency, DSP, BRAM, LUT).
+ *
+ * A flag that a run would ignore is a usage error (exit 2, naming the
+ * flag): --dse-journal and --frontier-out require a POM DSE run (--dse
+ * or --framework pom) and go with neither --replay-journal nor --fuzz;
+ * --metrics-out, --trace-out and --timing describe an in-process run
+ * and do not go with --connect.
  *
  * Search strategy (src/dse/strategy.h):
  *   --strategy NAME     stage-2 search driver: greedy (the paper's
@@ -88,7 +93,9 @@
  *                       Unix socket SOCK instead of compiling in
  *                       process. The printed report and any
  *                       --dse-journal/--frontier-out file are
- *                       byte-identical to the one-shot run. "busy"
+ *                       byte-identical to the one-shot run (the
+ *                       daemon's own --metrics-out and --trace-out
+ *                       record its requests). "busy"
  *                       backpressure responses are retried with the
  *                       daemon's hint.
  *   --daemon-stats      print the daemon's request/cache counters,
@@ -156,7 +163,11 @@ usage(const char *argv0)
                  "[--quiet|-q] [--verbose|-v]\n"
                  "       %s --connect SOCK --daemon-stats "
                  "[--format text|json|prom] | --daemon-shutdown\n"
-                 "       %s --version | --list\n",
+                 "       %s --version | --list\n"
+                 "--dse-journal and --frontier-out need --dse or "
+                 "--framework pom, without --replay-journal or --fuzz;\n"
+                 "--metrics-out, --trace-out and --timing do not go "
+                 "with --connect.\n",
                  argv0, argv0, argv0);
     return 2;
 }
@@ -220,7 +231,7 @@ main(int argc, char **argv)
     std::int64_t size = 1024;
     bool size_set = false;
     baselines::Framework framework = baselines::Framework::None;
-    double fraction = 1.0;
+    dse::DseOptions options; ///< --resources and --strategy
     bool want_emit = false, want_ast = false, want_dsl = false;
     bool want_verify = false, want_timing = false;
     int fuzz_cases = 0;
@@ -228,15 +239,14 @@ main(int argc, char **argv)
     std::string trace_out, metrics_out, journal_out, frontier_out;
     std::string replay_journal;
     int replay_point = -1;
-    dse::StrategyKind strategy = dse::StrategyKind::Greedy;
     std::string connect_sock, cache_dir;
     bool daemon_stats = false, daemon_shutdown = false;
     std::string stats_format = "text"; ///< --daemon-stats rendering
 
     // --strategy is accepted both space- and '='-separated; an unknown
     // name is a hard error (never a silent fallback to greedy).
-    auto parse_strategy = [&strategy](const std::string &text) {
-        if (!dse::parseStrategy(text, strategy)) {
+    auto parse_strategy = [&options](const std::string &text) {
+        if (!dse::parseStrategy(text, options.strategy)) {
             std::fprintf(stderr,
                          "pomc: unknown --strategy '%s' (valid: %s)\n",
                          text.c_str(), dse::strategyNames().c_str());
@@ -322,13 +332,14 @@ main(int argc, char **argv)
                 return 2;
             }
         } else if (arg == "--resources" && a + 1 < argc) {
-            fraction = doubleArg("--resources", argv[++a]);
+            const double fraction = doubleArg("--resources", argv[++a]);
             if (fraction <= 0.0 || fraction > 1.0) {
                 std::fprintf(stderr,
                              "pomc: --resources expects a fraction in "
                              "(0, 1], got %g\n", fraction);
                 return 2;
             }
+            options.resourceFraction = fraction;
         } else if (arg == "--emit") {
             want_emit = true;
         } else if (arg == "--ast") {
@@ -371,6 +382,39 @@ main(int argc, char **argv)
             size_set = true;
         } else {
             return usage(argv[0]);
+        }
+    }
+
+    // A flag this run would accept and then ignore is a usage error.
+    // A journal records a POM search; a replay or a fuzz run makes none.
+    const char *no_search =
+        fuzz_cases > 0 ? "--fuzz searches nothing"
+        : !replay_journal.empty() ? "--replay-journal searches nothing"
+        : framework != baselines::Framework::Pom
+            ? "pass --dse or --framework pom"
+            : nullptr;
+    for (const auto &[flag, file] :
+         {std::pair{"--dse-journal", &journal_out},
+          std::pair{"--frontier-out", &frontier_out}}) {
+        if (!file->empty() && no_search) {
+            std::fprintf(stderr, "pomc: %s requires a POM DSE run; %s\n",
+                         flag, no_search);
+            return 2;
+        }
+    }
+    // Under --connect the daemon compiles: the metrics, the trace and
+    // the timing lines describe an in-process run (pomd writes its own
+    // with --metrics-out and --trace-out).
+    for (const auto &[flag, given] :
+         {std::pair{"--metrics-out", !metrics_out.empty()},
+          std::pair{"--trace-out", !trace_out.empty()},
+          std::pair{"--timing", want_timing}}) {
+        if (given && !connect_sock.empty()) {
+            std::fprintf(stderr,
+                         "pomc: %s needs an in-process run, not "
+                         "--connect\n",
+                         flag);
+            return 2;
         }
     }
 
@@ -475,19 +519,14 @@ main(int argc, char **argv)
                          "--frontier-out\n");
             return 2;
         }
-        if (!frontier_out.empty() && framework != baselines::Framework::Pom) {
-            std::fprintf(stderr, "pomc: --frontier-out requires a POM "
-                                 "DSE run (--dse or --framework pom)\n");
-            return 2;
-        }
         service::Request req;
         req.version = support::kVersionString;
         req.method = "compile";
         req.workload = name;
         req.size = size;
         req.framework = baselines::frameworkName(framework);
-        req.strategy = dse::strategyName(strategy);
-        req.resourceFraction = fraction;
+        req.strategy = dse::strategyName(options.strategy);
+        req.resourceFraction = options.resourceFraction;
         req.emit = want_emit;
         if (!journal_out.empty())
             req.journal = "v1";
@@ -642,13 +681,9 @@ main(int argc, char **argv)
             }
 
             auto w = workloads::makeByName(name, size);
-            dse::DseOptions dopt;
-            dopt.device = hls::Device::xc7z020();
-            dopt.resourceFraction = fraction;
             dse::ReplayResult rr =
-                dse::replayPoint(w->func(), entries, replay_point, dopt);
+                dse::replayPoint(w->func(), entries, replay_point, options);
 
-            auto device = hls::Device::xc7z020().scaled(fraction);
             std::printf("workload:  %s (size %lld)\n", name.c_str(),
                         static_cast<long long>(size));
             std::printf("replayed:  point %d (%s/%s) from %s\n",
@@ -657,7 +692,7 @@ main(int argc, char **argv)
                         replay_journal.c_str());
             std::printf("primitives: %s\n", rr.primitives.c_str());
             std::printf("report:    %s\n",
-                        rr.report.str(device).c_str());
+                        rr.report.str(options.budget()).c_str());
             hls::publishReportGauges(rr.report);
             if (rr.report.latencyCycles != rr.entry.latencyCycles) {
                 std::printf("note:      journaled latency was %llu "
@@ -686,17 +721,7 @@ main(int argc, char **argv)
             size = check::defaultFuzzSize(name);
 
         auto w = workloads::makeByName(name, size);
-        baselines::BaselineOptions opt;
-        opt.resourceFraction = fraction;
-        opt.strategy = strategy;
-
-        if (!frontier_out.empty() && framework != baselines::Framework::Pom) {
-            std::fprintf(stderr, "pomc: --frontier-out requires a POM "
-                                 "DSE run (--dse or --framework pom)\n");
-            return 2;
-        }
-
-        result = baselines::runFramework(framework, w->func(), opt);
+        result = baselines::runFramework(framework, w->func(), options);
 
         if (!frontier_out.empty() &&
             !obs::writeFile(frontier_out,
@@ -707,13 +732,13 @@ main(int argc, char **argv)
             return 1;
         }
 
-        auto device = hls::Device::xc7z020().scaled(fraction);
         std::printf("workload:  %s (size %lld)\n", name.c_str(),
                     static_cast<long long>(size));
         std::printf("framework: %s (%s)\n",
                     baselines::frameworkName(framework),
                     result.notes.c_str());
-        std::printf("report:    %s\n", result.report.str(device).c_str());
+        std::printf("report:    %s\n",
+                    result.report.str(options.budget()).c_str());
         hls::publishReportGauges(result.report);
         std::printf("toolchain: %.2f s\n", result.seconds);
         if (!cache_dir.empty()) {
@@ -727,10 +752,8 @@ main(int argc, char **argv)
         }
 
         if (want_verify) {
-            check::OracleOptions oracle;
-            oracle.seed = seed;
             check::OracleResult res =
-                check::checkLowered(w->func(), result.design, oracle);
+                check::checkLowered(w->func(), result.design, seed);
             if (res.equivalent) {
                 std::printf("verify:    PASS (seed %u, %llu ref / %llu "
                             "scheduled interpreter steps)\n",
