@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "check/legality.h"
+#include "check/oracle.h"
 #include "dsl/render.h"
 #include "lower/lower.h"
 #include "obs/obs.h"

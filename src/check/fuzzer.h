@@ -33,7 +33,6 @@
 #include <string>
 #include <vector>
 
-#include "check/oracle.h"
 #include "workloads/workloads.h"
 
 namespace pom::check {
