@@ -3,15 +3,24 @@
  * Tests for the differential equivalence oracle, the dependence-legality
  * check and the schedule fuzzer (src/check/): a fixed-seed fuzz sweep
  * over every built-in workload, oracle detection of an intentionally
- * illegal transform, and DSE point-by-point verification.
+ * illegal transform, the golden digests of the fuzzer's schedules
+ * (golden/fuzz_schedule_digests.txt), and DSE point-by-point
+ * verification. Regenerate the digests (only for an intended change to
+ * what the fuzzer generates or accepts) with
+ *   POM_UPDATE_EXPECTED=1 ./equivalence_test \
+ *       --gtest_filter='Fuzzer.SchedulesMatchTheGolden'
  */
 
 #include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
 
 #include "check/fuzzer.h"
 #include "check/legality.h"
 #include "check/oracle.h"
 #include "dse/dse.h"
+#include "golden_digests.h"
 #include "lower/lower.h"
 #include "support/diagnostics.h"
 #include "transform/poly_stmt.h"
@@ -208,6 +217,79 @@ TEST(Fuzzer, RejectsInvalidReplaySequences)
     op.target = "s";
     op.vars = {"i", "nope"};
     EXPECT_FALSE(check::applyScheduleOps(*w, {op}));
+}
+
+/**
+ * What one cell of golden/fuzz_schedule_digests.txt digests: the ops
+ * check::generateSchedule() returns for @p name at its fuzz size, one
+ * ScheduleOp::str() a line, then applyScheduleOps()' verdict ('1'
+ * replays, '0' is refused) on each subsequence with one op removed --
+ * the subsequences the shrinker tries.
+ */
+std::string
+fuzzScheduleText(const std::string &name, unsigned seed, bool legality)
+{
+    const std::int64_t size = check::defaultFuzzSize(name);
+    check::FuzzOptions options;
+    options.checkLegality = legality;
+    auto w = workloads::makeByName(name, size);
+    const std::vector<check::ScheduleOp> ops =
+        check::generateSchedule(*w, seed, options);
+    std::string text;
+    for (const auto &op : ops)
+        text += op.str() + "\n";
+    for (size_t skip = 0; skip < ops.size(); ++skip) {
+        std::vector<check::ScheduleOp> trimmed = ops;
+        trimmed.erase(trimmed.begin() + static_cast<std::ptrdiff_t>(skip));
+        auto replay = workloads::makeByName(name, size);
+        text += check::applyScheduleOps(*replay, trimmed) ? '1' : '0';
+    }
+    return text;
+}
+
+TEST(Fuzzer, SchedulesMatchTheGolden)
+{
+    // Seeds 1-8 of every workload, with the legality gate on and off:
+    // which ops the fuzzer generates and which subsequences it replays
+    // must not change behind a refactor of the fuzzer or the transforms.
+    constexpr unsigned kSeeds = 8;
+    const std::string path = golden::goldenPath("fuzz_schedule_digests.txt");
+    golden::DigestTable table = golden::readDigestTable(path);
+    const bool update = golden::updatingGoldens();
+    for (const auto &name : workloads::allNames()) {
+        for (bool legality : {true, false}) {
+            const std::string gate = legality ? "on" : "off";
+            std::vector<std::string> row;
+            for (unsigned seed = 1; seed <= kSeeds; ++seed) {
+                row.push_back(golden::digestOf(
+                    fuzzScheduleText(name, seed, legality)));
+            }
+            if (update) {
+                table[{name, gate}] = std::move(row);
+                continue;
+            }
+            auto it = table.find({name, gate});
+            if (it == table.end()) {
+                ADD_FAILURE() << name << " " << gate << " has no row in "
+                              << path
+                              << " (regenerate with POM_UPDATE_EXPECTED=1)";
+                continue;
+            }
+            EXPECT_EQ(it->second, row)
+                << name << " legality " << gate
+                << ": the generated schedules or their replay verdicts "
+                   "changed";
+        }
+    }
+    if (update) {
+        EXPECT_TRUE(golden::writeDigestTable(
+            path,
+            "workload legality fnv1a64(generateSchedule ops + replay "
+            "verdict of each one-op-removed subsequence) for seeds 1-8 at "
+            "the fuzz size",
+            workloads::allNames(), {"on", "off"}, table))
+            << "cannot write " << path;
+    }
 }
 
 // ----- DSE integration ----------------------------------------------------
