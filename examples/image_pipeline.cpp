@@ -28,7 +28,7 @@ functionalCheck()
 {
     auto w = workloads::makeEdgeDetect(32);
     auto plain_stmts = lower::extractStmts(w->func());
-    lower::applyDirectives(plain_stmts);
+    lower::applyDirectives(w->func(), plain_stmts);
     auto plain = lower::lowerStmts(w->func(), std::move(plain_stmts));
 
     auto w2 = workloads::makeEdgeDetect(32);

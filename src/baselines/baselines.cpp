@@ -87,7 +87,7 @@ runPlutoLike(dsl::Function &func)
     obs::Span span("driver.runPlutoLike", "driver");
     auto t0 = std::chrono::steady_clock::now();
     auto stmts = lower::extractStmts(func);
-    lower::applyDirectives(stmts, /*ordering_only=*/true);
+    lower::applyDirectives(func, stmts, /*ordering_only=*/true);
     for (auto &s : stmts)
         plutoTile(s);
 
@@ -105,7 +105,7 @@ runPolscaLike(dsl::Function &func)
     obs::Span span("driver.runPolscaLike", "driver");
     auto t0 = std::chrono::steady_clock::now();
     auto stmts = lower::extractStmts(func);
-    lower::applyDirectives(stmts, /*ordering_only=*/true);
+    lower::applyDirectives(func, stmts, /*ordering_only=*/true);
     for (auto &s : stmts) {
         plutoTile(s);
         // Pipeline the innermost loop; the Pluto schedule has not
@@ -132,7 +132,7 @@ runScaleHlsLike(dsl::Function &func, const dse::DseOptions &options)
     obs::Span span("driver.runScaleHlsLike", "driver");
     auto t0 = std::chrono::steady_clock::now();
     auto stmts = lower::extractStmts(func);
-    lower::applyDirectives(stmts, /*ordering_only=*/true);
+    lower::applyDirectives(func, stmts, /*ordering_only=*/true);
     const hls::Device device = options.budget();
     hls::EstimatorOptions eo;
     eo.sharing = hls::SharingMode::Dataflow;

@@ -189,7 +189,7 @@ generateOps(workloads::Workload &w, support::SplitMix64 &rng,
     std::vector<CState> states;
     for (auto &stmt : stmts) {
         CState st;
-        st.compute = func.findCompute(stmt.source->name());
+        st.compute = func.findCompute(stmt.sched.name);
         for (const auto &v : st.compute->iters())
             st.dims.push_back(v.name());
         st.mirror = stmt;

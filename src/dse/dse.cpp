@@ -46,10 +46,9 @@ struct Unit
  * One unit's scheduled statements under a fixed degree, with the
  * partition factors its unrolled loops demand, its node key up to the
  * bankings (the key head plus each member's schedule fragment) and the
- * names of the arrays whose bankings complete the key. A scheduled one
- * points into no function -- each statement's `source` is null -- so
- * it serves every search of an equal function (scheduleMemo()); only
- * the baseline's, built per search and never shared, keep theirs.
+ * names of the arrays whose bankings complete the key. It names its
+ * computes and arrays and points into no function, so a scheduled one
+ * serves every search of an equal function (scheduleMemo()).
  */
 struct UnitSchedule
 {
@@ -536,7 +535,7 @@ class Engine final : public Search
             frontierInsert(result.baseline, "(unscheduled)", points_);
         }
 
-        lower::applyDirectives(stmts);
+        lower::applyDirectives(func_, stmts);
 
         {
             obs::Span stage1_span("dse.stage1", "dse");
@@ -556,7 +555,6 @@ class Engine final : public Search
         result.pointCacheHits = pointCacheHits_;
         result.pointCacheMisses = pointCacheMisses_;
         result.journal = std::move(journal_);
-        result.frontier = frontier_.points();
         result.frontierRounds = std::move(frontierRounds_);
         span.arg("points_explored", static_cast<std::int64_t>(points_));
         return result;
@@ -583,7 +581,7 @@ class Engine final : public Search
         // Stage 1 is deterministic: re-running it reproduces the
         // statement schedules the journaled degrees were applied to.
         std::vector<PolyStmt> stmts = lower::extractStmts(func_);
-        lower::applyDirectives(stmts);
+        lower::applyDirectives(func_, stmts);
         stage1(stmts);
 
         auto units = groupUnits(stmts);
@@ -1023,21 +1021,6 @@ class Engine final : public Search
         return std::max<std::int64_t>(1, cap);
     }
 
-    /**
-     * A UnitSchedule as this search uses it: the schedule, plus what
-     * binds it to this engine's function -- its arrays resolved in
-     * func_ and its members' computes, read off the search's own base
-     * statements.
-     */
-    struct BoundSchedule
-    {
-        std::shared_ptr<const UnitSchedule> schedule;
-        /** schedule->arrays, resolved in func_. */
-        std::vector<const dsl::Placeholder *> arrays;
-        /** Each member's DSL compute, in member order. */
-        std::vector<const dsl::Compute *> sources;
-    };
-
     /** With memoize off, or under the oracle, nothing is shared. */
     bool
     reference() const
@@ -1046,25 +1029,24 @@ class Engine final : public Search
     }
 
     /**
-     * The schedule of unit @p ui at @p unit's current degree, bound to
-     * this search. Memoized per (unit, degree) for the search: a unit's
-     * schedule depends only on its own base statements (the min_level
-     * probe reads just the unit's untransformed members), so the
-     * stage-2 search -- which doubles one unit per step -- schedules
-     * only the changed unit and shares everything else. Each new
-     * (unit, degree) comes from the process-wide schedule memo, or is
-     * built and stored there, so a repeated request builds none; on
-     * the reference path the search builds every schedule itself.
+     * The schedule of unit @p ui at @p unit's current degree. Memoized
+     * per (unit, degree) for the search: a unit's schedule depends only
+     * on its own base statements (the min_level probe reads just the
+     * unit's untransformed members), so the stage-2 search -- which
+     * doubles one unit per step -- schedules only the changed unit and
+     * shares everything else. Each new (unit, degree) comes from the
+     * process-wide schedule memo, or is built and stored there, so a
+     * repeated request builds none; on the reference path the search
+     * builds every schedule itself.
      */
-    const BoundSchedule *
+    const UnitSchedule *
     unitSchedule(const std::vector<PolyStmt> &base, size_t ui,
                  const Unit &unit)
     {
-        std::pair<size_t, std::int64_t> memoKey{ui, unit.degree};
-        auto it = unitMemo_.find(memoKey);
-        if (it != unitMemo_.end())
-            return &it->second;
-        std::shared_ptr<const UnitSchedule> us;
+        std::shared_ptr<const UnitSchedule> &us =
+            unitMemo_[{ui, unit.degree}];
+        if (us)
+            return us.get();
         if (reference()) {
             us = buildSchedule(base, unit);
         } else {
@@ -1081,10 +1063,7 @@ class Engine final : public Search
                 memo.store(key, us);
             }
         }
-        return &unitMemo_
-                    .emplace(memoKey, bind(std::move(us), base,
-                                           unit.members))
-                    .first->second;
+        return us.get();
     }
 
     /**
@@ -1114,7 +1093,7 @@ class Engine final : public Search
                std::to_string(opt_.innerUnrollCap);
     }
 
-    /** @p unit's members scheduled at its degree, sources cleared. */
+    /** @p unit's members scheduled at its degree. */
     std::shared_ptr<const UnitSchedule>
     buildSchedule(const std::vector<PolyStmt> &base,
                   const Unit &unit) const
@@ -1123,7 +1102,6 @@ class Engine final : public Search
         size_t min_level = fusedNestMinLevel(base, unit.members);
         for (size_t m : unit.members) {
             PolyStmt stmt = base[m];
-            stmt.source = nullptr;
             applyParallelSchedule(stmt, unit.degree, opt_.innerUnrollCap,
                                   func_, us->partitions, min_level);
             us->stmts.push_back(std::move(stmt));
@@ -1146,24 +1124,6 @@ class Engine final : public Search
         us.arrays.assign(names.begin(), names.end());
     }
 
-    /** @p us bound to func_ and to the members @p members of @p base. */
-    BoundSchedule
-    bind(std::shared_ptr<const UnitSchedule> us,
-         const std::vector<PolyStmt> &base,
-         const std::vector<size_t> &members) const
-    {
-        BoundSchedule bound;
-        for (const std::string &name : us->arrays) {
-            const dsl::Placeholder *p = func_.findPlaceholder(name);
-            POM_ASSERT(p != nullptr, "unknown array in DSE");
-            bound.arrays.push_back(p);
-        }
-        for (size_t m : members)
-            bound.sources.push_back(base[m].source);
-        bound.schedule = std::move(us);
-        return bound;
-    }
-
     /**
      * Fold per-unit partition demands into one plan. Elementwise max
      * equals accumulating every unit into one plan through
@@ -1172,11 +1132,11 @@ class Engine final : public Search
      * commutative.
      */
     static hls::PartitionPlan
-    mergePartitions(const std::vector<const BoundSchedule *> &parts)
+    mergePartitions(const std::vector<const UnitSchedule *> &parts)
     {
         hls::PartitionPlan merged;
-        for (const auto &part : parts) {
-            for (const auto &[array, factors] : part->schedule->partitions) {
+        for (const UnitSchedule *part : parts) {
+            for (const auto &[array, factors] : part->partitions) {
                 auto &dst = merged[array];
                 if (dst.size() < factors.size())
                     dst.resize(factors.size(), 1);
@@ -1189,47 +1149,48 @@ class Engine final : public Search
 
     /**
      * The node key of @p us under @p partitions' bankings, or under the
-     * function's own partition directives when it is null.
+     * function's own partition directives when it is null. Only that
+     * case, the baseline's, looks the placeholders up.
      */
     std::string
-    nodeKey(const BoundSchedule &part,
+    nodeKey(const UnitSchedule &us,
             const hls::PartitionPlan *partitions) const
     {
-        hls::NodeKey key = part.schedule->key;
-        for (const dsl::Placeholder *p : part.arrays)
-            key.addBanking(p->name(), hls::effectiveBanking(*p, partitions));
+        hls::NodeKey key = us.key;
+        for (const std::string &array : us.arrays) {
+            if (partitions != nullptr) {
+                key.addBanking(array, hls::planBanking(*partitions, array));
+                continue;
+            }
+            const dsl::Placeholder *p = func_.findPlaceholder(array);
+            POM_ASSERT(p != nullptr, "unknown array in DSE");
+            key.addBanking(array, hls::effectiveBanking(*p, nullptr));
+        }
         return key.finish(costLine_);
     }
 
     /** Memoized schedules of every unit at its current degree. */
-    std::vector<const BoundSchedule *>
+    std::vector<const UnitSchedule *>
     unitSchedules(const std::vector<PolyStmt> &base,
                   const std::vector<Unit> &units)
     {
-        std::vector<const BoundSchedule *> parts;
+        std::vector<const UnitSchedule *> parts;
         parts.reserve(units.size());
         for (size_t ui = 0; ui < units.size(); ++ui)
             parts.push_back(unitSchedule(base, ui, units[ui]));
         return parts;
     }
 
-    /**
-     * The statements of @p parts, each back at its index in @p base
-     * and pointing at its compute there.
-     */
+    /** The statements of @p parts, each back at its index in @p base. */
     static std::vector<PolyStmt>
     inBaseOrder(const std::vector<PolyStmt> &base,
                 const std::vector<Unit> &units,
-                const std::vector<const BoundSchedule *> &parts)
+                const std::vector<const UnitSchedule *> &parts)
     {
-        std::vector<PolyStmt> stmts = base;
+        std::vector<PolyStmt> stmts(base.size());
         for (size_t ui = 0; ui < units.size(); ++ui) {
-            for (size_t k = 0; k < units[ui].members.size(); ++k) {
-                PolyStmt &stmt = stmts[units[ui].members[k]];
-                const dsl::Compute *source = stmt.source;
-                stmt = parts[ui]->schedule->stmts[k];
-                stmt.source = source;
-            }
+            for (size_t k = 0; k < units[ui].members.size(); ++k)
+                stmts[units[ui].members[k]] = parts[ui]->stmts[k];
         }
         return stmts;
     }
@@ -1242,13 +1203,13 @@ class Engine final : public Search
      * `dse.node_cache.*`). @p allCached is cleared on any miss.
      */
     std::vector<hls::NodeReport>
-    cachedNodes(const std::vector<const BoundSchedule *> &parts,
+    cachedNodes(const std::vector<const UnitSchedule *> &parts,
                 const hls::PartitionPlan *partitions, bool &allCached)
     {
         hls::EstimatorOptions eo;
         eo.partitionOverride = partitions;
         std::vector<hls::NodeReport> nodes;
-        for (const BoundSchedule *part : parts) {
+        for (const UnitSchedule *part : parts) {
             const std::string key = nodeKey(*part, partitions);
             if (auto cached = hls::NodeReportCache::global().lookup(key)) {
                 obs::counterAdd("dse.node_cache.hits");
@@ -1258,10 +1219,7 @@ class Engine final : public Search
             }
             obs::counterAdd("dse.node_cache.misses");
             allCached = false;
-            std::vector<PolyStmt> stmts = part->schedule->stmts;
-            for (size_t k = 0; k < stmts.size(); ++k)
-                stmts[k].source = part->sources[k];
-            auto lowered = lower::lowerNodeStmts(std::move(stmts));
+            auto lowered = lower::lowerNodeStmts(part->stmts);
             std::vector<hls::NodeReport> fresh =
                 hls::estimateNodes(func_, lowered, eo);
             hls::NodeReportCache::global().store(key, fresh);
@@ -1283,7 +1241,7 @@ class Engine final : public Search
      */
     hls::SynthesisReport
     composeReport(
-        const std::vector<const BoundSchedule *> &parts,
+        const std::vector<const UnitSchedule *> &parts,
         const hls::PartitionPlan &partitions, obs::Span &span)
     {
         bool allCached = true;
@@ -1314,18 +1272,17 @@ class Engine final : public Search
             return hls::estimate(func_, lower::lowerUnscheduled(func_));
         }
         std::vector<PolyStmt> plain = extracted;
-        lower::applyDirectives(plain, /*ordering_only=*/true);
-        std::vector<BoundSchedule> units;
+        lower::applyDirectives(func_, plain, /*ordering_only=*/true);
+        std::vector<UnitSchedule> units;
         for (const Unit &unit : groupUnits(plain)) {
-            auto us = std::make_shared<UnitSchedule>();
+            UnitSchedule &us = units.emplace_back();
             for (size_t m : unit.members)
-                us->stmts.push_back(plain[m]);
-            keyUnit(*us);
-            units.push_back(bind(std::move(us), plain, unit.members));
+                us.stmts.push_back(std::move(plain[m]));
+            keyUnit(us);
         }
-        std::vector<const BoundSchedule *> parts;
-        for (const BoundSchedule &unit : units)
-            parts.push_back(&unit);
+        std::vector<const UnitSchedule *> parts;
+        for (const UnitSchedule &us : units)
+            parts.push_back(&us);
         bool allCached = true;
         return hls::combineNodeReports(
             func_, cachedNodes(parts, nullptr, allCached));
@@ -1391,8 +1348,10 @@ class Engine final : public Search
     hls::NodeKey keyHead_;
     /** The node-key text's tail: the cost table, rendered once. */
     std::string costLine_;
-    /** std::map, so the pointers unitSchedule() returns stay valid. */
-    std::map<std::pair<size_t, std::int64_t>, BoundSchedule> unitMemo_;
+    /** This search's schedules, by (unit index, degree). */
+    std::map<std::pair<size_t, std::int64_t>,
+             std::shared_ptr<const UnitSchedule>>
+        unitMemo_;
     /** Per unit index, the unit part of its schedule-memo key. */
     std::vector<std::string> unitKeys_;
     /** Stage 2's statements and units, for Search::evaluate(). */

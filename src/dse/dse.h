@@ -137,16 +137,11 @@ struct DseResult
     std::vector<obs::JournalEntry> journal;
 
     /**
-     * The final Pareto frontier over (latency_cycles, dsp, bram_bits,
-     * lut) across every feasible point the search estimated, in
-     * canonical order (see dse/pareto.h).
-     */
-    std::vector<FrontierPoint> frontier;
-
-    /**
-     * Per-round frontier snapshots (the pom-dse-journal/v2 "frontier"
-     * sections; serialize with obs::journalJsonV2). The last round is
-     * always the final frontier.
+     * Per-round snapshots of the Pareto frontier over (latency_cycles,
+     * dsp, bram_bits, lut) across every feasible point the search
+     * estimated, each in canonical order (see dse/pareto.h): the
+     * pom-dse-journal/v2 "frontier" sections (serialize with
+     * obs::journalJsonV2). The last round is always the final frontier.
      */
     std::vector<obs::FrontierRound> frontierRounds;
 
@@ -277,8 +272,9 @@ void applyPartitions(
  * the unit's statements after applyParallelSchedule(), their partition
  * demands and their node-key state, keyed on the function digest, the
  * members' base schedule fragments, the degree and the inner unroll
- * cap. FIFO cap of 4096 entries, in memory only; an entry points into
- * no function, so it serves every search of an equal function. A miss
+ * cap. FIFO cap of 4096 entries, in memory only; an entry names its
+ * computes and arrays and points into no function, so it serves every
+ * search of an equal function as it is. A miss
  * counts `dse.schedules`, a hit `dse.schedule_memo.hits`, an eviction
  * `dse.schedule_memo.evictions`, each created at zero with the memo.
  */

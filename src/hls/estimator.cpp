@@ -168,9 +168,12 @@ class Estimator
         : func_(func), lowered_(lowered), opt_(options)
     {
         for (const auto &s : lowered.stmts) {
+            const dsl::Compute *compute = func.findCompute(s.sched.name);
+            POM_ASSERT(compute != nullptr, "statement ", s.sched.name,
+                       " has no compute in function ", func.name());
             StmtInfo info;
             info.stmt = &s;
-            info.body = statementOpMix(*s.source);
+            info.body = statementOpMix(*compute);
             info.trips = avgTrips(s.sched.domain);
             info.deps = transform::carriedDependences(s);
             info.taccesses = s.transformedAccesses();
@@ -523,18 +526,25 @@ class Estimator
 } // namespace
 
 ArrayBanking
+planBanking(const PartitionPlan &plan, const std::string &array)
+{
+    ArrayBanking ab;
+    auto it = plan.find(array);
+    if (it != plan.end()) {
+        for (auto f : it->second)
+            ab.banks *= f;
+    }
+    return ab;
+}
+
+ArrayBanking
 effectiveBanking(const dsl::Placeholder &placeholder,
                  const PartitionPlan *partitionOverride)
 {
+    if (partitionOverride != nullptr)
+        return planBanking(*partitionOverride, placeholder.name());
     ArrayBanking ab;
-    if (partitionOverride != nullptr) {
-        auto it = partitionOverride->find(placeholder.name());
-        if (it != partitionOverride->end()) {
-            ab.banks = 1; // plan partitions are always cyclic
-            for (auto f : it->second)
-                ab.banks *= f;
-        }
-    } else if (!placeholder.partitionFactors().empty()) {
+    if (!placeholder.partitionFactors().empty()) {
         ab.complete = placeholder.partitionKind() == "complete";
         ab.banks = 1;
         for (auto f : placeholder.partitionFactors())

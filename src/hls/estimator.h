@@ -111,9 +111,15 @@ struct ArrayBanking
 };
 
 /**
- * The banking the estimator applies to @p placeholder: the override
- * plan when non-null (absent arrays stay unbanked; plan partitions are
- * always cyclic), else the placeholder's own partition directives.
+ * The banking @p plan gives @p array: unbanked when absent, else cyclic
+ * over the product of its factors (plan partitions are always cyclic).
+ */
+ArrayBanking planBanking(const PartitionPlan &plan, const std::string &array);
+
+/**
+ * The banking the estimator applies to @p placeholder: planBanking() of
+ * the override plan when non-null, else the placeholder's own partition
+ * directives.
  */
 ArrayBanking effectiveBanking(const dsl::Placeholder &placeholder,
                               const PartitionPlan *partitionOverride);

@@ -173,27 +173,34 @@ extractStmts(const dsl::Function &func)
         // Leave room between top-level betas so `after` can interleave.
         stmt.sched.betas[0] = 16 * static_cast<std::int64_t>(i);
         stmt.accesses = accessesOf(*c);
-        stmt.source = c;
         stmts.push_back(std::move(stmt));
     }
     return stmts;
 }
 
 void
-applyDirectives(std::vector<transform::PolyStmt> &stmts,
+applyDirectives(const dsl::Function &func,
+                std::vector<transform::PolyStmt> &stmts,
                 bool ordering_only)
 {
-    auto findStmt = [&](const dsl::Compute *c) -> transform::PolyStmt & {
-        for (auto &s : stmts) {
-            if (s.source == c)
-                return s;
+    // An after/fuse anchor is the statement of the same name, and only
+    // when the anchor compute belongs to @p func.
+    auto anchorOf = [&](const dsl::Compute &other) -> transform::PolyStmt & {
+        if (&other.function() == &func) {
+            for (auto &s : stmts) {
+                if (s.sched.name == other.name())
+                    return s;
+            }
         }
         support::fatal("after/fuse references a compute outside this "
                        "function");
     };
 
     for (auto &stmt : stmts) {
-        for (const auto &d : stmt.source->directives()) {
+        const dsl::Compute *compute = func.findCompute(stmt.sched.name);
+        POM_ASSERT(compute != nullptr, "statement ", stmt.sched.name,
+                   " has no compute in function ", func.name());
+        for (const auto &d : compute->directives()) {
             using K = dsl::Directive::Kind;
             if (ordering_only && d.kind != K::After && d.kind != K::Fuse)
                 continue;
@@ -215,7 +222,7 @@ applyDirectives(std::vector<transform::PolyStmt> &stmts,
                                 d.newVars[0], d.newVars[1]);
                 break;
               case K::After: {
-                const transform::PolyStmt &anchor = findStmt(d.other);
+                const transform::PolyStmt &anchor = anchorOf(*d.other);
                 size_t shared = 0;
                 if (!d.vars.empty())
                     shared = anchor.dimIndex(d.vars[0]) + 1;
@@ -223,7 +230,7 @@ applyDirectives(std::vector<transform::PolyStmt> &stmts,
                 break;
               }
               case K::Fuse:
-                transform::fuseInto(stmt, findStmt(d.other));
+                transform::fuseInto(stmt, anchorOf(*d.other));
                 break;
               case K::Pipeline:
                 transform::setPipeline(stmt, d.vars[0],
@@ -243,13 +250,7 @@ namespace {
 class IrGen
 {
   public:
-    IrGen(const dsl::Function &func,
-          const std::vector<transform::PolyStmt> &stmts)
-        : func_(func)
-    {
-        for (const auto &s : stmts)
-            by_name_[s.sched.name] = &s;
-    }
+    explicit IrGen(const dsl::Function &func) : func_(func) {}
 
     std::unique_ptr<ir::Operation>
     run(const ast::AstNode &root)
@@ -324,11 +325,10 @@ class IrGen
     emitStatement(const ast::AstNode &node, ir::OpBuilder &builder,
                   std::vector<ir::Value *> &ivs)
     {
-        auto it = by_name_.find(node.stmtName);
-        POM_ASSERT(it != by_name_.end(), "AST references unknown statement ",
+        const dsl::Compute *found = func_.findCompute(node.stmtName);
+        POM_ASSERT(found != nullptr, "AST references unknown statement ",
                    node.stmtName);
-        const transform::PolyStmt &stmt = *it->second;
-        const dsl::Compute &compute = *stmt.source;
+        const dsl::Compute &compute = *found;
         POM_ASSERT(node.iterMap.numDomainDims() == ivs.size(),
                    "iteration depth mismatch for ", node.stmtName);
 
@@ -413,18 +413,7 @@ class IrGen
 
     const dsl::Function &func_;
     std::map<std::string, ir::Value *> arrays_;
-    std::map<std::string, const transform::PolyStmt *> by_name_;
 };
-
-/** Generate annotated affine dialect from a polyhedral AST. */
-std::unique_ptr<ir::Operation>
-generateAffine(const dsl::Function &func,
-               const std::vector<transform::PolyStmt> &stmts,
-               const ast::AstNode &astRoot)
-{
-    IrGen gen(func, stmts);
-    return gen.run(astRoot);
-}
 
 /**
  * Attach HLS DEPENDENCE pragma hints (paper Section V.A): for each
@@ -483,7 +472,7 @@ scheduledStmts(const dsl::Function &func, bool ordering_only)
         stmts = extractStmts(func);
     }
     obs::Span span("lower.schedule", "lower");
-    applyDirectives(stmts, ordering_only);
+    applyDirectives(func, stmts, ordering_only);
     return stmts;
 }
 
@@ -504,7 +493,7 @@ lowerStmts(const dsl::Function &func,
     }
     {
         obs::Span span("lower.affine", "lower");
-        out.func = generateAffine(func, stmts, *out.astRoot);
+        out.func = IrGen(func).run(*out.astRoot);
     }
     out.stmts = std::move(stmts);
     return out;

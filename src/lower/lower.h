@@ -46,13 +46,16 @@ std::vector<transform::PolyStmt> extractStmts(const dsl::Function &func);
 
 /**
  * Apply each compute's recorded scheduling primitives, in program
- * order, to the extracted statements. With @p ordering_only, only the
- * statement-ordering primitives (after/fuse) are applied -- these are
- * part of the program's semantics, unlike loop transformations and
- * hardware annotations, and must be present even in the "unoptimized"
- * baseline.
+ * order, to the statements extracted from @p func; each statement's
+ * compute and an after/fuse anchor's statement are found by name. An
+ * anchor that is a compute of another function is fatal. With
+ * @p ordering_only, only the statement-ordering primitives (after/fuse)
+ * are applied -- these are part of the program's semantics, unlike loop
+ * transformations and hardware annotations, and must be present even
+ * in the "unoptimized" baseline.
  */
-void applyDirectives(std::vector<transform::PolyStmt> &stmts,
+void applyDirectives(const dsl::Function &func,
+                     std::vector<transform::PolyStmt> &stmts,
                      bool ordering_only = false);
 
 /**

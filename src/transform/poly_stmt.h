@@ -24,23 +24,20 @@
 #include "ast/build.h"
 #include "poly/dependence.h"
 
-namespace pom::dsl {
-class Compute;
-}
-
 namespace pom::transform {
 
-/** A statement at the polyhedral IR level. */
+/**
+ * A statement at the polyhedral IR level. Its name (sched.name) is the
+ * name of the compute it was extracted from, unique in its function;
+ * code that needs the compute looks it up by that name.
+ */
 struct PolyStmt
 {
-    /** Domain, betas, origin map and hardware annotations. */
+    /** Name, domain, betas, origin map and hardware annotations. */
     ast::ScheduledStmt sched;
 
     /** Array accesses over the original iterators. */
     std::vector<poly::Access> accesses;
-
-    /** The DSL compute this statement was extracted from. */
-    const dsl::Compute *source = nullptr;
 
     /** Accesses re-expressed over the transformed loop dims. */
     std::vector<poly::Access> transformedAccesses() const;

@@ -122,7 +122,7 @@ scheduled(const std::string &name, unsigned seed)
     out.workload = workloads::makeByName(name, size);
     EXPECT_TRUE(check::applyScheduleOps(*out.workload, ops));
     out.stmts = lower::extractStmts(out.workload->func());
-    lower::applyDirectives(out.stmts);
+    lower::applyDirectives(out.workload->func(), out.stmts);
     return out;
 }
 

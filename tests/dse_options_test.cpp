@@ -86,7 +86,7 @@ TEST_P(NewWorkloadSweep, LowersVerifiesAndOptimizes)
 
     // Semantics preserved (interpreter, bit-exact).
     auto ref_stmts = lower::extractStmts(w->func());
-    lower::applyDirectives(ref_stmts, true);
+    lower::applyDirectives(w->func(), ref_stmts, true);
     auto plain = lower::lowerStmts(w->func(), std::move(ref_stmts));
     auto b1 = ir::makeBuffersFor(*plain.func, 31);
     auto b2 = ir::makeBuffersFor(*result.design.func, 31);

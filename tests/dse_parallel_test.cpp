@@ -285,7 +285,7 @@ TEST(DseSweepGolden, NoWorkloadRegresses)
         row.size = sizes[i];
         row.points = res.pointsExplored;
         row.latency = res.report.latencyCycles;
-        row.frontier = res.frontier;
+        row.frontier = res.frontierRounds.back().points;
         got.push_back(std::move(row));
     }
 

@@ -37,7 +37,7 @@ expectDesignPreservesSemantics(dsl::Function &func,
                                const lower::LoweredFunction &design)
 {
     auto ref_stmts = lower::extractStmts(func);
-    lower::applyDirectives(ref_stmts, /*ordering_only=*/true);
+    lower::applyDirectives(func, ref_stmts, /*ordering_only=*/true);
     auto plain = lower::lowerStmts(func, std::move(ref_stmts));
     ASSERT_TRUE(ir::verify(*plain.func).empty());
     ASSERT_TRUE(ir::verify(*design.func).empty());

@@ -188,7 +188,7 @@ TEST(EstimatorModel, UnoptimizedBicgMatchesPaperResourceScale)
     // Paper Table IV: unoptimized BICG uses 10 DSPs (two MACs).
     auto w = workloads::makeBicg(64);
     auto stmts = lower::extractStmts(w->func());
-    lower::applyDirectives(stmts, true);
+    lower::applyDirectives(w->func(), stmts, true);
     auto lowered = lower::lowerStmts(w->func(), std::move(stmts));
     auto report = hls::estimate(w->func(), lowered);
     EXPECT_EQ(report.resources.dsp, 10);

@@ -548,7 +548,7 @@ TEST(FmKernel, MatchesReferenceOnFuzzedSchedules)
             auto w = workloads::makeByName(name, size);
             ASSERT_TRUE(check::applyScheduleOps(*w, ops));
             auto stmts = lower::extractStmts(w->func());
-            lower::applyDirectives(stmts);
+            lower::applyDirectives(w->func(), stmts);
             for (const auto &stmt : stmts) {
                 const IntegerSet &dom = stmt.sched.domain;
                 expectSameAsReference(dom);

@@ -275,7 +275,7 @@ TEST(Graph, HintMatchesTheFullVectorReferenceOnFuzzedSchedules)
             auto w = workloads::makeByName(name, size);
             ASSERT_TRUE(check::applyScheduleOps(*w, ops));
             auto stmts = lower::extractStmts(w->func());
-            lower::applyDirectives(stmts);
+            lower::applyDirectives(w->func(), stmts);
             for (const auto &stmt : stmts) {
                 SCOPED_TRACE(stmt.sched.name);
                 const Hint expected = referenceHint(stmt);

@@ -194,7 +194,7 @@ TEST(HlsCount, AvgTripsMatchesPerPrefixFormulaOnFuzzedDomains)
             auto w = makeByName(name, size);
             ASSERT_TRUE(check::applyScheduleOps(*w, ops));
             auto stmts = lower::extractStmts(w->func());
-            lower::applyDirectives(stmts);
+            lower::applyDirectives(w->func(), stmts);
             for (const auto &stmt : stmts) {
                 const poly::IntegerSet &dom = stmt.sched.domain;
                 SCOPED_TRACE(dom.str());
@@ -281,7 +281,7 @@ TEST(HlsCount, ConcurrentCallersAgree)
         auto w = makeByName(name, check::defaultFuzzSize(name));
         ASSERT_TRUE(check::applyScheduleOps(*w, ops));
         auto stmts = lower::extractStmts(w->func());
-        lower::applyDirectives(stmts);
+        lower::applyDirectives(w->func(), stmts);
         for (const auto &stmt : stmts)
             domains.push_back(stmt.sched.domain);
     }

@@ -381,8 +381,8 @@ TEST(ScheduleMemo, ServesAnEqualFunctionAfterTheFirstIsGone)
     // is destroyed; an equal function B, allocated while A was alive,
     // then takes every schedule from it and lowers from them twice:
     // each unit on a node-cache miss, and the selected design whole.
-    // Each statement must read B's own compute -- a stale one is a
-    // use-after-free under the sanitizer build.
+    // Both lowerings find each compute by name in B; a read of A's
+    // would be a use-after-free under the sanitizer build.
     cold::clearProcessMemos();
     auto fresh = makeByName("2mm", 32);
     const SearchRun cold_run = searchOf(fresh->func());
@@ -405,10 +405,6 @@ TEST(ScheduleMemo, ServesAnEqualFunctionAfterTheFirstIsGone)
     EXPECT_EQ(emit::emitHlsC(*res.design.func), cold_run.hlsC);
     EXPECT_EQ(obs::journalJsonV2(res.journal, res.frontierRounds),
               cold_run.journal);
-    for (const auto &stmt : res.design.stmts) {
-        EXPECT_EQ(stmt.source, b->func().findCompute(stmt.sched.name))
-            << stmt.sched.name;
-    }
 }
 
 TEST(ScheduleMemo, ConcurrentSearchesAgree)

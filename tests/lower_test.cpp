@@ -214,6 +214,51 @@ TEST(Lower, JacobiTimeLoopViaAfter)
     }
 }
 
+TEST(Lower, OrderingOnAnotherFunctionsComputeIsFatal)
+{
+    // after/fuse may anchor only a compute of the function being
+    // lowered. Another function's compute is refused whether its name
+    // is new here or is the name of a local compute, which must not be
+    // taken in its place.
+    for (const char *other_name : {"elsewhere", "s1"}) {
+        for (bool fuse : {false, true}) {
+            SCOPED_TRACE(std::string(fuse ? "fuse " : "after ") +
+                         other_name);
+            Var i("i", 0, 8);
+            Function g("other");
+            Placeholder P(g, "P", {8});
+            Placeholder Q(g, "Q", {8});
+            Compute other(g, other_name, {i}, P(i) * 2.0, Q(i));
+
+            Function f("local");
+            Placeholder X(f, "X", {8});
+            Placeholder Y(f, "Y", {8});
+            Placeholder Z(f, "Z", {8});
+            Compute s1(f, "s1", {i}, X(i) * 2.0, Y(i));
+            Compute s2(f, "s2", {i}, X(i) + 1.0, Z(i));
+            if (fuse)
+                s2.fuse(other);
+            else
+                s2.after(other);
+            for (bool ordering_only : {false, true}) {
+                try {
+                    if (ordering_only)
+                        lower::lowerUnscheduled(f);
+                    else
+                        lower::lower(f);
+                    ADD_FAILURE() << "lowered with a foreign anchor";
+                } catch (const FatalError &e) {
+                    EXPECT_NE(std::string(e.what()).find(
+                                  "after/fuse references a compute "
+                                  "outside this function"),
+                              std::string::npos)
+                        << e.what();
+                }
+            }
+        }
+    }
+}
+
 TEST(Lower, NonAffineSubscriptIsFatal)
 {
     Function f("bad");
