@@ -20,73 +20,48 @@ namespace {
 /** Maximum primitives per generated schedule. */
 constexpr std::uint64_t kMaxOps = 5;
 
-std::int64_t
-find(const std::vector<std::string> &dims, const std::string &name)
-{
-    auto it = std::find(dims.begin(), dims.end(), name);
-    return it == dims.end() ? -1
-                            : static_cast<std::int64_t>(it - dims.begin());
-}
-
-bool
-anyPresent(const std::vector<std::string> &dims,
-           const std::vector<std::string> &names)
-{
-    for (const auto &n : names)
-        if (find(dims, n) >= 0)
-            return true;
-    return false;
-}
-
 /**
- * Mirror a structural op's effect on a loop-name list, the same way the
- * transform library rewrites the statement's dims. Returns false when
- * the op does not apply (missing loops, non-adjacent tile pair, name
- * clash) -- the shrinker uses that to reject invalid subsequences.
+ * Apply @p op to @p stmt through the transform library: interchange,
+ * split, tile and skew restructure its loops, pipeline and unroll
+ * annotate one, and ordering and partition ops leave it alone. Throws
+ * support::FatalError exactly when the library refuses the op -- a
+ * missing loop, an interchange of a loop with itself, a tile of loops
+ * that are not adjacent, a skew whose first loop is not outside the
+ * second, a new loop name already in use -- so an op is valid at its
+ * point in a sequence if and only if this applies it.
  */
-bool
-simApply(std::vector<std::string> &dims, const ScheduleOp &op)
+void
+applyOp(transform::PolyStmt &stmt, const ScheduleOp &op)
 {
     using K = ScheduleOp::Kind;
     switch (op.kind) {
-      case K::Interchange: {
-        std::int64_t a = find(dims, op.vars[0]);
-        std::int64_t b = find(dims, op.vars[1]);
-        if (a < 0 || b < 0 || a == b)
-            return false;
-        std::swap(dims[a], dims[b]);
-        return true;
-      }
-      case K::Split: {
-        std::int64_t d = find(dims, op.vars[0]);
-        if (d < 0 || anyPresent(dims, op.newVars))
-            return false;
-        dims[d] = op.newVars[0];
-        dims.insert(dims.begin() + d + 1, op.newVars[1]);
-        return true;
-      }
-      case K::Tile: {
-        std::int64_t di = find(dims, op.vars[0]);
-        std::int64_t dj = find(dims, op.vars[1]);
-        if (di < 0 || dj != di + 1 || anyPresent(dims, op.newVars))
-            return false;
-        dims[di] = op.newVars[0];
-        dims[di + 1] = op.newVars[1];
-        dims.insert(dims.begin() + di + 2,
-                    {op.newVars[2], op.newVars[3]});
-        return true;
-      }
-      case K::Skew: {
-        std::int64_t di = find(dims, op.vars[0]);
-        std::int64_t dj = find(dims, op.vars[1]);
-        if (di < 0 || dj < 0 || di >= dj || anyPresent(dims, op.newVars))
-            return false;
-        dims[di] = op.newVars[0];
-        dims[dj] = op.newVars[1];
-        return true;
-      }
-      default:
-        return true; // non-structural ops leave the loop list alone
+      case K::Interchange:
+        transform::interchange(stmt, op.vars[0], op.vars[1]);
+        break;
+      case K::Split:
+        transform::split(stmt, op.vars[0], op.factors[0], op.newVars[0],
+                         op.newVars[1]);
+        break;
+      case K::Tile:
+        transform::tile(stmt, op.vars[0], op.vars[1], op.factors[0],
+                        op.factors[1], op.newVars[0], op.newVars[1],
+                        op.newVars[2], op.newVars[3]);
+        break;
+      case K::Skew:
+        transform::skew(stmt, op.vars[0], op.vars[1], op.factors[0],
+                        op.newVars[0], op.newVars[1]);
+        break;
+      case K::Pipeline:
+        transform::setPipeline(stmt, op.vars[0],
+                               static_cast<int>(op.factors[0]));
+        break;
+      case K::Unroll:
+        transform::setUnroll(stmt, op.vars[0], op.factors[0]);
+        break;
+      case K::After:
+      case K::Fuse:
+      case K::Partition:
+        break;
     }
 }
 
@@ -94,9 +69,6 @@ simApply(std::vector<std::string> &dims, const ScheduleOp &op)
 struct CState
 {
     dsl::Compute *compute = nullptr;
-
-    /** Current loop names, mirroring the transform sequence so far. */
-    std::vector<std::string> dims;
 
     /**
      * Loop levels [0, prot) are shared with another statement through a
@@ -109,18 +81,22 @@ struct CState
     /** Fused statements share every level: no structural ops at all. */
     bool frozen = false;
 
-    /** Scratch polyhedral statement for the dependence-legality gate. */
+    /**
+     * The compute's statement with the schedule's structural ops so far
+     * applied: its loops are the ones the next op may name, and the
+     * dependence-legality gate checks it.
+     */
     transform::PolyStmt mirror;
 
     size_t
     firstFree() const
     {
-        return frozen ? dims.size() : prot;
+        return frozen ? mirror.numDims() : prot;
     }
     size_t
     freeCount() const
     {
-        return dims.size() - firstFree();
+        return mirror.numDims() - firstFree();
     }
 };
 
@@ -190,9 +166,7 @@ generateOps(workloads::Workload &w, support::SplitMix64 &rng,
     for (auto &stmt : stmts) {
         CState st;
         st.compute = func.findCompute(stmt.sched.name);
-        for (const auto &v : st.compute->iters())
-            st.dims.push_back(v.name());
-        st.mirror = stmt;
+        st.mirror = std::move(stmt);
         states.push_back(std::move(st));
     }
     protectSharedLevels(func, states);
@@ -256,6 +230,8 @@ generateOps(workloads::Workload &w, support::SplitMix64 &rng,
         }
 
         CState &st = states[rng.range(states.size())];
+        const std::vector<std::string> &dims =
+            st.mirror.sched.domain.dimNames();
         size_t base = st.firstFree();
         size_t nfree = st.freeCount();
         ScheduleOp op;
@@ -270,13 +246,13 @@ generateOps(workloads::Workload &w, support::SplitMix64 &rng,
             size_t b = base + rng.range(nfree);
             if (a == b)
                 continue;
-            op.vars = {st.dims[std::min(a, b)], st.dims[std::max(a, b)]};
+            op.vars = {dims[std::min(a, b)], dims[std::max(a, b)]};
             break;
           }
           case K::Split: {
             if (nfree < 1)
                 continue;
-            const std::string &v = st.dims[base + rng.range(nfree)];
+            const std::string &v = dims[base + rng.range(nfree)];
             op.vars = {v};
             op.factors = {rng.pick<std::int64_t>({2, 3, 4})};
             op.newVars = {freshName(v), freshName(v)};
@@ -286,8 +262,8 @@ generateOps(workloads::Workload &w, support::SplitMix64 &rng,
             if (nfree < 2)
                 continue;
             size_t d = base + rng.range(nfree - 1);
-            const std::string &vi = st.dims[d];
-            const std::string &vj = st.dims[d + 1];
+            const std::string &vi = dims[d];
+            const std::string &vj = dims[d + 1];
             op.vars = {vi, vj};
             op.factors = {rng.pick<std::int64_t>({2, 3, 4}),
                           rng.pick<std::int64_t>({2, 3, 4})};
@@ -302,8 +278,8 @@ generateOps(workloads::Workload &w, support::SplitMix64 &rng,
             size_t b = base + rng.range(nfree);
             if (a == b)
                 continue;
-            const std::string &vi = st.dims[std::min(a, b)];
-            const std::string &vj = st.dims[std::max(a, b)];
+            const std::string &vi = dims[std::min(a, b)];
+            const std::string &vj = dims[std::max(a, b)];
             op.vars = {vi, vj};
             op.factors = {rng.pick<std::int64_t>({1, 2, -1})};
             op.newVars = {freshName(vi), freshName(vj)};
@@ -316,7 +292,7 @@ generateOps(workloads::Workload &w, support::SplitMix64 &rng,
           case K::Pipeline: {
             if (nfree < 1)
                 continue;
-            op.vars = {st.dims[base + rng.range(nfree)]};
+            op.vars = {dims[base + rng.range(nfree)]};
             op.factors = {rng.pick<std::int64_t>({1, 2, 4})};
             ops.push_back(std::move(op));
             continue;
@@ -324,7 +300,7 @@ generateOps(workloads::Workload &w, support::SplitMix64 &rng,
           case K::Unroll: {
             if (nfree < 1)
                 continue;
-            op.vars = {st.dims[base + rng.range(nfree)]};
+            op.vars = {dims[base + rng.range(nfree)]};
             op.factors = {rng.pick<std::int64_t>({0, 2, 4})};
             ops.push_back(std::move(op));
             continue;
@@ -333,38 +309,15 @@ generateOps(workloads::Workload &w, support::SplitMix64 &rng,
             continue;
         }
 
-        // Structural candidate: apply to the scratch statement and keep
-        // it only when every dependence survives the new loop order.
+        // Structural candidate: keep it only when the transform library
+        // applies it and every dependence survives the new loop order.
         transform::PolyStmt trial = st.mirror;
         try {
-            switch (kind) {
-              case K::Interchange:
-                transform::interchange(trial, op.vars[0], op.vars[1]);
-                break;
-              case K::Split:
-                transform::split(trial, op.vars[0], op.factors[0],
-                                 op.newVars[0], op.newVars[1]);
-                break;
-              case K::Tile:
-                transform::tile(trial, op.vars[0], op.vars[1],
-                                op.factors[0], op.factors[1],
-                                op.newVars[0], op.newVars[1],
-                                op.newVars[2], op.newVars[3]);
-                break;
-              case K::Skew:
-                transform::skew(trial, op.vars[0], op.vars[1],
-                                op.factors[0], op.newVars[0],
-                                op.newVars[1]);
-                break;
-              default:
-                break;
-            }
+            applyOp(trial, op);
         } catch (const support::FatalError &) {
             continue;
         }
         if (options.checkLegality && !schedulePreservesDependences(trial))
-            continue;
-        if (!simApply(st.dims, op))
             continue;
         st.mirror = std::move(trial);
         ops.push_back(std::move(op));
@@ -455,22 +408,11 @@ applyScheduleOps(workloads::Workload &w,
 {
     dsl::Function &func = w.func();
 
-    // Track every compute's loop list so each op can be validated at
-    // its point in the sequence before touching the DSL.
-    std::vector<std::pair<dsl::Compute *, std::vector<std::string>>> sim;
-    for (dsl::Compute *c : func.computes()) {
-        std::vector<std::string> dims;
-        for (const auto &v : c->iters())
-            dims.push_back(v.name());
-        sim.emplace_back(c, std::move(dims));
-    }
-    auto dimsOf = [&](const std::string &name)
-        -> std::vector<std::string> * {
-        for (auto &[c, dims] : sim)
-            if (c->name() == name)
-                return &dims;
-        return nullptr;
-    };
+    // Every compute's statement with the sequence's loop ops so far
+    // applied: an op is checked there before the DSL records it, since
+    // DSL recording is unconditional and a bad op would otherwise die
+    // inside the lowering.
+    std::vector<transform::PolyStmt> stmts = lower::extractStmts(func);
 
     using K = ScheduleOp::Kind;
     for (const ScheduleOp &op : ops) {
@@ -489,8 +431,7 @@ applyScheduleOps(workloads::Workload &w,
             }
 
             dsl::Compute *c = func.findCompute(op.target);
-            std::vector<std::string> *dims = dimsOf(op.target);
-            if (!c || !dims)
+            if (!c)
                 return false;
 
             if (op.kind == K::After || op.kind == K::Fuse) {
@@ -503,23 +444,13 @@ applyScheduleOps(workloads::Workload &w,
                     c->fuse(*o);
                 continue;
             }
-            if (op.kind == K::Pipeline || op.kind == K::Unroll) {
-                if (find(*dims, op.vars[0]) < 0)
-                    return false;
-                if (op.kind == K::Pipeline)
-                    c->pipeline(dsl::Var(op.vars[0]),
-                                static_cast<int>(op.factors[0]));
-                else
-                    c->unroll(dsl::Var(op.vars[0]), op.factors[0]);
-                continue;
-            }
 
-            // Structural: validate against the simulated loop list
-            // first -- DSL recording is unconditional, and the apply
-            // step would otherwise die inside the lowering.
-            std::vector<std::string> probe = *dims;
-            if (!simApply(probe, op))
-                return false;
+            auto stmt = std::find_if(
+                stmts.begin(), stmts.end(),
+                [&](const transform::PolyStmt &s) {
+                    return s.sched.name == op.target;
+                });
+            applyOp(*stmt, op);
             switch (op.kind) {
               case K::Interchange:
                 c->interchange(dsl::Var(op.vars[0]), dsl::Var(op.vars[1]));
@@ -539,10 +470,16 @@ applyScheduleOps(workloads::Workload &w,
                         op.factors[0], dsl::Var(op.newVars[0]),
                         dsl::Var(op.newVars[1]));
                 break;
+              case K::Pipeline:
+                c->pipeline(dsl::Var(op.vars[0]),
+                            static_cast<int>(op.factors[0]));
+                break;
+              case K::Unroll:
+                c->unroll(dsl::Var(op.vars[0]), op.factors[0]);
+                break;
               default:
                 return false;
             }
-            *dims = std::move(probe);
         } catch (const support::FatalError &) {
             return false;
         }

@@ -8,14 +8,16 @@
  * array_partition), replays it through the DSL, and runs the
  * differential equivalence oracle. Legality has two layers:
  *
- *  - structural validity: ops only reference loops that exist at that
- *    point in the sequence (tracked by simulating each transform's
- *    effect on the loop-name list), and never touch loop levels shared
- *    with another statement through after/fuse, where a one-sided
- *    restructuring would change the cross-statement interleaving;
- *  - dependence legality: every structural candidate is applied to a
- *    scratch polyhedral statement and discarded unless
- *    check::schedulePreservesDependences() accepts it.
+ *  - structural validity: a candidate op is kept only if the transform
+ *    library applies it to the compute's polyhedral statement, which
+ *    carries the ops kept for it so far (so ops name loops that exist
+ *    at that point in the sequence and never reuse a name), and no op
+ *    touches loop levels shared with another statement through
+ *    after/fuse, where a one-sided restructuring would change the
+ *    cross-statement interleaving;
+ *  - dependence legality: a structural candidate is discarded unless
+ *    check::schedulePreservesDependences() accepts the statement it
+ *    produces.
  *
  * Ordering primitives (after/fuse) are semantic, so the oracle's
  * reference lowering applies them too; generating them is safe and
@@ -109,8 +111,9 @@ std::int64_t defaultFuzzSize(const std::string &workload);
 /**
  * Replay a primitive sequence onto a fresh workload instance, recording
  * the ops as DSL directives. Returns false (leaving the workload in an
- * unspecified but safe state) if an op references a loop, compute or
- * array that does not exist at its point in the sequence -- used by the
+ * unspecified but safe state) if an op references a compute or array
+ * that does not exist, or if the transform library refuses a loop op on
+ * the compute's statement at its point in the sequence -- used by the
  * shrinker to reject invalid subsequences.
  */
 bool applyScheduleOps(workloads::Workload &w,
