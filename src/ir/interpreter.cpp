@@ -37,20 +37,6 @@ Buffer::at(const std::vector<std::int64_t> &indices)
     return data_[flatten(indices)];
 }
 
-double
-Buffer::atOr(const std::vector<std::int64_t> &indices,
-             double fallback) const
-{
-    const auto &shape = type_.shape();
-    if (indices.size() != shape.size())
-        return fallback;
-    for (size_t i = 0; i < indices.size(); ++i) {
-        if (indices[i] < 0 || indices[i] >= shape[i])
-            return fallback;
-    }
-    return data_[flatten(indices)];
-}
-
 void
 Buffer::fillPattern(unsigned seed)
 {

@@ -34,13 +34,6 @@ class Buffer
 
     double &at(const std::vector<std::int64_t> &indices);
 
-    /**
-     * Bounds-checked read: @p fallback when any index is outside the
-     * buffer's shape (or the rank mismatches), the element otherwise.
-     */
-    double atOr(const std::vector<std::int64_t> &indices,
-                double fallback = 0.0) const;
-
     std::vector<double> &data() { return data_; }
     const std::vector<double> &data() const { return data_; }
 

@@ -309,8 +309,10 @@ TEST(FrameworkDigests, Unoptimized)
 
 /**
  * Property sweep: the design every search strategy selects stays
- * correct across workloads. The name is a std::string so the test name
- * prints it, not its address.
+ * correct across workloads, at the size `pomc --verify` checks and,
+ * for the twelve workloads that had them first, at a larger size of
+ * their own. The name is a std::string so the test name prints it,
+ * not its address.
  */
 class DseSemanticsSweep
     : public ::testing::TestWithParam<std::pair<std::string, int>>
@@ -352,6 +354,12 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_pair("blur", 16),
                       std::make_pair("gaussian", 16),
                       std::make_pair("edgedetect", 16),
+                      verifySized("gemm"), verifySized("bicg"),
+                      verifySized("gesummv"), verifySized("2mm"),
+                      verifySized("3mm"), verifySized("jacobi1d"),
+                      verifySized("heat1d"), verifySized("jacobi2d"),
+                      verifySized("seidel"), verifySized("blur"),
+                      verifySized("gaussian"), verifySized("edgedetect"),
                       verifySized("atax"), verifySized("mvt"),
                       verifySized("syrk"), verifySized("conv2d"),
                       verifySized("vgg16"), verifySized("resnet18")));

@@ -2,8 +2,7 @@
  * @file
  * Focused interpreter tests beyond the ir_test basics: affine.if guards
  * (inequality and equality), non-rectangular loop bounds (triangular,
- * divisor-carrying, and DSL-skewed nests), reduction statements, and
- * Buffer::atOr out-of-bounds semantics.
+ * divisor-carrying, and DSL-skewed nests) and reduction statements.
  */
 
 #include <gtest/gtest.h>
@@ -204,19 +203,6 @@ TEST(InterpreterReduction, GemvAccumulates)
     runFunction(*low.func, buffers);
     for (std::int64_t ii = 0; ii < n; ++ii)
         EXPECT_DOUBLE_EQ(buffers["y"]->data()[ii], ref[ii]) << ii;
-}
-
-// ----- Buffer::atOr -------------------------------------------------------
-
-TEST(InterpreterBuffer, AtOrFallsBackOutOfBounds)
-{
-    Buffer b(Type::memref(ScalarKind::F32, {4, 4}));
-    b.at({2, 3}) = 42.0;
-    EXPECT_DOUBLE_EQ(b.atOr({2, 3}), 42.0);
-    EXPECT_DOUBLE_EQ(b.atOr({2, 4}), 0.0);       // column past extent
-    EXPECT_DOUBLE_EQ(b.atOr({-1, 0}), 0.0);      // negative index
-    EXPECT_DOUBLE_EQ(b.atOr({4, 0}, -7.5), -7.5); // explicit fallback
-    EXPECT_DOUBLE_EQ(b.atOr({2}, 1.25), 1.25);   // rank mismatch
 }
 
 } // namespace

@@ -57,7 +57,10 @@
  * flag): --dse-journal and --frontier-out require a POM DSE run (--dse
  * or --framework pom) and go with neither --replay-journal nor --fuzz;
  * --metrics-out, --trace-out and --timing describe an in-process run
- * and do not go with --connect.
+ * and do not go with --connect; a fuzz run compiles no design, so
+ * --emit, --ast, --dsl, --verify, --cache-dir and --replay-journal do
+ * not go with --fuzz; and a replay neither times nor verifies, so
+ * --timing and --verify do not go with --replay-journal.
  *
  * Search strategy (src/dse/strategy.h):
  *   --strategy NAME     stage-2 search driver: greedy (the paper's
@@ -128,7 +131,6 @@
 #include "baselines/baselines.h"
 #include "check/fuzzer.h"
 #include "check/oracle.h"
-#include "driver/compiler.h"
 #include "dsl/render.h"
 #include "dse/dse.h"
 #include "dse/strategy.h"
@@ -167,7 +169,11 @@ usage(const char *argv0)
                  "--dse-journal and --frontier-out need --dse or "
                  "--framework pom, without --replay-journal or --fuzz;\n"
                  "--metrics-out, --trace-out and --timing do not go "
-                 "with --connect.\n",
+                 "with --connect;\n"
+                 "--emit, --ast, --dsl, --verify, --cache-dir and "
+                 "--replay-journal do not go with --fuzz;\n"
+                 "--timing and --verify do not go with "
+                 "--replay-journal.\n",
                  argv0, argv0, argv0);
     return 2;
 }
@@ -413,6 +419,29 @@ main(int argc, char **argv)
             std::fprintf(stderr,
                          "pomc: %s needs an in-process run, not "
                          "--connect\n",
+                         flag);
+            return 2;
+        }
+    }
+    // A fuzz run compiles no design of its own, and a replay prints
+    // its point's report but neither times nor verifies it.
+    for (const auto &[flag, given] :
+         {std::pair{"--emit", want_emit}, std::pair{"--ast", want_ast},
+          std::pair{"--dsl", want_dsl}, std::pair{"--verify", want_verify},
+          std::pair{"--cache-dir", !cache_dir.empty()},
+          std::pair{"--replay-journal", !replay_journal.empty()}}) {
+        if (given && fuzz_cases > 0) {
+            std::fprintf(stderr, "pomc: %s does not go with --fuzz\n",
+                         flag);
+            return 2;
+        }
+    }
+    for (const auto &[flag, given] :
+         {std::pair{"--timing", want_timing},
+          std::pair{"--verify", want_verify}}) {
+        if (given && !replay_journal.empty()) {
+            std::fprintf(stderr,
+                         "pomc: %s does not go with --replay-journal\n",
                          flag);
             return 2;
         }
