@@ -274,8 +274,8 @@ void applyPartitions(
  * members' base schedule fragments, the degree and the inner unroll
  * cap. FIFO cap of 4096 entries, in memory only; an entry names its
  * computes and arrays and points into no function, so it serves every
- * search of an equal function as it is. A miss
- * counts `dse.schedules`, a hit `dse.schedule_memo.hits`, an eviction
+ * search of an equal function as it is. A miss counts `dse.schedules`,
+ * a hit `dse.schedule_memo.hits`, an eviction
  * `dse.schedule_memo.evictions`, each created at zero with the memo.
  */
 void clearScheduleMemo();
