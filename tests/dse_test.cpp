@@ -310,9 +310,8 @@ TEST(FrameworkDigests, Unoptimized)
 /**
  * Property sweep: the design every search strategy selects stays
  * correct across workloads, at the size `pomc --verify` checks and,
- * for the twelve workloads that had them first, at a larger size of
- * their own. The name is a std::string so the test name prints it,
- * not its address.
+ * for twelve of them, also at a larger size of their own. The name is
+ * a std::string so the test name prints it, not its address.
  */
 class DseSemanticsSweep
     : public ::testing::TestWithParam<std::pair<std::string, int>>
