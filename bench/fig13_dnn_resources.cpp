@@ -37,7 +37,7 @@ runModel(const char *name, std::int64_t size)
     auto perNest = [&](const baselines::BaselineResult &r,
                        dsl::Function &func) {
         std::vector<hls::Resources> out;
-        for (const auto &stmt : r.design.stmts) {
+        for (const auto &stmt : r.design->lowered.stmts) {
             std::vector<transform::PolyStmt> single = {stmt};
             single[0].sched.betas[0] = 0;
             auto lowered = lower::lowerStmts(func, std::move(single));
@@ -56,7 +56,7 @@ runModel(const char *name, std::int64_t size)
         pom_acc = hls::Resources::max(pom_acc, pom_res[l]);
         sc_acc += sc_res[l];
         std::printf("%-6zu %-14s | %11s %11s | %11s %11s%s\n", l + 1,
-                    pom.design.stmts[l].sched.name.c_str(),
+                    pom.design->lowered.stmts[l].sched.name.c_str(),
                     benchutil::util(pom_acc.dsp, device.dsp).c_str(),
                     benchutil::util(pom_acc.lut, device.lut).c_str(),
                     benchutil::util(sc_acc.dsp, device.dsp).c_str(),

@@ -28,13 +28,13 @@ runCase(const char *name, std::int64_t size)
 
     // Run the DSE to obtain the HLS C and the chosen schedule shape.
     auto result = driver::compile(w_auto->func());
-    int hls_c = support::countLoc(result.hlsCode);
+    int hls_c = support::countLoc(result.design->hlsC());
 
     // (b) DSL + manual primitives: the schedule the DSE picked costs
     // roughly one primitive line per transformed loop plus the
     // partition lines; count them from the design.
     int manual_lines = 0;
-    for (const auto &stmt : result.design.stmts) {
+    for (const auto &stmt : result.design->lowered.stmts) {
         for (size_t l = 0; l < stmt.numDims(); ++l) {
             const auto &hw = stmt.sched.hwPerDim[l];
             if (hw.pipelineII)

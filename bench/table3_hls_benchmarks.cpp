@@ -63,8 +63,8 @@ main()
                 benchutil::util(rep.resources.ff, device.ff).c_str(),
                 benchutil::util(rep.resources.lut, device.lut).c_str(),
                 rep.powerW, benchutil::iiCell(rep).c_str(),
-                benchutil::tileShape(row.r.design).c_str(),
-                benchutil::parallelismDegree(row.r.design, rep),
+                benchutil::tileShape(row.r.design->lowered).c_str(),
+                benchutil::parallelismDegree(row.r.design->lowered, rep),
                 row.r.seconds);
         }
         std::printf("\n");

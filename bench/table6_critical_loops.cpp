@@ -30,13 +30,15 @@ main()
         auto pom = baselines::runPom(w_pom->func());
 
         std::printf("%-11s %-9s %-22s %-10s %10.1f\n", name, "ScaleHLS",
-                    benchutil::tileShape(sc.design).c_str(),
+                    benchutil::tileShape(sc.design->lowered).c_str(),
                     benchutil::iiCell(sc.report).c_str(),
-                    benchutil::parallelismDegree(sc.design, sc.report));
+                    benchutil::parallelismDegree(sc.design->lowered,
+                                                 sc.report));
         std::printf("%-11s %-9s %-22s %-10s %10.1f\n", name, "POM",
-                    benchutil::tileShape(pom.design).c_str(),
+                    benchutil::tileShape(pom.design->lowered).c_str(),
                     benchutil::iiCell(pom.report).c_str(),
-                    benchutil::parallelismDegree(pom.design, pom.report));
+                    benchutil::parallelismDegree(pom.design->lowered,
+                                                 pom.report));
     }
 
     std::printf("\nExpected shape (paper Table VI): POM reaches II=1 and "

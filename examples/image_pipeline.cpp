@@ -35,9 +35,9 @@ functionalCheck()
     auto optimized = baselines::runPom(w2->func());
 
     auto b1 = ir::makeBuffersFor(*plain.func, 1);
-    auto b2 = ir::makeBuffersFor(*optimized.design.func, 1);
+    auto b2 = ir::makeBuffersFor(*optimized.design->lowered.func, 1);
     ir::runFunction(*plain.func, b1);
-    ir::runFunction(*optimized.design.func, b2);
+    ir::runFunction(*optimized.design->lowered.func, b2);
     double max_err = 0.0;
     for (const auto &[name, buf] : b1) {
         const auto &got = b2.at(name)->data();

@@ -44,6 +44,7 @@ main()
                 result.report.str(pom::hls::Device::xc7z020()).c_str());
     std::printf("speedup over unscheduled code: %.1fx\n\n",
                 result.report.speedupOver(result.baseline));
-    std::printf("---- generated HLS C ----\n%s\n", result.hlsCode.c_str());
+    std::printf("---- generated HLS C ----\n%s\n",
+                result.design->hlsC().c_str());
     return 0;
 }

@@ -54,7 +54,7 @@ main()
         }
     }
     std::printf("\n---- chosen polyhedral AST ----\n%s\n",
-                result.design.astRoot->str().c_str());
+                result.design->lowered.astRoot->str().c_str());
     std::printf("---- report ----\n%s\n",
                 result.report.str(pom::hls::Device::xc7z020()).c_str());
     std::printf("speedup: %.1fx, DSE time: %.2fs, points explored: %d\n",

@@ -19,6 +19,17 @@ namespace {
 /** Pluto's locality tile edge. */
 constexpr std::int64_t kPlutoTile = 32;
 
+/** Estimate @p design under @p eo into @p result, then hold it there. */
+void
+setDesign(BaselineResult &result, const dsl::Function &func,
+          lower::LoweredFunction design,
+          const hls::EstimatorOptions &eo = {})
+{
+    result.report = hls::estimate(func, design, eo);
+    result.design =
+        std::make_shared<const dse::SelectedDesign>(std::move(design));
+}
+
 /**
  * Largest trip count at which the ScaleHLS-like design space still
  * holds tile/unroll/partition; from here on it pipelines only (the
@@ -74,8 +85,7 @@ runUnoptimized(dsl::Function &func)
     obs::Span span("driver.runUnoptimized", "driver");
     auto t0 = std::chrono::steady_clock::now();
     BaselineResult result;
-    result.design = lower::lowerUnscheduled(func);
-    result.report = hls::estimate(func, result.design);
+    setDesign(result, func, lower::lowerUnscheduled(func));
     result.seconds = elapsedSince(t0);
     result.notes = "no optimization";
     return result;
@@ -92,8 +102,7 @@ runPlutoLike(dsl::Function &func)
         plutoTile(s);
 
     BaselineResult result;
-    result.design = lower::lowerStmts(func, std::move(stmts));
-    result.report = hls::estimate(func, result.design);
+    setDesign(result, func, lower::lowerStmts(func, std::move(stmts)));
     result.seconds = elapsedSince(t0);
     result.notes = "locality tiling only (CPU-oriented schedule)";
     return result;
@@ -118,8 +127,7 @@ runPolscaLike(dsl::Function &func)
         func.findPlaceholderMut(p->name())->clearPartition();
 
     BaselineResult result;
-    result.design = lower::lowerStmts(func, std::move(stmts));
-    result.report = hls::estimate(func, result.design);
+    setDesign(result, func, lower::lowerStmts(func, std::move(stmts)));
     result.seconds = elapsedSince(t0);
     result.notes = "Pluto schedule + innermost pipelining, no "
                    "partitioning";
@@ -176,8 +184,8 @@ runScaleHlsLike(dsl::Function &func, const dse::DseOptions &options)
         }
         for (const dsl::Placeholder *p : func.placeholders())
             func.findPlaceholderMut(p->name())->clearPartition();
-        result.design = lower::lowerStmts(func, std::move(stmts));
-        result.report = hls::estimate(func, result.design, eo);
+        setDesign(result, func, lower::lowerStmts(func, std::move(stmts)),
+                  eo);
         result.seconds = elapsedSince(t0);
         result.notes = "design space too large; basic pipelining only";
         return result;
@@ -215,8 +223,7 @@ runScaleHlsLike(dsl::Function &func, const dse::DseOptions &options)
         }
         dse::applyPartitions(func, partitions);
         BaselineResult r;
-        r.design = lower::lowerStmts(func, std::move(base));
-        r.report = hls::estimate(func, r.design, eo);
+        setDesign(r, func, lower::lowerStmts(func, std::move(base)), eo);
         return r;
     };
     auto evaluate = [&](const std::vector<PolyStmt> &snapshot) {

@@ -22,6 +22,7 @@
 #ifndef POM_BASELINES_BASELINES_H
 #define POM_BASELINES_BASELINES_H
 
+#include <memory>
 #include <string>
 
 #include "dse/dse.h"
@@ -34,7 +35,7 @@ namespace pom::baselines {
 /** Outcome of running one baseline strategy. */
 struct BaselineResult
 {
-    lower::LoweredFunction design;
+    std::shared_ptr<const dse::SelectedDesign> design;
     hls::SynthesisReport report;
     double seconds = 0.0;
     std::string notes;

@@ -47,13 +47,7 @@ findDependenceViolation(const transform::PolyStmt &stmt)
     y_names.reserve(n);
     for (size_t i = 0; i < n; ++i)
         y_names.push_back("y_" + domain.dimName(i));
-    IntegerSet base = domain.withDimsInserted(n, y_names);
-    {
-        IntegerSet tgt = domain.withDimsInserted(0, domain.dimNames());
-        for (size_t i = 0; i < n; ++i)
-            tgt = tgt.withDimRenamed(n + i, y_names[i]);
-        base = base.intersect(tgt);
-    }
+    IntegerSet base = domain.pairedWithCopy(std::move(y_names));
 
     // Original-order coordinates of both instances.
     std::vector<LinearExpr> orig_x, orig_y;

@@ -1,6 +1,5 @@
 #include "driver/compiler.h"
 
-#include "emit/hls_emitter.h"
 #include "ir/verifier.h"
 #include "obs/obs.h"
 #include "support/diagnostics.h"
@@ -31,19 +30,20 @@ compile(dsl::Function &func)
                 hls::estimate(func, lower::lowerUnscheduled(func));
         }
         obs::Span lower_span("driver.lower", "driver");
-        result.design = lower::lower(func);
-        result.report = hls::estimate(func, result.design);
+        lower::LoweredFunction design = lower::lower(func);
+        result.report = hls::estimate(func, design);
+        result.design =
+            std::make_shared<const dse::SelectedDesign>(std::move(design));
     }
 
     {
         obs::Span verify_span("driver.verify-ir", "driver");
-        auto errors = ir::verify(*result.design.func);
+        auto errors = ir::verify(*result.design->lowered.func);
         if (!errors.empty()) {
             support::fatal("generated IR failed verification: " +
                            errors[0]);
         }
     }
-    result.hlsCode = emit::emitHlsC(*result.design.func);
     return result;
 }
 

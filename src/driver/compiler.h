@@ -10,7 +10,7 @@
 #ifndef POM_DRIVER_COMPILER_H
 #define POM_DRIVER_COMPILER_H
 
-#include <string>
+#include <memory>
 
 #include "dse/dse.h"
 #include "dsl/dsl.h"
@@ -22,11 +22,9 @@ namespace pom::driver {
 /** End-to-end compilation result. */
 struct CompileResult
 {
-    /** Synthesizable HLS C code. */
-    std::string hlsCode;
-
-    /** The annotated affine dialect and polyhedral state. */
-    lower::LoweredFunction design;
+    /** The annotated affine dialect, the polyhedral state and the
+     *  synthesizable HLS C (design->hlsC()). */
+    std::shared_ptr<const dse::SelectedDesign> design;
 
     /** Virtual-Vitis synthesis report for the design. */
     hls::SynthesisReport report;

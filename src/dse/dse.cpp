@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "check/oracle.h"
+#include "emit/hls_emitter.h"
 #include "hls/count.h"
 #include "hls/node_cache.h"
 #include "obs/journal.h"
@@ -20,6 +21,18 @@
 namespace pom::dse {
 
 using transform::PolyStmt;
+
+SelectedDesign::SelectedDesign(lower::LoweredFunction design)
+    : lowered(std::move(design))
+{}
+
+const std::string &
+SelectedDesign::hlsC() const
+{
+    std::call_once(emitted_,
+                   [this] { hlsC_ = emit::emitHlsC(*lowered.func); });
+    return hlsC_;
+}
 
 double
 DseResult::speedup() const
@@ -82,6 +95,34 @@ scheduleMemo()
         obs::counterAdd("dse.schedule_memo.evictions", 0);
         return new ScheduleMemo("dse.schedule_memo.evictions",
                                 kScheduleMemoCap);
+    }();
+    return *memo;
+}
+
+/**
+ * Entry cap of the design memo, sized from its largest entry: the
+ * selected design of resnet18 at size 64 (the lowered IR, its AST and
+ * statements, and its HLS C) holds about 430 KB of heap, vgg16's 300
+ * KB, a kernel's at size 128 15-55 KB. So a full memo stays under 28
+ * MB, and holds a daemon's sweep of the 18 workloads three times over.
+ */
+constexpr std::size_t kDesignMemoCap = 64;
+
+using DesignMemo =
+    support::ContentCache<std::shared_ptr<const SelectedDesign>>;
+
+/**
+ * The process-wide design memo, in memory only. Creates every
+ * `dse.design*` counter at zero so each metrics report has them.
+ */
+DesignMemo &
+designMemo()
+{
+    static DesignMemo *memo = [] {
+        obs::counterAdd("dse.designs", 0);
+        obs::counterAdd("dse.design_memo.hits", 0);
+        obs::counterAdd("dse.design_memo.evictions", 0);
+        return new DesignMemo("dse.design_memo.evictions", kDesignMemoCap);
     }();
     return *memo;
 }
@@ -505,6 +546,12 @@ clearScheduleMemo()
     scheduleMemo().clear();
 }
 
+void
+clearDesignMemo()
+{
+    designMemo().clear();
+}
+
 namespace {
 
 class Engine final : public Search
@@ -570,8 +617,9 @@ class Engine final : public Search
 
         if (entry.primitives == "(unscheduled)") {
             // The baseline point: ordering-only directives, no search.
-            out.design = lower::lowerUnscheduled(func_);
-            out.report = hls::estimate(func_, out.design);
+            out.design = std::make_shared<const SelectedDesign>(
+                lower::lowerUnscheduled(func_));
+            out.report = hls::estimate(func_, out.design->lowered);
             out.primitives = entry.primitives;
             return out;
         }
@@ -597,7 +645,7 @@ class Engine final : public Search
             u.degree = it->second;
         }
 
-        Candidate c = evaluatePoint(stmts, units, /*final=*/true);
+        Candidate c = evaluatePoint(stmts, units, Point::Replay);
         if (c.eval.primitives != entry.primitives) {
             support::fatal(
                 "replay: re-derived primitives do not match the "
@@ -823,7 +871,7 @@ class Engine final : public Search
     evaluate(const std::vector<std::int64_t> &degrees) override
     {
         std::vector<Unit> units = unitsAt(degrees);
-        PointEval ev = evaluatePoint(*base_, units, /*final=*/false).eval;
+        PointEval ev = evaluatePoint(*base_, units, Point::Search).eval;
         ++points_;
         roundEvaluated_ = true;
         frontierInsert(ev.report, ev.primitives, points_);
@@ -919,7 +967,7 @@ class Engine final : public Search
         ctx.device = device_;
 
         // Evaluate the initial (pipeline-only) design.
-        PointEval init = evaluatePoint(base, units_, /*final=*/false).eval;
+        PointEval init = evaluatePoint(base, units_, Point::Search).eval;
         ++points_;
         recordPoint("stage2-init", init.primitives, init.report,
                     "accepted", "initial pipeline-only design");
@@ -930,12 +978,12 @@ class Engine final : public Search
         POM_ASSERT(degrees.size() == units_.size(),
                    "strategy returned a malformed degree vector");
 
-        // The winning design, lowered whole (this also rewrites the
-        // partitions). The search already estimated every one of its
-        // units, so with memoization on its report composes from
-        // cached nodes.
+        // The winning design, lowered whole or shared from the design
+        // memo (this also rewrites the partitions). The search already
+        // estimated every one of its units, so with memoization on its
+        // report composes from cached nodes.
         std::vector<Unit> units = unitsAt(degrees);
-        Candidate winner = evaluatePoint(base, units, /*final=*/true);
+        Candidate winner = evaluatePoint(base, units, Point::Selected);
         ++points_;
         recordPoint("final", winner.eval.primitives, winner.eval.report,
                     "accepted", "selected design");
@@ -951,11 +999,20 @@ class Engine final : public Search
         }
     }
 
-    /** An estimated design point; the design is lowered only for a
-     *  final point or on the reference path. */
+    /** Which design point evaluatePoint() estimates. */
+    enum class Point
+    {
+        Search,   ///< a point the strategy explores: estimated only
+        Replay,   ///< a journaled point: partitioned and lowered whole
+        Selected, ///< the search's final point: as a replay, but its
+                  ///< design comes from the design memo
+    };
+
+    /** An estimated design point; the design is set only for a replay,
+     *  the selected point or on the reference path. */
     struct Candidate
     {
-        lower::LoweredFunction design;
+        std::shared_ptr<const SelectedDesign> design;
         PointEval eval;
     };
 
@@ -1068,13 +1125,14 @@ class Engine final : public Search
 
     /**
      * The schedule memo's key of unit @p ui at @p unit's degree:
-     * keyHead_ and each member's base schedule fragment, folded once
-     * per unit per search and finished to 32 hex, then the degree and
-     * the inner unroll cap. That is everything applyParallelSchedule()
-     * and fusedNestMinLevel() read: the members' domains, betas, origin
-     * maps and annotations (the fragments), their accesses and the
-     * array shapes (the function digest), and the two numbers -- the
-     * argument the node key already rests on.
+     * keyHead_ and each member's base schedule fragment and iterator
+     * line (iteratorLine()), folded once per unit per search and
+     * finished to 32 hex, then the degree and the inner unroll cap.
+     * That is everything applyParallelSchedule() and
+     * fusedNestMinLevel() read: the members' domains, betas, origin
+     * maps and annotations (the fragments), their accesses (the
+     * statement bodies of the function digest over the iterators) and
+     * the array shapes (the function digest), and the two numbers.
      */
     std::string
     scheduleKey(const std::vector<PolyStmt> &base, size_t ui,
@@ -1085,12 +1143,31 @@ class Engine final : public Search
         std::string &head = unitKeys_[ui];
         if (head.empty()) {
             hls::NodeKey key = keyHead_;
-            for (size_t m : unit.members)
+            for (size_t m : unit.members) {
                 key.addSchedule(base[m]);
+                key.addText(iteratorLine(base[m]));
+            }
             head = key.finish("");
         }
         return head + " " + std::to_string(unit.degree) + " " +
                std::to_string(opt_.innerUnrollCap);
+    }
+
+    /**
+     * "iters i j k\n": the iterators of @p stmt's compute in order. The
+     * function digest prints the statement body by iterator name and
+     * the origin map relates the loops to the iterators by position;
+     * this line binds the two.
+     */
+    std::string
+    iteratorLine(const PolyStmt &stmt) const
+    {
+        const dsl::Compute *compute = func_.findCompute(stmt.sched.name);
+        POM_ASSERT(compute != nullptr, "statement without a compute");
+        std::string line = "iters";
+        for (const dsl::Var &v : compute->iters())
+            line += " " + v.name();
+        return line + "\n";
     }
 
     /** @p unit's members scheduled at its degree. */
@@ -1288,42 +1365,85 @@ class Engine final : public Search
             func_, cachedNodes(parts, nullptr, allCached));
     }
 
+    /** The statements of @p parts lowered whole, as a design. */
+    std::shared_ptr<const SelectedDesign>
+    lowerWhole(const std::vector<PolyStmt> &base,
+               const std::vector<Unit> &units,
+               const std::vector<const UnitSchedule *> &parts) const
+    {
+        return std::make_shared<const SelectedDesign>(
+            lower::lowerStmts(func_, inBaseOrder(base, units, parts)));
+    }
+
+    /**
+     * The selected design of @p units from the process-wide design
+     * memo, or lowered whole (lowerWhole()) and stored there. The key
+     * is each unit's schedule-memo key at its degree, in unit order:
+     * the function digest, the members' base fragments and iterators,
+     * the degrees and the inner unroll cap determine every schedule,
+     * hence the partition plan, and with it every read lowering and
+     * emission make of the function.
+     */
+    std::shared_ptr<const SelectedDesign>
+    selectedDesign(const std::vector<PolyStmt> &base,
+                   const std::vector<Unit> &units,
+                   const std::vector<const UnitSchedule *> &parts)
+    {
+        std::string key;
+        for (size_t ui = 0; ui < units.size(); ++ui) {
+            key += scheduleKey(base, ui, units[ui]);
+            key += '\n';
+        }
+        DesignMemo &memo = designMemo();
+        if (auto hit = memo.lookup(key)) {
+            obs::counterAdd("dse.design_memo.hits");
+            return std::move(*hit);
+        }
+        // Two searches missing on one key both lower it; the designs
+        // are equal and the first store wins.
+        obs::counterAdd("dse.designs");
+        auto design = lowerWhole(base, units, parts);
+        memo.store(key, design);
+        return design;
+    }
+
     /**
      * Estimate one design point from each unit's memoized schedule. A
      * search point leaves the shared function alone (partitioning goes
      * through the estimator override) and composes its report from
      * per-unit NodeReports (composeReport()), so it lowers and
-     * estimates only units whose schedule was never seen. A @p final
-     * point -- the selected design or a replay -- also rewrites the
-     * function's partitions and is lowered whole for emission. With
-     * memoize off, or when the oracle must see every lowered design,
-     * every point is lowered and estimated whole and uncached: the
-     * reference the differential tests hold the composed path to. The
-     * caller numbers and journals the point.
+     * estimates only units whose schedule was never seen. A replay or
+     * the selected point also rewrites the function's partitions; a
+     * replay is lowered whole, and the selected point takes its design
+     * from the design memo (selectedDesign()). With memoize off, or
+     * when the oracle must see every lowered design, every point is
+     * lowered and estimated whole and uncached, and no memo is read:
+     * the reference the differential tests hold the composed path to.
+     * The caller numbers and journals the point.
      */
     Candidate
     evaluatePoint(const std::vector<PolyStmt> &base,
-                  const std::vector<Unit> &units, bool final)
+                  const std::vector<Unit> &units, Point kind)
     {
         obs::Span span("dse.point", "dse");
         PointLatencyTimer pointTimer;
         auto parts = unitSchedules(base, units);
         hls::PartitionPlan partitions = mergePartitions(parts);
-        if (final)
+        if (kind != Point::Search)
             applyPartitions(func_, partitions);
 
         Candidate c;
         c.eval.primitives = primitivesSummary(base, units, partitions);
         span.arg("primitives", c.eval.primitives);
 
-        if (final || reference()) {
-            c.design =
-                lower::lowerStmts(func_, inBaseOrder(base, units, parts));
-        }
+        if (reference() || kind == Point::Replay)
+            c.design = lowerWhole(base, units, parts);
+        else if (kind == Point::Selected)
+            c.design = selectedDesign(base, units, parts);
         if (reference()) {
             hls::EstimatorOptions eo;
             eo.partitionOverride = &partitions;
-            c.eval.report = hls::estimate(func_, c.design, eo);
+            c.eval.report = hls::estimate(func_, c.design->lowered, eo);
         } else {
             c.eval.report = composeReport(parts, partitions, span);
         }
@@ -1331,7 +1451,7 @@ class Engine final : public Search
                  static_cast<std::int64_t>(c.eval.report.latencyCycles));
         if (opt_.verifyEachPoint) {
             check::OracleResult res =
-                check::checkLowered(func_, c.design, kVerifySeed);
+                check::checkLowered(func_, c.design->lowered, kVerifySeed);
             if (!res.equivalent)
                 support::fatal("DSE produced a non-equivalent design "
                                "point:\n" +

@@ -22,6 +22,8 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -67,13 +69,16 @@ struct DseOptions
      * seen, and a point whose every unit is cached (`dse.cache.hits`)
      * skips lowering and estimation entirely. Each unit's schedule at
      * each degree likewise comes from a process-wide memo (see
-     * clearScheduleMemo()), so a repeated search schedules nothing.
-     * The selected design (and a replayed point) is still lowered whole
-     * for emission; only its report is composed. With memoize off every
-     * schedule is built by the search itself and every point and the
-     * baseline are lowered and estimated whole, uncached: the
-     * reference the differential tests hold the default path to, byte
-     * for byte. Ignored when verifyEachPoint is set.
+     * clearScheduleMemo()), so a repeated search schedules nothing,
+     * and the selected design from a process-wide memo of lowered
+     * designs (see clearDesignMemo()), so a search that selects a
+     * schedule an earlier one selected lowers and emits nothing. A
+     * replayed point is still lowered whole; only its report is
+     * composed. With memoize off every schedule is built by the search
+     * itself and every point and the baseline are lowered and
+     * estimated whole, uncached: the reference the differential tests
+     * hold the default path to, byte for byte. Ignored when
+     * verifyEachPoint is set.
      */
     bool memoize = true;
 
@@ -95,11 +100,37 @@ struct DseOptions
     }
 };
 
+/**
+ * A lowered design and its HLS C, emitted on the first hlsC() call.
+ * Every result that carries a design holds one through a
+ * std::shared_ptr<const SelectedDesign>, never null: a search's
+ * selected design, which every later search that selects the same
+ * schedule of an equal function shares through the design memo
+ * (clearDesignMemo()), and the design a replay, another framework or
+ * the reference path lowered for itself. It points into no function.
+ */
+class SelectedDesign
+{
+  public:
+    explicit SelectedDesign(lower::LoweredFunction design);
+
+    /** The annotated affine IR, its polyhedral AST and statements. */
+    const lower::LoweredFunction lowered;
+
+    /** The design's HLS C, emitted on the first call; safe to call
+     *  from any thread. */
+    const std::string &hlsC() const;
+
+  private:
+    mutable std::once_flag emitted_;
+    mutable std::string hlsC_;
+};
+
 /** Outcome of a DSE run. */
 struct DseResult
 {
     /** The selected design, fully lowered and annotated. */
-    lower::LoweredFunction design;
+    std::shared_ptr<const SelectedDesign> design;
 
     /** Synthesis report of the selected design. */
     hls::SynthesisReport report;
@@ -159,8 +190,8 @@ DseResult autoDSE(dsl::Function &func, const DseOptions &options = {});
 /** One journaled design point, re-materialized (pomc --replay-journal). */
 struct ReplayResult
 {
-    /** The re-lowered design (feedable to emit::emitHlsC). */
-    lower::LoweredFunction design;
+    /** The re-lowered design. */
+    std::shared_ptr<const SelectedDesign> design;
 
     /** Its synthesis report (matches the journaled numbers). */
     hls::SynthesisReport report;
@@ -279,6 +310,19 @@ void applyPartitions(
  * `dse.schedule_memo.evictions`, each created at zero with the memo.
  */
 void clearScheduleMemo();
+
+/**
+ * Empty the process-wide design memo (tests of a cold search). A
+ * memoized search takes its selected design from it: the design
+ * lowered whole from every unit's schedule at its selected degree,
+ * with its HLS C once emitted, keyed on the schedule-memo keys of
+ * those units in unit order. FIFO cap, in memory only; an entry
+ * points into no function, so it serves every search of an equal
+ * function that selects the same schedule. A miss counts
+ * `dse.designs`, a hit `dse.design_memo.hits`, an eviction
+ * `dse.design_memo.evictions`, each created at zero with the memo.
+ */
+void clearDesignMemo();
 
 } // namespace pom::dse
 

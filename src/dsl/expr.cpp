@@ -4,6 +4,7 @@
 
 #include "dsl/dsl.h"
 #include "support/diagnostics.h"
+#include "support/string_util.h"
 
 namespace pom::dsl {
 
@@ -73,7 +74,7 @@ printNode(const ExprNode &n, std::ostringstream &os)
 {
     switch (n.kind) {
       case ExprNode::Kind::Const:
-        os << n.value;
+        os << support::constantText(n.value);
         break;
       case ExprNode::Kind::Iter:
         os << n.iterName;

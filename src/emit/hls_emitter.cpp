@@ -224,10 +224,8 @@ class Emitter
             return;
         }
         if (name == "arith.constant") {
-            double v = op.attr(ir::kAttrValue).asFloat();
-            std::ostringstream lit;
-            lit << v;
-            std::string s = lit.str();
+            std::string s =
+                support::constantText(op.attr(ir::kAttrValue).asFloat());
             if (op.result(0)->type().isFloatScalar() &&
                 s.find('.') == std::string::npos &&
                 s.find('e') == std::string::npos) {

@@ -288,14 +288,29 @@ NodeKey::finish(const std::string &costLine) const
 {
     NodeKey key = *this;
     key.fold(costLine);
-    return support::hex16(key.lo_) + support::hex16(key.hi_);
+    // hex16(lo_) + hex16(hi_), most significant digit first.
+    static constexpr char kDigits[] = "0123456789abcdef";
+    std::string out(32, '0');
+    for (int d = 0; d < 16; ++d) {
+        out[15 - d] = kDigits[(key.lo_ >> (4 * d)) & 0xf];
+        out[31 - d] = kDigits[(key.hi_ >> (4 * d)) & 0xf];
+    }
+    return out;
 }
 
 void
 NodeKey::fold(std::string_view bytes)
 {
-    lo_ = support::fnv1a64(bytes.data(), bytes.size(), lo_);
-    hi_ = support::fnv1a64(bytes.data(), bytes.size(), hi_);
+    // support::fnv1a64 over both lanes in one pass: two independent
+    // multiply chains instead of two walks over the text.
+    std::uint64_t lo = lo_, hi = hi_;
+    for (char c : bytes) {
+        const auto byte = static_cast<unsigned char>(c);
+        lo = (lo ^ byte) * support::kFnvPrime64;
+        hi = (hi ^ byte) * support::kFnvPrime64;
+    }
+    lo_ = lo;
+    hi_ = hi;
 }
 
 std::string

@@ -105,6 +105,10 @@ class NodeKey
     /** Fold the banking line of @p array. */
     void addBanking(const std::string &array, const ArrayBanking &banking);
 
+    /** Fold @p text as is: a key built on this one (the DSE's
+     *  schedule-memo key) adds what the node key does not read. */
+    void addText(std::string_view text) { fold(text); }
+
     /** The 32-hex key after folding @p costLine (opCostsLine()). */
     std::string finish(const std::string &costLine) const;
 

@@ -105,15 +105,9 @@ dependencePolytope(const IntegerSet &domain, const Access &src,
     for (size_t i = 0; i < n; ++i)
         t_names.push_back("t_" + domain.dimName(i));
 
-    // Source copy over 2n dims (source dims first, then the t_* dims).
-    IntegerSet dep = domain.withDimsInserted(n, t_names);
-    // Target copy: same domain constraints shifted onto the t_* dims.
-    {
-        IntegerSet tgt = domain.withDimsInserted(0, domain.dimNames());
-        for (size_t i = 0; i < n; ++i)
-            tgt = tgt.withDimRenamed(n + i, t_names[i]);
-        dep = dep.intersect(tgt);
-    }
+    // Source and target copies over 2n dims (source dims first, then
+    // the t_* dims).
+    IntegerSet dep = domain.pairedWithCopy(std::move(t_names));
 
     // Access equality: src.map(s) == dst.map(t).
     size_t m = src.map.numResults();

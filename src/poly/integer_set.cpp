@@ -352,6 +352,29 @@ IntegerSet::withDimsInserted(size_t pos,
 }
 
 IntegerSet
+IntegerSet::pairedWithCopy(std::vector<std::string> names) const
+{
+    const size_t n = numDims(), s = stride(), m = numConstraints();
+    POM_ASSERT(names.size() == n, "a paired copy names every dim");
+    IntegerSet r;
+    r.dims_ = dims_;
+    r.dims_.insert(r.dims_.end(), std::make_move_iterator(names.begin()),
+                   std::make_move_iterator(names.end()));
+    const size_t t = r.stride();
+    r.rows_.assign(2 * m * t, 0);
+    for (size_t k = 0; k < m; ++k) {
+        const std::int64_t *src = rows_.data() + k * s;
+        std::int64_t *x = r.rows_.data() + k * t;
+        std::int64_t *y = r.rows_.data() + (m + k) * t;
+        std::copy(src, src + n, x);
+        std::copy(src, src + n, y + n);
+        x[2 * n] = y[2 * n] = src[n];
+        x[2 * n + 1] = y[2 * n + 1] = src[n + 1];
+    }
+    return r;
+}
+
+IntegerSet
 IntegerSet::withDimRemoved(size_t i) const
 {
     POM_ASSERT(i < dims_.size(), "remove index out of range");

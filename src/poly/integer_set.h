@@ -127,6 +127,14 @@ class IntegerSet
     IntegerSet withDimsInserted(size_t pos,
                                 std::vector<std::string> names) const;
 
+    /**
+     * The pairs (x, y) of points of this set, over its dims followed by
+     * @p names (one per dim, y's): this set's rows over x, then the same
+     * rows, in the same order, over y. The space of a dependence
+     * polytope, built without a copy of the set per dim.
+     */
+    IntegerSet pairedWithCopy(std::vector<std::string> names) const;
+
     /** Remove dim @p i; all constraints must have zero coefficient on it. */
     IntegerSet withDimRemoved(size_t i) const;
 

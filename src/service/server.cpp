@@ -5,7 +5,6 @@
 
 #include "baselines/baselines.h"
 #include "dse/strategy.h"
-#include "emit/hls_emitter.h"
 #include "hls/node_cache.h"
 #include "obs/journal.h"
 #include "obs/obs.h"
@@ -317,7 +316,7 @@ Server::compileResponse(const Request &request, std::int64_t requestId)
             result.journal, result.frontierRounds, journalId);
     }
     if (request.emit)
-        response.hlsC = emit::emitHlsC(*result.design.func);
+        response.hlsC = result.design->hlsC();
 
     saveCache();
     return response;

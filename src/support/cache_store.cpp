@@ -11,7 +11,7 @@ fnv1a64(const char *data, std::size_t size, std::uint64_t hash)
 {
     for (std::size_t i = 0; i < size; ++i) {
         hash ^= static_cast<unsigned char>(data[i]);
-        hash *= 1099511628211ull;
+        hash *= kFnvPrime64;
     }
     return hash;
 }

@@ -3,12 +3,12 @@
  * The one content-addressed memo container of POM and the FNV-1a-64
  * content-hash helpers. A ContentCache<V> is a mutex-guarded
  * key -> value map with hit/miss counts and a fixed FIFO entry cap
- * with an eviction counter. Four caches are instances: the per-node
+ * with an eviction counter. Five caches are instances: the per-node
  * report cache in src/hls, which also spills to a `--cache-dir`
- * (hls/node_cache.h owns that format); and three that live in memory
+ * (hls/node_cache.h owns that format); and four that live in memory
  * only: the dependence memo in src/transform, the trip-count memo in
- * src/hls (hls/count.h) and the unit-schedule memo in src/dse
- * (dse::clearScheduleMemo()).
+ * src/hls (hls/count.h), and the unit-schedule and selected-design
+ * memos in src/dse (dse::clearScheduleMemo(), dse::clearDesignMemo()).
  */
 
 #ifndef POM_SUPPORT_CACHE_STORE_H
@@ -34,6 +34,9 @@ namespace pom::support {
 
 /** FNV-1a-64 offset basis (the seed for fnv1a64). */
 inline constexpr std::uint64_t kFnvOffset64 = 14695981039346656037ull;
+
+/** FNV-1a-64 prime: each byte is xored in, then multiplied by it. */
+inline constexpr std::uint64_t kFnvPrime64 = 1099511628211ull;
 
 /** Fold @p size bytes at @p data into the running FNV-1a-64 @p hash. */
 std::uint64_t fnv1a64(const char *data, std::size_t size,

@@ -1,6 +1,7 @@
 #include "support/string_util.h"
 
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 
@@ -33,6 +34,21 @@ parseDouble(const std::string &s, double &out)
         return false;
     out = v;
     return true;
+}
+
+std::string
+constantText(double v)
+{
+    std::ostringstream os;
+    os << v;
+    std::string text = os.str();
+    double back = 0.0;
+    const char *end = text.data() + text.size();
+    auto parsed = std::from_chars(text.data(), end, back);
+    if (parsed.ec == std::errc() && parsed.ptr == end && back == v)
+        return text;
+    char buf[32];
+    return std::string(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
 }
 
 std::string

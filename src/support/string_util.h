@@ -52,6 +52,13 @@ bool parseInt64(const std::string &s, std::int64_t &out);
  */
 bool parseDouble(const std::string &s, double &out);
 
+/**
+ * @p v as a DSL or HLS C constant: operator<<'s six significant digits
+ * when they parse back to exactly @p v, else std::to_chars' shortest
+ * round-trip form. Either way the text parses back to @p v.
+ */
+std::string constantText(double v);
+
 } // namespace pom::support
 
 #endif // POM_SUPPORT_STRING_UTIL_H

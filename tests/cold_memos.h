@@ -16,7 +16,8 @@ namespace pom::cold {
 
 /**
  * Empty the node-report cache, both dependence memos, the trip-count
- * memo and the schedule memo, and reset their statistics.
+ * memo, the schedule memo and the design memo, and reset their
+ * statistics.
  */
 inline void
 clearProcessMemos()
@@ -25,6 +26,7 @@ clearProcessMemos()
     transform::clearDependenceMemo();
     hls::clearTripMemo();
     dse::clearScheduleMemo();
+    dse::clearDesignMemo();
 }
 
 } // namespace pom::cold

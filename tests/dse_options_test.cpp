@@ -45,7 +45,7 @@ TEST(DseOptions, InnerUnrollCapShapesTiles)
     opt.maxParallelism = 16;
     auto r = dse::autoDSE(w->func(), opt);
     // The innermost unrolled loop has at most 4 copies.
-    for (const auto &stmt : r.design.stmts) {
+    for (const auto &stmt : r.design->lowered.stmts) {
         auto trips = hls::avgTrips(stmt.sched.domain);
         for (size_t l = 0; l < stmt.numDims(); ++l) {
             std::int64_t u = stmt.sched.hwPerDim[l].unrollFactor;
@@ -81,7 +81,7 @@ TEST_P(NewWorkloadSweep, LowersVerifiesAndOptimizes)
 {
     auto w = makeByName(GetParam(), 24);
     auto result = dse::autoDSE(w->func());
-    EXPECT_TRUE(ir::verify(*result.design.func).empty());
+    EXPECT_TRUE(ir::verify(*result.design->lowered.func).empty());
     EXPECT_GE(result.speedup(), 1.0);
 
     // Semantics preserved (interpreter, bit-exact).
@@ -89,9 +89,9 @@ TEST_P(NewWorkloadSweep, LowersVerifiesAndOptimizes)
     lower::applyDirectives(w->func(), ref_stmts, true);
     auto plain = lower::lowerStmts(w->func(), std::move(ref_stmts));
     auto b1 = ir::makeBuffersFor(*plain.func, 31);
-    auto b2 = ir::makeBuffersFor(*result.design.func, 31);
+    auto b2 = ir::makeBuffersFor(*result.design->lowered.func, 31);
     ir::runFunction(*plain.func, b1);
-    ir::runFunction(*result.design.func, b2);
+    ir::runFunction(*result.design->lowered.func, b2);
     for (const auto &[name, buf] : b1) {
         const auto &got = b2.at(name)->data();
         for (size_t i = 0; i < buf->data().size(); ++i)
@@ -128,10 +128,10 @@ TEST(DependenceHints, EmittedForProvenIndependentArrays)
     // After split-interchange-merge, q and s are written along an
     // unrolled/pipelined dimension with no carried dependence inside
     // the pipeline: both get asserted independent.
-    EXPECT_NE(result.hlsCode.find(
+    EXPECT_NE(result.design->hlsC().find(
                   "#pragma HLS dependence variable=q inter false"),
               std::string::npos);
-    EXPECT_NE(result.hlsCode.find(
+    EXPECT_NE(result.design->hlsC().find(
                   "#pragma HLS dependence variable=s inter false"),
               std::string::npos);
 }
@@ -147,7 +147,7 @@ TEST(DependenceHints, NotEmittedWhenDependenceRemains)
     dsl::Compute s(f, "s", {i, j}, q(i) + A(i, j), q(i));
     s.pipeline(j, 1);
     auto result = driver::compile(f);
-    EXPECT_EQ(result.hlsCode.find("dependence variable=q"),
+    EXPECT_EQ(result.design->hlsC().find("dependence variable=q"),
               std::string::npos);
 }
 
@@ -157,7 +157,7 @@ TEST(DependenceHints, PresentInIrAttributes)
     w->func().autoDSE();
     auto result = driver::compile(w->func());
     bool found = false;
-    result.design.func->walk([&](const ir::Operation &op) {
+    result.design->lowered.func->walk([&](const ir::Operation &op) {
         if (op.hasAttr(ir::kAttrDependenceFree))
             found = true;
     });

@@ -219,7 +219,7 @@ TEST(Replay, ReproducesJournaledPoints)
             << "point " << e.point << " (" << e.phase << ")";
         EXPECT_EQ(rr.report.resources.dsp, e.dsp) << "point " << e.point;
         EXPECT_EQ(rr.primitives, e.primitives);
-        EXPECT_NE(rr.design.func, nullptr);
+        EXPECT_NE(rr.design->lowered.func, nullptr);
     }
 }
 

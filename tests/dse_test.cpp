@@ -19,7 +19,6 @@
 #include "baselines/baselines.h"
 #include "check/fuzzer.h"
 #include "dse/dse.h"
-#include "emit/hls_emitter.h"
 #include "golden_digests.h"
 #include "ir/interpreter.h"
 #include "ir/verifier.h"
@@ -76,7 +75,7 @@ TEST(Dse, GemmFindsParallelDesign)
     EXPECT_LE(result.report.worstII(), 2);
     EXPECT_GT(result.pointsExplored, 2);
     EXPECT_GE(result.dseSeconds, 0.0);
-    expectDesignPreservesSemantics(w->func(), result.design);
+    expectDesignPreservesSemantics(w->func(), result.design->lowered);
 }
 
 TEST(Dse, BicgSplitInterchangeMerge)
@@ -96,7 +95,7 @@ TEST(Dse, BicgSplitInterchangeMerge)
     EXPECT_TRUE(saw_refuse);
     EXPECT_LE(result.report.worstII(), 4);
     EXPECT_GT(result.speedup(), 10.0);
-    expectDesignPreservesSemantics(w->func(), result.design);
+    expectDesignPreservesSemantics(w->func(), result.design->lowered);
 }
 
 TEST(Dse, SeidelSkewConverges)
@@ -113,7 +112,7 @@ TEST(Dse, SeidelSkewConverges)
     EXPECT_TRUE(saw_skew);
     EXPECT_TRUE(saw_interchange);
     EXPECT_GT(result.speedup(), 1.0);
-    expectDesignPreservesSemantics(w->func(), result.design);
+    expectDesignPreservesSemantics(w->func(), result.design->lowered);
 }
 
 TEST(Dse, JacobiSharedTimeLoopSurvives)
@@ -121,7 +120,7 @@ TEST(Dse, JacobiSharedTimeLoopSurvives)
     auto w = makeByName("jacobi1d", 34);
     auto result = dse::autoDSE(w->func());
     EXPECT_GT(result.speedup(), 3.0);
-    expectDesignPreservesSemantics(w->func(), result.design);
+    expectDesignPreservesSemantics(w->func(), result.design->lowered);
 }
 
 TEST(Dse, ResourceFractionLimitsParallelism)
@@ -211,7 +210,7 @@ TEST(Baselines, DesignsPreserveSemantics)
     auto check = [](auto runner) {
         auto w = makeByName("bicg", 24);
         auto r = runner(w->func());
-        expectDesignPreservesSemantics(w->func(), r.design);
+        expectDesignPreservesSemantics(w->func(), r.design->lowered);
     };
     check([](dsl::Function &f) { return baselines::runPlutoLike(f); });
     check([](dsl::Function &f) { return baselines::runPolscaLike(f); });
@@ -251,7 +250,7 @@ checkFrameworkDigests(
         auto w = makeByName(name, 64);
         baselines::BaselineResult r = run(w->func());
         std::string report = golden::digestOf(r.report.str(device));
-        std::string hls_c = golden::digestOf(emit::emitHlsC(*r.design.func));
+        std::string hls_c = golden::digestOf(r.design->hlsC());
         if (update) {
             table[{framework, name}] = {report, hls_c};
             continue;
@@ -327,7 +326,7 @@ TEST_P(DseSemanticsSweep, DesignMatchesReference)
         dse::DseOptions opt;
         opt.strategy = kind;
         auto result = dse::autoDSE(w->func(), opt);
-        expectDesignPreservesSemantics(w->func(), result.design);
+        expectDesignPreservesSemantics(w->func(), result.design->lowered);
         EXPECT_GE(result.speedup(), 1.0);
     }
 }

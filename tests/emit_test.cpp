@@ -7,9 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <optional>
+
 #include "driver/compiler.h"
 #include "dsl/render.h"
-#include "emit/hls_emitter.h"
 #include "support/string_util.h"
 #include "workloads/workloads.h"
 
@@ -37,7 +39,7 @@ TEST(Emit, GemmManualScheduleProducesFig6Code)
     A.partition({4, 4}, "cyclic");
 
     driver::CompileResult result = driver::compile(f);
-    const std::string &code = result.hlsCode;
+    const std::string &code = result.design->hlsC();
 
     EXPECT_NE(code.find("void gemm(float A[32][32]"), std::string::npos);
     EXPECT_NE(code.find("#pragma HLS array_partition variable=A cyclic "
@@ -63,9 +65,9 @@ TEST(Emit, FullUnrollPragmaHasNoFactor)
     dsl::Compute s(f, "s", {i}, X(i) * 2.0, X(i));
     s.unroll(i, 0);
     auto result = driver::compile(f);
-    EXPECT_NE(result.hlsCode.find("#pragma HLS unroll\n"),
+    EXPECT_NE(result.design->hlsC().find("#pragma HLS unroll\n"),
               std::string::npos);
-    EXPECT_EQ(result.hlsCode.find("unroll factor"), std::string::npos);
+    EXPECT_EQ(result.design->hlsC().find("unroll factor"), std::string::npos);
 }
 
 TEST(Emit, MinMaxBoundsUseHelpers)
@@ -79,8 +81,8 @@ TEST(Emit, MinMaxBoundsUseHelpers)
     s.skew(i, j, 1, ip, jp);
     s.interchange(ip, jp); // wavefront order -> triangular bounds
     auto result = driver::compile(f);
-    EXPECT_NE(result.hlsCode.find("max("), std::string::npos);
-    EXPECT_NE(result.hlsCode.find("min("), std::string::npos);
+    EXPECT_NE(result.design->hlsC().find("max("), std::string::npos);
+    EXPECT_NE(result.design->hlsC().find("min("), std::string::npos);
 }
 
 TEST(Emit, IntegerTypesAndOps)
@@ -91,7 +93,7 @@ TEST(Emit, IntegerTypesAndOps)
     dsl::Placeholder B(f, "B", {8}, dsl::ScalarKind::I16);
     dsl::Compute s(f, "s", {i}, A(i) * 3.0, B(i));
     auto result = driver::compile(f);
-    EXPECT_NE(result.hlsCode.find("int16_t A[8]"), std::string::npos);
+    EXPECT_NE(result.design->hlsC().find("int16_t A[8]"), std::string::npos);
 }
 
 TEST(Emit, MaxMinBecomeFmax)
@@ -101,7 +103,37 @@ TEST(Emit, MaxMinBecomeFmax)
     dsl::Placeholder A(f, "A", {8});
     dsl::Compute s(f, "s", {i}, dsl::max(A(i), 0.0), A(i));
     auto result = driver::compile(f);
-    EXPECT_NE(result.hlsCode.find("fmax("), std::string::npos);
+    EXPECT_NE(result.design->hlsC().find("fmax("), std::string::npos);
+}
+
+TEST(Emit, ConstantsParseBackToTheIrDouble)
+{
+    // Six significant digits would print 1/9 as 0.111111: the emitted
+    // literal and the DSL text must parse back to the IR's double.
+    dsl::Function f("ninth");
+    dsl::Var i("i", 0, 8);
+    dsl::Placeholder A(f, "A", {8});
+    dsl::Placeholder B(f, "B", {8});
+    dsl::Compute s(f, "s", {i}, (1.0 / 9.0) * A(i), B(i));
+    auto result = driver::compile(f);
+    std::optional<double> constant;
+    result.design->lowered.func->walk([&](const ir::Operation &op) {
+        if (op.opName() == "arith.constant")
+            constant = op.attr(ir::kAttrValue).asFloat();
+    });
+    ASSERT_TRUE(constant.has_value());
+    EXPECT_EQ(*constant, 1.0 / 9.0);
+
+    const std::string &code = result.design->hlsC();
+    const std::string store = "B[i] = (";
+    size_t at = code.find(store);
+    ASSERT_NE(at, std::string::npos) << code;
+    EXPECT_EQ(std::strtod(code.c_str() + at + store.size(), nullptr),
+              *constant)
+        << code;
+
+    const std::string rhs = s.rhs().str();
+    EXPECT_EQ(std::strtod(rhs.c_str() + 1, nullptr), *constant) << rhs;
 }
 
 TEST(Emit, CodeIsStableAcrossRuns)
@@ -110,7 +142,7 @@ TEST(Emit, CodeIsStableAcrossRuns)
     auto w2 = makeByName("bicg", 32);
     auto r1 = driver::compile(w1->func());
     auto r2 = driver::compile(w2->func());
-    EXPECT_EQ(r1.hlsCode, r2.hlsCode);
+    EXPECT_EQ(r1.design->hlsC(), r2.design->hlsC());
 }
 
 TEST(Driver, CompileRunsDseWhenRequested)
@@ -120,9 +152,10 @@ TEST(Driver, CompileRunsDseWhenRequested)
     auto result = driver::compile(w->func());
     EXPECT_GT(result.report.speedupOver(result.baseline), 10.0);
     EXPECT_GT(result.dseSeconds, 0.0);
-    EXPECT_NE(result.hlsCode.find("#pragma HLS pipeline"),
+    EXPECT_NE(result.design->hlsC().find("#pragma HLS pipeline"),
               std::string::npos);
-    EXPECT_NE(result.hlsCode.find("array_partition"), std::string::npos);
+    EXPECT_NE(result.design->hlsC().find("array_partition"),
+              std::string::npos);
 }
 
 TEST(Driver, CompileWithoutDseAppliesUserSchedule)
@@ -153,7 +186,7 @@ TEST(Driver, DslIsMuchShorterThanHlsC)
     w->func().autoDSE();
     auto result = driver::compile(w->func());
     int dsl_loc = support::countLoc(dsl::renderDsl(w->func()));
-    int c_loc = support::countLoc(result.hlsCode);
+    int c_loc = support::countLoc(result.design->hlsC());
     EXPECT_LT(dsl_loc * 2, c_loc);
 }
 
@@ -184,7 +217,7 @@ TEST(Emit, EmittedGemmCompilesAsC)
     auto w = makeByName("gemm", 32);
     w->func().autoDSE();
     auto result = driver::compile(w->func());
-    const std::string &code = result.hlsCode;
+    const std::string &code = result.design->hlsC();
     EXPECT_EQ(std::count(code.begin(), code.end(), '{'),
               std::count(code.begin(), code.end(), '}'));
     EXPECT_EQ(code.find("__self"), std::string::npos);

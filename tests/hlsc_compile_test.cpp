@@ -76,7 +76,7 @@ TEST_P(EmittedCodeCompiles, WithHostCompiler)
     auto w = workloads::makeByName(GetParam(), 64);
     w->func().autoDSE();
     auto result = driver::compile(w->func());
-    expectCompiles(result.hlsCode, GetParam());
+    expectCompiles(result.design->hlsC(), GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(Workloads, EmittedCodeCompiles,
@@ -157,15 +157,17 @@ TEST_P(GoldenRun, EmittedKernelMatchesInterpreter)
     auto result = driver::compile(w->func());
 
     // Interpret the same design over the same pattern-filled inputs.
-    ir::BufferMap buffers = ir::makeBuffersFor(*result.design.func, seed);
-    ir::runFunction(*result.design.func, buffers);
+    ir::BufferMap buffers =
+        ir::makeBuffersFor(*result.design->lowered.func, seed);
+    ir::runFunction(*result.design->lowered.func, buffers);
 
     // Build and execute the emitted kernel.
     std::string stem =
         ::testing::TempDir() + "pom_golden_" + GetParam();
     {
         std::ofstream os(stem + ".cpp");
-        os << kPrologue << result.hlsCode << goldenMain(w->func(), seed);
+        os << kPrologue << result.design->hlsC()
+           << goldenMain(w->func(), seed);
     }
     ASSERT_EQ(std::system(("c++ -std=c++17 -O1 -o \"" + stem +
                            ".bin\" \"" + stem + ".cpp\" 2> \"" + stem +
@@ -220,7 +222,7 @@ TEST(EmittedCodeCompiles, ManualScheduleWithSkew)
     s.interchange(ip, jp);
     s.pipeline(ip, 1);
     auto result = driver::compile(f);
-    expectCompiles(result.hlsCode, "wavefront");
+    expectCompiles(result.design->hlsC(), "wavefront");
 }
 
 } // namespace

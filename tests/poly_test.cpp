@@ -205,6 +205,25 @@ TEST(IntegerSet, PermuteAndRename)
     EXPECT_EQ(r.dimIndex("x"), 0u);
 }
 
+TEST(IntegerSet, PairedWithCopyEqualsBothCopiesIntersected)
+{
+    // The dependence polytopes' space: the set over its own dims, then
+    // over the copy's, rows in the same order as intersecting the two
+    // copies built dim by dim.
+    IntegerSet s = IntegerSet::box({"i", "j"}, {0, 1}, {7, 9});
+    s.addInequality(LinearExpr::dim(2, 1) - LinearExpr::dim(2, 0));
+    s.addEquality(LinearExpr::dim(2, 0) + LinearExpr::dim(2, 1) -
+                  LinearExpr::constant(2, 8));
+    IntegerSet both = s.withDimsInserted(2, {"t_i", "t_j"});
+    IntegerSet tgt = s.withDimsInserted(0, s.dimNames());
+    tgt = tgt.withDimRenamed(2, "t_i").withDimRenamed(3, "t_j");
+    both = both.intersect(tgt);
+    IntegerSet paired = s.pairedWithCopy({"t_i", "t_j"});
+    EXPECT_EQ(paired.str(), both.str());
+    EXPECT_EQ(paired.dimNames(), both.dimNames());
+    EXPECT_EQ(paired.countPoints(), s.countPoints() * s.countPoints());
+}
+
 TEST(IntegerSet, LexMin)
 {
     IntegerSet s({"i", "j"});

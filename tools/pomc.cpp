@@ -58,9 +58,10 @@
  * or --framework pom) and go with neither --replay-journal nor --fuzz;
  * --metrics-out, --trace-out and --timing describe an in-process run
  * and do not go with --connect; a fuzz run compiles no design, so
- * --emit, --ast, --dsl, --verify, --cache-dir and --replay-journal do
- * not go with --fuzz; and a replay neither times nor verifies, so
- * --timing and --verify do not go with --replay-journal.
+ * --dse, --framework, --strategy, --resources, --emit, --ast, --dsl,
+ * --verify, --cache-dir and --replay-journal do not go with --fuzz;
+ * and a replay neither times nor verifies, so --timing and --verify do
+ * not go with --replay-journal.
  *
  * Search strategy (src/dse/strategy.h):
  *   --strategy NAME     stage-2 search driver: greedy (the paper's
@@ -134,7 +135,6 @@
 #include "dsl/render.h"
 #include "dse/dse.h"
 #include "dse/strategy.h"
-#include "emit/hls_emitter.h"
 #include "hls/node_cache.h"
 #include "obs/journal.h"
 #include "obs/obs.h"
@@ -248,10 +248,15 @@ main(int argc, char **argv)
     std::string connect_sock, cache_dir;
     bool daemon_stats = false, daemon_shutdown = false;
     std::string stats_format = "text"; ///< --daemon-stats rendering
+    // The flags that shape a compile, which a fuzz run does not make.
+    bool dse_given = false, framework_given = false;
+    bool strategy_given = false, resources_given = false;
 
     // --strategy is accepted both space- and '='-separated; an unknown
     // name is a hard error (never a silent fallback to greedy).
-    auto parse_strategy = [&options](const std::string &text) {
+    auto parse_strategy = [&options,
+                           &strategy_given](const std::string &text) {
+        strategy_given = true;
         if (!dse::parseStrategy(text, options.strategy)) {
             std::fprintf(stderr,
                          "pomc: unknown --strategy '%s' (valid: %s)\n",
@@ -326,9 +331,11 @@ main(int argc, char **argv)
             support::setDiagLevel(support::DiagLevel::Debug);
         } else if (arg == "--dse") {
             framework = baselines::Framework::Pom;
+            dse_given = true;
         } else if (arg == "--framework" && a + 1 < argc) {
             // As --strategy: an unknown name never falls back silently.
             const std::string text = argv[++a];
+            framework_given = true;
             if (!baselines::parseFramework(text, framework)) {
                 std::fprintf(stderr,
                              "pomc: --framework: unknown framework '%s' "
@@ -346,6 +353,7 @@ main(int argc, char **argv)
                 return 2;
             }
             options.resourceFraction = fraction;
+            resources_given = true;
         } else if (arg == "--emit") {
             want_emit = true;
         } else if (arg == "--ast") {
@@ -426,7 +434,11 @@ main(int argc, char **argv)
     // A fuzz run compiles no design of its own, and a replay prints
     // its point's report but neither times nor verifies it.
     for (const auto &[flag, given] :
-         {std::pair{"--emit", want_emit}, std::pair{"--ast", want_ast},
+         {std::pair{"--dse", dse_given},
+          std::pair{"--framework", framework_given},
+          std::pair{"--strategy", strategy_given},
+          std::pair{"--resources", resources_given},
+          std::pair{"--emit", want_emit}, std::pair{"--ast", want_ast},
           std::pair{"--dsl", want_dsl}, std::pair{"--verify", want_verify},
           std::pair{"--cache-dir", !cache_dir.empty()},
           std::pair{"--replay-journal", !replay_journal.empty()}}) {
@@ -735,11 +747,11 @@ main(int argc, char **argv)
             }
             if (want_ast) {
                 std::printf("\n---- polyhedral AST ----\n%s",
-                            rr.design.astRoot->str().c_str());
+                            rr.design->lowered.astRoot->str().c_str());
             }
             if (want_emit) {
                 std::printf("\n---- HLS C ----\n%s",
-                            emit::emitHlsC(*rr.design.func).c_str());
+                            rr.design->hlsC().c_str());
             }
             return 0;
         }
@@ -782,7 +794,8 @@ main(int argc, char **argv)
 
         if (want_verify) {
             check::OracleResult res =
-                check::checkLowered(w->func(), result.design, seed);
+                check::checkLowered(w->func(), result.design->lowered,
+                                    seed);
             if (res.equivalent) {
                 std::printf("verify:    PASS (seed %u, %llu ref / %llu "
                             "scheduled interpreter steps)\n",
@@ -801,11 +814,11 @@ main(int argc, char **argv)
         }
         if (want_ast) {
             std::printf("\n---- polyhedral AST ----\n%s",
-                        result.design.astRoot->str().c_str());
+                        result.design->lowered.astRoot->str().c_str());
         }
         if (want_emit) {
             std::printf("\n---- HLS C ----\n%s",
-                        emit::emitHlsC(*result.design.func).c_str());
+                        result.design->hlsC().c_str());
         }
         if (want_timing)
             printTiming();
