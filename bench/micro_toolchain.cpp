@@ -27,10 +27,13 @@ BM_DependenceAnalysisGemm(benchmark::State &state)
     auto stmts = lower::extractStmts(w->func());
     const auto accesses = stmts[0].transformedAccesses();
     for (auto _ : state) {
-        // The analysis itself: transform::selfDependences would answer
+        // The analysis itself, carried view then full vectors, as a
+        // cold transform::selfDependences runs it: it would answer
         // every iteration after the first from its memo.
-        auto deps =
-            poly::analyzeSelfDependences(stmts[0].sched.domain, accesses);
+        const auto &domain = stmts[0].sched.domain;
+        auto deps = poly::analyzeSelfDependences(
+            domain, accesses,
+            poly::analyzeCarriedDependences(domain, accesses));
         benchmark::DoNotOptimize(deps);
     }
 }

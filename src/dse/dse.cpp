@@ -4,6 +4,7 @@
 #include <chrono>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <utility>
@@ -198,14 +199,45 @@ anyProducerRelation(const std::vector<PolyStmt> &stmts,
     return false;
 }
 
+/** Per-level loop-carried flags of a statement with dependences @p deps. */
+std::vector<bool>
+carriedLevels(const PolyStmt &stmt,
+              const std::vector<poly::CarriedDependence> &deps)
+{
+    std::vector<bool> carried(stmt.numDims(), false);
+    for (const auto &d : deps)
+        carried[d.level] = true;
+    return carried;
+}
+
 /** Per-level loop-carried flags of a statement. */
 std::vector<bool>
 carriedLevels(const PolyStmt &stmt)
 {
-    std::vector<bool> carried(stmt.numDims(), false);
-    for (const auto &d : transform::carriedDependences(stmt))
-        carried[d.level] = true;
-    return carried;
+    return carriedLevels(stmt, transform::carriedDependences(stmt));
+}
+
+/**
+ * Give @p stmt @p deps as its carried view, each dependence's level
+ * moved to the position of the loop @p loops names for it, the loop
+ * that carried it before the schedule. Exact when the schedule only
+ * strip-mined and reordered loops that carry nothing: a carrying loop
+ * keeps its name, and the polytope of each (source, sink, level)
+ * triple is the old one under a change of variables. If a carrying
+ * loop was split, and so lost its name, @p stmt keeps no view.
+ */
+void
+inheritCarried(PolyStmt &stmt, std::vector<poly::CarriedDependence> deps,
+               const std::vector<std::string> &loops)
+{
+    for (size_t i = 0; i < deps.size(); ++i) {
+        std::optional<size_t> level = stmt.sched.domain.findDim(loops[i]);
+        if (!level)
+            return;
+        deps[i].level = *level;
+    }
+    stmt.carried = std::make_shared<const std::vector<poly::CarriedDependence>>(
+        std::move(deps));
 }
 
 /** 0, 1, ..., n-1 with positions @p a and @p b swapped. */
@@ -392,7 +424,12 @@ applyParallelSchedule(PolyStmt &stmt, std::int64_t degree,
                       bool ignore_carried)
 {
     size_t n = stmt.numDims();
-    auto carried = carriedLevels(stmt);
+    std::vector<poly::CarriedDependence> deps =
+        transform::carriedDependences(stmt);
+    std::vector<std::string> carrying_loops;
+    for (const auto &d : deps)
+        carrying_loops.push_back(stmt.sched.domain.dimName(d.level));
+    auto carried = carriedLevels(stmt, deps);
     if (ignore_carried)
         carried.assign(n, false);
     auto trips = hls::avgTrips(stmt.sched.domain);
@@ -407,6 +444,7 @@ applyParallelSchedule(PolyStmt &stmt, std::int64_t degree,
     }
     if (inner < 0 || degree == 1) {
         transform::setPipeline(stmt, stmt.sched.domain.dimName(n - 1), 1);
+        inheritCarried(stmt, std::move(deps), carrying_loops);
         return;
     }
     int outer = (inner > static_cast<int>(min_level) &&
@@ -487,6 +525,9 @@ applyParallelSchedule(PolyStmt &stmt, std::int64_t degree,
     }
     if (!pipeline_at.empty())
         transform::setPipeline(stmt, pipeline_at, 1);
+    // Every split and the interchange above moved loops that carry
+    // nothing, unless ignore_carried split a carrying one.
+    inheritCarried(stmt, std::move(deps), carrying_loops);
 
     auto accesses = stmt.transformedAccesses();
     auto final_trips = hls::avgTrips(stmt.sched.domain);
@@ -1187,7 +1228,11 @@ class Engine final : public Search
         return us;
     }
 
-    /** Fill @p us's key and array names from its scheduled statements. */
+    /**
+     * Fill @p us's key and array names from its scheduled statements:
+     * each one's schedule fragment and iterator line (iteratorLine()),
+     * which the function digest and the fragment alone do not bind.
+     */
     void
     keyUnit(UnitSchedule &us) const
     {
@@ -1195,6 +1240,7 @@ class Engine final : public Search
         std::set<std::string> names;
         for (const PolyStmt &stmt : us.stmts) {
             us.key.addSchedule(stmt);
+            us.key.addText(iteratorLine(stmt));
             for (const auto &a : stmt.accesses)
                 names.insert(a.array);
         }

@@ -269,6 +269,14 @@ bool interchangeIsLegal(const std::vector<poly::Dependence> &deps, size_t a,
  * for the arrays indexed by unrolled iterators into @p partitions.
  * Shared by the POM DSE and the ScaleHLS-like baseline.
  *
+ * Reads @p stmt's carried dependences once and leaves the scheduled
+ * statement their view (transform::PolyStmt::carried), each level
+ * moved to its loop's new position: the splits and the interchange
+ * touch only loops that carry nothing, so the view is what analysing
+ * the scheduled statement would find, and the estimator and the
+ * lowering read it without analysis. When @p ignore_carried splits a
+ * carrying loop the statement gets no view.
+ *
  * @param ignore_carried Tile/unroll the innermost levels positionally
  *        without consulting dependence analysis (the ScaleHLS-like
  *        strategy: it unrolls anyway and pays for it in achieved II).

@@ -55,7 +55,7 @@ constexpr char kObjectsName[] = "nodes";     ///< <hash>: one entry
 
 // ----- spill-format helpers ----------------------------------------------
 
-/** "pom-node-cache/2 <version>\n": first line of every spill file. */
+/** "pom-node-cache/3 <version>\n": first line of every spill file. */
 std::string
 cacheFormatHeader()
 {

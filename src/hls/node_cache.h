@@ -46,7 +46,7 @@
  *    (anything else, and any object that is not a regular file, is
  *    skipped with a warning -- an index line can never name another
  *    path),
- *  - a first line "pom-node-cache/2 <version>" stamping every entry
+ *  - a first line "pom-node-cache/3 <version>" stamping every entry
  *    and the index (a mismatch is a clean load error, never misread
  *    bytes),
  *  - a trailing "sum <hex16>" checksum line over the entry body (a

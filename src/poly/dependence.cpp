@@ -92,10 +92,10 @@ exprRange(const IntegerSet &set, const LinearExpr &expr)
 namespace {
 
 /**
- * Build the dependence polytope over (s_0..s_{n-1}, t_0..t_{n-1}) for a
- * given access pair and carrying level, or nullopt if empty.
+ * The dependence polytope over (s_0..s_{n-1}, t_0..t_{n-1}) of a given
+ * access pair and carrying level.
  */
-std::optional<IntegerSet>
+IntegerSet
 dependencePolytope(const IntegerSet &domain, const Access &src,
                    const Access &dst, size_t level)
 {
@@ -128,37 +128,7 @@ dependencePolytope(const IntegerSet &domain, const Access &src,
                         LinearExpr::dim(2 * n, level);
     strict.setConstantTerm(-1);
     dep.addInequality(strict);
-
-    if (dep.isEmpty())
-        return std::nullopt;
     return dep;
-}
-
-/**
- * Call @p fn(triple, polytope) for every (source, sink, level) triple
- * whose dependence polytope is non-empty, in (source, sink, level)
- * order.
- */
-template <typename Fn>
-void
-forEachCarriedPolytope(const IntegerSet &domain,
-                       const std::vector<Access> &accesses, Fn &&fn)
-{
-    for (size_t a = 0; a < accesses.size(); ++a) {
-        for (size_t b = 0; b < accesses.size(); ++b) {
-            if (accesses[a].array != accesses[b].array)
-                continue;
-            if (!accesses[a].isWrite && !accesses[b].isWrite)
-                continue; // read-read is not a dependence
-            for (size_t level = 0; level < domain.numDims(); ++level) {
-                auto polytope = dependencePolytope(domain, accesses[a],
-                                                   accesses[b], level);
-                if (polytope)
-                    fn(CarriedDependence{accesses[a].array, a, b, level},
-                       *polytope);
-            }
-        }
-    }
 }
 
 /** Range of t_k - s_k over a dependence polytope of 2 * @p n dims. */
@@ -179,43 +149,58 @@ carriedDistanceOf(const std::optional<std::int64_t> &levelLo)
 
 } // namespace
 
-std::vector<Dependence>
-analyzeSelfDependences(const IntegerSet &domain,
-                       const std::vector<Access> &accesses)
-{
-    size_t n = domain.numDims();
-    std::vector<Dependence> deps;
-    forEachCarriedPolytope(
-        domain, accesses,
-        [&](const CarriedDependence &triple, const IntegerSet &polytope) {
-            Dependence d;
-            static_cast<CarriedDependence &>(d) = triple;
-            d.distLo.resize(n);
-            d.distHi.resize(n);
-            for (size_t k = 0; k < n; ++k)
-                std::tie(d.distLo[k], d.distHi[k]) =
-                    distanceRange(polytope, n, k);
-            d.carriedDistance = carriedDistanceOf(d.distLo[d.level]);
-            deps.push_back(std::move(d));
-        });
-    return deps;
-}
-
 std::vector<CarriedDependence>
 analyzeCarriedDependences(const IntegerSet &domain,
                           const std::vector<Access> &accesses)
 {
     size_t n = domain.numDims();
     std::vector<CarriedDependence> deps;
-    // The range of t_level - s_level alone, the same call the full
-    // analysis makes for k = level.
-    forEachCarriedPolytope(
-        domain, accesses,
-        [&](CarriedDependence triple, const IntegerSet &polytope) {
-            triple.carriedDistance = carriedDistanceOf(
-                distanceRange(polytope, n, triple.level).first);
-            deps.push_back(std::move(triple));
-        });
+    for (size_t a = 0; a < accesses.size(); ++a) {
+        for (size_t b = 0; b < accesses.size(); ++b) {
+            if (accesses[a].array != accesses[b].array)
+                continue;
+            if (!accesses[a].isWrite && !accesses[b].isWrite)
+                continue; // read-read is not a dependence
+            for (size_t level = 0; level < n; ++level) {
+                IntegerSet polytope = dependencePolytope(
+                    domain, accesses[a], accesses[b], level);
+                if (polytope.isEmpty())
+                    continue;
+                deps.push_back(CarriedDependence{
+                    accesses[a].array, a, b, level,
+                    carriedDistanceOf(
+                        distanceRange(polytope, n, level).first)});
+            }
+        }
+    }
+    return deps;
+}
+
+std::vector<Dependence>
+analyzeSelfDependences(const IntegerSet &domain,
+                       const std::vector<Access> &accesses,
+                       const std::vector<CarriedDependence> &carried)
+{
+    size_t n = domain.numDims();
+    std::vector<Dependence> deps;
+    deps.reserve(carried.size());
+    for (const CarriedDependence &c : carried) {
+        POM_ASSERT(c.srcAccess < accesses.size() &&
+                       c.dstAccess < accesses.size() && c.level < n,
+                   "carried dependence out of range");
+        const IntegerSet polytope = dependencePolytope(
+            domain, accesses[c.srcAccess], accesses[c.dstAccess], c.level);
+        Dependence d;
+        static_cast<CarriedDependence &>(d) = c;
+        d.distLo.resize(n);
+        d.distHi.resize(n);
+        for (size_t k = 0; k < n; ++k) {
+            std::tie(d.distLo[k], d.distHi[k]) =
+                distanceRange(polytope, n, k);
+        }
+        d.carriedDistance = carriedDistanceOf(d.distLo[d.level]);
+        deps.push_back(std::move(d));
+    }
     return deps;
 }
 

@@ -14,15 +14,28 @@
  * over that set; an entry is "exact" when its range collapses to one
  * value (e.g. (0, 0, 1) for the GEMM reduction in Fig. 8).
  *
- * Two views of the same analysis. The full one (Dependence) ranges
- * every t_k - s_k; only stage 1's hint (dse::suggestHint) reads those
- * vectors, to choose interchange or skew for a statement whose
- * innermost loop carries a dependence. The carried one
- * (CarriedDependence) ranges only t_l - s_l at the carrying level l,
- * which is all the DSE's parallel schedule, the estimator's
- * recurrence-MII and the HLS DEPENDENCE hints read. Both build the same
- * polytopes and make the same range call at level l, so the carried
- * view is the full one restricted to its fields.
+ * Two views of the same analysis. The carried one (CarriedDependence)
+ * tests the polytope of every (source, sink, level) triple for
+ * emptiness and ranges only t_l - s_l at the carrying level l of each
+ * non-empty one, which is all the DSE's parallel schedule, the
+ * estimator's recurrence-MII and the HLS DEPENDENCE hints read. The
+ * full one (Dependence) extends a carried view: it rebuilds the
+ * polytopes of the triples the view lists, which are exactly the
+ * non-empty ones, and ranges every t_k - s_k over them; only stage 1's
+ * hint (dse::suggestHint) reads those vectors, to choose interchange
+ * or skew for a statement whose innermost loop carries a dependence.
+ * Both make the same range call at level l, so the carried view is the
+ * full one restricted to its fields.
+ *
+ * A carried view need not come from this analysis:
+ * dse::applyParallelSchedule, which only strip-mines and reorders loops
+ * that carry no dependence, moves each carried level, by loop name, to
+ * its loop's new position. Neither an interchange in general nor the
+ * zero distances above a carrying level are derived that way: the
+ * |a|>1 equality step of Fourier-Motzkin is a rational relaxation, so
+ * FM can report a dependence, or a distance range, on a polytope with
+ * no integer point, and a derived view would then differ from the
+ * analysis.
  */
 
 #ifndef POM_POLY_DEPENDENCE_H
@@ -96,31 +109,34 @@ std::pair<std::optional<std::int64_t>, std::optional<std::int64_t>>
 exprRange(const IntegerSet &set, const LinearExpr &expr);
 
 /**
- * All loop-carried self-dependences of a statement: write->read,
- * write->write and read->write pairs over the same array, at every
- * carrying level, ordered by (source access, sink access, level).
+ * All loop-carried self-dependences of a statement, with only their
+ * carried-level facts: write->read, write->write and read->write pairs
+ * over the same array, at every carrying level, ordered by (source
+ * access, sink access, level).
  *
  * One loop over the (source, sink, level) triples: build the triple's
- * dependence polytope and, if it is non-empty, range t_k - s_k over it
- * for every dimension k.
+ * dependence polytope and, if it is non-empty, range t_level - s_level
+ * over it.
  *
  * @param domain The statement's iteration domain.
  * @param accesses Its array accesses (maps over the domain dims).
  */
-std::vector<Dependence>
-analyzeSelfDependences(const IntegerSet &domain,
-                       const std::vector<Access> &accesses);
-
-/**
- * The same dependences as analyzeSelfDependences(), in the same order,
- * with only the carried-level facts: each non-empty polytope ranges
- * t_level - s_level alone, one range instead of one per dimension.
- * Each element equals the CarriedDependence part of the full
- * analysis's element.
- */
 std::vector<CarriedDependence>
 analyzeCarriedDependences(const IntegerSet &domain,
                           const std::vector<Access> &accesses);
+
+/**
+ * The full view of the dependences @p carried lists, in its order:
+ * rebuild each listed triple's polytope and range every t_k - s_k over
+ * it. @p carried is analyzeCarriedDependences() of the same @p domain
+ * and @p accesses, or a view equal to it, so every polytope it names
+ * is non-empty and none is tested again. Each element's
+ * CarriedDependence part equals @p carried's element.
+ */
+std::vector<Dependence>
+analyzeSelfDependences(const IntegerSet &domain,
+                       const std::vector<Access> &accesses,
+                       const std::vector<CarriedDependence> &carried);
 
 /**
  * Does a dependence flow from a (write) access of @p producer to any

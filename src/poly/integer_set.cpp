@@ -13,6 +13,9 @@ namespace pom::poly {
 namespace {
 
 using support::ceilDiv;
+using support::checkedAdd;
+using support::checkedMul;
+using support::checkedNeg;
 using support::floorDiv;
 
 constexpr std::int64_t kInequality = 0;
@@ -31,33 +34,6 @@ thread_local std::vector<size_t> t_lowers, t_uppers;
 thread_local std::vector<std::uint32_t> t_slots;
 
 constexpr std::uint32_t kEmptySlot = std::numeric_limits<std::uint32_t>::max();
-
-// Checked int64 arithmetic: a result that does not fit sets @p overflow
-// (and wraps, with defined behaviour) instead of being undefined.
-
-inline std::int64_t
-checkedMul(std::int64_t a, std::int64_t b, bool &overflow)
-{
-    std::int64_t r;
-    overflow |= __builtin_mul_overflow(a, b, &r);
-    return r;
-}
-
-inline std::int64_t
-checkedAdd(std::int64_t a, std::int64_t b, bool &overflow)
-{
-    std::int64_t r;
-    overflow |= __builtin_add_overflow(a, b, &r);
-    return r;
-}
-
-inline std::int64_t
-checkedNeg(std::int64_t a, bool &overflow)
-{
-    std::int64_t r;
-    overflow |= __builtin_sub_overflow(std::int64_t{0}, a, &r);
-    return r;
-}
 
 /** |v|, exact for the most negative int64 too. */
 inline std::uint64_t

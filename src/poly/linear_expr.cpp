@@ -3,8 +3,37 @@
 #include <sstream>
 
 #include "support/diagnostics.h"
+#include "support/math_util.h"
 
 namespace pom::poly {
+
+using support::checkedAdd;
+using support::checkedMul;
+using support::checkedSub;
+
+namespace {
+
+/** @p e printed over dims named d0, d1, ..., in parentheses. */
+std::string
+describe(const LinearExpr &e)
+{
+    std::vector<std::string> names;
+    names.reserve(e.numDims());
+    for (size_t i = 0; i < e.numDims(); ++i)
+        names.push_back(std::string("d").append(std::to_string(i)));
+    std::ostringstream os;
+    os << '(' << e.str(names) << ')';
+    return os.str();
+}
+
+/** Stop on an int64 overflow in @p what, which names the operands. */
+[[noreturn]] void
+overflowIn(const std::string &what)
+{
+    support::fatal("integer overflow in " + what);
+}
+
+} // namespace
 
 LinearExpr
 LinearExpr::dim(size_t num_dims, size_t index)
@@ -58,31 +87,45 @@ LinearExpr::operator+(const LinearExpr &o) const
 {
     POM_ASSERT(numDims() == o.numDims(), "dim mismatch in +");
     LinearExpr r = *this;
+    bool overflow = false;
     for (size_t i = 0; i < coeffs_.size(); ++i)
-        r.coeffs_[i] += o.coeffs_[i];
-    r.constant_ += o.constant_;
+        r.coeffs_[i] = checkedAdd(coeffs_[i], o.coeffs_[i], overflow);
+    r.constant_ = checkedAdd(constant_, o.constant_, overflow);
+    if (overflow)
+        overflowIn(describe(*this) + " + " + describe(o));
     return r;
 }
 
 LinearExpr
 LinearExpr::operator-(const LinearExpr &o) const
 {
-    return *this + (-o);
+    POM_ASSERT(numDims() == o.numDims(), "dim mismatch in -");
+    LinearExpr r = *this;
+    bool overflow = false;
+    for (size_t i = 0; i < coeffs_.size(); ++i)
+        r.coeffs_[i] = checkedSub(coeffs_[i], o.coeffs_[i], overflow);
+    r.constant_ = checkedSub(constant_, o.constant_, overflow);
+    if (overflow)
+        overflowIn(describe(*this) + " - " + describe(o));
+    return r;
 }
 
 LinearExpr
 LinearExpr::operator-() const
 {
-    return scaled(-1);
+    return LinearExpr(numDims()) - *this;
 }
 
 LinearExpr
 LinearExpr::scaled(std::int64_t factor) const
 {
     LinearExpr r = *this;
+    bool overflow = false;
     for (auto &c : r.coeffs_)
-        c *= factor;
-    r.constant_ *= factor;
+        c = checkedMul(c, factor, overflow);
+    r.constant_ = checkedMul(constant_, factor, overflow);
+    if (overflow)
+        overflowIn(describe(*this) + " * " + std::to_string(factor));
     return r;
 }
 
@@ -91,9 +134,17 @@ LinearExpr::evaluate(const std::vector<std::int64_t> &point) const
 {
     POM_ASSERT(point.size() == coeffs_.size(),
                "point dim mismatch in evaluate");
+    bool overflow = false;
     std::int64_t v = constant_;
     for (size_t i = 0; i < coeffs_.size(); ++i)
-        v += coeffs_[i] * point[i];
+        v = checkedAdd(v, checkedMul(coeffs_[i], point[i], overflow),
+                       overflow);
+    if (overflow) {
+        std::string at;
+        for (std::int64_t p : point)
+            at += (at.empty() ? "" : ", ") + std::to_string(p);
+        overflowIn("evaluating " + describe(*this) + " at (" + at + ")");
+    }
     return v;
 }
 

@@ -1,7 +1,8 @@
 /**
  * @file
  * Sign-safe floor and ceiling division, which the polyhedral library's
- * bound reasoning requires.
+ * bound reasoning requires, and the checked int64 arithmetic its
+ * constraint and expression arithmetic goes through.
  */
 
 #ifndef POM_SUPPORT_MATH_UTIL_H
@@ -30,6 +31,40 @@ ceilDiv(std::int64_t a, std::int64_t b)
 {
     POM_ASSERT(b != 0, "ceilDiv by zero");
     return -floorDiv(-a, b);
+}
+
+// Checked int64 arithmetic: a result that does not fit sets @p overflow
+// (and wraps, with defined behaviour) instead of being undefined. The
+// caller tests the flag once after a run of operations.
+
+inline std::int64_t
+checkedMul(std::int64_t a, std::int64_t b, bool &overflow)
+{
+    std::int64_t r;
+    overflow |= __builtin_mul_overflow(a, b, &r);
+    return r;
+}
+
+inline std::int64_t
+checkedAdd(std::int64_t a, std::int64_t b, bool &overflow)
+{
+    std::int64_t r;
+    overflow |= __builtin_add_overflow(a, b, &r);
+    return r;
+}
+
+inline std::int64_t
+checkedSub(std::int64_t a, std::int64_t b, bool &overflow)
+{
+    std::int64_t r;
+    overflow |= __builtin_sub_overflow(a, b, &r);
+    return r;
+}
+
+inline std::int64_t
+checkedNeg(std::int64_t a, bool &overflow)
+{
+    return checkedSub(0, a, overflow);
 }
 
 } // namespace pom::support

@@ -29,8 +29,9 @@ inline constexpr char kVersionString[] = "0.7.0";
 inline constexpr char kProtocolName[] = "pom-service/1";
 
 /** On-disk per-node report-cache entry/index format identifier. /2:
- *  an entry's body is one JSON record (hls/node_cache.h). */
-inline constexpr char kNodeCacheFormatName[] = "pom-node-cache/2";
+ *  an entry's body is one JSON record (hls/node_cache.h); /3: a node
+ *  key folds each compute's iterator order. */
+inline constexpr char kNodeCacheFormatName[] = "pom-node-cache/3";
 
 } // namespace pom::support
 

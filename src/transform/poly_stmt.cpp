@@ -51,6 +51,7 @@ interchange(PolyStmt &stmt, const std::string &a, const std::string &b)
     stmt.sched.domain = stmt.sched.domain.permuted(perm);
     stmt.sched.origMap = stmt.sched.origMap.withDomainPermuted(perm);
     std::swap(stmt.sched.hwPerDim[d1], stmt.sched.hwPerDim[d2]);
+    stmt.carried.reset();
 }
 
 void
@@ -91,6 +92,7 @@ split(PolyStmt &stmt, const std::string &name, std::int64_t factor,
 
     // Betas gain one inner level.
     stmt.sched.betas.insert(stmt.sched.betas.begin() + d + 1, 0);
+    stmt.carried.reset();
 }
 
 void
@@ -147,6 +149,7 @@ skew(PolyStmt &stmt, const std::string &i, const std::string &j,
     // Loop structure (count, nesting) is unchanged; annotations at the
     // skewed level are reset since the loop changed meaning.
     stmt.sched.hwPerDim[d2] = ast::HwAnnotation{};
+    stmt.carried.reset();
 }
 
 void
@@ -188,9 +191,10 @@ setUnroll(PolyStmt &stmt, const std::string &name, std::int64_t factor)
 namespace {
 
 /**
- * Entry cap of each dependence memo. One search sees few distinct
- * statements (52 for vgg16, 80 for resnet18, 8 for gemm), so the cap
- * only bounds a long-lived daemon.
+ * Entry cap of each dependence memo. One search analyses few distinct
+ * statements (13 for vgg16, 20 for resnet18; the statements stage 2
+ * schedules carry their views), so the cap only bounds a long-lived
+ * daemon.
  */
 constexpr std::size_t kDependenceMemoCap = 4096;
 
@@ -274,15 +278,13 @@ dependenceKey(const poly::IntegerSet &domain,
 }
 
 /**
- * Answer @p stmt from the memo of one view, or run @p analyze on a miss
- * (counted in @p missCounter) and store its result.
+ * One view's memoized answer for @p key, or @p analyze()'s, stored
+ * there on a miss (counted in @p missCounter).
  */
 template <typename Dep, typename Analyze>
 std::vector<Dep>
-memoized(const PolyStmt &stmt, const char *missCounter, Analyze analyze)
+memoized(const std::string &key, const char *missCounter, Analyze analyze)
 {
-    std::vector<poly::Access> accesses = stmt.transformedAccesses();
-    const std::string key = dependenceKey(stmt.sched.domain, accesses);
     DependenceMemo<Dep> &memo = dependenceMemo<Dep>();
     if (auto hit = memo.lookup(key)) {
         obs::counterAdd("dep.memo.hits");
@@ -291,14 +293,37 @@ memoized(const PolyStmt &stmt, const char *missCounter, Analyze analyze)
     // Two threads missing on one key both analyze; the analysis is
     // deterministic and the first store wins, so callers agree.
     obs::counterAdd(missCounter);
+    std::vector<Dep> deps = analyze();
+    memo.store(key, deps);
+    return deps;
+}
+
+/** @p analyze(), its time added to `dep.analysis_seconds`. */
+template <typename Analyze>
+auto
+timed(Analyze analyze)
+{
     auto start = std::chrono::steady_clock::now();
-    std::vector<Dep> deps = analyze(stmt.sched.domain, accesses);
+    auto deps = analyze();
     obs::accumulate("dep.analysis_seconds",
                     std::chrono::duration<double>(
                         std::chrono::steady_clock::now() - start)
                         .count());
-    memo.store(key, deps);
     return deps;
+}
+
+/** The carried view of @p domain and @p accesses, whose key is @p key. */
+std::vector<poly::CarriedDependence>
+memoizedCarried(const poly::IntegerSet &domain,
+                const std::vector<poly::Access> &accesses,
+                const std::string &key)
+{
+    return memoized<poly::CarriedDependence>(
+        key, "dep.carried.analyses", [&] {
+            return timed([&] {
+                return poly::analyzeCarriedDependences(domain, accesses);
+            });
+        });
 }
 
 } // namespace
@@ -306,15 +331,27 @@ memoized(const PolyStmt &stmt, const char *missCounter, Analyze analyze)
 std::vector<poly::Dependence>
 selfDependences(const PolyStmt &stmt)
 {
-    return memoized<poly::Dependence>(stmt, "dep.analyses",
-                                      poly::analyzeSelfDependences);
+    const poly::IntegerSet &domain = stmt.sched.domain;
+    const std::vector<poly::Access> accesses = stmt.transformedAccesses();
+    const std::string key = dependenceKey(domain, accesses);
+    return memoized<poly::Dependence>(key, "dep.analyses", [&] {
+        const std::vector<poly::CarriedDependence> carried =
+            stmt.carried ? *stmt.carried
+                         : memoizedCarried(domain, accesses, key);
+        return timed([&] {
+            return poly::analyzeSelfDependences(domain, accesses, carried);
+        });
+    });
 }
 
 std::vector<poly::CarriedDependence>
 carriedDependences(const PolyStmt &stmt)
 {
-    return memoized<poly::CarriedDependence>(
-        stmt, "dep.carried.analyses", poly::analyzeCarriedDependences);
+    if (stmt.carried)
+        return *stmt.carried;
+    const std::vector<poly::Access> accesses = stmt.transformedAccesses();
+    return memoizedCarried(stmt.sched.domain, accesses,
+                           dependenceKey(stmt.sched.domain, accesses));
 }
 
 void

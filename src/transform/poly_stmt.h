@@ -18,6 +18,7 @@
 #define POM_TRANSFORM_POLY_STMT_H
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -25,6 +26,9 @@
 #include "poly/dependence.h"
 
 namespace pom::transform {
+
+/** A statement's carried dependences, shared and never modified. */
+using CarriedView = std::shared_ptr<const std::vector<poly::CarriedDependence>>;
 
 /**
  * A statement at the polyhedral IR level. Its name (sched.name) is the
@@ -38,6 +42,17 @@ struct PolyStmt
 
     /** Array accesses over the original iterators. */
     std::vector<poly::Access> accesses;
+
+    /**
+     * The carried dependences of this domain and these accesses, when
+     * a schedule derived them from its input's (dse::applyParallelSchedule
+     * does); null when they must be analysed. carriedDependences()
+     * returns it as it is. split, interchange, tile and skew change the
+     * domain and clear it; setPipeline, setUnroll, placeAfter and
+     * fuseInto keep it. Code that edits the domain or the accesses by
+     * hand must clear it too.
+     */
+    CarriedView carried;
 
     /** Accesses re-expressed over the transformed loop dims. */
     std::vector<poly::Access> transformedAccesses() const;
@@ -96,8 +111,11 @@ void setUnroll(PolyStmt &stmt, const std::string &name,
  * them, and only for a statement whose innermost loop carries a
  * dependence; everything else calls carriedDependences(). Results
  * are memoized process-wide on an exact binary encoding of the domain
- * and the transformed accesses (FIFO cap 4096, never spilled); a miss
- * counts `dep.analyses`. Thread-safe.
+ * and the transformed accesses (FIFO cap 4096, never spilled). A miss
+ * counts `dep.analyses` and extends the carried view: it reads
+ * carriedDependences() and ranges every distance over the polytopes of
+ * the dependences listed there (poly::analyzeSelfDependences()), so it
+ * builds no polytope that is empty. Thread-safe.
  */
 std::vector<poly::Dependence> selfDependences(const PolyStmt &stmt);
 
@@ -106,10 +124,11 @@ std::vector<poly::Dependence> selfDependences(const PolyStmt &stmt);
  * indices, level and carried distance, at the cost of one distance
  * range per dependence instead of one per loop. The DSE's carried
  * levels, the estimator and the lowering's pragma hints call this.
- * Memoized like the full view, in its own memo on the same key;
- * a miss counts `dep.carried.analyses`. Both memos share
- * `dep.memo.hits`, `dep.memo.evictions` and `dep.analysis_seconds`
- * (misses only). Thread-safe.
+ * Returns the statement's own view (PolyStmt::carried) when it has
+ * one; otherwise memoized like the full view, in its own memo on the
+ * same key, where a miss counts `dep.carried.analyses`. Both memos
+ * share `dep.memo.hits`, `dep.memo.evictions` and
+ * `dep.analysis_seconds` (misses only). Thread-safe.
  */
 std::vector<poly::CarriedDependence> carriedDependences(const PolyStmt &stmt);
 

@@ -285,6 +285,7 @@ struct SearchRun
     std::int64_t schedules = 0;    ///< `dse.schedules` delta
     std::int64_t scheduleHits = 0; ///< `dse.schedule_memo.hits` delta
     std::int64_t designs = 0;      ///< `dse.designs` delta
+    std::int64_t nodeMisses = 0;   ///< `dse.node_cache.misses` delta
     std::shared_ptr<const dse::SelectedDesign> design;
 };
 
@@ -294,6 +295,7 @@ searchOf(dsl::Function &func, const dse::DseOptions &opt = {})
     const std::int64_t built = obs::counterValue("dse.schedules");
     const std::int64_t hits = obs::counterValue("dse.schedule_memo.hits");
     const std::int64_t lowered = obs::counterValue("dse.designs");
+    const std::int64_t missed = obs::counterValue("dse.node_cache.misses");
     dse::DseResult res = dse::autoDSE(func, opt);
     SearchRun run;
     run.journal = obs::journalJsonV2(res.journal, res.frontierRounds);
@@ -301,6 +303,7 @@ searchOf(dsl::Function &func, const dse::DseOptions &opt = {})
     run.schedules = obs::counterValue("dse.schedules") - built;
     run.scheduleHits = obs::counterValue("dse.schedule_memo.hits") - hits;
     run.designs = obs::counterValue("dse.designs") - lowered;
+    run.nodeMisses = obs::counterValue("dse.node_cache.misses") - missed;
     run.design = res.design;
     return run;
 }
@@ -500,6 +503,23 @@ TEST(ScheduleMemo, IteratorOrderIsPartOfTheKey)
         EXPECT_EQ(warm.journal, cold_runs[swapped].journal);
         EXPECT_EQ(warm.hlsC, cold_runs[swapped].hlsC);
     }
+}
+
+TEST(NodeKeys, IteratorOrderIsPartOfTheKey)
+{
+    // The node key folds each compute's iterator line too, so the
+    // (j, i) transpose searched after the (i, j) one estimates every
+    // node a cold search of it estimates instead of taking the other
+    // function's reports.
+    std::vector<std::int64_t> cold_misses;
+    for (bool swapped : {false, true}) {
+        cold::clearProcessMemos();
+        cold_misses.push_back(transposeSearch(swapped).nodeMisses);
+    }
+    EXPECT_GT(cold_misses[1], 1);
+    cold::clearProcessMemos();
+    transposeSearch(false);
+    EXPECT_EQ(transposeSearch(true).nodeMisses, cold_misses[1]);
 }
 
 // ----- the process-wide design memo ---------------------------------------

@@ -190,7 +190,8 @@ bruteForceDeps(const IntegerSet &domain, const std::vector<Access> &accs)
 void
 expectCovers(const IntegerSet &domain, const std::vector<Access> &accs)
 {
-    auto analyzed = analyzeSelfDependences(domain, accs);
+    auto analyzed = analyzeSelfDependences(
+        domain, accs, analyzeCarriedDependences(domain, accs));
     auto brute = bruteForceDeps(domain, accs);
     ASSERT_EQ(brute.empty(), analyzed.empty());
     for (const auto &bd : brute) {
@@ -264,8 +265,10 @@ TEST(PolyProperty, NoSpuriousDependenceOnDisjointAccesses)
     auto dom = IntegerSet::box({"i"}, {0}, {8});
     AffineMap w({"i"}, {LinearExpr({2}, 0)});
     AffineMap r({"i"}, {LinearExpr({2}, 1)});
-    auto deps = analyzeSelfDependences(
-        dom, {Access{"A", w, true}, Access{"A", r, false}});
+    const std::vector<Access> accs = {Access{"A", w, true},
+                                      Access{"A", r, false}};
+    auto deps = analyzeSelfDependences(dom, accs,
+                                       analyzeCarriedDependences(dom, accs));
     EXPECT_TRUE(deps.empty());
 }
 

@@ -7,11 +7,17 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "poly/affine_map.h"
 #include "poly/dependence.h"
 #include "poly/integer_set.h"
 #include "poly/linear_expr.h"
+#include "support/diagnostics.h"
 #include "support/math_util.h"
+#include "support/splitmix64.h"
 
 namespace {
 
@@ -21,6 +27,14 @@ LinearExpr
 expr(std::vector<std::int64_t> coeffs, std::int64_t c)
 {
     return LinearExpr(std::move(coeffs), c);
+}
+
+/** The full view of the dependences the carried analysis finds. */
+std::vector<Dependence>
+fullDependences(const IntegerSet &dom, const std::vector<Access> &acc)
+{
+    return analyzeSelfDependences(dom, acc,
+                                  analyzeCarriedDependences(dom, acc));
 }
 
 // ---------------------------------------------------------------- math
@@ -85,6 +99,119 @@ TEST(LinearExpr, SingleDim)
     EXPECT_FALSE(expr({0, 2, 0}, 0).isSingleDim());
     EXPECT_FALSE(expr({0, 1, 0}, 1).isSingleDim());
     EXPECT_FALSE(expr({1, 1, 0}, 0).isSingleDim());
+}
+
+TEST(LinearExpr, OverflowIsFatal)
+{
+    // Seeded operands that put one term of each operation just past
+    // int64, and the same operands at the last value that still fits:
+    // the first must stop with a FatalError naming the expression, the
+    // second give the exact result.
+    using pom::support::FatalError;
+    constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+    constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+    pom::support::SplitMix64 rng(35);
+    auto small = [&rng] {
+        return static_cast<std::int64_t>(rng.range(19)) - 9;
+    };
+    auto randomExpr = [&](size_t n) {
+        std::vector<std::int64_t> coeffs(n);
+        for (auto &c : coeffs)
+            c = small();
+        return LinearExpr(std::move(coeffs), small());
+    };
+    for (int round = 0; round < 64; ++round) {
+        SCOPED_TRACE("round " + std::to_string(round));
+        const size_t n = 2 + rng.range(3);
+        const size_t at = rng.range(n);
+        const size_t other = (at + 1 + rng.range(n - 1)) % n;
+        const std::int64_t c = 2 + static_cast<std::int64_t>(rng.range(999));
+        const std::int64_t near = static_cast<std::int64_t>(rng.range(999));
+
+        // a + b and a - b.
+        LinearExpr a = randomExpr(n), b = randomExpr(n);
+        a.setCoeff(at, kMax - near);
+        b.setCoeff(at, near + 1);
+        EXPECT_THROW(a + b, FatalError);
+        b.setCoeff(at, near);
+        EXPECT_EQ((a + b).coeff(at), kMax);
+        a.setCoeff(at, kMin + near);
+        b.setCoeff(at, near + 1);
+        EXPECT_THROW(a - b, FatalError);
+        b.setCoeff(at, near);
+        EXPECT_EQ((a - b).coeff(at), kMin);
+
+        // -a, on a coefficient and on the constant.
+        a.setCoeff(at, kMin);
+        EXPECT_THROW(-a, FatalError);
+        a.setCoeff(at, kMin + 1);
+        EXPECT_EQ((-a).coeff(at), kMax);
+        a.setConstantTerm(kMin);
+        EXPECT_THROW(-a, FatalError);
+
+        // a.scaled(f).
+        LinearExpr e = randomExpr(n);
+        e.setCoeff(at, c);
+        EXPECT_THROW(e.scaled(kMax / c + 1), FatalError);
+        EXPECT_EQ(e.scaled(kMax / c).coeff(at), kMax / c * c);
+
+        // e.substituted(at, r): c times r's coefficient, and r's
+        // constant, past int64.
+        LinearExpr r = randomExpr(n);
+        r.setCoeff(at, 0);
+        r.setCoeff(other, kMax / c + 1);
+        EXPECT_THROW(e.substituted(at, r), FatalError);
+        r.setCoeff(other, 1);
+        r.setConstantTerm(kMin / c - 1);
+        EXPECT_THROW(e.substituted(at, r), FatalError);
+        r.setConstantTerm(0);
+        EXPECT_EQ(e.substituted(at, r).coeff(other), e.coeff(other) + c);
+
+        // e.evaluate(p): one product past int64, then the sum.
+        std::vector<std::int64_t> point(n, 0);
+        point[at] = kMax / c + 1;
+        EXPECT_THROW(e.evaluate(point), FatalError);
+        point[at] = kMax / c;
+        LinearExpr unit(n);
+        unit.setCoeff(at, 1);
+        unit.setConstantTerm(1 + static_cast<std::int64_t>(rng.range(9)));
+        point[at] = kMax;
+        EXPECT_THROW(unit.evaluate(point), FatalError);
+        point[at] = kMax - unit.constantTerm();
+        EXPECT_EQ(unit.evaluate(point), kMax);
+
+        // outer.compose(inner): c times an inner coefficient past
+        // int64, and the constant terms' sum.
+        std::vector<std::string> names;
+        for (size_t i = 0; i < n; ++i)
+            names.push_back(std::string("d").append(std::to_string(i)));
+        std::vector<LinearExpr> inner_rows;
+        for (size_t i = 0; i < n; ++i)
+            inner_rows.push_back(LinearExpr::dim(n, i));
+        inner_rows[at].setCoeff(other, kMax / c + 1);
+        AffineMap outer(names, {e});
+        EXPECT_THROW(outer.compose(AffineMap(names, inner_rows)),
+                     FatalError);
+        inner_rows[at] = LinearExpr::dim(n, at);
+        AffineMap fits = outer.compose(AffineMap(names, inner_rows));
+        EXPECT_EQ(fits.result(0), e);
+        inner_rows[at].setConstantTerm(kMax / c + 1);
+        EXPECT_THROW(outer.compose(AffineMap(names, inner_rows)),
+                     FatalError);
+    }
+}
+
+TEST(LinearExpr, OverflowMessageNamesTheExpression)
+{
+    LinearExpr e = expr({3, -1}, 2);
+    try {
+        (void)e.scaled(std::numeric_limits<std::int64_t>::max());
+        FAIL() << "no overflow reported";
+    } catch (const pom::support::FatalError &err) {
+        EXPECT_NE(std::string(err.what()).find("(3*d0 - d1 + 2)"),
+                  std::string::npos)
+            << err.what();
+    }
 }
 
 // ----------------------------------------------------------- IntegerSet
@@ -302,7 +429,7 @@ TEST(Dependence, GemmReduction)
                     {LinearExpr::dim(n, 2), LinearExpr::dim(n, 1)});
     acc.push_back(Access{"C", c_map, false});
 
-    auto deps = analyzeSelfDependences(dom, acc);
+    auto deps = fullDependences(dom, acc);
     // All dependences flow through A and are carried at level 2 (k) with
     // exact distance (0, 0, d) -- the reduction of Fig. 8.
     ASSERT_FALSE(deps.empty());
@@ -330,7 +457,7 @@ TEST(Dependence, BicgInnerCarried)
         Access{"q", q_map, true},
         Access{"q", q_map, false},
     };
-    auto deps = analyzeSelfDependences(dom, acc);
+    auto deps = fullDependences(dom, acc);
     ASSERT_FALSE(deps.empty());
     for (const auto &d : deps) {
         // Carried at level 1 (the j loop); i distance is exactly 0.
@@ -352,7 +479,7 @@ TEST(Dependence, Fig1DiagonalStencil)
         Access{"A", w, true},
         Access{"A", r, false},
     };
-    auto deps = analyzeSelfDependences(dom, acc);
+    auto deps = fullDependences(dom, acc);
     // Expect a dependence carried at level 0 with distance (1, 1),
     // direction (<, <).
     bool found = false;
@@ -379,7 +506,7 @@ TEST(Dependence, NoFalseDependence)
         Access{"B", id1, true},
         Access{"A", id1, false},
     };
-    EXPECT_TRUE(analyzeSelfDependences(dom, acc).empty());
+    EXPECT_TRUE(fullDependences(dom, acc).empty());
 }
 
 TEST(Dependence, ExprRange)
