@@ -17,6 +17,7 @@ using support::checkedAdd;
 using support::checkedMul;
 using support::checkedNeg;
 using support::floorDiv;
+using support::magnitude;
 
 constexpr std::int64_t kInequality = 0;
 constexpr std::int64_t kEquality = 1;
@@ -34,14 +35,6 @@ thread_local std::vector<size_t> t_lowers, t_uppers;
 thread_local std::vector<std::uint32_t> t_slots;
 
 constexpr std::uint32_t kEmptySlot = std::numeric_limits<std::uint32_t>::max();
-
-/** |v|, exact for the most negative int64 too. */
-inline std::uint64_t
-magnitude(std::int64_t v)
-{
-    return v < 0 ? std::uint64_t{0} - static_cast<std::uint64_t>(v)
-                 : static_cast<std::uint64_t>(v);
-}
 
 enum class RowStatus { Kept, True, False };
 

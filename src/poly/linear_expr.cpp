@@ -219,7 +219,7 @@ printAffine(std::ostream &os, const std::int64_t *coeffs,
                 os << c << "*";
         } else {
             os << (c > 0 ? " + " : " - ");
-            std::int64_t a = c > 0 ? c : -c;
+            std::uint64_t a = support::magnitude(c);
             if (a != 1)
                 os << a << "*";
         }
@@ -230,7 +230,7 @@ printAffine(std::ostream &os, const std::int64_t *coeffs,
         os << constant;
     } else if (constant != 0) {
         os << (constant > 0 ? " + " : " - ")
-           << (constant > 0 ? constant : -constant);
+           << support::magnitude(constant);
     }
 }
 

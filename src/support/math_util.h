@@ -1,8 +1,8 @@
 /**
  * @file
  * Sign-safe floor and ceiling division, which the polyhedral library's
- * bound reasoning requires, and the checked int64 arithmetic its
- * constraint and expression arithmetic goes through.
+ * bound reasoning requires, an exact |v|, and the checked int64
+ * arithmetic its constraint and expression arithmetic goes through.
  */
 
 #ifndef POM_SUPPORT_MATH_UTIL_H
@@ -31,6 +31,14 @@ ceilDiv(std::int64_t a, std::int64_t b)
 {
     POM_ASSERT(b != 0, "ceilDiv by zero");
     return -floorDiv(-a, b);
+}
+
+/** |v|, exact for the most negative int64 too. */
+inline std::uint64_t
+magnitude(std::int64_t v)
+{
+    return v < 0 ? std::uint64_t{0} - static_cast<std::uint64_t>(v)
+                 : static_cast<std::uint64_t>(v);
 }
 
 // Checked int64 arithmetic: a result that does not fit sets @p overflow
