@@ -140,6 +140,11 @@ BM_AvgTripsTiled(benchmark::State &state)
 }
 BENCHMARK(BM_AvgTripsTiled)->Arg(128)->Arg(4096);
 
+// BM_AutoDse*: one whole search per iteration in a warm process. From
+// the second iteration on, every dependence, trip count and node report
+// comes from the process-wide fact and node memos, so this times stage
+// 1, building each unit schedule the search uses, the node-key
+// lookups, and lowering the selected design whole.
 static void
 BM_AutoDseGemm(benchmark::State &state)
 {

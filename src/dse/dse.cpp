@@ -15,7 +15,6 @@
 #include "hls/node_cache.h"
 #include "obs/journal.h"
 #include "obs/obs.h"
-#include "support/cache_store.h"
 #include "support/diagnostics.h"
 #include "support/string_util.h"
 
@@ -60,9 +59,7 @@ struct Unit
  * One unit's scheduled statements under a fixed degree, with the
  * partition factors its unrolled loops demand, its node key up to the
  * bankings (the key head plus each member's schedule fragment) and the
- * names of the arrays whose bankings complete the key. It names its
- * computes and arrays and points into no function, so a scheduled one
- * serves every search of an equal function (scheduleMemo()).
+ * names of the arrays whose bankings complete the key.
  */
 struct UnitSchedule
 {
@@ -72,61 +69,6 @@ struct UnitSchedule
     /** The arrays the members access, in name order. */
     std::vector<std::string> arrays;
 };
-
-/**
- * Entry cap of the schedule memo. The cold 18-workload sweep builds
- * 371 unit schedules under greedy and 882 under greedy, beam and
- * anneal together, so the cap only bounds a long-lived daemon.
- */
-constexpr std::size_t kScheduleMemoCap = 4096;
-
-using ScheduleMemo =
-    support::ContentCache<std::shared_ptr<const UnitSchedule>>;
-
-/**
- * The process-wide schedule memo, in memory only. Creates every
- * `dse.schedule*` counter at zero so each metrics report has them.
- */
-ScheduleMemo &
-scheduleMemo()
-{
-    static ScheduleMemo *memo = [] {
-        obs::counterAdd("dse.schedules", 0);
-        obs::counterAdd("dse.schedule_memo.hits", 0);
-        obs::counterAdd("dse.schedule_memo.evictions", 0);
-        return new ScheduleMemo("dse.schedule_memo.evictions",
-                                kScheduleMemoCap);
-    }();
-    return *memo;
-}
-
-/**
- * Entry cap of the design memo, sized from its largest entry: the
- * selected design of resnet18 at size 64 (the lowered IR, its AST and
- * statements, and its HLS C) holds about 430 KB of heap, vgg16's 300
- * KB, a kernel's at size 128 15-55 KB. So a full memo stays under 28
- * MB, and holds a daemon's sweep of the 18 workloads three times over.
- */
-constexpr std::size_t kDesignMemoCap = 64;
-
-using DesignMemo =
-    support::ContentCache<std::shared_ptr<const SelectedDesign>>;
-
-/**
- * The process-wide design memo, in memory only. Creates every
- * `dse.design*` counter at zero so each metrics report has them.
- */
-DesignMemo &
-designMemo()
-{
-    static DesignMemo *memo = [] {
-        obs::counterAdd("dse.designs", 0);
-        obs::counterAdd("dse.design_memo.hits", 0);
-        obs::counterAdd("dse.design_memo.evictions", 0);
-        return new DesignMemo("dse.design_memo.evictions", kDesignMemoCap);
-    }();
-    return *memo;
-}
 
 /**
  * RAII sampler for the per-point estimate-latency histogram. Gated on
@@ -581,18 +523,6 @@ applyPartitions(dsl::Function &func,
     }
 }
 
-void
-clearScheduleMemo()
-{
-    scheduleMemo().clear();
-}
-
-void
-clearDesignMemo()
-{
-    designMemo().clear();
-}
-
 namespace {
 
 class Engine final : public Search
@@ -686,7 +616,7 @@ class Engine final : public Search
             u.degree = it->second;
         }
 
-        Candidate c = evaluatePoint(stmts, units, Point::Replay);
+        Candidate c = evaluatePoint(stmts, units, Point::Design);
         if (c.eval.primitives != entry.primitives) {
             support::fatal(
                 "replay: re-derived primitives do not match the "
@@ -1019,12 +949,12 @@ class Engine final : public Search
         POM_ASSERT(degrees.size() == units_.size(),
                    "strategy returned a malformed degree vector");
 
-        // The winning design, lowered whole or shared from the design
-        // memo (this also rewrites the partitions). The search already
-        // estimated every one of its units, so with memoization on its
-        // report composes from cached nodes.
+        // The winning design, lowered whole (this also rewrites the
+        // partitions). The search already estimated every one of its
+        // units, so with memoization on its report composes from cached
+        // nodes.
         std::vector<Unit> units = unitsAt(degrees);
-        Candidate winner = evaluatePoint(base, units, Point::Selected);
+        Candidate winner = evaluatePoint(base, units, Point::Design);
         ++points_;
         recordPoint("final", winner.eval.primitives, winner.eval.report,
                     "accepted", "selected design");
@@ -1043,10 +973,9 @@ class Engine final : public Search
     /** Which design point evaluatePoint() estimates. */
     enum class Point
     {
-        Search,   ///< a point the strategy explores: estimated only
-        Replay,   ///< a journaled point: partitioned and lowered whole
-        Selected, ///< the search's final point: as a replay, but its
-                  ///< design comes from the design memo
+        Search, ///< a point the strategy explores: estimated only
+        Design, ///< a replayed or the selected point: partitioned and
+                ///< lowered whole
     };
 
     /** An estimated design point; the design is set only for a replay,
@@ -1132,66 +1061,17 @@ class Engine final : public Search
      * on its own base statements (the min_level probe reads just the
      * unit's untransformed members), so the stage-2 search -- which
      * doubles one unit per step -- schedules only the changed unit and
-     * shares everything else. Each new (unit, degree) comes from the
-     * process-wide schedule memo, or is built and stored there, so a
-     * repeated request builds none; on the reference path the search
-     * builds every schedule itself.
+     * shares everything else.
      */
     const UnitSchedule *
     unitSchedule(const std::vector<PolyStmt> &base, size_t ui,
                  const Unit &unit)
     {
-        std::shared_ptr<const UnitSchedule> &us =
-            unitMemo_[{ui, unit.degree}];
-        if (us)
-            return us.get();
-        if (reference()) {
-            us = buildSchedule(base, unit);
-        } else {
-            const std::string key = scheduleKey(base, ui, unit);
-            ScheduleMemo &memo = scheduleMemo();
-            if (auto hit = memo.lookup(key)) {
-                obs::counterAdd("dse.schedule_memo.hits");
-                us = std::move(*hit);
-            } else {
-                // Two searches missing on one key both build it; the
-                // schedules are equal and the first store wins.
-                obs::counterAdd("dse.schedules");
-                us = buildSchedule(base, unit);
-                memo.store(key, us);
-            }
-        }
-        return us.get();
-    }
-
-    /**
-     * The schedule memo's key of unit @p ui at @p unit's degree:
-     * keyHead_ and each member's base schedule fragment and iterator
-     * line (iteratorLine()), folded once per unit per search and
-     * finished to 32 hex, then the degree and the inner unroll cap.
-     * That is everything applyParallelSchedule() and
-     * fusedNestMinLevel() read: the members' domains, betas, origin
-     * maps and annotations (the fragments), their accesses (the
-     * statement bodies of the function digest over the iterators) and
-     * the array shapes (the function digest), and the two numbers.
-     */
-    std::string
-    scheduleKey(const std::vector<PolyStmt> &base, size_t ui,
-                const Unit &unit)
-    {
-        if (unitKeys_.size() <= ui)
-            unitKeys_.resize(ui + 1);
-        std::string &head = unitKeys_[ui];
-        if (head.empty()) {
-            hls::NodeKey key = keyHead_;
-            for (size_t m : unit.members) {
-                key.addSchedule(base[m]);
-                key.addText(iteratorLine(base[m]));
-            }
-            head = key.finish("");
-        }
-        return head + " " + std::to_string(unit.degree) + " " +
-               std::to_string(opt_.innerUnrollCap);
+        const std::pair<size_t, std::int64_t> at{ui, unit.degree};
+        auto it = unitMemo_.find(at);
+        if (it == unitMemo_.end())
+            it = unitMemo_.emplace(at, buildSchedule(base, unit)).first;
+        return &it->second;
     }
 
     /**
@@ -1212,19 +1092,19 @@ class Engine final : public Search
     }
 
     /** @p unit's members scheduled at its degree. */
-    std::shared_ptr<const UnitSchedule>
+    UnitSchedule
     buildSchedule(const std::vector<PolyStmt> &base,
                   const Unit &unit) const
     {
-        auto us = std::make_shared<UnitSchedule>();
+        UnitSchedule us;
         size_t min_level = fusedNestMinLevel(base, unit.members);
         for (size_t m : unit.members) {
             PolyStmt stmt = base[m];
             applyParallelSchedule(stmt, unit.degree, opt_.innerUnrollCap,
-                                  func_, us->partitions, min_level);
-            us->stmts.push_back(std::move(stmt));
+                                  func_, us.partitions, min_level);
+            us.stmts.push_back(std::move(stmt));
         }
-        keyUnit(*us);
+        keyUnit(us);
         return us;
     }
 
@@ -1422,50 +1302,17 @@ class Engine final : public Search
     }
 
     /**
-     * The selected design of @p units from the process-wide design
-     * memo, or lowered whole (lowerWhole()) and stored there. The key
-     * is each unit's schedule-memo key at its degree, in unit order:
-     * the function digest, the members' base fragments and iterators,
-     * the degrees and the inner unroll cap determine every schedule,
-     * hence the partition plan, and with it every read lowering and
-     * emission make of the function.
-     */
-    std::shared_ptr<const SelectedDesign>
-    selectedDesign(const std::vector<PolyStmt> &base,
-                   const std::vector<Unit> &units,
-                   const std::vector<const UnitSchedule *> &parts)
-    {
-        std::string key;
-        for (size_t ui = 0; ui < units.size(); ++ui) {
-            key += scheduleKey(base, ui, units[ui]);
-            key += '\n';
-        }
-        DesignMemo &memo = designMemo();
-        if (auto hit = memo.lookup(key)) {
-            obs::counterAdd("dse.design_memo.hits");
-            return std::move(*hit);
-        }
-        // Two searches missing on one key both lower it; the designs
-        // are equal and the first store wins.
-        obs::counterAdd("dse.designs");
-        auto design = lowerWhole(base, units, parts);
-        memo.store(key, design);
-        return design;
-    }
-
-    /**
      * Estimate one design point from each unit's memoized schedule. A
      * search point leaves the shared function alone (partitioning goes
      * through the estimator override) and composes its report from
      * per-unit NodeReports (composeReport()), so it lowers and
      * estimates only units whose schedule was never seen. A replay or
-     * the selected point also rewrites the function's partitions; a
-     * replay is lowered whole, and the selected point takes its design
-     * from the design memo (selectedDesign()). With memoize off, or
-     * when the oracle must see every lowered design, every point is
-     * lowered and estimated whole and uncached, and no memo is read:
-     * the reference the differential tests hold the composed path to.
-     * The caller numbers and journals the point.
+     * the selected point also rewrites the function's partitions and
+     * is lowered whole. With memoize off, or when the oracle must see
+     * every lowered design, every point is lowered and estimated whole
+     * and uncached, and the node cache is not read: the reference the
+     * differential tests hold the composed path to. The caller numbers
+     * and journals the point.
      */
     Candidate
     evaluatePoint(const std::vector<PolyStmt> &base,
@@ -1482,10 +1329,8 @@ class Engine final : public Search
         c.eval.primitives = primitivesSummary(base, units, partitions);
         span.arg("primitives", c.eval.primitives);
 
-        if (reference() || kind == Point::Replay)
+        if (reference() || kind == Point::Design)
             c.design = lowerWhole(base, units, parts);
-        else if (kind == Point::Selected)
-            c.design = selectedDesign(base, units, parts);
         if (reference()) {
             hls::EstimatorOptions eo;
             eo.partitionOverride = &partitions;
@@ -1515,11 +1360,7 @@ class Engine final : public Search
     /** The node-key text's tail: the cost table, rendered once. */
     std::string costLine_;
     /** This search's schedules, by (unit index, degree). */
-    std::map<std::pair<size_t, std::int64_t>,
-             std::shared_ptr<const UnitSchedule>>
-        unitMemo_;
-    /** Per unit index, the unit part of its schedule-memo key. */
-    std::vector<std::string> unitKeys_;
+    std::map<std::pair<size_t, std::int64_t>, UnitSchedule> unitMemo_;
     /** Stage 2's statements and units, for Search::evaluate(). */
     const std::vector<PolyStmt> *base_ = nullptr;
     std::vector<Unit> units_;

@@ -67,18 +67,12 @@ struct DseOptions
      * hls::NodeReportCache (hls/node_cache.h): a point re-lowers and
      * re-estimates only the units whose schedule or banking was never
      * seen, and a point whose every unit is cached (`dse.cache.hits`)
-     * skips lowering and estimation entirely. Each unit's schedule at
-     * each degree likewise comes from a process-wide memo (see
-     * clearScheduleMemo()), so a repeated search schedules nothing,
-     * and the selected design from a process-wide memo of lowered
-     * designs (see clearDesignMemo()), so a search that selects a
-     * schedule an earlier one selected lowers and emits nothing. A
-     * replayed point is still lowered whole; only its report is
-     * composed. With memoize off every schedule is built by the search
-     * itself and every point and the baseline are lowered and
-     * estimated whole, uncached: the reference the differential tests
-     * hold the default path to, byte for byte. Ignored when
-     * verifyEachPoint is set.
+     * skips lowering and estimation entirely. The selected and a
+     * replayed point are still lowered whole; only their reports are
+     * composed. With memoize off every point and the baseline are
+     * lowered and estimated whole, uncached: the reference the
+     * differential tests hold the default path to, byte for byte.
+     * Ignored when verifyEachPoint is set.
      */
     bool memoize = true;
 
@@ -104,10 +98,10 @@ struct DseOptions
  * A lowered design and its HLS C, emitted on the first hlsC() call.
  * Every result that carries a design holds one through a
  * std::shared_ptr<const SelectedDesign>, never null: a search's
- * selected design, which every later search that selects the same
- * schedule of an equal function shares through the design memo
- * (clearDesignMemo()), and the design a replay, another framework or
- * the reference path lowered for itself. It points into no function.
+ * selected design, and the design a replay, another framework or the
+ * reference path lowered. It points into no function, so a result
+ * outlives the function it was compiled from: pomd's result memo
+ * (service::Server) serves it to every later request with its key.
  */
 class SelectedDesign
 {
@@ -304,33 +298,6 @@ size_t fusedNestMinLevel(const std::vector<transform::PolyStmt> &stmts,
 void applyPartitions(
     dsl::Function &func,
     const std::map<std::string, std::vector<std::int64_t>> &partitions);
-
-/**
- * Empty the process-wide schedule memo (tests of a cold search). A
- * memoized search takes each unit's schedule at each degree from it:
- * the unit's statements after applyParallelSchedule(), their partition
- * demands and their node-key state, keyed on the function digest, the
- * members' base schedule fragments, the degree and the inner unroll
- * cap. FIFO cap of 4096 entries, in memory only; an entry names its
- * computes and arrays and points into no function, so it serves every
- * search of an equal function as it is. A miss counts `dse.schedules`,
- * a hit `dse.schedule_memo.hits`, an eviction
- * `dse.schedule_memo.evictions`, each created at zero with the memo.
- */
-void clearScheduleMemo();
-
-/**
- * Empty the process-wide design memo (tests of a cold search). A
- * memoized search takes its selected design from it: the design
- * lowered whole from every unit's schedule at its selected degree,
- * with its HLS C once emitted, keyed on the schedule-memo keys of
- * those units in unit order. FIFO cap, in memory only; an entry
- * points into no function, so it serves every search of an equal
- * function that selects the same schedule. A miss counts
- * `dse.designs`, a hit `dse.design_memo.hits`, an eviction
- * `dse.design_memo.evictions`, each created at zero with the memo.
- */
-void clearDesignMemo();
 
 } // namespace pom::dse
 

@@ -1,5 +1,6 @@
 #include "service/server.h"
 
+#include <bit>
 #include <chrono>
 #include <exception>
 
@@ -41,10 +42,30 @@ millisSince(std::chrono::steady_clock::time_point t0)
         .count();
 }
 
+/**
+ * The result memo's key of a parsed compile frame: the workload, the
+ * size, the canonical framework and strategy names and the exact bits
+ * of the resource fraction -- everything the compile reads.
+ */
+std::string
+resultKey(const Request &request, baselines::Framework framework,
+          dse::StrategyKind strategy)
+{
+    return request.workload + " " + std::to_string(request.size) + " " +
+           baselines::frameworkName(framework) + " " +
+           dse::strategyName(strategy) + " " +
+           support::hex16(
+               std::bit_cast<std::uint64_t>(request.resourceFraction));
+}
+
 } // namespace
 
-Server::Server(ServerOptions options) : opt_(std::move(options))
+Server::Server(ServerOptions options)
+    : opt_(std::move(options)),
+      results_("pomd.result_memo.evictions", kResultMemoCap)
 {
+    obs::counterAdd("pomd.result_memo.hits", 0);
+    obs::counterAdd("pomd.result_memo.evictions", 0);
     if (opt_.workers < 1)
         opt_.workers = 1;
     if (opt_.queueLimit < 1)
@@ -289,14 +310,23 @@ Server::compileResponse(const Request &request, std::int64_t requestId)
         return response;
     }
 
-    auto workload =
-        workloads::makeByName(request.workload, request.size);
-    baselines::BaselineResult result =
-        baselines::runFramework(framework, workload->func(), options);
+    // Two requests that miss on one key at once both compile it; the
+    // results are equal and the first store wins.
+    const auto begin = std::chrono::steady_clock::now();
+    const std::string key = resultKey(request, framework, options.strategy);
+    auto stored = results_.lookup(key);
+    const bool hit = stored.has_value();
+    if (!hit) {
+        auto workload =
+            workloads::makeByName(request.workload, request.size);
+        stored = std::make_shared<const baselines::BaselineResult>(
+            baselines::runFramework(framework, workload->func(), options));
+        results_.store(key, *stored);
+    }
+    const baselines::BaselineResult &result = **stored;
 
     response.reportLine = result.report.str(options.budget());
     response.notes = result.notes;
-    response.seconds = result.seconds;
     response.latencyCycles = result.report.latencyCycles;
     response.dsp = result.report.resources.dsp;
     response.bramBits = result.report.resources.bramBits;
@@ -318,6 +348,16 @@ Server::compileResponse(const Request &request, std::int64_t requestId)
     if (request.emit)
         response.hlsC = result.design->hlsC();
 
+    if (hit) {
+        // Every point of the stored search is served from memory, the
+        // time is this request's own, and no new node needs saving.
+        obs::counterAdd("pomd.result_memo.hits");
+        response.cacheHits += response.cacheMisses;
+        response.cacheMisses = 0;
+        response.seconds = millisSince(begin) / 1e3;
+        return response;
+    }
+    response.seconds = result.seconds;
     saveCache();
     return response;
 }

@@ -1,9 +1,17 @@
 /**
  * @file
  * The pomd compile server: a long-lived process that keeps the whole
- * compiler warm -- the process-wide hls::NodeReportCache and
- * (optionally) its disk spill -- and serves concurrent compile/DSE
- * requests over a Unix-domain socket speaking the protocol.h frames.
+ * compiler warm -- its result memo, the process-wide
+ * hls::NodeReportCache and (optionally) its disk spill -- and serves
+ * concurrent compile/DSE requests over a Unix-domain socket speaking
+ * the protocol.h frames.
+ *
+ * Result memo: a compile frame names a built-in workload, a size, a
+ * framework, a strategy and a resource fraction, and nothing else
+ * changes what it compiles. Each server keeps the result of every such
+ * key it compiled (FIFO, kResultMemoCap entries, in memory only), so a
+ * repeated request runs no search: its reply is rendered from the
+ * stored result. A fresh server starts with an empty memo.
  *
  * Concurrency model: one accept loop (run()) reads a single request
  * frame per connection and hands (request, connection) to a dedicated
@@ -34,6 +42,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -44,7 +53,21 @@
 #include "support/socket.h"
 #include "support/thread_pool.h"
 
+namespace pom::baselines {
+struct BaselineResult;
+} // namespace pom::baselines
+
 namespace pom::service {
+
+/**
+ * Entry cap of a server's result memo, sized from its largest entry:
+ * the result of resnet18 at size 64 (the selected design with its AST,
+ * statements and HLS C, and the journal with its frontier rounds)
+ * holds about 0.96 MB of heap, vgg16's 0.62 MB, a kernel's at size 128
+ * 25-100 KB. So a full memo stays under 31 MB and holds the 18-workload
+ * sweep under one option set.
+ */
+inline constexpr std::size_t kResultMemoCap = 32;
 
 /** Daemon configuration (`pomd` flags). */
 struct ServerOptions
@@ -111,6 +134,10 @@ class Server
      * request's spans, diagnostics and journal header. 0 (the default)
      * means "unattributed": nothing is stamped, so a direct execute()
      * produces output byte-identical to a one-shot `pomc` run.
+     *
+     * A compile whose key the result memo holds runs no search: its
+     * reply carries its own `seconds`, counts every point of the
+     * stored search as a cache hit, and saves no cache spill.
      */
     Response execute(const Request &request, std::int64_t requestId = 0);
 
@@ -121,7 +148,12 @@ class Server
     Response statsResponse();
     void saveCache();
 
+    using ResultMemo = support::ContentCache<
+        std::shared_ptr<const baselines::BaselineResult>>;
+
     ServerOptions opt_;
+    /** Compile results by request key (`pomd.result_memo.*`). */
+    ResultMemo results_;
     support::Socket listener_;
     std::unique_ptr<support::ThreadPool> executors_;
     std::atomic<int> pending_{0};

@@ -3,12 +3,12 @@
  * The one content-addressed memo container of POM and the FNV-1a-64
  * content-hash helpers. A ContentCache<V> is a mutex-guarded
  * key -> value map with hit/miss counts and a fixed FIFO entry cap
- * with an eviction counter. Five caches are instances: the per-node
+ * with an eviction counter. Four caches are instances: the per-node
  * report cache in src/hls, which also spills to a `--cache-dir`
- * (hls/node_cache.h owns that format); and four that live in memory
+ * (hls/node_cache.h owns that format); and three that live in memory
  * only: the dependence memo in src/transform, the trip-count memo in
- * src/hls (hls/count.h), and the unit-schedule and selected-design
- * memos in src/dse (dse::clearScheduleMemo(), dse::clearDesignMemo()).
+ * src/hls (hls/count.h), and each pomd server's result memo in
+ * src/service (service::Server).
  */
 
 #ifndef POM_SUPPORT_CACHE_STORE_H
@@ -26,8 +26,8 @@
 #include <vector>
 
 // ContentCache bumps obs counters; pom_support itself does not link
-// pom_obs, so only libraries that do (hls, transform, dse) instantiate
-// it.
+// pom_obs, so only libraries that do (hls, transform, service)
+// instantiate it.
 #include "obs/obs.h"
 
 namespace pom::support {

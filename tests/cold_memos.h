@@ -7,7 +7,6 @@
 #ifndef POM_TESTS_COLD_MEMOS_H
 #define POM_TESTS_COLD_MEMOS_H
 
-#include "dse/dse.h"
 #include "hls/count.h"
 #include "hls/node_cache.h"
 #include "transform/poly_stmt.h"
@@ -15,9 +14,8 @@
 namespace pom::cold {
 
 /**
- * Empty the node-report cache, both dependence memos, the trip-count
- * memo, the schedule memo and the design memo, and reset their
- * statistics.
+ * Empty the node-report cache, both dependence memos and the
+ * trip-count memo, and reset their statistics.
  */
 inline void
 clearProcessMemos()
@@ -25,8 +23,6 @@ clearProcessMemos()
     hls::NodeReportCache::global().clear();
     transform::clearDependenceMemo();
     hls::clearTripMemo();
-    dse::clearScheduleMemo();
-    dse::clearDesignMemo();
 }
 
 } // namespace pom::cold

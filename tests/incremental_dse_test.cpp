@@ -20,16 +20,11 @@
  *          --gtest_filter='IncrementalDse.*JournalsByteIdentical'
  *  - The same sweeps hold the baseline composed from node reports to
  *    the monolithic estimate of the whole unscheduled design, and a
- *    second identical search counts no trips, builds no unit schedule,
- *    estimates no node and runs no monolithic estimate.
- *  - The process-wide schedule memo: its entries never alias across
- *    sizes, user directives, unroll caps or iterator orders, the
- *    reference path leaves it alone, an entry outlives the function it
- *    was built from, and concurrent searches that share it agree.
- *  - The process-wide design memo: a warm sweep shares every selected
- *    design and still prints the golden HLS C, constants past six
- *    digits key apart, an entry outlives the function it was lowered
- *    from, and concurrent searches share one design emitted once.
+ *    second identical search counts no trips, estimates no node and
+ *    runs no monolithic estimate.
+ *  - Concurrent searches that share the process-wide memos agree.
+ *  - The node key tells apart functions that differ only in the order
+ *    of a compute's iterators or in a constant past six digits.
  *  - The NodeReportCache entry codec (its store and spill mechanics
  *    are covered by content_cache_test).
  *  - combineNodeReports(estimateNodes(f)) equals estimate(f).
@@ -38,7 +33,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -209,16 +203,15 @@ TEST(IncrementalDse, NodeCacheIsActuallyUsed)
 
 TEST(IncrementalDse, RepeatedSearchCountsAndEstimatesNothing)
 {
-    // What a warm request costs: a second identical search finds every
-    // trip count, unit schedule, node report, dependence and the
-    // selected design the first one stored, its baseline included, and
-    // never runs the monolithic estimator. The reference path (memoize
-    // off) still does, for the baseline too.
+    // What a repeated search costs: a second identical search finds
+    // every trip count, node report and dependence the first one
+    // stored, its baseline included, and never runs the monolithic
+    // estimator. The reference path (memoize off) still does, for the
+    // baseline too.
     obs::setMetricsEnabled(true);
     const char *counters[] = {"trips.counts", "dse.node_cache.misses",
                               "hls.estimates", "dep.analyses",
-                              "dep.carried.analyses", "dse.cache.misses",
-                              "dse.schedules", "dse.designs"};
+                              "dep.carried.analyses", "dse.cache.misses"};
     auto snapshot = [&counters]() {
         std::vector<std::int64_t> values;
         for (const char *c : counters)
@@ -238,19 +231,14 @@ TEST(IncrementalDse, RepeatedSearchCountsAndEstimatesNothing)
         EXPECT_EQ(warm[2], cold[2]) << "the first search ran hls::estimate";
         EXPECT_GT(warm[0], cold[0]);
         EXPECT_GT(warm[1], cold[1]);
-        EXPECT_GT(warm[6], cold[6]);
-        EXPECT_EQ(warm[7], cold[7] + 1);
         // The baseline is no design point of the cache counts.
         EXPECT_EQ(first.pointCacheHits + first.pointCacheMisses,
                   first.pointsExplored);
         const std::int64_t hits = obs::counterValue("trips.memo.hits");
         const std::int64_t pointHits = obs::counterValue("dse.cache.hits");
-        const std::int64_t scheduleHits =
-            obs::counterValue("dse.schedule_memo.hits");
         dse::DseResult second = search();
         EXPECT_EQ(snapshot(), warm);
         EXPECT_GT(obs::counterValue("trips.memo.hits"), hits);
-        EXPECT_GT(obs::counterValue("dse.schedule_memo.hits"), scheduleHits);
         EXPECT_EQ(second.pointCacheMisses, 0);
         EXPECT_EQ(second.pointCacheHits, second.pointsExplored);
         EXPECT_EQ(obs::counterValue("dse.cache.hits") - pointHits,
@@ -258,7 +246,7 @@ TEST(IncrementalDse, RepeatedSearchCountsAndEstimatesNothing)
         const hls::Device device = hls::Device::xc7z020();
         EXPECT_EQ(first.baseline.str(device), second.baseline.str(device));
         EXPECT_EQ(first.report.str(device), second.report.str(device));
-        EXPECT_EQ(second.design, first.design);
+        EXPECT_EQ(second.design->hlsC(), first.design->hlsC());
 
         // The reference path estimates every point and the baseline
         // whole.
@@ -274,170 +262,16 @@ TEST(IncrementalDse, RepeatedSearchCountsAndEstimatesNothing)
     obs::setMetricsEnabled(false);
 }
 
-// ----- the process-wide schedule memo -------------------------------------
-
-/** What one search printed, and how it used the schedule and design
- *  memos. */
-struct SearchRun
-{
-    std::string journal; ///< the v2 journal
-    std::string hlsC;
-    std::int64_t schedules = 0;    ///< `dse.schedules` delta
-    std::int64_t scheduleHits = 0; ///< `dse.schedule_memo.hits` delta
-    std::int64_t designs = 0;      ///< `dse.designs` delta
-    std::int64_t nodeMisses = 0;   ///< `dse.node_cache.misses` delta
-    std::shared_ptr<const dse::SelectedDesign> design;
-};
-
-SearchRun
-searchOf(dsl::Function &func, const dse::DseOptions &opt = {})
-{
-    const std::int64_t built = obs::counterValue("dse.schedules");
-    const std::int64_t hits = obs::counterValue("dse.schedule_memo.hits");
-    const std::int64_t lowered = obs::counterValue("dse.designs");
-    const std::int64_t missed = obs::counterValue("dse.node_cache.misses");
-    dse::DseResult res = dse::autoDSE(func, opt);
-    SearchRun run;
-    run.journal = obs::journalJsonV2(res.journal, res.frontierRounds);
-    run.hlsC = res.design->hlsC();
-    run.schedules = obs::counterValue("dse.schedules") - built;
-    run.scheduleHits = obs::counterValue("dse.schedule_memo.hits") - hits;
-    run.designs = obs::counterValue("dse.designs") - lowered;
-    run.nodeMisses = obs::counterValue("dse.node_cache.misses") - missed;
-    run.design = res.design;
-    return run;
-}
-
-/** A gemm search that differs from the others in one key part. */
-struct GemmCase
-{
-    const char *label;
-    std::int64_t size;
-    bool userSplit;
-    std::int64_t innerUnrollCap;
-
-    SearchRun
-    search() const
-    {
-        auto w = makeByName("gemm", size);
-        if (userSplit) {
-            w->func().findCompute("s")->split(dsl::Var("i"), 4,
-                                              dsl::Var("i0"),
-                                              dsl::Var("i1"));
-        }
-        dse::DseOptions opt;
-        opt.innerUnrollCap = innerUnrollCap;
-        return searchOf(w->func(), opt);
-    }
-};
-
-TEST(ScheduleMemo, EntriesNeverAlias)
-{
-    // Each case changes one part of the key: the function digest (the
-    // size), the members' base fragments (a user split) or the inner
-    // unroll cap. Run one after another in a warm process, each must
-    // build every schedule and lower the selected design as it does in
-    // a cold one, and print what a cold process prints.
-    const GemmCase cases[] = {{"gemm@32", 32, false, 16},
-                              {"gemm@64", 64, false, 16},
-                              {"gemm@64 split i by 4", 64, true, 16},
-                              {"gemm@64 inner cap 4", 64, false, 4}};
-    std::vector<SearchRun> cold_runs;
-    for (const GemmCase &c : cases) {
-        cold::clearProcessMemos();
-        cold_runs.push_back(c.search());
-        EXPECT_GT(cold_runs.back().schedules, 0) << c.label;
-        EXPECT_EQ(cold_runs.back().scheduleHits, 0) << c.label;
-    }
-    cold::clearProcessMemos();
-    for (size_t i = 0; i < std::size(cases); ++i) {
-        SCOPED_TRACE(cases[i].label);
-        SearchRun warm = cases[i].search();
-        EXPECT_EQ(warm.schedules, cold_runs[i].schedules);
-        EXPECT_EQ(warm.scheduleHits, 0);
-        EXPECT_EQ(warm.designs, 1);
-        EXPECT_EQ(warm.journal, cold_runs[i].journal);
-        EXPECT_EQ(warm.hlsC, cold_runs[i].hlsC);
-    }
-    // And again: now each finds all of its own schedules, and lowers
-    // its selected design from them once the design memo is emptied.
-    for (size_t i = 0; i < std::size(cases); ++i) {
-        SCOPED_TRACE(cases[i].label);
-        dse::clearDesignMemo();
-        SearchRun again = cases[i].search();
-        EXPECT_EQ(again.designs, 1);
-        EXPECT_EQ(again.schedules, 0);
-        EXPECT_EQ(again.scheduleHits, cold_runs[i].schedules);
-        EXPECT_EQ(again.journal, cold_runs[i].journal);
-        EXPECT_EQ(again.hlsC, cold_runs[i].hlsC);
-    }
-}
-
-TEST(ScheduleMemo, ReferencePathLeavesItAlone)
-{
-    // With memoize off, or the oracle on every point, a search builds
-    // its own schedules and lowers its own design even when the memos
-    // hold every one of them.
-    cold::clearProcessMemos();
-    auto warmup = makeByName("2mm", 8);
-    const SearchRun memoized = searchOf(warmup->func());
-    EXPECT_GT(memoized.schedules, 0);
-    for (bool verify : {false, true}) {
-        SCOPED_TRACE(verify ? "verifyEachPoint" : "memoize off");
-        dse::DseOptions opt;
-        opt.memoize = verify;
-        opt.verifyEachPoint = verify;
-        auto w = makeByName("2mm", 8);
-        SearchRun reference = searchOf(w->func(), opt);
-        EXPECT_EQ(reference.schedules, 0);
-        EXPECT_EQ(reference.scheduleHits, 0);
-        EXPECT_EQ(reference.designs, 0);
-        EXPECT_EQ(reference.journal, memoized.journal);
-        EXPECT_EQ(reference.hlsC, memoized.hlsC);
-    }
-}
-
-TEST(ScheduleMemo, ServesAnEqualFunctionAfterTheFirstIsGone)
-{
-    // An entry points into no function. Function A fills the memo and
-    // is destroyed; an equal function B, allocated while A was alive,
-    // then takes every schedule from it and lowers from them twice:
-    // each unit on a node-cache miss, and the selected design whole.
-    // Both lowerings find each compute by name in B; a read of A's
-    // would be a use-after-free under the sanitizer build. The design
-    // memo is emptied so that B lowers its selected design itself.
-    cold::clearProcessMemos();
-    auto fresh = makeByName("2mm", 32);
-    const SearchRun cold_run = searchOf(fresh->func());
-
-    cold::clearProcessMemos();
-    auto a = makeByName("2mm", 32);
-    auto b = makeByName("2mm", 32);
-    searchOf(a->func());
-    a.reset();
-    hls::NodeReportCache::global().clear();
-    dse::clearDesignMemo();
-    const std::int64_t node_misses =
-        obs::counterValue("dse.node_cache.misses");
-    const std::int64_t built = obs::counterValue("dse.schedules");
-    const std::int64_t hits = obs::counterValue("dse.schedule_memo.hits");
-    dse::DseResult res = dse::autoDSE(b->func());
-    EXPECT_EQ(obs::counterValue("dse.schedules"), built);
-    EXPECT_EQ(obs::counterValue("dse.schedule_memo.hits") - hits,
-              cold_run.schedules);
-    EXPECT_GT(obs::counterValue("dse.node_cache.misses"), node_misses);
-    EXPECT_EQ(res.design->hlsC(), cold_run.hlsC);
-    EXPECT_EQ(obs::journalJsonV2(res.journal, res.frontierRounds),
-              cold_run.journal);
-}
-
-TEST(ScheduleMemo, ConcurrentSearchesAgree)
+TEST(IncrementalDse, ConcurrentSearchesAgree)
 {
     // Four threads search one workload at once on cold memos, so they
-    // race to build and store the same schedules.
+    // race to analyse, count and estimate, and to store, the same
+    // dependences, trip counts and node reports.
     cold::clearProcessMemos();
     auto solo = makeByName("3mm", 32);
-    const std::string cold_journal = searchOf(solo->func()).journal;
+    dse::DseResult cold_res = dse::autoDSE(solo->func());
+    const std::string cold_journal =
+        obs::journalJsonV2(cold_res.journal, cold_res.frontierRounds);
 
     cold::clearProcessMemos();
     std::vector<std::string> journals(4);
@@ -453,6 +287,30 @@ TEST(ScheduleMemo, ConcurrentSearchesAgree)
         t.join();
     for (const std::string &journal : journals)
         EXPECT_EQ(journal, cold_journal);
+}
+
+// ----- the node key --------------------------------------------------------
+
+/** What one search printed, and how many node reports it estimated. */
+struct SearchRun
+{
+    std::string journal; ///< the v2 journal
+    std::string hlsC;
+    std::int64_t nodeMisses = 0; ///< `dse.node_cache.misses` delta
+    std::shared_ptr<const dse::SelectedDesign> design;
+};
+
+SearchRun
+searchOf(dsl::Function &func)
+{
+    const std::int64_t missed = obs::counterValue("dse.node_cache.misses");
+    dse::DseResult res = dse::autoDSE(func);
+    SearchRun run;
+    run.journal = obs::journalJsonV2(res.journal, res.frontierRounds);
+    run.hlsC = res.design->hlsC();
+    run.nodeMisses = obs::counterValue("dse.node_cache.misses") - missed;
+    run.design = res.design;
+    return run;
 }
 
 /**
@@ -482,29 +340,6 @@ transposeSearch(bool swapped)
     return run;
 }
 
-TEST(ScheduleMemo, IteratorOrderIsPartOfTheKey)
-{
-    // The statement bodies name the iterators and the origin maps place
-    // them; the key folds each compute's iterator list, which binds the
-    // two. Searched after the other order, each order builds its own
-    // schedules and design and prints what a cold process prints.
-    std::vector<SearchRun> cold_runs;
-    for (bool swapped : {false, true}) {
-        cold::clearProcessMemos();
-        cold_runs.push_back(transposeSearch(swapped));
-    }
-    EXPECT_NE(cold_runs[0].hlsC, cold_runs[1].hlsC);
-    cold::clearProcessMemos();
-    for (bool swapped : {false, true}) {
-        SCOPED_TRACE(swapped ? "(j, i)" : "(i, j)");
-        SearchRun warm = transposeSearch(swapped);
-        EXPECT_EQ(warm.schedules, cold_runs[swapped].schedules);
-        EXPECT_EQ(warm.designs, 1);
-        EXPECT_EQ(warm.journal, cold_runs[swapped].journal);
-        EXPECT_EQ(warm.hlsC, cold_runs[swapped].hlsC);
-    }
-}
-
 TEST(NodeKeys, IteratorOrderIsPartOfTheKey)
 {
     // The node key folds each compute's iterator line too, so the
@@ -522,132 +357,37 @@ TEST(NodeKeys, IteratorOrderIsPartOfTheKey)
     EXPECT_EQ(transposeSearch(true).nodeMisses, cold_misses[1]);
 }
 
-// ----- the process-wide design memo ---------------------------------------
-
-TEST(DesignMemo, WarmSweepMatchesTheGolden)
-{
-    // One process runs the 18 x 3 sweep of the golden table twice
-    // without emptying a memo: the second pass lowers no design, shares
-    // all 54, and each still prints the golden HLS C.
-    golden::DigestTable table = golden::readDigestTable(digestPath());
-    auto sweep = [&table](bool check) {
-        for (dse::StrategyKind kind :
-             {dse::StrategyKind::Greedy, dse::StrategyKind::Beam,
-              dse::StrategyKind::Anneal}) {
-            const std::string strategy = dse::strategyName(kind);
-            for (const auto &name : workloads::allNames()) {
-                auto w = makeByName(name, 64);
-                dse::DseResult res =
-                    dse::autoDSE(w->func(), sweepOptions(name, kind));
-                if (!check)
-                    continue;
-                auto it = table.find({strategy, name});
-                ASSERT_TRUE(it != table.end() && it->second.size() == 3)
-                    << strategy << " " << name;
-                EXPECT_EQ(digestOf(res.design->hlsC()), it->second[1])
-                    << strategy << " " << name;
-            }
-        }
-    };
-    cold::clearProcessMemos();
-    sweep(false);
-    const std::int64_t designs = obs::counterValue("dse.designs");
-    const std::int64_t hits = obs::counterValue("dse.design_memo.hits");
-    sweep(true);
-    EXPECT_EQ(obs::counterValue("dse.designs"), designs);
-    EXPECT_EQ(obs::counterValue("dse.design_memo.hits") - hits, 54);
-}
-
-TEST(DesignMemo, ConstantsPastSixDigitsDoNotShare)
+TEST(NodeKeys, ConstantsPastSixDigitsDoNotShare)
 {
     // 1/9 and 0.111111 print alike at six significant digits; the
-    // digest prints both exactly, so each function gets its own IR and
-    // HLS C, and each design computes its own function.
-    cold::clearProcessMemos();
+    // function digest at the head of the node key prints both exactly,
+    // so the 0.111111 function searched after the 1/9 one estimates
+    // every node a cold search of it estimates, and each design gets
+    // its own IR and HLS C and computes its own function.
     auto search = [](double scale) {
         dsl::Function f("scale");
         dsl::Var i("i", 0, 16);
         dsl::Placeholder A(f, "A", {16});
         dsl::Placeholder B(f, "B", {16});
         dsl::Compute s(f, "s", {i}, scale * A(i), B(i));
-        dse::DseResult res = dse::autoDSE(f);
+        SearchRun run = searchOf(f);
         check::OracleResult ok =
-            check::checkLowered(f, res.design->lowered, /*seed=*/1);
+            check::checkLowered(f, run.design->lowered, /*seed=*/1);
         EXPECT_TRUE(ok.equivalent) << ok.message;
-        return res.design;
+        return run;
     };
-    const std::int64_t designs = obs::counterValue("dse.designs");
-    auto ninth = search(1.0 / 9.0);
-    auto rounded = search(0.111111);
-    EXPECT_EQ(obs::counterValue("dse.designs") - designs, 2);
-    EXPECT_NE(ninth, rounded);
-    EXPECT_NE(ninth->lowered.func->str(), rounded->lowered.func->str());
-    EXPECT_NE(ninth->hlsC(), rounded->hlsC());
-}
-
-TEST(DesignMemo, ServesAnEqualFunctionAfterTheFirstIsGone)
-{
-    // An entry points into no function. Function A's search stores its
-    // selected design unemitted and A is destroyed; an equal function
-    // B, allocated while A was alive, then shares that design, emits
-    // it, prints its AST and interprets it against B. A read of A's
-    // would be a use-after-free under the sanitizer build.
     cold::clearProcessMemos();
-    auto fresh = makeByName("2mm", 32);
-    dse::DseResult cold_res = dse::autoDSE(fresh->func());
-    const std::string cold_ast = cold_res.design->lowered.astRoot->str();
-    const std::string cold_hls = cold_res.design->hlsC();
+    const SearchRun cold_run = search(0.111111);
+    EXPECT_GT(cold_run.nodeMisses, 0);
 
     cold::clearProcessMemos();
-    auto a = makeByName("2mm", 32);
-    auto b = makeByName("2mm", 32);
-    const dse::SelectedDesign *stored = dse::autoDSE(a->func()).design.get();
-    a.reset();
-    const std::int64_t designs = obs::counterValue("dse.designs");
-    const std::int64_t hits = obs::counterValue("dse.design_memo.hits");
-    dse::DseResult res = dse::autoDSE(b->func());
-    EXPECT_EQ(res.design.get(), stored);
-    EXPECT_EQ(obs::counterValue("dse.designs"), designs);
-    EXPECT_EQ(obs::counterValue("dse.design_memo.hits") - hits, 1);
-    EXPECT_EQ(res.design->hlsC(), cold_hls);
-    EXPECT_EQ(res.design->lowered.astRoot->str(), cold_ast);
-    check::OracleResult ok =
-        check::checkLowered(b->func(), res.design->lowered, /*seed=*/1);
-    EXPECT_TRUE(ok.equivalent) << ok.message;
-}
-
-TEST(DesignMemo, ConcurrentSearchesShareOneDesign)
-{
-    // One search lowers and stores the selected design unemitted; eight
-    // threads then search the same workload at once, share that one
-    // design and ask for its HLS C together: it is emitted once.
-    cold::clearProcessMemos();
-    obs::setMetricsEnabled(true);
-    const std::int64_t designs = obs::counterValue("dse.designs");
-    const std::int64_t emitted = obs::counterValue("emit.functions");
-    auto first = makeByName("3mm", 32);
-    const std::shared_ptr<const dse::SelectedDesign> stored =
-        dse::autoDSE(first->func()).design;
-
-    std::vector<std::shared_ptr<const dse::SelectedDesign>> shared(8);
-    std::vector<std::string> texts(shared.size());
-    std::vector<std::thread> threads;
-    for (size_t t = 0; t < shared.size(); ++t) {
-        threads.emplace_back([&shared, &texts, t]() {
-            auto w = makeByName("3mm", 32);
-            shared[t] = dse::autoDSE(w->func()).design;
-            texts[t] = shared[t]->hlsC();
-        });
-    }
-    for (std::thread &t : threads)
-        t.join();
-    EXPECT_EQ(obs::counterValue("dse.designs") - designs, 1);
-    EXPECT_EQ(obs::counterValue("emit.functions") - emitted, 1);
-    for (size_t t = 0; t < shared.size(); ++t) {
-        EXPECT_EQ(shared[t], stored);
-        EXPECT_EQ(texts[t], texts[0]);
-    }
-    obs::setMetricsEnabled(false);
+    const SearchRun ninth = search(1.0 / 9.0);
+    const SearchRun rounded = search(0.111111);
+    EXPECT_EQ(rounded.nodeMisses, cold_run.nodeMisses);
+    EXPECT_EQ(rounded.hlsC, cold_run.hlsC);
+    EXPECT_NE(ninth.design->lowered.func->str(),
+              rounded.design->lowered.func->str());
+    EXPECT_NE(ninth.hlsC, rounded.hlsC);
 }
 
 // ----- NodeReportCache entry codec ---------------------------------------

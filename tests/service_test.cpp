@@ -1,20 +1,22 @@
 /**
  * @file
  * Tests for the pomd compile service: protocol encode/decode, version
- * gating, in-process request execution, and full socket round-trips --
- * including the load-bearing property that a daemon-served DSE journal
- * is byte-identical to the one-shot `pomc` equivalent, under
- * concurrency, and that a full queue answers "busy" instead of
- * queueing unboundedly.
+ * gating, in-process request execution, the result memo, and full
+ * socket round-trips -- including the load-bearing property that a
+ * daemon-served DSE journal is byte-identical to the one-shot `pomc`
+ * equivalent, under concurrency, and that a full queue answers "busy"
+ * instead of queueing unboundedly.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <sstream>
 #include <thread>
@@ -25,11 +27,13 @@
 #include <unistd.h>
 
 #include "baselines/baselines.h"
+#include "check/oracle.h"
 #include "cold_memos.h"
 #include "golden_digests.h"
 #include "hls/node_cache.h"
 #include "mutation.h"
 #include "obs/journal.h"
+#include "obs/obs.h"
 #include "service/client.h"
 #include "service/server.h"
 #include "support/socket.h"
@@ -690,6 +694,244 @@ TEST(Server, CompileFrameOptionsReachTheSearch)
         EXPECT_EQ(resp.notes, direct.notes);
         EXPECT_NE(resp.notes, plain.notes);
     }
+}
+
+// ----- the result memo -----------------------------------------------------
+
+/** Every `dse.*`, `dep.*` and `trips.*` metric and `hls.estimates`. */
+std::map<std::string, std::pair<std::int64_t, double>>
+searchMetrics()
+{
+    std::map<std::string, std::pair<std::int64_t, double>> out;
+    for (const auto &[name, m] : obs::metricsSnapshot()) {
+        if (name.rfind("dse.", 0) == 0 || name.rfind("dep.", 0) == 0 ||
+            name.rfind("trips.", 0) == 0 || name == "hls.estimates") {
+            out[name] = {m.count, m.value};
+        }
+    }
+    return out;
+}
+
+std::int64_t
+resultMemoHits()
+{
+    return obs::counterValue("pomd.result_memo.hits");
+}
+
+TEST(ResultMemo, RepeatedCompileRunsNoSearch)
+{
+    // The second execute of one compile request finds its result in
+    // the memo: no search, dependence analysis, trip count or estimate
+    // runs, and its reply is the first one's but for `seconds` and the
+    // hit/miss split of its points.
+    obs::setMetricsEnabled(true);
+    for (const char *name : {"gemm", "2mm", "seidel"}) {
+        SCOPED_TRACE(name);
+        cold::clearProcessMemos();
+        service::Server server(service::ServerOptions{});
+        service::Request req = compileRequest(name, 64, "v2");
+        req.emit = true;
+        const service::Response first = server.execute(req);
+        ASSERT_EQ(first.status, "ok") << first.error;
+        EXPECT_GT(first.cacheMisses, 0);
+
+        const auto before = searchMetrics();
+        const std::int64_t hits = resultMemoHits();
+        const service::Response second = server.execute(req);
+        ASSERT_EQ(second.status, "ok") << second.error;
+        EXPECT_EQ(searchMetrics(), before);
+        EXPECT_EQ(resultMemoHits() - hits, 1);
+
+        EXPECT_EQ(second.cacheHits, first.cacheHits + first.cacheMisses);
+        EXPECT_EQ(second.cacheMisses, 0);
+        EXPECT_FALSE(second.journalText.empty());
+        EXPECT_FALSE(second.hlsC.empty());
+        service::Response same = second;
+        same.seconds = first.seconds;
+        same.cacheHits = first.cacheHits;
+        same.cacheMisses = first.cacheMisses;
+        EXPECT_EQ(service::encodeResponse(same),
+                  service::encodeResponse(first));
+    }
+    obs::setMetricsEnabled(false);
+}
+
+TEST(ResultMemo, EachKeyPartRunsItsOwnSearch)
+{
+    // Requests that differ from the first in one key part each miss
+    // and print what their one-shot runFramework prints; sent again,
+    // each hits its own entry and prints the same.
+    struct Case
+    {
+        const char *label;
+        const char *workload;
+        std::int64_t size;
+        const char *framework;
+        dse::StrategyKind strategy;
+        double resources;
+    };
+    const Case cases[] = {
+        {"base", "gemm", 32, "pom", dse::StrategyKind::Greedy, 1.0},
+        {"workload", "bicg", 32, "pom", dse::StrategyKind::Greedy, 1.0},
+        {"size", "gemm", 64, "pom", dse::StrategyKind::Greedy, 1.0},
+        {"framework", "gemm", 32, "scalehls", dse::StrategyKind::Greedy,
+         1.0},
+        {"strategy", "gemm", 32, "pom", dse::StrategyKind::Beam, 1.0},
+        {"resources", "gemm", 32, "pom", dse::StrategyKind::Greedy, 0.5},
+        {"resources one ulp apart", "gemm", 32, "pom",
+         dse::StrategyKind::Greedy, std::nextafter(1.0, 0.0)},
+    };
+    auto request = [](const Case &c) {
+        service::Request req = compileRequest(c.workload, c.size);
+        req.framework = c.framework;
+        req.strategy = dse::strategyName(c.strategy);
+        req.resourceFraction = c.resources;
+        req.emit = true;
+        return req;
+    };
+
+    service::Server server(service::ServerOptions{});
+    const std::int64_t hits = resultMemoHits();
+    std::vector<service::Response> firsts;
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.label);
+        firsts.push_back(server.execute(request(c)));
+        const service::Response &resp = firsts.back();
+        ASSERT_EQ(resp.status, "ok") << resp.error;
+
+        dse::DseOptions options;
+        options.strategy = c.strategy;
+        options.resourceFraction = c.resources;
+        baselines::Framework kind;
+        ASSERT_TRUE(baselines::parseFramework(c.framework, kind));
+        auto w = workloads::makeByName(c.workload, c.size);
+        baselines::BaselineResult direct =
+            baselines::runFramework(kind, w->func(), options);
+        EXPECT_EQ(resp.reportLine, direct.report.str(options.budget()));
+        EXPECT_EQ(resp.notes, direct.notes);
+        EXPECT_EQ(resp.hlsC, direct.design->hlsC());
+    }
+    EXPECT_EQ(resultMemoHits(), hits);
+
+    for (size_t i = 0; i < std::size(cases); ++i) {
+        SCOPED_TRACE(cases[i].label);
+        const service::Response again = server.execute(request(cases[i]));
+        ASSERT_EQ(again.status, "ok") << again.error;
+        EXPECT_EQ(again.reportLine, firsts[i].reportLine);
+        EXPECT_EQ(again.notes, firsts[i].notes);
+        EXPECT_EQ(again.hlsC, firsts[i].hlsC);
+    }
+    EXPECT_EQ(resultMemoHits() - hits,
+              static_cast<std::int64_t>(std::size(cases)));
+}
+
+TEST(ResultMemo, OneSearchServesEveryRendering)
+{
+    // One key asked for with and without HLS C and for no, a v1 and a
+    // v2 journal runs one search. The first request, without HLS C,
+    // misses alone; the other five hit at once on four workers, and
+    // the three that ask for HLS C share one design, emitted once.
+    // Each reply carries just what it asked for, and each journal the
+    // daemon's stamp of its own request.
+    auto w = workloads::makeByName("2mm", 32);
+    baselines::BaselineResult direct = baselines::runPom(w->func());
+    const std::string v1 = obs::journalJson(direct.journal);
+    const std::string v2 =
+        obs::journalJsonV2(direct.journal, direct.frontierRounds);
+    const std::string hlsC = direct.design->hlsC();
+
+    service::ServerOptions options;
+    options.socketPath = scratchSocket("renderings");
+    options.workers = 4;
+    service::Server server(options);
+    std::string error;
+    ASSERT_TRUE(server.start(error)) << error;
+    std::thread loop([&server]() { server.run(); });
+
+    std::vector<service::Request> requests;
+    for (bool emit : {false, true}) {
+        for (const char *journal : {"none", "v1", "v2"}) {
+            requests.push_back(compileRequest("2mm", 32, journal));
+            requests.back().emit = emit;
+        }
+    }
+    obs::setMetricsEnabled(true);
+    const std::int64_t hits = resultMemoHits();
+    const std::int64_t emitted = obs::counterValue("emit.functions");
+    std::vector<service::Response> replies(requests.size());
+    std::vector<std::string> failures(requests.size());
+    auto send = [&](size_t i) {
+        if (!service::callDaemon(options.socketPath, requests[i],
+                                 replies[i], failures[i])) {
+            return;
+        }
+        if (replies[i].status != "ok")
+            failures[i] = replies[i].error;
+    };
+    send(0);
+    std::vector<std::thread> clients;
+    for (size_t i = 1; i < requests.size(); ++i)
+        clients.emplace_back(send, i);
+    for (std::thread &t : clients)
+        t.join();
+    server.stop();
+    loop.join();
+    EXPECT_EQ(resultMemoHits() - hits,
+              static_cast<std::int64_t>(requests.size()) - 1);
+    EXPECT_EQ(obs::counterValue("emit.functions") - emitted, 1);
+    obs::setMetricsEnabled(false);
+
+    std::vector<std::int64_t> ids;
+    for (size_t i = 0; i < requests.size(); ++i) {
+        const service::Request &req = requests[i];
+        SCOPED_TRACE(std::string(req.emit ? "emit, " : "") + req.journal);
+        ASSERT_TRUE(failures[i].empty()) << failures[i];
+        service::Response &resp = replies[i];
+        ids.push_back(resp.requestId);
+        EXPECT_EQ(resp.hlsC, req.emit ? hlsC : "");
+        if (req.journal == "none") {
+            EXPECT_EQ(resp.journalText, "");
+            continue;
+        }
+        EXPECT_EQ(stripRequestStamp(resp.journalText), resp.requestId);
+        EXPECT_EQ(resp.journalText, req.journal == "v1" ? v1 : v2);
+    }
+    std::sort(ids.begin(), ids.end());
+    EXPECT_EQ(std::unique(ids.begin(), ids.end()), ids.end());
+}
+
+TEST(ResultMemo, StoredDesignOutlivesItsFunction)
+{
+    // A stored result points into no function. The server compiles
+    // without HLS C and destroys the workload; the repeated request
+    // then emits the stored design's HLS C from it alone. The same
+    // holds for a result kept past its function: it emits and prints
+    // its AST. A read of the destroyed function would be a
+    // use-after-free under the sanitizer build.
+    auto fresh = workloads::makeByName("3mm", 32);
+    baselines::BaselineResult cold_res = baselines::runPom(fresh->func());
+    const std::string cold_ast = cold_res.design->lowered.astRoot->str();
+    const std::string cold_hls = cold_res.design->hlsC();
+
+    service::Server server(service::ServerOptions{});
+    ASSERT_EQ(server.execute(compileRequest("3mm", 32)).status, "ok");
+    service::Request emit = compileRequest("3mm", 32);
+    emit.emit = true;
+    const std::int64_t hits = resultMemoHits();
+    const service::Response resp = server.execute(emit);
+    ASSERT_EQ(resp.status, "ok") << resp.error;
+    EXPECT_EQ(resultMemoHits() - hits, 1);
+    EXPECT_EQ(resp.hlsC, cold_hls);
+
+    auto a = workloads::makeByName("3mm", 32);
+    baselines::BaselineResult kept = baselines::runPom(a->func());
+    auto b = workloads::makeByName("3mm", 32);
+    a.reset();
+    EXPECT_EQ(kept.design->lowered.astRoot->str(), cold_ast);
+    EXPECT_EQ(kept.design->hlsC(), cold_hls);
+    check::OracleResult ok =
+        check::checkLowered(b->func(), kept.design->lowered, /*seed=*/1);
+    EXPECT_TRUE(ok.equivalent) << ok.message;
 }
 
 TEST(ServiceSocket, PingStatsAndShutdown)

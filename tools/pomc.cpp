@@ -54,14 +54,16 @@
  *                       (latency, DSP, BRAM, LUT).
  *
  * A flag that a run would ignore is a usage error (exit 2, naming the
- * flag): --dse-journal and --frontier-out require a POM DSE run (--dse
- * or --framework pom) and go with neither --replay-journal nor --fuzz;
+ * flag): --dse-journal, --frontier-out and --strategy require a POM
+ * DSE run (--dse or --framework pom) and go with neither
+ * --replay-journal nor --fuzz; --seed needs --fuzz or --verify,
+ * --point needs --replay-journal and --format needs --daemon-stats;
  * --metrics-out, --trace-out and --timing describe an in-process run
  * and do not go with --connect; a fuzz run compiles no design, so
- * --dse, --framework, --strategy, --resources, --emit, --ast, --dsl,
- * --verify, --cache-dir and --replay-journal do not go with --fuzz;
- * and a replay neither times nor verifies, so --timing and --verify do
- * not go with --replay-journal.
+ * --dse, --framework, --resources, --emit, --ast, --dsl, --verify,
+ * --cache-dir and --replay-journal do not go with --fuzz; and a replay
+ * neither times nor verifies, so --timing and --verify do not go with
+ * --replay-journal.
  *
  * Search strategy (src/dse/strategy.h):
  *   --strategy NAME     stage-2 search driver: greedy (the paper's
@@ -128,6 +130,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <tuple>
 
 #include "baselines/baselines.h"
 #include "check/fuzzer.h"
@@ -166,8 +169,11 @@ usage(const char *argv0)
                  "       %s --connect SOCK --daemon-stats "
                  "[--format text|json|prom] | --daemon-shutdown\n"
                  "       %s --version | --list\n"
-                 "--dse-journal and --frontier-out need --dse or "
-                 "--framework pom, without --replay-journal or --fuzz;\n"
+                 "--dse-journal, --frontier-out and --strategy need "
+                 "--dse or --framework pom, without --replay-journal or "
+                 "--fuzz;\n"
+                 "--seed needs --fuzz or --verify, --point needs "
+                 "--replay-journal, --format needs --daemon-stats;\n"
                  "--metrics-out, --trace-out and --timing do not go "
                  "with --connect;\n"
                  "--emit, --ast, --dsl, --verify, --cache-dir and "
@@ -251,6 +257,8 @@ main(int argc, char **argv)
     // The flags that shape a compile, which a fuzz run does not make.
     bool dse_given = false, framework_given = false;
     bool strategy_given = false, resources_given = false;
+    // Flags that only qualify another one.
+    bool seed_given = false, format_given = false;
 
     // --strategy is accepted both space- and '='-separated; an unknown
     // name is a hard error (never a silent fallback to greedy).
@@ -284,6 +292,7 @@ main(int argc, char **argv)
             daemon_stats = true;
         } else if (arg == "--format" && a + 1 < argc) {
             stats_format = argv[++a];
+            format_given = true;
             if (stats_format != "text" && stats_format != "json" &&
                 stats_format != "prom") {
                 std::fprintf(stderr,
@@ -381,6 +390,7 @@ main(int argc, char **argv)
                 return 2;
             }
             seed = static_cast<unsigned>(s);
+            seed_given = true;
         } else if (!arg.empty() && arg[0] != '-') {
             // First positional token is the workload, second the size.
             if (name.empty()) {
@@ -400,19 +410,34 @@ main(int argc, char **argv)
     }
 
     // A flag this run would accept and then ignore is a usage error.
-    // A journal records a POM search; a replay or a fuzz run makes none.
+    // A journal and a strategy belong to a POM search; a replay or a
+    // fuzz run makes none.
     const char *no_search =
         fuzz_cases > 0 ? "--fuzz searches nothing"
         : !replay_journal.empty() ? "--replay-journal searches nothing"
         : framework != baselines::Framework::Pom
             ? "pass --dse or --framework pom"
             : nullptr;
-    for (const auto &[flag, file] :
-         {std::pair{"--dse-journal", &journal_out},
-          std::pair{"--frontier-out", &frontier_out}}) {
-        if (!file->empty() && no_search) {
+    for (const auto &[flag, given] :
+         {std::pair{"--dse-journal", !journal_out.empty()},
+          std::pair{"--frontier-out", !frontier_out.empty()},
+          std::pair{"--strategy", strategy_given}}) {
+        if (given && no_search) {
             std::fprintf(stderr, "pomc: %s requires a POM DSE run; %s\n",
                          flag, no_search);
+            return 2;
+        }
+    }
+    // A flag that only qualifies another one needs that one.
+    for (const auto &[flag, given, met, needs] :
+         {std::tuple{"--seed", seed_given, fuzz_cases > 0 || want_verify,
+                     "--fuzz or --verify"},
+          std::tuple{"--point", replay_point >= 0, !replay_journal.empty(),
+                     "--replay-journal"},
+          std::tuple{"--format", format_given, daemon_stats,
+                     "--daemon-stats"}}) {
+        if (given && !met) {
+            std::fprintf(stderr, "pomc: %s needs %s\n", flag, needs);
             return 2;
         }
     }
@@ -436,7 +461,6 @@ main(int argc, char **argv)
     for (const auto &[flag, given] :
          {std::pair{"--dse", dse_given},
           std::pair{"--framework", framework_given},
-          std::pair{"--strategy", strategy_given},
           std::pair{"--resources", resources_given},
           std::pair{"--emit", want_emit}, std::pair{"--ast", want_ast},
           std::pair{"--dsl", want_dsl}, std::pair{"--verify", want_verify},

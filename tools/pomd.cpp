@@ -8,12 +8,15 @@
  *        [--trace-out FILE] [--version] [--quiet|-q] [--verbose|-v]
  *
  * Listens on a Unix-domain socket and serves concurrent compile/DSE
- * requests (see src/service/protocol.h), keeping the per-node report
- * cache (src/hls/node_cache.h), the unit-schedule, trip-count and
- * dependence memos warm across requests. With --cache-dir the node
- * cache is spilled to DIR/nodes.index + DIR/nodes/ and warm-loaded on
- * the next start, so even a restarted daemon answers repeated DSE
- * requests from cache.
+ * requests (see src/service/protocol.h). A request it has answered
+ * before -- same workload, size, framework, strategy and resources --
+ * is served from its result memo and runs no search
+ * (`pomd.result_memo.hits` in metrics JSON). Any other request reuses
+ * the per-node report cache (src/hls/node_cache.h), the trip-count and
+ * dependence memos, all warm across requests. With --cache-dir the
+ * node cache is spilled to DIR/nodes.index + DIR/nodes/ and warm-loaded
+ * on the next start, so even a restarted daemon composes repeated DSE
+ * requests from cached nodes.
  *
  * --workers N sets how many requests execute at once; each request
  * runs on its executor thread, and journals do not depend on N.
