@@ -63,7 +63,14 @@ struct Unit
  */
 struct UnitSchedule
 {
-    std::vector<PolyStmt> stmts; ///< member order (= unit.members)
+    /**
+     * The scheduled statements, in member order (= unit.members), and
+     * from the schedule's first node-cache miss on their AST: it
+     * depends on the statements alone, so a later miss -- the same
+     * schedule under other bankings -- estimates against it
+     * (`dse.node_asts` counts the builds).
+     */
+    lower::LoweredFunction node;
     hls::PartitionPlan partitions;
     hls::NodeKey key;
     /** The arrays the members access, in name order. */
@@ -533,7 +540,9 @@ class Engine final : public Search
           device_(options.budget()),
           keyHead_(hls::NodeKey::ofFunction(functionDigest(func))),
           costLine_(hls::opCostsLine(hls::kOpCosts))
-    {}
+    {
+        obs::counterAdd("dse.node_asts", 0);
+    }
 
     DseResult
     run()
@@ -1063,7 +1072,7 @@ class Engine final : public Search
      * doubles one unit per step -- schedules only the changed unit and
      * shares everything else.
      */
-    const UnitSchedule *
+    UnitSchedule *
     unitSchedule(const std::vector<PolyStmt> &base, size_t ui,
                  const Unit &unit)
     {
@@ -1102,7 +1111,7 @@ class Engine final : public Search
             PolyStmt stmt = base[m];
             applyParallelSchedule(stmt, unit.degree, opt_.innerUnrollCap,
                                   func_, us.partitions, min_level);
-            us.stmts.push_back(std::move(stmt));
+            us.node.stmts.push_back(std::move(stmt));
         }
         keyUnit(us);
         return us;
@@ -1118,7 +1127,7 @@ class Engine final : public Search
     {
         us.key = keyHead_;
         std::set<std::string> names;
-        for (const PolyStmt &stmt : us.stmts) {
+        for (const PolyStmt &stmt : us.node.stmts) {
             us.key.addSchedule(stmt);
             us.key.addText(iteratorLine(stmt));
             for (const auto &a : stmt.accesses)
@@ -1135,7 +1144,7 @@ class Engine final : public Search
      * commutative.
      */
     static hls::PartitionPlan
-    mergePartitions(const std::vector<const UnitSchedule *> &parts)
+    mergePartitions(const std::vector<UnitSchedule *> &parts)
     {
         hls::PartitionPlan merged;
         for (const UnitSchedule *part : parts) {
@@ -1173,11 +1182,11 @@ class Engine final : public Search
     }
 
     /** Memoized schedules of every unit at its current degree. */
-    std::vector<const UnitSchedule *>
+    std::vector<UnitSchedule *>
     unitSchedules(const std::vector<PolyStmt> &base,
                   const std::vector<Unit> &units)
     {
-        std::vector<const UnitSchedule *> parts;
+        std::vector<UnitSchedule *> parts;
         parts.reserve(units.size());
         for (size_t ui = 0; ui < units.size(); ++ui)
             parts.push_back(unitSchedule(base, ui, units[ui]));
@@ -1188,12 +1197,12 @@ class Engine final : public Search
     static std::vector<PolyStmt>
     inBaseOrder(const std::vector<PolyStmt> &base,
                 const std::vector<Unit> &units,
-                const std::vector<const UnitSchedule *> &parts)
+                const std::vector<UnitSchedule *> &parts)
     {
         std::vector<PolyStmt> stmts(base.size());
         for (size_t ui = 0; ui < units.size(); ++ui) {
             for (size_t k = 0; k < units[ui].members.size(); ++k)
-                stmts[units[ui].members[k]] = parts[ui]->stmts[k];
+                stmts[units[ui].members[k]] = parts[ui]->node.stmts[k];
         }
         return stmts;
     }
@@ -1201,18 +1210,19 @@ class Engine final : public Search
     /**
      * The content-addressed NodeReports of @p parts, in order, banked
      * by @p partitions (the function's own directives when null):
-     * each unit's come from the node cache, or are lowered, estimated
-     * and stored when its key was never seen (counted in
-     * `dse.node_cache.*`). @p allCached is cleared on any miss.
+     * each unit's come from the node cache, or are estimated and
+     * stored when its key was never seen (counted in
+     * `dse.node_cache.*`), against the unit's AST, lowered on its
+     * schedule's first miss. @p allCached is cleared on any miss.
      */
     std::vector<hls::NodeReport>
-    cachedNodes(const std::vector<const UnitSchedule *> &parts,
+    cachedNodes(const std::vector<UnitSchedule *> &parts,
                 const hls::PartitionPlan *partitions, bool &allCached)
     {
         hls::EstimatorOptions eo;
         eo.partitionOverride = partitions;
         std::vector<hls::NodeReport> nodes;
-        for (const UnitSchedule *part : parts) {
+        for (UnitSchedule *part : parts) {
             const std::string key = nodeKey(*part, partitions);
             if (auto cached = hls::NodeReportCache::global().lookup(key)) {
                 obs::counterAdd("dse.node_cache.hits");
@@ -1222,9 +1232,12 @@ class Engine final : public Search
             }
             obs::counterAdd("dse.node_cache.misses");
             allCached = false;
-            auto lowered = lower::lowerNodeStmts(part->stmts);
+            if (!part->node.astRoot) {
+                obs::counterAdd("dse.node_asts");
+                lower::lowerNodeStmts(part->node);
+            }
             std::vector<hls::NodeReport> fresh =
-                hls::estimateNodes(func_, lowered, eo);
+                hls::estimateNodes(func_, part->node, eo);
             hls::NodeReportCache::global().store(key, fresh);
             for (auto &n : fresh)
                 nodes.push_back(std::move(n));
@@ -1234,17 +1247,17 @@ class Engine final : public Search
 
     /**
      * Compose a design point's report from per-unit NodeReports
-     * (cachedNodes()), lowering and estimating only units whose
-     * schedule was never seen. Unit order is beta order, which is
-     * exactly the top-level order of the full AST, so the composed
-     * report is byte-identical to the monolithic path's. The point
-     * counts as a `dse.cache.hits` when every unit came from the node
-     * cache, as a `dse.cache.misses` otherwise, both process-wide and
-     * in this run's DseResult.
+     * (cachedNodes()), estimating only units whose node key was never
+     * seen. Unit order is beta order, which is exactly the top-level
+     * order of the full AST, so the composed report is byte-identical
+     * to the monolithic path's. The point counts as a `dse.cache.hits`
+     * when every unit came from the node cache, as a
+     * `dse.cache.misses` otherwise, both process-wide and in this
+     * run's DseResult.
      */
     hls::SynthesisReport
     composeReport(
-        const std::vector<const UnitSchedule *> &parts,
+        const std::vector<UnitSchedule *> &parts,
         const hls::PartitionPlan &partitions, obs::Span &span)
     {
         bool allCached = true;
@@ -1280,11 +1293,11 @@ class Engine final : public Search
         for (const Unit &unit : groupUnits(plain)) {
             UnitSchedule &us = units.emplace_back();
             for (size_t m : unit.members)
-                us.stmts.push_back(std::move(plain[m]));
+                us.node.stmts.push_back(std::move(plain[m]));
             keyUnit(us);
         }
-        std::vector<const UnitSchedule *> parts;
-        for (const UnitSchedule &us : units)
+        std::vector<UnitSchedule *> parts;
+        for (UnitSchedule &us : units)
             parts.push_back(&us);
         bool allCached = true;
         return hls::combineNodeReports(
@@ -1295,7 +1308,7 @@ class Engine final : public Search
     std::shared_ptr<const SelectedDesign>
     lowerWhole(const std::vector<PolyStmt> &base,
                const std::vector<Unit> &units,
-               const std::vector<const UnitSchedule *> &parts) const
+               const std::vector<UnitSchedule *> &parts) const
     {
         return std::make_shared<const SelectedDesign>(
             lower::lowerStmts(func_, inBaseOrder(base, units, parts)));
@@ -1305,14 +1318,14 @@ class Engine final : public Search
      * Estimate one design point from each unit's memoized schedule. A
      * search point leaves the shared function alone (partitioning goes
      * through the estimator override) and composes its report from
-     * per-unit NodeReports (composeReport()), so it lowers and
-     * estimates only units whose schedule was never seen. A replay or
-     * the selected point also rewrites the function's partitions and
-     * is lowered whole. With memoize off, or when the oracle must see
-     * every lowered design, every point is lowered and estimated whole
-     * and uncached, and the node cache is not read: the reference the
-     * differential tests hold the composed path to. The caller numbers
-     * and journals the point.
+     * per-unit NodeReports (composeReport()), so it lowers each unit
+     * schedule once and estimates only units whose node key was never
+     * seen. A replay or the selected point also rewrites the
+     * function's partitions and is lowered whole. With memoize off, or
+     * when the oracle must see every lowered design, every point is
+     * lowered and estimated whole and uncached, and the node cache is
+     * not read: the reference the differential tests hold the composed
+     * path to. The caller numbers and journals the point.
      */
     Candidate
     evaluatePoint(const std::vector<PolyStmt> &base,

@@ -64,15 +64,15 @@ struct DseOptions
     /**
      * Compose every point's report, and the unscheduled baseline's,
      * from per-unit NodeReports held in the process-wide
-     * hls::NodeReportCache (hls/node_cache.h): a point re-lowers and
-     * re-estimates only the units whose schedule or banking was never
-     * seen, and a point whose every unit is cached (`dse.cache.hits`)
-     * skips lowering and estimation entirely. The selected and a
-     * replayed point are still lowered whole; only their reports are
-     * composed. With memoize off every point and the baseline are
-     * lowered and estimated whole, uncached: the reference the
-     * differential tests hold the default path to, byte for byte.
-     * Ignored when verifyEachPoint is set.
+     * hls::NodeReportCache (hls/node_cache.h): a point estimates only
+     * the units whose schedule or banking was never seen, lowering
+     * each unit schedule once, and a point whose every unit is cached
+     * (`dse.cache.hits`) skips lowering and estimation entirely. The
+     * selected and a replayed point are still lowered whole; only
+     * their reports are composed. With memoize off every point and the
+     * baseline are lowered and estimated whole, uncached: the
+     * reference the differential tests hold the default path to, byte
+     * for byte. Ignored when verifyEachPoint is set.
      */
     bool memoize = true;
 

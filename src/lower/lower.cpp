@@ -499,13 +499,10 @@ lowerStmts(const dsl::Function &func,
     return out;
 }
 
-LoweredFunction
-lowerNodeStmts(std::vector<transform::PolyStmt> stmts)
+void
+lowerNodeStmts(LoweredFunction &node)
 {
-    LoweredFunction out;
-    out.astRoot = buildAstOf(stmts);
-    out.stmts = std::move(stmts);
-    return out;
+    node.astRoot = buildAstOf(node.stmts);
 }
 
 LoweredFunction

@@ -68,15 +68,15 @@ LoweredFunction lowerStmts(const dsl::Function &func,
 
 /**
  * Estimation-only lowering of a statement subset: build just the
- * polyhedral AST over @p stmts and return it with the statements
+ * polyhedral AST over @p node's statements into its astRoot
  * (LoweredFunction::func stays null). This is the per-node entry the
- * incremental DSE uses to re-evaluate a single unit -- the estimator
+ * incremental DSE uses to estimate a single unit -- the estimator
  * reads only stmts + astRoot, and a node's AST subtree depends only on
  * its own statements, so the result is bit-identical to the matching
  * subtree of a full lowerStmts(). Skips the pragma hints and the IR:
  * hls::estimateNodes never reads either.
  */
-LoweredFunction lowerNodeStmts(std::vector<transform::PolyStmt> stmts);
+void lowerNodeStmts(LoweredFunction &node);
 
 /**
  * The unscheduled design: extract the statements, apply only their

@@ -79,6 +79,8 @@ visitFields(R &r, Visit &&visit)
     visit("node_cache_loaded", r.nodeCacheLoaded, stats);
     visit("node_cache_hit_rate", r.nodeCacheHitRate, stats);
     visit("node_cache_evictions", r.nodeCacheEvictions, stats);
+    visit("result_memo_hits", r.resultMemoHits, stats);
+    visit("result_memo_entries", r.resultMemoEntries, stats);
     visit("queue_wait_ms", r.queueWaitMs, stats);
     visit("service_ms", r.serviceMs, stats);
 }
@@ -177,11 +179,12 @@ statsPrometheus(const Response &stats)
            "Requests executed to completion.",
            std::to_string(stats.requestsServed));
     scalar("pomd_estimator_cache_hits_total", "counter",
-           "DSE design points composed entirely from cached node "
-           "reports.",
+           "Searched DSE design points composed entirely from cached "
+           "node reports.",
            std::to_string(stats.cacheHits));
     scalar("pomd_estimator_cache_misses_total", "counter",
-           "DSE design points that estimated at least one node.",
+           "Searched DSE design points that estimated at least one "
+           "node.",
            std::to_string(stats.cacheMisses));
     scalar("pomd_estimator_cache_hit_rate", "gauge",
            "hits / (hits + misses); 0 when idle.",
@@ -204,6 +207,13 @@ statsPrometheus(const Response &stats)
     scalar("pomd_node_cache_evictions_total", "counter",
            "Node-cache entries evicted past its fixed FIFO cap.",
            std::to_string(stats.nodeCacheEvictions));
+    scalar("pomd_result_memo_hits_total", "counter",
+           "Compile requests answered from the result memo, without a "
+           "search.",
+           std::to_string(stats.resultMemoHits));
+    scalar("pomd_result_memo_entries", "gauge",
+           "Compile results currently in the result memo.",
+           std::to_string(stats.resultMemoEntries));
     scalar("pomd_request_queue_depth", "gauge",
            "Requests queued or executing right now.",
            std::to_string(stats.queueDepth));

@@ -109,7 +109,9 @@ struct Response
     // DSE design points whose every unit came from the node cache
     // (`dse.cache.hits`) and the others (`dse.cache.misses`), counted
     // by THIS request's own search (dse::DseResult). Stats frames
-    // reuse the same fields for daemon totals.
+    // reuse the same fields for daemon totals of searched points only:
+    // a request answered from the result memo searches nothing and
+    // moves neither (resultMemoHits counts it).
     std::int64_t cacheHits = 0;
     std::int64_t cacheMisses = 0;
 
@@ -127,6 +129,8 @@ struct Response
     std::int64_t nodeCacheLoaded = 0; ///< warm-loaded from disk
     double nodeCacheHitRate = 0.0;
     std::int64_t nodeCacheEvictions = 0; ///< past hls::kNodeCacheCap
+    std::int64_t resultMemoHits = 0;    ///< compiles served without a search
+    std::int64_t resultMemoEntries = 0; ///< results held, up to kResultMemoCap
     HistogramWire queueWaitMs;  ///< dispatch -> execution start
     HistogramWire serviceMs;    ///< execution start -> response ready
 };

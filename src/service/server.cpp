@@ -387,6 +387,8 @@ Server::statsResponse()
             : 0.0;
     response.nodeCacheEvictions =
         static_cast<std::int64_t>(nodes.evictions());
+    response.resultMemoHits = static_cast<std::int64_t>(results_.hits());
+    response.resultMemoEntries = static_cast<std::int64_t>(results_.size());
     response.queueDepth = pending_.load(std::memory_order_relaxed);
     response.queueDepthMax =
         pendingMax_.load(std::memory_order_relaxed);

@@ -22,6 +22,8 @@
  *    the monolithic estimate of the whole unscheduled design, and a
  *    second identical search counts no trips, estimates no node and
  *    runs no monolithic estimate.
+ *  - A search lowers each unit schedule once, however often its node
+ *    key misses.
  *  - Concurrent searches that share the process-wide memos agree.
  *  - The node key tells apart functions that differ only in the order
  *    of a compute's iterators or in a constant past six digits.
@@ -199,6 +201,33 @@ TEST(IncrementalDse, NodeCacheIsActuallyUsed)
     // Hits do not necessarily dominate on small designs: the node key
     // includes the banking of every accessed array under the *merged*
     // plan, so doubling one unit re-keys neighbours that share arrays.
+}
+
+TEST(IncrementalDse, EachUnitScheduleLowersOnce)
+{
+    // A unit's AST depends on its statements alone. A node-cache miss
+    // on a schedule the search already lowered -- the same schedule
+    // under bankings that another unit's degree changed -- estimates
+    // against the AST it kept, so 3mm's three units lower fewer ASTs
+    // than they miss, and the design is still the reference path's.
+    obs::setMetricsEnabled(true);
+    cold::clearProcessMemos();
+    const std::int64_t asts = obs::counterValue("dse.node_asts");
+    const std::int64_t misses = obs::counterValue("dse.node_cache.misses");
+    auto w = makeByName("3mm", 128);
+    dse::DseResult inc = dse::autoDSE(w->func());
+    const std::int64_t lowered = obs::counterValue("dse.node_asts") - asts;
+    EXPECT_GT(lowered, 0);
+    EXPECT_LT(lowered, obs::counterValue("dse.node_cache.misses") - misses);
+
+    dse::DseOptions reference;
+    reference.memoize = false;
+    auto wr = makeByName("3mm", 128);
+    dse::DseResult mono = dse::autoDSE(wr->func(), reference);
+    const hls::Device device = hls::Device::xc7z020();
+    EXPECT_EQ(inc.report.str(device), mono.report.str(device));
+    EXPECT_EQ(inc.design->hlsC(), mono.design->hlsC());
+    obs::setMetricsEnabled(false);
 }
 
 TEST(IncrementalDse, RepeatedSearchCountsAndEstimatesNothing)

@@ -319,6 +319,8 @@ sampleFrames()
     stats.nodeCacheLoaded = 11;
     stats.nodeCacheHitRate = 40.0 / 48.0;
     stats.nodeCacheEvictions = 1;
+    stats.resultMemoHits = 3;
+    stats.resultMemoEntries = 2;
     stats.queueWaitMs = {4, 10.5, 0.5, 2.0, 8.0, 8.0};
     stats.serviceMs = {4, 1000.1, 100.0, 400.0, 900.0, 901.5};
     frames.emplace_back("response-stats", service::encodeResponse(stats));
@@ -898,6 +900,32 @@ TEST(ResultMemo, OneSearchServesEveryRendering)
     }
     std::sort(ids.begin(), ids.end());
     EXPECT_EQ(std::unique(ids.begin(), ids.end()), ids.end());
+}
+
+TEST(ResultMemo, StatsFrameCountsRepeats)
+{
+    // gemm sent twice is one result held and one compile answered
+    // without a search. The frame's design-point counts cover searched
+    // points only, so the repeat leaves them as the first left them.
+    service::Server server(service::ServerOptions{});
+    service::Request stats;
+    stats.version = support::kVersionString;
+    stats.method = "stats";
+    const service::Request req = compileRequest("gemm", 128);
+    ASSERT_EQ(server.execute(req).status, "ok");
+    const service::Response searched = server.execute(stats);
+    ASSERT_EQ(server.execute(req).status, "ok");
+    const service::Response resp = server.execute(stats);
+    ASSERT_EQ(resp.status, "ok") << resp.error;
+    EXPECT_EQ(resp.resultMemoHits, 1);
+    EXPECT_EQ(resp.resultMemoEntries, 1);
+    EXPECT_EQ(resp.cacheHits, searched.cacheHits);
+    EXPECT_EQ(resp.cacheMisses, searched.cacheMisses);
+    const std::string text = service::statsPrometheus(resp);
+    EXPECT_NE(text.find("\npomd_result_memo_hits_total 1\n"),
+              std::string::npos);
+    EXPECT_NE(text.find("\npomd_result_memo_entries 1\n"),
+              std::string::npos);
 }
 
 TEST(ResultMemo, StoredDesignOutlivesItsFunction)

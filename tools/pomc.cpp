@@ -520,11 +520,15 @@ main(int argc, char **argv)
                         static_cast<long long>(resp.requestsServed),
                         static_cast<long long>(resp.queueDepth),
                         static_cast<long long>(resp.queueDepthMax));
-            std::printf("cache:     %lld hits, %lld misses (design "
-                        "points, hit rate %.2f)\n",
+            std::printf("cache:     %lld hits, %lld misses (searched "
+                        "design points, hit rate %.2f)\n",
                         static_cast<long long>(resp.cacheHits),
                         static_cast<long long>(resp.cacheMisses),
                         resp.cacheHitRate);
+            std::printf("results:   %lld hits, %lld entries (compiles "
+                        "served without a search)\n",
+                        static_cast<long long>(resp.resultMemoHits),
+                        static_cast<long long>(resp.resultMemoEntries));
             std::printf("nodes:     %lld hits, %lld misses, %lld "
                         "entries (%lld loaded from disk, hit rate "
                         "%.2f)\n",
